@@ -3,8 +3,8 @@
 // N MPMs, linked in a chain by fiber channel (lookahead 2500 cycles), each
 // running compute-bound native threads, with light cross-machine packet
 // traffic injected at barriers. Each measurement runs the identical window
-// schedule twice -- single-threaded reference driver, then one host worker
-// thread per machine -- and reports:
+// schedule twice -- single-threaded reference driver, then the host worker
+// pool of min(machines, hardware threads) -- and reports:
 //
 //   serial_ms / parallel_ms   host wall-clock per run
 //   speedup                   serial_ms / parallel_ms
@@ -15,9 +15,10 @@
 //
 // HONEST-NUMBERS NOTE: speedup > 1 requires host cores to run workers on.
 // The recorded BENCH_cluster_scaling.json carries the google-benchmark
-// context (num_cpus); on a single-core host the parallel driver can only pay
-// thread-switch overhead, so speedup ~= 1/(1+overhead) there, and >= 2x at
-// 4 MPMs is reachable only with >= 4 host cores (docs/PERFORMANCE.md,
+// context (num_cpus); on a single-core host the parallel driver's pool has
+// no helper threads and runs every machine on the calling thread, so
+// speedup ~= 1 there, and
+// >= 2x at 4 MPMs is reachable only with >= 4 host cores (docs/PERFORMANCE.md,
 // "Cluster parallelism").
 
 #include <benchmark/benchmark.h>

@@ -135,55 +135,6 @@ void BM_GuestMips(benchmark::State& state) {
 }
 BENCHMARK(BM_GuestMips)->Args({0, 0})->Args({1, 0})->Args({1, 1});
 
-void BM_GuestMipsParallel(benchmark::State& state) {
-  // Intra-MPM batch dispatch: four simulated CPUs, each running a guest
-  // thread in its own (unshared) space, so every batch collects four
-  // independent quanta. Args are {trace_exec, cpu_host_threads}; host
-  // threads 0 runs the identical batch protocol inline, which is the
-  // determinism reference for the threaded configurations.
-  ck::CacheKernelConfig cfg;
-  cfg.trace_exec = state.range(0) != 0;
-  cfg.cpus_parallel = true;
-  cfg.cpu_host_threads = static_cast<uint32_t>(state.range(1));
-  ckbench::World world(cfg, 16u << 20, /*cpus=*/4);
-  ckapp::AppKernelBase app("mips-par", 64);
-  world.Launch(app);
-  ck::CkApi api = world.ApiFor(app);
-
-  ckisa::AssembleResult assembled = ckisa::Assemble(R"(
-      li   t3, 0x00400000
-    loop:
-      addi t0, t0, 1
-      add  t1, t1, t0
-      sw   t1, 0(t3)
-      lw   t2, 4(t3)
-      slt  t4, t2, t1
-      bne  t0, r0, loop
-      halt
-  )", 0x10000);
-  for (uint32_t c = 0; c < 4; ++c) {
-    uint32_t space = app.CreateSpace(api);
-    app.LoadProgramImage(space, assembled.program, /*writable=*/false);
-    app.DefineZeroRegion(space, 0x00400000, 1, /*writable=*/true);
-    ckapp::GuestThreadParams params;
-    params.space_index = space;
-    params.entry = 0x10000;
-    params.cpu_hint = static_cast<uint8_t>(c);
-    app.CreateGuestThread(api, params);
-  }
-
-  for (int i = 0; i < 16000; ++i) {
-    world.machine().Step();
-  }
-  uint64_t start = world.ck().stats().guest_instructions;
-  for (auto _ : state) {
-    world.machine().Step();
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(world.ck().stats().guest_instructions - start));
-}
-BENCHMARK(BM_GuestMipsParallel)->Args({1, 0})->Args({1, 4})->Args({0, 0})->Args({0, 4});
-
 void BM_FixedPoolAllocateRelease(benchmark::State& state) {
   struct Item {
     ckbase::ListNode pool_node;

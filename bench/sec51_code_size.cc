@@ -50,23 +50,14 @@ uint64_t CountDir(const fs::path& dir) {
   return total;
 }
 
-fs::path FindRepoRoot() {
-  // Walk up from the executable's directory until we find src/ck.
-  fs::path p = fs::current_path();
-  for (int depth = 0; depth < 6; ++depth) {
-    if (fs::exists(p / "src" / "ck")) {
-      return p;
-    }
-    p = p.parent_path();
-  }
-  return fs::current_path();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   ck::ObsSession obs(argc, argv);  // accepts --trace/--metrics; nothing to observe here
-  fs::path root = FindRepoRoot();
+  // The source tree this binary was built from. Searching upward from the
+  // working directory instead finds a build tree's src/ck first, which holds
+  // no sources, and counts zero lines everywhere.
+  fs::path root = CK_SOURCE_DIR;
   uint64_t ck_lines = CountDir(root / "src" / "ck");
   uint64_t base_lines = CountDir(root / "src" / "base");
   uint64_t sim_lines = CountDir(root / "src" / "sim");
@@ -117,5 +108,15 @@ int main(int argc, char** argv) {
   std::printf("  caching model. The paper's supervisor was ~9k lines net of PROM support;\n");
   std::printf("  ours stays well inside the monolithic-VM-system line counts above.\n");
   obs.Finish();
+  // A partition that counts nothing means the tree was not found; the shape
+  // claim above must not pass on an empty measurement.
+  for (uint64_t lines : {ck_lines, base_lines, sim_lines, isa_lines, appkernel_lines, srm_lines,
+                         emulators, prom_lines}) {
+    if (lines == 0) {
+      std::fprintf(stderr, "sec51_code_size: no sources counted under %s\n",
+                   root.string().c_str());
+      return 1;
+    }
+  }
   return 0;
 }

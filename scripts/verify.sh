@@ -9,12 +9,9 @@
 #      sanitizers, and
 #   4. a ThreadSanitizer build running the cluster suite — the parallel
 #      cluster driver (src/sim/cluster.h) runs machines on host worker
-#      threads, and its isolation contract (machines share nothing during a
-#      window; exchanges happen only at barriers) must be clean under TSan —
-#      plus the intra-MPM worker-pool suites (fastpath_test, cluster_test,
-#      tenant_test) re-run with CK_CPUS_PARALLEL=1, which routes every guest
-#      quantum through the batched dispatch protocol on one host worker
-#      thread per simulated CPU (see tests/test_harness.h), and
+#      threads, the simulator's only host parallelism, and its isolation
+#      contract (machines share nothing during a window; exchanges happen
+#      only at barriers) must be clean under TSan, and
 #   5. a formatting lint (clang-format --dry-run --Werror against the
 #      repo-root .clang-format) over src/, tests/ and bench/ — skipped with
 #      a warning when clang-format is not installed.
@@ -117,8 +114,7 @@ if $run_tsan; then
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build build-tsan -j --target cluster_test sim_test cluster_scaling \
-      fastpath_test tenant_test fs_test property_test memory_tiers \
-      policy_vm_test cache_replacement
+      fs_test property_test memory_tiers policy_vm_test cache_replacement
   # property_test carries the tiered conservation storms plus the guest-policy
   # and policy-switch storms, fs_test the tiered netboot serial-vs-parallel
   # differential, policy_vm_test the sandbox confinement suite, and the
@@ -131,11 +127,6 @@ if $run_tsan; then
 
   echo "== TSan: cache_replacement --self-check (PolicyEngine gates) =="
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/bench/cache_replacement --self-check
-
-  echo "== TSan: intra-MPM worker pool (CK_CPUS_PARALLEL=1) =="
-  CK_CPUS_PARALLEL=1 TSAN_OPTIONS=halt_on_error=1 \
-      ctest --test-dir build-tsan -R 'fastpath_test|cluster_test|tenant_test' \
-      --output-on-failure
 fi
 
 echo "verify: OK"

@@ -42,8 +42,6 @@ CacheKernel::CacheKernel(cksim::Machine& machine, const CacheKernelConfig& confi
       remote_frames_(machine.memory().page_count()) {
   knobs_.fastpath = config.fastpath;
   knobs_.trace_exec = config.trace_exec;
-  knobs_.cpus_parallel = config.cpus_parallel;
-  knobs_.cpu_host_threads = config.cpu_host_threads;
   knobs_.profile_period = config.profile_period;
   for (uint32_t t = 0; t < kObjectTypeCount; ++t) {
     knobs_.replacement[t] = config.replacement[t];
@@ -77,14 +75,6 @@ CacheKernel::CacheKernel(cksim::Machine& machine, const CacheKernelConfig& confi
     trace_caches_[c] = std::make_unique<ckisa::TraceCache>();
   }
   machine.AttachKernel(this);
-}
-
-CacheKernel::~CacheKernel() { StopCpuWorkers(); }
-
-void CacheKernel::set_cpu_host_threads(uint32_t threads) {
-  // Quiesce the pool; the next parallel batch respawns it at the new size.
-  StopCpuWorkers();
-  knobs_.cpu_host_threads = threads;
 }
 
 KernelId CacheKernel::BootFirstKernel(AppKernel* handlers, uint64_t cookie) {
@@ -313,8 +303,6 @@ Result<SpaceId> CacheKernel::LoadSpace(KernelId caller, cksim::Cpu& cpu, uint64_
   space->cookie = cookie;
   space->mapping_count = 0;
   space->locked = locked;
-  space->shared_frame_refs = 0;
-  space->message_maps = 0;
   owner->space_count++;
   // Descriptor init plus zeroing the 512-byte root table.
   cpu.Advance(cost.descriptor_init + cost.table_alloc +
@@ -669,7 +657,6 @@ CkStatus CacheKernel::LoadMapping(KernelId caller, cksim::Cpu& cpu, const Mappin
     uint32_t pv = pmap_.Insert(frame, (spec.vaddr & ~0xfffu) | flags, spaces_.SlotOf(space),
                                RecordType::kPhysToVirt);
     cpu.Advance(cost.hash_op);
-    NoteSharedFrameInsert(pv);
 
     if (signal_thread != nullptr) {
       uint32_t gen24 = threads_.IdOf(signal_thread).generation & 0xffffffu;
@@ -1332,9 +1319,8 @@ CkStatus CacheKernel::ClearPolicy(KernelId caller, cksim::Cpu& cpu, ObjectType t
 // victim scan under pressure, and a cheaper writeback -- demotion keeps a
 // cold frame's mappings loaded at slow-tier fill cost where full eviction
 // pays the dependency-ordered unload cascade. Every transition runs at a
-// deterministic serial point (kernel calls, the turn-preparation maintenance
-// scan); the batch execution phase only reads tier state, so the plain
-// per-frame tier bytes never race.
+// deterministic point in the machine's dispatch order (kernel calls, the
+// maintenance scan at the head of each turn).
 // ---------------------------------------------------------------------------
 
 void CacheKernel::SetFrameTierInternal(uint32_t frame, cksim::MemTier to, TierChange why,
@@ -1763,7 +1749,6 @@ void CacheKernel::UnloadPvRecord(uint32_t pv_index, cksim::Cpu& cpu, UnloadCause
     }
   }
 
-  NoteSharedFrameRemove(pv_index);
   pmap_.Remove(pv_index);
   cpu.Advance(cost.hash_op);
   space->mapping_count--;
@@ -1801,70 +1786,6 @@ void CacheKernel::UnloadPvRecord(uint32_t pv_index, cksim::Cpu& cpu, UnloadCause
              static_cast<uint32_t>(ObjectType::kMapping), record.vaddr);
     CkApi api(*this, IdOfKernel(owner), cpu);
     owner->handlers->OnMappingWriteback(record, api);
-  }
-}
-
-// shared_frame_refs transitions when the frame's phys-to-virt mapping count
-// crosses 2: at 1 -> 2 the pre-existing mapping's space starts counting the
-// frame too (it just lost exclusivity); at 2 -> 1 the survivor stops. Above
-// 2 only the inserted/removed mapping's own space adjusts. Duplicate
-// mappings within one space count conservatively -- the space merely loses
-// batch eligibility it could in principle keep.
-
-void CacheKernel::NoteSharedFrameInsert(uint32_t pv_index) {
-  const MemMapEntry& rec = pmap_.record(pv_index);
-  AddressSpaceObject* space = spaces_.SlotAt(rec.pv_space_slot());
-  if (rec.pv_message()) {
-    space->message_maps++;
-  }
-  uint32_t count = 0;
-  uint32_t other = kNilRecord;
-  for (uint32_t cur = pmap_.FindFirst(rec.pv_frame()); cur != kNilRecord;
-       cur = pmap_.NextWithKey(cur)) {
-    if (pmap_.record(cur).type() != RecordType::kPhysToVirt) {
-      continue;
-    }
-    ++count;
-    if (cur != pv_index) {
-      other = cur;
-    }
-  }
-  if (count == 2) {
-    space->shared_frame_refs++;
-    spaces_.SlotAt(pmap_.record(other).pv_space_slot())->shared_frame_refs++;
-  } else if (count > 2) {
-    space->shared_frame_refs++;
-  }
-}
-
-void CacheKernel::NoteSharedFrameRemove(uint32_t pv_index) {
-  const MemMapEntry& rec = pmap_.record(pv_index);
-  AddressSpaceObject* space = spaces_.SlotAt(rec.pv_space_slot());
-  if (rec.pv_message() && space->message_maps > 0) {
-    space->message_maps--;
-  }
-  uint32_t count = 0;
-  uint32_t other = kNilRecord;
-  for (uint32_t cur = pmap_.FindFirst(rec.pv_frame()); cur != kNilRecord;
-       cur = pmap_.NextWithKey(cur)) {
-    if (pmap_.record(cur).type() != RecordType::kPhysToVirt) {
-      continue;
-    }
-    ++count;
-    if (cur != pv_index) {
-      other = cur;
-    }
-  }
-  if (count == 2) {
-    if (space->shared_frame_refs > 0) {
-      space->shared_frame_refs--;
-    }
-    AddressSpaceObject* peer = spaces_.SlotAt(pmap_.record(other).pv_space_slot());
-    if (peer->shared_frame_refs > 0) {
-      peer->shared_frame_refs--;
-    }
-  } else if (count > 2 && space->shared_frame_refs > 0) {
-    space->shared_frame_refs--;
   }
 }
 

@@ -22,16 +22,12 @@
 #define SRC_CK_CACHE_KERNEL_H_
 
 #include <array>
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/base/bitmap.h"
@@ -250,14 +246,6 @@ struct RuntimeKnobs {
   // Superblock trace execution on the fast path (no effect with fastpath
   // off). Simulated results are identical either way.
   bool trace_exec = true;
-  // Intra-MPM batch dispatch: service all minimum-clock CPUs' turns as one
-  // batch with barrier-deferred cross-CPU delivery (see BatchTurn). Changes
-  // the (deterministic) interleaving relative to one-turn-at-a-time
-  // dispatch; bit-identical between host-serial and host-parallel phase 2.
-  bool cpus_parallel = false;
-  // Host worker threads executing the batch's guest quanta; 0 or 1 runs
-  // them inline on the dispatching thread (the serial reference).
-  uint32_t cpu_host_threads = 0;
   // Profiler sampling period in cycles; 0 disables sampling. Samples are
   // taken only at fast-path flush points (see ckisa::PcSampler).
   cksim::Cycles profile_period = 0;
@@ -291,7 +279,6 @@ class FrameTierStore {
 class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
  public:
   CacheKernel(cksim::Machine& machine, const CacheKernelConfig& config);
-  ~CacheKernel() override;
 
   CacheKernel(const CacheKernel&) = delete;
   CacheKernel& operator=(const CacheKernel&) = delete;
@@ -426,10 +413,6 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   void set_fastpath(bool enabled) { knobs_.fastpath = enabled; }
   // Toggle superblock trace execution (fast-path-only; see RuntimeKnobs).
   void set_trace_exec(bool enabled) { knobs_.trace_exec = enabled; }
-  // Toggle the intra-MPM batch dispatch protocol and set the host worker
-  // thread count for its execution phase. Both consulted once per turn.
-  void set_cpus_parallel(bool enabled) { knobs_.cpus_parallel = enabled; }
-  void set_cpu_host_threads(uint32_t threads);
   // Set the profiler sampling period (cycles between guest-PC samples);
   // 0 disables. Takes effect at the next dispatched guest quantum.
   void set_profile_period(cksim::Cycles period);
@@ -593,12 +576,6 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   void UnloadPvRecord(uint32_t pv_index, cksim::Cpu& cpu, UnloadCause cause,
                       bool consistency_cascade = true);
 
-  // -- frame-sharing accounting (AddressSpaceObject::shared_frame_refs /
-  // message_maps, the O(1) intra-MPM batch eligibility check). Called with
-  // the pv record inserted / still present. --
-  void NoteSharedFrameInsert(uint32_t pv_index);
-  void NoteSharedFrameRemove(uint32_t pv_index);
-
   // -- page table maintenance --
   // Returns the leaf PTE address for vaddr, allocating tables if `create`.
   cksim::PhysAddr LeafPteAddr(AddressSpaceObject* space, cksim::VirtAddr vaddr, bool create,
@@ -611,23 +588,6 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   void Dequeue(ThreadObject* thread);
   void RunGuest(ThreadObject* thread, cksim::Cpu& cpu);
   void RunNative(ThreadObject* thread, cksim::Cpu& cpu);
-  // -- intra-MPM batch dispatch (ck_sched.cc) --
-  // One CPU's prepared guest quantum: everything the execution phase needs,
-  // plus the staged counters the commit phase folds. Defined in ck_sched.cc
-  // (it references GuestBusImpl state).
-  struct GuestRunJob;
-  enum class TurnPrep : uint8_t { kIdle, kGuestJob, kInline };
-  void SerialTurn(cksim::Cpu& cpu);
-  void BatchTurn(cksim::Cpu& first);
-  TurnPrep PrepareTurn(cksim::Cpu& cpu, GuestRunJob* job);
-  bool GuestJobStillValid(const GuestRunJob& job);
-  void RunBatchJob(GuestRunJob& job);
-  void CommitGuestRun(GuestRunJob& job);
-  void FinishTurn(cksim::Cpu& cpu);
-  void RunJobsOnWorkers(GuestRunJob* jobs, const bool* valid, uint32_t count);
-  void StartCpuWorkers(uint32_t count);
-  void StopCpuWorkers();
-  void CpuWorkerMain();
   void ChargeThread(ThreadObject* thread, cksim::Cpu& cpu, cksim::Cycles cycles);
   void RollQuotaWindow(cksim::Cpu& cpu);
   void PreemptCurrent(cksim::Cpu& cpu);
@@ -680,9 +640,9 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   // False when every candidate is pinned. `exclude` (kNoFrame when unused)
   // protects the frame currently being admitted or promoted.
   bool TierReclaimOne(cksim::Cpu& cpu, uint32_t requester_slot, uint32_t exclude);
-  // Serial maintenance pass (head of turn preparation, both dispatch modes):
-  // trim over-budget DRAM, then promote hot slow-tier frames by their
-  // harvested referenced bits.
+  // Maintenance pass at the head of every dispatch turn: trim over-budget
+  // DRAM, then promote hot slow-tier frames by their harvested referenced
+  // bits.
   void TierMaintenance(cksim::Cpu& cpu);
   // Harvest (and clear) the referenced evidence for a frame: hardware leaf
   // PTE bits over all of its virtual mappings, OR-ed with the soft TierTouch
@@ -754,24 +714,9 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   // per machine (keyed by physical frame, like the memory it shadows).
   std::vector<ckisa::MicroTlb> micro_tlbs_;
   std::unique_ptr<ckisa::ExecCache> exec_cache_;
-  // Per-CPU superblock trace caches (per-CPU so the batch execution phase
-  // shares no trace state across host threads).
+  // Per-CPU superblock trace caches (a trace revalidates against its CPU's
+  // hardware TLB).
   std::vector<std::unique_ptr<ckisa::TraceCache>> trace_caches_;
-
-  // -- intra-MPM worker pool (generation-counted barrier, same shape as
-  // cksim::Cluster's). Jobs are published under batch_mu_; pickup races on
-  // batch_next_; each worker writes only the jobs it claimed. --
-  std::vector<std::thread> cpu_workers_;
-  std::mutex batch_mu_;
-  std::condition_variable batch_start_cv_;
-  std::condition_variable batch_done_cv_;
-  uint64_t batch_generation_ = 0;
-  uint32_t batch_unfinished_ = 0;
-  bool batch_shutdown_ = false;
-  GuestRunJob* batch_jobs_ = nullptr;
-  const bool* batch_valid_ = nullptr;
-  uint32_t batch_job_count_ = 0;
-  std::atomic<uint32_t> batch_next_{0};
 
   // -- cost attribution / profiler --
   CostAccount& Tenant(uint32_t slot) { return tenant_[slot]; }

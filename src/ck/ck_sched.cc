@@ -32,7 +32,7 @@ class GuestBusImpl : public ckisa::GuestBus {
       }
       if (ck.knobs_.trace_exec) {
         // Superblock traces: the owning CPU's trace cache plus this quantum's
-        // staged counters (FastPath contract: both set or both null).
+        // trace counters (FastPath contract: both set or both null).
         fp_.tcache = ck.trace_caches_[cpu.id()].get();
         fp_.trace_stats = &trace_stats_;
       }
@@ -41,10 +41,6 @@ class GuestBusImpl : public ckisa::GuestBus {
 
   ckisa::FastPath* fast_path() override { return fast_enabled_ ? &fp_ : nullptr; }
 
-  // Counters staged per quantum and folded into CkStats / the tenant account
-  // at commit, so a batched (possibly worker-thread) quantum never touches
-  // shared kernel counters mid-run.
-  uint64_t staged_consistency_faults() const { return staged_consistency_faults_; }
   const ckisa::TraceStats& trace_stats() const { return trace_stats_; }
 
   MemResult Fetch(uint32_t vaddr) override {
@@ -94,9 +90,8 @@ class GuestBusImpl : public ckisa::GuestBus {
     uint32_t pframe = cksim::PageFrame(t.paddr);
     if (ck_.FrameIsRemote(pframe)) {
       // Consistency fault: the line is held on a remote node or the memory
-      // module failed (section 2.1). Staged, not charged to stats_ directly:
-      // this can run on a batch worker thread.
-      staged_consistency_faults_++;
+      // module failed (section 2.1).
+      ck_.stats_.consistency_faults++;
       result.fault.type = cksim::FaultType::kConsistency;
       result.fault.address = vaddr;
       result.fault.access = access;
@@ -130,24 +125,8 @@ class GuestBusImpl : public ckisa::GuestBus {
   AddressSpaceObject* space_;
   uint16_t asid_;
   bool fast_enabled_;
-  uint64_t staged_consistency_faults_ = 0;
   ckisa::TraceStats trace_stats_;
   ckisa::FastPath fp_;
-};
-
-// One prepared guest quantum: everything the execution phase needs to run
-// ckisa::Run without touching shared kernel state, plus the staged results
-// the commit phase folds back in. Lives in a stack array in BatchTurn (or on
-// RunGuest's stack in serial mode); published to workers by raw pointer.
-struct CacheKernel::GuestRunJob {
-  ThreadObject* thread = nullptr;
-  cksim::Cpu* cpu = nullptr;
-  AddressSpaceObject* space = nullptr;
-  ThreadId thread_id{};
-  cksim::Cycles before = 0;
-  ckisa::RunResult run{};
-  uint64_t staged_consistency_faults = 0;
-  ckisa::TraceStats trace_stats{};
 };
 
 // ---------------------------------------------------------------------------
@@ -345,62 +324,9 @@ void CacheKernel::ChargeThread(ThreadObject* thread, cksim::Cpu& cpu, Cycles cyc
 // ---------------------------------------------------------------------------
 
 void CacheKernel::OnCpuTurn(cksim::Cpu& cpu) {
-  if (knobs_.cpus_parallel && machine_.cpu_count() > 1) {
-    BatchTurn(cpu);
-    return;
-  }
-  SerialTurn(cpu);
-}
-
-// One classic serial turn, expressed over the batch primitives so that a
-// batch of one is literally the serial path (the differential suites compare
-// the two directly).
-void CacheKernel::SerialTurn(cksim::Cpu& cpu) {
-  GuestRunJob job;
-  switch (PrepareTurn(cpu, &job)) {
-    case TurnPrep::kIdle:
-      return;  // idle turn or discarded thread, fully handled
-    case TurnPrep::kGuestJob:
-      RunBatchJob(job);
-      CommitGuestRun(job);
-      break;
-    case TurnPrep::kInline: {
-      ThreadObject* current = CurrentOn(cpu);
-      if (current->native != nullptr) {
-        RunNative(current, cpu);
-      } else {
-        RunGuest(current, cpu);
-      }
-      break;
-    }
-  }
-  FinishTurn(cpu);
-}
-
-void CacheKernel::FinishTurn(cksim::Cpu& cpu) {
-  // Time-slice expiry: round-robin within the priority (section 4.3).
-  ThreadObject* still = CurrentOn(cpu);
-  if (still != nullptr && still->slice_remaining == 0) {
-    PreemptCurrent(cpu);
-  }
-}
-
-// First half of a CPU turn: deferred events, signal drains, preemption scans
-// and dispatch. Classifies the dispatched work: kIdle = nothing to run (idle
-// advance or discard, fully handled here); kGuestJob = an eligible guest
-// quantum, prepared into *job, signal entry already delivered; kInline = a
-// native thread or a guest that must run interleaved with kernel state (its
-// space maps a shared frame, or maps signal-on-write message pages).
-//
-// Eligibility deliberately ignores the fastpath/trace knobs: a slow-path
-// quantum of an exclusive space is just as thread-safe, and keying the batch
-// shape on an acceleration knob would desynchronize the fast-vs-slow
-// differential suites.
-CacheKernel::TurnPrep CacheKernel::PrepareTurn(cksim::Cpu& cpu, GuestRunJob* job) {
   // Tiered-memory maintenance (DRAM trim + hot-page promotion) runs at the
-  // head of turn preparation: serial in both dispatch modes (BatchTurn's
-  // phase 1 prepares CPUs one at a time in deterministic order), so every
-  // tier transition is a deterministic serial point.
+  // head of every turn, so every tier transition happens at a deterministic
+  // point in the machine's dispatch order.
   TierMaintenance(cpu);
 
   // Application-kernel deferred events due on this CPU's clock.
@@ -456,7 +382,7 @@ CacheKernel::TurnPrep CacheKernel::PrepareTurn(cksim::Cpu& cpu, GuestRunJob* job
         target = std::max(cpu.clock() + 1, std::min(target, pending_signals_[cpu.id()].front().due));
       }
       cpu.AdvanceTo(target);
-      return TurnPrep::kIdle;
+      return;
     }
     current->state = ThreadState::kRunning;
     cpu.current_thread = current;
@@ -473,28 +399,20 @@ CacheKernel::TurnPrep CacheKernel::PrepareTurn(cksim::Cpu& cpu, GuestRunJob* job
   }
 
   if (current->native != nullptr) {
-    return TurnPrep::kInline;
-  }
-  AddressSpaceObject* space =
-      spaces_.Lookup(ckbase::PoolId{current->space_slot, current->space_gen});
-  if (space == nullptr) {
-    // Invariant violation: threads are unloaded with their space.
-    UnloadThreadInternal(current, cpu, UnloadCause::kDiscard);
-    return TurnPrep::kIdle;
-  }
-  if (space->shared_frame_refs != 0 ||
-      (config_.signal_on_write && space->message_maps > 0)) {
-    return TurnPrep::kInline;
+    RunNative(current, cpu);
+  } else {
+    RunGuest(current, cpu);
   }
 
-  MaybeEnterSignalHandler(current, cpu);
-  job->thread = current;
-  job->cpu = &cpu;
-  job->space = space;
-  job->thread_id = IdOfThread(current);
-  return TurnPrep::kGuestJob;
+  // Time-slice expiry: round-robin within the priority (section 4.3).
+  ThreadObject* still = CurrentOn(cpu);
+  if (still != nullptr && still->slice_remaining == 0) {
+    PreemptCurrent(cpu);
+  }
 }
 
+// One guest quantum: up to dispatch_budget instructions, then the charges
+// and the quantum's exit event (trap, fault or halt).
 void CacheKernel::RunGuest(ThreadObject* thread, cksim::Cpu& cpu) {
   AddressSpaceObject* space =
       spaces_.Lookup(ckbase::PoolId{thread->space_slot, thread->space_gen});
@@ -506,49 +424,23 @@ void CacheKernel::RunGuest(ThreadObject* thread, cksim::Cpu& cpu) {
 
   MaybeEnterSignalHandler(thread, cpu);
 
-  GuestRunJob job;
-  job.thread = thread;
-  job.cpu = &cpu;
-  job.space = space;
-  job.thread_id = IdOfThread(thread);
-  RunBatchJob(job);
-  CommitGuestRun(job);
-}
+  Cycles before = cpu.clock();
+  GuestBusImpl bus(*this, cpu, space, static_cast<uint16_t>(thread->space_slot));
+  ckisa::RunResult run = ckisa::Run(thread->vm, bus, config_.dispatch_budget);
+  const ckisa::TraceStats& traces = bus.trace_stats();
 
-// Execute one prepared guest quantum. Shared-kernel-state free: everything it
-// touches is per-CPU (clock, TLB, micro-TLB, trace cache, sampler), staged in
-// the job, or element-disjoint across eligible jobs (frame data, frame
-// generations, decoded-frame slots, the space's own page tables) -- this is
-// the function batch worker threads run.
-void CacheKernel::RunBatchJob(GuestRunJob& job) {
-  job.before = job.cpu->clock();
-  GuestBusImpl bus(*this, *job.cpu, job.space,
-                   static_cast<uint16_t>(job.thread->space_slot));
-  job.run = ckisa::Run(job.thread->vm, bus, config_.dispatch_budget);
-  job.staged_consistency_faults = bus.staged_consistency_faults();
-  job.trace_stats = bus.trace_stats();
-}
-
-// Fold a quantum's results into kernel state and handle its exit event.
-// Serial-only: charges, stats, tenant accounts, trap/fault/halt forwarding.
-void CacheKernel::CommitGuestRun(GuestRunJob& job) {
-  ThreadObject* thread = job.thread;
-  cksim::Cpu& cpu = *job.cpu;
-  const ckisa::RunResult& run = job.run;
-
-  ChargeThread(thread, cpu, cpu.clock() - job.before);
+  ChargeThread(thread, cpu, cpu.clock() - before);
   stats_.guest_instructions += run.instructions;
-  stats_.consistency_faults += job.staged_consistency_faults;
-  stats_.exec_trace_hits += job.trace_stats.hits;
-  stats_.exec_trace_misses += job.trace_stats.misses;
-  stats_.exec_trace_invalidations += job.trace_stats.invalidations;
-  stats_.exec_trace_builds += job.trace_stats.builds;
+  stats_.exec_trace_hits += traces.hits;
+  stats_.exec_trace_misses += traces.misses;
+  stats_.exec_trace_invalidations += traces.invalidations;
+  stats_.exec_trace_builds += traces.builds;
   CostAccount& account = Tenant(thread->kernel_slot);
   account.guest_instructions += run.instructions;
-  account.exec_trace_hits += job.trace_stats.hits;
-  account.exec_trace_misses += job.trace_stats.misses;
-  account.exec_trace_invalidations += job.trace_stats.invalidations;
-  account.exec_trace_builds += job.trace_stats.builds;
+  account.exec_trace_hits += traces.hits;
+  account.exec_trace_misses += traces.misses;
+  account.exec_trace_invalidations += traces.invalidations;
+  account.exec_trace_builds += traces.builds;
 
   // Harvest the quantum's profiler sample (if one came due) while the owning
   // kernel slot is still known -- the interpreter only latched the PC.
@@ -580,216 +472,6 @@ void CacheKernel::CommitGuestRun(GuestRunJob& job) {
       CkApi api(*this, IdOfKernel(owner), cpu);
       owner->handlers->OnThreadHalt(id, cookie, api);
       break;
-    }
-  }
-}
-
-// A collected job survives only while its exact thread/space binding does:
-// phase-1 side effects and earlier commits' handlers can unload, block or
-// re-dispatch it.
-bool CacheKernel::GuestJobStillValid(const GuestRunJob& job) {
-  ThreadObject* thread = GetThread(job.thread_id);
-  if (thread != job.thread || thread == nullptr) {
-    return false;
-  }
-  if (thread->state != ThreadState::kRunning || CurrentOn(*job.cpu) != thread) {
-    return false;
-  }
-  AddressSpaceObject* space =
-      spaces_.Lookup(ckbase::PoolId{thread->space_slot, thread->space_gen});
-  return space == job.space;
-}
-
-// One batched dispatch round: prepare a turn for every CPU in the machine's
-// own (clock, index) dispatch order, execute the collected independent guest
-// quanta -- on host worker threads when enabled -- and commit serially in
-// batch order. With cpu_host_threads == 0 the identical protocol runs inline
-// on the calling thread, which is the determinism reference the parallel
-// configuration is tested against (docs/PERFORMANCE.md).
-void CacheKernel::BatchTurn(cksim::Cpu& first) {
-  // Snapshot the dispatch order. `first` is the machine's min-clock pick, so
-  // it sorts to the front by construction; later candidates are the turns the
-  // machine would have taken next had nothing readied in between.
-  (void)first;
-  const uint32_t cpu_count = machine_.cpu_count();
-  uint32_t order[kMaxCpus];
-  uint32_t ordered = 0;
-  for (uint32_t c = 0; c < cpu_count && c < kMaxCpus; ++c) {
-    Cycles clock = machine_.cpu(c).clock();
-    uint32_t at = ordered;
-    while (at > 0) {
-      Cycles prev = machine_.cpu(order[at - 1]).clock();
-      if (prev < clock || (prev == clock && order[at - 1] < c)) {
-        break;
-      }
-      order[at] = order[at - 1];
-      --at;
-    }
-    order[at] = c;
-    ++ordered;
-  }
-
-  GuestRunJob jobs[kMaxCpus];
-  bool valid[kMaxCpus] = {false};
-  uint32_t job_count = 0;
-
-  // Phase 1 (serial): prepare turns, collecting eligible guest quanta.
-  // Anything that must interleave with kernel state -- a native thread, an
-  // ineligible guest, a second quantum in an already-collected space -- runs
-  // inline and ends the scan (deferring a same-space duplicate would never
-  // advance its CPU's clock: livelock).
-  for (uint32_t i = 0; i < ordered; ++i) {
-    cksim::Cpu& cpu = machine_.cpu(order[i]);
-    TurnPrep prep = PrepareTurn(cpu, &jobs[job_count]);
-    if (prep == TurnPrep::kIdle) {
-      continue;
-    }
-    if (prep == TurnPrep::kGuestJob) {
-      bool duplicate = false;
-      for (uint32_t j = 0; j < job_count; ++j) {
-        if (jobs[j].space == jobs[job_count].space) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (!duplicate) {
-        valid[job_count] = true;
-        ++job_count;
-        continue;
-      }
-      // Batch-of-one semantics for the duplicate, then stop collecting.
-      RunBatchJob(jobs[job_count]);
-      CommitGuestRun(jobs[job_count]);
-      FinishTurn(cpu);
-      break;
-    }
-    ThreadObject* current = CurrentOn(cpu);
-    if (current != nullptr) {
-      if (current->native != nullptr) {
-        RunNative(current, cpu);
-      } else {
-        RunGuest(current, cpu);
-      }
-    }
-    FinishTurn(cpu);
-    break;
-  }
-
-  // Phase-1 side effects (deferred app events, signal drains, the inline run
-  // above) can unload a collected thread or newly share its space's frames;
-  // re-validate everything before any quantum executes.
-  uint32_t runnable = 0;
-  for (uint32_t j = 0; j < job_count; ++j) {
-    valid[j] = GuestJobStillValid(jobs[j]) && jobs[j].space->shared_frame_refs == 0 &&
-               !(config_.signal_on_write && jobs[j].space->message_maps > 0);
-    if (valid[j]) {
-      ++runnable;
-    }
-  }
-
-  // Phase 2: execute the surviving quanta. Worker pool or inline -- the same
-  // jobs run the same guest instructions against disjoint frames either way.
-  if (runnable >= 2 && knobs_.cpu_host_threads >= 2) {
-    RunJobsOnWorkers(jobs, valid, job_count);
-  } else {
-    for (uint32_t j = 0; j < job_count; ++j) {
-      if (valid[j]) {
-        RunBatchJob(jobs[j]);
-      }
-    }
-  }
-
-  // Phase 3 (serial, batch order): fold results back in. A commit's handlers
-  // can unload a later job's thread; that quantum already ran (its stores are
-  // architecturally visible) but its charges and exit event die with the
-  // thread -- identically in inline and threaded runs, so the differential
-  // suites see one behavior.
-  for (uint32_t j = 0; j < job_count; ++j) {
-    if (!valid[j]) {
-      continue;
-    }
-    if (GuestJobStillValid(jobs[j])) {
-      CommitGuestRun(jobs[j]);
-    }
-    FinishTurn(*jobs[j].cpu);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Batch worker pool (generation-counted barrier, same shape as
-// cksim::Cluster's window workers)
-// ---------------------------------------------------------------------------
-
-void CacheKernel::RunJobsOnWorkers(GuestRunJob* jobs, const bool* valid, uint32_t count) {
-  uint32_t want = knobs_.cpu_host_threads < kMaxCpus ? knobs_.cpu_host_threads : kMaxCpus;
-  StartCpuWorkers(want);
-  std::unique_lock<std::mutex> lock(batch_mu_);
-  batch_jobs_ = jobs;
-  batch_valid_ = valid;
-  batch_job_count_ = count;
-  batch_next_.store(0, std::memory_order_relaxed);
-  batch_unfinished_ = static_cast<uint32_t>(cpu_workers_.size());
-  ++batch_generation_;
-  batch_start_cv_.notify_all();
-  batch_done_cv_.wait(lock, [&] { return batch_unfinished_ == 0; });
-  batch_jobs_ = nullptr;
-  batch_valid_ = nullptr;
-  batch_job_count_ = 0;
-}
-
-void CacheKernel::StartCpuWorkers(uint32_t count) {
-  while (cpu_workers_.size() < count) {
-    cpu_workers_.emplace_back([this] { CpuWorkerMain(); });
-  }
-}
-
-void CacheKernel::StopCpuWorkers() {
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    if (cpu_workers_.empty()) {
-      return;
-    }
-    batch_shutdown_ = true;
-  }
-  batch_start_cv_.notify_all();
-  for (std::thread& worker : cpu_workers_) {
-    worker.join();
-  }
-  cpu_workers_.clear();
-  std::lock_guard<std::mutex> lock(batch_mu_);
-  batch_shutdown_ = false;
-}
-
-void CacheKernel::CpuWorkerMain() {
-  uint64_t seen_generation = 0;
-  for (;;) {
-    GuestRunJob* jobs = nullptr;
-    const bool* valid = nullptr;
-    uint32_t count = 0;
-    {
-      std::unique_lock<std::mutex> lock(batch_mu_);
-      batch_start_cv_.wait(
-          lock, [&] { return batch_shutdown_ || batch_generation_ != seen_generation; });
-      if (batch_shutdown_) {
-        return;
-      }
-      seen_generation = batch_generation_;
-      jobs = batch_jobs_;
-      valid = batch_valid_;
-      count = batch_job_count_;
-    }
-    for (;;) {
-      uint32_t index = batch_next_.fetch_add(1, std::memory_order_relaxed);
-      if (index >= count) {
-        break;
-      }
-      if (valid[index]) {
-        RunBatchJob(jobs[index]);
-      }
-    }
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    if (--batch_unfinished_ == 0) {
-      batch_done_cv_.notify_all();
     }
   }
 }

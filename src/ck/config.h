@@ -84,14 +84,6 @@ struct CacheKernelConfig {
   // either way (--trace-exec=off for differential runs).
   bool trace_exec = true;
 
-  // Intra-MPM batch dispatch: collect one guest quantum per runnable CPU and
-  // execute the batch on host worker threads under the conservative-window
-  // eligibility rules (no shared frames, no signal-on-write message pages).
-  // Results are bit-identical with any cpu_host_threads value, including 0
-  // (inline execution of the same batch protocol); see docs/PERFORMANCE.md.
-  bool cpus_parallel = false;
-  uint32_t cpu_host_threads = 0;  // 0 = run batches inline on the main thread
-
   // Physical memory reserved for the Cache Kernel's page tables, carved from
   // the top of the machine's memory.
   uint32_t page_table_arena_bytes = 1u << 20;
@@ -131,8 +123,8 @@ struct CacheKernelConfig {
   // reclaim behavior, kept for the bench comparison).
   bool tier_demote = true;
   // Cadence of the hot-page promotion scan (harvests leaf-PTE referenced
-  // bits over slow-tier frames at the head of the serial turn-preparation
-  // phase); 0 disables promotion.
+  // bits over slow-tier frames at the head of a dispatch turn); 0 disables
+  // promotion.
   cksim::Cycles tier_promote_period = 250000;  // 10 ms at 25 MHz
   // Slow-tier frames examined per promotion scan.
   uint32_t tier_scan_frames = 64;

@@ -97,17 +97,6 @@ struct AddressSpaceObject {
   uint32_t mapping_count = 0;  // loaded MemMapEntries for this space
   bool locked = false;
 
-  // Intra-MPM batch-dispatch eligibility (src/ck/ck_sched.cc BatchTurn). A
-  // space whose every mapped frame is exclusively its own can run its guest
-  // quantum concurrently with other such spaces; these counters make that
-  // check O(1). shared_frame_refs counts this space's phys-to-virt mappings
-  // whose frame carries >= 2 phys-to-virt mappings in total (any space,
-  // including duplicate mappings within this one); message_maps counts
-  // kPvMessage mappings, which under signal_on_write make stores observable
-  // by other CPUs mid-quantum.
-  uint32_t shared_frame_refs = 0;
-  uint32_t message_maps = 0;
-
   ckbase::IntrusiveList<ThreadObject, &ThreadObject::space_node> threads;
 };
 

@@ -34,7 +34,6 @@ void PrintUsage(const char* prog, const std::vector<std::string>& passthrough) {
                "  --flight-recorder=<dir>  dump post-mortem records into <dir>\n"
                "  --fastpath=on|off        force the guest-execution fast path\n"
                "  --trace-exec=on|off      force superblock trace execution\n"
-               "  --cpus-parallel[=on|off] batched intra-MPM dispatch on host threads\n"
                "  --policy=[<type>:]<name> replacement policy: clock|fifo|second-chance|\n"
                "                           perceptron, for all four object types or one of\n"
                "                           kernel|space|thread|mapping\n"
@@ -94,11 +93,6 @@ ObsSession::ObsSession(int& argc, char** argv, std::initializer_list<const char*
       trace_exec_override_ = 1;
     } else if (std::strcmp(arg, "--trace-exec=off") == 0) {
       trace_exec_override_ = 0;
-    } else if (std::strcmp(arg, "--cpus-parallel") == 0 ||
-               std::strcmp(arg, "--cpus-parallel=on") == 0) {
-      cpus_parallel_override_ = 1;
-    } else if (std::strcmp(arg, "--cpus-parallel=off") == 0) {
-      cpus_parallel_override_ = 0;
     } else if (std::strncmp(arg, "--policy=", 9) == 0) {
       const char* value = arg + 9;
       // Optional "<type>:" prefix narrows the override to one object type.
@@ -231,10 +225,6 @@ void ObsSession::Attach(cksim::Machine& machine, CacheKernel* kernel) {
   }
   if (trace_exec_override_ >= 0) {
     kernel->set_trace_exec(trace_exec_override_ == 1);
-  }
-  if (cpus_parallel_override_ >= 0) {
-    kernel->set_cpus_parallel(cpus_parallel_override_ == 1);
-    kernel->set_cpu_host_threads(cpus_parallel_override_ == 1 ? machine.cpu_count() : 0);
   }
   for (uint32_t type = 0; type < kObjectTypeCount; ++type) {
     if (policy_override_[type] >= 0) {

@@ -31,13 +31,6 @@
 //   --trace-exec=on|off   force superblock trace execution on or off (only
 //                         meaningful with the fast path enabled; identical
 //                         results either way, see docs/PERFORMANCE.md)
-//   --cpus-parallel[=on|off]  run each machine's simulated CPUs through the
-//                         batched intra-MPM dispatch protocol, on host worker
-//                         threads (one per simulated CPU). `=off` forces the
-//                         classic serial dispatch; bare --cpus-parallel is
-//                         `=on`. Bit-identical to serial dispatch with
-//                         batching enabled and threads off (the differential
-//                         suites enforce this; see docs/PERFORMANCE.md)
 //   --policy=<name>       descriptor-cache replacement policy for all four
 //                         object types: clock (default), fifo, second-chance,
 //                         perceptron (see docs/PERFORMANCE.md)
@@ -142,8 +135,7 @@ class ObsSession {
   cksim::Cycles profile_period_ = 0;
   std::string flight_dir_;
   int fastpath_override_ = -1;  // -1 = leave config alone, else 0/1
-  int trace_exec_override_ = -1;     // -1 = leave config alone, else 0/1
-  int cpus_parallel_override_ = -1;  // -1 = leave config alone, else 0/1
+  int trace_exec_override_ = -1;  // -1 = leave config alone, else 0/1
   // Per object type: -1 = leave config alone, else ReplacementPolicy. Set
   // by --policy=<name> (all four) or --policy=<type>:<name> (one type).
   int policy_override_[kObjectTypeCount] = {-1, -1, -1, -1};

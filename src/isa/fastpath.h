@@ -142,7 +142,7 @@ class ExecCache {
 // precomputed as prefix sums at build time and committed wholesale at trace
 // exit (or before any bus call), reproducing the exact accumulator and
 // Tlb lru/tick/hit state a step-by-step run would leave. See
-// docs/PERFORMANCE.md ("Superblock traces & intra-MPM parallelism").
+// docs/PERFORMANCE.md ("Superblock traces").
 
 struct TraceStep {
   Decoded d;
@@ -184,10 +184,8 @@ struct Trace {
 };
 
 // Per-CPU direct-mapped cache of built traces, keyed (asid, head pc).
-// Per-CPU so that intra-MPM parallel execution shares no trace state across
-// host threads; contents are a deterministic function of the owning CPU's
-// own execution history, which keeps hit/miss/build counts bit-identical
-// between serial and parallel runs.
+// Contents are a deterministic function of the owning CPU's own execution
+// history, so hit/miss/build counts are reproducible simulated statistics.
 class TraceCache {
  public:
   static constexpr uint32_t kSlots = 2048;
@@ -218,9 +216,8 @@ class TraceCache {
   std::vector<std::unique_ptr<Trace>> slots_{kSlots};
 };
 
-// Staged trace-cache statistics, accumulated per dispatch quantum and folded
-// into CkStats / the owning tenant's CostAccount at quantum commit (so the
-// intra-MPM parallel executor never touches shared counters mid-run).
+// Trace-cache statistics of one dispatch quantum, folded into CkStats and
+// the owning tenant's CostAccount when the quantum ends.
 struct TraceStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -281,7 +278,7 @@ struct FastPath {
   // Optional profiler hook, consulted at run-loop exit points only.
   PcSampler* sampler = nullptr;
   // Superblock trace execution (null = disabled): the owning CPU's trace
-  // cache and the quantum's staged counters. Always both set or both null.
+  // cache and the quantum's trace counters. Always both set or both null.
   TraceCache* tcache = nullptr;
   TraceStats* trace_stats = nullptr;
   uint16_t asid = 0;

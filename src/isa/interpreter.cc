@@ -239,8 +239,8 @@ struct FastPolicy {
   // Entry protocol: look up a trace at (asid, pc); validate every recorded
   // page against the live TLB (side-effect-free Probe) and its recorded
   // frame generation; rebuild on generation/frame mismatch (= the trace was
-  // invalidated by a store or remap); run it. Counters are staged into
-  // fp.trace_stats and folded into CkStats/tenant accounts at quantum commit.
+  // invalidated by a store or remap); run it. Counters accumulate in
+  // fp.trace_stats and are folded into CkStats/tenant accounts at quantum end.
   TraceOutcome TryTrace(VmContext& ctx, uint32_t budget, uint32_t& n, RunResult& result) {
     if (fp.tcache == nullptr || (ctx.pc & 3u) != 0) {
       return TraceOutcome::kNone;
@@ -808,7 +808,7 @@ RunResult RunLoop(VmContext& ctx, Policy& p, uint32_t budget) {
   // entry, or the target of a taken branch / jump / trace exit). Sequential
   // fall-through pcs never probe the trace cache: that keeps the single-step
   // path free of per-instruction lookup overhead and keeps trace-cache
-  // contents (and so the staged hit/miss counters) deterministic.
+  // contents (and so the hit/miss counters) deterministic.
   bool at_head = true;
   while (n < budget) {
     if (at_head) {

@@ -8,9 +8,8 @@ namespace cksim {
 Cluster::~Cluster() { StopWorkers(); }
 
 uint32_t Cluster::AddMachine(Machine* machine) {
-  // Workers are indexed 1:1 with machines; adding after a parallel run
-  // started would desynchronize them, so tear the pool down and let the next
-  // run rebuild it.
+  // The pool's stripes are sized for the machine count; tear it down and let
+  // the next parallel window rebuild it.
   StopWorkers();
   machines_.push_back(machine);
   uint32_t index = static_cast<uint32_t>(machines_.size() - 1);
@@ -65,20 +64,20 @@ Cycles Cluster::Now() const {
 }
 
 size_t Cluster::RunWindow(Cycles window_end) {
-  if (parallel_ && machines_.size() > 1) {
-    StartWorkers();
-    std::unique_lock<std::mutex> lock(mu_);
-    window_end_ = window_end;
-    unfinished_ = static_cast<uint32_t>(machines_.size());
-    ++start_generation_;
-    start_cv_.notify_all();
-    done_cv_.wait(lock, [this] { return unfinished_ == 0; });
-  } else {
-    for (Machine* machine : machines_) {
-      if (!machine->halted()) {
-        machine->RunUntil(window_end);
-      }
+  const uint32_t helpers = parallel_ ? StartWorkers() : 0;
+  if (helpers > 0) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      window_end_ = window_end;
+      unfinished_ = helpers;
+      ++start_generation_;
     }
+    start_cv_.notify_all();
+  }
+  RunStripe(0, helpers + 1, window_end);
+  if (helpers > 0) {
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, [this] { return unfinished_ == 0; });
   }
 
   // Barrier: exchange cross-machine deliveries in deterministic link order.
@@ -141,20 +140,36 @@ bool Cluster::RunUntilDone(const std::function<bool()>& done, Cycles max_duratio
   return true;
 }
 
-void Cluster::StartWorkers() {
-  if (workers_.size() == machines_.size()) {
-    return;
+void Cluster::RunStripe(uint32_t first, uint32_t stride, Cycles window_end) {
+  for (size_t i = first; i < machines_.size(); i += stride) {
+    if (!machines_[i]->halted()) {
+      machines_[i]->RunUntil(window_end);
+    }
+  }
+}
+
+uint32_t Cluster::StartWorkers() {
+  // Queried once: this runs every window, and the query can read sysfs.
+  static const uint32_t hardware = std::max(1u, std::thread::hardware_concurrency());
+  const uint32_t threads = std::min(static_cast<uint32_t>(machines_.size()), hardware);
+  const uint32_t helpers = threads > 1 ? threads - 1 : 0;
+  if (workers_.size() == helpers) {
+    return helpers;
   }
   StopWorkers();
   {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = false;
-    unfinished_ = 0;
   }
-  workers_.reserve(machines_.size());
-  for (uint32_t i = 0; i < machines_.size(); ++i) {
-    workers_.emplace_back([this, i] { WorkerMain(i); });
+  // Each helper starts from the current generation, so it waits for the
+  // next published window rather than mistaking an old one for new work.
+  const uint64_t generation = start_generation_;
+  workers_.reserve(helpers);
+  for (uint32_t stripe = 1; stripe <= helpers; ++stripe) {
+    workers_.emplace_back(
+        [this, stripe, helpers, generation] { WorkerMain(stripe, helpers + 1, generation); });
   }
+  return helpers;
 }
 
 void Cluster::StopWorkers() {
@@ -172,8 +187,7 @@ void Cluster::StopWorkers() {
   workers_.clear();
 }
 
-void Cluster::WorkerMain(uint32_t index) {
-  uint64_t seen_generation = 0;
+void Cluster::WorkerMain(uint32_t stripe, uint32_t stride, uint64_t seen_generation) {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     start_cv_.wait(lock,
@@ -185,10 +199,7 @@ void Cluster::WorkerMain(uint32_t index) {
     Cycles window_end = window_end_;
     lock.unlock();
 
-    Machine* machine = machines_[index];
-    if (!machine->halted()) {
-      machine->RunUntil(window_end);
-    }
+    RunStripe(stripe, stride, window_end);
 
     lock.lock();
     if (--unfinished_ == 0) {

@@ -10,7 +10,7 @@
 // cycles:
 //
 //   window k:   every machine runs RunUntil(window_end) independently
-//               (parallel mode: one host worker thread per machine)
+//               (parallel mode: spread over the host worker pool)
 //   barrier:    cross-machine deliveries staged in per-link outboxes are
 //               exchanged, carrying their send-time-stamped due times
 //   advance:    window_end += window
@@ -23,11 +23,11 @@
 // bound.
 //
 // Thread-safety contract: during a window, a machine (and everything hanging
-// off it: its Cache Kernel, app kernels, devices) is touched only by its
-// worker thread; cluster-level state (outbox exchange, Now(), the caller's
-// done-predicates, SRM calls such as Migrate/AcceptMigration/Checkpoint) is
-// touched only between windows, on the coordinating thread. The barrier's
-// mutex hand-off orders the two.
+// off it: its Cache Kernel, app kernels, devices) is touched only by the one
+// host thread that runs it; cluster-level state (outbox exchange, Now(), the
+// caller's done-predicates, SRM calls such as Migrate/AcceptMigration/
+// Checkpoint) is touched only between windows, on the coordinating thread.
+// The barrier's mutex hand-off orders the two.
 
 #ifndef SRC_SIM_CLUSTER_H_
 #define SRC_SIM_CLUSTER_H_
@@ -106,13 +106,16 @@ class Cluster {
     FiberChannelDevice* b;
   };
 
-  // One window: run every machine to `window_end` (worker threads or, in
+  // One window: run every machine to `window_end` (on the worker pool or, in
   // reference mode, in machine order on the calling thread), then exchange
   // outboxes in link order. Returns the number of cross-machine deliveries.
   size_t RunWindow(Cycles window_end);
-  void StartWorkers();
+  // Run machines first, first + stride, first + 2 * stride, ... to window_end.
+  void RunStripe(uint32_t first, uint32_t stride, Cycles window_end);
+  // Size the pool for the current machine count; returns the helper count.
+  uint32_t StartWorkers();
   void StopWorkers();
-  void WorkerMain(uint32_t index);
+  void WorkerMain(uint32_t stripe, uint32_t stride, uint64_t seen_generation);
 
   std::vector<Machine*> machines_;
   std::vector<LinkRec> links_;
@@ -120,10 +123,14 @@ class Cluster {
   Cycles window_override_ = 0;
   uint64_t windows_run_ = 0;
 
-  // Worker pool, created lazily at the first parallel window. The barrier is
-  // a generation-counted mutex/condvar pair: the coordinator publishes
-  // window_end_ and bumps start_generation_; workers run their machine and
-  // decrement unfinished_; the coordinator proceeds at zero.
+  // The simulator's only host parallelism: min(machines, hardware threads)
+  // threads per window, counting the calling thread, which runs stripe 0
+  // itself; helper k runs stripe k, so each machine stays on one host thread
+  // for the pool's lifetime. Created lazily at the first parallel window and
+  // rebuilt when a machine is added. The barrier is a generation-counted
+  // mutex/condvar pair: the coordinator publishes window_end_ and bumps
+  // start_generation_; helpers run their stripe and decrement unfinished_;
+  // the coordinator, done with its own stripe, proceeds at zero.
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable start_cv_;

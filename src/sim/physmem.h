@@ -9,7 +9,6 @@
 #ifndef SRC_SIM_PHYSMEM_H_
 #define SRC_SIM_PHYSMEM_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -69,30 +68,12 @@ class PhysicalMemory {
   // bulk, zero). The decoded-instruction cache keys its validity on this, so
   // self-modifying code, page copies/zeroing and device writes all force a
   // re-decode of the affected frame.
-  //
-  // Accesses go through relaxed std::atomic_ref (plain load/store cost, no
-  // read-modify-write), because under batched intra-MPM dispatch two host
-  // worker threads can bump the same counter concurrently: page tables are
-  // 256-byte blocks packed into shared TableArena frames, so two spaces'
-  // referenced/modified PTE updates during a table walk land in one frame.
-  // A lost increment there is benign — the exec/trace caches only key on
-  // frames they decoded guest code from, which batch eligibility guarantees
-  // are never written by another worker concurrently (disjoint mapped
-  // frames), and nothing ever reads a page-table frame's generation.
-  uint64_t frame_generation(uint32_t frame) const {
-    return std::atomic_ref<const uint64_t>(frame_gen_[frame]).load(std::memory_order_relaxed);
-  }
-  void BumpFrameGeneration(PhysAddr addr) {
-    std::atomic_ref<uint64_t> g(frame_gen_[addr >> kPageShift]);
-    g.store(g.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-  }
+  uint64_t frame_generation(uint32_t frame) const { return frame_gen_[frame]; }
+  void BumpFrameGeneration(PhysAddr addr) { ++frame_gen_[addr >> kPageShift]; }
 
   // Per-frame memory tier. Ground truth lives here (the hardware knows which
   // medium backs a frame); policy -- budgets, demotion, promotion -- lives in
-  // the Cache Kernel. Tier writes happen only at deterministic serial points
-  // (CK calls, turn preparation, restore); reads may come from worker threads
-  // during batched guest execution, which is race-free because no writer runs
-  // concurrently with the workers.
+  // the Cache Kernel.
   MemTier tier_of(uint32_t frame) const { return static_cast<MemTier>(frame_tier_[frame]); }
   void SetFrameTier(uint32_t frame, MemTier tier) {
     --tier_count_[frame_tier_[frame]];
@@ -108,8 +89,7 @@ class PhysicalMemory {
       return;
     }
     for (uint32_t f = addr >> kPageShift; f <= (addr + len - 1) >> kPageShift; ++f) {
-      std::atomic_ref<uint64_t> g(frame_gen_[f]);
-      g.store(g.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+      ++frame_gen_[f];
     }
   }
 

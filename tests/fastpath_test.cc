@@ -824,20 +824,13 @@ TEST(TraceExecDifferential, ProfilerHistogramsMatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Intra-MPM parallel dispatch: the batch protocol on host worker threads must
-// be bit-identical to the same protocol run inline (cpu_host_threads=0), and
-// cycle-exactness must hold under batching for every execution mode.
+// Four CPUs at once: one guest thread pinned to each CPU, each in its own
+// space, so all four per-CPU micro-TLBs and trace caches are live in one
+// interleaving. Cycle-exactness must hold across them in every mode.
 // ---------------------------------------------------------------------------
 
-Snapshot RunParallelWorkload(bool cpus_parallel, uint32_t host_threads, bool fastpath,
-                             bool trace_exec) {
-  WorldOptions options;
-  options.cpus = 4;
-  options.ck.fastpath = fastpath;
-  options.ck.trace_exec = trace_exec;
-  options.ck.cpus_parallel = cpus_parallel;
-  options.ck.cpu_host_threads = host_threads;
-  TestWorld world(options);
+Snapshot RunFourCpuWorkload(const TraceModeOptions& mode) {
+  TestWorld world(Options(mode));
   TrapAppKernel app;
   world.Launch(app);
   ck::CkApi api(world.ck(), app.self(), world.machine().cpu(0));
@@ -858,8 +851,6 @@ Snapshot RunParallelWorkload(bool cpus_parallel, uint32_t host_threads, bool fas
       halt
   )", 0x10000);
 
-  // One guest thread per CPU, each in its own space: every batch collects
-  // four independent quanta, the shape the worker pool parallelizes.
   std::vector<uint32_t> threads;
   for (uint32_t c = 0; c < 4; ++c) {
     uint32_t space = app.CreateSpace(api);
@@ -891,29 +882,10 @@ Snapshot RunParallelWorkload(bool cpus_parallel, uint32_t host_threads, bool fas
   return s;
 }
 
-TEST(IntraMpmParallelDifferential, WorkerThreadsMatchInlineBatch) {
-  // The determinism contract: batch dispatch on host worker threads is
-  // bit-identical to the same batch protocol run inline.
-  ExpectIdentical(RunParallelWorkload(true, 4, true, true),
-                  RunParallelWorkload(true, 0, true, true));
-}
-
-TEST(IntraMpmParallelDifferential, WorkerThreadsMatchInlineBatchTwoThreads) {
-  // An uneven worker count (2 threads, 4 jobs) exercises queue draining.
-  ExpectIdentical(RunParallelWorkload(true, 2, true, true),
-                  RunParallelWorkload(true, 0, true, true));
-}
-
-TEST(IntraMpmParallelDifferential, FastSlowDifferentialUnderBatching) {
-  // Cycle-exactness holds inside the batch protocol too: fast path (with
-  // traces) vs slow path, both batched on worker threads.
-  ExpectIdentical(RunParallelWorkload(true, 4, true, true),
-                  RunParallelWorkload(true, 4, false, false));
-}
-
-TEST(IntraMpmParallelDifferential, TraceOnOffUnderBatching) {
-  ExpectIdentical(RunParallelWorkload(true, 4, true, true),
-                  RunParallelWorkload(true, 4, true, false));
+TEST(TraceExecDifferential, FourCpusFourSpaces) {
+  Snapshot trace = RunFourCpuWorkload({true, true});
+  ExpectIdentical(trace, RunFourCpuWorkload({true, false}));
+  ExpectIdentical(trace, RunFourCpuWorkload({false, false}));
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #ifndef TESTS_TEST_HARNESS_H_
 #define TESTS_TEST_HARNESS_H_
 
-#include <cstdlib>
 #include <functional>
 #include <memory>
 
@@ -20,22 +19,12 @@ struct WorldOptions {
   ck::CacheKernelConfig ck;
 };
 
-// CK_CPUS_PARALLEL=1 in the environment runs every TestWorld with the batched
-// intra-MPM dispatch protocol on host worker threads (one per simulated CPU).
-// The protocol is bit-identical to serial dispatch, so every suite must still
-// pass unchanged -- this is how scripts/verify.sh's TSan leg drives the
-// worker-pool code through the full test surface.
-inline bool EnvCpusParallel() {
-  const char* v = std::getenv("CK_CPUS_PARALLEL");
-  return v != nullptr && v[0] == '1';
-}
-
 // One MPM: machine + Cache Kernel + booted SRM.
 class TestWorld {
  public:
   explicit TestWorld(const WorldOptions& options = WorldOptions())
       : machine_(MakeMachineConfig(options)),
-        kernel_(machine_, WithEnvOverrides(options).ck),
+        kernel_(machine_, options.ck),
         srm_(kernel_) {
     srm_.Boot();
   }
@@ -72,14 +61,6 @@ class TestWorld {
     config.cpu_count = options.cpus;
     config.memory_bytes = options.memory_bytes;
     return config;
-  }
-
-  static WorldOptions WithEnvOverrides(WorldOptions options) {
-    if (EnvCpusParallel()) {
-      options.ck.cpus_parallel = true;
-      options.ck.cpu_host_threads = options.cpus;
-    }
-    return options;
   }
 
   cksim::Machine machine_;

@@ -160,10 +160,8 @@ void BM_InterpreterDispatch(benchmark::State& state) {
       r.value = words_[(vaddr / 4) % words_.size()];
       return r;
     }
-    MemResult Load32(uint32_t) override { return Ok(); }
-    MemResult Load8(uint32_t) override { return Ok(); }
-    MemResult Store32(uint32_t, uint32_t) override { return Ok(); }
-    MemResult Store8(uint32_t, uint8_t) override { return Ok(); }
+    MemResult Load(uint32_t, uint32_t) override { return Ok(); }
+    MemResult Store(uint32_t, uint32_t, uint32_t) override { return Ok(); }
     void ChargeInstruction() override {}
     void OnMessageWrite(uint32_t) override {}
 

@@ -208,7 +208,11 @@ int main(int argc, char** argv) {
 
   // Run until the ticker is mid-sequence, checkpointing as it goes.
   for (size_t target : {4u, 8u}) {
-    run_both([&] { return emu_a.process(ticker).console.size() >= target; }, cksim::Cycles{200000000});
+    if (!run_both([&] { return emu_a.process(ticker).console.size() >= target; },
+                  cksim::Cycles{200000000})) {
+      std::printf("  ticker TIMED OUT before console=%zu\n", target);
+      return 1;
+    }
     if (a.srm.CheckpointToStore(emu_a, store, "unix-emulator") != ckbase::CkStatus::kOk) {
       std::printf("  checkpoint FAILED\n");
       return 1;
@@ -234,7 +238,10 @@ int main(int argc, char** argv) {
   };
   LocalCounter counter;
   app_b.CreateNativeThread(api_b, space_b, &counter, 10);
-  run_both([&] { return counter.count >= 1000; }, cksim::Cycles{200000000});
+  if (!run_both([&] { return counter.count >= 1000; }, cksim::Cycles{200000000})) {
+    std::printf("  node B local work TIMED OUT\n");
+    return 1;
+  }
 
   std::printf("node B executed %llu work units after node A failed\n",
               static_cast<unsigned long long>(counter.count));

@@ -16,6 +16,9 @@
 #      repo-root .clang-format) over src/, tests/ and bench/ — skipped with
 #      a warning when clang-format is not installed.
 #
+# The run ends with one summary line per leg: ran, or skipped and why, so a
+# final "verify: OK" cannot hide a leg that never ran.
+#
 # Usage: scripts/verify.sh [--release-only] [--san-only] [--tsan-only] [--lint-only]
 
 set -euo pipefail
@@ -34,6 +37,14 @@ case "${1:-}" in
   "") ;;
   *) echo "usage: scripts/verify.sh [--release-only|--san-only|--tsan-only|--lint-only]" >&2; exit 2 ;;
 esac
+
+# One summary line per leg, printed in this order at the end.
+LEGS=(lint default release san tsan)
+declare -A LEG_STATUS
+for leg in "${LEGS[@]}"; do
+  LEG_STATUS[$leg]="skipped: not selected by ${1:-}"
+done
+note_leg() { LEG_STATUS[$1]=$2; }
 
 # Files held to the .clang-format contract. Grow this list with each change
 # that formats a file cleanly; the goal is eventually `git ls-files '*.cc'
@@ -59,8 +70,10 @@ if $run_lint; then
   if command -v clang-format >/dev/null 2>&1; then
     echo "== lint: clang-format --dry-run --Werror (${#LINT_FILES[@]} files) =="
     clang-format --dry-run --Werror "${LINT_FILES[@]}"
+    note_leg lint "ran (${#LINT_FILES[@]} files)"
   else
     echo "== lint: clang-format not installed; skipping format check ==" >&2
+    note_leg lint "skipped: clang-format not installed"
   fi
 fi
 
@@ -76,6 +89,7 @@ if $run_default; then
   # end-to-end gate on the observability pipeline.
   echo "== cluster trace fixture (multi-MPM causal trace + flight recorder) =="
   ctest --test-dir build -R 'cluster_trace' --output-on-failure
+  note_leg default "ran (build + full ctest)"
 fi
 
 if $run_release; then
@@ -84,9 +98,10 @@ if $run_release; then
   cmake --build build-release -j
   ctest --test-dir build-release --output-on-failure -j "$(nproc)"
 
-  echo "== fast-path speedup (Release) =="
+  echo "== fast-path speedup (Release; median and CV of 5 repetitions) =="
   ./build-release/bench/microbench_host --benchmark_filter='BM_GuestMips' \
-      --benchmark_min_time=0.5
+      --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
+  note_leg release "ran (build + full ctest + BM_GuestMips x5)"
 fi
 
 if $run_san; then
@@ -105,6 +120,7 @@ if $run_san; then
   echo "== ASan: cache_replacement --self-check (PolicyEngine gates) =="
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
       ./build-san/bench/cache_replacement --self-check
+  note_leg san "ran (build + full ctest + cache_replacement --self-check)"
 fi
 
 if $run_tsan; then
@@ -127,6 +143,11 @@ if $run_tsan; then
 
   echo "== TSan: cache_replacement --self-check (PolicyEngine gates) =="
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/bench/cache_replacement --self-check
+  note_leg tsan "ran (cluster suite + cache_replacement --self-check)"
 fi
 
+echo "== summary =="
+for leg in "${LEGS[@]}"; do
+  printf '%-8s %s\n' "$leg" "${LEG_STATUS[$leg]}"
+done
 echo "verify: OK"

@@ -46,13 +46,11 @@ class GuestBusImpl : public ckisa::GuestBus {
   MemResult Fetch(uint32_t vaddr) override {
     return Access(vaddr, cksim::Access::kExecute, 0, 4);
   }
-  MemResult Load32(uint32_t vaddr) override { return Access(vaddr, cksim::Access::kRead, 0, 4); }
-  MemResult Load8(uint32_t vaddr) override { return Access(vaddr, cksim::Access::kRead, 0, 1); }
-  MemResult Store32(uint32_t vaddr, uint32_t value) override {
-    return Access(vaddr, cksim::Access::kWrite, value, 4);
+  MemResult Load(uint32_t vaddr, uint32_t width) override {
+    return Access(vaddr, cksim::Access::kRead, 0, width);
   }
-  MemResult Store8(uint32_t vaddr, uint8_t value) override {
-    return Access(vaddr, cksim::Access::kWrite, value, 1);
+  MemResult Store(uint32_t vaddr, uint32_t value, uint32_t width) override {
+    return Access(vaddr, cksim::Access::kWrite, value, width);
   }
 
   void ChargeInstruction() override { cpu_.Advance(ck_.machine_.cost().instruction); }

@@ -10,10 +10,6 @@
 namespace ckisa {
 namespace {
 
-struct Token {
-  std::string text;
-};
-
 // Strip comments, split a line into a label (optional) and operands.
 std::string StripComment(std::string_view line) {
   size_t pos = line.find_first_of(";#");
@@ -121,43 +117,14 @@ struct LineStatement {
   int line_number = 0;
 };
 
-// Number of words a statement expands to (pass 1 needs exact sizes).
-int WordCount(const std::vector<std::string>& tokens) {
-  const std::string& m = tokens[0];
-  if (m == ".org" || m == ".space" || m == ".word") {
-    return 0;  // handled specially
+// The instruction-table row spelled `mnemonic`, or null.
+const OpInfo* FindOp(const std::string& mnemonic) {
+  for (const OpInfo& info : kOps) {
+    if (mnemonic == info.mnemonic) {
+      return &info;
+    }
   }
-  if (m == "li" || m == "la") {
-    return 2;
-  }
-  return 1;
-}
-
-struct OpInfo {
-  Op op;
-  enum Kind { kR3, kI2, kMem, kBranch, kJal, kJalr, kTrapImm, kBare, kLuiKind } kind;
-};
-
-const std::map<std::string, OpInfo>& OpTable() {
-  static const std::map<std::string, OpInfo> table = {
-      {"nop", {Op::kNop, OpInfo::kBare}},       {"halt", {Op::kHalt, OpInfo::kBare}},
-      {"add", {Op::kAdd, OpInfo::kR3}},         {"sub", {Op::kSub, OpInfo::kR3}},
-      {"and", {Op::kAnd, OpInfo::kR3}},         {"or", {Op::kOr, OpInfo::kR3}},
-      {"xor", {Op::kXor, OpInfo::kR3}},         {"sll", {Op::kSll, OpInfo::kR3}},
-      {"srl", {Op::kSrl, OpInfo::kR3}},         {"sra", {Op::kSra, OpInfo::kR3}},
-      {"mul", {Op::kMul, OpInfo::kR3}},         {"div", {Op::kDiv, OpInfo::kR3}},
-      {"rem", {Op::kRem, OpInfo::kR3}},         {"slt", {Op::kSlt, OpInfo::kR3}},
-      {"sltu", {Op::kSltu, OpInfo::kR3}},       {"addi", {Op::kAddi, OpInfo::kI2}},
-      {"andi", {Op::kAndi, OpInfo::kI2}},       {"ori", {Op::kOri, OpInfo::kI2}},
-      {"xori", {Op::kXori, OpInfo::kI2}},       {"slti", {Op::kSlti, OpInfo::kI2}},
-      {"lui", {Op::kLui, OpInfo::kLuiKind}},    {"lw", {Op::kLw, OpInfo::kMem}},
-      {"sw", {Op::kSw, OpInfo::kMem}},          {"lb", {Op::kLb, OpInfo::kMem}},
-      {"sb", {Op::kSb, OpInfo::kMem}},          {"beq", {Op::kBeq, OpInfo::kBranch}},
-      {"bne", {Op::kBne, OpInfo::kBranch}},     {"blt", {Op::kBlt, OpInfo::kBranch}},
-      {"bge", {Op::kBge, OpInfo::kBranch}},     {"jal", {Op::kJal, OpInfo::kJal}},
-      {"jalr", {Op::kJalr, OpInfo::kJalr}},     {"trap", {Op::kTrap, OpInfo::kTrapImm}},
-  };
-  return table;
+  return nullptr;
 }
 
 }  // namespace
@@ -248,30 +215,22 @@ AssembleResult Assemble(std::string_view source, uint32_t base) {
         }
         loc += static_cast<uint32_t>((*n + 3) & ~int64_t{3});
       } else {
-        if (OpTable().count(m) == 0 && m != "li" && m != "la" && m != "mv" && m != "j" &&
+        if (FindOp(m) == nullptr && m != "li" && m != "la" && m != "mv" && m != "j" &&
             m != "call" && m != "ret") {
           return fail(st.line_number, "unknown mnemonic '" + m + "'");
         }
-        loc += static_cast<uint32_t>(WordCount(st.tokens)) * 4;
+        loc += (m == "li" || m == "la") ? 8 : 4;  // pass 1 needs exact sizes
       }
     }
   }
 
   // Pass 2: encode.
-  auto resolve = [&](const std::string& text, int line, bool& ok) -> int64_t {
-    auto num = ParseNumber(text);
-    if (num) {
-      ok = true;
-      return *num;
+  auto resolve = [&](const std::string& text) -> std::optional<int64_t> {
+    if (std::optional<int64_t> number = ParseNumber(text)) {
+      return number;
     }
     auto it = prog.labels.find(text);
-    if (it != prog.labels.end()) {
-      ok = true;
-      return it->second;
-    }
-    ok = false;
-    (void)line;
-    return 0;
+    return it != prog.labels.end() ? std::optional<int64_t>(it->second) : std::nullopt;
   };
 
   auto emit_at = [&](uint32_t loc, uint32_t word) {
@@ -291,28 +250,27 @@ AssembleResult Assemble(std::string_view source, uint32_t base) {
     const int line = st.line_number;
     const auto& toks = st.tokens;
 
-    auto reg = [&](size_t i, bool& ok) -> uint8_t {
-      if (i >= toks.size()) {
-        ok = false;
-        return 0;
-      }
-      auto r = ParseRegister(toks[i]);
-      ok = r.has_value();
+    // Operand readers: each clears `ok` on a missing or malformed operand.
+    bool ok = true;
+    auto reg = [&](size_t i) -> uint32_t {
+      auto r = i < toks.size() ? ParseRegister(toks[i]) : std::nullopt;
+      ok = ok && r.has_value();
       return r.value_or(0);
+    };
+    auto value = [&](size_t i, int64_t lo = INT64_MIN, int64_t hi = INT64_MAX) -> int64_t {
+      auto v = i < toks.size() ? resolve(toks[i]) : std::nullopt;
+      ok = ok && v.has_value() && *v >= lo && *v <= hi;
+      return v.value_or(0);
+    };
+    // A branch or jump target, as a word offset from the next pc.
+    auto offset = [&](size_t i) -> int64_t {
+      int64_t off = (value(i) - (static_cast<int64_t>(loc) + 4)) / 4;
+      ok = ok && off >= -32768 && off <= 32767;
+      return off;
     };
 
     if (m == ".org") {
       loc = static_cast<uint32_t>(*ParseNumber(toks[1]));
-      continue;
-    }
-    if (m == ".word") {
-      bool ok = false;
-      int64_t v = resolve(toks.size() == 2 ? toks[1] : "", line, ok);
-      if (!ok) {
-        return fail(line, ".word operand invalid");
-      }
-      emit_at(loc, static_cast<uint32_t>(v));
-      loc += 4;
       continue;
     }
     if (m == ".space") {
@@ -325,154 +283,64 @@ AssembleResult Assemble(std::string_view source, uint32_t base) {
       continue;
     }
 
-    // Pseudo-instructions.
-    if (m == "li" || m == "la") {
-      bool rok = false, vok = false;
-      uint8_t rd = reg(1, rok);
-      int64_t value = resolve(toks.size() >= 3 ? toks[2] : "", line, vok);
-      if (!rok || !vok) {
-        return fail(line, m + " needs register, value");
-      }
-      uint32_t v = static_cast<uint32_t>(value);
-      emit_at(loc, Encode(Op::kLui, rd, 0, v >> 16));
-      emit_at(loc + 4, Encode(Op::kOri, rd, rd, v & 0xffff));
-      loc += 8;
-      continue;
-    }
-    if (m == "mv") {
-      bool aok = false, bok = false;
-      uint8_t rd = reg(1, aok), rs = reg(2, bok);
-      if (!aok || !bok) {
-        return fail(line, "mv needs two registers");
-      }
-      emit_at(loc, Encode(Op::kAddi, rd, rs, 0));
-      loc += 4;
-      continue;
-    }
-    if (m == "j" || m == "call") {
-      bool ok = false;
-      int64_t target = resolve(toks.size() >= 2 ? toks[1] : "", line, ok);
-      if (!ok) {
-        return fail(line, m + " needs a target");
-      }
-      int64_t off = (target - (static_cast<int64_t>(loc) + 4)) / 4;
-      if (off < -32768 || off > 32767) {
-        return fail(line, "jump target out of range");
-      }
-      emit_at(loc, Encode(Op::kJal, m == "call" ? kRegRa : kRegZero, 0,
-                          static_cast<uint32_t>(off) & 0xffff));
-      loc += 4;
-      continue;
-    }
-    if (m == "ret") {
-      emit_at(loc, Encode(Op::kJalr, kRegZero, kRegRa, 0));
-      loc += 4;
-      continue;
-    }
-
-    auto it = OpTable().find(m);
-    if (it == OpTable().end()) {
+    uint32_t words[2] = {0, 0};
+    uint32_t count = 1;
+    const OpInfo* info = FindOp(m);
+    if (m == ".word") {
+      words[0] = static_cast<uint32_t>(value(1));
+      ok = ok && toks.size() == 2;
+    } else if (m == "li" || m == "la") {  // pseudo-instructions from here
+      uint32_t rd = reg(1);
+      uint32_t v = static_cast<uint32_t>(value(2));
+      words[0] = Encode(Op::kLui, rd, 0, v >> 16);
+      words[1] = Encode(Op::kOri, rd, rd, v & 0xffff);
+      count = 2;
+    } else if (m == "mv") {
+      words[0] = Encode(Op::kAddi, reg(1), reg(2), 0);
+    } else if (m == "j" || m == "call") {
+      words[0] = Encode(Op::kJal, m == "call" ? kRegRa : kRegZero, 0, offset(1));
+    } else if (m == "ret") {
+      words[0] = Encode(Op::kJalr, kRegZero, kRegRa, 0);
+    } else if (info == nullptr) {
       return fail(line, "unknown mnemonic '" + m + "'");
-    }
-    const OpInfo& info = it->second;
-    uint32_t word = 0;
-    bool ok1 = true, ok2 = true, ok3 = true;
-
-    switch (info.kind) {
-      case OpInfo::kBare:
-        word = Encode(info.op, 0, 0, 0);
-        break;
-      case OpInfo::kR3: {
-        uint8_t rd = reg(1, ok1), rs1 = reg(2, ok2), rs2 = reg(3, ok3);
-        if (!ok1 || !ok2 || !ok3) {
-          return fail(line, m + " needs three registers");
-        }
-        word = EncodeR(info.op, rd, rs1, rs2);
-        break;
-      }
-      case OpInfo::kI2: {
-        uint8_t rd = reg(1, ok1), rs1 = reg(2, ok2);
-        bool vok = false;
-        int64_t imm = resolve(toks.size() >= 4 ? toks[3] : "", line, vok);
-        if (!ok1 || !ok2 || !vok || imm < -32768 || imm > 65535) {
-          return fail(line, m + " needs rd, rs, imm16");
-        }
-        word = Encode(info.op, rd, rs1, static_cast<uint32_t>(imm) & 0xffff);
-        break;
-      }
-      case OpInfo::kLuiKind: {
-        uint8_t rd = reg(1, ok1);
-        bool vok = false;
-        int64_t imm = resolve(toks.size() >= 3 ? toks[2] : "", line, vok);
-        if (!ok1 || !vok) {
-          return fail(line, "lui needs rd, imm16");
-        }
-        word = Encode(info.op, rd, 0, static_cast<uint32_t>(imm) & 0xffff);
-        break;
-      }
-      case OpInfo::kMem: {
-        // "lw rd, imm(rs1)" tokenizes to [lw, rd, imm, rs1].
-        uint8_t rd = reg(1, ok1);
-        bool vok = false;
-        int64_t imm = resolve(toks.size() >= 3 ? toks[2] : "", line, vok);
-        uint8_t rs1 = reg(3, ok2);
-        if (!ok1 || !ok2 || !vok || imm < -32768 || imm > 32767) {
-          return fail(line, m + " needs rd, imm(rs)");
-        }
-        word = Encode(info.op, rd, rs1, static_cast<uint32_t>(imm) & 0xffff);
-        break;
-      }
-      case OpInfo::kBranch: {
-        uint8_t r1 = reg(1, ok1), r2 = reg(2, ok2);
-        bool vok = false;
-        int64_t target = resolve(toks.size() >= 4 ? toks[3] : "", line, vok);
-        if (!ok1 || !ok2 || !vok) {
-          return fail(line, m + " needs r1, r2, target");
-        }
-        int64_t off = (target - (static_cast<int64_t>(loc) + 4)) / 4;
-        if (off < -32768 || off > 32767) {
-          return fail(line, "branch target out of range");
-        }
-        word = Encode(info.op, r1, r2, static_cast<uint32_t>(off) & 0xffff);
-        break;
-      }
-      case OpInfo::kJal: {
-        uint8_t rd = reg(1, ok1);
-        bool vok = false;
-        int64_t target = resolve(toks.size() >= 3 ? toks[2] : "", line, vok);
-        if (!ok1 || !vok) {
-          return fail(line, "jal needs rd, target");
-        }
-        int64_t off = (target - (static_cast<int64_t>(loc) + 4)) / 4;
-        if (off < -32768 || off > 32767) {
-          return fail(line, "jump target out of range");
-        }
-        word = Encode(info.op, rd, 0, static_cast<uint32_t>(off) & 0xffff);
-        break;
-      }
-      case OpInfo::kJalr: {
-        uint8_t rd = reg(1, ok1), rs1 = reg(2, ok2);
-        bool vok = false;
-        int64_t imm = toks.size() >= 4 ? resolve(toks[3], line, vok) : (vok = true, 0);
-        if (!ok1 || !ok2 || !vok) {
-          return fail(line, "jalr needs rd, rs[, imm]");
-        }
-        word = Encode(info.op, rd, rs1, static_cast<uint32_t>(imm) & 0xffff);
-        break;
-      }
-      case OpInfo::kTrapImm: {
-        bool vok = false;
-        int64_t imm = resolve(toks.size() >= 2 ? toks[1] : "", line, vok);
-        if (!vok) {
-          return fail(line, "trap needs a number");
-        }
-        word = Encode(info.op, 0, 0, static_cast<uint32_t>(imm) & 0xffff);
-        break;
+    } else {
+      const Op op = static_cast<Op>(info - kOps);
+      switch (info->format) {
+        case Format::kBare:
+          words[0] = Encode(op, 0, 0, 0);
+          break;
+        case Format::kR3:
+          words[0] = EncodeR(op, reg(1), reg(2), reg(3));
+          break;
+        case Format::kI2:
+          words[0] = Encode(op, reg(1), reg(2), value(3, -32768, 65535));
+          break;
+        case Format::kLui:
+          words[0] = Encode(op, reg(1), 0, value(2));
+          break;
+        case Format::kMem:  // "lw rd, imm(rs1)" tokenizes to [lw, rd, imm, rs1]
+          words[0] = Encode(op, reg(1), reg(3), value(2, -32768, 32767));
+          break;
+        case Format::kBranch:
+          words[0] = Encode(op, reg(1), reg(2), offset(3));
+          break;
+        case Format::kJal:
+          words[0] = Encode(op, reg(1), 0, offset(2));
+          break;
+        case Format::kJalr:
+          words[0] = Encode(op, reg(1), reg(2), toks.size() >= 4 ? value(3) : 0);
+          break;
+        case Format::kTrap:
+          words[0] = Encode(op, 0, 0, value(1));
+          break;
       }
     }
-
-    emit_at(loc, word);
-    loc += 4;
+    if (!ok) {
+      return fail(line, "bad operands for '" + m + "'");
+    }
+    for (uint32_t w = 0; w < count; ++w, loc += 4) {
+      emit_at(loc, words[w]);
+    }
   }
 
   result.ok = true;
@@ -481,84 +349,42 @@ AssembleResult Assemble(std::string_view source, uint32_t base) {
 
 std::string Disassemble(uint32_t word) {
   Decoded d = Decode(word);
+  const OpInfo* info = InfoOf(d.op);
   char buf[96];
-  auto r = [](uint8_t n) { return "r" + std::to_string(n); };
-
-  switch (d.op) {
-    case Op::kNop:
-      return "nop";
-    case Op::kHalt:
-      return "halt";
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-    case Op::kSll:
-    case Op::kSrl:
-    case Op::kSra:
-    case Op::kMul:
-    case Op::kDiv:
-    case Op::kRem:
-    case Op::kSlt:
-    case Op::kSltu: {
-      static const std::map<Op, const char*> names = {
-          {Op::kAdd, "add"}, {Op::kSub, "sub"}, {Op::kAnd, "and"}, {Op::kOr, "or"},
-          {Op::kXor, "xor"}, {Op::kSll, "sll"}, {Op::kSrl, "srl"}, {Op::kSra, "sra"},
-          {Op::kMul, "mul"}, {Op::kDiv, "div"}, {Op::kRem, "rem"}, {Op::kSlt, "slt"},
-          {Op::kSltu, "sltu"}};
-      std::snprintf(buf, sizeof(buf), "%s %s, %s, %s", names.at(d.op), r(d.rd).c_str(),
-                    r(d.rs1).c_str(), r(d.rs2).c_str());
-      return buf;
-    }
-    case Op::kAddi:
-    case Op::kAndi:
-    case Op::kOri:
-    case Op::kXori:
-    case Op::kSlti: {
-      static const std::map<Op, const char*> names = {{Op::kAddi, "addi"},
-                                                      {Op::kAndi, "andi"},
-                                                      {Op::kOri, "ori"},
-                                                      {Op::kXori, "xori"},
-                                                      {Op::kSlti, "slti"}};
-      std::snprintf(buf, sizeof(buf), "%s %s, %s, %d", names.at(d.op), r(d.rd).c_str(),
-                    r(d.rs1).c_str(), d.imm);
-      return buf;
-    }
-    case Op::kLui:
-      std::snprintf(buf, sizeof(buf), "lui %s, %d", r(d.rd).c_str(), d.imm & 0xffff);
-      return buf;
-    case Op::kLw:
-    case Op::kSw:
-    case Op::kLb:
-    case Op::kSb: {
-      static const std::map<Op, const char*> names = {
-          {Op::kLw, "lw"}, {Op::kSw, "sw"}, {Op::kLb, "lb"}, {Op::kSb, "sb"}};
-      std::snprintf(buf, sizeof(buf), "%s %s, %d(%s)", names.at(d.op), r(d.rd).c_str(), d.imm,
-                    r(d.rs1).c_str());
-      return buf;
-    }
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBlt:
-    case Op::kBge: {
-      static const std::map<Op, const char*> names = {
-          {Op::kBeq, "beq"}, {Op::kBne, "bne"}, {Op::kBlt, "blt"}, {Op::kBge, "bge"}};
-      std::snprintf(buf, sizeof(buf), "%s %s, %s, %+d", names.at(d.op), r(d.rd).c_str(),
-                    r(d.rs1).c_str(), d.imm);
-      return buf;
-    }
-    case Op::kJal:
-      std::snprintf(buf, sizeof(buf), "jal %s, %+d", r(d.rd).c_str(), d.imm);
-      return buf;
-    case Op::kJalr:
-      std::snprintf(buf, sizeof(buf), "jalr %s, %s, %d", r(d.rd).c_str(), r(d.rs1).c_str(), d.imm);
-      return buf;
-    case Op::kTrap:
-      std::snprintf(buf, sizeof(buf), "trap %d", d.imm & 0xffff);
-      return buf;
+  if (info == nullptr) {
+    std::snprintf(buf, sizeof(buf), ".word 0x%08x", word);
+    return buf;
   }
-  std::snprintf(buf, sizeof(buf), ".word 0x%08x", word);
+  const char* m = info->mnemonic.data();
+  // Branch and jal targets print as the absolute target of an instruction at
+  // pc 0, which Assemble at base 0 reads back.
+  const int target = 4 + d.imm * 4;
+  switch (info->format) {
+    case Format::kBare:
+      return m;
+    case Format::kR3:
+      std::snprintf(buf, sizeof(buf), "%s r%d, r%d, r%d", m, d.rd, d.rs1, d.rs2);
+      break;
+    case Format::kI2:
+    case Format::kJalr:
+      std::snprintf(buf, sizeof(buf), "%s r%d, r%d, %d", m, d.rd, d.rs1, d.imm);
+      break;
+    case Format::kLui:
+      std::snprintf(buf, sizeof(buf), "%s r%d, %d", m, d.rd, d.imm & 0xffff);
+      break;
+    case Format::kMem:
+      std::snprintf(buf, sizeof(buf), "%s r%d, %d(r%d)", m, d.rd, d.imm, d.rs1);
+      break;
+    case Format::kBranch:
+      std::snprintf(buf, sizeof(buf), "%s r%d, r%d, %d", m, d.rd, d.rs1, target);
+      break;
+    case Format::kJal:
+      std::snprintf(buf, sizeof(buf), "%s r%d, %d", m, d.rd, target);
+      break;
+    case Format::kTrap:
+      std::snprintf(buf, sizeof(buf), "%s %d", m, d.imm & 0xffff);
+      break;
+  }
   return buf;
 }
 

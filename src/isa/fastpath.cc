@@ -14,26 +14,6 @@ void ExecCache::Refill(DecodedPage& page, uint32_t frame, uint64_t generation) {
   page.generation = generation;
 }
 
-namespace {
-
-bool IsMemOp(Op op) { return op == Op::kLw || op == Op::kSw || op == Op::kLb || op == Op::kSb; }
-
-bool IsBranchOp(Op op) {
-  return op == Op::kBeq || op == Op::kBne || op == Op::kBlt || op == Op::kBge;
-}
-
-// Ops that write a destination register (the executor clears r0 after a step
-// only when the step can dirty it; see the kWritesR0 flag).
-bool WritesRd(Op op) {
-  if (IsBranchOp(op) || op == Op::kSw || op == Op::kSb || op == Op::kTrap || op == Op::kHalt ||
-      op == Op::kNop) {
-    return false;
-  }
-  return static_cast<uint8_t>(op) <= static_cast<uint8_t>(Op::kRem);
-}
-
-}  // namespace
-
 uint32_t BuildTrace(const FastPath& fp, uint16_t asid, uint32_t head_vpc, Trace& t) {
   t.head_vpc = head_vpc;
   t.asid = asid;
@@ -93,28 +73,30 @@ uint32_t BuildTrace(const FastPath& fp, uint16_t asid, uint32_t head_vpc, Trace&
     s.page_slot = static_cast<uint8_t>(slot);
     s.flags = 0;
 
+    // Classification from the instruction table. Traps, halts and jalr end
+    // the trace (the executor computes the resume pc or target); so does an
+    // undefined opcode, classed as a trap here (the executor faults it).
+    const OpInfo* info = InfoOf(d.op);
+    const OpClass cls = info != nullptr ? info->cls : OpClass::kTrap;
+    const bool terminal = cls == OpClass::kTrap || cls == OpClass::kHalt || cls == OpClass::kJalr;
+    // Static prediction: backward branches taken (loop closing, unrolls the
+    // loop into the trace), forward not-taken; direct jumps followed.
+    if (cls == OpClass::kBranch && d.imm < 0) {
+      s.flags |= TraceStep::kPredictedTaken;
+    }
     uint32_t next = pc + 4;
-    bool terminal = false;
-    if (static_cast<uint8_t>(d.op) > static_cast<uint8_t>(Op::kRem)) {
-      terminal = true;  // undecodable: executor raises BadInstruction
-    } else if (d.op == Op::kTrap || d.op == Op::kHalt || d.op == Op::kJalr) {
-      terminal = true;  // executor computes the jalr target / trap resume pc
-    } else if (IsBranchOp(d.op)) {
-      // Static prediction: backward taken (loop closing, unrolls the loop
-      // into the trace), forward not-taken.
-      if (d.imm < 0) {
-        s.flags |= TraceStep::kPredictedTaken;
-        next = pc + 4 + static_cast<uint32_t>(d.imm) * 4;
-      }
-    } else if (d.op == Op::kJal) {
+    if ((s.flags & TraceStep::kPredictedTaken) != 0 || cls == OpClass::kJal) {
       next = pc + 4 + static_cast<uint32_t>(d.imm) * 4;
     }
-    if (WritesRd(d.op) && d.rd == 0) {
+    // Only steps that can dirty r0 need the executor's post-op r0 clear.
+    if ((cls == OpClass::kAlu || cls == OpClass::kLoad || cls == OpClass::kJal ||
+         cls == OpClass::kJalr) &&
+        d.rd == 0) {
       s.flags |= TraceStep::kWritesR0;
     }
     s.next_vpc = next;
 
-    uint32_t data = IsMemOp(d.op) ? 1u : 0u;
+    const uint32_t data = cls == OpClass::kLoad || cls == OpClass::kStore ? 1u : 0u;
     t.acc_prefix[count + 1] = t.acc_prefix[count] + step_cost + data * data_cost;
     t.touch_prefix[count + 1] = t.touch_prefix[count] + 1 + data;
     for (uint32_t p = 0; p < Trace::kMaxPages; ++p) {

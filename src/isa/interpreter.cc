@@ -1,6 +1,7 @@
 #include "src/isa/interpreter.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "src/isa/fastpath.h"
@@ -10,6 +11,11 @@
 namespace ckisa {
 namespace {
 
+// Guest memory is little-endian host memory: copying `width` bytes into a
+// zeroed word is the zero-extending load, and out of a word the store of its
+// low bytes.
+static_assert(std::endian::native == std::endian::little);
+
 // Outcome of a superblock-trace execution attempt at the current pc.
 enum class TraceOutcome : uint8_t {
   kNone,      // no usable trace; single-step this instruction
@@ -17,20 +23,12 @@ enum class TraceOutcome : uint8_t {
   kTerminal,  // run-terminating event (trap/fault/halt); result is filled
 };
 
-cksim::Fault BadInstruction(uint32_t pc) {
-  cksim::Fault f;
-  f.type = cksim::FaultType::kBadInstruction;
-  f.address = pc;
-  f.access = cksim::Access::kExecute;
-  return f;
-}
-
-cksim::Fault Misaligned(uint32_t addr, cksim::Access access) {
-  cksim::Fault f;
-  f.type = cksim::FaultType::kBadAlignment;
-  f.address = addr;
-  f.access = access;
-  return f;
+// Whether a store to a page with these PTE flags is a plain write: the slow
+// path then does no COW break, protection check or first-store modified-bit
+// write-through, so the fast paths may serve it.
+constexpr bool WriteReady(uint8_t flags) {
+  return (flags & (cksim::kPteWritable | cksim::kPteModified | cksim::kPteCopyOnWrite)) ==
+         (cksim::kPteWritable | cksim::kPteModified);
 }
 
 // Slow policy: every access goes through the virtual GuestBus and charges the
@@ -40,24 +38,21 @@ cksim::Fault Misaligned(uint32_t addr, cksim::Access access) {
 struct SlowPolicy {
   GuestBus& bus;
 
-  bool FetchDecoded(uint32_t pc, Decoded& d, GuestBus::MemResult& fail) {
+  bool FetchDecoded(uint32_t pc, Decoded& d, cksim::Fault& fault) {
     GuestBus::MemResult fetch = bus.Fetch(pc);
     if (!fetch.ok) {
-      fail = fetch;
+      fault = fetch.fault;
       return false;
     }
     d = Decode(fetch.value);
     return true;
   }
-  GuestBus::MemResult Load32(uint32_t vaddr) { return bus.Load32(vaddr); }
-  GuestBus::MemResult Load8(uint32_t vaddr) { return bus.Load8(vaddr); }
-  GuestBus::MemResult Store32(uint32_t vaddr, uint32_t value) {
-    return bus.Store32(vaddr, value);
+  GuestBus::MemResult Load(uint32_t vaddr, uint32_t width) { return bus.Load(vaddr, width); }
+  GuestBus::MemResult Store(uint32_t vaddr, uint32_t value, uint32_t width) {
+    return bus.Store(vaddr, value, width);
   }
-  GuestBus::MemResult Store8(uint32_t vaddr, uint8_t value) { return bus.Store8(vaddr, value); }
   void ChargeInstruction() { bus.ChargeInstruction(); }
   void OnMessageWrite(uint32_t vaddr) { bus.OnMessageWrite(vaddr); }
-  void Flush() {}
   // The slow path charges cycles immediately, so run-loop exits have nothing
   // to flush and take no profiler samples either: keeping this a no-op keeps
   // the reference interpreter at exactly zero profiling overhead.
@@ -107,46 +102,47 @@ struct FastPolicy {
     }
   }
 
+  // The micro-TLB hint check shared by single accesses and the trace's data
+  // translation: the live TLB entry the (kind, vpage) hint names, or null when
+  // the hint is stale or the frame is remote or out of range. Commits nothing.
+  const cksim::TlbEntry* Hinted(cksim::Access kind, uint32_t vpage, uint16_t* tlb_index) {
+    const MicroTlbEntry& hint = fp.mtlb->At(kind, vpage);
+    if (hint.vpage != vpage || hint.asid != fp.asid) {
+      return nullptr;
+    }
+    const cksim::TlbEntry& t = fp.tlb->EntryAt(hint.tlb_index);
+    // Re-validate against the live TLB entry: flushes and LRU evictions make
+    // this compare fail, which is how micro-TLB invalidation works.
+    if (!t.valid || t.asid != fp.asid || t.vpage != vpage) {
+      return nullptr;
+    }
+    if (t.pframe >= fp.frame_count || fp.remote_frame_bits[t.pframe] != 0) {
+      return nullptr;  // consistency fault territory: let the bus handle it
+    }
+    *tlb_index = hint.tlb_index;
+    return &t;
+  }
+
   // Translate `vaddr` for `kind` via the micro-TLB without falling back.
   // On success commits the TLB hit (LRU + counter), returns the physical
   // address and the live PTE flags. Fails -- with no simulated side effects --
   // whenever the slow path would do anything beyond "hit, charge, access":
   // TLB miss, fault, remote frame, first write / COW / read-only write.
   bool TryTranslate(cksim::Access kind, uint32_t vaddr, uint32_t* paddr, uint8_t* flags) {
-    uint32_t vpage = vaddr >> cksim::kPageShift;
-    const MicroTlbEntry& hint = fp.mtlb->At(kind, vpage);
-    if (hint.vpage != vpage || hint.asid != fp.asid) {
+    uint16_t index;
+    const cksim::TlbEntry* t = Hinted(kind, vaddr >> cksim::kPageShift, &index);
+    if (t == nullptr || (kind == cksim::Access::kWrite && !WriteReady(t->flags))) {
       return false;
-    }
-    const cksim::TlbEntry& t = fp.tlb->EntryAt(hint.tlb_index);
-    // Re-validate against the live TLB entry: flushes and LRU evictions make
-    // this compare fail, which is how micro-TLB invalidation works.
-    if (!t.valid || t.asid != fp.asid || t.vpage != vpage) {
-      return false;
-    }
-    if (kind == cksim::Access::kWrite) {
-      // The slow path write also checks COW, write protection and the
-      // modified bit (with a PTE write-through on first store). Require the
-      // exact flag state where it does none of that.
-      constexpr uint8_t kWriteMask =
-          cksim::kPteWritable | cksim::kPteModified | cksim::kPteCopyOnWrite;
-      constexpr uint8_t kWriteReady = cksim::kPteWritable | cksim::kPteModified;
-      if ((t.flags & kWriteMask) != kWriteReady) {
-        return false;
-      }
-    }
-    if (t.pframe >= fp.frame_count || fp.remote_frame_bits[t.pframe] != 0) {
-      return false;  // consistency fault territory: let the bus handle it
     }
     // Committed: from here the access completes on the fast path.
-    fp.tlb->TouchFastHit(hint.tlb_index);
+    fp.tlb->TouchFastHit(index);
     acc += fp.cost_tlb_hit;
-    *paddr = cksim::FrameBase(t.pframe) | (vaddr & cksim::kPageOffsetMask);
-    *flags = t.flags;
+    *paddr = cksim::FrameBase(t->pframe) | (vaddr & cksim::kPageOffsetMask);
+    *flags = t->flags;
     return true;
   }
 
-  bool FetchDecoded(uint32_t pc, Decoded& d, GuestBus::MemResult& fail) {
+  bool FetchDecoded(uint32_t pc, Decoded& d, cksim::Fault& fault) {
     uint32_t paddr;
     uint8_t flags;
     if ((pc & 3u) == 0 && TryTranslate(cksim::Access::kExecute, pc, &paddr, &flags)) {
@@ -156,50 +152,30 @@ struct FastPolicy {
       return true;
     }
     Flush();
-    GuestBus::MemResult fetch = bus.Fetch(pc);
-    if (!fetch.ok) {
-      fail = fetch;
-      return false;
-    }
-    d = Decode(fetch.value);
-    return true;
+    return SlowPolicy{bus}.FetchDecoded(pc, d, fault);
   }
 
-  GuestBus::MemResult Load32(uint32_t vaddr) {
-    uint32_t paddr;
-    uint8_t flags;
-    // The interpreter already rejected misaligned word loads.
-    if (TryTranslate(cksim::Access::kRead, vaddr, &paddr, &flags)) {
-      acc += fp.cost_mem_word;
-      GuestBus::MemResult m;
-      m.ok = true;
-      std::memcpy(&m.value, fp.mem->raw() + paddr, 4);
-      return m;
-    }
-    Flush();
-    return bus.Load32(vaddr);
-  }
-
-  GuestBus::MemResult Load8(uint32_t vaddr) {
+  // The interpreter already rejected misaligned word accesses.
+  GuestBus::MemResult Load(uint32_t vaddr, uint32_t width) {
     uint32_t paddr;
     uint8_t flags;
     if (TryTranslate(cksim::Access::kRead, vaddr, &paddr, &flags)) {
       acc += fp.cost_mem_word;
       GuestBus::MemResult m;
       m.ok = true;
-      m.value = fp.mem->raw()[paddr];
+      std::memcpy(&m.value, fp.mem->raw() + paddr, width);
       return m;
     }
     Flush();
-    return bus.Load8(vaddr);
+    return bus.Load(vaddr, width);
   }
 
-  GuestBus::MemResult Store32(uint32_t vaddr, uint32_t value) {
+  GuestBus::MemResult Store(uint32_t vaddr, uint32_t value, uint32_t width) {
     uint32_t paddr;
     uint8_t flags;
     if (TryTranslate(cksim::Access::kWrite, vaddr, &paddr, &flags)) {
       acc += fp.cost_mem_word;
-      std::memcpy(fp.mem->raw() + paddr, &value, 4);
+      std::memcpy(fp.mem->raw() + paddr, &value, width);
       fp.mem->BumpFrameGeneration(paddr);  // keep the decoded cache honest
       GuestBus::MemResult m;
       m.ok = true;
@@ -207,23 +183,7 @@ struct FastPolicy {
       return m;
     }
     Flush();
-    return bus.Store32(vaddr, value);
-  }
-
-  GuestBus::MemResult Store8(uint32_t vaddr, uint8_t value) {
-    uint32_t paddr;
-    uint8_t flags;
-    if (TryTranslate(cksim::Access::kWrite, vaddr, &paddr, &flags)) {
-      acc += fp.cost_mem_word;
-      fp.mem->raw()[paddr] = value;
-      fp.mem->BumpFrameGeneration(paddr);
-      GuestBus::MemResult m;
-      m.ok = true;
-      m.message_write = (flags & cksim::kPteMessage) != 0;
-      return m;
-    }
-    Flush();
-    return bus.Store8(vaddr, value);
+    return bus.Store(vaddr, value, width);
   }
 
   void ChargeInstruction() { acc += fp.cost_instruction; }
@@ -364,34 +324,25 @@ struct FastPolicy {
     // exits, since the bus may move TLB state under our fetch indices).
     auto dtranslate = [&](cksim::Access kind, uint32_t addr, uint32_t si, uint32_t* paddr,
                           uint8_t* flags, bool* own) -> bool {
-      constexpr uint8_t kWriteMask =
-          cksim::kPteWritable | cksim::kPteModified | cksim::kPteCopyOnWrite;
-      constexpr uint8_t kWriteReady = cksim::kPteWritable | cksim::kPteModified;
       uint32_t vpage = addr >> cksim::kPageShift;
       uint32_t h = vpage & (kDc - 1);
       if (dc_vpage[h] != vpage) {
-        const MicroTlbEntry& hint = fp.mtlb->At(kind, vpage);
-        if (hint.vpage != vpage || hint.asid != fp.asid) {
-          return false;
-        }
-        const cksim::TlbEntry& e = fp.tlb->EntryAt(hint.tlb_index);
-        if (!e.valid || e.asid != fp.asid || e.vpage != vpage) {
-          return false;
-        }
-        if (e.pframe >= fp.frame_count || fp.remote_frame_bits[e.pframe] != 0) {
+        uint16_t index;
+        const cksim::TlbEntry* e = Hinted(kind, vpage, &index);
+        if (e == nullptr) {
           return false;
         }
         bool own_page = false;
         for (uint32_t p = 0; p < t.page_count; ++p) {
-          own_page = own_page || t.pages[p].pframe == e.pframe;
+          own_page = own_page || t.pages[p].pframe == e->pframe;
         }
         dc_vpage[h] = vpage;
-        dc_pbase[h] = cksim::FrameBase(e.pframe);
-        dc_idx[h] = hint.tlb_index;
-        dc_flags[h] = e.flags;
+        dc_pbase[h] = cksim::FrameBase(e->pframe);
+        dc_idx[h] = index;
+        dc_flags[h] = e->flags;
         dc_own[h] = own_page ? 1 : 0;
       }
-      if (kind == cksim::Access::kWrite && (dc_flags[h] & kWriteMask) != kWriteReady) {
+      if (kind == cksim::Access::kWrite && !WriteReady(dc_flags[h])) {
         return false;  // first write / COW / read-only: PTE side effects due
       }
       *paddr = dc_pbase[h] | (addr & cksim::kPageOffsetMask);
@@ -404,20 +355,118 @@ struct FastPolicy {
       return true;
     };
 
+    uint32_t si = 0;
+    const TraceStep* sp = &t.steps[0];
+
+    // How a step ends: on to the next step, out of the trace (committed,
+    // ctx.pc set), or out of the run (result and ctx.pc set).
+    enum class StepEnd : uint8_t { kNext, kLeave, kStop };
+
+    // One body per execution class; kOp picks the table row's semantics.
+    auto step = [&]<Op kOp>() __attribute__((always_inline)) -> StepEnd {
+      constexpr OpClass kClass = kOps[static_cast<uint32_t>(kOp)].cls;
+      const TraceStep& s = *sp;
+      const Decoded& d = s.d;
+      const uint32_t imm = static_cast<uint32_t>(d.imm);
+      if constexpr (kClass == OpClass::kAlu) {
+        r[d.rd] = Sem<kOp>(r[d.rs1], r[d.rs2], imm);
+      } else if constexpr (kClass == OpClass::kJal) {
+        r[d.rd] = s.vpc + 4;  // the next step is at the jump target
+      } else if constexpr (kClass == OpClass::kBranch) {
+        bool taken = Sem<kOp>(r[d.rd], r[d.rs1], imm) != 0;
+        if (taken != ((s.flags & TraceStep::kPredictedTaken) != 0)) {
+          // The build-time prediction failed: leave to the actual successor.
+          // The branch itself completed, so the full step commits.
+          commit_through(si);
+          ctx.pc = taken ? s.vpc + 4 + imm * 4 : s.vpc + 4;
+          return StepEnd::kLeave;
+        }
+      } else if constexpr (kClass == OpClass::kJalr) {
+        uint32_t target = r[d.rs1] + imm;
+        r[d.rd] = s.vpc + 4;
+        commit_through(si);
+        ctx.pc = target;
+        return StepEnd::kLeave;
+      } else if constexpr (kClass == OpClass::kTrap || kClass == OpClass::kHalt) {
+        commit_through(si);
+        ctx.pc = s.vpc + 4;  // resume after the instruction
+        result.event = kClass == OpClass::kTrap ? RunEvent::kTrap : RunEvent::kHalt;
+        result.trap_number = kClass == OpClass::kTrap ? static_cast<uint16_t>(imm) : 0;
+        return StepEnd::kStop;
+      } else if constexpr (kClass == OpClass::kLoad || kClass == OpClass::kStore) {
+        constexpr bool kLoad = kClass == OpClass::kLoad;
+        constexpr uint32_t kWidth = Sem<kOp>(0, 0, 0);
+        constexpr cksim::Access kAccess = kLoad ? cksim::Access::kRead : cksim::Access::kWrite;
+        const uint32_t addr = r[d.rs1] + imm;
+        if (kWidth == 4 && (addr & 3u) != 0) {
+          commit_partial(si);
+          ctx.pc = s.vpc;
+          result.event = RunEvent::kFault;
+          result.fault = {cksim::FaultType::kBadAlignment, addr, kAccess};
+          return StepEnd::kStop;
+        }
+        uint32_t paddr;
+        uint8_t flags;
+        bool own;
+        if (dtranslate(kAccess, addr, si, &paddr, &flags, &own)) {
+          uint8_t* host = fp.mem->raw() + paddr;
+          if constexpr (kLoad) {
+            uint32_t value = 0;
+            std::memcpy(&value, host, kWidth);
+            r[d.rd] = value;
+            return StepEnd::kNext;
+          } else {
+            std::memcpy(host, &r[d.rd], kWidth);
+            fp.mem->BumpFrameGeneration(paddr);
+            const bool message = (flags & cksim::kPteMessage) != 0;
+            if (!message && !own) {
+              return StepEnd::kNext;
+            }
+            // A message write signals through the bus (which observes the
+            // clock); a store into one of this trace's own frames may have
+            // staled the remaining decoded steps. Either way, leave after it.
+            commit_through(si);
+            if (message) {
+              OnMessageWrite(addr);
+            }
+            ctx.pc = s.next_vpc;
+            return StepEnd::kLeave;
+          }
+        }
+        // Off the fast path: commit the fetch half first, so the bus-side
+        // TLB touch gets the next ordinal, then replay through the bus.
+        commit_partial(si);
+        Flush();
+        GuestBus::MemResult m = kLoad ? bus.Load(addr, kWidth) : bus.Store(addr, r[d.rd], kWidth);
+        if (!m.ok) {
+          ctx.pc = s.vpc;
+          result.event = RunEvent::kFault;
+          result.fault = m.fault;
+          return StepEnd::kStop;
+        }
+        if constexpr (kLoad) {
+          r[d.rd] = m.value;
+        } else if (m.message_write) {
+          OnMessageWrite(addr);
+        }
+        ctx.pc = s.next_vpc;
+        return StepEnd::kLeave;
+      }
+      return StepEnd::kNext;
+    };
+
     // Threaded dispatch (computed goto): every handler ends with its own
     // indirect jump to the next step's handler, so each op->op edge in the
     // trace gets its own branch-prediction site. A central switch would make
     // one indirect branch carry the whole opcode sequence, which mispredicts
     // far more -- dispatch cost is most of a trace step.
+#define CK_TARGET(mnemonic, op, format, cls, sem) &&h_##op,
+#define CK_BAD8 &&h_bad, &&h_bad, &&h_bad, &&h_bad, &&h_bad, &&h_bad, &&h_bad, &&h_bad,
+    static_assert(kOpCount == 32, "kOpTargets covers 32 rows and 32 undefined opcodes");
     static const void* const kOpTargets[64] = {
-        &&h_nop,  &&h_halt, &&h_add,  &&h_sub,  &&h_and,  &&h_or,   &&h_xor,  &&h_sll,
-        &&h_srl,  &&h_sra,  &&h_mul,  &&h_slt,  &&h_sltu, &&h_addi, &&h_andi, &&h_ori,
-        &&h_xori, &&h_lui,  &&h_slti, &&h_lw,   &&h_sw,   &&h_lb,   &&h_sb,   &&h_beq,
-        &&h_bne,  &&h_blt,  &&h_bge,  &&h_jal,  &&h_jalr, &&h_trap, &&h_div,  &&h_rem,
-        &&h_bad,  &&h_bad,  &&h_bad,  &&h_bad,  &&h_bad,  &&h_bad,  &&h_bad,  &&h_bad,
-        &&h_bad,  &&h_bad,  &&h_bad,  &&h_bad,  &&h_bad,  &&h_bad,  &&h_bad,  &&h_bad,
-        &&h_bad,  &&h_bad,  &&h_bad,  &&h_bad,  &&h_bad,  &&h_bad,  &&h_bad,  &&h_bad,
-        &&h_bad,  &&h_bad,  &&h_bad,  &&h_bad,  &&h_bad,  &&h_bad,  &&h_bad,  &&h_bad};
+        CKVM_OPS(CK_TARGET) CK_BAD8 CK_BAD8 CK_BAD8 CK_BAD8};
+#undef CK_BAD8
+#undef CK_TARGET
 
 #define CK_DISPATCH() goto* kOpTargets[static_cast<uint8_t>(sp->d.op)]
 #define CK_NEXT()                                  \
@@ -431,357 +480,36 @@ struct FastPolicy {
     ++sp;                                          \
     CK_DISPATCH();                                 \
   } while (0)
+#define CK_HANDLER(mnemonic, op, format, cls, sem)       \
+  h_##op : {                                             \
+    StepEnd end = step.template operator()<Op::op>();    \
+    if (end == StepEnd::kLeave) {                        \
+      goto leave;                                        \
+    }                                                    \
+    if (end == StepEnd::kStop) {                         \
+      goto stop;                                         \
+    }                                                    \
+    CK_NEXT();                                           \
+  }
 
-    uint32_t si = 0;
-    const TraceStep* sp = &t.steps[0];
     CK_DISPATCH();
-
-  h_nop:
-    CK_NEXT();
-  h_halt:
-    commit_through(si);
-    ctx.pc = sp->vpc + 4;
-    result.event = RunEvent::kHalt;
-    result.instructions = n + si + 1;
-    FlushAt(ctx.pc);
-    return TraceOutcome::kTerminal;
-
-  h_add: {
-    const Decoded& d = sp->d;
-    r[d.rd] = r[d.rs1] + r[d.rs2];
-    CK_NEXT();
-  }
-  h_sub: {
-    const Decoded& d = sp->d;
-    r[d.rd] = r[d.rs1] - r[d.rs2];
-    CK_NEXT();
-  }
-  h_and: {
-    const Decoded& d = sp->d;
-    r[d.rd] = r[d.rs1] & r[d.rs2];
-    CK_NEXT();
-  }
-  h_or: {
-    const Decoded& d = sp->d;
-    r[d.rd] = r[d.rs1] | r[d.rs2];
-    CK_NEXT();
-  }
-  h_xor: {
-    const Decoded& d = sp->d;
-    r[d.rd] = r[d.rs1] ^ r[d.rs2];
-    CK_NEXT();
-  }
-  h_sll: {
-    const Decoded& d = sp->d;
-    r[d.rd] = r[d.rs1] << (r[d.rs2] & 31u);
-    CK_NEXT();
-  }
-  h_srl: {
-    const Decoded& d = sp->d;
-    r[d.rd] = r[d.rs1] >> (r[d.rs2] & 31u);
-    CK_NEXT();
-  }
-  h_sra: {
-    const Decoded& d = sp->d;
-    r[d.rd] = static_cast<uint32_t>(static_cast<int32_t>(r[d.rs1]) >> (r[d.rs2] & 31u));
-    CK_NEXT();
-  }
-  h_mul: {
-    const Decoded& d = sp->d;
-    r[d.rd] = r[d.rs1] * r[d.rs2];
-    CK_NEXT();
-  }
-  h_div: {
-    const Decoded& d = sp->d;
-    int32_t va = static_cast<int32_t>(r[d.rs1]);
-    int32_t vb = static_cast<int32_t>(r[d.rs2]);
-    r[d.rd] = (vb == 0) ? 0 : static_cast<uint32_t>(va / vb);
-    CK_NEXT();
-  }
-  h_rem: {
-    const Decoded& d = sp->d;
-    int32_t va = static_cast<int32_t>(r[d.rs1]);
-    int32_t vb = static_cast<int32_t>(r[d.rs2]);
-    r[d.rd] = (vb == 0) ? 0 : static_cast<uint32_t>(va % vb);
-    CK_NEXT();
-  }
-  h_slt: {
-    const Decoded& d = sp->d;
-    r[d.rd] = static_cast<int32_t>(r[d.rs1]) < static_cast<int32_t>(r[d.rs2]) ? 1 : 0;
-    CK_NEXT();
-  }
-  h_sltu: {
-    const Decoded& d = sp->d;
-    r[d.rd] = r[d.rs1] < r[d.rs2] ? 1 : 0;
-    CK_NEXT();
-  }
-
-  h_addi: {
-    const Decoded& d = sp->d;
-    r[d.rd] = r[d.rs1] + static_cast<uint32_t>(d.imm);
-    CK_NEXT();
-  }
-  h_andi: {
-    const Decoded& d = sp->d;
-    r[d.rd] = r[d.rs1] & static_cast<uint32_t>(d.imm & 0xffff);
-    CK_NEXT();
-  }
-  h_ori: {
-    const Decoded& d = sp->d;
-    r[d.rd] = r[d.rs1] | static_cast<uint32_t>(d.imm & 0xffff);
-    CK_NEXT();
-  }
-  h_xori: {
-    const Decoded& d = sp->d;
-    r[d.rd] = r[d.rs1] ^ static_cast<uint32_t>(d.imm & 0xffff);
-    CK_NEXT();
-  }
-  h_lui: {
-    const Decoded& d = sp->d;
-    r[d.rd] = static_cast<uint32_t>(d.imm & 0xffff) << 16;
-    CK_NEXT();
-  }
-  h_slti: {
-    const Decoded& d = sp->d;
-    r[d.rd] = static_cast<int32_t>(r[d.rs1]) < d.imm ? 1 : 0;
-    CK_NEXT();
-  }
-
-  h_lw: {
-    const Decoded& d = sp->d;
-    uint32_t addr = r[d.rs1] + static_cast<uint32_t>(d.imm);
-    if ((addr & 3u) != 0) {
-      commit_partial(si);
-      ctx.pc = sp->vpc;
-      result.event = RunEvent::kFault;
-      result.fault = Misaligned(addr, cksim::Access::kRead);
-      result.instructions = n + si + 1;
-      FlushAt(ctx.pc);
-      return TraceOutcome::kTerminal;
-    }
-    uint32_t paddr;
-    uint8_t flags;
-    bool own;
-    if (dtranslate(cksim::Access::kRead, addr, si, &paddr, &flags, &own)) {
-      std::memcpy(&r[d.rd], fp.mem->raw() + paddr, 4);
-      CK_NEXT();
-    }
-    commit_partial(si);
-    Flush();
-    GuestBus::MemResult m = bus.Load32(addr);
-    if (!m.ok) {
-      ctx.pc = sp->vpc;
-      result.event = RunEvent::kFault;
-      result.fault = m.fault;
-      result.instructions = n + si + 1;
-      FlushAt(ctx.pc);
-      return TraceOutcome::kTerminal;
-    }
-    r[d.rd] = m.value;
-    if ((sp->flags & TraceStep::kWritesR0) != 0) {
-      r[0] = 0;
-    }
-    n += si + 1;
-    ctx.pc = sp->next_vpc;
-    return TraceOutcome::kAdvanced;
-  }
-  h_lb: {
-    const Decoded& d = sp->d;
-    uint32_t addr = r[d.rs1] + static_cast<uint32_t>(d.imm);
-    uint32_t paddr;
-    uint8_t flags;
-    bool own;
-    if (dtranslate(cksim::Access::kRead, addr, si, &paddr, &flags, &own)) {
-      r[d.rd] = fp.mem->raw()[paddr];
-      CK_NEXT();
-    }
-    commit_partial(si);
-    Flush();
-    GuestBus::MemResult m = bus.Load8(addr);
-    if (!m.ok) {
-      ctx.pc = sp->vpc;
-      result.event = RunEvent::kFault;
-      result.fault = m.fault;
-      result.instructions = n + si + 1;
-      FlushAt(ctx.pc);
-      return TraceOutcome::kTerminal;
-    }
-    r[d.rd] = m.value;
-    if ((sp->flags & TraceStep::kWritesR0) != 0) {
-      r[0] = 0;
-    }
-    n += si + 1;
-    ctx.pc = sp->next_vpc;
-    return TraceOutcome::kAdvanced;
-  }
-  h_sw: {
-    const Decoded& d = sp->d;
-    uint32_t addr = r[d.rs1] + static_cast<uint32_t>(d.imm);
-    if ((addr & 3u) != 0) {
-      commit_partial(si);
-      ctx.pc = sp->vpc;
-      result.event = RunEvent::kFault;
-      result.fault = Misaligned(addr, cksim::Access::kWrite);
-      result.instructions = n + si + 1;
-      FlushAt(ctx.pc);
-      return TraceOutcome::kTerminal;
-    }
-    uint32_t paddr;
-    uint8_t flags;
-    bool own;
-    if (dtranslate(cksim::Access::kWrite, addr, si, &paddr, &flags, &own)) {
-      std::memcpy(fp.mem->raw() + paddr, &r[d.rd], 4);
-      fp.mem->BumpFrameGeneration(paddr);
-      if ((flags & cksim::kPteMessage) != 0) {
-        // Store completed fast; signal delivery goes through the bus
-        // (which observes the clock), then the trace exits.
-        commit_through(si);
-        OnMessageWrite(addr);
-        n += si + 1;
-        ctx.pc = sp->next_vpc;
-        return TraceOutcome::kAdvanced;
-      }
-      if (own) {
-        // Wrote into one of this trace's own frames: the remaining
-        // decoded steps may now be stale. Exit after the store.
-        commit_through(si);
-        n += si + 1;
-        ctx.pc = sp->next_vpc;
-        return TraceOutcome::kAdvanced;
-      }
-      CK_NEXT();
-    }
-    goto store_slow;
-  }
-  h_sb: {
-    const Decoded& d = sp->d;
-    uint32_t addr = r[d.rs1] + static_cast<uint32_t>(d.imm);
-    uint32_t paddr;
-    uint8_t flags;
-    bool own;
-    if (dtranslate(cksim::Access::kWrite, addr, si, &paddr, &flags, &own)) {
-      fp.mem->raw()[paddr] = static_cast<uint8_t>(r[d.rd]);
-      fp.mem->BumpFrameGeneration(paddr);
-      if ((flags & cksim::kPteMessage) != 0) {
-        commit_through(si);
-        OnMessageWrite(addr);
-        n += si + 1;
-        ctx.pc = sp->next_vpc;
-        return TraceOutcome::kAdvanced;
-      }
-      if (own) {
-        commit_through(si);
-        n += si + 1;
-        ctx.pc = sp->next_vpc;
-        return TraceOutcome::kAdvanced;
-      }
-      CK_NEXT();
-    }
-    goto store_slow;
-  }
-  store_slow: {
-    const TraceStep& s = *sp;
-    const Decoded& d = s.d;
-    uint32_t addr = r[d.rs1] + static_cast<uint32_t>(d.imm);
-    commit_partial(si);
-    Flush();
-    GuestBus::MemResult m = d.op == Op::kSw ? bus.Store32(addr, r[d.rd])
-                                            : bus.Store8(addr, static_cast<uint8_t>(r[d.rd]));
-    if (!m.ok) {
-      ctx.pc = s.vpc;
-      result.event = RunEvent::kFault;
-      result.fault = m.fault;
-      result.instructions = n + si + 1;
-      FlushAt(ctx.pc);
-      return TraceOutcome::kTerminal;
-    }
-    if (m.message_write) {
-      OnMessageWrite(addr);
-    }
-    n += si + 1;
-    ctx.pc = s.next_vpc;
-    return TraceOutcome::kAdvanced;
-  }
-
-  h_beq: {
-    const Decoded& d = sp->d;
-    bool taken = r[d.rd] == r[d.rs1];
-    if (taken != ((sp->flags & TraceStep::kPredictedTaken) != 0)) {
-      goto branch_mispredict;
-    }
-    CK_NEXT();  // prediction held: the next step is the target
-  }
-  h_bne: {
-    const Decoded& d = sp->d;
-    bool taken = r[d.rd] != r[d.rs1];
-    if (taken != ((sp->flags & TraceStep::kPredictedTaken) != 0)) {
-      goto branch_mispredict;
-    }
-    CK_NEXT();
-  }
-  h_blt: {
-    const Decoded& d = sp->d;
-    bool taken = static_cast<int32_t>(r[d.rd]) < static_cast<int32_t>(r[d.rs1]);
-    if (taken != ((sp->flags & TraceStep::kPredictedTaken) != 0)) {
-      goto branch_mispredict;
-    }
-    CK_NEXT();
-  }
-  h_bge: {
-    const Decoded& d = sp->d;
-    bool taken = static_cast<int32_t>(r[d.rd]) >= static_cast<int32_t>(r[d.rs1]);
-    if (taken != ((sp->flags & TraceStep::kPredictedTaken) != 0)) {
-      goto branch_mispredict;
-    }
-    CK_NEXT();
-  }
-  branch_mispredict: {
-    // The build-time prediction failed: exit to the actual successor. The
-    // branch itself completed, so the full step commits.
-    const TraceStep& s = *sp;
-    bool predicted = (s.flags & TraceStep::kPredictedTaken) != 0;
-    commit_through(si);
-    n += si + 1;
-    // taken != predicted here, so the actual direction is !predicted.
-    ctx.pc = !predicted ? s.vpc + 4 + static_cast<uint32_t>(s.d.imm) * 4 : s.vpc + 4;
-    return TraceOutcome::kAdvanced;
-  }
-
-  h_jal: {
-    const Decoded& d = sp->d;
-    r[d.rd] = sp->vpc + 4;
-    CK_NEXT();  // next step is at the jump target
-  }
-  h_jalr: {
-    const Decoded& d = sp->d;
-    uint32_t target = r[d.rs1] + static_cast<uint32_t>(d.imm);
-    r[d.rd] = sp->vpc + 4;
-    if ((sp->flags & TraceStep::kWritesR0) != 0) {
-      r[0] = 0;
-    }
-    commit_through(si);
-    n += si + 1;
-    ctx.pc = target;
-    return TraceOutcome::kAdvanced;
-  }
-
-  h_trap:
-    commit_through(si);
-    ctx.pc = sp->vpc + 4;  // resume after the trap instruction
-    result.event = RunEvent::kTrap;
-    result.trap_number = static_cast<uint16_t>(sp->d.imm & 0xffff);
-    result.instructions = n + si + 1;
-    FlushAt(ctx.pc);
-    return TraceOutcome::kTerminal;
+    CKVM_OPS(CK_HANDLER)
 
   h_bad:
     commit_through(si);
     ctx.pc = sp->vpc;
     result.event = RunEvent::kFault;
-    result.fault = BadInstruction(sp->vpc);
+    result.fault = {cksim::FaultType::kBadInstruction, sp->vpc, cksim::Access::kExecute};
+  stop:
+    // Halt, trap or fault: the step is retired and its charges land first.
     result.instructions = n + si + 1;
     FlushAt(ctx.pc);
     return TraceOutcome::kTerminal;
+
+  leave:
+    r[0] = 0;  // the leaving step may have written r0
+    n += si + 1;
+    return TraceOutcome::kAdvanced;
 
   trace_end:
     // Ran to the end of the trace (or out of budget) fully on the fast path.
@@ -789,6 +517,7 @@ struct FastPolicy {
     n += si;
     ctx.pc = sp->next_vpc;
     return TraceOutcome::kAdvanced;
+#undef CK_HANDLER
 #undef CK_NEXT
 #undef CK_DISPATCH
   }
@@ -796,13 +525,12 @@ struct FastPolicy {
 
 // The interpreter core, shared by both policies. Instruction semantics and
 // the fault/trap/halt protocol are policy-independent; the policy only decides
-// how fetches, loads, stores and cycle charges are performed. Policy::Flush()
-// runs before every return so batched charges always land on the CPU clock
-// before the caller (the dispatch loop) reads it.
+// how fetches, loads, stores and cycle charges are performed. Every exit runs
+// Policy::FlushAt, so batched charges always land on the CPU clock before the
+// caller (the dispatch loop) reads it.
 template <typename Policy>
 RunResult RunLoop(VmContext& ctx, Policy& p, uint32_t budget) {
   RunResult result;
-
   uint32_t n = 0;
   // Superblock traces are dispatched only at basic-block heads (quantum
   // entry, or the target of a taken branch / jump / trace exit). Sequential
@@ -822,10 +550,8 @@ RunResult RunLoop(VmContext& ctx, Policy& p, uint32_t budget) {
       at_head = false;
     }
     Decoded d;
-    GuestBus::MemResult fetch_fail;
-    if (!p.FetchDecoded(ctx.pc, d, fetch_fail)) {
+    if (!p.FetchDecoded(ctx.pc, d, result.fault)) {
       result.event = RunEvent::kFault;
-      result.fault = fetch_fail.fault;
       result.instructions = n;
       p.FlushAt(ctx.pc);
       return result;
@@ -836,197 +562,64 @@ RunResult RunLoop(VmContext& ctx, Policy& p, uint32_t budget) {
     r[0] = 0;
     uint32_t next_pc = ctx.pc + 4;
 
-    switch (d.op) {
-      case Op::kNop:
-        break;
-      case Op::kHalt:
-        ctx.pc = next_pc;
-        result.event = RunEvent::kHalt;
-        result.instructions = n + 1;
-        p.FlushAt(ctx.pc);
-        return result;
-
-      case Op::kAdd:
-        r[d.rd] = r[d.rs1] + r[d.rs2];
-        break;
-      case Op::kSub:
-        r[d.rd] = r[d.rs1] - r[d.rs2];
-        break;
-      case Op::kAnd:
-        r[d.rd] = r[d.rs1] & r[d.rs2];
-        break;
-      case Op::kOr:
-        r[d.rd] = r[d.rs1] | r[d.rs2];
-        break;
-      case Op::kXor:
-        r[d.rd] = r[d.rs1] ^ r[d.rs2];
-        break;
-      case Op::kSll:
-        r[d.rd] = r[d.rs1] << (r[d.rs2] & 31u);
-        break;
-      case Op::kSrl:
-        r[d.rd] = r[d.rs1] >> (r[d.rs2] & 31u);
-        break;
-      case Op::kSra:
-        r[d.rd] = static_cast<uint32_t>(static_cast<int32_t>(r[d.rs1]) >> (r[d.rs2] & 31u));
-        break;
-      case Op::kMul:
-        r[d.rd] = r[d.rs1] * r[d.rs2];
-        break;
-      case Op::kDiv: {
-        int32_t a = static_cast<int32_t>(r[d.rs1]);
-        int32_t b = static_cast<int32_t>(r[d.rs2]);
-        r[d.rd] = (b == 0) ? 0 : static_cast<uint32_t>(a / b);
-        break;
-      }
-      case Op::kRem: {
-        int32_t a = static_cast<int32_t>(r[d.rs1]);
-        int32_t b = static_cast<int32_t>(r[d.rs2]);
-        r[d.rd] = (b == 0) ? 0 : static_cast<uint32_t>(a % b);
-        break;
-      }
-      case Op::kSlt:
-        r[d.rd] = static_cast<int32_t>(r[d.rs1]) < static_cast<int32_t>(r[d.rs2]) ? 1 : 0;
-        break;
-      case Op::kSltu:
-        r[d.rd] = r[d.rs1] < r[d.rs2] ? 1 : 0;
-        break;
-
-      case Op::kAddi:
-        r[d.rd] = r[d.rs1] + static_cast<uint32_t>(d.imm);
-        break;
-      case Op::kAndi:
-        r[d.rd] = r[d.rs1] & static_cast<uint32_t>(d.imm & 0xffff);
-        break;
-      case Op::kOri:
-        r[d.rd] = r[d.rs1] | static_cast<uint32_t>(d.imm & 0xffff);
-        break;
-      case Op::kXori:
-        r[d.rd] = r[d.rs1] ^ static_cast<uint32_t>(d.imm & 0xffff);
-        break;
-      case Op::kLui:
-        r[d.rd] = static_cast<uint32_t>(d.imm & 0xffff) << 16;
-        break;
-      case Op::kSlti:
-        r[d.rd] = static_cast<int32_t>(r[d.rs1]) < d.imm ? 1 : 0;
-        break;
-
-      case Op::kLw: {
-        uint32_t addr = r[d.rs1] + static_cast<uint32_t>(d.imm);
-        if ((addr & 3u) != 0) {
-          result.event = RunEvent::kFault;
-          result.fault = Misaligned(addr, cksim::Access::kRead);
-          result.instructions = n + 1;
-          p.FlushAt(ctx.pc);
-          return result;
+    // One body per execution class; kOp picks the table row's semantics.
+    // False ends the run with the event (and ctx.pc) set.
+    auto step = [&]<Op kOp>() __attribute__((always_inline)) -> bool {
+      constexpr OpClass kClass = kOps[static_cast<uint32_t>(kOp)].cls;
+      const uint32_t imm = static_cast<uint32_t>(d.imm);
+      if constexpr (kClass == OpClass::kAlu) {
+        r[d.rd] = Sem<kOp>(r[d.rs1], r[d.rs2], imm);
+      } else if constexpr (kClass == OpClass::kBranch) {
+        if (Sem<kOp>(r[d.rd], r[d.rs1], imm) != 0) {
+          next_pc = ctx.pc + 4 + imm * 4;
         }
-        GuestBus::MemResult m = p.Load32(addr);
-        if (!m.ok) {
-          result.event = RunEvent::kFault;
-          result.fault = m.fault;
-          result.instructions = n + 1;
-          p.FlushAt(ctx.pc);
-          return result;
-        }
-        r[d.rd] = m.value;
-        break;
-      }
-      case Op::kLb: {
-        GuestBus::MemResult m = p.Load8(r[d.rs1] + static_cast<uint32_t>(d.imm));
-        if (!m.ok) {
-          result.event = RunEvent::kFault;
-          result.fault = m.fault;
-          result.instructions = n + 1;
-          p.FlushAt(ctx.pc);
-          return result;
-        }
-        r[d.rd] = m.value;
-        break;
-      }
-      case Op::kSw: {
-        uint32_t addr = r[d.rs1] + static_cast<uint32_t>(d.imm);
-        if ((addr & 3u) != 0) {
-          result.event = RunEvent::kFault;
-          result.fault = Misaligned(addr, cksim::Access::kWrite);
-          result.instructions = n + 1;
-          p.FlushAt(ctx.pc);
-          return result;
-        }
-        GuestBus::MemResult m = p.Store32(addr, r[d.rd]);
-        if (!m.ok) {
-          result.event = RunEvent::kFault;
-          result.fault = m.fault;
-          result.instructions = n + 1;
-          p.FlushAt(ctx.pc);
-          return result;
-        }
-        if (m.message_write) {
-          p.OnMessageWrite(addr);
-        }
-        break;
-      }
-      case Op::kSb: {
-        uint32_t addr = r[d.rs1] + static_cast<uint32_t>(d.imm);
-        GuestBus::MemResult m = p.Store8(addr, static_cast<uint8_t>(r[d.rd]));
-        if (!m.ok) {
-          result.event = RunEvent::kFault;
-          result.fault = m.fault;
-          result.instructions = n + 1;
-          p.FlushAt(ctx.pc);
-          return result;
-        }
-        if (m.message_write) {
-          p.OnMessageWrite(addr);
-        }
-        break;
-      }
-
-      case Op::kBeq:
-        if (r[d.rd] == r[d.rs1]) {
-          next_pc = ctx.pc + 4 + static_cast<uint32_t>(d.imm) * 4;
-        }
-        break;
-      case Op::kBne:
-        if (r[d.rd] != r[d.rs1]) {
-          next_pc = ctx.pc + 4 + static_cast<uint32_t>(d.imm) * 4;
-        }
-        break;
-      case Op::kBlt:
-        if (static_cast<int32_t>(r[d.rd]) < static_cast<int32_t>(r[d.rs1])) {
-          next_pc = ctx.pc + 4 + static_cast<uint32_t>(d.imm) * 4;
-        }
-        break;
-      case Op::kBge:
-        if (static_cast<int32_t>(r[d.rd]) >= static_cast<int32_t>(r[d.rs1])) {
-          next_pc = ctx.pc + 4 + static_cast<uint32_t>(d.imm) * 4;
-        }
-        break;
-
-      case Op::kJal:
-        r[d.rd] = ctx.pc + 4;
-        next_pc = ctx.pc + 4 + static_cast<uint32_t>(d.imm) * 4;
-        break;
-      case Op::kJalr: {
-        uint32_t target = r[d.rs1] + static_cast<uint32_t>(d.imm);
+      } else if constexpr (kClass == OpClass::kJal || kClass == OpClass::kJalr) {
+        uint32_t target = kClass == OpClass::kJal ? next_pc + imm * 4 : r[d.rs1] + imm;
         r[d.rd] = ctx.pc + 4;
         next_pc = target;
-        break;
+      } else if constexpr (kClass == OpClass::kTrap || kClass == OpClass::kHalt) {
+        ctx.pc = next_pc;  // resume after the instruction
+        result.event = kClass == OpClass::kTrap ? RunEvent::kTrap : RunEvent::kHalt;
+        result.trap_number = kClass == OpClass::kTrap ? static_cast<uint16_t>(imm) : 0;
+        return false;
+      } else if constexpr (kClass == OpClass::kLoad || kClass == OpClass::kStore) {
+        constexpr bool kLoad = kClass == OpClass::kLoad;
+        constexpr uint32_t kWidth = Sem<kOp>(0, 0, 0);
+        const uint32_t addr = r[d.rs1] + imm;
+        if (kWidth == 4 && (addr & 3u) != 0) {
+          result.event = RunEvent::kFault;
+          result.fault = {cksim::FaultType::kBadAlignment, addr,
+                          kLoad ? cksim::Access::kRead : cksim::Access::kWrite};
+          return false;
+        }
+        GuestBus::MemResult m = kLoad ? p.Load(addr, kWidth) : p.Store(addr, r[d.rd], kWidth);
+        if (!m.ok) {
+          result.event = RunEvent::kFault;
+          result.fault = m.fault;
+          return false;
+        }
+        if constexpr (kLoad) {
+          r[d.rd] = m.value;
+        } else if (m.message_write) {
+          p.OnMessageWrite(addr);
+        }
       }
+      return true;
+    };
 
-      case Op::kTrap:
-        ctx.pc = next_pc;  // resume after the trap instruction
-        result.event = RunEvent::kTrap;
-        result.trap_number = static_cast<uint16_t>(d.imm & 0xffff);
-        result.instructions = n + 1;
-        p.FlushAt(ctx.pc);
-        return result;
-
+    switch (d.op) {
+#define CK_CASE(mnemonic, op, format, cls, sem) \
+  case Op::op:                                  \
+    if (!step.template operator()<Op::op>()) {  \
+      goto stop;                                \
+    }                                           \
+    break;
+      CKVM_OPS(CK_CASE)
+#undef CK_CASE
       default:
         result.event = RunEvent::kFault;
-        result.fault = BadInstruction(ctx.pc);
-        result.instructions = n + 1;
-        p.FlushAt(ctx.pc);
-        return result;
+        result.fault = {cksim::FaultType::kBadInstruction, ctx.pc, cksim::Access::kExecute};
+        goto stop;
     }
 
     r[0] = 0;
@@ -1037,6 +630,12 @@ RunResult RunLoop(VmContext& ctx, Policy& p, uint32_t budget) {
 
   result.event = RunEvent::kBudgetExhausted;
   result.instructions = budget;
+  p.FlushAt(ctx.pc);
+  return result;
+
+stop:
+  // Halt, trap or fault: the instruction is retired and its charges land.
+  result.instructions = n + 1;
   p.FlushAt(ctx.pc);
   return result;
 }

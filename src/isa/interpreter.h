@@ -38,11 +38,11 @@ class GuestBus {
     bool message_write = false;  // store hit a message-mode page
   };
 
+  // `width` is an access width from the instruction table: 4, or 1 (a byte
+  // load zero-extends, a byte store writes the low byte of `value`).
   virtual MemResult Fetch(uint32_t vaddr) = 0;
-  virtual MemResult Load32(uint32_t vaddr) = 0;
-  virtual MemResult Load8(uint32_t vaddr) = 0;
-  virtual MemResult Store32(uint32_t vaddr, uint32_t value) = 0;
-  virtual MemResult Store8(uint32_t vaddr, uint8_t value) = 0;
+  virtual MemResult Load(uint32_t vaddr, uint32_t width) = 0;
+  virtual MemResult Store(uint32_t vaddr, uint32_t value, uint32_t width) = 0;
 
   // Charge non-memory execution cost (per instruction).
   virtual void ChargeInstruction() = 0;

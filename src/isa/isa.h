@@ -18,50 +18,120 @@
 #define SRC_ISA_ISA_H_
 
 #include <cstdint>
+#include <iterator>
+#include <string_view>
 
 namespace ckisa {
 
-enum class Op : uint8_t {
-  kNop = 0,
-  kHalt = 1,
-  // R-type arithmetic: rd = rs1 <op> rs2
-  kAdd = 2,
-  kSub = 3,
-  kAnd = 4,
-  kOr = 5,
-  kXor = 6,
-  kSll = 7,
-  kSrl = 8,
-  kSra = 9,
-  kMul = 10,
-  kSlt = 11,   // signed set-less-than
-  kSltu = 12,  // unsigned
-  // I-type arithmetic: rd = rs1 <op> imm
-  kAddi = 13,
-  kAndi = 14,
-  kOri = 15,
-  kXori = 16,
-  kLui = 17,  // rd = imm << 16
-  kSlti = 18,
-  // Memory: I-type, address = rs1 + imm
-  kLw = 19,  // rd = mem32[addr]
-  kSw = 20,  // mem32[addr] = rd  (rd field holds the source register)
-  kLb = 21,  // rd = zero-extended mem8[addr]
-  kSb = 22,
-  // Control: B-type compares r1, r2; branch target = pc + 4 + off*4
-  kBeq = 23,
-  kBne = 24,
-  kBlt = 25,  // signed
-  kBge = 26,
-  // Jumps
-  kJal = 27,   // I-type: rd = pc + 4; pc += 4 + imm*4
-  kJalr = 28,  // I-type: rd = pc + 4; pc = rs1 + imm
-  // Supervisor entry: I-type, imm = trap number. Traps to the Cache Kernel,
-  // which forwards to the owning application kernel (section 2.3).
-  kTrap = 29,
-  kDiv = 30,  // rd = rs1 / rs2 (signed; x/0 = 0, matching no-fault hardware)
-  kRem = 31,
+// Assembler operand format of an op.
+enum class Format : uint8_t {
+  kBare,    // nop
+  kR3,      // add rd, rs1, rs2
+  kI2,      // addi rd, rs1, imm16
+  kLui,     // lui rd, imm16
+  kMem,     // lw rd, imm(rs1) -- a store's rd field holds the source register
+  kBranch,  // beq r1, r2, target
+  kJal,     // jal rd, target
+  kJalr,    // jalr rd, rs1[, imm]
+  kTrap,    // trap imm16
 };
+
+// How the executors run an op; each class has one body per executor.
+enum class OpClass : uint8_t { kAlu, kLoad, kStore, kBranch, kJal, kJalr, kTrap, kHalt, kNop };
+
+// The instruction table: one row per op, in opcode order, and the only place
+// an op's meaning is written. The Op enum, both executors (interpreter.cc),
+// the trace builder's classification (fastpath.cc), the assembler and the
+// disassembler are all generated from it. A row is
+//
+//   X(mnemonic, enumerator, format, class, semantics)
+//
+// where the semantics is an expression over a, b (uint32_t) and imm (the
+// sign-extended imm16 as uint32_t): for kAlu the value written to rd, with
+// a = rs1 and b = rs2; for kBranch the taken condition, with a = r1 and
+// b = r2; for kLoad/kStore the access width in bytes (a byte load
+// zero-extends). Branch and jal targets are pc + 4 + imm * 4; jal and jalr
+// write pc + 4 to rd; jalr jumps to rs1 + imm; trap reports imm16.
+//
+// Signed division never traps: x / 0 = 0 and x % 0 = 0 (no-fault hardware),
+// and INT_MIN / -1 = INT_MIN with INT_MIN % -1 = 0, as on RISC-V.
+#define CKVM_OPS(X)                                                                         \
+  X("nop", kNop, kBare, kNop, 0)                                                            \
+  X("halt", kHalt, kBare, kHalt, 0)                                                         \
+  X("add", kAdd, kR3, kAlu, a + b)                                                          \
+  X("sub", kSub, kR3, kAlu, a - b)                                                          \
+  X("and", kAnd, kR3, kAlu, a & b)                                                          \
+  X("or", kOr, kR3, kAlu, a | b)                                                            \
+  X("xor", kXor, kR3, kAlu, a ^ b)                                                          \
+  X("sll", kSll, kR3, kAlu, a << (b & 31u))                                                 \
+  X("srl", kSrl, kR3, kAlu, a >> (b & 31u))                                                 \
+  X("sra", kSra, kR3, kAlu, static_cast<uint32_t>(static_cast<int32_t>(a) >> (b & 31u)))    \
+  X("mul", kMul, kR3, kAlu, a * b)                                                          \
+  X("slt", kSlt, kR3, kAlu, static_cast<int32_t>(a) < static_cast<int32_t>(b))              \
+  X("sltu", kSltu, kR3, kAlu, a < b)                                                        \
+  X("addi", kAddi, kI2, kAlu, a + imm)                                                      \
+  X("andi", kAndi, kI2, kAlu, a & (imm & 0xffffu))                                          \
+  X("ori", kOri, kI2, kAlu, a | (imm & 0xffffu))                                            \
+  X("xori", kXori, kI2, kAlu, a ^ (imm & 0xffffu))                                          \
+  X("lui", kLui, kLui, kAlu, (imm & 0xffffu) << 16)                                         \
+  X("slti", kSlti, kI2, kAlu, static_cast<int32_t>(a) < static_cast<int32_t>(imm))          \
+  X("lw", kLw, kMem, kLoad, 4)                                                              \
+  X("sw", kSw, kMem, kStore, 4)                                                             \
+  X("lb", kLb, kMem, kLoad, 1)                                                              \
+  X("sb", kSb, kMem, kStore, 1)                                                             \
+  X("beq", kBeq, kBranch, kBranch, a == b)                                                  \
+  X("bne", kBne, kBranch, kBranch, a != b)                                                  \
+  X("blt", kBlt, kBranch, kBranch, static_cast<int32_t>(a) < static_cast<int32_t>(b))       \
+  X("bge", kBge, kBranch, kBranch, static_cast<int32_t>(a) >= static_cast<int32_t>(b))      \
+  X("jal", kJal, kJal, kJal, 0)                                                             \
+  X("jalr", kJalr, kJalr, kJalr, 0)                                                         \
+  X("trap", kTrap, kTrap, kTrap, 0)                                                         \
+  X("div", kDiv, kR3, kAlu,                                                                 \
+    b == 0 ? 0 : b == ~0u ? 0u - a : static_cast<uint32_t>(static_cast<int32_t>(a) /       \
+                                                           static_cast<int32_t>(b)))        \
+  X("rem", kRem, kR3, kAlu,                                                                 \
+    b == 0 || b == ~0u ? 0 : static_cast<uint32_t>(static_cast<int32_t>(a) %               \
+                                                   static_cast<int32_t>(b)))
+
+enum class Op : uint8_t {
+#define CKVM_ENUM(mnemonic, op, format, cls, sem) op,
+  CKVM_OPS(CKVM_ENUM)
+#undef CKVM_ENUM
+};
+
+struct OpInfo {
+  std::string_view mnemonic;  // NUL-terminated: it views a string literal
+  Format format;
+  OpClass cls;
+};
+
+inline constexpr OpInfo kOps[] = {
+#define CKVM_INFO(mnemonic, op, format, cls, sem) {mnemonic, Format::format, OpClass::cls},
+    CKVM_OPS(CKVM_INFO)
+#undef CKVM_INFO
+};
+
+// Opcodes are the row indices; this pins the encoding.
+inline constexpr uint32_t kOpCount = std::size(kOps);
+static_assert(kOpCount == 32 && static_cast<uint32_t>(Op::kRem) == 31, "CKVM encoding moved");
+
+// The row of a decoded opcode, or null for the 32 undefined opcodes.
+inline constexpr const OpInfo* InfoOf(Op op) {
+  return static_cast<uint32_t>(op) < kOpCount ? &kOps[static_cast<uint32_t>(op)] : nullptr;
+}
+
+// A row's semantics column as a function: Sem<Op::kAdd>(a, b, imm).
+template <Op>
+constexpr uint32_t Sem(uint32_t a, uint32_t b, uint32_t imm);
+#define CKVM_SEM(mnemonic, op, format, cls, sem)                                   \
+  template <>                                                                      \
+  constexpr uint32_t Sem<Op::op>([[maybe_unused]] uint32_t a,                      \
+                                 [[maybe_unused]] uint32_t b,                      \
+                                 [[maybe_unused]] uint32_t imm) {                  \
+    return sem;                                                                    \
+  }
+CKVM_OPS(CKVM_SEM)
+#undef CKVM_SEM
 
 inline constexpr uint32_t Encode(Op op, uint32_t a, uint32_t b, uint32_t c_or_imm16) {
   return (static_cast<uint32_t>(op) << 26) | ((a & 31u) << 21) | ((b & 31u) << 16) |

@@ -33,49 +33,32 @@ class PolicyBus : public GuestBus {
     return r;
   }
 
-  MemResult Load32(uint32_t vaddr) override {
+  MemResult Load(uint32_t vaddr, uint32_t width) override {
     MemResult r;
-    if ((vaddr & 3u) != 0) {
+    r.fault.address = vaddr;
+    uint32_t word = vaddr & ~3u;
+    if (width == 4 && word != vaddr) {
       r.fault.type = cksim::FaultType::kBadAlignment;
-      r.fault.address = vaddr;
-      return r;
-    }
-    uint32_t off = vaddr - feature_base_;
-    if (vaddr < feature_base_ || off >= feature_words_ * 4) {
+    } else if (word < feature_base_ || word - feature_base_ >= feature_words_ * 4) {
       r.fault.type = cksim::FaultType::kNoMapping;
-      r.fault.address = vaddr;
-      return r;
+    } else {
+      r.ok = true;
+      r.value = features_[(word - feature_base_) / 4] >> ((vaddr & 3u) * 8);
+      r.value &= width == 4 ? ~0u : 0xffu;
     }
-    r.ok = true;
-    r.value = features_[off / 4];
     return r;
   }
 
-  MemResult Load8(uint32_t vaddr) override {
-    MemResult word = Load32(vaddr & ~3u);
-    if (!word.ok) {
-      word.fault.address = vaddr;
-      return word;
-    }
-    word.value = (word.value >> ((vaddr & 3u) * 8)) & 0xffu;
-    return word;
+  MemResult Store(uint32_t vaddr, uint32_t, uint32_t) override {
+    MemResult r;
+    r.fault = {cksim::FaultType::kProtection, vaddr, cksim::Access::kWrite};
+    return r;
   }
-
-  MemResult Store32(uint32_t vaddr, uint32_t) override { return StoreFault(vaddr); }
-  MemResult Store8(uint32_t vaddr, uint8_t) override { return StoreFault(vaddr); }
 
   void ChargeInstruction() override {}
   void OnMessageWrite(uint32_t) override {}
 
  private:
-  MemResult StoreFault(uint32_t vaddr) {
-    MemResult r;
-    r.fault.type = cksim::FaultType::kProtection;
-    r.fault.address = vaddr;
-    r.fault.access = cksim::Access::kWrite;
-    return r;
-  }
-
   const uint32_t* words_;
   uint32_t word_count_;
   const uint32_t* features_;

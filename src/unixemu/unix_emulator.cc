@@ -635,6 +635,14 @@ void UnixEmulator::OnSwappedIn(CkApi& api) {
     EnsureThreadLoaded(api, index);
   }
   for (const auto& proc : processes_) {
+    if (proc->state == Process::State::kSleeping) {
+      // Its FinishSleep wakeup names the old kernel id too: re-arm the rest
+      // of the sleep, as RestoreExtra does. A passed deadline fires next cycle.
+      cksim::Cycles remaining = proc->sleep_until > api.now() ? proc->sleep_until - api.now() : 1;
+      proc->sleep_until = api.now() + remaining;
+      int pid = proc->pid;
+      api.ScheduleAfter(remaining, [this, pid](CkApi& later) { FinishSleep(later, pid); });
+    }
     if (proc->state == Process::State::kZombie || proc->swapped) {
       continue;
     }

@@ -598,6 +598,24 @@ TEST(CkptUnix, SameMpmCheckpointIsTransparent) {
   EXPECT_TRUE(probed.world.ck().ValidateInvariants().empty());
 }
 
+TEST(CkptUnix, SleeperWakesAfterSameMpmCheckpoint) {
+  // Checkpoint swaps the emulator out and back in under a new kernel id, so
+  // a wakeup armed before it is stale. A process asleep across the
+  // checkpoint must still wake up and finish.
+  UnixWorld w;
+  w.ExecWorkload();
+  Process& ticker = w.emu.process(1);
+  ASSERT_TRUE(w.world.RunUntil([&] {
+    return ticker.console.size() >= 8 && ticker.state == Process::State::kSleeping;
+  }));
+  CkptImage image;
+  ASSERT_EQ(w.world.srm().Checkpoint(w.emu, &image), CkStatus::kOk);
+  ASSERT_EQ(ticker.state, Process::State::kSleeping);
+  ASSERT_TRUE(w.world.RunUntil([&] { return w.emu.AllExited(); }));
+  ExpectWorkloadComplete(w.emu);
+  EXPECT_TRUE(w.world.ck().ValidateInvariants().empty());
+}
+
 TEST(CkptUnix, CrossMpmMigrationPreservesPids) {
   UnixWorld a;
   TestWorld b;

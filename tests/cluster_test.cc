@@ -209,6 +209,7 @@ struct Observables {
   bool migration_ok = false;
   Digest migrated_digest;
 
+  bool checkpoints_ok = true;  // each checkpoint wait reached its console target
   bool failover_ok = false;
   uint32_t restored_processes = 0;
   std::vector<int> pids;
@@ -369,8 +370,10 @@ Observables RunScenario(bool parallel, Cycles window) {
   (void)spawner;
 
   for (size_t target : {4u, 8u}) {
-    cluster.RunUntilDone([&] { return emu_a.process(ticker).console.size() >= target; },
-                         100000000);
+    if (!cluster.RunUntilDone([&] { return emu_a.process(ticker).console.size() >= target; },
+                              100000000)) {
+      obs.checkpoints_ok = false;
+    }
     a.srm.CheckpointToStore(emu_a, store, "unix-emulator");
   }
   obs.store_bytes = store.bytes_written();
@@ -430,6 +433,7 @@ void ExpectScenarioSucceeded(const Observables& obs) {
   EXPECT_EQ(obs.rpc_answers[2], 9455u);   // 1..30
   EXPECT_TRUE(obs.migration_ok);
   EXPECT_FALSE(obs.migrated_digest.empty());
+  EXPECT_TRUE(obs.checkpoints_ok);
   EXPECT_TRUE(obs.failover_ok);
   ASSERT_EQ(obs.restored_processes, 3u);  // ticker, spawner, spawned child
   EXPECT_EQ(obs.consoles[0], "tik.tik.tik.tik.");
@@ -451,6 +455,7 @@ void ExpectIdentical(const Observables& serial, const Observables& par) {
   EXPECT_EQ(serial.rpc_answers, par.rpc_answers);
   EXPECT_EQ(serial.migration_ok, par.migration_ok);
   EXPECT_EQ(serial.migrated_digest, par.migrated_digest);
+  EXPECT_EQ(serial.checkpoints_ok, par.checkpoints_ok);
   EXPECT_EQ(serial.failover_ok, par.failover_ok);
   EXPECT_EQ(serial.restored_processes, par.restored_processes);
   EXPECT_EQ(serial.pids, par.pids);

@@ -17,6 +17,7 @@
 
 #include "src/isa/assembler.h"
 #include "src/unixemu/unix_emulator.h"
+#include "tests/random_program.h"
 #include "tests/test_harness.h"
 
 namespace {
@@ -886,6 +887,89 @@ TEST(TraceExecDifferential, FourCpusFourSpaces) {
   Snapshot trace = RunFourCpuWorkload({true, true});
   ExpectIdentical(trace, RunFourCpuWorkload({true, false}));
   ExpectIdentical(trace, RunFourCpuWorkload({false, false}));
+}
+
+// ---------------------------------------------------------------------------
+// Random programs (tests/random_program.h): every generated program runs in
+// trace, fast and slow mode and must leave identical simulated state. The
+// programs cover loops, forward branches and jumps, loads and stores that
+// hit, demand-fault, fault fatally or land in the code page, traps, and the
+// division edge cases.
+// ---------------------------------------------------------------------------
+
+struct GeneratedRun {
+  Snapshot snapshot;
+  ck::CkStats stats;
+  uint64_t illegal_accesses = 0;
+};
+
+GeneratedRun RunGenerated(const TraceModeOptions& mode, uint64_t seed) {
+  const cktest::ProgramLayout layout;
+  TestWorld world(Options(mode));
+  TrapAppKernel app;
+  world.Launch(app);
+  ck::CkApi api(world.ck(), app.self(), world.machine().cpu(0));
+
+  uint32_t space = app.CreateSpace(api);
+  ckisa::Program program;
+  program.base = layout.code_base;
+  program.words = cktest::GenerateProgram(seed, layout);
+  app.LoadProgramImage(space, program, /*writable=*/true);
+  app.DefineZeroRegion(space, layout.data_base, 2, /*writable=*/true);
+  app.DefineZeroRegion(space, layout.readonly_base, 1, /*writable=*/false);
+
+  ckapp::GuestThreadParams params;
+  params.space_index = space;
+  params.entry = layout.code_base;
+  uint32_t thread = app.CreateGuestThread(api, params);
+  EXPECT_TRUE(world.RunUntil([&] { return app.thread(thread).finished; }, 2000000));
+
+  GeneratedRun run;
+  CaptureMachineState(run.snapshot, world);
+  CaptureRegs(run.snapshot, app.thread(thread), "t0");
+  run.snapshot.Add("paging.faults", app.paging_stats().faults);
+  run.snapshot.Add("paging.illegal_accesses", app.paging_stats().illegal_accesses);
+  run.stats = world.ck().stats();
+  run.illegal_accesses = app.paging_stats().illegal_accesses;
+  return run;
+}
+
+class RandomProgramDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RandomProgramDifferential, TraceFastSlowIdentical) {
+  Snapshot trace = RunGenerated({true, true}, GetParam()).snapshot;
+  ExpectIdentical(trace, RunGenerated({true, false}, GetParam()).snapshot);
+  ExpectIdentical(trace, RunGenerated({false, false}, GetParam()).snapshot);
+}
+
+constexpr uint64_t kFirstSeed = 1;
+constexpr uint64_t kSeedCount = 64;
+
+INSTANTIATE_TEST_SUITE_P(Generated, RandomProgramDifferential,
+                         ::testing::Range(kFirstSeed, kFirstSeed + kSeedCount),
+                         [](const ::testing::TestParamInfo<uint64_t>& seed) {
+                           return "seed" + std::to_string(seed.param);
+                         });
+
+// The differential above must not pass vacuously: across the seeds, the
+// trace executor builds, hits and invalidates superblocks, guests trap, and
+// some programs halt while others die on a fatal access.
+TEST(RandomProgramCoverage, SeedsExerciseTracesTrapsHaltsAndFaults) {
+  uint64_t builds = 0, hits = 0, invalidations = 0, traps = 0, faulted = 0;
+  for (uint64_t seed = kFirstSeed; seed < kFirstSeed + kSeedCount; ++seed) {
+    GeneratedRun run = RunGenerated({true, true}, seed);
+    builds += run.stats.exec_trace_builds;
+    hits += run.stats.exec_trace_hits;
+    invalidations += run.stats.exec_trace_invalidations;
+    traps += run.stats.traps_forwarded;
+    faulted += run.illegal_accesses != 0 ? 1 : 0;
+  }
+  EXPECT_GT(builds, 0u);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(invalidations, 0u) << "no code-page store staled a superblock";
+  EXPECT_GT(traps, 0u);
+  EXPECT_GT(faulted, 0u) << "no program died on an unmapped, misaligned or read-only access";
+  EXPECT_LT(faulted, kSeedCount) << "no program ran to its halt";
 }
 
 }  // namespace

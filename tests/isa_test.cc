@@ -28,50 +28,27 @@ class FlatBus : public GuestBus {
     std::memcpy(memory_.data() + program.base, program.words.data(), program.SizeBytes());
   }
 
-  MemResult Fetch(uint32_t vaddr) override { return Load32(vaddr); }
-  MemResult Load32(uint32_t vaddr) override {
+  MemResult Fetch(uint32_t vaddr) override { return Load(vaddr, 4); }
+  MemResult Load(uint32_t vaddr, uint32_t width) override {
     MemResult r;
-    if (vaddr + 4 > memory_.size()) {
+    if (uint64_t{vaddr} + width > memory_.size()) {
       r.fault.type = cksim::FaultType::kNoMapping;
       r.fault.address = vaddr;
       return r;
     }
-    std::memcpy(&r.value, memory_.data() + vaddr, 4);
+    std::memcpy(&r.value, memory_.data() + vaddr, width);
     r.ok = true;
     return r;
   }
-  MemResult Load8(uint32_t vaddr) override {
+  MemResult Store(uint32_t vaddr, uint32_t value, uint32_t width) override {
     MemResult r;
-    if (vaddr >= memory_.size()) {
-      r.fault.type = cksim::FaultType::kNoMapping;
-      r.fault.address = vaddr;
-      return r;
-    }
-    r.value = memory_[vaddr];
-    r.ok = true;
-    return r;
-  }
-  MemResult Store32(uint32_t vaddr, uint32_t value) override {
-    MemResult r;
-    if (vaddr + 4 > memory_.size()) {
+    if (uint64_t{vaddr} + width > memory_.size()) {
       r.fault.type = cksim::FaultType::kNoMapping;
       r.fault.address = vaddr;
       r.fault.access = cksim::Access::kWrite;
       return r;
     }
-    std::memcpy(memory_.data() + vaddr, &value, 4);
-    r.ok = true;
-    return r;
-  }
-  MemResult Store8(uint32_t vaddr, uint8_t value) override {
-    MemResult r;
-    if (vaddr >= memory_.size()) {
-      r.fault.type = cksim::FaultType::kNoMapping;
-      r.fault.address = vaddr;
-      r.fault.access = cksim::Access::kWrite;
-      return r;
-    }
-    memory_[vaddr] = value;
+    std::memcpy(memory_.data() + vaddr, &value, width);
     r.ok = true;
     return r;
   }
@@ -162,6 +139,30 @@ TEST(InterpreterTest, DivisionByZeroYieldsZero) {
   )", 0).program);
   EXPECT_EQ(ctx.regs[6], 0u);
   EXPECT_EQ(ctx.regs[7], 0u);
+}
+
+TEST(InterpreterTest, DivisionOverflowIsDefined) {
+  // INT_MIN / -1 overflows int32 and traps as a host division. The table
+  // defines it as on RISC-V: quotient INT_MIN, remainder 0.
+  FlatBus bus;
+  VmContext ctx = RunToHalt(bus, Assemble(R"(
+      lui  r5, 0x8000     ; INT_MIN
+      addi r6, r0, -1
+      div  r7, r5, r6
+      rem  r8, r5, r6
+      div  r9, r5, r0
+      rem  r10, r5, r0
+      addi r11, r0, -7
+      div  r12, r11, r6
+      rem  r13, r11, r6
+      halt
+  )", 0).program);
+  EXPECT_EQ(ctx.regs[7], 0x80000000u);
+  EXPECT_EQ(ctx.regs[8], 0u);
+  EXPECT_EQ(ctx.regs[9], 0u);
+  EXPECT_EQ(ctx.regs[10], 0u);
+  EXPECT_EQ(ctx.regs[12], 7u);
+  EXPECT_EQ(ctx.regs[13], 0u);
 }
 
 TEST(InterpreterTest, RegisterZeroStaysZero) {

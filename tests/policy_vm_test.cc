@@ -26,6 +26,7 @@
 #include "src/isa/assembler.h"
 #include "src/isa/sandbox.h"
 #include "src/obs/trace.h"
+#include "tests/random_program.h"
 #include "tests/test_harness.h"
 
 namespace {
@@ -124,6 +125,16 @@ TEST(PolicySandboxTest, OutOfWindowLoadFaults) {
   }
 }
 
+TEST(PolicySandboxTest, DivisionOverflowEndsInAScore) {
+  // INT_MIN / -1 and INT_MIN % -1 trap as host divisions; an untrusted
+  // program must still end in a score (quotient INT_MIN, remainder 0).
+  PolicyVmResult result = RunOnce(
+      Asm("lui t0, 0x8000\naddi t1, r0, -1\nrem a1, t0, t1\ndiv a0, t0, t1\nhalt\n"),
+      VictimFeatures{});
+  EXPECT_EQ(result.event, PolicyVmEvent::kScore);
+  EXPECT_EQ(result.score, 0x80000000u);
+}
+
 TEST(PolicySandboxTest, BudgetBoundsRuntime) {
   std::vector<uint32_t> spin = Asm("loop: j loop\n");
   PolicyVmResult result = RunOnce(spin, VictimFeatures{}, /*budget=*/16);
@@ -141,6 +152,46 @@ TEST(PolicySandboxTest, EmptyProgramFaults) {
                 .event,
             PolicyVmEvent::kFault);
 }
+
+// The random programs of the trace/fast/slow differential
+// (tests/random_program.h), run unchanged in the sandbox with the feature
+// window at their data address. Whatever they do -- divide INT_MIN by -1,
+// store, trap, jump or loop -- every run ends in one of the four sandbox
+// events within its budget.
+class PolicySandboxFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PolicySandboxFuzz, GeneratedProgramsEndWithinBudget) {
+  const cktest::ProgramLayout layout;
+  std::vector<uint32_t> words = cktest::GenerateProgram(GetParam(), layout);
+  ckbase::Rng rng(GetParam());
+  uint32_t features[ck::kPolicyFeatureWords];
+  for (uint32_t& f : features) {
+    f = static_cast<uint32_t>(rng.Next());
+  }
+  for (uint32_t budget : {1u, 7u, 64u, CacheKernelConfig().policy_step_budget}) {
+    PolicyVmResult result = ckisa::RunPolicyProgram(
+        words.data(), static_cast<uint32_t>(words.size()), features, ck::kPolicyFeatureWords,
+        layout.code_base, layout.data_base, budget);
+    EXPECT_LE(result.steps, budget);
+    switch (result.event) {
+      case PolicyVmEvent::kBudget:
+        EXPECT_EQ(result.steps, budget);
+        break;
+      case PolicyVmEvent::kScore:
+      case PolicyVmEvent::kFault:
+      case PolicyVmEvent::kTrap:
+        EXPECT_GT(result.steps, 0u);
+        break;
+      default:
+        ADD_FAILURE() << "unknown sandbox event " << static_cast<int>(result.event);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Generated, PolicySandboxFuzz, ::testing::Range<uint64_t>(1, 65),
+                         [](const ::testing::TestParamInfo<uint64_t>& seed) {
+                           return "seed" + std::to_string(seed.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // Kernel level

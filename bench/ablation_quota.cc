@@ -54,6 +54,7 @@ struct Row {
   double interactive_mean_us;
   double interactive_p95_us;
   uint64_t degradations;
+  uint64_t interactive_samples;
 };
 
 Row Run(bool enforce, uint8_t rogue_percent) {
@@ -95,14 +96,16 @@ Row Run(bool enforce, uint8_t rogue_percent) {
   row.interactive_mean_us = worker.stats.Mean();
   row.interactive_p95_us = worker.stats.Percentile(95);
   row.degradations = world.ck().stats().quota_degradations;
+  row.interactive_samples = worker.stats.count();
   return row;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  ck::ObsSession obs(argc, argv);
+  ck::ObsSession obs(argc, argv, {"--self-check"});
   ckbench::ObsSlot() = &obs;
+  const bool self_check = ckbench::HasFlag(argc, argv, "--self-check");
   ckbench::Title("Ablation A2: processor quota enforcement (rogue 20% grant on cpu 1)");
   std::printf("%-22s %12s %18s %14s %14s\n", "configuration", "rogue share",
               "interactive mean us", "p95 us", "degradations");
@@ -121,5 +124,29 @@ int main(int argc, char** argv) {
   ckbench::Note("improves; without it, equal priorities split the processor 50/50 regardless");
   ckbench::Note("of the grant (section 4.3).");
   obs.Finish();
-  return 0;
+  if (!self_check) {
+    return 0;
+  }
+  // A2 (EXPERIMENTS.md). Every gate also fails on an empty or zero
+  // measurement.
+  ckbench::Gates gates;
+  char what[160];
+  std::snprintf(what, sizeof(what), "rogue share with quotas %.1f%% <= 25%% and < %.1f%% without",
+                100 * on.rogue_share, 100 * off.rogue_share);
+  gates.Check(on.rogue_share > 0 && on.rogue_share <= 0.25 && on.rogue_share < off.rogue_share,
+              what);
+  std::snprintf(what, sizeof(what),
+                "interactive mean latency with quotas %.1f us < %.1f us without (%llu/%llu "
+                "samples)",
+                on.interactive_mean_us, off.interactive_mean_us,
+                static_cast<unsigned long long>(on.interactive_samples),
+                static_cast<unsigned long long>(off.interactive_samples));
+  gates.Check(on.interactive_samples > 0 && off.interactive_samples > 0 &&
+                  on.interactive_mean_us > 0 && on.interactive_mean_us < off.interactive_mean_us,
+              what);
+  std::snprintf(what, sizeof(what), "degradations %llu > 0 with quotas, %llu == 0 without",
+                static_cast<unsigned long long>(on.degradations),
+                static_cast<unsigned long long>(off.degradations));
+  gates.Check(on.degradations > 0 && off.degradations == 0, what);
+  return gates.Finish();
 }

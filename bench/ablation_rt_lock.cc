@@ -23,6 +23,9 @@ class Thrasher : public ck::NativeProgram {
   uint32_t cursor_ = 0;
 };
 
+// Task periods each configuration runs for.
+constexpr uint64_t kPeriods = 100;
+
 struct Row {
   uint64_t activations;
   uint64_t misses;
@@ -66,7 +69,7 @@ Row Run(bool lock_resources) {
   Thrasher thrasher;
   batch.CreateNativeThread(batch_api, batch_space, &thrasher, 10, false, /*cpu=*/1);
 
-  world.machine().RunFor(100 * task.period);
+  world.machine().RunFor(kPeriods * task.period);
 
   const ckrt::RtTaskStats& stats = rt.task_stats(0);
   Row row;
@@ -84,8 +87,9 @@ Row Run(bool lock_resources) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ck::ObsSession obs(argc, argv);
+  ck::ObsSession obs(argc, argv, {"--self-check"});
   ckbench::ObsSlot() = &obs;
+  const bool self_check = ckbench::HasFlag(argc, argv, "--self-check");
   ckbench::Title("Ablation A3: locked real-time objects vs. mapping-cache thrash");
   std::printf("%-18s %12s %10s %12s %12s %14s\n", "configuration", "activations", "misses",
               "mean us", "worst us", "map reclaims");
@@ -107,5 +111,33 @@ int main(int argc, char** argv) {
   ckbench::Note("-- the basis for 'real-time processing co-existing with batch application");
   ckbench::Note("kernels' (sections 2.3, 4.3).");
   obs.Finish();
-  return 0;
+  if (!self_check) {
+    return 0;
+  }
+  // A3 (EXPERIMENTS.md). Every gate also fails on an empty or zero
+  // measurement.
+  ckbench::Gates gates;
+  char what[160];
+  std::snprintf(what, sizeof(what), "locked misses %llu == 0, unlocked misses %llu >= 1",
+                static_cast<unsigned long long>(locked.misses),
+                static_cast<unsigned long long>(unlocked.misses));
+  gates.Check(locked.activations > 0 && locked.misses == 0 && unlocked.misses >= 1, what);
+  std::snprintf(what, sizeof(what), "locked worst latency %.1f us < unlocked %.1f us",
+                locked.worst_us, unlocked.worst_us);
+  gates.Check(locked.worst_us > 0 && locked.worst_us < unlocked.worst_us, what);
+  // The periodic task must fire in (nearly) every period it ran for; a
+  // timer that fires late loses activations even when no deadline is missed.
+  std::snprintf(what, sizeof(what),
+                "activations (%llu, %llu) >= 95%% of %llu periods and mapping reclaims "
+                "(%llu, %llu) > 0 in both",
+                static_cast<unsigned long long>(locked.activations),
+                static_cast<unsigned long long>(unlocked.activations),
+                static_cast<unsigned long long>(kPeriods),
+                static_cast<unsigned long long>(locked.reclamations),
+                static_cast<unsigned long long>(unlocked.reclamations));
+  gates.Check(locked.activations * 100 >= kPeriods * 95 &&
+                  unlocked.activations * 100 >= kPeriods * 95 && locked.reclamations > 0 &&
+                  unlocked.reclamations > 0,
+              what);
+  return gates.Finish();
 }

@@ -139,6 +139,38 @@ inline void StatsRow(const std::string& label, const ckbase::Stats& s) {
               s.Percentile(50.0), s.Percentile(95.0), s.StdDev(), s.Max());
 }
 
+// --- shape gates ---
+
+// `--self-check` runs: each bench asserts its EXPERIMENTS.md shape claims as
+// gates, one PASS/FAIL line each, and exits nonzero if any failed. Benches
+// that take ObsSession flags list "--self-check" as a binary-specific flag.
+inline bool HasFlag(int argc, char** argv, const char* flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) == flag) {
+      return true;
+    }
+  }
+  return false;
+}
+
+class Gates {
+ public:
+  void Check(bool ok, const std::string& what) {
+    std::printf("%s  %s\n", ok ? "PASS" : "FAIL", what.c_str());
+    failures_ += ok ? 0 : 1;
+  }
+
+  // Prints the summary line; returns the process exit code.
+  int Finish() const {
+    std::printf("%s: %d gate(s) failed\n", failures_ == 0 ? "SELF-CHECK PASS" : "SELF-CHECK FAIL",
+                failures_);
+    return failures_ == 0 ? 0 : 1;
+  }
+
+ private:
+  int failures_ = 0;
+};
+
 }  // namespace ckbench
 
 #endif  // BENCH_BENCH_UTIL_H_

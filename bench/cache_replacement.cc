@@ -47,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/base/rng.h"
 #include "src/ck/cache_kernel.h"
 #include "src/ck/policy.h"
@@ -455,13 +456,7 @@ BENCHMARK_CAPTURE(BM_WorkingSet, perceptron, kPerceptronSetup)
 // ---------------------------------------------------------------------------
 
 int SelfCheck() {
-  int failures = 0;
-  auto gate = [&](bool ok, const char* what) {
-    std::printf("%s  %s\n", ok ? "PASS" : "FAIL", what);
-    if (!ok) {
-      ++failures;
-    }
-  };
+  ckbench::Gates gates;
 
   const TraceKind kTraces[] = {TraceKind::kSeqScan, TraceKind::kLoopOverCapacity,
                                TraceKind::kZipf};
@@ -474,9 +469,9 @@ int SelfCheck() {
     char what[160];
 
     std::snprintf(what, sizeof(what), "%s: conservation identity holds for every policy", name);
-    gate(clock.conservation_ok && fifo.conservation_ok && perceptron.conservation_ok &&
-             guest.conservation_ok,
-         what);
+    gates.Check(clock.conservation_ok && fifo.conservation_ok && perceptron.conservation_ok &&
+                    guest.conservation_ok,
+                what);
 
     // The guest FIFO program must be victim-for-victim identical to the
     // built-in FIFO scan: same misses, same writebacks.
@@ -486,21 +481,22 @@ int SelfCheck() {
                   static_cast<unsigned long long>(fifo.hot_misses),
                   static_cast<unsigned long long>(guest.writebacks),
                   static_cast<unsigned long long>(fifo.writebacks));
-    gate(guest.hot_misses == fifo.hot_misses && guest.writebacks == fifo.writebacks, what);
+    gates.Check(guest.hot_misses == fifo.hot_misses && guest.writebacks == fifo.writebacks, what);
 
     std::snprintf(what, sizeof(what),
                   "%s: guest sandbox ran clean (vm_runs=%llu faults=%llu fallbacks=%llu)", name,
                   static_cast<unsigned long long>(guest.vm_runs),
                   static_cast<unsigned long long>(guest.vm_faults),
                   static_cast<unsigned long long>(guest.fallbacks));
-    gate((guest.reclamations == 0 || guest.vm_runs > 0) && guest.vm_faults == 0 &&
-             guest.fallbacks == 0,
-         what);
+    gates.Check((guest.reclamations == 0 || guest.vm_runs > 0) && guest.vm_faults == 0 &&
+                    guest.fallbacks == 0,
+                what);
 
     std::snprintf(what, sizeof(what), "%s: perceptron trained without falling back (trains=%llu)",
                   name, static_cast<unsigned long long>(perceptron.trains));
-    gate((perceptron.reclamations == 0 || perceptron.trains > 0) && perceptron.fallbacks == 0,
-         what);
+    gates.Check(
+        (perceptron.reclamations == 0 || perceptron.trains > 0) && perceptron.fallbacks == 0,
+        what);
 
     if (kind == TraceKind::kZipf) {
       // The learned-policy gate: on skewed popularity the perceptron must
@@ -508,22 +504,18 @@ int SelfCheck() {
       std::snprintf(what, sizeof(what), "zipf: perceptron beats fifo (misses %llu < %llu)",
                     static_cast<unsigned long long>(perceptron.hot_misses),
                     static_cast<unsigned long long>(fifo.hot_misses));
-      gate(perceptron.hot_misses < fifo.hot_misses, what);
+      gates.Check(perceptron.hot_misses < fifo.hot_misses, what);
     }
   }
 
-  std::printf("%s: %d gate(s) failed\n", failures == 0 ? "SELF-CHECK PASS" : "SELF-CHECK FAIL",
-              failures);
-  return failures == 0 ? 0 : 1;
+  return gates.Finish();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--self-check") == 0) {
-      return SelfCheck();
-    }
+  if (ckbench::HasFlag(argc, argv, "--self-check")) {
+    return SelfCheck();
   }
 #ifdef NDEBUG
   benchmark::AddCustomContext("binary_build_type", "release");

@@ -11,7 +11,10 @@
 #      cluster driver (src/sim/cluster.h) runs machines on host worker
 #      threads, the simulator's only host parallelism, and its isolation
 #      contract (machines share nothing during a window; exchanges happen
-#      only at barriers) must be clean under TSan, and
+#      only at barriers) must be clean under TSan. The leg also runs the
+#      tickless-idle differential and the A2/A3 self-checks: helper threads
+#      call Machine::RunUntil, whose deadline bounds idle jumps and is
+#      per-machine state, and
 #   5. a formatting lint (clang-format --dry-run --Werror against the
 #      repo-root .clang-format) over src/, tests/ and bench/ — skipped with
 #      a warning when clang-format is not installed.
@@ -130,20 +133,22 @@ if $run_tsan; then
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build build-tsan -j --target cluster_test sim_test cluster_scaling \
-      fs_test property_test memory_tiers policy_vm_test cache_replacement
+      fs_test property_test memory_tiers policy_vm_test cache_replacement \
+      tickless_test ablation_quota ablation_rt_lock
   # property_test carries the tiered conservation storms plus the guest-policy
   # and policy-switch storms, fs_test the tiered netboot serial-vs-parallel
   # differential, policy_vm_test the sandbox confinement suite, and the
   # memory_tiers fixture the tiered cluster-determinism gate (docs/TIERING.md)
-  # -- all must be clean under TSan with tiering enabled.
+  # -- all must be clean under TSan with tiering enabled. tickless_test and
+  # the A2/A3 self-checks cover idle jumps inside RunUntil.
   TSAN_OPTIONS=halt_on_error=1 \
       ctest --test-dir build-tsan \
-      -R 'cluster_test|sim_test|cluster_scaling|fs_test|property_test|memory_tiers|policy_vm_test' \
+      -R 'cluster_test|sim_test|cluster_scaling|fs_test|property_test|memory_tiers|policy_vm_test|tickless_test|ablation_quota_self_check|ablation_rt_lock_self_check' \
       --output-on-failure
 
   echo "== TSan: cache_replacement --self-check (PolicyEngine gates) =="
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/bench/cache_replacement --self-check
-  note_leg tsan "ran (cluster suite + cache_replacement --self-check)"
+  note_leg tsan "ran (cluster suite + tickless_test + ablation_quota/ablation_rt_lock --self-check + cache_replacement --self-check)"
 fi
 
 echo "== summary =="

@@ -397,6 +397,11 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
 
   // ---- introspection (tests, benches, examples) ----
   const CkStats& stats() const { return stats_; }
+  // Idle turns that covered more than one idle_tick (ck.sched.idle_skips).
+  // A simulator counter, not simulated state: it differs between RunUntil
+  // and bare Step() loops, so it stays out of CkStats, whose bytes the
+  // differential suites compare.
+  uint64_t idle_skips() const { return idle_skips_; }
   const FaultTrace& last_fault_trace() const { return fault_trace_; }
   // Last-N completed fault traces, oldest first (N = config.fault_history_depth).
   std::vector<FaultTrace> FaultHistory() const;
@@ -591,6 +596,8 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   void ChargeThread(ThreadObject* thread, cksim::Cpu& cpu, cksim::Cycles cycles);
   void RollQuotaWindow(cksim::Cpu& cpu);
   void PreemptCurrent(cksim::Cpu& cpu);
+  // Advance an idle CPU, covering a whole idle stretch inside RunUntil.
+  void IdleTurn(cksim::Cpu& cpu);
   ThreadObject* CurrentOn(cksim::Cpu& cpu) {
     return static_cast<ThreadObject*>(cpu.current_thread);
   }
@@ -725,6 +732,7 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
 
   uint32_t next_cpu_rr_ = 0;  // round-robin thread placement
   CkStats stats_;
+  uint64_t idle_skips_ = 0;
   std::vector<CostAccount> tenant_;                       // [kernel slot]
   std::vector<std::map<uint32_t, uint64_t>> profile_pcs_; // [kernel slot] pc -> samples
   std::vector<ckisa::PcSampler> samplers_;                // [cpu]

@@ -372,14 +372,7 @@ void CacheKernel::OnCpuTurn(cksim::Cpu& cpu) {
   if (current == nullptr) {
     current = PickNext(cpu);
     if (current == nullptr) {
-      stats_.idle_turns++;
-      // Jump idle CPUs forward to the next interesting moment so pending
-      // cross-CPU work is not crawled toward in idle_tick steps.
-      Cycles target = cpu.clock() + machine_.cost().idle_tick;
-      if (!pending_signals_[cpu.id()].empty()) {
-        target = std::max(cpu.clock() + 1, std::min(target, pending_signals_[cpu.id()].front().due));
-      }
-      cpu.AdvanceTo(target);
+      IdleTurn(cpu);
       return;
     }
     current->state = ThreadState::kRunning;
@@ -407,6 +400,65 @@ void CacheKernel::OnCpuTurn(cksim::Cpu& cpu) {
   if (still != nullptr && still->slice_remaining == 0) {
     PreemptCurrent(cpu);
   }
+}
+
+// An idle CPU advances idle_tick cycles per turn. Inside Machine::RunUntil
+// one turn covers every tick before the horizon H, the earliest clock at
+// which a turn of this CPU could see a change, and lands on the grid point
+// of the crawl's first turn at or after H. The crawl's turns before H are
+// no-ops, so clocks and CkStats match it exactly; an H earlier than the true
+// next change only costs an extra turn. H is the minimum of:
+//   - the machine's horizon: the next device event and the RunUntil
+//     deadline (0 outside RunUntil, so a bare Step covers one tick);
+//   - the clock of every other CPU that can run a thread (a current thread
+//     or a ready queue), plus 1 if its index is higher: Step runs the
+//     lowest clock, the lowest index on a tie. Idle CPUs do not bound each
+//     other, because their turns before H are no-ops too;
+//   - the first app event, every CPU's first pending signal and the next
+//     tier scan, which run on whichever CPU reaches them first;
+//   - this CPU's next quota-window roll, which stamps its own clock.
+void CacheKernel::IdleTurn(cksim::Cpu& cpu) {
+  const Cycles now = cpu.clock();
+  const Cycles tick = machine_.cost().idle_tick;
+  const uint32_t self = cpu.id();
+  const Cycles window_start = quota_window_start_[self];
+  Cycles horizon = std::min(
+      machine_.Horizon(), window_start + std::min(config_.quota_window, ~Cycles{0} - window_start));
+  if (!app_events_.empty()) {
+    horizon = std::min(horizon, app_events_.front().at);
+  }
+  if (TierEnabled() && knobs_.tier_promote_period != 0) {
+    horizon = std::min(horizon, tier_next_scan_);
+  }
+  for (uint32_t i = 0; i < machine_.cpu_count(); ++i) {
+    if (!pending_signals_[i].empty()) {
+      horizon = std::min(horizon, pending_signals_[i].front().due);
+    }
+    cksim::Cpu& other = machine_.cpu(i);
+    if (i != self && (other.current_thread != nullptr || ready_mask_[i] != 0)) {
+      horizon = std::min(horizon, other.clock() + (i > self ? 1 : 0));
+    }
+  }
+
+  // Whole ticks to the first grid point at or after H: at least one, and
+  // never past the end of the clock's range.
+  uint64_t ticks = 1;
+  if (horizon > now && horizon - now > tick) {
+    const Cycles gap = horizon - now;
+    ticks = std::max<uint64_t>(
+        1, std::min<uint64_t>(gap / tick + (gap % tick != 0), (~Cycles{0} - now) / tick));
+  }
+  Cycles target = now + ticks * tick;
+  // This CPU's own next signal lands off the grid, exactly when it is due.
+  if (!pending_signals_[self].empty()) {
+    target = std::max(now + 1, std::min(target, pending_signals_[self].front().due));
+    ticks = (target - now + tick - 1) / tick;
+  }
+  stats_.idle_turns += ticks;
+  if (ticks > 1) {
+    idle_skips_++;
+  }
+  cpu.AdvanceTo(target);
 }
 
 // One guest quantum: up to dispatch_budget instructions, then the charges

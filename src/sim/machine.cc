@@ -1,5 +1,7 @@
 #include "src/sim/machine.h"
 
+#include <algorithm>
+
 namespace cksim {
 
 Machine::Machine(const MachineConfig& config) : config_(config), memory_(config.memory_bytes) {
@@ -76,12 +78,23 @@ bool Machine::Step() {
   return true;
 }
 
+Cycles Machine::Horizon() const {
+  Cycles horizon = run_deadline_;
+  for (const Device* device : devices_) {
+    horizon = std::min(horizon, device->NextEventAt());
+  }
+  return horizon;
+}
+
 void Machine::RunUntil(Cycles deadline) {
+  const Cycles outer = run_deadline_;
+  run_deadline_ = deadline;
   while (!halted_ && Now() < deadline) {
     if (!Step()) {
-      return;
+      break;
     }
   }
+  run_deadline_ = outer;
 }
 
 }  // namespace cksim

@@ -7,10 +7,21 @@
 // channel model the multi-MPM configurations of Figures 4 and 5.
 //
 // Execution model: the machine repeatedly gives a turn to the CPU with the
-// smallest local clock (or services the earliest-due device). The attached
-// kernel decides what that CPU does with its turn and advances its clock.
-// This is a conservative discrete-event simulation: cross-CPU interactions
-// are timestamped and never observed before their time.
+// smallest local clock (ties to the lowest index), or services the earliest
+// device event when it is due no later than that clock. The attached kernel
+// decides what that CPU does with its turn and advances its clock. This is a
+// conservative discrete-event simulation: cross-CPU interactions are
+// timestamped and never observed before their time.
+//
+// Tickless idle: an idle CPU is modelled as advancing idle_tick cycles per
+// turn. Inside RunUntil one turn may cover a whole idle stretch: the kernel
+// jumps the CPU to the idle_tick grid point where the one-tick crawl would
+// take its first turn that could see a change. Horizon() supplies the
+// machine's share of that bound (the next device event and the RunUntil
+// deadline); the kernel adds its own wake sources. The jump is bit-exact
+// with the crawl. A bare Step() outside RunUntil has no horizon, because the
+// caller may act between any two steps (lockstep multi-machine loops read
+// clocks there), so its idle turn covers exactly one tick.
 
 #ifndef SRC_SIM_MACHINE_H_
 #define SRC_SIM_MACHINE_H_
@@ -109,6 +120,12 @@ class Machine {
   // Run until Now() >= deadline.
   void RunUntil(Cycles deadline);
 
+  // The earliest clock at which anything other than this machine's CPU
+  // turns can act: the next device event (it runs before a CPU turn at the
+  // same clock) or the deadline of the RunUntil in progress (the caller acts
+  // once it returns). 0 outside RunUntil: an idle turn then covers one tick.
+  Cycles Horizon() const;
+
   // Run for `duration` cycles past the current Now().
   void RunFor(Cycles duration) { RunUntil(Now() + duration); }
 
@@ -152,6 +169,7 @@ class Machine {
   std::vector<std::unique_ptr<Cpu>> cpus_;
   std::vector<Device*> devices_;
   MachineClient* client_ = nullptr;
+  Cycles run_deadline_ = 0;  // deadline of the RunUntil in progress, 0 outside
   bool halted_ = false;
   uint8_t node_id_ = 0;
   uint32_t span_counter_ = 0;

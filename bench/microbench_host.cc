@@ -7,14 +7,18 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "bench/bench_util.h"
 #include "src/base/fixed_pool.h"
 #include "src/base/intrusive_list.h"
 #include "src/base/rng.h"
 #include "src/ck/physmap.h"
+#include "src/ck/policy.h"
 #include "src/isa/assembler.h"
 #include "src/isa/fastpath.h"
 #include "src/isa/interpreter.h"
+#include "src/isa/sandbox.h"
 #include "src/sim/tlb.h"
 
 namespace {
@@ -189,6 +193,45 @@ void BM_InterpreterDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_InterpreterDispatch);
+
+void BM_PolicyVm(benchmark::State& state) {
+  // One sandboxed policy-program run per iteration: paging_storm's mapping
+  // scorer (score = load_seq_low + (hw_ref << 20)) over a rotating set of
+  // candidate feature windows, so the time per iteration is the host cost of
+  // one RunPolicyProgram -- what every candidate of a guest-scored reclaim
+  // scan pays.
+  ckisa::AssembleResult assembled = ckisa::Assemble(R"(
+      li   t0, 0x1000
+      lw   a0, 16(t0)
+      lw   t1, 8(t0)
+      addi t2, r0, 20
+      sll  t1, t1, t2
+      add  a0, a0, t1
+      halt
+  )", ck::kPolicyCodeBase);
+  const std::vector<uint32_t>& words = assembled.program.words;
+  ckbase::Rng rng(1);
+  std::vector<std::array<uint32_t, ck::kPolicyFeatureWords>> windows(256);
+  for (auto& window : windows) {
+    for (uint32_t& feature : window) {
+      feature = static_cast<uint32_t>(rng.Below(1u << 16));
+    }
+    window[2] &= 1u;  // hw_ref is a bit
+  }
+  size_t next = 0;
+  uint64_t score_sum = 0;
+  for (auto _ : state) {
+    const auto& window = windows[next++ % windows.size()];
+    ckisa::PolicyVmResult r = ckisa::RunPolicyProgram(
+        words.data(), static_cast<uint32_t>(words.size()), window.data(),
+        ck::kPolicyFeatureWords, ck::kPolicyCodeBase, ck::kPolicyFeatureBase,
+        ck::CacheKernelConfig().policy_step_budget);
+    score_sum += r.score;
+  }
+  benchmark::DoNotOptimize(score_sum);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PolicyVm);
 
 void BM_AssembleSmallProgram(benchmark::State& state) {
   const char* source = R"(

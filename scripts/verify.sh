@@ -61,7 +61,6 @@ LINT_FILES=(
   src/ck/physmap.h
   src/ck/policy.cc
   src/ck/policy.h
-  src/isa/sandbox.cc
   src/isa/sandbox.h
   tests/base_test.cc
   tests/object_cache_test.cc
@@ -101,10 +100,10 @@ if $run_release; then
   cmake --build build-release -j
   ctest --test-dir build-release --output-on-failure -j "$(nproc)"
 
-  echo "== fast-path speedup (Release; median and CV of 5 repetitions) =="
-  ./build-release/bench/microbench_host --benchmark_filter='BM_GuestMips' \
+  echo "== fast-path speedup and policy-VM cost (Release; median and CV of 5 repetitions) =="
+  ./build-release/bench/microbench_host --benchmark_filter='BM_GuestMips|BM_PolicyVm' \
       --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
-  note_leg release "ran (build + full ctest + BM_GuestMips x5)"
+  note_leg release "ran (build + full ctest + BM_GuestMips and BM_PolicyVm x5)"
 fi
 
 if $run_san; then

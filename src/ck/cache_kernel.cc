@@ -1495,15 +1495,29 @@ void CacheKernel::TierMaintenance(cksim::Cpu& cpu) {
   // harvesting referenced evidence; hot frames migrate back to DRAM. Every
   // promotion opens a causal span so the migration's downstream cost (the
   // demotions it forces, the TLB refills) is attributable.
+  //
+  // The sweep covers at most one revolution from the hand and jumps between
+  // slow frames through the memory's slow-frame index, asking it again after
+  // every visit: a promotion's reclaim may demote a frame ahead of the hand,
+  // and the sweep visits that frame too. The hand ends one past the last
+  // visit when the budget runs out, else (a full revolution) where it began.
   uint32_t page_count = mem.page_count();
   uint32_t budget = knobs_.tier_scan_frames;
   uint32_t hand = tier_promote_hand_;
-  for (uint32_t i = 0; i < page_count && budget > 0; ++i) {
-    uint32_t frame = hand;
-    hand = (hand + 1) % page_count;
-    if (mem.tier_of(frame) != cksim::MemTier::kSlow) {
-      continue;
+  uint32_t left = page_count;  // positions the sweep has yet to cover
+  while (budget > 0) {
+    uint32_t frame = mem.NextSlowFrame(hand);
+    uint32_t skipped = frame - hand;
+    if (frame == page_count) {
+      frame = mem.NextSlowFrame(0);
+      skipped = page_count - hand + frame;
     }
+    if (skipped >= left) {
+      hand = tier_promote_hand_;
+      break;
+    }
+    left -= skipped + 1;
+    hand = frame + 1 == page_count ? 0 : frame + 1;
     --budget;
     stats_.tier_scan_steps++;
     if (!TierTestAndClearReferenced(frame, cpu)) {

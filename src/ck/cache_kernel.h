@@ -459,6 +459,8 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
     knobs_.tier_demote = demote;
   }
   void set_tier_promote_period(cksim::Cycles period) { knobs_.tier_promote_period = period; }
+  // Frame where the next promotion sweep starts (docs/TIERING.md).
+  uint32_t tier_promote_hand() const { return tier_promote_hand_; }
   // Recency touch for a frame an application kernel holds outside any
   // mapping (file-cache pages, src/fs): gives it the same second chance a
   // hardware referenced bit gives a mapped frame.

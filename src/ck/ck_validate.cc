@@ -271,12 +271,20 @@ std::vector<std::string> CacheKernel::ValidateInvariants() {
   // --- tiered physical memory (docs/TIERING.md) ---
   // A frame is in exactly one tier; scanning the per-frame bytes must agree
   // with PhysicalMemory's per-tier counts, the counts must partition the
-  // frame pool, and the frame-tier cache's load stamps must mark exactly the
-  // tracked (DRAM or slow) frames.
+  // frame pool, the frame-tier cache's load stamps must mark exactly the
+  // tracked (DRAM or slow) frames, and the slow-frame index the promotion
+  // sweep walks must name exactly the slow frames.
   {
     uint32_t page_count = mem.page_count();
     uint32_t scanned[cksim::kMemTierCount] = {0, 0, 0};
+    uint32_t next_slow = mem.NextSlowFrame(0);
     for (uint32_t f = 0; f < page_count; ++f) {
+      if ((mem.tier_of(f) == cksim::MemTier::kSlow) != (next_slow == f)) {
+        fail("slow-frame index disagrees with the tier of frame " + std::to_string(f));
+      }
+      if (next_slow == f) {
+        next_slow = mem.NextSlowFrame(f + 1);
+      }
       uint8_t tier = static_cast<uint8_t>(mem.tier_of(f));
       if (tier >= cksim::kMemTierCount) {
         fail("frame " + std::to_string(f) + " has out-of-range tier value");

@@ -1,6 +1,7 @@
 #include "src/ckpt/checkpoint.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
 #include <sstream>
@@ -18,12 +19,8 @@ using cksim::VirtAddr;
 namespace {
 
 bool PageIsZero(const uint8_t* data) {
-  for (uint32_t i = 0; i < kPageSize; ++i) {
-    if (data[i] != 0) {
-      return false;
-    }
-  }
-  return true;
+  static const uint8_t kZeroPage[kPageSize] = {};
+  return std::memcmp(data, kZeroPage, kPageSize) == 0;
 }
 
 void WritePageRecord(Writer& w, VirtAddr vaddr, const PageRecord& page) {

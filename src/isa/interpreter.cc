@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "src/isa/fastpath.h"
+#include "src/isa/sandbox.h"
 #include "src/sim/cpu.h"
 #include "src/sim/pagetable.h"
 
@@ -58,6 +59,55 @@ struct SlowPolicy {
   // the reference interpreter at exactly zero profiling overhead.
   void FlushAt(uint32_t /*pc*/) {}
   // Superblock traces are a fast-path-only acceleration.
+  TraceOutcome TryTrace(VmContext& /*ctx*/, uint32_t /*budget*/, uint32_t& /*n*/,
+                        RunResult& /*result*/) {
+    return TraceOutcome::kNone;
+  }
+};
+
+// Sandbox policy: a replacement-policy program (src/isa/sandbox.h) sees its
+// own code words, execute-only, and the candidate's feature window,
+// read-only; every other fetch or load and every store faults. Nothing is
+// charged and no trace is built: policy evaluation is host-side work.
+struct SandboxPolicy {
+  const uint32_t* words;
+  uint32_t word_count;
+  const uint32_t* features;
+  uint32_t feature_words;
+  uint32_t code_base;
+  uint32_t feature_base;
+
+  bool FetchDecoded(uint32_t pc, Decoded& d, cksim::Fault& fault) {
+    uint32_t off = pc - code_base;
+    if ((pc & 3u) != 0 || pc < code_base || off >= word_count * 4) {
+      fault = {cksim::FaultType::kNoMapping, pc, cksim::Access::kExecute};
+      return false;
+    }
+    d = Decode(words[off / 4]);
+    return true;
+  }
+  // The interpreter already rejected misaligned word loads; a byte load picks
+  // its byte out of the little-endian feature word.
+  GuestBus::MemResult Load(uint32_t vaddr, uint32_t width) {
+    GuestBus::MemResult m;
+    uint32_t word = vaddr & ~3u;
+    if (word < feature_base || word - feature_base >= feature_words * 4) {
+      m.fault = {cksim::FaultType::kNoMapping, vaddr, cksim::Access::kRead};
+      return m;
+    }
+    m.ok = true;
+    m.value = features[(word - feature_base) / 4] >> ((vaddr & 3u) * 8);
+    m.value &= width == 4 ? ~0u : 0xffu;
+    return m;
+  }
+  GuestBus::MemResult Store(uint32_t vaddr, uint32_t /*value*/, uint32_t /*width*/) {
+    GuestBus::MemResult m;
+    m.fault = {cksim::FaultType::kProtection, vaddr, cksim::Access::kWrite};
+    return m;
+  }
+  void ChargeInstruction() {}
+  void OnMessageWrite(uint32_t /*vaddr*/) {}
+  void FlushAt(uint32_t /*pc*/) {}
   TraceOutcome TryTrace(VmContext& /*ctx*/, uint32_t /*budget*/, uint32_t& /*n*/,
                         RunResult& /*result*/) {
     return TraceOutcome::kNone;
@@ -523,11 +573,11 @@ struct FastPolicy {
   }
 };
 
-// The interpreter core, shared by both policies. Instruction semantics and
-// the fault/trap/halt protocol are policy-independent; the policy only decides
-// how fetches, loads, stores and cycle charges are performed. Every exit runs
-// Policy::FlushAt, so batched charges always land on the CPU clock before the
-// caller (the dispatch loop) reads it.
+// The interpreter core, shared by the three policies. Instruction semantics
+// and the fault/trap/halt protocol are policy-independent; the policy only
+// decides how fetches, loads, stores and cycle charges are performed. Every
+// exit runs Policy::FlushAt, so batched charges always land on the CPU clock
+// before the caller (the dispatch loop) reads it.
 template <typename Policy>
 RunResult RunLoop(VmContext& ctx, Policy& p, uint32_t budget) {
   RunResult result;
@@ -650,6 +700,37 @@ RunResult Run(VmContext& ctx, GuestBus& bus, uint32_t budget) {
   }
   SlowPolicy p{bus};
   return RunLoop(ctx, p, budget);
+}
+
+PolicyVmResult RunPolicyProgram(const uint32_t* words, uint32_t word_count,
+                                const uint32_t* features, uint32_t feature_words,
+                                uint32_t code_base, uint32_t feature_base, uint32_t budget) {
+  PolicyVmResult out;
+  if (words == nullptr || word_count == 0 || budget == 0) {
+    out.event = budget == 0 ? PolicyVmEvent::kBudget : PolicyVmEvent::kFault;
+    return out;
+  }
+  SandboxPolicy p{words, word_count, features, feature_words, code_base, feature_base};
+  VmContext ctx;
+  ctx.pc = code_base;
+  RunResult run = RunLoop(ctx, p, budget);
+  out.steps = run.instructions;
+  switch (run.event) {
+    case RunEvent::kHalt:
+      out.event = PolicyVmEvent::kScore;
+      out.score = ctx.regs[kRegA0];
+      break;
+    case RunEvent::kTrap:
+      out.event = PolicyVmEvent::kTrap;
+      break;
+    case RunEvent::kFault:
+      out.event = PolicyVmEvent::kFault;
+      break;
+    case RunEvent::kBudgetExhausted:
+      out.event = PolicyVmEvent::kBudget;
+      break;
+  }
+  return out;
 }
 
 }  // namespace ckisa

@@ -10,11 +10,14 @@
 //   [feature_base, feature_base + 4 * features)  read-only candidate features
 //
 // -- and every other access, every store and every trap instruction faults
-// the run. The interpreter's own budget mechanism bounds the instruction
-// count; the caller passes the remaining per-scan budget so one scan's
-// candidates share one allowance. The host-side cost is attributed to the
-// owning tenant by the caller (CostAccount::policy_vm_steps); nothing here
-// advances simulated clocks.
+// the run. Programs run through the interpreter's one run loop under a
+// sandbox memory policy (src/isa/interpreter.cc): fetches read the word
+// array, loads read the feature window, and there is no bus, no trace and no
+// cycle charge. The run loop's budget bounds the instruction count; the
+// caller passes the remaining per-scan budget so one scan's candidates share
+// one allowance. The host-side cost is attributed to the owning tenant by the
+// caller (CostAccount::policy_vm_steps); nothing here advances simulated
+// clocks.
 
 #ifndef SRC_ISA_SANDBOX_H_
 #define SRC_ISA_SANDBOX_H_

@@ -1,5 +1,6 @@
 #include "src/sim/physmem.h"
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 
@@ -11,7 +12,23 @@ PhysicalMemory::PhysicalMemory(uint32_t size_bytes) {
   bytes_.assign(rounded, 0);
   frame_gen_.assign(rounded / kPageSize, 0);
   frame_tier_.assign(rounded / kPageSize, static_cast<uint8_t>(MemTier::kNone));
+  slow_bits_.assign((rounded / kPageSize + 63) / 64, 0);
   tier_count_[static_cast<uint8_t>(MemTier::kNone)] = rounded / kPageSize;
+}
+
+uint32_t PhysicalMemory::NextSlowFrame(uint32_t frame) const {
+  uint32_t word = frame >> 6;
+  if (word >= slow_bits_.size()) {
+    return page_count();
+  }
+  uint64_t bits = slow_bits_[word] & (~uint64_t{0} << (frame & 63u));
+  while (bits == 0) {
+    if (++word == slow_bits_.size()) {
+      return page_count();
+    }
+    bits = slow_bits_[word];
+  }
+  return word * 64 + static_cast<uint32_t>(std::countr_zero(bits));
 }
 
 void PhysicalMemory::Check(PhysAddr addr, uint32_t len) const {

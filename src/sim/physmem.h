@@ -73,14 +73,22 @@ class PhysicalMemory {
 
   // Per-frame memory tier. Ground truth lives here (the hardware knows which
   // medium backs a frame); policy -- budgets, demotion, promotion -- lives in
-  // the Cache Kernel.
+  // the Cache Kernel. SetFrameTier is the only writer of the tier bytes, the
+  // per-tier counts and the slow-frame index.
   MemTier tier_of(uint32_t frame) const { return static_cast<MemTier>(frame_tier_[frame]); }
   void SetFrameTier(uint32_t frame, MemTier tier) {
     --tier_count_[frame_tier_[frame]];
     frame_tier_[frame] = static_cast<uint8_t>(tier);
     ++tier_count_[frame_tier_[frame]];
+    uint64_t bit = uint64_t{1} << (frame & 63u);
+    slow_bits_[frame >> 6] = tier == MemTier::kSlow ? slow_bits_[frame >> 6] | bit
+                                                    : slow_bits_[frame >> 6] & ~bit;
   }
   uint32_t tier_count(MemTier tier) const { return tier_count_[static_cast<uint8_t>(tier)]; }
+  // The first slow-tier frame at or after `frame`, or page_count() when there
+  // is none: the promotion sweep jumps between slow frames with this instead
+  // of stepping over every frame.
+  uint32_t NextSlowFrame(uint32_t frame) const;
 
  private:
   void Check(PhysAddr addr, uint32_t len) const;
@@ -96,6 +104,7 @@ class PhysicalMemory {
   std::vector<uint8_t> bytes_;
   std::vector<uint64_t> frame_gen_;
   std::vector<uint8_t> frame_tier_;        // MemTier per frame
+  std::vector<uint64_t> slow_bits_;        // bit f set iff frame f is kSlow
   uint32_t tier_count_[kMemTierCount] = {};  // frames per tier; kNone counted too
 };
 

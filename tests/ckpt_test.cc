@@ -308,6 +308,40 @@ TEST(CkptRoundTrip, RichKernelBitExactAcrossMachines) {
 // both restore paths (docs/TIERING.md, docs/CHECKPOINT.md).
 // ---------------------------------------------------------------------------
 
+// Capture records only non-zero backing pages; a page whose single non-zero
+// byte is its first, or its last, must still be captured and restored.
+TEST(CkptRoundTrip, BackingPagesNonZeroOnlyAtOneEdgeRoundTrip) {
+  TestWorld a;
+  ckapp::AppKernelBase app_a("edges", 16);
+  ASSERT_TRUE(a.Launch(app_a).valid());
+  const uint8_t mark = 0x5a;
+  app_a.backing().WriteBytes(3, 0, &mark, 1);
+  app_a.backing().WriteBytes(9, cksim::kPageSize - 1, &mark, 1);
+
+  CkptImage image;
+  ASSERT_EQ(a.srm().Checkpoint(app_a, &image), CkStatus::kOk);
+  std::vector<uint32_t> captured;
+  for (const ckckpt::CkptRecord& record : image.records()) {
+    if (record.type == RecordType::kBackingPage) {
+      Reader r(record.payload);
+      captured.push_back(r.U32());
+    }
+  }
+  EXPECT_EQ(captured, (std::vector<uint32_t>{3, 9}));
+
+  TestWorld b;
+  ckapp::AppKernelBase app_b("edges", 16);
+  std::string error;
+  ASSERT_EQ(b.srm().Restore(app_b, image, RestoreOptions{}, &error), CkStatus::kOk) << error;
+  for (uint32_t p = 0; p < app_b.backing().page_count(); ++p) {
+    const uint8_t* restored = app_b.backing().PageData(p);
+    EXPECT_EQ(std::memcmp(restored, app_a.backing().PageData(p), cksim::kPageSize), 0)
+        << "backing page " << p;
+  }
+  EXPECT_EQ(app_b.backing().PageData(3)[0], mark);
+  EXPECT_EQ(app_b.backing().PageData(9)[cksim::kPageSize - 1], mark);
+}
+
 TEST(CkptRoundTrip, TierPlacementSurvivesRestoreAndMigrate) {
   cktest::WorldOptions tiered;
   tiered.ck.tier_dram_frames = 12;  // below the app's resident set

@@ -1,7 +1,9 @@
 // The guest replacement-policy VM and the learned perceptron policy
 // (docs/POLICY_VM.md):
 //   * sandbox semantics at the unit level: score delivery, the read-only
-//     feature window, store/trap/out-of-window faults, budget exhaustion;
+//     feature window, byte loads, store/trap/out-of-window faults, budget
+//     exhaustion -- every run also checked against a reference sandbox that
+//     drives the bus-based interpreter (ckisa::Run) through a GuestBus;
 //   * LoadPolicy validation (argument checks, kDenied without a table,
 //     stale-caller rejection);
 //   * guest-scored victim selection against the Cache Kernel, including the
@@ -16,6 +18,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/appkernel/app_kernel_base.h"
@@ -59,13 +62,132 @@ std::string ScoreWordSource(uint32_t word_index) {
          "lw a0, " + std::to_string(word_index * 4) + "(t0)\n" + "halt\n";
 }
 
+// The reference sandbox: the restricted bus the policy VM ran on before it
+// had its own memory policy in the interpreter. Program words are
+// execute-only, the feature window is read-only, everything else faults, and
+// nothing is charged.
+class PolicyBus : public ckisa::GuestBus {
+ public:
+  PolicyBus(const uint32_t* words, uint32_t word_count, const uint32_t* features,
+            uint32_t feature_words, uint32_t code_base, uint32_t feature_base)
+      : words_(words),
+        word_count_(word_count),
+        features_(features),
+        feature_words_(feature_words),
+        code_base_(code_base),
+        feature_base_(feature_base) {}
+
+  MemResult Fetch(uint32_t vaddr) override {
+    MemResult r;
+    uint32_t off = vaddr - code_base_;
+    if ((vaddr & 3u) != 0 || vaddr < code_base_ || off >= word_count_ * 4) {
+      r.fault.type = cksim::FaultType::kNoMapping;
+      r.fault.address = vaddr;
+      r.fault.access = cksim::Access::kExecute;
+      return r;
+    }
+    r.ok = true;
+    r.value = words_[off / 4];
+    return r;
+  }
+
+  MemResult Load(uint32_t vaddr, uint32_t width) override {
+    MemResult r;
+    r.fault.address = vaddr;
+    uint32_t word = vaddr & ~3u;
+    if (width == 4 && word != vaddr) {
+      r.fault.type = cksim::FaultType::kBadAlignment;
+    } else if (word < feature_base_ || word - feature_base_ >= feature_words_ * 4) {
+      r.fault.type = cksim::FaultType::kNoMapping;
+    } else {
+      r.ok = true;
+      r.value = features_[(word - feature_base_) / 4] >> ((vaddr & 3u) * 8);
+      r.value &= width == 4 ? ~0u : 0xffu;
+    }
+    return r;
+  }
+
+  MemResult Store(uint32_t vaddr, uint32_t, uint32_t) override {
+    MemResult r;
+    r.fault = {cksim::FaultType::kProtection, vaddr, cksim::Access::kWrite};
+    return r;
+  }
+
+  void ChargeInstruction() override {}
+  void OnMessageWrite(uint32_t) override {}
+
+ private:
+  const uint32_t* words_;
+  uint32_t word_count_;
+  const uint32_t* features_;
+  uint32_t feature_words_;
+  uint32_t code_base_;
+  uint32_t feature_base_;
+};
+
+PolicyVmResult ReferenceRun(const uint32_t* words, uint32_t word_count, const uint32_t* features,
+                            uint32_t feature_words, uint32_t code_base, uint32_t feature_base,
+                            uint32_t budget) {
+  PolicyVmResult out;
+  if (words == nullptr || word_count == 0 || budget == 0) {
+    out.event = budget == 0 ? PolicyVmEvent::kBudget : PolicyVmEvent::kFault;
+    return out;
+  }
+  PolicyBus bus(words, word_count, features, feature_words, code_base, feature_base);
+  ckisa::VmContext ctx;
+  ctx.pc = code_base;
+  ckisa::RunResult run = ckisa::Run(ctx, bus, budget);
+  out.steps = run.instructions;
+  switch (run.event) {
+    case ckisa::RunEvent::kHalt:
+      out.event = PolicyVmEvent::kScore;
+      out.score = ctx.regs[ckisa::kRegA0];
+      break;
+    case ckisa::RunEvent::kTrap:
+      out.event = PolicyVmEvent::kTrap;
+      break;
+    case ckisa::RunEvent::kFault:
+      out.event = PolicyVmEvent::kFault;
+      break;
+    case ckisa::RunEvent::kBudgetExhausted:
+      out.event = PolicyVmEvent::kBudget;
+      break;
+  }
+  return out;
+}
+
+// RunPolicyProgram, required to agree with the reference in event, score
+// and steps.
+PolicyVmResult RunChecked(const uint32_t* words, uint32_t word_count, const uint32_t* features,
+                          uint32_t feature_words, uint32_t code_base, uint32_t feature_base,
+                          uint32_t budget) {
+  PolicyVmResult got = ckisa::RunPolicyProgram(words, word_count, features, feature_words,
+                                               code_base, feature_base, budget);
+  PolicyVmResult want = ReferenceRun(words, word_count, features, feature_words, code_base,
+                                     feature_base, budget);
+  EXPECT_EQ(got.event, want.event) << "budget " << budget;
+  EXPECT_EQ(got.score, want.score) << "budget " << budget;
+  EXPECT_EQ(got.steps, want.steps) << "budget " << budget;
+  return got;
+}
+
+// Feature words of four distinct bytes each, so a byte load that picks the
+// wrong byte of its word reads a different value.
+std::vector<uint32_t> DistinctByteWords(uint32_t count, ckbase::Rng& rng) {
+  std::vector<uint32_t> out(count);
+  for (uint32_t& w : out) {
+    uint32_t b = static_cast<uint32_t>(rng.Below(256));
+    w = (b & 0xffu) | ((b + 1) & 0xffu) << 8 | ((b + 2) & 0xffu) << 16 | ((b + 3) & 0xffu) << 24;
+  }
+  return out;
+}
+
 PolicyVmResult RunOnce(const std::vector<uint32_t>& words, const VictimFeatures& f,
                        uint32_t budget = 1024) {
   uint32_t raw[ck::kPolicyFeatureWords];
   std::memcpy(raw, &f, sizeof(raw));
-  return ckisa::RunPolicyProgram(words.data(), static_cast<uint32_t>(words.size()), raw,
-                                 ck::kPolicyFeatureWords, ck::kPolicyCodeBase,
-                                 ck::kPolicyFeatureBase, budget);
+  return RunChecked(words.data(), static_cast<uint32_t>(words.size()), raw,
+                    ck::kPolicyFeatureWords, ck::kPolicyCodeBase, ck::kPolicyFeatureBase, budget);
 }
 
 // ---------------------------------------------------------------------------
@@ -96,6 +218,22 @@ TEST(PolicySandboxTest, EveryFeatureWordIsReadable) {
     PolicyVmResult result = RunOnce(Asm(ScoreWordSource(i)), f);
     ASSERT_EQ(result.event, PolicyVmEvent::kScore) << "word " << i;
     EXPECT_EQ(result.score, expect[i]) << "word " << i;
+  }
+}
+
+TEST(PolicySandboxTest, ByteLoadsPickTheirByteOfTheFeatureWord) {
+  ckbase::Rng rng(5);
+  std::vector<uint32_t> features = DistinctByteWords(ck::kPolicyFeatureWords, rng);
+  for (uint32_t offset = 0; offset < 4 * ck::kPolicyFeatureWords; ++offset) {
+    std::vector<uint32_t> words =
+        Asm("li t0, " + std::to_string(ck::kPolicyFeatureBase) + "\nlb a0, " +
+            std::to_string(offset) + "(t0)\nhalt\n");
+    PolicyVmResult result =
+        RunChecked(words.data(), static_cast<uint32_t>(words.size()), features.data(),
+                   ck::kPolicyFeatureWords, ck::kPolicyCodeBase, ck::kPolicyFeatureBase, 64);
+    ASSERT_EQ(result.event, PolicyVmEvent::kScore) << "offset " << offset;
+    EXPECT_EQ(result.score, (features[offset / 4] >> (offset % 4 * 8)) & 0xffu)
+        << "offset " << offset;
   }
 }
 
@@ -145,45 +283,53 @@ TEST(PolicySandboxTest, BudgetBoundsRuntime) {
 }
 
 TEST(PolicySandboxTest, EmptyProgramFaults) {
-  VictimFeatures f;
   uint32_t raw[ck::kPolicyFeatureWords] = {0};
-  EXPECT_EQ(ckisa::RunPolicyProgram(nullptr, 0, raw, ck::kPolicyFeatureWords,
-                                    ck::kPolicyCodeBase, ck::kPolicyFeatureBase, 64)
+  EXPECT_EQ(RunChecked(nullptr, 0, raw, ck::kPolicyFeatureWords, ck::kPolicyCodeBase,
+                       ck::kPolicyFeatureBase, 64)
                 .event,
             PolicyVmEvent::kFault);
 }
 
 // The random programs of the trace/fast/slow differential
 // (tests/random_program.h), run unchanged in the sandbox with the feature
-// window at their data address. Whatever they do -- divide INT_MIN by -1,
-// store, trap, jump or loop -- every run ends in one of the four sandbox
-// events within its budget.
+// window at their data address: once as the 8-word policy window, once
+// covering both data pages so most of their loads read features. A third run
+// generates the seed as a read-only program whose data starts one to three
+// bytes into the window, so its byte loads read an inner byte of a feature
+// word (and its word loads fault as misaligned). Whatever they do -- divide INT_MIN by
+// -1, store, trap, jump or loop -- every run matches the reference and ends
+// in one of the four sandbox events within its budget.
 class PolicySandboxFuzz : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(PolicySandboxFuzz, GeneratedProgramsEndWithinBudget) {
+TEST_P(PolicySandboxFuzz, GeneratedProgramsMatchTheReference) {
+  const uint32_t kDataPageWords = 2 * cksim::kPageSize / 4;
   const cktest::ProgramLayout layout;
-  std::vector<uint32_t> words = cktest::GenerateProgram(GetParam(), layout);
+  cktest::ProgramLayout shifted = layout;
+  shifted.data_base += 1 + GetParam() % 3;
+  shifted.read_only = true;
   ckbase::Rng rng(GetParam());
-  uint32_t features[ck::kPolicyFeatureWords];
-  for (uint32_t& f : features) {
-    f = static_cast<uint32_t>(rng.Next());
-  }
-  for (uint32_t budget : {1u, 7u, 64u, CacheKernelConfig().policy_step_budget}) {
-    PolicyVmResult result = ckisa::RunPolicyProgram(
-        words.data(), static_cast<uint32_t>(words.size()), features, ck::kPolicyFeatureWords,
-        layout.code_base, layout.data_base, budget);
-    EXPECT_LE(result.steps, budget);
-    switch (result.event) {
-      case PolicyVmEvent::kBudget:
-        EXPECT_EQ(result.steps, budget);
-        break;
-      case PolicyVmEvent::kScore:
-      case PolicyVmEvent::kFault:
-      case PolicyVmEvent::kTrap:
-        EXPECT_GT(result.steps, 0u);
-        break;
-      default:
-        ADD_FAILURE() << "unknown sandbox event " << static_cast<int>(result.event);
+  std::vector<uint32_t> features = DistinctByteWords(kDataPageWords, rng);
+  const std::pair<const cktest::ProgramLayout*, uint32_t> runs[] = {
+      {&layout, ck::kPolicyFeatureWords}, {&layout, kDataPageWords}, {&shifted, kDataPageWords}};
+  for (const auto& [program_layout, window] : runs) {
+    std::vector<uint32_t> words = cktest::GenerateProgram(GetParam(), *program_layout);
+    for (uint32_t budget : {1u, 7u, 64u, CacheKernelConfig().policy_step_budget}) {
+      PolicyVmResult result =
+          RunChecked(words.data(), static_cast<uint32_t>(words.size()), features.data(), window,
+                     layout.code_base, layout.data_base, budget);
+      EXPECT_LE(result.steps, budget);
+      switch (result.event) {
+        case PolicyVmEvent::kBudget:
+          EXPECT_EQ(result.steps, budget);
+          break;
+        case PolicyVmEvent::kScore:
+        case PolicyVmEvent::kFault:
+        case PolicyVmEvent::kTrap:
+          EXPECT_GT(result.steps, 0u);
+          break;
+        default:
+          ADD_FAILURE() << "unknown sandbox event " << static_cast<int>(result.event);
+      }
     }
   }
 }

@@ -17,7 +17,9 @@
 //   * at top level, a counted loop (1..64 iterations) over 2..6 items.
 // Control flow only moves forward except for loop-closing branches, and
 // nothing but a loop's own two instructions writes its counter, so every
-// program ends in a halt, a fault or the run budget.
+// program ends in a halt, a fault or the run budget. A read-only layout
+// (the policy-VM sandbox, which has no writable memory) turns every store
+// into a load and every trap and code patch into a nop.
 
 #ifndef TESTS_RANDOM_PROGRAM_H_
 #define TESTS_RANDOM_PROGRAM_H_
@@ -38,6 +40,8 @@ struct ProgramLayout {
   uint32_t data_base = 0x00400000;  // two writable pages
   uint32_t readonly_base = 0x00500000;
   uint32_t unmapped_base = 0x00800000;
+  uint32_t data_bytes = 2 * 4096;  // span of data_base the memory items address
+  bool read_only = false;          // no stores, traps or code patches
 };
 
 class ProgramGenerator {
@@ -140,7 +144,7 @@ class ProgramGenerator {
     } else if (roll < 12) {
       DivRem();
     } else if (roll < 13) {
-      Emit(ckisa::Encode(ckisa::Op::kTrap, 0, 0, 16));
+      Emit(ckisa::Encode(layout_.read_only ? ckisa::Op::kNop : ckisa::Op::kTrap, 0, 0, 16));
     } else if (roll < 16) {
       skips->push_back({words_.size(), static_cast<int>(rng_.Range(1, 3))});
       uint32_t kind = Pick(3);
@@ -153,7 +157,7 @@ class ProgramGenerator {
         Emit(ckisa::Encode(ckisa::Op::kJalr, Dest(), kAddr, 0));
       }
     } else if (roll < 17) {
-      if (patchable_.empty()) {
+      if (patchable_.empty() || layout_.read_only) {
         Emit(ckisa::Encode(ckisa::Op::kNop, 0, 0, 0));
         return;
       }
@@ -172,10 +176,10 @@ class ProgramGenerator {
   }
 
   void Memory() {
-    bool load = rng_.Chance(1, 2);
+    bool load = rng_.Chance(1, 2) || layout_.read_only;
     ckisa::Op op = Draw(load ? ckisa::OpClass::kLoad : ckisa::OpClass::kStore);
     uint32_t base = layout_.data_base;
-    uint32_t offset = Pick(2048) * 4;  // within the two data pages
+    uint32_t offset = Pick(layout_.data_bytes / 4) * 4;
     uint32_t kind = Pick(40);
     if (kind == 0) {
       base = layout_.unmapped_base;

@@ -41,6 +41,32 @@ TEST(PhysMemTest, WordAndByteAccess) {
   }
 }
 
+TEST(PhysMemTest, SlowFrameIndexFindsNextAcrossWords) {
+  PhysicalMemory mem(1);  // one page group: 128 frames, two index words
+  const uint32_t last = mem.page_count() - 1;
+  EXPECT_EQ(mem.NextSlowFrame(0), mem.page_count()) << "empty index";
+  EXPECT_EQ(mem.NextSlowFrame(last), mem.page_count());
+  for (uint32_t f : {0u, 63u, 64u, last}) {
+    mem.SetFrameTier(f, MemTier::kSlow);
+  }
+  mem.SetFrameTier(5, MemTier::kDram);  // other tiers stay out of the index
+  EXPECT_EQ(mem.NextSlowFrame(0), 0u);
+  EXPECT_EQ(mem.NextSlowFrame(1), 63u);
+  EXPECT_EQ(mem.NextSlowFrame(63), 63u);
+  EXPECT_EQ(mem.NextSlowFrame(64), 64u);
+  EXPECT_EQ(mem.NextSlowFrame(65), last);
+  EXPECT_EQ(mem.NextSlowFrame(last), last);
+  EXPECT_EQ(mem.NextSlowFrame(mem.page_count()), mem.page_count());
+  // Leaving the slow tier clears the bit, whatever the new tier.
+  mem.SetFrameTier(63, MemTier::kDram);
+  mem.SetFrameTier(64, MemTier::kNone);
+  EXPECT_EQ(mem.NextSlowFrame(1), last);
+  mem.SetFrameTier(0, MemTier::kNone);
+  mem.SetFrameTier(last, MemTier::kDram);
+  EXPECT_EQ(mem.NextSlowFrame(0), mem.page_count());
+  EXPECT_EQ(mem.tier_count(MemTier::kSlow), 0u);
+}
+
 TEST(PageTableTest, IndexDecomposition) {
   // 7 + 7 + 6 + 12 bits.
   VirtAddr v = (3u << 25) | (5u << 18) | (9u << 12) | 0x123;

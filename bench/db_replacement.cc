@@ -17,6 +17,8 @@ struct Row {
   double scan_hit_rate;
   double point_us;
   double point_hit_rate;
+  uint64_t scan_accesses;
+  uint64_t point_accesses;
 };
 
 Row Run(ckdb::Replacement policy, const char* name) {
@@ -62,14 +64,17 @@ Row Run(ckdb::Replacement policy, const char* name) {
   row.point_us = ckbench::ToUs(point_cycles);
   row.point_hit_rate = 100.0 * static_cast<double>(point_hits) /
                        static_cast<double>(point_hits + point_misses);
+  row.scan_accesses = scan_hits + scan_misses;
+  row.point_accesses = point_hits + point_misses;
   return row;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  ck::ObsSession obs(argc, argv);
+  ck::ObsSession obs(argc, argv, {"--self-check"});
   ckbench::ObsSlot() = &obs;
+  const bool self_check = ckbench::HasFlag(argc, argv, "--self-check");
   ckbench::Title("A4: database buffer replacement (96-page table, 64-page pool)");
   std::printf("%-8s | %16s %12s | %18s %12s\n", "policy", "us/warm scan", "scan hit %",
               "us/512 lookups", "lookup hit %");
@@ -91,5 +96,34 @@ int main(int argc, char** argv) {
   ckbench::Note("converge -- policy choice is workload-specific, which is exactly why it");
   ckbench::Note("belongs to the application kernel (sections 1, 3).");
   obs.Finish();
-  return 0;
+  if (!self_check) {
+    return 0;
+  }
+  // A4 (EXPERIMENTS.md). Every gate also fails on an empty measurement.
+  const Row& lru = rows[0];
+  const Row& mru = rows[1];
+  ckbench::Gates gates;
+  char what[160];
+  bool measured = true;
+  for (const Row& row : rows) {
+    measured = measured && row.scan_accesses > 0 && row.point_accesses > 0 && row.scan_us > 0 &&
+               row.point_us > 0;
+  }
+  gates.Check(measured, "every row measured scan and lookup accesses");
+  std::snprintf(what, sizeof(what),
+                "warm-scan hits %.1f%% < 5%% under LRU, %.1f%% >= 50%% under MRU",
+                lru.scan_hit_rate, mru.scan_hit_rate);
+  gates.Check(lru.scan_accesses > 0 && lru.scan_hit_rate < 5.0 && mru.scan_accesses > 0 &&
+                  mru.scan_hit_rate >= 50.0,
+              what);
+  std::snprintf(what, sizeof(what), "MRU warm scan %.2fx faster than LRU (>= 2x)",
+                mru.scan_us > 0 ? lru.scan_us / mru.scan_us : 0.0);
+  gates.Check(mru.scan_us > 0 && lru.scan_us >= 2.0 * mru.scan_us, what);
+  for (const Row& row : rows) {
+    std::snprintf(what, sizeof(what), "%s lookup hits %.1f%% within 55-75%%", row.policy,
+                  row.point_hit_rate);
+    gates.Check(row.point_accesses > 0 && row.point_hit_rate >= 55.0 && row.point_hit_rate <= 75.0,
+                what);
+  }
+  return gates.Finish();
 }

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   for (uint32_t i = 0; i < kPages; ++i) {
     cksim::VirtAddr vaddr = 0x00400000 + i * cksim::kPageSize;
     ckapp::PageRecord* page = app.space(space).FindPage(vaddr);
-    app.MaterializePage(api, app.space(space), *page, vaddr);
+    app.MaterializePage(api, app.space(space), *page);
   }
 
   ckisa::AssembleResult assembled = ckisa::Assemble(R"(

@@ -194,12 +194,14 @@ void BM_InterpreterDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpreterDispatch);
 
-void BM_PolicyVm(benchmark::State& state) {
-  // One sandboxed policy-program run per iteration: paging_storm's mapping
-  // scorer (score = load_seq_low + (hw_ref << 20)) over a rotating set of
-  // candidate feature windows, so the time per iteration is the host cost of
-  // one RunPolicyProgram -- what every candidate of a guest-scored reclaim
-  // scan pays.
+// paging_storm's mapping scorer (score = load_seq_low + (hw_ref << 20)) and
+// a rotating set of candidate feature windows.
+struct ScorerInputs {
+  std::vector<uint32_t> words;
+  std::vector<std::array<uint32_t, ck::kPolicyFeatureWords>> windows;
+};
+
+ScorerInputs MakeScorerInputs() {
   ckisa::AssembleResult assembled = ckisa::Assemble(R"(
       li   t0, 0x1000
       lw   a0, 16(t0)
@@ -209,21 +211,29 @@ void BM_PolicyVm(benchmark::State& state) {
       add  a0, a0, t1
       halt
   )", ck::kPolicyCodeBase);
-  const std::vector<uint32_t>& words = assembled.program.words;
+  ScorerInputs in;
+  in.words = assembled.program.words;
   ckbase::Rng rng(1);
-  std::vector<std::array<uint32_t, ck::kPolicyFeatureWords>> windows(256);
-  for (auto& window : windows) {
+  in.windows.resize(256);
+  for (auto& window : in.windows) {
     for (uint32_t& feature : window) {
       feature = static_cast<uint32_t>(rng.Below(1u << 16));
     }
     window[2] &= 1u;  // hw_ref is a bit
   }
+  return in;
+}
+
+void BM_PolicyVm(benchmark::State& state) {
+  // One sandboxed policy-program run per iteration, so the time per
+  // iteration is the host cost of one one-shot RunPolicyProgram.
+  const ScorerInputs in = MakeScorerInputs();
   size_t next = 0;
   uint64_t score_sum = 0;
   for (auto _ : state) {
-    const auto& window = windows[next++ % windows.size()];
+    const auto& window = in.windows[next++ % in.windows.size()];
     ckisa::PolicyVmResult r = ckisa::RunPolicyProgram(
-        words.data(), static_cast<uint32_t>(words.size()), window.data(),
+        in.words.data(), static_cast<uint32_t>(in.words.size()), window.data(),
         ck::kPolicyFeatureWords, ck::kPolicyCodeBase, ck::kPolicyFeatureBase,
         ck::CacheKernelConfig().policy_step_budget);
     score_sum += r.score;
@@ -232,6 +242,26 @@ void BM_PolicyVm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PolicyVm);
+
+void BM_PolicyVmScan(benchmark::State& state) {
+  // One candidate of a reclaim scan per iteration: the candidates share one
+  // PolicyVm, as ReclaimWithPolicy runs them -- what every candidate of a
+  // guest-scored scan pays.
+  const ScorerInputs in = MakeScorerInputs();
+  ckisa::PolicyVm vm(in.words.data(), static_cast<uint32_t>(in.words.size()),
+                     ck::kPolicyCodeBase, ck::kPolicyFeatureBase);
+  size_t next = 0;
+  uint64_t score_sum = 0;
+  for (auto _ : state) {
+    const auto& window = in.windows[next++ % in.windows.size()];
+    ckisa::PolicyVmResult r = vm.Run(window.data(), ck::kPolicyFeatureWords,
+                                     ck::CacheKernelConfig().policy_step_budget);
+    score_sum += r.score;
+  }
+  benchmark::DoNotOptimize(score_sum);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PolicyVmScan);
 
 void BM_AssembleSmallProgram(benchmark::State& state) {
   const char* source = R"(

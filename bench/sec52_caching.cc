@@ -39,7 +39,7 @@ Point RunWorkingSet(uint32_t pages, uint32_t mapping_slots) {
   // zero-fill costs.
   for (uint32_t i = 0; i < pages; ++i) {
     cksim::VirtAddr vaddr = 0x00400000 + i * cksim::kPageSize;
-    app.MaterializePage(api, app.space(space), *app.space(space).FindPage(vaddr), vaddr);
+    app.MaterializePage(api, app.space(space), *app.space(space).FindPage(vaddr));
   }
 
   // Guest loops over its working set, one access per page, 4 rounds.

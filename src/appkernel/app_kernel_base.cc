@@ -55,14 +55,28 @@ ck::SpaceId AppKernelBase::EnsureSpaceLoaded(CkApi& api, uint32_t index) {
   return sp.ck_id;
 }
 
+namespace {
+
+// A fresh record at `vaddr`. Assigning over an old one takes it off the
+// replacement lists but keeps its touch history: recency is about addresses.
+PageRecord& DefinePage(VSpace& sp, VirtAddr vaddr) {
+  PageRecord& page = sp.pages[vaddr];
+  uint64_t touched = page.touched;
+  page = PageRecord{};
+  page.vaddr = vaddr;
+  page.touched = touched;
+  return page;
+}
+
+}  // namespace
+
 void AppKernelBase::DefineZeroRegion(uint32_t space_index, VirtAddr vaddr, uint32_t pages,
                                      bool writable) {
   VSpace& sp = *spaces_[space_index];
   for (uint32_t i = 0; i < pages; ++i) {
-    PageRecord page;
+    PageRecord& page = DefinePage(sp, vaddr + i * cksim::kPageSize);
     page.where = PageRecord::Where::kZeroFill;
     page.writable = writable;
-    sp.pages[vaddr + i * cksim::kPageSize] = page;
   }
 }
 
@@ -70,11 +84,10 @@ void AppKernelBase::DefineBackedRegion(uint32_t space_index, VirtAddr vaddr, uin
                                        uint32_t first_backing_page, bool writable) {
   VSpace& sp = *spaces_[space_index];
   for (uint32_t i = 0; i < pages; ++i) {
-    PageRecord page;
+    PageRecord& page = DefinePage(sp, vaddr + i * cksim::kPageSize);
     page.where = PageRecord::Where::kBacking;
     page.writable = writable;
     page.backing_page = first_backing_page + i;
-    sp.pages[vaddr + i * cksim::kPageSize] = page;
   }
 }
 
@@ -83,7 +96,7 @@ void AppKernelBase::DefineFrameRegion(uint32_t space_index, VirtAddr vaddr, uint
                                       uint32_t signal_thread, bool locked) {
   VSpace& sp = *spaces_[space_index];
   for (uint32_t i = 0; i < pages; ++i) {
-    PageRecord page;
+    PageRecord& page = DefinePage(sp, vaddr + i * cksim::kPageSize);
     page.where = PageRecord::Where::kResident;
     page.writable = writable;
     page.message = message;
@@ -92,7 +105,6 @@ void AppKernelBase::DefineFrameRegion(uint32_t space_index, VirtAddr vaddr, uint
     page.fixed_frame = first_frame + i * cksim::kPageSize;
     page.frame = page.fixed_frame;
     page.signal_thread = signal_thread;
-    sp.pages[vaddr + i * cksim::kPageSize] = page;
   }
 }
 
@@ -100,11 +112,10 @@ void AppKernelBase::DefineCowRegion(uint32_t space_index, VirtAddr vaddr, uint32
                                     PhysAddr source_first_frame) {
   VSpace& sp = *spaces_[space_index];
   for (uint32_t i = 0; i < pages; ++i) {
-    PageRecord page;
+    PageRecord& page = DefinePage(sp, vaddr + i * cksim::kPageSize);
     page.where = PageRecord::Where::kZeroFill;  // replaced by the copy
     page.writable = true;
     page.cow_source = source_first_frame + i * cksim::kPageSize;
-    sp.pages[vaddr + i * cksim::kPageSize] = page;
   }
 }
 
@@ -229,13 +240,34 @@ bool AppKernelBase::AllThreadsFinished() const {
 
 VirtAddr AppKernelBase::ChooseVictim(VSpace& sp) {
   // Default FIFO over this space's resident pages; skip unevictable ones.
-  for (VirtAddr vaddr : sp.resident_fifo) {
-    PageRecord* page = sp.FindPage(vaddr);
-    if (page != nullptr && page->frame_owned && !page->locked && !page->message) {
-      return vaddr;
+  for (PageRecord* page : sp.resident) {
+    if (page->frame_owned && !page->locked && !page->message) {
+      return page->vaddr;
     }
   }
   return 0;
+}
+
+void AppKernelBase::LinkResident(VSpace& sp, PageRecord& page, PhysAddr frame) {
+  page.frame = frame;
+  page.where = PageRecord::Where::kResident;
+  UnlinkResident(page);  // a record is on each list at most once
+  sp.resident.PushBack(&page);
+  if (page.touched == 0) {
+    return;
+  }
+  // Usually the latest touch: the walk stops at once.
+  PageRecord* next = nullptr;
+  for (PageRecord* p = sp.recency.Back(); p != nullptr && p->touched > page.touched;
+       p = sp.recency.Prev(p)) {
+    next = p;
+  }
+  sp.recency.InsertBefore(next, &page);
+}
+
+void AppKernelBase::UnlinkResident(PageRecord& page) {
+  page.resident_node.Unlink();
+  page.recency_node.Unlink();
 }
 
 PhysAddr AppKernelBase::AllocateFrame(CkApi& api, VSpace& sp) {
@@ -284,14 +316,10 @@ void AppKernelBase::EvictPage(CkApi& api, uint32_t space_index, VirtAddr vaddr) 
   page->frame = 0;
   page->where = page->backing_page != kNoBackingPage ? PageRecord::Where::kBacking
                                                      : PageRecord::Where::kZeroFill;
-  auto it = std::find(sp.resident_fifo.begin(), sp.resident_fifo.end(), vaddr);
-  if (it != sp.resident_fifo.end()) {
-    sp.resident_fifo.erase(it);
-  }
+  UnlinkResident(*page);
 }
 
-bool AppKernelBase::MaterializePage(CkApi& api, VSpace& sp, PageRecord& page,
-                                    VirtAddr page_vaddr) {
+bool AppKernelBase::MaterializePage(CkApi& api, VSpace& sp, PageRecord& page) {
   if (page.where == PageRecord::Where::kResident) {
     return true;
   }
@@ -306,9 +334,7 @@ bool AppKernelBase::MaterializePage(CkApi& api, VSpace& sp, PageRecord& page,
     backing_.ReadPage(api, page.backing_page, frame);
     paging_stats_.pages_in++;
   }
-  page.frame = frame;
-  page.where = PageRecord::Where::kResident;
-  sp.resident_fifo.push_back(page_vaddr);
+  LinkResident(sp, page, frame);
   return true;
 }
 
@@ -319,7 +345,7 @@ bool AppKernelBase::ReadGuest(CkApi& api, uint32_t space_index, VirtAddr vaddr, 
   while (len > 0) {
     VirtAddr page_vaddr = vaddr & ~static_cast<VirtAddr>(cksim::kPageOffsetMask);
     PageRecord* page = sp.FindPage(page_vaddr);
-    if (page == nullptr || !MaterializePage(api, sp, *page, page_vaddr)) {
+    if (page == nullptr || !MaterializePage(api, sp, *page)) {
       return false;
     }
     uint32_t offset = vaddr - page_vaddr;
@@ -341,7 +367,7 @@ bool AppKernelBase::WriteGuest(CkApi& api, uint32_t space_index, VirtAddr vaddr,
   while (len > 0) {
     VirtAddr page_vaddr = vaddr & ~static_cast<VirtAddr>(cksim::kPageOffsetMask);
     PageRecord* page = sp.FindPage(page_vaddr);
-    if (page == nullptr || !MaterializePage(api, sp, *page, page_vaddr)) {
+    if (page == nullptr || !MaterializePage(api, sp, *page)) {
       return false;
     }
     uint32_t offset = vaddr - page_vaddr;
@@ -369,21 +395,8 @@ CkStatus AppKernelBase::EnsureMappingLoaded(CkApi& api, uint32_t space_index, Vi
   }
   // Materialize contents if needed (synchronous path; callers are native
   // app-kernel threads, not faulting guests).
-  if (page->where != PageRecord::Where::kResident) {
-    PhysAddr frame = AllocateFrame(api, sp);
-    if (frame == 0) {
-      return CkStatus::kNoResources;
-    }
-    if (page->where == PageRecord::Where::kZeroFill) {
-      api.ZeroPage(frame);
-      paging_stats_.zero_fills++;
-    } else {
-      backing_.ReadPage(api, page->backing_page, frame);
-      paging_stats_.pages_in++;
-    }
-    page->frame = frame;
-    page->where = PageRecord::Where::kResident;
-    sp.resident_fifo.push_back(page_vaddr);
+  if (!MaterializePage(api, sp, *page)) {
+    return CkStatus::kNoResources;
   }
   ck::MappingSpec spec;
   spec.space = EnsureSpaceLoaded(api, space_index);
@@ -474,13 +487,11 @@ HandlerAction AppKernelBase::ResolvePageFault(const ck::FaultForward& fault, VSp
       api.UnloadMapping(sp.ck_id, page_vaddr);
     }
     api.CopyPage(private_frame, source);
-    page.frame = private_frame;
     page.frame_owned = true;
     page.fixed_frame = 0;
     page.cow_source = 0;
-    page.where = PageRecord::Where::kResident;
     page.dirty = true;
-    sp.resident_fifo.push_back(page_vaddr);
+    LinkResident(sp, page, private_frame);
     paging_stats_.cow_copies++;
   }
 
@@ -499,9 +510,7 @@ HandlerAction AppKernelBase::ResolvePageFault(const ck::FaultForward& fault, VSp
       if (page.where == PageRecord::Where::kZeroFill) {
         api.ZeroPage(frame);
         paging_stats_.zero_fills++;
-        page.frame = frame;
-        page.where = PageRecord::Where::kResident;
-        sp.resident_fifo.push_back(page_vaddr);
+        LinkResident(sp, page, frame);
       } else {  // kBacking
         paging_stats_.pages_in++;
         if (UseAsyncPaging()) {
@@ -524,8 +533,7 @@ HandlerAction AppKernelBase::ResolvePageFault(const ck::FaultForward& fault, VSp
               return;  // the page was repurposed while the I/O was in flight
             }
             backing_.ReadPage(later, backing_page, frame, /*charge_latency=*/false);
-            p->where = PageRecord::Where::kResident;
-            vs.resident_fifo.push_back(page_vaddr);
+            LinkResident(vs, *p, frame);
             ck::MappingSpec spec;
             spec.space = EnsureSpaceLoaded(later, space_index);
             spec.vaddr = page_vaddr;
@@ -551,9 +559,7 @@ HandlerAction AppKernelBase::ResolvePageFault(const ck::FaultForward& fault, VSp
           return HandlerAction::kBlock;
         }
         backing_.ReadPage(api, page.backing_page, frame);
-        page.frame = frame;
-        page.where = PageRecord::Where::kResident;
-        sp.resident_fifo.push_back(page_vaddr);
+        LinkResident(sp, page, frame);
       }
     }
   }

@@ -127,7 +127,7 @@ class AppKernelBase : public ck::AppKernel {
                   uint32_t len);
 
   // Ensure a page's contents are in a physical frame (no mapping load).
-  bool MaterializePage(ck::CkApi& api, VSpace& sp, PageRecord& page, cksim::VirtAddr page_vaddr);
+  bool MaterializePage(ck::CkApi& api, VSpace& sp, PageRecord& page);
 
   // ---- AppKernel interface (Cache Kernel upcalls) ----
   ck::HandlerAction HandleFault(const ck::FaultForward& fault, ck::CkApi& api) override;
@@ -196,6 +196,12 @@ class AppKernelBase : public ck::AppKernel {
     (void)thread_index;
     (void)api;
   }
+
+  // The only writers of replacement order: a page made resident in `frame`
+  // joins its space's resident list at the back and, if touched, the recency
+  // list at its place in touch order. UnlinkResident takes it off both.
+  void LinkResident(VSpace& sp, PageRecord& page, cksim::PhysAddr frame);
+  static void UnlinkResident(PageRecord& page);
 
   // Allocate a frame, evicting if necessary. 0 on failure.
   cksim::PhysAddr AllocateFrame(ck::CkApi& api, VSpace& sp);

@@ -13,9 +13,9 @@
 #define SRC_APPKERNEL_VSPACE_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 
+#include "src/base/intrusive_list.h"
 #include "src/ck/cache_kernel.h"
 #include "src/isa/interpreter.h"
 #include "src/sim/types.h"
@@ -44,6 +44,13 @@ struct PageRecord {
   cksim::PhysAddr fixed_frame = 0;  // non-zero: always map this exact frame
   uint32_t signal_thread = kNoThread;  // app-kernel thread index for signals
   cksim::PhysAddr cow_source = 0;      // deferred-copy source frame (one-shot)
+
+  // Replacement order (AppKernelBase::LinkResident is the only writer). The
+  // record carries its key so a list walk needs no map lookup.
+  cksim::VirtAddr vaddr = 0;
+  uint64_t touched = 0;  // last-touch sequence number; 0 = never touched
+  ckbase::ListNode resident_node;  // VSpace::resident
+  ckbase::ListNode recency_node;   // VSpace::recency
 };
 
 struct VSpace {
@@ -53,7 +60,11 @@ struct VSpace {
   bool locked = false;
 
   std::map<cksim::VirtAddr, PageRecord> pages;  // keyed by page-aligned vaddr
-  std::deque<cksim::VirtAddr> resident_fifo;    // default replacement order
+  // The default FIFO order: pages as the pager made them resident (never
+  // fixed-frame pages or copy-on-write read mappings). Then the resident
+  // pages a subclass touched, by `touched` (the database's LRU/MRU order).
+  ckbase::IntrusiveList<PageRecord, &PageRecord::resident_node> resident;
+  ckbase::IntrusiveList<PageRecord, &PageRecord::recency_node> recency;
 
   PageRecord* FindPage(cksim::VirtAddr vaddr) {
     auto it = pages.find(vaddr & ~static_cast<cksim::VirtAddr>(cksim::kPageOffsetMask));

@@ -14,10 +14,21 @@
 namespace ckbase {
 
 // Embed one ListNode per list an object can be on. A node is "linked" when it
-// is on some list; unlinking is idempotent.
+// is on some list; unlinking is idempotent. Copying an object never copies its
+// list membership: a copy starts unlinked, and assigning over a linked object
+// takes it off its list first.
 struct ListNode {
   ListNode* prev = nullptr;
   ListNode* next = nullptr;
+
+  ListNode() = default;
+  ListNode(const ListNode& /*other*/) {}
+  ListNode& operator=(const ListNode& other) {
+    if (this != &other) {
+      Unlink();
+    }
+    return *this;
+  }
 
   bool linked() const { return prev != nullptr; }
 
@@ -54,24 +65,22 @@ class IntrusiveList {
 
   bool empty() const { return head_.next == &head_; }
 
-  void PushBack(T* item) {
-    ListNode* node = &(item->*NodeMember);
-    node->prev = head_.prev;
-    node->next = &head_;
-    head_.prev->next = node;
-    head_.prev = node;
+  void PushBack(T* item) { Link(&head_, &(item->*NodeMember)); }
+  void PushFront(T* item) { Link(head_.next, &(item->*NodeMember)); }
+  // Link `item` just before `pos`, or at the back when `pos` is nullptr.
+  void InsertBefore(T* pos, T* item) {
+    Link(pos == nullptr ? &head_ : &(pos->*NodeMember), &(item->*NodeMember));
   }
 
-  void PushFront(T* item) {
-    ListNode* node = &(item->*NodeMember);
-    node->next = head_.next;
-    node->prev = &head_;
-    head_.next->prev = node;
-    head_.next = node;
-  }
-
-  // Front element or nullptr when empty.
+  // Front / back element, or nullptr when empty.
   T* Front() const { return empty() ? nullptr : FromNode(head_.next); }
+  T* Back() const { return empty() ? nullptr : FromNode(head_.prev); }
+  // The element before `item` (a linked member), or nullptr at the front:
+  // the reverse walk is `for (T* x = l.Back(); x != nullptr; x = l.Prev(x))`.
+  T* Prev(T* item) const {
+    ListNode* node = (item->*NodeMember).prev;
+    return node == &head_ ? nullptr : FromNode(node);
+  }
 
   // Pop and return the front element, or nullptr when empty.
   T* PopFront() {
@@ -116,6 +125,13 @@ class IntrusiveList {
   Iterator end() { return Iterator(&head_, &head_); }
 
  private:
+  static void Link(ListNode* at, ListNode* node) {
+    node->prev = at->prev;
+    node->next = at;
+    at->prev->next = node;
+    at->prev = node;
+  }
+
   static T* FromNode(ListNode* node) {
     // Recover the enclosing object from the embedded node. NodeMember is a
     // compile-time member pointer, so the offset is known to the compiler.

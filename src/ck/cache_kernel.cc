@@ -1108,14 +1108,15 @@ bool CacheKernel::ReclaimWithPolicy(Cache& cache, Ops& ops, ObjectType type, cks
     // admit filter keeps other kernels' candidates out of the window, so a
     // malicious program cannot even observe them, let alone evict them.
     auto admit = [&](uint32_t slot) { return ops.OwnerSlot(slot) == requester_slot; };
+    // Scoring has no side effects, so the program cannot change mid-scan.
+    ckisa::PolicyVm vm(guest.words.data(), static_cast<uint32_t>(guest.words.size()),
+                       kPolicyCodeBase, kPolicyFeatureBase);
     auto score = [&](uint32_t slot, int64_t& s) {
       VictimFeatures f = FeaturesFor(cache, ops, slot, type, requester_slot);
       uint32_t window[kPolicyFeatureWords] = {f.slot,          f.age,         f.hw_ref,
                                               f.soft_ref,      f.load_seq_low, f.state_class,
                                               f.owner_is_self, f.object_type};
-      ckisa::PolicyVmResult r = ckisa::RunPolicyProgram(
-          guest.words.data(), static_cast<uint32_t>(guest.words.size()), window,
-          kPolicyFeatureWords, kPolicyCodeBase, kPolicyFeatureBase, budget);
+      ckisa::PolicyVmResult r = vm.Run(window, kPolicyFeatureWords, budget);
       stats_.policy_vm_runs++;
       stats_.policy_vm_steps += r.steps;
       vm_steps += r.steps;

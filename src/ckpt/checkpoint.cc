@@ -47,11 +47,12 @@ struct DecodedPage {
 struct DecodedSpace {
   bool locked = false;
   std::vector<DecodedPage> pages;
-  std::vector<VirtAddr> resident_fifo;
+  std::vector<VirtAddr> resident;
 };
 
 void ReadPageRecord(Reader& r, DecodedPage* out) {
   out->vaddr = r.U32();
+  out->page.vaddr = out->vaddr;
   uint8_t where = r.U8();
   if (where > static_cast<uint8_t>(PageRecord::Where::kResident)) {
     r.Fail("page record with invalid residency state");
@@ -119,9 +120,9 @@ void AppKernelState::Capture(AppKernelBase& app, ck::CkApi& api, CkptImage* imag
         owned_frames.insert(page.frame);
       }
     }
-    w.U32(static_cast<uint32_t>(sp->resident_fifo.size()));
-    for (VirtAddr vaddr : sp->resident_fifo) {
-      w.U32(vaddr);
+    w.U32(static_cast<uint32_t>(sp->resident.Size()));
+    for (const PageRecord* page : sp->resident) {
+      w.U32(page->vaddr);
     }
     image->Append(RecordType::kSpace, w.Take());
   }
@@ -248,6 +249,10 @@ bool AppKernelState::Restore(AppKernelBase& app, ck::CkApi& api, const CkptImage
        << app.backing_.page_count() << ")";
     return fail(os.str());
   }
+  // Images allocate upward from 0 and swap downward from the top.
+  if (image_next > swap_next || swap_next > backing_pages) {
+    return fail("backing allocators outside the store or crossed");
+  }
 
   std::vector<DecodedSpace> spaces;
   std::vector<ThreadRec> threads;
@@ -278,7 +283,7 @@ bool AppKernelState::Restore(AppKernelBase& app, ck::CkApi& api, const CkptImage
         }
         uint32_t fifo = r.U32();
         for (uint32_t i = 0; i < fifo && r.ok(); ++i) {
-          sp.resident_fifo.push_back(r.U32());
+          sp.resident.push_back(r.U32());
         }
         if (!r.Done()) {
           return fail("bad space record: " + r.error());
@@ -342,9 +347,30 @@ bool AppKernelState::Restore(AppKernelBase& app, ck::CkApi& api, const CkptImage
   }
 
   for (const DecodedSpace& sp : spaces) {
+    std::map<VirtAddr, const PageRecord*> by_vaddr;
     for (const DecodedPage& dp : sp.pages) {
       if (dp.page.signal_thread != ckapp::kNoThread && dp.page.signal_thread >= threads.size()) {
         return fail("page record names a signal thread beyond the thread table");
+      }
+      if ((dp.vaddr & cksim::kPageOffsetMask) != 0) {
+        return fail("page record at an unaligned address");
+      }
+      // A backing page must lie inside the store; only a kBacking page must
+      // have one.
+      if (dp.page.backing_page >= backing_pages &&
+          (dp.page.where == PageRecord::Where::kBacking ||
+           dp.page.backing_page != ckapp::kNoBackingPage)) {
+        return fail("page record's backing page does not fit its residency");
+      }
+      by_vaddr[dp.vaddr] = &dp.page;
+    }
+    // The resident list links each resident record at most once.
+    std::set<VirtAddr> listed;
+    for (VirtAddr vaddr : sp.resident) {
+      auto it = by_vaddr.find(vaddr);
+      if (it == by_vaddr.end() || it->second->where != PageRecord::Where::kResident ||
+          !listed.insert(vaddr).second) {
+        return fail("resident-list entry names no resident page record, or repeats");
       }
     }
   }
@@ -456,7 +482,10 @@ bool AppKernelState::Restore(AppKernelBase& app, ck::CkApi& api, const CkptImage
       }
       vs->pages[dp.vaddr] = page;
     }
-    vs->resident_fifo.assign(spaces[s].resident_fifo.begin(), spaces[s].resident_fifo.end());
+    for (VirtAddr vaddr : spaces[s].resident) {
+      PageRecord& page = vs->pages.at(vaddr);
+      app.LinkResident(*vs, page, page.frame);
+    }
     app.spaces_.push_back(std::move(vs));
   }
 
@@ -547,8 +576,8 @@ std::vector<std::pair<std::string, uint64_t>> AppKernelState::Digest(AppKernelBa
     add(prefix + "pages", sp.pages.size());
     // FIFO order matters for future replacement; fold it into one CRC.
     uint32_t fifo_crc = 0;
-    for (VirtAddr vaddr : sp.resident_fifo) {
-      fifo_crc = Crc32(&vaddr, sizeof(vaddr), fifo_crc);
+    for (const PageRecord* page : sp.resident) {
+      fifo_crc = Crc32(&page->vaddr, sizeof(page->vaddr), fifo_crc);
     }
     add(prefix + "fifo_crc", fifo_crc);
     for (auto& [vaddr, page] : sp.pages) {

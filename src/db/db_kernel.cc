@@ -1,6 +1,6 @@
 #include "src/db/db_kernel.h"
 
-#include <algorithm>
+#include <map>
 
 #include "src/ckpt/serializer.h"
 
@@ -35,7 +35,7 @@ class DbKernel::EngineProgram : public ck::NativeProgram {
       }
       // Scan one page: read the first column of every row.
       VirtAddr page = db.PageAddr(cursor_);
-      db.Touch(page);
+      db.Touch(cursor_);
       for (uint32_t row = 0; row < kRowsPerPage; ++row) {
         ckbase::Result<uint32_t> value = ctx.LoadWord(page + row * kRowBytes);
         if (value.ok()) {
@@ -56,7 +56,7 @@ class DbKernel::EngineProgram : public ck::NativeProgram {
         uint32_t row = static_cast<uint32_t>(
             db.rng_.Below(static_cast<uint64_t>(db.config_.table_pages) * kRowsPerPage));
         VirtAddr addr = db.PageAddr(row / kRowsPerPage) + (row % kRowsPerPage) * kRowBytes;
-        db.Touch(addr & ~static_cast<VirtAddr>(cksim::kPageOffsetMask));
+        db.Touch(row / kRowsPerPage);
         ckbase::Result<uint32_t> value = ctx.LoadWord(addr);
         if (value.ok()) {
           sum_ += value.value();
@@ -107,55 +107,53 @@ void DbKernel::Setup(CkApi& api) {
   }
   DefineBackedRegion(space_index_, config_.table_base, config_.table_pages,
                      /*first_backing_page=*/0, /*writable=*/false);
+  for (uint32_t p = 0; p < config_.table_pages; ++p) {
+    table_.push_back(space(space_index_).FindPage(PageAddr(p)));
+  }
   image_next_ = config_.table_pages;  // table occupies the low backing pages
 
   engine_ = std::make_unique<EngineProgram>(*this);
   engine_thread_ = CreateNativeThread(api, space_index_, engine_.get(), /*priority=*/10);
 }
 
-void DbKernel::Touch(VirtAddr page_vaddr) {
-  ckapp::VSpace& sp = space(space_index_);
-  ckapp::PageRecord* page = sp.FindPage(page_vaddr);
+void DbKernel::Touch(uint32_t table_page) {
+  ckapp::PageRecord* page = table_[table_page];
   if (page != nullptr && page->where == ckapp::PageRecord::Where::kResident) {
     stats_.buffer_hits++;
   } else {
     stats_.buffer_misses++;
   }
-  auto it = std::find(recency_.begin(), recency_.end(), page_vaddr);
-  if (it != recency_.end()) {
-    recency_.erase(it);
+  ++touch_seq_;
+  if (page != nullptr) {
+    page->touched = touch_seq_;
+    if (page->resident_node.linked()) {  // to the back: most recently used
+      space(space_index_).recency.Remove(page);
+      space(space_index_).recency.PushBack(page);
+    }
   }
-  recency_.push_back(page_vaddr);  // back = most recently used
 }
 
+// The recency list is the touch order restricted to resident pages: its first
+// evictable page is the LRU one. Other spaces' lists are empty (FIFO).
 VirtAddr DbKernel::ChooseVictim(ckapp::VSpace& sp) {
-  auto evictable = [&](VirtAddr vaddr) {
-    ckapp::PageRecord* page = sp.FindPage(vaddr);
-    return page != nullptr && page->where == ckapp::PageRecord::Where::kResident &&
-           page->frame_owned && !page->locked && !page->message;
+  auto evictable = [](const ckapp::PageRecord* page) {
+    return page->frame_owned && !page->locked && !page->message;
   };
-  switch (config_.policy) {
-    case Replacement::kLru:
-      for (VirtAddr vaddr : recency_) {
-        if (evictable(vaddr)) {
-          return vaddr;
-        }
+  if (config_.policy == Replacement::kLru) {
+    for (ckapp::PageRecord* page : sp.recency) {
+      if (evictable(page)) {
+        return page->vaddr;
       }
-      break;
-    case Replacement::kMru:
-      for (auto it = recency_.rbegin(); it != recency_.rend(); ++it) {
-        // Skip the page being touched right now (back of the list): evicting
-        // the page we are about to read would livelock.
-        if (it == recency_.rbegin()) {
-          continue;
-        }
-        if (evictable(*it)) {
-          return *it;
-        }
+    }
+  } else if (config_.policy == Replacement::kMru) {
+    for (ckapp::PageRecord* page = sp.recency.Back(); page != nullptr;
+         page = sp.recency.Prev(page)) {
+      // Skip the latest touch (the page being read; resident or not): evicting
+      // it would livelock.
+      if (page->touched != touch_seq_ && evictable(page)) {
+        return page->vaddr;
       }
-      break;
-    case Replacement::kFifo:
-      break;
+    }
   }
   return AppKernelBase::ChooseVictim(sp);  // FIFO fallback
 }
@@ -179,8 +177,14 @@ void DbKernel::CaptureExtra(ckckpt::Writer& w, CkApi& api) {
   }
   w.U64(job_result_);
   w.Bool(job_done_);
-  w.U32(static_cast<uint32_t>(recency_.size()));
-  for (VirtAddr vaddr : recency_) {
+  std::map<uint64_t, VirtAddr> touched;  // every touched page, in touch order
+  for (const ckapp::PageRecord* page : table_) {
+    if (page != nullptr && page->touched != 0) {
+      touched[page->touched] = page->vaddr;
+    }
+  }
+  w.U32(static_cast<uint32_t>(touched.size()));
+  for (const auto& [seq, vaddr] : touched) {
     w.U32(vaddr);
   }
   w.U64(stats_.rows_read);
@@ -219,10 +223,21 @@ void DbKernel::RestoreExtra(ckckpt::Reader& r, CkApi& api) {
   }
   job_result_ = r.U64();
   job_done_ = r.Bool();
-  recency_.clear();
+  // The touched table pages in touch order: number them 1..n and link the
+  // resident ones in that order.
   uint32_t recency_count = r.U32();
   for (uint32_t i = 0; i < recency_count && r.ok(); ++i) {
-    recency_.push_back(r.U32());
+    VirtAddr vaddr = r.U32();
+    ckapp::PageRecord* page =
+        space_index_ < space_count() ? space(space_index_).FindPage(vaddr) : nullptr;
+    if (page == nullptr || page->vaddr != vaddr || page->touched != 0) {
+      r.Fail("db recency entry names no table page, or repeats");
+      return;
+    }
+    page->touched = ++touch_seq_;
+    if (page->resident_node.linked()) {
+      space(space_index_).recency.PushBack(page);
+    }
   }
   stats_.rows_read = r.U64();
   stats_.queries = r.U64();
@@ -234,6 +249,9 @@ void DbKernel::RestoreExtra(ckckpt::Reader& r, CkApi& api) {
   if (engine_thread_ >= thread_count() || space_index_ >= space_count()) {
     r.Fail("db engine thread or space not in the image");
     return;
+  }
+  for (uint32_t p = 0; p < config_.table_pages; ++p) {
+    table_.push_back(space(space_index_).FindPage(PageAddr(p)));
   }
   engine_ = std::make_unique<EngineProgram>(*this);
   engine_->RestoreProgress(cursor, sum);

@@ -74,6 +74,9 @@ class DbKernel : public ckapp::AppKernelBase {
   void CaptureExtra(ckckpt::Writer& w, ck::CkApi& api) override;
   void RestoreExtra(ckckpt::Reader& r, ck::CkApi& api) override;
 
+  // Track an access to table page `table_page` for the LRU/MRU orderings.
+  void Touch(uint32_t table_page);
+
  private:
   class EngineProgram;
   friend class EngineProgram;
@@ -88,8 +91,6 @@ class DbKernel : public ckapp::AppKernelBase {
   }
   uint64_t RunJob(const Job& job);
   void FinishJob(uint64_t result);
-  // Track an access for the LRU/MRU orderings.
-  void Touch(cksim::VirtAddr page_vaddr);
 
   ck::CacheKernel& ck_;
   DbConfig config_;
@@ -102,8 +103,10 @@ class DbKernel : public ckapp::AppKernelBase {
   uint64_t job_result_ = 0;
   bool job_done_ = false;
 
-  // Access-recency list (front = least recently used).
-  std::deque<cksim::VirtAddr> recency_;
+  // The latest touch number; each touch stamps its page's `touched` with the
+  // next one (VSpace::recency orders the resident pages by it).
+  uint64_t touch_seq_ = 0;
+  std::vector<ckapp::PageRecord*> table_;  // each table page's record
   DbQueryStats stats_;
 };
 

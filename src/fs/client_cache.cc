@@ -119,38 +119,9 @@ const ClientFileCache::Entry* ClientFileCache::Lookup(uint32_t fileid) const {
   return nullptr;
 }
 
-void ClientFileCache::LruUnlink(Entry& entry) {
-  uint32_t index = IndexOf(entry);
-  if (entry.lru_prev != kNone) {
-    entries_[entry.lru_prev].lru_next = entry.lru_next;
-  } else if (lru_head_ == index) {
-    lru_head_ = entry.lru_next;
-  }
-  if (entry.lru_next != kNone) {
-    entries_[entry.lru_next].lru_prev = entry.lru_prev;
-  } else if (lru_tail_ == index) {
-    lru_tail_ = entry.lru_prev;
-  }
-  entry.lru_prev = kNone;
-  entry.lru_next = kNone;
-}
-
-void ClientFileCache::LruPushFront(Entry& entry) {
-  uint32_t index = IndexOf(entry);
-  entry.lru_prev = kNone;
-  entry.lru_next = lru_head_;
-  if (lru_head_ != kNone) {
-    entries_[lru_head_].lru_prev = index;
-  }
-  lru_head_ = index;
-  if (lru_tail_ == kNone) {
-    lru_tail_ = index;
-  }
-}
-
 void ClientFileCache::Touch(Entry& entry) {
-  LruUnlink(entry);
-  LruPushFront(entry);
+  lru_.Remove(&entry);
+  lru_.PushFront(&entry);
 }
 
 void ClientFileCache::HashRemove(Entry& entry) {
@@ -173,19 +144,17 @@ void ClientFileCache::DropEntry(Entry& entry) {
     }
   }
   HashRemove(entry);
-  LruUnlink(entry);
-  entry = Entry{};
+  entry = Entry{};  // also takes it off the LRU list
 }
 
 bool ClientFileCache::EvictOne(uint32_t keep_fileid) {
   // Walk from the LRU tail; entries with transfers in flight are pinned
   // (their bulk payloads would have nowhere to land their bookkeeping).
-  for (uint32_t i = lru_tail_; i != kNone; i = entries_[i].lru_prev) {
-    Entry& victim = entries_[i];
-    if (victim.fileid == 0 || victim.fileid == keep_fileid || victim.inflight != 0) {
+  for (Entry* victim = lru_.Back(); victim != nullptr; victim = lru_.Prev(victim)) {
+    if (victim->fileid == 0 || victim->fileid == keep_fileid || victim->inflight != 0) {
       continue;
     }
-    DropEntry(victim);
+    DropEntry(*victim);
     ++stats_.evictions;
     return true;
   }
@@ -217,7 +186,7 @@ ClientFileCache::Entry* ClientFileCache::Insert(uint32_t fileid) {
   uint32_t bucket = fileid % kHashBuckets;
   slot->hash_next = hash_[bucket];
   hash_[bucket] = IndexOf(*slot);
-  LruPushFront(*slot);
+  lru_.PushFront(slot);
   return slot;
 }
 

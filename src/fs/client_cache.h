@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "src/appkernel/channel.h"
+#include "src/base/intrusive_list.h"
 #include "src/fs/fs_protocol.h"
 #include "src/sim/devices.h"
 
@@ -130,8 +131,7 @@ class ClientFileCache {
     uint32_t seq_run = 0;
     std::string name;
     uint32_t hash_next = kNone;
-    uint32_t lru_prev = kNone;
-    uint32_t lru_next = kNone;
+    ckbase::ListNode lru_node;  // lru_, front = most recently used
   };
 
   // The link's endpoint thread: serves invalidation pushes, completes our
@@ -147,8 +147,6 @@ class ClientFileCache {
   const Entry* Lookup(uint32_t fileid) const;
   Entry* Insert(uint32_t fileid);  // takes a free slot or evicts the LRU tail
   void Touch(Entry& entry);        // move to MRU
-  void LruUnlink(Entry& entry);
-  void LruPushFront(Entry& entry);
   void HashRemove(Entry& entry);
   void DropEntry(Entry& entry);
   bool EvictOne(uint32_t keep_fileid);
@@ -185,10 +183,9 @@ class ClientFileCache {
   uint32_t pump_thread_ = 0;
   bool registered_ = false;
 
-  std::vector<Entry> entries_;
+  std::vector<Entry> entries_;  // sized once: the list links point into it
   uint32_t hash_[kHashBuckets];
-  uint32_t lru_head_ = kNone;  // MRU
-  uint32_t lru_tail_ = kNone;  // LRU
+  ckbase::IntrusiveList<Entry, &Entry::lru_node> lru_;
 
   std::map<std::string, uint32_t> name_to_fileid_;  // open-by-name cache
   std::map<std::string, bool> open_pending_;

@@ -705,20 +705,48 @@ RunResult Run(VmContext& ctx, GuestBus& bus, uint32_t budget) {
 PolicyVmResult RunPolicyProgram(const uint32_t* words, uint32_t word_count,
                                 const uint32_t* features, uint32_t feature_words,
                                 uint32_t code_base, uint32_t feature_base, uint32_t budget) {
+  return PolicyVm(words, word_count, code_base, feature_base).Run(features, feature_words, budget);
+}
+
+PolicyVm::PolicyVm(const uint32_t* words, uint32_t word_count, uint32_t code_base,
+                   uint32_t feature_base)
+    : words_(words), word_count_(word_count), code_base_(code_base), feature_base_(feature_base) {
+  // Only program words write registers, through rd. A program longer than
+  // LoadPolicy accepts is not decoded: its runs clear every register.
+  constexpr uint64_t kWritesRd = [] {  // bit op: the op's class writes rd
+    uint64_t ops = 0;
+    for (uint32_t op = 0; op < kOpCount; ++op) {
+      OpClass c = kOps[op].cls;
+      bool writes = c == OpClass::kAlu || c == OpClass::kLoad || c == OpClass::kJal ||
+                    c == OpClass::kJalr;
+      ops |= uint64_t{writes} << op;
+    }
+    return ops;
+  }();
+  written_ = words == nullptr || word_count > 256 ? ~0u : 0u;
+  for (uint32_t i = 0; i < word_count && written_ != ~0u; ++i) {
+    Decoded d = Decode(words[i]);
+    written_ |= static_cast<uint32_t>(kWritesRd >> static_cast<uint32_t>(d.op) & 1u) << d.rd;
+  }
+}
+
+PolicyVmResult PolicyVm::Run(const uint32_t* features, uint32_t feature_words, uint32_t budget) {
   PolicyVmResult out;
-  if (words == nullptr || word_count == 0 || budget == 0) {
+  if (words_ == nullptr || word_count_ == 0 || budget == 0) {
     out.event = budget == 0 ? PolicyVmEvent::kBudget : PolicyVmEvent::kFault;
     return out;
   }
-  SandboxPolicy p{words, word_count, features, feature_words, code_base, feature_base};
-  VmContext ctx;
-  ctx.pc = code_base;
-  RunResult run = RunLoop(ctx, p, budget);
+  for (uint32_t m = written_; m != 0; m &= m - 1) {
+    ctx_.regs[std::countr_zero(m)] = 0;
+  }
+  ctx_.pc = code_base_;
+  SandboxPolicy p{words_, word_count_, features, feature_words, code_base_, feature_base_};
+  RunResult run = RunLoop(ctx_, p, budget);
   out.steps = run.instructions;
   switch (run.event) {
     case RunEvent::kHalt:
       out.event = PolicyVmEvent::kScore;
-      out.score = ctx.regs[kRegA0];
+      out.score = ctx_.regs[kRegA0];
       break;
     case RunEvent::kTrap:
       out.event = PolicyVmEvent::kTrap;

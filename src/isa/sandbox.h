@@ -15,9 +15,9 @@
 // array, loads read the feature window, and there is no bus, no trace and no
 // cycle charge. The run loop's budget bounds the instruction count; the
 // caller passes the remaining per-scan budget so one scan's candidates share
-// one allowance. The host-side cost is attributed to the owning tenant by the
-// caller (CostAccount::policy_vm_steps); nothing here advances simulated
-// clocks.
+// one allowance, and scores them all in one PolicyVm. The host-side cost is
+// attributed to the owning tenant by the caller (CostAccount::policy_vm_steps);
+// nothing here advances simulated clocks.
 
 #ifndef SRC_ISA_SANDBOX_H_
 #define SRC_ISA_SANDBOX_H_
@@ -48,6 +48,24 @@ struct PolicyVmResult {
 PolicyVmResult RunPolicyProgram(const uint32_t* words, uint32_t word_count,
                                 const uint32_t* features, uint32_t feature_words,
                                 uint32_t code_base, uint32_t feature_base, uint32_t budget);
+
+// One reclaim scan's program and the register context all its candidates run
+// in. Run returns what RunPolicyProgram would: it first clears every register
+// an instruction of the program can write. The words must not change under it.
+class PolicyVm {
+ public:
+  PolicyVm(const uint32_t* words, uint32_t word_count, uint32_t code_base,
+           uint32_t feature_base);
+  PolicyVmResult Run(const uint32_t* features, uint32_t feature_words, uint32_t budget);
+
+ private:
+  const uint32_t* words_;
+  uint32_t word_count_;
+  uint32_t code_base_;
+  uint32_t feature_base_;
+  uint32_t written_ = 0;  // bit r set: some instruction writes register r
+  VmContext ctx_;
+};
 
 }  // namespace ckisa
 

@@ -674,9 +674,8 @@ void UnixEmulator::SwapOutProcess(CkApi& api, int pid) {
   if (sp.loaded) {
     api.UnloadSpace(sp.ck_id);
   }
-  std::vector<VirtAddr> resident(sp.resident_fifo.begin(), sp.resident_fifo.end());
-  for (VirtAddr vaddr : resident) {
-    EvictPage(api, proc.space_index, vaddr);
+  while (ckapp::PageRecord* page = sp.resident.Front()) {
+    EvictPage(api, proc.space_index, page->vaddr);
   }
   proc.swapped = true;
 }

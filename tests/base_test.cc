@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "src/base/bitmap.h"
@@ -83,6 +84,80 @@ TEST(IntrusiveListTest, MembershipAcrossTwoLists) {
   queue_list.Remove(&a);
   EXPECT_TRUE(a.pool_node.linked());
   EXPECT_FALSE(a.queue_node.linked());
+}
+
+// Front-to-back values, and the same walked back to front with Back/Prev.
+template <typename List>
+std::pair<std::vector<int>, std::vector<int>> Walks(List& list) {
+  std::vector<int> forward;
+  std::vector<int> backward;
+  for (Item* item : list) {
+    forward.push_back(item->value);
+  }
+  for (Item* item = list.Back(); item != nullptr; item = list.Prev(item)) {
+    backward.insert(backward.begin(), item->value);
+  }
+  return {forward, backward};
+}
+
+TEST(IntrusiveListTest, BackAndReverseWalk) {
+  IntrusiveList<Item, &Item::queue_node> list;
+  EXPECT_EQ(list.Back(), nullptr);
+  Item items[4];
+  for (int i = 0; i < 4; ++i) {
+    items[i].value = i;
+    list.PushBack(&items[i]);
+  }
+  EXPECT_EQ(list.Back(), &items[3]);
+  EXPECT_EQ(list.Prev(&items[0]), nullptr);
+  EXPECT_EQ(list.Prev(&items[2]), &items[1]);
+  auto [forward, backward] = Walks(list);
+  EXPECT_EQ(forward, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(backward, forward);
+  list.Remove(&items[3]);
+  EXPECT_EQ(list.Back(), &items[2]);
+  while (list.PopFront() != nullptr) {
+  }
+  EXPECT_EQ(list.Back(), nullptr);
+}
+
+TEST(IntrusiveListTest, InsertBefore) {
+  IntrusiveList<Item, &Item::queue_node> list;
+  Item a, b, c, d, e;
+  a.value = 1;
+  b.value = 2;
+  c.value = 3;
+  d.value = 4;
+  e.value = 5;
+  list.InsertBefore(nullptr, &b);  // into an empty list
+  list.InsertBefore(&b, &a);       // before the front
+  list.InsertBefore(nullptr, &d);  // at the back
+  list.InsertBefore(&d, &c);       // in the middle
+  list.InsertBefore(nullptr, &e);
+  auto [forward, backward] = Walks(list);
+  EXPECT_EQ(forward, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(backward, forward);
+  EXPECT_EQ(list.Front(), &a);
+  EXPECT_EQ(list.Back(), &e);
+}
+
+TEST(IntrusiveListTest, CopiesStartUnlinkedAndAssignmentUnlinks) {
+  IntrusiveList<Item, &Item::queue_node> list;
+  Item a, b, c;
+  list.PushBack(&a);
+  list.PushBack(&b);
+  list.PushBack(&c);
+  Item copy = b;
+  EXPECT_FALSE(copy.queue_node.linked());
+  EXPECT_EQ(list.Size(), 3u);
+  b = Item{};  // assigning over a linked item takes it off its list
+  EXPECT_FALSE(b.queue_node.linked());
+  EXPECT_EQ(list.Size(), 2u);
+  EXPECT_EQ(list.Prev(&c), &a);
+  copy = a;  // neither side changes lists
+  EXPECT_FALSE(copy.queue_node.linked());
+  EXPECT_TRUE(a.queue_node.linked());
+  EXPECT_EQ(list.Size(), 2u);
 }
 
 TEST(FixedPoolTest, AllocateUntilFull) {

@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -759,6 +761,246 @@ TEST(CkptDb, RoundTripPreservesEngineState) {
   EXPECT_EQ(db_b.query_stats().rows_read, db_a.query_stats().rows_read);
   EXPECT_EQ(db_b.RunScan(), sum);
   EXPECT_TRUE(b.ck().ValidateInvariants().empty());
+}
+
+// ---------------------------------------------------------------------------
+// Hostile images past the CRC: well-framed images whose records lie. The
+// restore preflight must refuse each one before any Cache Kernel object of
+// the target loads.
+// ---------------------------------------------------------------------------
+
+uint32_t GetU32(const std::vector<uint8_t>& bytes, size_t at) {
+  uint32_t v = 0;
+  EXPECT_LE(at + 4, bytes.size());
+  if (at + 4 <= bytes.size()) {
+    std::memcpy(&v, bytes.data() + at, 4);  // the serializer is little-endian
+  }
+  return v;
+}
+
+void PutU32(std::vector<uint8_t>& bytes, size_t at, uint32_t v) {
+  ASSERT_LE(at + 4, bytes.size());
+  std::memcpy(bytes.data() + at, &v, 4);
+}
+
+// A kSpace payload: locked flag, page count, the page records, then the
+// resident list (count, vaddrs). Field offsets within one page record:
+constexpr size_t kFirstPageRecord = 5;
+constexpr size_t kPageRecordBytes = 31;
+constexpr size_t kWhereAt = 4;
+constexpr size_t kDirtyAt = 8;
+constexpr size_t kBackingAt = 11;
+
+size_t PageRecordAt(uint32_t index) { return kFirstPageRecord + index * kPageRecordBytes; }
+
+// The first page record of `payload` in residency class `where` (and dirty,
+// if asked), or SIZE_MAX.
+size_t FindPageRecord(const std::vector<uint8_t>& payload, ckapp::PageRecord::Where where,
+                      bool dirty = false) {
+  uint32_t pages = GetU32(payload, 1);
+  for (uint32_t i = 0; i < pages; ++i) {
+    size_t at = PageRecordAt(i);
+    if (payload[at + kWhereAt] == static_cast<uint8_t>(where) &&
+        (!dirty || payload[at + kDirtyAt] != 0)) {
+      return at;
+    }
+  }
+  return SIZE_MAX;
+}
+
+// Rewrite the first record of `type` that `pick` accepts with `edit`, then
+// serialize and parse: every CRC is valid again, as in an image a hostile
+// source framed itself.
+CkptImage Reframed(
+    const CkptImage& image, RecordType type,
+    const std::function<void(std::vector<uint8_t>&)>& edit,
+    const std::function<bool(const std::vector<uint8_t>&)>& pick = [](const auto&) {
+      return true;
+    }) {
+  CkptImage edited;
+  bool done = false;
+  for (const ckckpt::CkptRecord& rec : image.records()) {
+    std::vector<uint8_t> payload = rec.payload;
+    if (rec.type == type && !done && pick(payload)) {
+      edit(payload);
+      done = true;
+    }
+    edited.Append(rec.type, std::move(payload));
+  }
+  EXPECT_TRUE(done);
+  CkptImage parsed;
+  std::string error;
+  EXPECT_TRUE(CkptImage::Parse(edited.Serialize(), &parsed, &error)) << error;
+  return parsed;
+}
+
+// A clean refusal: the restore fails with `why` and the target's spaces,
+// threads and mappings never reached the Cache Kernel.
+template <typename Kernel>
+void ExpectRefused(TestWorld& world, Kernel& target, const CkptImage& image, const char* why) {
+  std::string error;
+  EXPECT_EQ(world.srm().Restore(target, image, RestoreOptions{}, &error),
+            CkStatus::kInvalidArgument);
+  EXPECT_NE(error.find(why), std::string::npos) << error;
+  auto loaded = world.ck().LoadedCountsFor(target.self());
+  EXPECT_EQ(loaded[static_cast<uint32_t>(ck::ObjectType::kSpace)], 0u);
+  EXPECT_EQ(loaded[static_cast<uint32_t>(ck::ObjectType::kThread)], 0u);
+  EXPECT_EQ(loaded[static_cast<uint32_t>(ck::ObjectType::kMapping)], 0u);
+  EXPECT_TRUE(world.ck().ValidateInvariants().empty());
+}
+
+// A generic kernel with every residency class: dirty resident zero-fill
+// pages, resident and non-resident backed pages, untouched zero-fill pages.
+CkptImage GenericImage() {
+  TestWorld a;
+  ckapp::AppKernelBase app("hostile", 32);
+  EXPECT_TRUE(a.srm().Launch(app, cksrm::LaunchParams{}).ok());
+  ck::CkApi api(a.ck(), app.self(), a.machine().cpu(0));
+  uint32_t sp = app.CreateSpace(api);
+  app.DefineZeroRegion(sp, 0x40000000, 4, /*writable=*/true);
+  app.DefineBackedRegion(sp, 0x41000000, 4, /*first_backing_page=*/2, /*writable=*/true);
+  uint32_t v = 0x5a5a5a5a;
+  EXPECT_TRUE(app.WriteGuest(api, sp, 0x40000000, &v, 4));
+  EXPECT_TRUE(app.WriteGuest(api, sp, 0x40001000, &v, 4));
+  EXPECT_TRUE(app.ReadGuest(api, sp, 0x41000000, &v, 4));
+  CkptImage image;
+  EXPECT_EQ(a.srm().Checkpoint(app, &image), CkStatus::kOk);
+  return image;
+}
+
+void ExpectGenericRefused(const CkptImage& image, const char* why) {
+  TestWorld b;
+  ckapp::AppKernelBase target("hostile", 32);
+  ExpectRefused(b, target, image, why);
+  EXPECT_EQ(target.space_count(), 0u);
+}
+
+TEST(CkptHostile, GenericImageRestoresUnedited) {
+  CkptImage image = GenericImage();
+  TestWorld b;
+  ckapp::AppKernelBase target("hostile", 32);
+  std::string error;
+  EXPECT_EQ(b.srm().Restore(target, Reframed(image, RecordType::kEnd, [](auto&) {}),
+                            RestoreOptions{}, &error),
+            CkStatus::kOk)
+      << error;
+}
+
+// The reproduction: a UNIX emulator image whose first page record names
+// backing page 0x7fffffff. Restore used to succeed and the first page-in
+// read 4 KiB outside the backing store. (The first kSpace record, the
+// emulator's own space, has no pages.)
+TEST(CkptHostile, WildBackingPageInFirstSpaceIsRefused) {
+  UnixWorld a;
+  a.ExecWorkload();
+  ASSERT_TRUE(a.world.RunUntil([&] { return a.emu.process(1).console.size() >= 4; }));
+  CkptImage image;
+  ASSERT_EQ(a.world.srm().Checkpoint(a.emu, &image), CkStatus::kOk);
+  CkptImage hostile = Reframed(
+      image, RecordType::kSpace,
+      [](std::vector<uint8_t>& payload) {
+        PutU32(payload, 16, 0x7fffffffu);  // the first page record's backing_page
+      },
+      [](const std::vector<uint8_t>& payload) { return GetU32(payload, 1) != 0; });
+  TestWorld b;
+  UnixEmulator target(b.ck());
+  ExpectRefused(b, target, hostile, "backing page does not fit its residency");
+  EXPECT_EQ(target.space_count(), 0u);
+}
+
+TEST(CkptHostile, BackedPageWithoutBackingPageIsRefused) {
+  ExpectGenericRefused(
+      Reframed(GenericImage(), RecordType::kSpace,
+               [](std::vector<uint8_t>& payload) {
+                 size_t at = FindPageRecord(payload, ckapp::PageRecord::Where::kBacking);
+                 ASSERT_NE(at, SIZE_MAX);
+                 PutU32(payload, at + kBackingAt, ckapp::kNoBackingPage);
+               }),
+      "backing page does not fit its residency");
+}
+
+TEST(CkptHostile, DirtyResidentPageWithBackingPagePastTheStoreIsRefused) {
+  ExpectGenericRefused(
+      Reframed(GenericImage(), RecordType::kSpace,
+               [](std::vector<uint8_t>& payload) {
+                 size_t at = FindPageRecord(payload, ckapp::PageRecord::Where::kResident,
+                                            /*dirty=*/true);
+                 ASSERT_NE(at, SIZE_MAX);
+                 PutU32(payload, at + kBackingAt, 32);  // one past the 32-page store
+               }),
+      "backing page does not fit its residency");
+}
+
+TEST(CkptHostile, SwapAllocatorPastTheStoreIsRefused) {
+  // kBackingMeta: page count, latency (u64), image_next, swap_next.
+  ExpectGenericRefused(Reframed(GenericImage(), RecordType::kBackingMeta,
+                                [](std::vector<uint8_t>& payload) { PutU32(payload, 16, 33); }),
+                       "backing allocators");
+  ExpectGenericRefused(Reframed(GenericImage(), RecordType::kBackingMeta,
+                                [](std::vector<uint8_t>& payload) {
+                                  PutU32(payload, 12, 20);  // image_next above swap_next
+                                  PutU32(payload, 16, 10);
+                                }),
+                       "backing allocators");
+}
+
+TEST(CkptHostile, BadResidentListEntriesAreRefused) {
+  auto edit_list = [](const std::function<void(std::vector<uint8_t>&, size_t)>& edit) {
+    return Reframed(GenericImage(), RecordType::kSpace, [&](std::vector<uint8_t>& payload) {
+      size_t list = PageRecordAt(GetU32(payload, 1));
+      ASSERT_GE(GetU32(payload, list), 2u);
+      edit(payload, list);
+    });
+  };
+  // A repeated entry: the second names the first's page.
+  ExpectGenericRefused(edit_list([](std::vector<uint8_t>& payload, size_t list) {
+                         PutU32(payload, list + 8, GetU32(payload, list + 4));
+                       }),
+                       "resident-list entry");
+  // An entry naming no page record.
+  ExpectGenericRefused(edit_list([](std::vector<uint8_t>& payload, size_t list) {
+                         PutU32(payload, list + 4, 0x7ff00000u);
+                       }),
+                       "resident-list entry");
+  // An entry naming a page that is not resident.
+  ExpectGenericRefused(edit_list([](std::vector<uint8_t>& payload, size_t list) {
+                         PutU32(payload, list + 4, 0x40003000u);
+                       }),
+                       "resident-list entry");
+}
+
+TEST(CkptHostile, BadDbRecencyEntriesAreRefused) {
+  TestWorld a;
+  ckdb::DbConfig config;
+  config.table_pages = 24;
+  ckdb::DbKernel db(a.ck(), config);
+  a.Launch(db, /*page_groups=*/2);
+  ck::CkApi api(a.ck(), db.self(), a.machine().cpu(0));
+  db.Setup(api);
+  db.RunScan();  // touches all 24 table pages
+  CkptImage image;
+  ASSERT_EQ(a.srm().Checkpoint(db, &image), CkStatus::kOk);
+  // kAppExtra ends with the recency list (count, vaddrs) and four u64 stats.
+  auto edit_recency = [&](uint32_t entry, uint32_t vaddr) {
+    return Reframed(image, RecordType::kAppExtra, [&](std::vector<uint8_t>& payload) {
+      size_t count_at = payload.size() - 32 - 4 * 24 - 4;
+      ASSERT_EQ(GetU32(payload, count_at), 24u);
+      PutU32(payload, count_at + 4 + 4 * entry, vaddr);
+    });
+  };
+  const struct {
+    uint32_t entry;
+    uint32_t vaddr;
+  } cases[] = {
+      {3, config.table_base + 5 * cksim::kPageSize},       // repeats another entry
+      {0, config.table_base + 24 * cksim::kPageSize},      // past the table
+      {7, config.table_base + 2 * cksim::kPageSize + 64},  // not a page address
+  };
+  for (const auto& c : cases) {
+    TestWorld b;
+    ckdb::DbKernel target(b.ck(), config);
+    ExpectRefused(b, target, edit_recency(c.entry, c.vaddr), "db recency entry");
+  }
 }
 
 }  // namespace

@@ -429,7 +429,7 @@ class ObsWorldTest : public ::testing::Test {
     for (uint32_t i = 0; i < pages; ++i) {
       cksim::VirtAddr vaddr = 0x00400000 + i * cksim::kPageSize;
       ckapp::PageRecord* page = app_->space(space).FindPage(vaddr);
-      app_->MaterializePage(api, app_->space(space), *page, vaddr);
+      app_->MaterializePage(api, app_->space(space), *page);
     }
     ckisa::AssembleResult assembled = ckisa::Assemble(R"(
         li   t0, 0x00400000

@@ -340,6 +340,90 @@ INSTANTIATE_TEST_SUITE_P(Generated, PolicySandboxFuzz, ::testing::Range<uint64_t
                          });
 
 // ---------------------------------------------------------------------------
+// One VM per scan: every candidate of a reclaim scan runs in one PolicyVm,
+// and each run must be exactly a fresh RunPolicyProgram.
+// ---------------------------------------------------------------------------
+
+// Scores the candidate windows in order through one PolicyVm and requires
+// each result to equal a fresh one-shot run (and the reference bus).
+void ExpectScanMatchesFreshRuns(const std::vector<uint32_t>& words,
+                                const std::vector<std::vector<uint32_t>>& windows,
+                                uint32_t code_base, uint32_t feature_base, uint32_t budget) {
+  ckisa::PolicyVm vm(words.data(), static_cast<uint32_t>(words.size()), code_base, feature_base);
+  for (size_t i = 0; i < windows.size(); ++i) {
+    const std::vector<uint32_t>& w = windows[i];
+    PolicyVmResult fresh = RunChecked(words.data(), static_cast<uint32_t>(words.size()), w.data(),
+                                      static_cast<uint32_t>(w.size()), code_base, feature_base,
+                                      budget);
+    PolicyVmResult scan = vm.Run(w.data(), static_cast<uint32_t>(w.size()), budget);
+    EXPECT_EQ(scan.event, fresh.event) << "candidate " << i;
+    EXPECT_EQ(scan.score, fresh.score) << "candidate " << i;
+    EXPECT_EQ(scan.steps, fresh.steps) << "candidate " << i;
+  }
+}
+
+std::vector<std::vector<uint32_t>> FeatureWindows(uint32_t count, uint32_t words,
+                                                  ckbase::Rng& rng) {
+  std::vector<std::vector<uint32_t>> windows;
+  for (uint32_t i = 0; i < count; ++i) {
+    windows.push_back(DistinctByteWords(words, rng));
+  }
+  return windows;
+}
+
+// A program that reads a0, ra, t1 and t2 before it writes them -- through an
+// ALU op, a jal and a word and a byte load -- scores every candidate as a
+// fresh run does: the registers the last candidate left behind are cleared.
+TEST(PolicyVmScanTest, RegistersReadBeforeWrittenStartZeroForEveryCandidate) {
+  const std::vector<uint32_t> words = Asm("li t0, " + std::to_string(ck::kPolicyFeatureBase) +
+                                          R"(
+      add  a0, a0, ra
+      add  a0, a0, t1
+      add  a0, a0, t2
+      call next
+  next:
+      lw   t1, 16(t0)
+      lb   t2, 9(t0)
+      add  a0, a0, t1
+      add  a0, a0, t2
+      halt
+  )");
+  ckbase::Rng rng(5);
+  ExpectScanMatchesFreshRuns(words, FeatureWindows(16, ck::kPolicyFeatureWords, rng),
+                             ck::kPolicyCodeBase, ck::kPolicyFeatureBase, 4096);
+}
+
+// Past the 256 words LoadPolicy accepts the program is not decoded for the
+// registers it writes; a write at word 290 must still be cleared.
+TEST(PolicyVmScanTest, LongProgramsClearEveryRegister) {
+  std::vector<uint32_t> words = Asm("add a0, a0, s5\nhalt\n");
+  ckbase::Rng rng(6);
+  while (words.size() < 290) {
+    words.push_back(static_cast<uint32_t>(rng.Next()));  // never executed
+  }
+  std::vector<uint32_t> tail =
+      Asm("li t0, " + std::to_string(ck::kPolicyFeatureBase) + "\nlw s5, 16(t0)\n" +
+          "add a0, a0, s5\nhalt\n");
+  words.insert(words.end(), tail.begin(), tail.end());
+  words[1] = ckisa::Encode(ckisa::Op::kJal, ckisa::kRegZero, 0, 288);  // j word 290
+  ASSERT_GT(words.size(), 256u);
+  ExpectScanMatchesFreshRuns(words, FeatureWindows(8, ck::kPolicyFeatureWords, rng),
+                             ck::kPolicyCodeBase, ck::kPolicyFeatureBase, 4096);
+}
+
+// The 64 generated programs, each scoring a scan of eight candidates in one
+// PolicyVm at the budgets the scan shares.
+TEST_P(PolicySandboxFuzz, GeneratedProgramsScoreAScanAsFreshRuns) {
+  const cktest::ProgramLayout layout;
+  std::vector<uint32_t> words = cktest::GenerateProgram(GetParam(), layout);
+  ckbase::Rng rng(GetParam());
+  std::vector<std::vector<uint32_t>> windows = FeatureWindows(8, ck::kPolicyFeatureWords, rng);
+  for (uint32_t budget : {7u, 64u, CacheKernelConfig().policy_step_budget}) {
+    ExpectScanMatchesFreshRuns(words, windows, layout.code_base, layout.data_base, budget);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Kernel level
 // ---------------------------------------------------------------------------
 
@@ -498,6 +582,42 @@ TEST_F(PolicyVmTest, GuestProgramPicksTheVictim) {
     tenant_vm_steps += t.policy_vm_steps;
   }
   EXPECT_EQ(tenant_vm_steps, ck_->stats().policy_vm_steps);
+  ExpectClean();
+}
+
+// A kernel may rewrite its PolicyTable's program words after LoadPolicy. A
+// 300-word program (longer than LoadPolicy accepts) that jumps over 295
+// words of filler to a FIFO scorer scores every candidate exactly as a
+// one-shot RunPolicyProgram would.
+TEST_F(PolicyVmTest, ProgramRewrittenPastTheLoadLimitScoresAsOneShotRuns) {
+  CacheKernelConfig config;
+  config.thread_slots = 4;
+  Init(config);
+  ASSERT_EQ(Install(ScoreWordSource(4)), CkStatus::kOk);
+  std::vector<uint32_t> tail = Asm(ScoreWordSource(4));
+  std::vector<uint32_t>& words =
+      first_.table.guest[static_cast<uint32_t>(ObjectType::kThread)].words;
+  words.assign(1, ckisa::Encode(ckisa::Op::kJal, ckisa::kRegZero, 0, 295));
+  ckbase::Rng rng(9);
+  while (words.size() < 296) {
+    words.push_back(static_cast<uint32_t>(rng.Next()));
+  }
+  words.insert(words.end(), tail.begin(), tail.end());
+  ASSERT_EQ(words.size(), 296u + tail.size());
+  uint32_t window[ck::kPolicyFeatureWords] = {};
+  PolicyVmResult one_shot =
+      ckisa::RunPolicyProgram(words.data(), static_cast<uint32_t>(words.size()), window,
+                              ck::kPolicyFeatureWords, ck::kPolicyCodeBase,
+                              ck::kPolicyFeatureBase, config.policy_step_budget);
+  ASSERT_EQ(one_shot.event, PolicyVmEvent::kScore);
+
+  FillThreads(6);
+  ASSERT_EQ(first_.thread_writebacks.size(), 2u);
+  EXPECT_EQ(first_.thread_writebacks[0], 100u) << "guest FIFO evicts the oldest load";
+  EXPECT_EQ(first_.thread_writebacks[1], 101u);
+  EXPECT_GE(ck_->stats().policy_vm_runs, 2u);
+  EXPECT_EQ(ck_->stats().policy_vm_steps, ck_->stats().policy_vm_runs * one_shot.steps);
+  EXPECT_EQ(ck_->stats().policy_fallbacks, 0u);
   ExpectClean();
 }
 

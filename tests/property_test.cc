@@ -307,91 +307,95 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GuestPolicyStormTest,
 // scan evicts exactly once, either by the program's choice (a kPolicyGuest
 // event) or after a fallback counted once in policy_fallbacks, and the fault
 // and budget fallbacks are exactly the runs policy_vm_faults and
-// policy_vm_budget count.
+// policy_vm_budget count. Small per-scan budgets (7 and 64 steps) run out
+// part-way through a scan's candidates, which all share one VM context.
 TEST(GeneratedPolicyStormTest, GeneratedMappingPoliciesKeepTheScanAccounting) {
   uint64_t guest_wins = 0;
   uint64_t fallbacks = 0;
-  for (uint64_t seed = 1; seed <= 24; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    cksim::MachineConfig mc;
-    mc.cpu_count = 1;
-    mc.memory_bytes = 8u << 20;
-    cksim::Machine machine(mc);
-    machine.EnableTracing();
-    CacheKernelConfig config;
-    config.mapping_slots = 24;
-    CacheKernel ck(machine, config);
-    ModelKernel model;
-    KernelId kid = ck.BootFirstKernel(&model, 0);
-    CkApi api(ck, kid, machine.cpu(0));
+  for (uint32_t budget : {CacheKernelConfig().policy_step_budget, 7u, 64u}) {
+    for (uint64_t seed = 1; seed <= 24; ++seed) {
+      SCOPED_TRACE("budget " + std::to_string(budget) + " seed " + std::to_string(seed));
+      cksim::MachineConfig mc;
+      mc.cpu_count = 1;
+      mc.memory_bytes = 8u << 20;
+      cksim::Machine machine(mc);
+      machine.EnableTracing();
+      CacheKernelConfig config;
+      config.mapping_slots = 24;
+      config.policy_step_budget = budget;
+      CacheKernel ck(machine, config);
+      ModelKernel model;
+      KernelId kid = ck.BootFirstKernel(&model, 0);
+      CkApi api(ck, kid, machine.cpu(0));
 
-    cktest::ProgramLayout layout;
-    layout.code_base = ck::kPolicyCodeBase;
-    layout.data_base = ck::kPolicyFeatureBase;
-    layout.data_bytes = 4 * ck::kPolicyFeatureWords;
-    layout.read_only = seed % 4 != 0;
-    std::vector<uint32_t> words = cktest::GenerateProgram(seed, layout);
-    ASSERT_EQ(api.LoadPolicy(ck::ObjectType::kMapping, words.data(),
-                             static_cast<uint32_t>(words.size())),
-              CkStatus::kOk);
+      cktest::ProgramLayout layout;
+      layout.code_base = ck::kPolicyCodeBase;
+      layout.data_base = ck::kPolicyFeatureBase;
+      layout.data_bytes = 4 * ck::kPolicyFeatureWords;
+      layout.read_only = seed % 4 != 0;
+      std::vector<uint32_t> words = cktest::GenerateProgram(seed, layout);
+      ASSERT_EQ(api.LoadPolicy(ck::ObjectType::kMapping, words.data(),
+                               static_cast<uint32_t>(words.size())),
+                CkStatus::kOk);
 
-    // Plain unlocked mappings only, so a fallback clock scan always evicts.
-    ckbase::Rng rng(seed);
-    std::vector<SpaceId> spaces;
-    for (uint32_t i = 0; i < 3; ++i) {
-      spaces.push_back(api.LoadSpace(i, /*locked=*/true).value());
-    }
-    for (int op = 0; op < 600; ++op) {
-      MappingSpec spec;
-      spec.space = spaces[rng.Below(spaces.size())];
-      spec.vaddr = static_cast<uint32_t>(rng.Below(32)) * cksim::kPageSize;
-      if (rng.Chance(1, 5)) {
-        api.UnloadMapping(spec.space, spec.vaddr);
-        continue;
+      // Plain unlocked mappings only, so a fallback clock scan always evicts.
+      ckbase::Rng rng(seed);
+      std::vector<SpaceId> spaces;
+      for (uint32_t i = 0; i < 3; ++i) {
+        spaces.push_back(api.LoadSpace(i, /*locked=*/true).value());
       }
-      spec.paddr = 0x100000 + static_cast<uint32_t>(rng.Below(64)) * cksim::kPageSize;
-      spec.flags.writable = rng.Chance(1, 2);
-      ASSERT_EQ(api.LoadMapping(spec), CkStatus::kOk) << "op " << op;
-      if (op % 100 == 0) {
-        std::vector<std::string> violations = ck.ValidateInvariants();
-        ASSERT_TRUE(violations.empty()) << "op " << op << ": " << violations[0];
+      for (int op = 0; op < 600; ++op) {
+        MappingSpec spec;
+        spec.space = spaces[rng.Below(spaces.size())];
+        spec.vaddr = static_cast<uint32_t>(rng.Below(32)) * cksim::kPageSize;
+        if (rng.Chance(1, 5)) {
+          api.UnloadMapping(spec.space, spec.vaddr);
+          continue;
+        }
+        spec.paddr = 0x100000 + static_cast<uint32_t>(rng.Below(64)) * cksim::kPageSize;
+        spec.flags.writable = rng.Chance(1, 2);
+        ASSERT_EQ(api.LoadMapping(spec), CkStatus::kOk) << "op " << op;
+        if (op % 100 == 0) {
+          std::vector<std::string> violations = ck.ValidateInvariants();
+          ASSERT_TRUE(violations.empty()) << "op " << op << ": " << violations[0];
+        }
       }
-    }
-    std::vector<std::string> violations = ck.ValidateInvariants();
-    EXPECT_TRUE(violations.empty()) << violations.size() << " violations, first: "
-                                    << violations[0];
-    ExpectConservation(ck);
+      std::vector<std::string> violations = ck.ValidateInvariants();
+      EXPECT_TRUE(violations.empty()) << violations.size() << " violations, first: "
+                                      << violations[0];
+      ExpectConservation(ck);
 
-    const obs::TraceRing& ring = machine.tracer()->ring(0);
-    ASSERT_EQ(ring.dropped(), 0u);
-    uint64_t wins = 0;
-    uint64_t by_reason[4] = {0, 0, 0, 0};
-    for (size_t i = 0; i < ring.size(); ++i) {
-      if (ring.at(i).type == static_cast<uint8_t>(obs::EventType::kPolicyGuest)) {
-        ++wins;
-      } else if (ring.at(i).type == static_cast<uint8_t>(obs::EventType::kPolicyFallback)) {
-        EXPECT_EQ(ring.at(i).arg32 >> 8, static_cast<uint32_t>(ck::ObjectType::kMapping));
-        ++by_reason[ring.at(i).arg32 & 3u];
+      const obs::TraceRing& ring = machine.tracer()->ring(0);
+      ASSERT_EQ(ring.dropped(), 0u);
+      uint64_t wins = 0;
+      uint64_t by_reason[4] = {0, 0, 0, 0};
+      for (size_t i = 0; i < ring.size(); ++i) {
+        if (ring.at(i).type == static_cast<uint8_t>(obs::EventType::kPolicyGuest)) {
+          ++wins;
+        } else if (ring.at(i).type == static_cast<uint8_t>(obs::EventType::kPolicyFallback)) {
+          EXPECT_EQ(ring.at(i).arg32 >> 8, static_cast<uint32_t>(ck::ObjectType::kMapping));
+          ++by_reason[ring.at(i).arg32 & 3u];
+        }
       }
+      const ck::CkStats& s = ck.stats();
+      uint64_t fell_back = by_reason[0] + by_reason[1] + by_reason[2] + by_reason[3];
+      EXPECT_GT(wins + fell_back, 0u) << "the squeeze must force guest scans";
+      EXPECT_EQ(s.reclamations[static_cast<uint32_t>(ck::ObjectType::kMapping)], wins + fell_back);
+      EXPECT_EQ(s.policy_fallbacks, fell_back);
+      EXPECT_EQ(s.policy_vm_faults + s.policy_vm_budget, by_reason[1] + by_reason[2]);
+      EXPECT_EQ(s.policy_vm_faults, by_reason[1]);
+      EXPECT_EQ(s.policy_vm_budget, by_reason[2]);
+      uint64_t tenant_steps = 0;
+      uint64_t tenant_fallbacks = 0;
+      for (const ck::CostAccount& t : ck.tenant_accounts()) {
+        tenant_steps += t.policy_vm_steps;
+        tenant_fallbacks += t.policy_fallbacks;
+      }
+      EXPECT_EQ(tenant_steps, s.policy_vm_steps);
+      EXPECT_EQ(tenant_fallbacks, s.policy_fallbacks);
+      guest_wins += wins;
+      fallbacks += fell_back;
     }
-    const ck::CkStats& s = ck.stats();
-    uint64_t fell_back = by_reason[0] + by_reason[1] + by_reason[2] + by_reason[3];
-    EXPECT_GT(wins + fell_back, 0u) << "the squeeze must force guest scans";
-    EXPECT_EQ(s.reclamations[static_cast<uint32_t>(ck::ObjectType::kMapping)], wins + fell_back);
-    EXPECT_EQ(s.policy_fallbacks, fell_back);
-    EXPECT_EQ(s.policy_vm_faults + s.policy_vm_budget, by_reason[1] + by_reason[2]);
-    EXPECT_EQ(s.policy_vm_faults, by_reason[1]);
-    EXPECT_EQ(s.policy_vm_budget, by_reason[2]);
-    uint64_t tenant_steps = 0;
-    uint64_t tenant_fallbacks = 0;
-    for (const ck::CostAccount& t : ck.tenant_accounts()) {
-      tenant_steps += t.policy_vm_steps;
-      tenant_fallbacks += t.policy_fallbacks;
-    }
-    EXPECT_EQ(tenant_steps, s.policy_vm_steps);
-    EXPECT_EQ(tenant_fallbacks, s.policy_fallbacks);
-    guest_wins += wins;
-    fallbacks += fell_back;
   }
   EXPECT_GT(guest_wins, 0u) << "some generated program must win a scan";
   EXPECT_GT(fallbacks, 0u) << "some generated program must fall back";

@@ -43,7 +43,7 @@ class TenantTest : public ::testing::Test {
     for (uint32_t i = 0; i < pages; ++i) {
       cksim::VirtAddr vaddr = 0x00400000 + i * cksim::kPageSize;
       ckapp::PageRecord* page = app->space(space).FindPage(vaddr);
-      app->MaterializePage(api, app->space(space), *page, vaddr);
+      app->MaterializePage(api, app->space(space), *page);
     }
     ckisa::AssembleResult assembled = ckisa::Assemble(R"(
         li   t0, 0x00400000

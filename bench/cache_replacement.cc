@@ -1,15 +1,24 @@
-// Working-set sweep over the mapping cache's replacement policies.
+// Working-set sweep over mapping-cache replacement policies.
 //
-// The descriptor caches default to the paper's clock scan; the ObjectCache
-// layer (src/ck/object_cache.h) also offers FIFO and second-chance. This
-// bench drives the policy that actually has a hardware referenced bit -- the
-// mapping cache -- with the canonical workload that separates them: a small
-// hot set re-accessed every round plus a cold stream cycling through a
-// larger working set, against a fixed mapping-cache capacity.
+// The Cache Kernel's one built-in victim scan is the paper's clock; any other
+// policy is an application kernel's guest program, installed with LoadPolicy
+// and run sandboxed (docs/POLICY_VM.md). This bench drives the cache that
+// actually has a hardware referenced bit -- the mapping cache -- with the
+// canonical workload that separates policies: a small hot set re-accessed
+// every round plus a cold stream cycling through a larger working set,
+// against a fixed mapping-cache capacity.
 //
 //   hot_miss_pct        % of hot-page accesses that found the mapping evicted
 //   writebacks_per_1k   Figure-6 writebacks per 1000 accesses (hot + cold)
-//   scan_per_reclaim    mean clock-hand candidates examined per eviction
+//   scan_per_reclaim    mean candidates examined per eviction
+//
+// Rows:
+//
+//   clock        the built-in scan: no policy program loaded.
+//   fifo         a guest program that scores by load_seq_low (feature word
+//                4), so the scored scan evicts the oldest load.
+//   guest_mru    a guest program that scores by the complement of
+//                load_seq_low, so the scored scan evicts the newest load.
 //
 // Shape being demonstrated (recorded in BENCH_cache_replacement.json,
 // discussed in docs/PERFORMANCE.md and EXPERIMENTS.md X6): once the working
@@ -17,22 +26,16 @@
 // hot set every cycle, while clock observes the referenced bits the hot
 // accesses keep setting and sheds cold stream pages instead. Below capacity
 // every policy is equivalent (no reclamation at all) -- policy only matters
-// past the capacity cliff, which is the working-set model's claim.
-//
-// On top of the built-in scans, the bench drives the PolicyEngine rows:
-//
-//   perceptron   the ghost-cache-trained learned policy (kPerceptron knob).
-//                Gate: beats FIFO on the zipf trace, where its harvested
-//                referenced bits and eviction feedback actually pay off.
-//   guest_fifo   a CKVM policy program LoadPolicy'd into the sink kernel that
-//                scores by load_seq_low -- FIFO implemented by a sandboxed
-//                guest. Differential self-check: its victims are bit-exact
-//                with the built-in FIFO row, so misses/writebacks must match.
+// past the capacity cliff, which is the working-set model's claim. On a
+// cyclic loop just over capacity, clock and FIFO both miss every access,
+// while the application kernel's own MRU program keeps most of the loop
+// resident: the paper's case for leaving policy to application kernels.
 //
 // `cache_replacement --self-check` replays the adversarial traces and
-// enforces those gates programmatically (plus the conservation identity and
-// zero sandbox faults), exiting nonzero on any failure; scripts/verify.sh
-// runs it under the sanitizers.
+// enforces those shapes as gates (plus the conservation identity, a
+// host-side FIFO queue as the fifo row's reference, and zero sandbox faults
+// and fallbacks), exiting nonzero on any failure; scripts/verify.sh runs it
+// under the sanitizers.
 //
 // Each round begins by flushing the space's TLB entries, the same
 // referenced-bit harvesting a real kernel performs: translations must go
@@ -44,7 +47,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -70,8 +75,7 @@ constexpr uint32_t kFrameBase = 0x100000 / cksim::kPageSize;  // backing frames
 
 // Writeback sink: the bench never faults (residency is checked before every
 // access) and mappings carry no thread state, so the handlers are empty. It
-// carries a PolicyTable so the perceptron and guest-program rows have
-// somewhere to live -- without one both would fall back to clock.
+// carries a PolicyTable so the guest-program rows have somewhere to live.
 class SinkKernel : public ck::AppKernel {
  public:
   ck::HandlerAction HandleFault(const ck::FaultForward&, CkApi&) override {
@@ -87,29 +91,43 @@ class SinkKernel : public ck::AppKernel {
   ck::PolicyTable table_;
 };
 
-// One bench row's policy configuration: the knob, plus optionally a guest
-// CKVM program that overrides it for the sink kernel's own descriptors.
+// One bench row: the mapping policy program the sink kernel loads, or none
+// for the built-in clock scan.
 struct PolicySetup {
-  ck::ReplacementPolicy knob = ck::ReplacementPolicy::kClock;
-  bool guest_fifo = false;  // LoadPolicy a score-by-load_seq program
+  const char* source = nullptr;  // guest program (assembler source)
 };
 
-// FIFO as a guest policy program: score each candidate by feature word 4
-// (load_seq_low); the scored scan takes the minimum with first-wins ties,
-// which is exactly the built-in FIFO's eviction order.
-std::vector<uint32_t> GuestFifoProgram() {
-  char source[128];
-  std::snprintf(source, sizeof(source),
-                "li t0, 0x%x\n"
-                "lw a0, %u(t0)\n"
-                "halt\n",
-                ck::kPolicyFeatureBase, 4u * static_cast<uint32_t>(sizeof(uint32_t)));
-  ckisa::AssembleResult assembled = ckisa::Assemble(source, ck::kPolicyCodeBase);
+// Score by feature word 4 (load_seq_low): the scored scan takes the minimum
+// with first-wins ties, i.e. the oldest load.
+constexpr char kFifoSource[] =
+    "li t0, 0x1000\n"
+    "lw a0, 16(t0)\n"
+    "halt\n";
+// Score by the complement of load_seq_low: the newest load scores lowest.
+constexpr char kMruSource[] =
+    "li t0, 0x1000\n"
+    "lw a0, 16(t0)\n"
+    "li t1, -1\n"
+    "xor a0, a0, t1\n"
+    "halt\n";
+static_assert(ck::kPolicyFeatureBase == 0x1000, "the programs address the feature window");
+
+// Load the row's policy program into the sink kernel, if it has one.
+void InstallPolicy(PolicySetup setup, CkApi& api) {
+  if (setup.source == nullptr) {
+    return;
+  }
+  ckisa::AssembleResult assembled = ckisa::Assemble(setup.source, ck::kPolicyCodeBase);
   if (!assembled.ok) {
-    std::fprintf(stderr, "guest_fifo assembly failed: %s\n", assembled.error.c_str());
+    std::fprintf(stderr, "policy program assembly failed: %s\n", assembled.error.c_str());
     std::exit(1);
   }
-  return assembled.program.words;
+  const std::vector<uint32_t>& words = assembled.program.words;
+  if (api.LoadPolicy(ck::ObjectType::kMapping, words.data(),
+                     static_cast<uint32_t>(words.size())) != CkStatus::kOk) {
+    std::fprintf(stderr, "LoadPolicy failed\n");
+    std::exit(1);
+  }
 }
 
 struct Totals {
@@ -123,8 +141,6 @@ struct Totals {
   uint64_t vm_runs = 0;
   uint64_t vm_faults = 0;
   uint64_t fallbacks = 0;
-  uint64_t trains = 0;
-  uint64_t ghost_hits = 0;
   bool conservation_ok = false;  // loads == unloads + writebacks + loaded
 };
 
@@ -136,8 +152,6 @@ void FinishTotals(Totals* totals, CacheKernel& ck) {
   totals->vm_runs = ck.stats().policy_vm_runs;
   totals->vm_faults = ck.stats().policy_vm_faults;
   totals->fallbacks = ck.stats().policy_fallbacks;
-  totals->trains = ck.stats().policy_trains;
-  totals->ghost_hits = ck.stats().policy_ghost_hits;
   totals->conservation_ok =
       ck.stats().loads[t] ==
       ck.stats().explicit_unloads[t] + ck.stats().writebacks[t] + ck.loaded_count(ck::ObjectType::kMapping);
@@ -151,19 +165,11 @@ Totals Run(PolicySetup setup, uint32_t working_set) {
   cksim::Machine machine(mc);
   ck::CacheKernelConfig config;
   config.mapping_slots = kMappingSlots;
-  config.replacement[static_cast<uint32_t>(ck::ObjectType::kMapping)] = setup.knob;
   CacheKernel ck(machine, config);
   SinkKernel sink;
   ck::KernelId kid = ck.BootFirstKernel(&sink, 0);
   CkApi api(ck, kid, machine.cpu(0));
-  if (setup.guest_fifo) {
-    std::vector<uint32_t> words = GuestFifoProgram();
-    if (api.LoadPolicy(ck::ObjectType::kMapping, words.data(),
-                       static_cast<uint32_t>(words.size())) != CkStatus::kOk) {
-      std::fprintf(stderr, "LoadPolicy failed\n");
-      std::exit(1);
-    }
-  }
+  InstallPolicy(setup, api);
   ck::SpaceId space = api.LoadSpace(0, false).value();
   ck::ThreadSpec tspec;
   tspec.space = space;
@@ -243,7 +249,8 @@ void BM_WorkingSet(benchmark::State& state, PolicySetup setup) {
 //   loop_over_cap  cyclic loop over capacity + 8 pages. The classic LRU/clock
 //                  adversary: the page about to be reused is always the one
 //                  the recency heuristic just evicted, so clock degrades to
-//                  ~100% miss exactly like FIFO.
+//                  ~100% miss exactly like FIFO, while MRU keeps all but a
+//                  few pages of the loop resident.
 //   zipf           Zipf(s=1.0) popularity over 256 pages. Skew is where
 //                  referenced bits earn their keep: clock keeps the popular
 //                  head resident while FIFO churns it with the tail.
@@ -324,19 +331,11 @@ Totals RunAdversarial(PolicySetup setup, TraceKind kind) {
   cksim::Machine machine(mc);
   ck::CacheKernelConfig config;
   config.mapping_slots = kMappingSlots;
-  config.replacement[static_cast<uint32_t>(ck::ObjectType::kMapping)] = setup.knob;
   CacheKernel ck(machine, config);
   SinkKernel sink;
   ck::KernelId kid = ck.BootFirstKernel(&sink, 0);
   CkApi api(ck, kid, machine.cpu(0));
-  if (setup.guest_fifo) {
-    std::vector<uint32_t> words = GuestFifoProgram();
-    if (api.LoadPolicy(ck::ObjectType::kMapping, words.data(),
-                       static_cast<uint32_t>(words.size())) != CkStatus::kOk) {
-      std::fprintf(stderr, "LoadPolicy failed\n");
-      std::exit(1);
-    }
-  }
+  InstallPolicy(setup, api);
   ck::SpaceId space = api.LoadSpace(0, false).value();
   ck::ThreadSpec tspec;
   tspec.space = space;
@@ -390,16 +389,11 @@ void BM_AdversarialTrace(benchmark::State& state, PolicySetup setup, TraceKind k
                                      static_cast<double>(totals.reclamations);
   state.counters["policy_vm_runs"] = static_cast<double>(totals.vm_runs);
   state.counters["policy_fallbacks"] = static_cast<double>(totals.fallbacks);
-  state.counters["policy_ghost_hits"] = static_cast<double>(totals.ghost_hits);
 }
 
-constexpr PolicySetup kClockSetup{ck::ReplacementPolicy::kClock, false};
-constexpr PolicySetup kFifoSetup{ck::ReplacementPolicy::kFifo, false};
-constexpr PolicySetup kSecondChanceSetup{ck::ReplacementPolicy::kSecondChance, false};
-constexpr PolicySetup kPerceptronSetup{ck::ReplacementPolicy::kPerceptron, false};
-// The guest program overrides the knob, so the knob value is irrelevant; the
-// clock default makes the fallback path (were it ever taken) well defined.
-constexpr PolicySetup kGuestFifoSetup{ck::ReplacementPolicy::kClock, true};
+constexpr PolicySetup kClockSetup{};
+constexpr PolicySetup kFifoSetup{kFifoSource};
+constexpr PolicySetup kMruSetup{kMruSource};
 
 #define CK_ADVERSARIAL(policy_name, setup)                                            \
   BENCHMARK_CAPTURE(BM_AdversarialTrace, policy_name##_seq_scan, setup,               \
@@ -416,9 +410,7 @@ constexpr PolicySetup kGuestFifoSetup{ck::ReplacementPolicy::kClock, true};
 
 CK_ADVERSARIAL(clock, kClockSetup);
 CK_ADVERSARIAL(fifo, kFifoSetup);
-CK_ADVERSARIAL(second_chance, kSecondChanceSetup);
-CK_ADVERSARIAL(perceptron, kPerceptronSetup);
-CK_ADVERSARIAL(guest_fifo, kGuestFifoSetup);
+CK_ADVERSARIAL(guest_mru, kMruSetup);
 
 #undef CK_ADVERSARIAL
 
@@ -436,23 +428,32 @@ BENCHMARK_CAPTURE(BM_WorkingSet, fifo, kFifoSetup)
     ->Arg(192)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_WorkingSet, second_chance, kSecondChanceSetup)
-    ->Arg(48)
-    ->Arg(96)
-    ->Arg(192)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_WorkingSet, perceptron, kPerceptronSetup)
-    ->Arg(48)
-    ->Arg(96)
-    ->Arg(192)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+// Misses of a host-side FIFO queue of kMappingSlots pages replaying `trace`:
+// the reference the fifo row's guest program must match.
+uint64_t HostFifoMisses(const std::vector<uint32_t>& trace) {
+  std::deque<uint32_t> queue;
+  uint64_t misses = 0;
+  for (uint32_t page : trace) {
+    bool hit = false;
+    for (uint32_t resident : queue) {
+      hit = hit || resident == page;
+    }
+    if (hit) {
+      continue;
+    }
+    ++misses;
+    if (queue.size() == kMappingSlots) {
+      queue.pop_front();
+    }
+    queue.push_back(page);
+  }
+  return misses;
+}
 
 // ---------------------------------------------------------------------------
-// --self-check: replay the adversarial traces and enforce the PolicyEngine
-// gates programmatically. This is what scripts/verify.sh runs under TSan and
-// ASan -- the bench numbers are recorded separately by scripts/bench.sh.
+// --self-check: replay the adversarial traces and enforce the X6 gates
+// programmatically. This is what scripts/verify.sh runs under TSan and ASan
+// -- the bench numbers are recorded separately by scripts/bench.sh.
 // ---------------------------------------------------------------------------
 
 int SelfCheck() {
@@ -463,48 +464,53 @@ int SelfCheck() {
   for (TraceKind kind : kTraces) {
     Totals clock = RunAdversarial(kClockSetup, kind);
     Totals fifo = RunAdversarial(kFifoSetup, kind);
-    Totals perceptron = RunAdversarial(kPerceptronSetup, kind);
-    Totals guest = RunAdversarial(kGuestFifoSetup, kind);
+    Totals mru = RunAdversarial(kMruSetup, kind);
+    uint32_t distinct_pages = 0;
+    uint64_t host_fifo = HostFifoMisses(BuildTrace(kind, &distinct_pages));
     const char* name = TraceName(kind);
     char what[160];
 
-    std::snprintf(what, sizeof(what), "%s: conservation identity holds for every policy", name);
-    gates.Check(clock.conservation_ok && fifo.conservation_ok && perceptron.conservation_ok &&
-                    guest.conservation_ok,
-                what);
+    const std::pair<const char*, const Totals*> rows[] = {
+        {"clock", &clock}, {"fifo", &fifo}, {"guest_mru", &mru}};
+    for (const auto& [row, totals] : rows) {
+      std::snprintf(what, sizeof(what), "%s: conservation identity holds for %s", name, row);
+      gates.Check(totals->accesses > 0 && totals->conservation_ok, what);
+    }
 
-    // The guest FIFO program must be victim-for-victim identical to the
-    // built-in FIFO scan: same misses, same writebacks.
-    std::snprintf(what, sizeof(what),
-                  "%s: guest_fifo == fifo (misses %llu/%llu, writebacks %llu/%llu)", name,
-                  static_cast<unsigned long long>(guest.hot_misses),
+    // The fifo row's guest program must evict exactly what a FIFO queue
+    // would: same misses, access for access.
+    std::snprintf(what, sizeof(what), "%s: fifo == host FIFO queue (misses %llu/%llu)", name,
                   static_cast<unsigned long long>(fifo.hot_misses),
-                  static_cast<unsigned long long>(guest.writebacks),
-                  static_cast<unsigned long long>(fifo.writebacks));
-    gates.Check(guest.hot_misses == fifo.hot_misses && guest.writebacks == fifo.writebacks, what);
+                  static_cast<unsigned long long>(host_fifo));
+    gates.Check(fifo.reclamations > 0 && fifo.hot_misses == host_fifo, what);
 
-    std::snprintf(what, sizeof(what),
-                  "%s: guest sandbox ran clean (vm_runs=%llu faults=%llu fallbacks=%llu)", name,
-                  static_cast<unsigned long long>(guest.vm_runs),
-                  static_cast<unsigned long long>(guest.vm_faults),
-                  static_cast<unsigned long long>(guest.fallbacks));
-    gates.Check((guest.reclamations == 0 || guest.vm_runs > 0) && guest.vm_faults == 0 &&
-                    guest.fallbacks == 0,
-                what);
-
-    std::snprintf(what, sizeof(what), "%s: perceptron trained without falling back (trains=%llu)",
-                  name, static_cast<unsigned long long>(perceptron.trains));
-    gates.Check(
-        (perceptron.reclamations == 0 || perceptron.trains > 0) && perceptron.fallbacks == 0,
-        what);
+    for (const auto& [row, totals] : rows) {
+      if (totals == &clock) {
+        continue;
+      }
+      std::snprintf(what, sizeof(what),
+                    "%s: %s sandbox ran clean (vm_runs=%llu faults=%llu fallbacks=%llu)", name,
+                    row, static_cast<unsigned long long>(totals->vm_runs),
+                    static_cast<unsigned long long>(totals->vm_faults),
+                    static_cast<unsigned long long>(totals->fallbacks));
+      gates.Check(totals->vm_runs > 0 && totals->vm_faults == 0 && totals->fallbacks == 0,
+                  what);
+    }
 
     if (kind == TraceKind::kZipf) {
-      // The learned-policy gate: on skewed popularity the perceptron must
-      // beat FIFO's age-only eviction.
-      std::snprintf(what, sizeof(what), "zipf: perceptron beats fifo (misses %llu < %llu)",
-                    static_cast<unsigned long long>(perceptron.hot_misses),
+      // Referenced bits pay on skewed popularity: clock keeps the popular
+      // head resident while FIFO churns it with the tail.
+      std::snprintf(what, sizeof(what), "zipf: clock beats fifo (misses %llu < %llu)",
+                    static_cast<unsigned long long>(clock.hot_misses),
                     static_cast<unsigned long long>(fifo.hot_misses));
-      gates.Check(perceptron.hot_misses < fifo.hot_misses, what);
+      gates.Check(clock.hot_misses < fifo.hot_misses, what);
+    }
+    if (kind == TraceKind::kLoopOverCapacity) {
+      // The loop defeats clock; the application kernel's own policy wins.
+      std::snprintf(what, sizeof(what), "loop_over_cap: guest_mru beats clock (misses %llu < %llu)",
+                    static_cast<unsigned long long>(mru.hot_misses),
+                    static_cast<unsigned long long>(clock.hot_misses));
+      gates.Check(mru.hot_misses < clock.hot_misses, what);
     }
   }
 

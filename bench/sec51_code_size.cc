@@ -10,18 +10,28 @@
 // We count the equivalent partitions of this repository (supervisor code vs.
 // hardware substrate vs. user-level libraries) at run time by reading the
 // source tree, and print them against the paper's numbers.
+//
+// `sec51_code_size --self-check` gates the counts instead: every partition
+// must count lines, and the supervisor (src/ck) must stay at or under
+// kCkLinesCeiling.
 
 #include <cstdio>
-
-#include "src/ck/observability.h"
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "bench/bench_util.h"
+#include "src/ck/observability.h"
 
 namespace {
 
 namespace fs = std::filesystem;
+
+// src/ck's line count as last measured. A change that grows the supervisor
+// fails --self-check until it raises this number in its own diff.
+constexpr uint64_t kCkLinesCeiling = 6142;
 
 uint64_t CountLines(const fs::path& path) {
   std::ifstream in(path);
@@ -53,7 +63,8 @@ uint64_t CountDir(const fs::path& dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ck::ObsSession obs(argc, argv);  // accepts --trace/--metrics; nothing to observe here
+  // Accepts --trace/--metrics; nothing to observe here.
+  ck::ObsSession obs(argc, argv, {"--self-check"});
   // The source tree this binary was built from. Searching upward from the
   // working directory instead finds a build tree's src/ck first, which holds
   // no sources, and counts zero lines everywhere.
@@ -68,6 +79,27 @@ int main(int argc, char** argv) {
                        CountDir(root / "src" / "db") + CountDir(root / "src" / "rt") +
                        CountDir(root / "src" / "dsm");
   uint64_t prom_lines = CountDir(root / "src" / "prom");
+  const std::pair<const char*, uint64_t> partitions[] = {
+      {"src/ck", ck_lines},
+      {"src/base", base_lines},
+      {"src/sim", sim_lines},
+      {"src/isa", isa_lines},
+      {"src/appkernel", appkernel_lines},
+      {"src/srm", srm_lines},
+      {"emulators", emulators},
+      {"src/prom", prom_lines},
+  };
+
+  if (ckbench::HasFlag(argc, argv, "--self-check")) {
+    ckbench::Gates gates;
+    for (const auto& [name, lines] : partitions) {
+      gates.Check(lines > 0, std::string(name) + ": " + std::to_string(lines) + " lines counted");
+    }
+    gates.Check(ck_lines <= kCkLinesCeiling, "src/ck " + std::to_string(ck_lines) +
+                                                 " lines <= ceiling " +
+                                                 std::to_string(kCkLinesCeiling));
+    return gates.Finish();
+  }
 
   std::printf("\n=== Section 5.1: code size (lines) ===\n");
   std::printf("paper's comparison of VIRTUAL MEMORY system code:\n");
@@ -110,8 +142,7 @@ int main(int argc, char** argv) {
   obs.Finish();
   // A partition that counts nothing means the tree was not found; the shape
   // claim above must not pass on an empty measurement.
-  for (uint64_t lines : {ck_lines, base_lines, sim_lines, isa_lines, appkernel_lines, srm_lines,
-                         emulators, prom_lines}) {
+  for (const auto& [name, lines] : partitions) {
     if (lines == 0) {
       std::fprintf(stderr, "sec51_code_size: no sources counted under %s\n",
                    root.string().c_str());

@@ -78,9 +78,10 @@ TARGETS=("${@:-all}")
 # recorded MIPS figures are steady-state, not warm-up.
 want host_mips && record BENCH_host_mips.json microbench_host --benchmark_min_time=2.0
 want cluster_scaling && record BENCH_cluster_scaling.json cluster_scaling
-# cache_replacement first enforces the PolicyEngine gates (perceptron beats
-# FIFO on zipf, guest FIFO victim-exact with the built-in, zero sandbox
-# faults, conservation) and only then records the sweep.
+# cache_replacement first enforces the X6 gates (conservation per row, the
+# guest fifo row equal to a host FIFO queue, zero sandbox faults and
+# fallbacks, clock beats fifo on zipf, guest_mru beats clock on
+# loop_over_cap) and only then records the sweep.
 if want cache_replacement; then
   cmake --build "$BUILD" -j "$(nproc)" --target cache_replacement >/dev/null
   "$BUILD/bench/cache_replacement" --self-check

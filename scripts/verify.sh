@@ -59,7 +59,6 @@ LINT_FILES=(
   src/ck/config.h
   src/ck/object_cache.h
   src/ck/physmap.h
-  src/ck/policy.cc
   src/ck/policy.h
   src/isa/sandbox.h
   tests/base_test.cc
@@ -135,7 +134,7 @@ if $run_tsan; then
       fs_test property_test memory_tiers policy_vm_test cache_replacement \
       tickless_test ablation_quota ablation_rt_lock
   # property_test carries the tiered conservation storms plus the guest-policy
-  # and policy-switch storms, fs_test the tiered netboot serial-vs-parallel
+  # storms, fs_test the tiered netboot serial-vs-parallel
   # differential, policy_vm_test the sandbox confinement suite, and the
   # memory_tiers fixture the tiered cluster-determinism gate (docs/TIERING.md)
   # -- all must be clean under TSan with tiering enabled. tickless_test and

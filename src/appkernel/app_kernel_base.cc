@@ -124,6 +124,9 @@ uint32_t AppKernelBase::LoadProgramImage(uint32_t space_index, const ckisa::Prog
   uint32_t bytes = program.SizeBytes();
   uint32_t pages = (bytes + cksim::kPageSize - 1) / cksim::kPageSize;
   // Image pages allocate upward from 0; swap pages downward from the top.
+  if (pages > swap_next_ - image_next_) {
+    return kNoBackingPage;
+  }
   uint32_t first = image_next_;
   image_next_ += pages;
   for (uint32_t i = 0; i < pages; ++i) {
@@ -138,9 +141,12 @@ uint32_t AppKernelBase::LoadProgramImage(uint32_t space_index, const ckisa::Prog
 }
 
 uint32_t AppKernelBase::AllocateSwapPage() {
-  // Swap grows downward from the top of the backing store.
-  --swap_next_;
-  return swap_next_;
+  // Swap grows downward from the top of the backing store and stops at the
+  // program images below it.
+  if (swap_next_ <= image_next_) {
+    return kNoBackingPage;
+  }
+  return --swap_next_;
 }
 
 // ---------------------------------------------------------------------------
@@ -275,27 +281,34 @@ PhysAddr AppKernelBase::AllocateFrame(CkApi& api, VSpace& sp) {
   if (frame != 0) {
     return frame;
   }
-  // Out of frames: evict. Try the faulting space first, then any space.
+  // Out of frames: evict. Try the faulting space first, then any space. A
+  // refused eviction (swap exhausted) fails the allocation.
   VirtAddr victim = ChooseVictim(sp);
   if (victim == 0) {
     for (auto& other : spaces_) {
       victim = ChooseVictim(*other);
       if (victim != 0) {
-        EvictPage(api, static_cast<uint32_t>(other->cookie), victim);
-        return frames_.Allocate();
+        return EvictPage(api, static_cast<uint32_t>(other->cookie), victim) ? frames_.Allocate()
+                                                                            : 0;
       }
     }
     return 0;
   }
-  EvictPage(api, static_cast<uint32_t>(sp.cookie), victim);
-  return frames_.Allocate();
+  return EvictPage(api, static_cast<uint32_t>(sp.cookie), victim) ? frames_.Allocate() : 0;
 }
 
-void AppKernelBase::EvictPage(CkApi& api, uint32_t space_index, VirtAddr vaddr) {
+bool AppKernelBase::EvictPage(CkApi& api, uint32_t space_index, VirtAddr vaddr) {
   VSpace& sp = *spaces_[space_index];
   PageRecord* page = sp.FindPage(vaddr);
   if (page == nullptr || page->where != PageRecord::Where::kResident) {
-    return;
+    return false;
+  }
+  // The unload below reports the modified bit, so check for somewhere to
+  // write the page before committing to the eviction: a page that may be
+  // dirty, with no backing page and no swap left, stays resident.
+  bool may_be_dirty = page->dirty || (page->writable && page->mapping_loaded && sp.loaded);
+  if (may_be_dirty && page->backing_page == kNoBackingPage && swap_next_ <= image_next_) {
+    return false;
   }
   if (page->mapping_loaded && sp.loaded) {
     // The writeback reports the modified bit; OnMappingWriteback records it.
@@ -317,6 +330,7 @@ void AppKernelBase::EvictPage(CkApi& api, uint32_t space_index, VirtAddr vaddr) 
   page->where = page->backing_page != kNoBackingPage ? PageRecord::Where::kBacking
                                                      : PageRecord::Where::kZeroFill;
   UnlinkResident(*page);
+  return true;
 }
 
 bool AppKernelBase::MaterializePage(CkApi& api, VSpace& sp, PageRecord& page) {
@@ -657,12 +671,11 @@ void AppKernelBase::OnSpaceWriteback(const ck::SpaceWriteback& record, CkApi& ap
   }
 }
 
-// Replacement-policy state rides the kAppExtra record: guest policy program
-// words and the perceptrons' weights, ghost caches and counters, field by
-// field, so a restored or migrated kernel resumes with a bit-identical
-// PolicyTable (PolicyTable::Digest compares equal across the round trip).
-// Subclasses that add their own extra state must chain these base versions
-// first, in the same order on both sides.
+// Replacement-policy state rides the kAppExtra record: per descriptor type,
+// whether a guest policy program is loaded and its words, so a restored or
+// migrated kernel resumes with an identical PolicyTable. Subclasses that add
+// their own extra state must chain these base versions first, in the same
+// order on both sides.
 void AppKernelBase::CaptureExtra(ckckpt::Writer& w, CkApi& api) {
   (void)api;
   for (uint32_t t = 0; t < ck::kObjectTypeCount; ++t) {
@@ -672,21 +685,6 @@ void AppKernelBase::CaptureExtra(ckckpt::Writer& w, CkApi& api) {
     for (uint32_t word : g.words) {
       w.U32(word);
     }
-    const ck::Perceptron& p = policy_table_.perceptron[t];
-    for (uint32_t i = 0; i < ck::Perceptron::kFeatureCount; ++i) {
-      w.U32(static_cast<uint32_t>(p.w[i]));
-    }
-    w.U32(static_cast<uint32_t>(p.ghost.size()));
-    for (const ck::Perceptron::Ghost& g2 : p.ghost) {
-      w.U64(g2.key);
-      for (uint32_t i = 0; i < ck::Perceptron::kFeatureCount; ++i) {
-        w.U32(static_cast<uint32_t>(g2.x[i]));
-      }
-      w.U8(g2.valid);
-    }
-    w.U64(p.ghost_hits);
-    w.U64(p.trains);
-    w.U32(p.harvest_hand);
   }
 }
 
@@ -704,25 +702,6 @@ void AppKernelBase::RestoreExtra(ckckpt::Reader& r, CkApi& api) {
     for (uint32_t i = 0; i < words; ++i) {
       g.words[i] = r.U32();
     }
-    ck::Perceptron& p = policy_table_.perceptron[t];
-    for (uint32_t i = 0; i < ck::Perceptron::kFeatureCount; ++i) {
-      p.w[i] = static_cast<int32_t>(r.U32());
-    }
-    uint32_t ghosts = r.U32();
-    if (ghosts != ck::Perceptron::kGhostSlots) {
-      r.Fail("perceptron ghost-cache size mismatch");
-      return;
-    }
-    for (ck::Perceptron::Ghost& g2 : p.ghost) {
-      g2.key = r.U64();
-      for (uint32_t i = 0; i < ck::Perceptron::kFeatureCount; ++i) {
-        g2.x[i] = static_cast<int32_t>(r.U32());
-      }
-      g2.valid = r.U8();
-    }
-    p.ghost_hits = r.U64();
-    p.trains = r.U64();
-    p.harvest_hand = r.U32();
     if (!r.ok()) {
       return;
     }

@@ -71,6 +71,10 @@ class AppKernelBase : public ck::AppKernel {
 
   FramePool& frames() { return frames_; }
   BackingStore& backing() { return backing_; }
+  // Backing-store allocators: images grow up to image_next, swap down to
+  // swap_next, and swap_next >= image_next always holds.
+  uint32_t image_next() const { return image_next_; }
+  uint32_t swap_next() const { return swap_next_; }
   const PagingStats& paging_stats() const { return paging_stats_; }
 
   // ---- space management ----
@@ -96,7 +100,8 @@ class AppKernelBase : public ck::AppKernel {
                        cksim::PhysAddr source_first_frame);
 
   // Load a CKVM program image into the backing store and define the region.
-  // Returns the first backing page used.
+  // Returns the first backing page used, or kNoBackingPage (nothing defined)
+  // when the image would reach into the pages swap has handed out.
   uint32_t LoadProgramImage(uint32_t space_index, const ckisa::Program& program, bool writable);
 
   // ---- thread management ----
@@ -111,7 +116,9 @@ class AppKernelBase : public ck::AppKernel {
   bool AllThreadsFinished() const;
 
   // Force a resident page out (replacement experiments / explicit unload).
-  void EvictPage(ck::CkApi& api, uint32_t space_index, cksim::VirtAddr vaddr);
+  // False when the page is not resident, or when it may be dirty and has no
+  // backing page and swap is exhausted: it then stays resident and mapped.
+  bool EvictPage(ck::CkApi& api, uint32_t space_index, cksim::VirtAddr vaddr);
 
   // Load the mapping for a page without a faulting thread (senders must map
   // message pages before signaling; "each application kernel is expected to
@@ -138,9 +145,9 @@ class AppKernelBase : public ck::AppKernel {
   void OnThreadHalt(ck::ThreadId thread, uint64_t cookie, ck::CkApi& api) override;
 
   // Replacement-policy state (src/ck/policy.h): every library-based kernel
-  // keeps a PolicyTable, so the Cache Kernel's perceptron policy and the
-  // LoadPolicy operation work out of the box. CaptureExtra/RestoreExtra
-  // carry it through checkpoint and migration with a bit-exact digest.
+  // keeps a PolicyTable, so the LoadPolicy operation works out of the box.
+  // CaptureExtra/RestoreExtra carry its programs through checkpoint and
+  // migration word for word.
   ck::PolicyTable* policy_table() override { return &policy_table_; }
   // Assemble + install a guest victim-scoring program for `type` (see
   // docs/POLICY_VM.md for the source contract). Empty string on success,
@@ -205,7 +212,8 @@ class AppKernelBase : public ck::AppKernel {
 
   // Allocate a frame, evicting if necessary. 0 on failure.
   cksim::PhysAddr AllocateFrame(ck::CkApi& api, VSpace& sp);
-  // Allocate a backing-store page for a dirty zero-fill page being evicted.
+  // Allocate a backing-store page for a dirty zero-fill page being evicted;
+  // kNoBackingPage once swap has come down to the program images.
   uint32_t AllocateSwapPage();
 
   // Resolve a fault on a known page record: fetch contents, load mapping,

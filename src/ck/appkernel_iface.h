@@ -115,10 +115,9 @@ class AppKernel {
   }
 
   // Per-kernel replacement-policy state (src/ck/policy.h): the loaded guest
-  // policy programs and perceptrons the Cache Kernel consults when reclaiming
-  // this kernel's descriptors. nullptr (the default) means the kernel
-  // delegates policy entirely to the knob defaults -- LoadPolicy fails and
-  // kPerceptron falls back to clock for its descriptors.
+  // policy programs the Cache Kernel consults when reclaiming this kernel's
+  // descriptors. nullptr (the default) means the kernel keeps no policy of
+  // its own -- LoadPolicy fails and its descriptors reclaim by clock.
   virtual PolicyTable* policy_table() { return nullptr; }
 };
 

@@ -17,17 +17,6 @@ using cksim::Cycles;
 using cksim::PhysAddr;
 using cksim::VirtAddr;
 
-namespace {
-
-// Ghost-cache identity of a mapping across unload/reload: descriptors are
-// re-created on reload, so the key must come from app-kernel-stable naming
-// (the space cookie and the page), not slots or generations.
-uint64_t MappingGhostKey(uint64_t space_cookie, VirtAddr vaddr) {
-  return space_cookie * 0x9E3779B97F4A7C15ull ^ (vaddr >> 12);
-}
-
-}  // namespace
-
 CacheKernel::CacheKernel(cksim::Machine& machine, const CacheKernelConfig& config)
     : machine_(machine),
       config_(config),
@@ -40,24 +29,13 @@ CacheKernel::CacheKernel(cksim::Machine& machine, const CacheKernelConfig& confi
                    config.page_table_arena_bytes),
       frame_tiers_(machine.memory().page_count()),
       remote_frames_(machine.memory().page_count()) {
-  knobs_.fastpath = config.fastpath;
-  knobs_.trace_exec = config.trace_exec;
-  knobs_.profile_period = config.profile_period;
-  for (uint32_t t = 0; t < kObjectTypeCount; ++t) {
-    knobs_.replacement[t] = config.replacement[t];
-  }
-  knobs_.tier_dram_frames = config.tier_dram_frames;
-  knobs_.tier_demote = config.tier_demote;
-  knobs_.tier_promote_period = config.tier_promote_period;
-  knobs_.tier_scan_frames = config.tier_scan_frames;
-  knobs_.policy_step_budget = config.policy_step_budget;
   tier_ref_.assign(machine.memory().page_count(), 0);
   tenant_.resize(config.kernel_slots);
   profile_pcs_.resize(config.kernel_slots);
   samplers_.resize(machine.cpu_count());
-  if (knobs_.profile_period != 0) {
+  if (config.profile_period != 0) {
     for (uint32_t c = 0; c < machine.cpu_count(); ++c) {
-      samplers_[c].Arm(machine.cpu(c).clock(), knobs_.profile_period);
+      samplers_[c].Arm(machine.cpu(c).clock(), config.profile_period);
     }
   }
   ready_.resize(machine.cpu_count());
@@ -146,7 +124,6 @@ Result<KernelId> CacheKernel::LoadKernel(KernelId caller, cksim::Cpu& cpu, AppKe
   Tenant(kernels_.SlotOf(mgr)).loads[static_cast<uint32_t>(ObjectType::kKernel)]++;
   CK_TRACE(Ring(cpu), obs::EventType::kObjectLoad, cpu.clock(),
            static_cast<uint32_t>(ObjectType::kKernel), kernels_.SlotOf(k));
-  NotePolicyLoad(ObjectType::kKernel, kernels_.SlotOf(k), cookie);
   cpu.Advance(cost.trap_exit);
   return KernelId{kernels_.IdOf(k)};
 }
@@ -311,7 +288,6 @@ Result<SpaceId> CacheKernel::LoadSpace(KernelId caller, cksim::Cpu& cpu, uint64_
   Tenant(space->kernel_slot).loads[static_cast<uint32_t>(ObjectType::kSpace)]++;
   CK_TRACE(Ring(cpu), obs::EventType::kObjectLoad, cpu.clock(),
            static_cast<uint32_t>(ObjectType::kSpace), spaces_.SlotOf(space));
-  NotePolicyLoad(ObjectType::kSpace, space->kernel_slot, cookie);
   cpu.Advance(cost.trap_exit);
   return SpaceId{spaces_.IdOf(space)};
 }
@@ -413,7 +389,6 @@ Result<ThreadId> CacheKernel::LoadThread(KernelId caller, cksim::Cpu& cpu,
   Tenant(thread->kernel_slot).loads[static_cast<uint32_t>(ObjectType::kThread)]++;
   CK_TRACE(Ring(cpu), obs::EventType::kObjectLoad, cpu.clock(),
            static_cast<uint32_t>(ObjectType::kThread), threads_.SlotOf(thread));
-  NotePolicyLoad(ObjectType::kThread, thread->kernel_slot, spec.cookie);
   cpu.Advance(cost.trap_exit);
   return ThreadId{threads_.IdOf(thread)};
 }
@@ -686,8 +661,6 @@ CkStatus CacheKernel::LoadMapping(KernelId caller, cksim::Cpu& cpu, const Mappin
     Tenant(space->kernel_slot).loads[static_cast<uint32_t>(ObjectType::kMapping)]++;
     CK_TRACE(Ring(cpu), obs::EventType::kObjectLoad, cpu.clock(),
              static_cast<uint32_t>(ObjectType::kMapping), spec.vaddr);
-    NotePolicyLoad(ObjectType::kMapping, space->kernel_slot,
-                   MappingGhostKey(space->cookie, spec.vaddr));
     TierAdmitFrame(frame, &cpu, space->kernel_slot);
     return CkStatus::kOk;
   }();
@@ -899,7 +872,7 @@ bool CacheKernel::MappingEffectivelyLocked(uint32_t pv_index) {
 // ---------------------------------------------------------------------------
 // Reclamation (capacity-forced victims)
 //
-// The scans themselves live in ObjectCache::Reclaim (src/ck/object_cache.h);
+// The scans themselves live in ObjectCache (src/ck/object_cache.h);
 // these Ops structs are the per-type glue: occupancy, the section 4.2
 // effective-lock pin chains, pass eligibility, the hardware referenced bit,
 // and eviction (stats + trace + the Figure 6 writeback cascade).
@@ -919,7 +892,6 @@ struct CacheKernel::KernelVictimOps {
   // A kernel descriptor is its own owner (it is written back to the first
   // kernel, but policy scoping follows the descriptor's identity).
   uint32_t OwnerSlot(uint32_t slot) const { return slot; }
-  uint64_t GhostKey(uint32_t slot) const { return ck.kernels_.SlotAt(slot)->cookie; }
   uint32_t StateClass(uint32_t) const { return 0; }
   void Evict(uint32_t slot) {
     ck.stats_.reclamations[static_cast<uint32_t>(ObjectType::kKernel)]++;
@@ -940,7 +912,6 @@ struct CacheKernel::SpaceVictimOps {
   bool TestAndClearReferenced(uint32_t) { return false; }
   bool PeekReferenced(uint32_t) const { return false; }
   uint32_t OwnerSlot(uint32_t slot) const { return ck.spaces_.SlotAt(slot)->kernel_slot; }
-  uint64_t GhostKey(uint32_t slot) const { return ck.spaces_.SlotAt(slot)->cookie; }
   uint32_t StateClass(uint32_t) const { return 0; }
   void Evict(uint32_t slot) {
     ck.stats_.reclamations[static_cast<uint32_t>(ObjectType::kSpace)]++;
@@ -969,7 +940,6 @@ struct CacheKernel::ThreadVictimOps {
   bool TestAndClearReferenced(uint32_t) { return false; }
   bool PeekReferenced(uint32_t) const { return false; }
   uint32_t OwnerSlot(uint32_t slot) const { return ck.threads_.SlotAt(slot)->kernel_slot; }
-  uint64_t GhostKey(uint32_t slot) const { return ck.threads_.SlotAt(slot)->cookie; }
   // Mirrors the pass preference: blocked victims are cheapest, running ones
   // cost a context switch.
   uint32_t StateClass(uint32_t slot) const {
@@ -1033,10 +1003,6 @@ struct CacheKernel::MappingVictimOps {
     MemMapEntry& rec = ck.pmap_.record(index);
     return ck.spaces_.SlotAt(rec.pv_space_slot())->kernel_slot;
   }
-  uint64_t GhostKey(uint32_t index) const {
-    MemMapEntry& rec = ck.pmap_.record(index);
-    return MappingGhostKey(ck.spaces_.SlotAt(rec.pv_space_slot())->cookie, rec.pv_vaddr());
-  }
   uint32_t StateClass(uint32_t) const { return 0; }
   void Evict(uint32_t index) {
     ck.stats_.reclamations[static_cast<uint32_t>(ObjectType::kMapping)]++;
@@ -1056,8 +1022,8 @@ PolicyTable* CacheKernel::PolicyTableOf(uint32_t kernel_slot) {
 
 namespace {
 
-// Assemble the fixed 8-word feature vector one candidate exposes to every
-// scoring policy -- and, bit for bit, the guest VM's read-only window.
+// Assemble the fixed 8-word feature vector one candidate exposes to a guest
+// policy program -- bit for bit, the guest VM's read-only window.
 template <typename Cache, typename Ops>
 VictimFeatures FeaturesFor(Cache& cache, Ops& ops, uint32_t slot, ObjectType type,
                            uint32_t requester_slot) {
@@ -1076,119 +1042,72 @@ VictimFeatures FeaturesFor(Cache& cache, Ops& ops, uint32_t slot, ObjectType typ
 
 }  // namespace
 
-// Policy-engine victim selection for one scan. Resolution order for the
-// requesting kernel: its loaded guest policy program (LoadPolicy) first,
-// else the perceptron when the type's knob asks for it, else the built-in
-// scan under the knob policy. Guest and perceptron scans go through
-// ObjectCache::ReclaimScored; any abort (sandbox fault, budget exhaustion,
-// nothing to score) falls back to the built-in clock scan with a
-// kPolicyFallback trace event, so a load never fails because a policy
-// program misbehaved.
+// Policy-engine victim selection for one scan: the requesting kernel's
+// loaded guest policy program (LoadPolicy) when it has one, else the
+// built-in clock scan. A guest scan goes through ObjectCache::ReclaimScored;
+// any abort (sandbox fault, budget exhaustion, nothing to score) falls back
+// to clock with a kPolicyFallback trace event, so a load never fails because
+// a policy program misbehaved.
 template <typename Cache, typename Ops>
 bool CacheKernel::ReclaimWithPolicy(Cache& cache, Ops& ops, ObjectType type, cksim::Cpu& cpu,
                                     uint32_t requester_slot, uint64_t& scan_steps) {
   uint32_t t = static_cast<uint32_t>(type);
-  ReplacementPolicy policy = knobs_.replacement[t];
   PolicyTable* table = PolicyTableOf(requester_slot);
+  if (table == nullptr || !table->guest[t].enabled) {
+    return cache.ReclaimClock(ops, scan_steps);
+  }
 
-  auto fall_back = [&](PolicyFallback reason) {
-    stats_.policy_fallbacks++;
-    Tenant(requester_slot).policy_fallbacks++;
-    CK_TRACE(Ring(cpu), obs::EventType::kPolicyFallback, cpu.clock(), requester_slot,
-             (t << 8) | static_cast<uint32_t>(reason));
-    return cache.Reclaim(ReplacementPolicy::kClock, ops, scan_steps);
+  const GuestPolicy& guest = table->guest[t];
+  uint32_t budget = config_.policy_step_budget;
+  uint64_t vm_steps = 0;
+  PolicyFallback abort_reason = PolicyFallback::kNoCandidate;
+  // The program only ever scores the requester's own descriptors: the admit
+  // filter keeps other kernels' candidates out of the window, so a malicious
+  // program cannot even observe them, let alone evict them.
+  auto admit = [&](uint32_t slot) { return ops.OwnerSlot(slot) == requester_slot; };
+  // Scoring has no side effects, so the program cannot change mid-scan.
+  ckisa::PolicyVm vm(guest.words.data(), static_cast<uint32_t>(guest.words.size()),
+                     kPolicyCodeBase, kPolicyFeatureBase);
+  auto score = [&](uint32_t slot, int64_t& s) {
+    VictimFeatures f = FeaturesFor(cache, ops, slot, type, requester_slot);
+    uint32_t window[kPolicyFeatureWords] = {f.slot,          f.age,          f.hw_ref,
+                                            f.soft_ref,      f.load_seq_low, f.state_class,
+                                            f.owner_is_self, f.object_type};
+    ckisa::PolicyVmResult r = vm.Run(window, kPolicyFeatureWords, budget);
+    stats_.policy_vm_runs++;
+    stats_.policy_vm_steps += r.steps;
+    vm_steps += r.steps;
+    budget -= r.steps <= budget ? r.steps : budget;
+    switch (r.event) {
+      case ckisa::PolicyVmEvent::kScore:
+        s = static_cast<int64_t>(r.score);
+        return true;
+      case ckisa::PolicyVmEvent::kFault:
+      case ckisa::PolicyVmEvent::kTrap:
+        stats_.policy_vm_faults++;
+        abort_reason = PolicyFallback::kFault;
+        return false;
+      case ckisa::PolicyVmEvent::kBudget:
+        stats_.policy_vm_budget++;
+        abort_reason = PolicyFallback::kBudget;
+        return false;
+    }
+    return false;
   };
-
-  if (table != nullptr && table->guest[t].enabled) {
-    const GuestPolicy& guest = table->guest[t];
-    uint32_t budget = knobs_.policy_step_budget;
-    uint64_t vm_steps = 0;
-    PolicyFallback abort_reason = PolicyFallback::kNoCandidate;
-    // The program only ever scores the requester's own descriptors: the
-    // admit filter keeps other kernels' candidates out of the window, so a
-    // malicious program cannot even observe them, let alone evict them.
-    auto admit = [&](uint32_t slot) { return ops.OwnerSlot(slot) == requester_slot; };
-    // Scoring has no side effects, so the program cannot change mid-scan.
-    ckisa::PolicyVm vm(guest.words.data(), static_cast<uint32_t>(guest.words.size()),
-                       kPolicyCodeBase, kPolicyFeatureBase);
-    auto score = [&](uint32_t slot, int64_t& s) {
-      VictimFeatures f = FeaturesFor(cache, ops, slot, type, requester_slot);
-      uint32_t window[kPolicyFeatureWords] = {f.slot,          f.age,         f.hw_ref,
-                                              f.soft_ref,      f.load_seq_low, f.state_class,
-                                              f.owner_is_self, f.object_type};
-      ckisa::PolicyVmResult r = vm.Run(window, kPolicyFeatureWords, budget);
-      stats_.policy_vm_runs++;
-      stats_.policy_vm_steps += r.steps;
-      vm_steps += r.steps;
-      budget -= r.steps <= budget ? r.steps : budget;
-      switch (r.event) {
-        case ckisa::PolicyVmEvent::kScore:
-          s = static_cast<int64_t>(r.score);
-          return true;
-        case ckisa::PolicyVmEvent::kFault:
-        case ckisa::PolicyVmEvent::kTrap:
-          stats_.policy_vm_faults++;
-          abort_reason = PolicyFallback::kFault;
-          return false;
-        case ckisa::PolicyVmEvent::kBudget:
-          stats_.policy_vm_budget++;
-          abort_reason = PolicyFallback::kBudget;
-          return false;
-      }
-      return false;
-    };
-    auto no_pre = [](uint32_t) {};
-    ScoredScan result = cache.ReclaimScored(ops, scan_steps, admit, score, no_pre);
-    // Host-side VM work is attributed to the kernel whose program ran,
-    // whatever the scan's outcome.
-    Tenant(requester_slot).policy_vm_steps += vm_steps;
-    if (result == ScoredScan::kEvicted) {
-      CK_TRACE(Ring(cpu), obs::EventType::kPolicyGuest, cpu.clock(), requester_slot,
-               static_cast<uint32_t>(vm_steps));
-      return true;
-    }
-    return fall_back(abort_reason);
+  ScoredScan result = cache.ReclaimScored(ops, scan_steps, admit, score);
+  // Host-side VM work is attributed to the kernel whose program ran,
+  // whatever the scan's outcome.
+  Tenant(requester_slot).policy_vm_steps += vm_steps;
+  if (result == ScoredScan::kEvicted) {
+    CK_TRACE(Ring(cpu), obs::EventType::kPolicyGuest, cpu.clock(), requester_slot,
+             static_cast<uint32_t>(vm_steps));
+    return true;
   }
-
-  if (policy == ReplacementPolicy::kPerceptron) {
-    if (table == nullptr) {
-      return fall_back(PolicyFallback::kNoTable);
-    }
-    Perceptron& p = table->perceptron[t];
-    // Referenced-bit harvest. The clock scan's recency signal comes from its
-    // lazy clearing: a bit survives about one hand lap, long enough for hot
-    // descriptors to re-set it and cold ones not to. The perceptron (trusted,
-    // in-CK -- the sandboxed guest path above must stay on the read-only
-    // peek) reproduces that decay with its own rotating hand, clearing
-    // kHarvestPerScan slots per scan and scoring with the peek, so the decay
-    // period is ~capacity/kHarvestPerScan scans regardless of victim order.
-    uint32_t cap = cache.capacity();
-    for (uint32_t k = 0; k < Perceptron::kHarvestPerScan && cap != 0; ++k) {
-      uint32_t s = p.harvest_hand % cap;
-      p.harvest_hand = (s + 1) % cap;
-      if (ops.Occupied(s)) {
-        ops.TestAndClearReferenced(s);
-      }
-    }
-    auto admit = [](uint32_t) { return true; };
-    auto score = [&](uint32_t slot, int64_t& s) {
-      s = p.Score(FeaturesFor(cache, ops, slot, type, requester_slot));
-      return true;
-    };
-    auto pre_evict = [&](uint32_t slot) {
-      VictimFeatures f = FeaturesFor(cache, ops, slot, type, requester_slot);
-      uint64_t before = p.trains;
-      p.NoteEvict(ops.GhostKey(slot), f);
-      stats_.policy_trains += p.trains - before;
-    };
-    ScoredScan result = cache.ReclaimScored(ops, scan_steps, admit, score, pre_evict);
-    if (result == ScoredScan::kEvicted) {
-      return true;
-    }
-    return fall_back(PolicyFallback::kNoCandidate);
-  }
-
-  return cache.Reclaim(policy, ops, scan_steps);
+  stats_.policy_fallbacks++;
+  Tenant(requester_slot).policy_fallbacks++;
+  CK_TRACE(Ring(cpu), obs::EventType::kPolicyFallback, cpu.clock(), requester_slot,
+           (t << 8) | static_cast<uint32_t>(abort_reason));
+  return cache.ReclaimClock(ops, scan_steps);
 }
 
 bool CacheKernel::ReclaimVictim(ObjectType type, cksim::Cpu& cpu, uint32_t requester_slot) {
@@ -1222,50 +1141,6 @@ bool CacheKernel::ReclaimVictim(ObjectType type, cksim::Cpu& cpu, uint32_t reque
   // victims examined, so it bills the loading kernel.
   Tenant(requester_slot).reclaim_scan_steps[t] += steps;
   return evicted;
-}
-
-void CacheKernel::NotePolicyLoad(ObjectType type, uint32_t owner_slot, uint64_t key) {
-  uint32_t t = static_cast<uint32_t>(type);
-  if (knobs_.replacement[t] != ReplacementPolicy::kPerceptron) {
-    return;  // built-in policies must see zero extra work (bit-exactness)
-  }
-  PolicyTable* table = PolicyTableOf(owner_slot);
-  if (table == nullptr) {
-    return;
-  }
-  Perceptron& p = table->perceptron[t];
-  uint64_t before = p.trains;
-  if (p.NoteLoad(key)) {
-    stats_.policy_ghost_hits++;
-  }
-  stats_.policy_trains += p.trains - before;
-}
-
-void CacheKernel::set_replacement_policy(ObjectType type, ReplacementPolicy policy) {
-  uint32_t t = static_cast<uint32_t>(type);
-  if (knobs_.replacement[t] == policy) {
-    return;
-  }
-  knobs_.replacement[t] = policy;
-  // A real switch resets the scan hand and soft referenced bits to their
-  // post-load values, so victim selection from here on is a deterministic
-  // function of the new policy and the load history -- not of how much scan
-  // state the outgoing policy happened to consume.
-  switch (type) {
-    case ObjectType::kKernel:
-      kernels_.ResetPolicyState();
-      break;
-    case ObjectType::kSpace:
-      spaces_.ResetPolicyState();
-      break;
-    case ObjectType::kThread:
-      threads_.ResetPolicyState();
-      break;
-    case ObjectType::kMapping:
-      pmap_.ResetPolicyState();
-      frame_tiers_.ResetPolicyState();  // scans under the same knob
-      break;
-  }
 }
 
 CkStatus CacheKernel::LoadPolicy(KernelId caller, cksim::Cpu& cpu, ObjectType type,
@@ -1316,7 +1191,7 @@ CkStatus CacheKernel::ClearPolicy(KernelId caller, cksim::Cpu& cpu, ObjectType t
 // Tiered physical memory (docs/TIERING.md)
 //
 // DRAM is a cache over the slow tier the same way the descriptor pools are
-// caches over application-kernel state: admission on load, the same pluggable
+// caches over application-kernel state: admission on load, the same clock
 // victim scan under pressure, and a cheaper writeback -- demotion keeps a
 // cold frame's mappings loaded at slow-tier fill cost where full eviction
 // pays the dependency-ordered unload cascade. Every transition runs at a
@@ -1336,8 +1211,6 @@ void CacheKernel::SetFrameTierInternal(uint32_t frame, cksim::MemTier to, TierCh
     frame_tiers_.OnRelease(frame);
   } else if (from == cksim::MemTier::kNone) {
     frame_tiers_.OnLoad(frame);
-  } else {
-    frame_tiers_.Touch(frame);  // migration counts as a fresh use either way
   }
   tier_ref_[frame] = 0;  // referenced evidence does not survive a transition
   bool valid_slot = tenant_slot < tenant_.size();
@@ -1382,14 +1255,13 @@ void CacheKernel::TierAdmitFrame(uint32_t frame, cksim::Cpu* cpu, uint32_t reque
   }
   cksim::PhysicalMemory& mem = machine_.memory();
   if (mem.tier_of(frame) != cksim::MemTier::kNone) {
-    frame_tiers_.Touch(frame);  // already tracked: recency refresh only
-    return;
+    return;  // already tracked
   }
   // Make room first. Pool-hook admissions arrive without a CPU to charge the
   // reclaim work to; they admit over budget and the next maintenance scan
   // trims DRAM back down.
   if (cpu != nullptr) {
-    while (mem.tier_count(cksim::MemTier::kDram) >= knobs_.tier_dram_frames) {
+    while (mem.tier_count(cksim::MemTier::kDram) >= config_.tier_dram_frames) {
       if (!TierReclaimOne(*cpu, requester_slot, frame)) {
         break;  // every candidate pinned: admit over budget
       }
@@ -1401,9 +1273,8 @@ void CacheKernel::TierAdmitFrame(uint32_t frame, cksim::Cpu* cpu, uint32_t reque
   }
 }
 
-// The demotion victim scan: the same generic Reclaim engine as the four
-// descriptor caches, run over physical frames under the mapping cache's
-// replacement policy. Occupied slots are DRAM-resident frames.
+// The demotion victim scan: the same clock engine as the four descriptor
+// caches, run over physical frames. Occupied slots are DRAM-resident frames.
 struct CacheKernel::FrameTierOps {
   static constexpr int kPasses = 1;
   static constexpr bool kScanOccupiedSteps = true;  // budget counts DRAM visits
@@ -1428,7 +1299,7 @@ struct CacheKernel::FrameTierOps {
     // frames with at least one virtual mapping are candidates: mapping-less
     // pool pages (file-cache data) pin DRAM under that mode -- exactly the
     // contrast bench/memory_tiers.cc measures against demotion.
-    return ck.knobs_.tier_demote || HasPvMapping(frame);
+    return ck.config_.tier_demote || HasPvMapping(frame);
   }
   bool Eligible(uint32_t, int) const { return true; }
   bool Pinned(uint32_t frame) { return ck.TierFramePinned(frame); }
@@ -1437,7 +1308,7 @@ struct CacheKernel::FrameTierOps {
   }
   void Evict(uint32_t frame) {
     uint32_t owner = ck.TierOwnerSlot(frame, requester_slot);
-    if (ck.knobs_.tier_demote) {
+    if (ck.config_.tier_demote) {
       // Demote: the mappings stay loaded; accesses re-fill their TLB entries
       // and pay the slow tier's fill latency until promotion brings the frame
       // back.
@@ -1472,22 +1343,21 @@ struct CacheKernel::FrameTierOps {
 bool CacheKernel::TierReclaimOne(cksim::Cpu& cpu, uint32_t requester_slot, uint32_t exclude) {
   FrameTierOps ops{*this, cpu, requester_slot, exclude};
   uint64_t steps = 0;
-  ReplacementPolicy policy = knobs_.replacement[static_cast<uint32_t>(ObjectType::kMapping)];
-  bool evicted = frame_tiers_.Reclaim(policy, ops, steps);
+  bool evicted = frame_tiers_.ReclaimClock(ops, steps);
   stats_.tier_scan_steps += steps;
   return evicted;
 }
 
 void CacheKernel::TierMaintenance(cksim::Cpu& cpu) {
-  if (!TierEnabled() || knobs_.tier_promote_period == 0 || cpu.clock() < tier_next_scan_) {
+  if (!TierEnabled() || config_.tier_promote_period == 0 || cpu.clock() < tier_next_scan_) {
     return;
   }
-  tier_next_scan_ = cpu.clock() + knobs_.tier_promote_period;
+  tier_next_scan_ = cpu.clock() + config_.tier_promote_period;
   cksim::PhysicalMemory& mem = machine_.memory();
   uint32_t fallback_slot = first_kernel_.id.slot;
   // Trim DRAM back to budget: pool-hook admissions overshoot (no CPU to
   // charge reclaim work to at allocation time) and settle here.
-  while (mem.tier_count(cksim::MemTier::kDram) > knobs_.tier_dram_frames) {
+  while (mem.tier_count(cksim::MemTier::kDram) > config_.tier_dram_frames) {
     if (!TierReclaimOne(cpu, fallback_slot, kNoFrame)) {
       break;
     }
@@ -1503,7 +1373,7 @@ void CacheKernel::TierMaintenance(cksim::Cpu& cpu) {
   // and the sweep visits that frame too. The hand ends one past the last
   // visit when the budget runs out, else (a full revolution) where it began.
   uint32_t page_count = mem.page_count();
-  uint32_t budget = knobs_.tier_scan_frames;
+  uint32_t budget = config_.tier_scan_frames;
   uint32_t hand = tier_promote_hand_;
   uint32_t left = page_count;  // positions the sweep has yet to cover
   while (budget > 0) {
@@ -1524,7 +1394,7 @@ void CacheKernel::TierMaintenance(cksim::Cpu& cpu) {
     if (!TierTestAndClearReferenced(frame, cpu)) {
       continue;
     }
-    while (mem.tier_count(cksim::MemTier::kDram) >= knobs_.tier_dram_frames) {
+    while (mem.tier_count(cksim::MemTier::kDram) >= config_.tier_dram_frames) {
       if (!TierReclaimOne(cpu, fallback_slot, frame)) {
         break;
       }
@@ -1631,9 +1501,6 @@ void CacheKernel::TierTouch(PhysAddr addr) {
     return;
   }
   tier_ref_[frame] = 1;
-  if (machine_.memory().tier_of(frame) != cksim::MemTier::kNone) {
-    frame_tiers_.Touch(frame);
-  }
 }
 
 void CacheKernel::TierFramePoolEvent(KernelId owner, PhysAddr frame_addr, bool allocated) {
@@ -2309,8 +2176,6 @@ void CacheKernel::RegisterMetrics(obs::Registry& registry) {
   registry.AddCounter("ck.policy.vm_faults", [s] { return s->policy_vm_faults; });
   registry.AddCounter("ck.policy.vm_budget", [s] { return s->policy_vm_budget; });
   registry.AddCounter("ck.policy.fallbacks", [s] { return s->policy_fallbacks; });
-  registry.AddCounter("ck.policy.ghost_hits", [s] { return s->policy_ghost_hits; });
-  registry.AddCounter("ck.policy.trains", [s] { return s->policy_trains; });
   const cksim::PhysicalMemory* pm = &machine_.memory();
   registry.AddCounter("ck.tier.dram_count",
                       [pm] { return pm->tier_count(cksim::MemTier::kDram); });
@@ -2416,7 +2281,7 @@ void CacheKernel::RegisterMetrics(obs::Registry& registry) {
 }
 
 void CacheKernel::set_profile_period(cksim::Cycles period) {
-  knobs_.profile_period = period;
+  config_.profile_period = period;
   for (uint32_t c = 0; c < machine_.cpu_count(); ++c) {
     samplers_[c].Arm(machine_.cpu(c).clock(), period);
   }

@@ -106,14 +106,12 @@ struct CkStats {
   uint64_t tier_release_slow = 0;  // slow -> untracked via frame-pool release
   uint64_t tier_scan_steps = 0;    // frames examined by demotion + promotion scans
   // Replacement-policy engine (docs/POLICY_VM.md): sandboxed guest policy
-  // runs and perceptron training. Tail-appended like the groups above.
-  uint64_t policy_vm_runs = 0;     // sandboxed policy-program executions
-  uint64_t policy_vm_steps = 0;    // CKVM instructions retired by policy programs
-  uint64_t policy_vm_faults = 0;   // runs ended by fault or trap
-  uint64_t policy_vm_budget = 0;   // scans aborted by step-budget exhaustion
-  uint64_t policy_fallbacks = 0;   // policy scans that fell back to clock
-  uint64_t policy_ghost_hits = 0;  // perceptron ghost-cache rehits (bad evictions)
-  uint64_t policy_trains = 0;      // perceptron weight updates
+  // runs. Tail-appended like the groups above.
+  uint64_t policy_vm_runs = 0;    // sandboxed policy-program executions
+  uint64_t policy_vm_steps = 0;   // CKVM instructions retired by policy programs
+  uint64_t policy_vm_faults = 0;  // runs ended by fault or trap
+  uint64_t policy_vm_budget = 0;  // scans aborted by step-budget exhaustion
+  uint64_t policy_fallbacks = 0;  // policy scans that fell back to clock
 };
 
 // Per-app-kernel cost attribution, indexed by kernel slot. Every increment
@@ -239,34 +237,9 @@ enum class UnloadCause : uint8_t {
   kDiscard,   // dropped without writeback (invariant repair) -> uncounted
 };
 
-// Runtime-mutable knobs, separated from CacheKernelConfig so config() stays
-// the immutable boot configuration. Initialized from the config at boot.
-struct RuntimeKnobs {
-  bool fastpath = true;
-  // Superblock trace execution on the fast path (no effect with fastpath
-  // off). Simulated results are identical either way.
-  bool trace_exec = true;
-  // Profiler sampling period in cycles; 0 disables sampling. Samples are
-  // taken only at fast-path flush points (see ckisa::PcSampler).
-  cksim::Cycles profile_period = 0;
-  ReplacementPolicy replacement[kObjectTypeCount] = {
-      ReplacementPolicy::kClock, ReplacementPolicy::kClock, ReplacementPolicy::kClock,
-      ReplacementPolicy::kClock};
-  // Tiered physical memory (docs/TIERING.md; boot defaults in
-  // CacheKernelConfig). tier_dram_frames == 0 disables tiering.
-  uint32_t tier_dram_frames = 0;
-  bool tier_demote = true;  // demote cold frames to the slow tier vs full evict
-  cksim::Cycles tier_promote_period = 0;
-  uint32_t tier_scan_frames = 64;
-  // Guest policy VM: CKVM instructions one victim scan may spend across all
-  // of its candidates before aborting to clock (docs/POLICY_VM.md).
-  uint32_t policy_step_budget = 4096;
-};
-
 // Capacity-only backing store for the frame-tier ObjectCache: the cache
-// tracks per-frame recency state (load stamps, soft referenced bits, clock
-// hand) over physical page frames; the frames themselves live in
-// cksim::PhysicalMemory.
+// tracks per-frame state (load stamps, clock hand) over physical page frames;
+// the frames themselves live in cksim::PhysicalMemory.
 class FrameTierStore {
  public:
   explicit FrameTierStore(uint32_t capacity) : capacity_(capacity) {}
@@ -412,12 +385,6 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   void RegisterMetrics(obs::Registry& registry);
   cksim::Machine& machine() { return machine_; }
   const CacheKernelConfig& config() const { return config_; }
-  const RuntimeKnobs& knobs() const { return knobs_; }
-  // Toggle the guest-execution fast path at runtime (tests/benches). Safe at
-  // any point: the flag is consulted once per dispatched guest quantum.
-  void set_fastpath(bool enabled) { knobs_.fastpath = enabled; }
-  // Toggle superblock trace execution (fast-path-only; see RuntimeKnobs).
-  void set_trace_exec(bool enabled) { knobs_.trace_exec = enabled; }
   // Set the profiler sampling period (cycles between guest-PC samples);
   // 0 disables. Takes effect at the next dispatched guest quantum.
   void set_profile_period(cksim::Cycles period);
@@ -439,26 +406,15 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   void set_fatal_hook(std::function<void(const std::string&)> hook) {
     fatal_hook_ = std::move(hook);
   }
-  // Switch a descriptor cache's replacement policy at runtime. Consulted
-  // once per reclamation, so this is safe at any point. A real switch (new
-  // policy != old) deterministically resets the cache's scan hand and soft
-  // referenced bits (ObjectCache::ResetPolicyState) so the run's subsequent
-  // victims don't depend on how much state the old policy consumed; the
-  // mapping type also resets the frame-tier cache, which scans under the
-  // same knob. Defined in cache_kernel.cc.
-  void set_replacement_policy(ObjectType type, ReplacementPolicy policy);
-  // Per-scan CKVM budget for guest policy programs (docs/POLICY_VM.md).
-  void set_policy_step_budget(uint32_t budget) { knobs_.policy_step_budget = budget; }
   // ---- tiered physical memory (docs/TIERING.md) ----
   // Set the DRAM budget (frames; 0 disables tiering) and the pressure mode
   // (demote-to-slow vs full evict). Safe at any point: consulted at the next
   // admission / maintenance scan. Frames touched before enabling stay
   // untracked (DRAM-like) until their next mapping load or pool allocation.
   void set_tiers(uint32_t dram_frames, bool demote) {
-    knobs_.tier_dram_frames = dram_frames;
-    knobs_.tier_demote = demote;
+    config_.tier_dram_frames = dram_frames;
+    config_.tier_demote = demote;
   }
-  void set_tier_promote_period(cksim::Cycles period) { knobs_.tier_promote_period = period; }
   // Frame where the next promotion sweep starts (docs/TIERING.md).
   uint32_t tier_promote_hand() const { return tier_promote_hand_; }
   // Recency touch for a frame an application kernel holds outside any
@@ -550,8 +506,7 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   bool MappingEffectivelyLocked(uint32_t pv_index);
 
   // -- reclamation (capacity-forced victims) --
-  // One generic engine (src/ck/object_cache.h) driven by per-type Ops glue;
-  // the policy comes from knobs_.replacement[type].
+  // One generic engine (src/ck/object_cache.h) driven by per-type Ops glue.
   struct KernelVictimOps;
   struct SpaceVictimOps;
   struct ThreadVictimOps;
@@ -559,20 +514,16 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   // `requester_slot` is the kernel slot whose load forced the scan; the scan
   // steps are charged to its cost account.
   bool ReclaimVictim(ObjectType type, cksim::Cpu& cpu, uint32_t requester_slot);
-  // Score-based selection under the requester's policy: its loaded guest
-  // program first, else the perceptron when the knob asks for it, with a
-  // traced clock fallback on fault / budget exhaustion / no candidate.
-  // Member template defined in cache_kernel.cc (every instantiation lives
-  // there).
+  // The requester's loaded guest policy program when it has one, else the
+  // clock scan; a guest scan that faults, exhausts its budget or finds no
+  // candidate falls back to clock with a trace event. Member template
+  // defined in cache_kernel.cc (every instantiation lives there).
   template <typename Cache, typename Ops>
   bool ReclaimWithPolicy(Cache& cache, Ops& ops, ObjectType type, cksim::Cpu& cpu,
                          uint32_t requester_slot, uint64_t& scan_steps);
   // The requester's per-kernel policy state, or nullptr (no kernel in the
   // slot, or its AppKernel keeps no PolicyTable).
   PolicyTable* PolicyTableOf(uint32_t kernel_slot);
-  // Ghost-cache training hook, called on every successful load of a
-  // descriptor whose type currently scans under kPerceptron.
-  void NotePolicyLoad(ObjectType type, uint32_t owner_slot, uint64_t key);
 
   // -- cascaded unload (Figure 6 order). Writeback unless kDiscard; the
   // cause picks the stat counter. Dependents are unloaded with kCascade
@@ -631,7 +582,7 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   bool FrameIsRemote(uint32_t pframe) const { return remote_frames_.Test(pframe); }
 
   // -- tiered physical memory (docs/TIERING.md) --
-  bool TierEnabled() const { return knobs_.tier_dram_frames != 0; }
+  bool TierEnabled() const { return config_.tier_dram_frames != 0; }
   // Why a tier transition happened; picks the stat counters. Restore reuses
   // kAdmit/kDemote so the conservation identities hold across round trips.
   enum class TierChange : uint8_t { kAdmit, kDemote, kPromote, kEvict, kRelease };
@@ -645,7 +596,7 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   // (frame-pool hook); charges and traces are skipped then and the budget is
   // enforced by the next maintenance scan instead.
   void TierAdmitFrame(uint32_t frame, cksim::Cpu* cpu, uint32_t requester_slot);
-  // Demote (or fully evict, per knobs_.tier_demote) one cold DRAM frame.
+  // Demote (or fully evict, per config_.tier_demote) one cold DRAM frame.
   // False when every candidate is pinned. `exclude` (kNoFrame when unused)
   // protects the frame currently being admitted or promoted.
   bool TierReclaimOne(cksim::Cpu& cpu, uint32_t requester_slot, uint32_t exclude);
@@ -674,8 +625,8 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   void FlushReverseTlbFrameAllCpus(uint32_t pframe);
 
   cksim::Machine& machine_;
-  const CacheKernelConfig config_;
-  RuntimeKnobs knobs_;
+  // Boot configuration; set_tiers and set_profile_period update it in place.
+  CacheKernelConfig config_;
 
   // The four descriptor caches: one ObjectCache layer over the per-type
   // stores (the mapping instance wraps the physical memory map).
@@ -684,10 +635,9 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   ObjectCache<ckbase::FixedPool<ThreadObject>> threads_;
   ObjectCache<PhysicalMemoryMap> pmap_;
   TableArena table_arena_;
-  // Frame-tier recency cache: load stamps / soft bits / clock hand over
-  // physical frames (one slot per frame; "loaded" == tier-tracked). The
-  // demotion victim scan runs the same pluggable Reclaim engine as the four
-  // descriptor caches, under the mapping type's replacement policy.
+  // Frame-tier cache: load stamps and clock hand over physical frames (one
+  // slot per frame; "loaded" == tier-tracked). The demotion victim scan is
+  // the same clock engine as the four descriptor caches.
   ObjectCache<FrameTierStore> frame_tiers_;
   std::vector<uint8_t> tier_ref_;   // soft referenced bit per frame (TierTouch)
   uint32_t tier_promote_hand_ = 0;  // round-robin start of the promotion scan

@@ -14,7 +14,7 @@ class GuestBusImpl : public ckisa::GuestBus {
  public:
   GuestBusImpl(CacheKernel& ck, cksim::Cpu& cpu, AddressSpaceObject* space, uint16_t asid)
       : ck_(ck), cpu_(cpu), space_(space), asid_(asid),
-        fast_enabled_(ck.knobs_.fastpath) {
+        fast_enabled_(ck.config_.fastpath) {
     if (fast_enabled_) {
       fp_.mtlb = &ck.micro_tlbs_[cpu.id()];
       fp_.tlb = &cpu.mmu().tlb();
@@ -27,10 +27,10 @@ class GuestBusImpl : public ckisa::GuestBus {
       fp_.cost_tlb_hit = ck.machine_.cost().tlb_hit;
       fp_.cost_mem_word = ck.machine_.cost().mem_word;
       fp_.cost_instruction = ck.machine_.cost().instruction;
-      if (ck.knobs_.profile_period != 0) {
+      if (ck.config_.profile_period != 0) {
         fp_.sampler = &ck.samplers_[cpu.id()];
       }
-      if (ck.knobs_.trace_exec) {
+      if (ck.config_.trace_exec) {
         // Superblock traces: the owning CPU's trace cache plus this quantum's
         // trace counters (FastPath contract: both set or both null).
         fp_.tcache = ck.trace_caches_[cpu.id()].get();
@@ -382,8 +382,8 @@ void CacheKernel::OnCpuTurn(cksim::Cpu& cpu) {
     stats_.context_switches++;
     CK_TRACE(Ring(cpu), obs::EventType::kContextSwitch, cpu.clock(), current->priority,
              threads_.IdOf(current).Packed());
-    // Dispatch is the recency signal for descriptor second chance: the
-    // thread, its space and its owning kernel are all in active use.
+    // Dispatch is the soft recency signal guest policies see: the thread,
+    // its space and its owning kernel are all in active use.
     threads_.Touch(threads_.SlotOf(current));
     spaces_.Touch(current->space_slot);
     kernels_.Touch(current->kernel_slot);
@@ -427,7 +427,7 @@ void CacheKernel::IdleTurn(cksim::Cpu& cpu) {
   if (!app_events_.empty()) {
     horizon = std::min(horizon, app_events_.front().at);
   }
-  if (TierEnabled() && knobs_.tier_promote_period != 0) {
+  if (TierEnabled() && config_.tier_promote_period != 0) {
     horizon = std::min(horizon, tier_next_scan_);
   }
   for (uint32_t i = 0; i < machine_.cpu_count(); ++i) {

@@ -244,9 +244,9 @@ std::vector<std::string> CacheKernel::ValidateInvariants() {
     }
   }
 
-  // A second-chance soft-reference bit may only be set on a loaded slot:
-  // ResetPolicyState and the eviction paths clear it on free, and a stray
-  // bit would give a policy scan a free ride on a recycled slot.
+  // A soft referenced bit may only be set on a loaded slot: the release
+  // paths clear it on free, and a stray bit would show a guest policy
+  // program a recycled slot as recently used.
   for (uint32_t slot = 0; slot < kernels_.capacity(); ++slot) {
     if (kernels_.soft_ref(slot) && kernels_.load_seq(slot) == 0) {
       fail("kernel cache soft-ref bit set on a free slot");

@@ -14,40 +14,6 @@
 
 namespace ck {
 
-// Victim-selection policy for a descriptor cache (src/ck/object_cache.h).
-// kClock is the paper's behavior and the default: a clock scan with second
-// chance on the hardware referenced bit for mappings (pool scans have no
-// hardware bit, so the clock hand takes the first unpinned slot). kFifo
-// evicts the oldest load. kSecondChance extends the clock scan with soft
-// referenced bits maintained by the Cache Kernel (thread dispatch, signal
-// delivery), giving recently-used descriptors one extra trip of the hand.
-// kPerceptron scores candidates with the requesting kernel's ghost-cache-
-// trained integer perceptron (src/ck/policy.h) and evicts the minimum;
-// kernels without a policy table fall back to clock. Guest CKVM policy
-// programs are not a policy name: an app kernel installs one with the
-// LoadPolicy operation and it overrides whatever knob is set for its own
-// descriptors.
-enum class ReplacementPolicy : uint8_t {
-  kClock = 0,
-  kFifo = 1,
-  kSecondChance = 2,
-  kPerceptron = 3,
-};
-
-inline const char* ReplacementPolicyName(ReplacementPolicy policy) {
-  switch (policy) {
-    case ReplacementPolicy::kClock:
-      return "clock";
-    case ReplacementPolicy::kFifo:
-      return "fifo";
-    case ReplacementPolicy::kSecondChance:
-      return "second-chance";
-    case ReplacementPolicy::kPerceptron:
-      return "perceptron";
-  }
-  return "?";
-}
-
 struct CacheKernelConfig {
   // Descriptor cache capacities (Table 1).
   uint32_t kernel_slots = 16;
@@ -73,15 +39,14 @@ struct CacheKernelConfig {
 
   // Guest-execution fast path (src/isa/fastpath.h): per-CPU micro-TLB,
   // decoded-instruction cache and batched cycle accounting. Simulated results
-  // are identical either way (tests/fastpath_test.cc enforces this); the
-  // escape hatch exists for differential testing and debugging
-  // (--fastpath=off on any bench/example).
+  // are identical either way (tests/fastpath_test.cc enforces this); off is
+  // the slow reference the differential tests compare against.
   bool fastpath = true;
 
   // Superblock trace execution (src/isa/fastpath.h TraceCache): chain decoded
   // instructions across basic-block boundaries and replay them with batched
   // cycle accounting. Requires fastpath; simulated results are identical
-  // either way (--trace-exec=off for differential runs).
+  // either way (off is the differential tests' trace-free reference).
   bool trace_exec = true;
 
   // Physical memory reserved for the Cache Kernel's page tables, carved from
@@ -92,30 +57,21 @@ struct CacheKernelConfig {
   // (the per-step histograms accumulate every fault regardless).
   uint32_t fault_history_depth = 64;
 
-  // Boot-time profiler sampling period in cycles between guest-PC samples;
-  // 0 (the default) disables sampling. Runtime-mutable through
-  // CacheKernel::set_profile_period (a RuntimeKnobs field, like fastpath).
+  // Profiler sampling period in cycles between guest-PC samples; 0 (the
+  // default) disables sampling. Also set at runtime through
+  // CacheKernel::set_profile_period (--profile).
   cksim::Cycles profile_period = 0;
-
-  // Boot-time replacement policy per descriptor cache, indexed by
-  // ck::ObjectType (kernel, space, thread, mapping). Runtime-mutable through
-  // CacheKernel::set_replacement_policy (a RuntimeKnobs field, like
-  // fastpath); this is only the boot default.
-  ReplacementPolicy replacement[4] = {ReplacementPolicy::kClock, ReplacementPolicy::kClock,
-                                      ReplacementPolicy::kClock, ReplacementPolicy::kClock};
 
   // Guest policy VM: CKVM instructions one victim scan may spend across all
   // of its candidates (docs/POLICY_VM.md). Exhaustion aborts the scan and
-  // falls back to clock with a kPolicyFallback trace event. Runtime-mutable
-  // through CacheKernel::set_policy_step_budget (a RuntimeKnobs field).
+  // falls back to clock with a kPolicyFallback trace event.
   uint32_t policy_step_budget = 4096;
 
   // Tiered physical memory (docs/TIERING.md). tier_dram_frames bounds how
   // many frames may be DRAM-resident at once; 0 (the default) disables
   // tiering entirely -- every frame stays untracked and behaves like DRAM,
-  // which is the pre-tiering behavior bit for bit. All four are runtime-
-  // mutable through CacheKernel::set_tiers / set_tier_promote_period
-  // (RuntimeKnobs fields, like fastpath); these are only the boot defaults.
+  // which is the pre-tiering behavior bit for bit. The budget and the
+  // pressure mode can also be set at runtime through CacheKernel::set_tiers.
   uint32_t tier_dram_frames = 0;
   // Under DRAM pressure: demote the cold victim to the slow tier (true, the
   // default -- keeps its mappings loaded at slow-tier access cost) or fully

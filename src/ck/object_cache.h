@@ -5,27 +5,25 @@
 // memory lines". This header is that claim as one piece of code: ObjectCache
 // wraps a fixed-capacity store (ckbase::FixedPool for the three object
 // pools, PhysicalMemoryMap for mappings) and adds the cache half of the
-// model -- load/release accounting, the replacement hand, and pluggable
-// victim selection -- so the per-type reclamation scans that used to be
-// written four times in cache_kernel.cc are one engine parameterized by a
-// small per-type Ops struct.
+// model -- load/release accounting, the replacement hand, and victim
+// selection -- so the per-type reclamation scans that used to be written four
+// times in cache_kernel.cc are one engine parameterized by a small per-type
+// Ops struct.
 //
 // The store is inherited publicly: every existing Lookup/SlotAt/record call
 // site keeps working, while Allocate/Release (pools) and Insert/Remove (the
 // map) are shadowed so the cache's accounting can never drift from the
 // store's occupancy (ValidateInvariants cross-checks slot-by-slot).
 //
-// Victim selection (Reclaim) is generic over:
-//   * Ops -- the per-type glue defined by CacheKernel: occupancy, the
-//     effective-lock pin chain of section 4.2, pass eligibility (threads
-//     prefer blocked victims), the hardware referenced bit (mappings), and
-//     eviction itself (stats + trace + the Figure 6 dependency-ordered
-//     writeback cascade).
-//   * ReplacementPolicy -- clock (the paper's behavior, default), FIFO
-//     (oldest load first), or second-chance (clock extended with the soft
-//     referenced bits this layer maintains).
+// Victim selection is generic over Ops -- the per-type glue defined by
+// CacheKernel: occupancy, the effective-lock pin chain of section 4.2, pass
+// eligibility (threads prefer blocked victims), the hardware referenced bit
+// (mappings), and eviction itself (stats + trace + the Figure 6
+// dependency-ordered writeback cascade). ReclaimClock, the paper's clock
+// scan, is the one built-in policy; ReclaimScored runs an application
+// kernel's guest policy program (CacheKernel::ReclaimWithPolicy).
 //
-// Two scan shapes exist, chosen by Ops::kScanOccupiedSteps:
+// The clock scan has two shapes, chosen by Ops::kScanOccupiedSteps:
 //   * false (pools): the hand walks slots, one budget unit per slot per
 //     pass; the hand only commits when a victim is evicted.
 //   * true (mappings): the hand walks occupied records -- the budget counts
@@ -39,8 +37,6 @@
 
 #include <cstdint>
 #include <vector>
-
-#include "src/ck/config.h"
 
 namespace ck {
 
@@ -60,7 +56,7 @@ class ObjectCache : public Store {
       : Store(capacity), load_seq_(capacity, 0), soft_ref_(capacity, 0) {}
 
   // ---- loaded/free accounting ----
-  // Every load stamps the slot with a monotonic sequence number (FIFO age)
+  // Every load stamps the slot with a monotonic sequence number (load age)
   // and an initial soft referenced bit; release clears both. The shadowing
   // wrappers below keep this automatic for every allocation path.
   void OnLoad(uint32_t slot) {
@@ -81,26 +77,15 @@ class ObjectCache : public Store {
   // in_use(); for the mapping instance it counts only PhysToVirt records --
   // signal/cow annotations occupy slots but are not cached objects.
   uint32_t loaded() const { return loaded_; }
-  // Recency hint for kSecondChance (thread dispatch, signal delivery, ...).
-  // Host-side bookkeeping: no simulated cost, ignored by the other policies.
+  // Recency hint (thread dispatch, signal delivery, ...), shown to guest
+  // policy programs as feature word 3. Host-side bookkeeping: no simulated
+  // cost, and the clock scan ignores it.
   void Touch(uint32_t slot) { soft_ref_[slot] = 1; }
 
   uint64_t load_seq(uint32_t slot) const { return load_seq_[slot]; }
   uint64_t load_clock() const { return load_clock_; }
   bool soft_ref(uint32_t slot) const { return soft_ref_[slot] != 0; }
   uint32_t hand() const { return hand_; }
-
-  // Deterministic state for a runtime policy switch: the hand returns to
-  // slot 0 and every loaded slot gets back the soft referenced bit OnLoad
-  // gave it, so the new policy starts from the same state it would see
-  // after a fresh load sequence regardless of what the old policy consumed.
-  void ResetPolicyState() {
-    hand_ = 0;
-    uint32_t cap = Store::capacity();
-    for (uint32_t slot = 0; slot < cap; ++slot) {
-      soft_ref_[slot] = load_seq_[slot] != 0 ? 1 : 0;
-    }
-  }
 
   // ---- store shadows (only instantiated for stores that have them) ----
   auto* Allocate() {
@@ -130,36 +115,79 @@ class ObjectCache : public Store {
   }
 
   // ---- victim selection ----
-  // Returns true after ops.Evict() ran on the chosen victim; false when
-  // every candidate is pinned (the caller fails the load cleanly with
-  // kNoResources). `scan_steps` accumulates candidates examined, for the
-  // per-type scan-length counters in CkStats.
+  // Clock scan. Returns true after ops.Evict() ran on the chosen victim;
+  // false when every candidate is pinned (the caller fails the load cleanly
+  // with kNoResources). `scan_steps` accumulates candidates examined, for the
+  // per-type scan-length counters in CkStats. A candidate whose hardware
+  // referenced bit is set survives exactly one trip of the hand (the bit is
+  // consumed).
   template <typename Ops>
-  bool Reclaim(ReplacementPolicy policy, Ops& ops, uint64_t& scan_steps) {
-    switch (policy) {
-      case ReplacementPolicy::kFifo:
-        return ReclaimFifo(ops, scan_steps);
-      case ReplacementPolicy::kSecondChance:
-        return ReclaimClock(ops, scan_steps, /*soft=*/true);
-      case ReplacementPolicy::kPerceptron:  // scored externally; clock backstop
-      case ReplacementPolicy::kClock:
-        break;
+  bool ReclaimClock(Ops& ops, uint64_t& scan_steps) {
+    uint32_t cap = Store::capacity();
+    uint32_t forced = kNoVictim;
+    if constexpr (Ops::kScanOccupiedSteps) {
+      // Mapping-shaped scan: budget in occupied visits, mutating hand.
+      for (uint32_t step = 0; step < cap; ++step) {
+        uint32_t slot = NextOccupied(ops);
+        if (slot == kNoVictim) {
+          break;
+        }
+        ++scan_steps;
+        if (ops.Pinned(slot)) {
+          continue;
+        }
+        if (forced == kNoVictim) {
+          forced = slot;  // fallback if everything stays referenced
+        }
+        if (ops.TestAndClearReferenced(slot)) {
+          continue;  // second chance
+        }
+        ops.Evict(slot);
+        return true;
+      }
+    } else {
+      // Pool-shaped scan: budget in slots per pass, hand commits on evict.
+      for (int pass = 0; pass < Ops::kPasses; ++pass) {
+        for (uint32_t step = 0; step < cap; ++step) {
+          uint32_t slot = (hand_ + step) % cap;
+          ++scan_steps;
+          if (!ops.Occupied(slot) || !ops.Eligible(slot, pass)) {
+            continue;
+          }
+          if (ops.Pinned(slot)) {
+            continue;
+          }
+          if (forced == kNoVictim) {
+            forced = slot;
+          }
+          if (ops.TestAndClearReferenced(slot)) {
+            continue;
+          }
+          hand_ = (slot + 1) % cap;
+          ops.Evict(slot);
+          return true;
+        }
+      }
     }
-    return ReclaimClock(ops, scan_steps, /*soft=*/false);
+    if (forced != kNoVictim && ops.Occupied(forced)) {
+      if constexpr (!Ops::kScanOccupiedSteps) {
+        hand_ = (forced + 1) % cap;
+      }
+      ops.Evict(forced);
+      return true;
+    }
+    return false;
   }
 
   // The score-based engine: one full sweep over occupied slots, evicting the
   // admitted unpinned candidate with the minimum score (first-wins ties, so
-  // a constant scoring function degenerates to FIFO order of slot index).
-  // `admit(slot)` filters candidates (guest policies only see the requesting
-  // kernel's descriptors); `score(slot, out)` returns false to abort the
-  // whole scan (sandbox fault / budget exhaustion -- the caller falls back);
-  // `pre_evict(slot)` runs after selection, before Ops::Evict tears the slot
-  // down, so learned policies can capture ghost-cache features. The hand is
+  // a constant scoring function picks the lowest slot index). `admit(slot)`
+  // filters candidates (guest policies only see the requesting kernel's
+  // descriptors); `score(slot, out)` returns false to abort the whole scan
+  // (sandbox fault / budget exhaustion -- the caller falls back). The hand is
   // untouched: scored policies are scan-order independent by construction.
-  template <typename Ops, typename Admit, typename Score, typename PreEvict>
-  ScoredScan ReclaimScored(Ops& ops, uint64_t& scan_steps, Admit&& admit, Score&& score,
-                           PreEvict&& pre_evict) {
+  template <typename Ops, typename Admit, typename Score>
+  ScoredScan ReclaimScored(Ops& ops, uint64_t& scan_steps, Admit&& admit, Score&& score) {
     uint32_t cap = Store::capacity();
     uint32_t best = kNoVictim;
     int64_t best_score = 0;
@@ -186,94 +214,11 @@ class ObjectCache : public Store {
     if (best == kNoVictim) {
       return ScoredScan::kNoCandidate;
     }
-    pre_evict(best);
     ops.Evict(best);
     return ScoredScan::kEvicted;
   }
 
  private:
-  // FIFO: evict the oldest-loaded unpinned object, i.e. the minimum load
-  // stamp. Ignores referenced bits and pass preference -- that indifference
-  // is the policy's failure mode the working-set sweep measures. Expressed
-  // through the scoring engine; the strict-min/first-wins selection and the
-  // per-occupied-slot step accounting reproduce the historic hand-written
-  // loop bit-exactly (the ckpt/cluster differentials hold it to that).
-  template <typename Ops>
-  bool ReclaimFifo(Ops& ops, uint64_t& scan_steps) {
-    auto admit = [](uint32_t) { return true; };
-    auto score = [this](uint32_t slot, int64_t& s) {
-      s = static_cast<int64_t>(load_seq_[slot]);
-      return true;
-    };
-    auto no_pre = [](uint32_t) {};
-    return ReclaimScored(ops, scan_steps, admit, score, no_pre) == ScoredScan::kEvicted;
-  }
-
-  // Clock scan; with `soft` the Cache Kernel's soft referenced bits join the
-  // hardware bit (both are consumed -- a referenced victim survives exactly
-  // one trip of the hand).
-  template <typename Ops>
-  bool ReclaimClock(Ops& ops, uint64_t& scan_steps, bool soft) {
-    uint32_t cap = Store::capacity();
-    uint32_t forced = kNoVictim;
-    if constexpr (Ops::kScanOccupiedSteps) {
-      // Mapping-shaped scan: budget in occupied visits, mutating hand.
-      for (uint32_t step = 0; step < cap; ++step) {
-        uint32_t slot = NextOccupied(ops);
-        if (slot == kNoVictim) {
-          break;
-        }
-        ++scan_steps;
-        if (ops.Pinned(slot)) {
-          continue;
-        }
-        if (forced == kNoVictim) {
-          forced = slot;  // fallback if everything stays referenced
-        }
-        bool hw = ops.TestAndClearReferenced(slot);
-        bool sw = soft && TestAndClearSoftRef(slot);
-        if (hw || sw) {
-          continue;  // second chance
-        }
-        ops.Evict(slot);
-        return true;
-      }
-    } else {
-      // Pool-shaped scan: budget in slots per pass, hand commits on evict.
-      for (int pass = 0; pass < Ops::kPasses; ++pass) {
-        for (uint32_t step = 0; step < cap; ++step) {
-          uint32_t slot = (hand_ + step) % cap;
-          ++scan_steps;
-          if (!ops.Occupied(slot) || !ops.Eligible(slot, pass)) {
-            continue;
-          }
-          if (ops.Pinned(slot)) {
-            continue;
-          }
-          if (forced == kNoVictim) {
-            forced = slot;
-          }
-          bool hw = ops.TestAndClearReferenced(slot);
-          bool sw = soft && TestAndClearSoftRef(slot);
-          if (hw || sw) {
-            continue;
-          }
-          hand_ = (slot + 1) % cap;
-          ops.Evict(slot);
-          return true;
-        }
-      }
-    }
-    if (forced != kNoVictim && ops.Occupied(forced)) {
-      if constexpr (!Ops::kScanOccupiedSteps) {
-        hand_ = (forced + 1) % cap;
-      }
-      ops.Evict(forced);
-      return true;
-    }
-    return false;
-  }
-
   // Advance the hand to the next occupied slot (wrapping), consuming it.
   // Returns kNoVictim when a full revolution finds nothing occupied.
   template <typename Ops>
@@ -289,15 +234,9 @@ class ObjectCache : public Store {
     return kNoVictim;
   }
 
-  bool TestAndClearSoftRef(uint32_t slot) {
-    bool was = soft_ref_[slot] != 0;
-    soft_ref_[slot] = 0;
-    return was;
-  }
-
   uint32_t hand_ = 0;               // replacement hand (per-cache, was per-type)
   uint32_t loaded_ = 0;             // slots with a nonzero load stamp
-  uint64_t load_clock_ = 0;         // monotonic load counter for FIFO age
+  uint64_t load_clock_ = 0;         // monotonic load counter
   std::vector<uint64_t> load_seq_;  // [slot] -> load stamp, 0 when free
   std::vector<uint8_t> soft_ref_;   // [slot] -> soft referenced bit
 };

@@ -31,13 +31,7 @@ void PrintUsage(const char* prog, const std::vector<std::string>& passthrough) {
                "  --metrics                dump metrics to stdout at the end\n"
                "  --metrics-out=<file>     write Prometheus-style text exposition\n"
                "  --profile[=<cycles>]     sample guest PCs every <cycles> (default %llu)\n"
-               "  --flight-recorder=<dir>  dump post-mortem records into <dir>\n"
-               "  --fastpath=on|off        force the guest-execution fast path\n"
-               "  --trace-exec=on|off      force superblock trace execution\n"
-               "  --policy=[<type>:]<name> replacement policy: clock|fifo|second-chance|\n"
-               "                           perceptron, for all four object types or one of\n"
-               "                           kernel|space|thread|mapping\n"
-               "  --tiers=off|<frames>[,demote|,evict]  tiered memory DRAM budget\n",
+               "  --flight-recorder=<dir>  dump post-mortem records into <dir>\n",
                prog, static_cast<unsigned long long>(kDefaultProfilePeriod));
   if (!passthrough.empty()) {
     std::fprintf(stderr, "binary-specific flags:\n");
@@ -85,87 +79,6 @@ ObsSession::ObsSession(int& argc, char** argv, std::initializer_list<const char*
       profile_period_ = period > 0 ? static_cast<cksim::Cycles>(period) : kDefaultProfilePeriod;
     } else if (std::strncmp(arg, "--flight-recorder=", 18) == 0) {
       flight_dir_ = arg + 18;
-    } else if (std::strcmp(arg, "--fastpath=on") == 0) {
-      fastpath_override_ = 1;
-    } else if (std::strcmp(arg, "--fastpath=off") == 0) {
-      fastpath_override_ = 0;
-    } else if (std::strcmp(arg, "--trace-exec=on") == 0) {
-      trace_exec_override_ = 1;
-    } else if (std::strcmp(arg, "--trace-exec=off") == 0) {
-      trace_exec_override_ = 0;
-    } else if (std::strncmp(arg, "--policy=", 9) == 0) {
-      const char* value = arg + 9;
-      // Optional "<type>:" prefix narrows the override to one object type.
-      int type = -1;  // -1 = all four
-      const char* name = value;
-      if (const char* colon = std::strchr(value, ':')) {
-        std::string type_name(value, colon - value);
-        if (type_name == "kernel") {
-          type = static_cast<int>(ObjectType::kKernel);
-        } else if (type_name == "space") {
-          type = static_cast<int>(ObjectType::kSpace);
-        } else if (type_name == "thread") {
-          type = static_cast<int>(ObjectType::kThread);
-        } else if (type_name == "mapping") {
-          type = static_cast<int>(ObjectType::kMapping);
-        } else {
-          std::fprintf(stderr, "%s: unknown object type in --policy=%s (kernel|space|thread|mapping)\n",
-                       argv[0], value);
-          PrintUsage(argv[0], pass);
-          std::exit(2);
-        }
-        name = colon + 1;
-      }
-      int policy = -1;
-      if (std::strcmp(name, "clock") == 0) {
-        policy = static_cast<int>(ReplacementPolicy::kClock);
-      } else if (std::strcmp(name, "fifo") == 0) {
-        policy = static_cast<int>(ReplacementPolicy::kFifo);
-      } else if (std::strcmp(name, "second-chance") == 0) {
-        policy = static_cast<int>(ReplacementPolicy::kSecondChance);
-      } else if (std::strcmp(name, "perceptron") == 0) {
-        policy = static_cast<int>(ReplacementPolicy::kPerceptron);
-      } else {
-        std::fprintf(stderr,
-                     "%s: unknown --policy=%s (clock|fifo|second-chance|perceptron)\n", argv[0],
-                     value);
-        PrintUsage(argv[0], pass);
-        std::exit(2);
-      }
-      if (type >= 0) {
-        policy_override_[type] = policy;
-      } else {
-        for (uint32_t t = 0; t < kObjectTypeCount; ++t) {
-          policy_override_[t] = policy;
-        }
-      }
-    } else if (std::strncmp(arg, "--tiers=", 8) == 0) {
-      const char* value = arg + 8;
-      if (std::strcmp(value, "off") == 0) {
-        tiers_frames_ = 0;
-      } else {
-        char* end = nullptr;
-        long long frames = std::strtoll(value, &end, 10);
-        bool ok = end != value && frames > 0;
-        if (ok && *end == ',') {
-          if (std::strcmp(end + 1, "demote") == 0) {
-            tiers_demote_ = true;
-          } else if (std::strcmp(end + 1, "evict") == 0) {
-            tiers_demote_ = false;
-          } else {
-            ok = false;
-          }
-        } else if (ok && *end != '\0') {
-          ok = false;
-        }
-        if (!ok) {
-          std::fprintf(stderr, "%s: bad --tiers=%s (off|<frames>[,demote|,evict])\n", argv[0],
-                       value);
-          PrintUsage(argv[0], pass);
-          std::exit(2);
-        }
-        tiers_frames_ = frames;
-      }
     } else if (std::strcmp(arg, "--help") == 0) {
       PrintUsage(argv[0], pass);
       std::exit(0);
@@ -219,21 +132,6 @@ void ObsSession::Attach(cksim::Machine& machine, CacheKernel* kernel) {
   }
   if (!flight_dir_.empty()) {
     kernel->set_fatal_hook([this](const std::string& reason) { DumpFlightRecord(reason); });
-  }
-  if (fastpath_override_ >= 0) {
-    kernel->set_fastpath(fastpath_override_ == 1);
-  }
-  if (trace_exec_override_ >= 0) {
-    kernel->set_trace_exec(trace_exec_override_ == 1);
-  }
-  for (uint32_t type = 0; type < kObjectTypeCount; ++type) {
-    if (policy_override_[type] >= 0) {
-      kernel->set_replacement_policy(static_cast<ObjectType>(type),
-                                     static_cast<ReplacementPolicy>(policy_override_[type]));
-    }
-  }
-  if (tiers_frames_ >= 0) {
-    kernel->set_tiers(static_cast<uint32_t>(tiers_frames_), tiers_demote_);
   }
 }
 

@@ -18,34 +18,21 @@
 //                         period 50000 cycles = 2 ms at 25 MHz). Histograms
 //                         are embedded in the trace file under "ckProfile".
 //                         Samples are taken at fast-path cycle-accounting
-//                         flush points, so --fastpath=off collects none.
+//                         flush points, so a kernel booted with
+//                         CacheKernelConfig::fastpath off collects none.
 //   --flight-recorder=<dir>  arm the crash flight recorder: on a fatal fault
 //                         (or any event reported via DumpFlightRecord) each
 //                         attached machine dumps its last trace-ring events,
 //                         a metrics snapshot and its CkStats into
 //                         <dir>/flight-m<i>-<reason>.ckfr (CRC-framed, see
 //                         src/obs/flight_recorder.h)
-//   --fastpath=on|off     force the guest-execution fast path on or off
-//                         (default: the kernel's config; results are
-//                         identical either way, see docs/PERFORMANCE.md)
-//   --trace-exec=on|off   force superblock trace execution on or off (only
-//                         meaningful with the fast path enabled; identical
-//                         results either way, see docs/PERFORMANCE.md)
-//   --policy=<name>       descriptor-cache replacement policy for all four
-//                         object types: clock (default), fifo, second-chance,
-//                         perceptron (see docs/PERFORMANCE.md)
-//   --policy=<type>:<name>  set one object type only; <type> is one of
-//                         kernel|space|thread|mapping. May repeat, later
-//                         flags win per type (a bare --policy=<name> resets
-//                         all four).
-//   --tiers=off|<frames>[,demote|,evict]  tiered physical memory
-//                         (docs/TIERING.md): DRAM budget in frames with
-//                         demote-to-slow (default) or full-evict pressure
-//                         handling; `off` (the default) leaves every frame
-//                         untracked at DRAM cost
+//
+// The flags only observe: none of them changes simulated state. Execution
+// and policy choices (the fast path, trace execution, tiering, replacement
+// programs) are CacheKernelConfig fields and CkApi operations, not flags.
 //
 // Unknown `--` flags are rejected with a usage message and exit code 2 (a
-// typo like --polcy=fifo must not silently run the default policy). Binaries
+// typo like --metrics-ot=f must not silently run unobserved). Binaries
 // with flags of their own list them in `passthrough`; anything there (prefix
 // match) is left in argv untouched, as are non-flag arguments and the
 // --gtest_*/--benchmark_* families.
@@ -73,7 +60,6 @@
 #include <string>
 #include <vector>
 
-#include "src/ck/objects.h"
 #include "src/obs/metrics.h"
 #include "src/sim/types.h"
 
@@ -134,13 +120,6 @@ class ObsSession {
   std::string metrics_out_;
   cksim::Cycles profile_period_ = 0;
   std::string flight_dir_;
-  int fastpath_override_ = -1;  // -1 = leave config alone, else 0/1
-  int trace_exec_override_ = -1;  // -1 = leave config alone, else 0/1
-  // Per object type: -1 = leave config alone, else ReplacementPolicy. Set
-  // by --policy=<name> (all four) or --policy=<type>:<name> (one type).
-  int policy_override_[kObjectTypeCount] = {-1, -1, -1, -1};
-  int64_t tiers_frames_ = -1;   // -1 = leave config alone, else DRAM frame budget
-  bool tiers_demote_ = true;    // pressure mode when tiers_frames_ >= 0
   std::vector<Attached> attached_;
   obs::Registry registry_;
 };

@@ -1,28 +1,22 @@
 // Replacement-policy engine types (docs/POLICY_VM.md).
 //
 // The paper's thesis is that policy lives in application kernels while the
-// Cache Kernel caches mechanism. PR 5 made victim selection pluggable from
-// C++; this header pushes the policy itself out of the Cache Kernel:
+// Cache Kernel caches mechanism. The Cache Kernel's one built-in victim scan
+// is clock (ObjectCache::ReclaimClock); any other policy is an application
+// kernel's own guest program:
 //
-//   * VictimFeatures is the fixed per-candidate feature vector every scoring
-//     policy sees -- and, laid out as 8 little-endian u32 words, the exact
-//     read-only memory window a guest policy program reads.
-//   * Perceptron is the built-in learned policy (per LearnedCache): an
-//     integer perceptron over the candidate features, trained online by a
-//     ghost cache of recent evictions -- evict something that gets reloaded
-//     soon and the weights move toward "keep" for that feature pattern;
-//     ghost entries that age out unreferenced confirm the eviction and move
-//     them toward "evict". Everything is fixed-point and deterministic, so
-//     weights checkpoint/migrate bit-exactly.
+//   * VictimFeatures is the fixed per-candidate feature vector a guest policy
+//     program sees -- laid out as 8 little-endian u32 words, the exact
+//     read-only memory window the program reads.
 //   * PolicyTable is the per-application-kernel policy state: one optional
 //     guest policy program (CKVM words, run sandboxed -- src/isa/sandbox.h)
-//     and one perceptron per descriptor-cache type. It lives in the app
-//     kernel (AppKernel::policy_table), is installed through the LoadPolicy
-//     Cache Kernel operation, and rides CaptureExtra/RestoreExtra through
+//     per descriptor-cache type. It lives in the app kernel
+//     (AppKernel::policy_table), is installed through the LoadPolicy Cache
+//     Kernel operation, and rides CaptureExtra/RestoreExtra through
 //     checkpoint, migration and failover.
 //
 // The scan machinery that consumes these lives in src/ck/object_cache.h
-// (ReclaimScored) and CacheKernel::ReclaimVictim.
+// (ReclaimScored) and CacheKernel::ReclaimWithPolicy.
 
 #ifndef SRC_CK_POLICY_H_
 #define SRC_CK_POLICY_H_
@@ -60,58 +54,12 @@ inline constexpr uint32_t kPolicyFeatureBase = 0x00001000u;
 inline constexpr uint32_t kMaxPolicyProgramWords = 256;
 
 // Why a guest-policy scan abandoned its program and fell back to clock.
-// Values appear as the arg32 of kPolicyFallback trace events.
+// Values appear as the arg32 of kPolicyFallback trace events and are kept
+// stable across versions, so 0 stays unassigned.
 enum class PolicyFallback : uint8_t {
-  kNoTable = 0,      // requester has no policy table (perceptron knob)
   kFault = 1,        // program faulted (bad access, trap) in the sandbox
   kBudget = 2,       // per-scan step budget exhausted
   kNoCandidate = 3,  // no unpinned candidate owned by the requester
-};
-
-// Ghost-cache-trained integer perceptron (LearnedCache's idea, sized for
-// descriptor caches). Score(f) predicts "keep-worthiness": the scored scan
-// evicts the minimum. All state is POD-ish and serialized field by field,
-// so checkpoints and migration carry it bit-exactly.
-struct Perceptron {
-  static constexpr uint32_t kFeatureCount = 4;  // bias, hw_ref, soft_ref, age
-  static constexpr uint32_t kGhostSlots = 128;
-  static constexpr int32_t kWeightClamp = 1 << 20;
-  static constexpr int32_t kLearnKeep = 8;   // ghost hit: eviction was wrong
-  static constexpr int32_t kLearnEvict = 1;  // unhit ghost aged out: confirmed
-  // Referenced bits are harvested (cleared) this many slots per scan behind
-  // harvest_hand, so a bit lives roughly capacity/kHarvestPerScan scans --
-  // the same lazy decay that gives the clock hand its recency signal. A
-  // full-sweep clear every scan would leave nothing set under pressure.
-  static constexpr uint32_t kHarvestPerScan = 2;
-
-  struct Ghost {
-    uint64_t key = 0;
-    int32_t x[kFeatureCount] = {0};
-    uint8_t valid = 0;
-  };
-
-  // Clock-like prior: referenced candidates score high (kept), age drags a
-  // candidate down. This is what makes the untrained perceptron already beat
-  // FIFO on skewed traces; training refines it.
-  int32_t w[kFeatureCount] = {0, 256, 128, -16};
-  std::vector<Ghost> ghost = std::vector<Ghost>(kGhostSlots);
-  uint64_t ghost_hits = 0;
-  uint64_t trains = 0;
-  uint32_t harvest_hand = 0;  // next slot whose referenced bit gets cleared
-
-  static void Featurize(const VictimFeatures& f, int32_t x[kFeatureCount]);
-  int64_t Score(const VictimFeatures& f) const;
-  // Victim evicted: remember its key + features. An overwritten entry that
-  // was never rehit is a confirmed eviction (train toward evict).
-  void NoteEvict(uint64_t key, const VictimFeatures& f);
-  // Object (re)loaded: a ghost hit means the eviction was premature (train
-  // toward keep). Returns whether the key was present.
-  bool NoteLoad(uint64_t key);
-  uint64_t Digest() const;
-
- private:
-  uint32_t GhostIndex(uint64_t key) const;
-  void Train(const int32_t x[kFeatureCount], int32_t rate);
 };
 
 // One app kernel's loaded guest policy program for one descriptor type.
@@ -125,11 +73,6 @@ struct GuestPolicy {
 // reclaim time and never retains a pointer across calls.
 struct PolicyTable {
   GuestPolicy guest[kObjectTypeCount];
-  Perceptron perceptron[kObjectTypeCount];
-
-  // Deterministic digest over every weight, ghost entry and program word;
-  // checkpoint/migration tests compare it across round trips.
-  uint64_t Digest() const;
 };
 
 }  // namespace ck

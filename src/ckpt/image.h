@@ -41,7 +41,7 @@ struct CkptRecord {
 class CkptImage {
  public:
   static constexpr uint32_t kMagic = 0x54504b43u;  // "CKPT"
-  static constexpr uint32_t kVersion = 1;
+  static constexpr uint32_t kVersion = 2;
 
   void Append(RecordType type, std::vector<uint8_t> payload) {
     records_.push_back(CkptRecord{type, std::move(payload)});

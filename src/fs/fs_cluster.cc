@@ -117,12 +117,6 @@ FsCluster::FsCluster(const FsClusterConfig& config) : config_(config) {
       // tier-tracked from its first allocation.
       client.ck.set_tiers(config_.tier_dram_frames, config_.tier_demote);
     }
-    if (config_.client_replacement != ck::ReplacementPolicy::kClock) {
-      for (uint32_t type = 0; type < ck::kObjectTypeCount; ++type) {
-        client.ck.set_replacement_policy(static_cast<ck::ObjectType>(type),
-                                         config_.client_replacement);
-      }
-    }
 
     uint32_t server_group = server_node_->srm.ReserveGroups(1).value();
     uint32_t client_group = client.srm.ReserveGroups(1).value();

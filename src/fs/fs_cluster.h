@@ -99,11 +99,6 @@ struct FsClusterConfig {
   // demote to the slow tier under DRAM pressure instead of pinning it.
   uint32_t tier_dram_frames = 0;
   bool tier_demote = true;
-  // Descriptor-cache replacement policy on every client kernel, applied to
-  // all four object types before Launch. File-scan clients churn mapping
-  // descriptors, so kPerceptron lets the ghost cache learn the scan pattern
-  // (docs/POLICY_VM.md); the server keeps the default clock policy.
-  ck::ReplacementPolicy client_replacement = ck::ReplacementPolicy::kClock;
 };
 
 class FsCluster {

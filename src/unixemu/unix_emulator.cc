@@ -668,14 +668,17 @@ void UnixEmulator::SwapOutProcess(CkApi& api, int pid) {
     return;
   }
   // Unload the thread, then the address space (all its mappings write back),
-  // then page every resident frame out so the memory is reusable.
+  // then page every resident frame out so the memory is reusable. A dirty
+  // page with no swap left stays resident, and so do the pages behind it.
   UnloadThreadByIndex(api, proc.thread_index);
   ckapp::VSpace& sp = space(proc.space_index);
   if (sp.loaded) {
     api.UnloadSpace(sp.ck_id);
   }
   while (ckapp::PageRecord* page = sp.resident.Front()) {
-    EvictPage(api, proc.space_index, page->vaddr);
+    if (!EvictPage(api, proc.space_index, page->vaddr)) {
+      break;
+    }
   }
   proc.swapped = true;
 }

@@ -135,7 +135,7 @@ TEST(PhysMapTest, MappingScanSkipsNonPvRecords) {
   for (int i = 0; i < 2; ++i) {
     MapScanOps ops{pmap};
     uint64_t steps = 0;
-    ASSERT_TRUE(pmap.Reclaim(ck::ReplacementPolicy::kClock, ops, steps));
+    ASSERT_TRUE(pmap.ReclaimClock(ops, steps));
     ASSERT_NE(ops.evicted, kNilRecord);
     EXPECT_EQ(steps, 1u) << "first occupied record is unreferenced and unpinned";
     seen.insert(ops.evicted);
@@ -145,7 +145,7 @@ TEST(PhysMapTest, MappingScanSkipsNonPvRecords) {
   // Only the signal record remains: no pv candidates left.
   MapScanOps ops{pmap};
   uint64_t steps = 0;
-  EXPECT_FALSE(pmap.Reclaim(ck::ReplacementPolicy::kClock, ops, steps));
+  EXPECT_FALSE(pmap.ReclaimClock(ops, steps));
 }
 
 TEST(PhysMapTest, VersionBumpsOnEveryMutation) {

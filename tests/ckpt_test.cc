@@ -931,6 +931,56 @@ TEST(CkptHostile, DirtyResidentPageWithBackingPagePastTheStoreIsRefused) {
       "backing page does not fit its residency");
 }
 
+// Image version 2 dropped a 3,240-byte learned-policy block per descriptor
+// type from the base kAppExtra layout. A version-1 image -- that block in
+// place, every record CRC valid -- is refused at parse, before any CK object
+// loads.
+TEST(CkptHostile, VersionOneImageIsRefused) {
+  Writer extra;
+  for (uint32_t t = 0; t < ck::kObjectTypeCount; ++t) {
+    extra.Bool(false);  // no guest program
+    extra.U32(0);
+    for (int32_t weight : {0, 256, 128, -16}) {
+      extra.U32(static_cast<uint32_t>(weight));
+    }
+    extra.U32(128);  // ghost entries: key, four features, valid
+    for (int g = 0; g < 128; ++g) {
+      extra.U64(0);
+      for (int i = 0; i < 4; ++i) {
+        extra.U32(0);
+      }
+      extra.U8(0);
+    }
+    extra.U64(0);  // ghost hits
+    extra.U64(0);  // trains
+    extra.U32(0);  // harvest hand
+  }
+  std::vector<uint8_t> v1_extra = extra.Take();
+  ASSERT_EQ(v1_extra.size(), 4u * 5u + 12960u);
+  std::vector<uint8_t> bytes =
+      Reframed(GenericImage(), RecordType::kAppExtra,
+               [&](std::vector<uint8_t>& payload) { payload = v1_extra; })
+          .Serialize();
+  ASSERT_EQ(GetU32(bytes, 4), CkptImage::kVersion);
+  PutU32(bytes, 4, 1);
+  cksim::StableStore store;
+  store.Put("v1", bytes);
+
+  TestWorld b;
+  ckapp::AppKernelBase target("hostile", 32);
+  std::string error;
+  EXPECT_EQ(b.srm().RestoreFromStore(target, store, "v1", RestoreOptions{}, &error),
+            CkStatus::kInvalidArgument);
+  EXPECT_NE(error.find("unsupported image version 1"), std::string::npos) << error;
+  EXPECT_EQ(target.space_count(), 0u);
+  EXPECT_EQ(target.thread_count(), 0u);
+  auto loaded = b.ck().LoadedCountsFor(target.self());
+  EXPECT_EQ(loaded[static_cast<uint32_t>(ck::ObjectType::kSpace)], 0u);
+  EXPECT_EQ(loaded[static_cast<uint32_t>(ck::ObjectType::kThread)], 0u);
+  EXPECT_EQ(loaded[static_cast<uint32_t>(ck::ObjectType::kMapping)], 0u);
+  EXPECT_TRUE(b.ck().ValidateInvariants().empty());
+}
+
 TEST(CkptHostile, SwapAllocatorPastTheStoreIsRefused) {
   // kBackingMeta: page count, latency (u64), image_next, swap_next.
   ExpectGenericRefused(Reframed(GenericImage(), RecordType::kBackingMeta,

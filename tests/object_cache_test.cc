@@ -1,7 +1,7 @@
-// The generic descriptor-cache layer (src/ck/object_cache.h): policy
-// semantics at the unit level, and capacity-forced reclamation against the
+// The generic descriptor-cache layer (src/ck/object_cache.h): the clock and
+// scored scans at the unit level, and capacity-forced reclamation against the
 // Cache Kernel with section 4.2 effective-lock chains pinning victims, under
-// every replacement policy.
+// the built-in clock scan and under a guest FIFO policy program.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,8 @@
 #include "src/base/fixed_pool.h"
 #include "src/ck/cache_kernel.h"
 #include "src/ck/object_cache.h"
+#include "src/ck/policy.h"
+#include "src/isa/assembler.h"
 #include "src/sim/machine.h"
 
 namespace {
@@ -22,7 +24,6 @@ using ck::CkApi;
 using ck::KernelId;
 using ck::MappingSpec;
 using ck::ObjectType;
-using ck::ReplacementPolicy;
 using ck::SpaceId;
 using ck::ThreadId;
 using ck::ThreadSpec;
@@ -54,10 +55,10 @@ struct PoolOps {
   }
 };
 
-uint32_t ReclaimOnce(TestCache& pool, ReplacementPolicy policy, uint64_t* steps_out = nullptr) {
+uint32_t ReclaimOnce(TestCache& pool, uint64_t* steps_out = nullptr) {
   PoolOps ops{pool};
   uint64_t steps = 0;
-  if (!pool.Reclaim(policy, ops, steps)) {
+  if (!pool.ReclaimClock(ops, steps)) {
     return ck::kNoVictim;
   }
   if (steps_out != nullptr) {
@@ -79,100 +80,52 @@ TEST(ObjectCacheTest, LoadStampsTrackOccupancy) {
   EXPECT_EQ(pool.load_seq(slot_a), 0u);
 }
 
-TEST(ObjectCacheTest, FifoEvictsOldestLoadNotHandPosition) {
+TEST(ObjectCacheTest, ClockTakesTheHandSlotNotTheOldestLoad) {
   // Slots 0..3 hold A,B,C,D; A is released and its slot refilled with the
-  // NEWEST object E. The clock hand (still at 0) would take E; FIFO must
-  // take B, the oldest surviving load.
-  TestCache fifo_pool(4);
-  TestObj* a = fifo_pool.Allocate();
-  fifo_pool.Allocate();  // B -> slot 1
-  fifo_pool.Allocate();  // C -> slot 2
-  fifo_pool.Allocate();  // D -> slot 3
-  fifo_pool.Release(a);
-  TestObj* e = fifo_pool.Allocate();
-  ASSERT_EQ(fifo_pool.SlotOf(e), 0u);
-  EXPECT_EQ(ReclaimOnce(fifo_pool, ReplacementPolicy::kFifo), 1u) << "oldest load is B";
-
-  TestCache clock_pool(4);
-  a = clock_pool.Allocate();
-  clock_pool.Allocate();
-  clock_pool.Allocate();
-  clock_pool.Allocate();
-  clock_pool.Release(a);
-  e = clock_pool.Allocate();
-  ASSERT_EQ(clock_pool.SlotOf(e), 0u);
-  EXPECT_EQ(ReclaimOnce(clock_pool, ReplacementPolicy::kClock), 0u) << "hand takes slot 0";
+  // NEWEST object E. Pools have no hardware referenced bit, so the hand
+  // (still at 0) takes E.
+  TestCache pool(4);
+  TestObj* a = pool.Allocate();
+  pool.Allocate();  // B -> slot 1
+  pool.Allocate();  // C -> slot 2
+  pool.Allocate();  // D -> slot 3
+  pool.Release(a);
+  TestObj* e = pool.Allocate();
+  ASSERT_EQ(pool.SlotOf(e), 0u);
+  uint64_t steps = 0;
+  EXPECT_EQ(ReclaimOnce(pool, &steps), 0u) << "hand takes slot 0";
+  EXPECT_EQ(steps, 1u);
+  EXPECT_EQ(pool.hand(), 1u) << "the hand commits past its victim";
 }
 
-TEST(ObjectCacheTest, FifoSkipsPinnedOldest) {
+TEST(ObjectCacheTest, ClockIgnoresSoftReferencedBits) {
+  // Soft bits are a feature for guest policy programs only: touching B does
+  // not save it from the hand.
+  TestCache pool(3);
+  pool.Allocate();
+  pool.Allocate();
+  pool.Allocate();
+  EXPECT_EQ(ReclaimOnce(pool), 0u);
+  pool.Touch(1);
+  EXPECT_TRUE(pool.soft_ref(1));
+  EXPECT_EQ(ReclaimOnce(pool), 1u);
+}
+
+TEST(ObjectCacheTest, ClockSkipsPinnedSlots) {
   TestCache pool(3);
   TestObj* a = pool.Allocate();
   pool.Allocate();
   pool.Allocate();
   a->pinned = true;
-  EXPECT_EQ(ReclaimOnce(pool, ReplacementPolicy::kFifo), 1u) << "oldest unpinned";
+  EXPECT_EQ(ReclaimOnce(pool), 1u) << "first unpinned slot from the hand";
 }
 
-TEST(ObjectCacheTest, SecondChanceProtectsTouchedSlot) {
-  TestCache pool(3);
-  pool.Allocate();  // A -> slot 0
-  pool.Allocate();  // B -> slot 1
-  pool.Allocate();  // C -> slot 2
-  // First reclaim: every soft bit is fresh from load, so the scan consumes
-  // all three and falls back to the forced victim A; the hand ends at 1.
-  uint64_t steps = 0;
-  EXPECT_EQ(ReclaimOnce(pool, ReplacementPolicy::kSecondChance, &steps), 0u);
-  EXPECT_EQ(steps, 3u) << "every slot got its second chance before the forced fallback";
-  // B and C now have spent soft bits. Touch B: the hand reaches B first but
-  // must pass it by and evict untouched C.
-  pool.Touch(1);
-  EXPECT_EQ(ReclaimOnce(pool, ReplacementPolicy::kSecondChance), 2u);
-  // Under plain clock the same touch would have been ignored.
-  TestCache clock_pool(3);
-  clock_pool.Allocate();
-  clock_pool.Allocate();
-  clock_pool.Allocate();
-  EXPECT_EQ(ReclaimOnce(clock_pool, ReplacementPolicy::kClock), 0u);
-  clock_pool.Touch(1);
-  EXPECT_EQ(ReclaimOnce(clock_pool, ReplacementPolicy::kClock), 1u);
-}
-
-TEST(ObjectCacheTest, AllPinnedFailsForEveryPolicy) {
-  for (ReplacementPolicy policy : {ReplacementPolicy::kClock, ReplacementPolicy::kFifo,
-                                   ReplacementPolicy::kSecondChance}) {
-    TestCache pool(2);
-    pool.Allocate()->pinned = true;
-    pool.Allocate()->pinned = true;
-    EXPECT_EQ(ReclaimOnce(pool, policy), ck::kNoVictim)
-        << ck::ReplacementPolicyName(policy);
-    EXPECT_EQ(pool.in_use(), 2u) << "a failed scan must not evict";
-  }
-}
-
-TEST(ObjectCacheTest, PolicySwitchRestoresCanonicalScanState) {
-  // Run second-chance until the hand has moved and soft bits are spent, then
-  // reset (what CacheKernel::set_replacement_policy does on a runtime policy
-  // switch): the cache must behave exactly like a fresh load sequence.
-  TestCache pool(3);
-  pool.Allocate();
-  pool.Allocate();
-  pool.Allocate();
-  ASSERT_EQ(ReclaimOnce(pool, ReplacementPolicy::kSecondChance), 0u);
-  ASSERT_NE(pool.hand(), 0u);
-  ASSERT_FALSE(pool.soft_ref(1)) << "the sweep consumed B's soft bit";
-
-  pool.ResetPolicyState();
-  EXPECT_EQ(pool.hand(), 0u);
-  EXPECT_TRUE(pool.soft_ref(1));
-  EXPECT_TRUE(pool.soft_ref(2));
-  EXPECT_FALSE(pool.soft_ref(0)) << "freed slots must stay unreferenced";
-
-  // Post-reset second-chance replays the fresh-state schedule: a full sweep
-  // spends every loaded slot's second chance, then the forced victim.
-  pool.Allocate();  // refill slot 0
-  uint64_t steps = 0;
-  EXPECT_EQ(ReclaimOnce(pool, ReplacementPolicy::kSecondChance, &steps), 0u);
-  EXPECT_EQ(steps, 3u);
+TEST(ObjectCacheTest, AllPinnedFails) {
+  TestCache pool(2);
+  pool.Allocate()->pinned = true;
+  pool.Allocate()->pinned = true;
+  EXPECT_EQ(ReclaimOnce(pool), ck::kNoVictim);
+  EXPECT_EQ(pool.in_use(), 2u) << "a failed scan must not evict";
 }
 
 // ---------------------------------------------------------------------------
@@ -187,16 +140,14 @@ TEST(ObjectCacheTest, ScoredScanEvictsMinimumScoreFirstWins) {
   PoolOps ops{pool};
   uint64_t steps = 0;
   // Scores 5, 3, 3: the minimum is tied between slots 1 and 2; the scan must
-  // keep the FIRST minimum it saw (that tie rule is what makes FIFO-as-score
-  // bit-exact with the historic loop).
+  // keep the FIRST minimum it saw.
   const int64_t scores[4] = {5, 3, 3, 0};
   ck::ScoredScan result = pool.ReclaimScored(
       ops, steps, [](uint32_t) { return true; },
       [&](uint32_t slot, int64_t& s) {
         s = scores[slot];
         return true;
-      },
-      [](uint32_t) {});
+      });
   EXPECT_EQ(result, ck::ScoredScan::kEvicted);
   EXPECT_EQ(ops.evicted, 1u);
   EXPECT_EQ(steps, 3u) << "every occupied slot is scanned";
@@ -215,8 +166,7 @@ TEST(ObjectCacheTest, ScoredScanHonorsPinAndAdmitFilters) {
       [](uint32_t, int64_t& s) {
         s = 0;
         return true;
-      },
-      [](uint32_t) {});
+      });
   EXPECT_EQ(result, ck::ScoredScan::kEvicted);
   EXPECT_EQ(ops.evicted, 2u);
 }
@@ -233,8 +183,7 @@ TEST(ObjectCacheTest, ScoredScanAbortEvictsNothing) {
       [&](uint32_t, int64_t& s) {
         s = 0;
         return ++scored < 2;  // abort on the second candidate
-      },
-      [](uint32_t) {});
+      });
   EXPECT_EQ(result, ck::ScoredScan::kAborted);
   EXPECT_EQ(ops.evicted, ck::kNoVictim);
   EXPECT_EQ(pool.in_use(), 2u) << "an aborted scan must not evict";
@@ -251,8 +200,7 @@ TEST(ObjectCacheTest, ScoredScanNoCandidateWhenAllPinnedOrFiltered) {
       [](uint32_t, int64_t& s) {
         s = 0;
         return true;
-      },
-      [](uint32_t) {});
+      });
   EXPECT_EQ(result, ck::ScoredScan::kNoCandidate);
   EXPECT_EQ(pool.in_use(), 2u);
 }
@@ -262,7 +210,7 @@ TEST(ObjectCacheTest, ScoredScanLeavesClockHandAlone) {
   pool.Allocate();
   pool.Allocate();
   pool.Allocate();
-  ASSERT_EQ(ReclaimOnce(pool, ReplacementPolicy::kClock), 0u);
+  ASSERT_EQ(ReclaimOnce(pool), 0u);
   uint32_t hand_before = pool.hand();
   pool.Allocate();  // refill slot 0
   PoolOps ops{pool};
@@ -272,11 +220,10 @@ TEST(ObjectCacheTest, ScoredScanLeavesClockHandAlone) {
                 [](uint32_t slot, int64_t& s) {
                   s = slot;
                   return true;
-                },
-                [](uint32_t) {}),
+                }),
             ck::ScoredScan::kEvicted);
   EXPECT_EQ(pool.hand(), hand_before)
-      << "a scored full sweep must not disturb the clock policies' state";
+      << "a scored full sweep must not disturb the clock scan's state";
 }
 
 // ---------------------------------------------------------------------------
@@ -305,23 +252,42 @@ class SinkKernel : public ck::AppKernel {
   void OnMappingWriteback(const ck::MappingWriteback& record, CkApi&) override {
     mapping_writebacks.push_back(record.vaddr);
   }
+  // Published only when the test gives the kernel a policy of its own.
+  ck::PolicyTable* policy_table() override { return publish_table ? &table : nullptr; }
+
+  bool publish_table = false;
+  ck::PolicyTable table;
   std::vector<uint64_t> thread_writebacks;
   std::vector<uint64_t> space_writebacks;
   std::vector<uint64_t> kernel_writebacks;
   std::vector<uint64_t> mapping_writebacks;
 };
 
-class ReclaimPolicyTest : public ::testing::TestWithParam<ReplacementPolicy> {
+// Who picks the victims: the built-in clock scan, or the first kernel's guest
+// FIFO program (score = load_seq_low) for all four descriptor types.
+enum class Victims { kClock, kGuestFifo };
+
+class ReclaimPolicyTest : public ::testing::TestWithParam<Victims> {
  protected:
   void Init(CacheKernelConfig config) {
-    for (uint32_t type = 0; type < ck::kObjectTypeCount; ++type) {
-      config.replacement[type] = GetParam();
-    }
     cksim::MachineConfig mc;
     mc.memory_bytes = 8u << 20;
     machine_ = std::make_unique<cksim::Machine>(mc);
     ck_ = std::make_unique<CacheKernel>(*machine_, config);
+    first_.publish_table = GetParam() == Victims::kGuestFifo;
     first_id_ = ck_->BootFirstKernel(&first_, 0);
+    if (GetParam() == Victims::kGuestFifo) {
+      ckisa::AssembleResult fifo = ckisa::Assemble(
+          "li t0, " + std::to_string(ck::kPolicyFeatureBase) + "\nlw a0, 16(t0)\nhalt\n",
+          ck::kPolicyCodeBase);
+      ASSERT_TRUE(fifo.ok) << fifo.error;
+      CkApi api = Api();
+      for (uint32_t type = 0; type < ck::kObjectTypeCount; ++type) {
+        ASSERT_EQ(api.LoadPolicy(static_cast<ObjectType>(type), fifo.program.words.data(),
+                                 static_cast<uint32_t>(fifo.program.words.size())),
+                  CkStatus::kOk);
+      }
+    }
   }
 
   CkApi Api() { return CkApi(*ck_, first_id_, machine_->cpu(0)); }
@@ -517,25 +483,13 @@ TEST_P(ReclaimPolicyTest, ScanStepCountersAdvance) {
   EXPECT_GT(ck_->stats().reclaim_scan_steps[t], 0u);
 }
 
-// kPerceptron runs too: SinkKernel publishes no PolicyTable, so every scan
-// takes the traced kNoTable fallback to clock -- the pin-chain and failure
-// semantics must hold on the fallback path exactly as on the built-ins.
+// Under the guest FIFO program the first kernel's scans admit only its own
+// descriptors; a scan with nothing admitted and unpinned falls back to clock,
+// so the pin-chain and failure semantics must hold on both paths.
 INSTANTIATE_TEST_SUITE_P(Policies, ReclaimPolicyTest,
-                         ::testing::Values(ReplacementPolicy::kClock, ReplacementPolicy::kFifo,
-                                           ReplacementPolicy::kSecondChance,
-                                           ReplacementPolicy::kPerceptron),
-                         [](const ::testing::TestParamInfo<ReplacementPolicy>& info) {
-                           switch (info.param) {
-                             case ReplacementPolicy::kClock:
-                               return "Clock";
-                             case ReplacementPolicy::kFifo:
-                               return "Fifo";
-                             case ReplacementPolicy::kSecondChance:
-                               return "SecondChance";
-                             case ReplacementPolicy::kPerceptron:
-                               return "Perceptron";
-                           }
-                           return "Unknown";
+                         ::testing::Values(Victims::kClock, Victims::kGuestFifo),
+                         [](const ::testing::TestParamInfo<Victims>& info) {
+                           return info.param == Victims::kClock ? "Clock" : "GuestFifo";
                          });
 
 }  // namespace

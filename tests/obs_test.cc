@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "src/appkernel/app_kernel_base.h"
 #include "src/base/histogram.h"
 #include "src/ck/cache_kernel.h"
+#include "src/ck/observability.h"
 #include "src/isa/assembler.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/flight_recorder.h"
@@ -569,6 +571,39 @@ TEST(JsonLint, AcceptsValidRejectsBroken) {
   EXPECT_FALSE(obs::JsonLint(R"({"a": })", &error));
   EXPECT_FALSE(obs::JsonLint(R"({"a": 1} trailing)", &error));
   EXPECT_FALSE(obs::JsonLint(R"({"a": 01})", &error));
+}
+
+// --- ObsSession flags ---
+
+// The flags only observe: ObsSession consumes them and leaves the binary's
+// own arguments in argv.
+TEST(ObsSessionTest, ConsumesObservabilityFlags) {
+  std::string prog = "obs_test", metrics = "--metrics", depth = "--trace-depth=128",
+              mine = "--serial", operand = "file";
+  char* argv[] = {prog.data(), metrics.data(), depth.data(), mine.data(), operand.data(),
+                  nullptr};
+  int argc = 5;
+  ck::ObsSession session(argc, argv, {"--serial"});
+  EXPECT_TRUE(session.metrics());
+  ASSERT_EQ(argc, 3);
+  EXPECT_EQ(std::string(argv[1]), "--serial");
+  EXPECT_EQ(std::string(argv[2]), "file");
+}
+
+void ParseOneFlag(const char* flag) {
+  std::string prog = "obs_test";
+  std::string arg = flag;
+  char* argv[] = {prog.data(), arg.data(), nullptr};
+  int argc = 2;
+  ck::ObsSession session(argc, argv);
+}
+
+// Execution and policy choices are CacheKernelConfig fields and CkApi
+// calls, so these are unknown flags: usage and exit code 2.
+TEST(ObsSessionTest, ExecutionAndPolicyFlagsAreRejected) {
+  for (const char* flag : {"--policy=fifo", "--fastpath=off", "--trace-exec=off", "--tiers=24"}) {
+    EXPECT_EXIT(ParseOneFlag(flag), ::testing::ExitedWithCode(2), "unknown flag") << flag;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
-// The guest replacement-policy VM and the learned perceptron policy
-// (docs/POLICY_VM.md):
+// The guest replacement-policy VM (docs/POLICY_VM.md):
 //   * sandbox semantics at the unit level: score delivery, the read-only
 //     feature window, byte loads, store/trap/out-of-window faults, budget
 //     exhaustion -- every run also checked against a reference sandbox that
@@ -11,8 +10,9 @@
 //     intact -- a hostile program must never corrupt descriptor state;
 //   * confinement: a guest policy only ever scores its own kernel's
 //     descriptors, so a malicious scorer cannot evict a neighbor's objects;
-//   * the perceptron's ghost-cache training loop and metrics;
-//   * checkpoint round-trips carrying programs + weights bit-exactly.
+//   * the guest FIFO program, victim by victim, against a test-local FIFO
+//     reference through a seeded storm;
+//   * checkpoint round-trips carrying programs word for word.
 
 #include <gtest/gtest.h>
 
@@ -40,7 +40,6 @@ using ck::CkApi;
 using ck::KernelId;
 using ck::ObjectType;
 using ck::PolicyFallback;
-using ck::ReplacementPolicy;
 using ck::SpaceId;
 using ck::ThreadId;
 using ck::ThreadSpec;
@@ -427,7 +426,7 @@ TEST_P(PolicySandboxFuzz, GeneratedProgramsScoreAScanAsFreshRuns) {
 // Kernel level
 // ---------------------------------------------------------------------------
 
-// Minimal app kernel with a PolicyTable (so LoadPolicy and kPerceptron work).
+// Minimal app kernel with a PolicyTable (so LoadPolicy works).
 class PolicyKernel : public ck::AppKernel {
  public:
   ck::HandlerAction HandleFault(const ck::FaultForward&, CkApi&) override {
@@ -441,12 +440,15 @@ class PolicyKernel : public ck::AppKernel {
   void OnThreadWriteback(const ck::ThreadWriteback& record, CkApi&) override {
     thread_writebacks.push_back(record.cookie);
   }
-  void OnMappingWriteback(const ck::MappingWriteback&, CkApi&) override {}
+  void OnMappingWriteback(const ck::MappingWriteback& record, CkApi&) override {
+    mapping_writebacks.push_back(record.vaddr);
+  }
   void OnSpaceWriteback(const ck::SpaceWriteback&, CkApi&) override {}
   ck::PolicyTable* policy_table() override { return &table; }
 
   ck::PolicyTable table;
   std::vector<uint64_t> thread_writebacks;
+  std::vector<cksim::VirtAddr> mapping_writebacks;
 };
 
 // Same upcall surface, no policy table (the pre-PolicyTable app kernel).
@@ -727,49 +729,158 @@ TEST_F(PolicyVmTest, GuestWithNoOwnCandidatesFallsBackToClock) {
   ExpectClean();
 }
 
-TEST_F(PolicyVmTest, PerceptronEvictsTrainsAndCountsGhostHits) {
-  CacheKernelConfig config;
-  config.thread_slots = 4;
-  for (uint32_t type = 0; type < ck::kObjectTypeCount; ++type) {
-    config.replacement[type] = ReplacementPolicy::kClock;
+// ---------------------------------------------------------------------------
+// FIFO as a guest program against a test-local reference
+// ---------------------------------------------------------------------------
+
+// The reference is what the Cache Kernel's built-in FIFO scan chose before
+// FIFO became a guest program: the minimum load stamp over the admitted
+// (requester-owned) unpinned candidates, first wins on a tie. Stamps count
+// this model's successful mapping loads, which orders candidates exactly as
+// the mapping cache's per-slot load stamps do.
+class FifoReference {
+ public:
+  struct Entry {
+    uint32_t kernel = 0;
+    cksim::VirtAddr vaddr = 0;
+    uint64_t stamp = 0;
+    bool pinned = false;
+  };
+
+  void Load(uint32_t kernel, cksim::VirtAddr vaddr, bool pinned) {
+    loaded_.push_back(Entry{kernel, vaddr, ++clock_, pinned});
   }
-  config.replacement[static_cast<int>(ObjectType::kThread)] = ReplacementPolicy::kPerceptron;
-  Init(config);
-  CkApi api = Api();
-  SpaceId space = FillThreads(6);
-  EXPECT_EQ(ck_->loaded_count(ObjectType::kThread), 4u);
-  ASSERT_EQ(first_.thread_writebacks.size(), 2u);
+  void Remove(cksim::VirtAddr vaddr) {
+    for (size_t i = 0; i < loaded_.size(); ++i) {
+      if (loaded_[i].vaddr == vaddr) {
+        loaded_.erase(loaded_.begin() + static_cast<std::ptrdiff_t>(i));
+        return;
+      }
+    }
+    ADD_FAILURE() << "no loaded mapping at " << vaddr;
+  }
+  const Entry* Find(cksim::VirtAddr vaddr) const {
+    for (const Entry& e : loaded_) {
+      if (e.vaddr == vaddr) {
+        return &e;
+      }
+    }
+    return nullptr;
+  }
+  // The victim of a scan `kernel` forces, or nullptr when it admits no
+  // candidate (the scan then falls back to clock).
+  const Entry* Victim(uint32_t kernel) const {
+    const Entry* best = nullptr;
+    for (const Entry& e : loaded_) {
+      if (e.kernel == kernel && !e.pinned && (best == nullptr || e.stamp < best->stamp)) {
+        best = &e;
+      }
+    }
+    return best;
+  }
 
-  // Reload an evicted cookie: the ghost cache recognizes it and trains the
-  // weights toward "keep" for that feature pattern.
-  ThreadSpec spec;
-  spec.space = space;
-  spec.start_blocked = true;
-  spec.cookie = first_.thread_writebacks[0];
-  ASSERT_TRUE(api.LoadThread(spec).ok());
-  EXPECT_GE(ck_->stats().policy_ghost_hits, 1u);
-  EXPECT_GE(ck_->stats().policy_trains, 1u);
-  ck::Perceptron& p = first_.table.perceptron[static_cast<int>(ObjectType::kThread)];
-  EXPECT_GE(p.ghost_hits, 1u);
-  EXPECT_GE(p.trains, 1u);
-  ExpectClean();
-}
+ private:
+  std::vector<Entry> loaded_;
+  uint64_t clock_ = 0;
+};
 
-TEST_F(PolicyVmTest, RuntimePolicySwitchResetsScanState) {
+class GuestFifoStormTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Two kernels share a 24-entry mapping cache, each with the guest FIFO
+// program for its mappings; the first also pins some of its own. Every
+// eviction a load forces must be the reference's victim for the loading
+// kernel, and a scan with no admitted candidate must be the traced fallback.
+TEST_P(GuestFifoStormTest, GuestFifoEvictsTheReferenceVictim) {
+  cksim::MachineConfig mc;
+  mc.memory_bytes = 8u << 20;
+  cksim::Machine machine(mc);
   CacheKernelConfig config;
-  config.thread_slots = 4;
-  Init(config);
-  FillThreads(5);  // advance the clock hand past slot 0
-  ck_->set_replacement_policy(ObjectType::kThread, ReplacementPolicy::kSecondChance);
-  // Deterministic post-switch state: hand at 0, every loaded slot soft-ref'd
-  // exactly as after a fresh load sequence.
-  ExpectClean();
-  ck_->set_replacement_policy(ObjectType::kThread, ReplacementPolicy::kClock);
-  ExpectClean();
+  config.mapping_slots = 24;
+  CacheKernel ck(machine, config);
+  PolicyKernel kernels[2];
+  KernelId first = ck.BootFirstKernel(&kernels[0], 0);
+  CkApi first_api(ck, first, machine.cpu(0));
+  ckbase::Result<KernelId> second = first_api.LoadKernel(&kernels[1], 1, /*locked=*/true);
+  ASSERT_TRUE(second.ok());
+  // Both kernels map frames from 1 MiB up: grant the second kernel them.
+  constexpr cksim::PhysAddr kFrames = 0x100000;
+  ASSERT_EQ(first_api.GrantPageGroups(second.value(), kFrames / cksim::kPageGroupBytes,
+                                      64 * cksim::kPageSize / cksim::kPageGroupBytes + 1,
+                                      ck::GroupAccess::kRead),
+            CkStatus::kOk);
+  CkApi apis[2] = {first_api, CkApi(ck, second.value(), machine.cpu(0))};
+  std::vector<uint32_t> fifo = Asm(ScoreWordSource(4));
+  SpaceId spaces[2];
+  for (uint32_t k = 0; k < 2; ++k) {
+    ASSERT_EQ(apis[k].LoadPolicy(ObjectType::kMapping, fifo.data(),
+                                 static_cast<uint32_t>(fifo.size())),
+              CkStatus::kOk);
+    // Only the first kernel may lock (a loaded kernel's lock limits are 0).
+    ckbase::Result<SpaceId> space = apis[k].LoadSpace(10 + k, /*locked=*/k == 0);
+    ASSERT_TRUE(space.ok());
+    spaces[k] = space.value();
+  }
+
+  // Kernel k's pages live at vaddr (k + 1) MiB + page * 4 KiB, so a
+  // writeback's vaddr names its owner.
+  auto vaddr_of = [](uint32_t k, uint32_t page) {
+    return static_cast<cksim::VirtAddr>(((k + 1) << 20) + page * cksim::kPageSize);
+  };
+  FifoReference model;
+  ckbase::Rng rng(GetParam());
+  uint32_t pinned = 0;
+  uint32_t checked = 0;
+  uint32_t fallbacks = 0;
+  for (int op = 0; op < 1500; ++op) {
+    uint32_t k = static_cast<uint32_t>(rng.Below(2));
+    cksim::VirtAddr vaddr = vaddr_of(k, static_cast<uint32_t>(rng.Below(40)));
+    if (const FifoReference::Entry* loaded = model.Find(vaddr)) {
+      if (!loaded->pinned && rng.Chance(1, 3)) {
+        ASSERT_EQ(apis[k].UnloadMapping(spaces[k], vaddr), CkStatus::kOk);
+        model.Remove(vaddr);
+      }
+      continue;
+    }
+    ck::MappingSpec spec;
+    spec.space = spaces[k];
+    spec.vaddr = vaddr;
+    spec.paddr = kFrames + static_cast<uint32_t>(rng.Below(64)) * cksim::kPageSize;
+    spec.locked = k == 0 && pinned < 6 && rng.Chance(1, 10);
+    const FifoReference::Entry* expected = model.Victim(k);
+    uint64_t fallbacks_before = ck.stats().policy_fallbacks;
+    kernels[0].mapping_writebacks.clear();
+    kernels[1].mapping_writebacks.clear();
+    ASSERT_EQ(apis[k].LoadMapping(spec), CkStatus::kOk) << "op " << op;
+    std::vector<cksim::VirtAddr> evicted = kernels[0].mapping_writebacks;
+    evicted.insert(evicted.end(), kernels[1].mapping_writebacks.begin(),
+                   kernels[1].mapping_writebacks.end());
+    ASSERT_LE(evicted.size(), 1u) << "op " << op;
+    if (evicted.size() == 1) {
+      if (expected != nullptr) {
+        EXPECT_EQ(evicted[0], expected->vaddr) << "op " << op << ": not the oldest unpinned load";
+        EXPECT_EQ(ck.stats().policy_fallbacks, fallbacks_before);
+        ++checked;
+      } else {
+        EXPECT_EQ(ck.stats().policy_fallbacks, fallbacks_before + 1) << "op " << op;
+        ++fallbacks;
+      }
+      model.Remove(evicted[0]);
+    }
+    model.Load(k, vaddr, spec.locked);
+    pinned += spec.locked ? 1 : 0;
+  }
+  EXPECT_GT(checked, 100u) << "the storm must force many guest scans";
+  EXPECT_EQ(ck.stats().policy_vm_faults, 0u);
+  EXPECT_EQ(ck.stats().policy_fallbacks, fallbacks);
+  std::vector<std::string> violations = ck.ValidateInvariants();
+  EXPECT_TRUE(violations.empty()) << violations.size() << " violations, first: "
+                                  << (violations.empty() ? "" : violations[0]);
 }
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GuestFifoStormTest, ::testing::Values(1u, 7u, 42u, 90210u));
 
 // ---------------------------------------------------------------------------
-// Checkpoint round-trip: programs + weights migrate bit-exactly
+// Checkpoint round-trip: programs migrate word for word
 // ---------------------------------------------------------------------------
 
 TEST(PolicyCkptTest, PolicyTableSurvivesCheckpointRestoreBitExact) {
@@ -778,16 +889,10 @@ TEST(PolicyCkptTest, PolicyTableSurvivesCheckpointRestoreBitExact) {
   ASSERT_TRUE(a.Launch(app_a).valid());
   ck::CkApi api_a(a.ck(), app_a.self(), a.machine().cpu(0));
 
-  // A guest program for mappings, a trained perceptron for threads.
+  // Different programs for mappings and threads; spaces and kernels keep
+  // none.
   ASSERT_EQ(app_a.InstallPolicyProgram(api_a, ObjectType::kMapping, ScoreWordSource(4)), "");
-  ck::Perceptron& p = app_a.policy_table()->perceptron[static_cast<int>(ObjectType::kThread)];
-  VictimFeatures f;
-  f.age = 9;
-  f.hw_ref = 1;
-  p.NoteEvict(/*key=*/42, f);
-  EXPECT_TRUE(p.NoteLoad(/*key=*/42)) << "ghost hit trains the weights";
-  uint64_t digest_before = app_a.policy_table()->Digest();
-  ASSERT_NE(digest_before, ck::PolicyTable().Digest()) << "table must have real state";
+  ASSERT_EQ(app_a.InstallPolicyProgram(api_a, ObjectType::kThread, ScoreWordSource(1)), "");
 
   ckckpt::CkptImage image;
   ASSERT_EQ(a.srm().Checkpoint(app_a, &image), CkStatus::kOk);
@@ -800,8 +905,14 @@ TEST(PolicyCkptTest, PolicyTableSurvivesCheckpointRestoreBitExact) {
   ckapp::AppKernelBase app_b("policy-ckpt", 16);
   ASSERT_EQ(b.srm().Restore(app_b, shipped, ckckpt::RestoreOptions(), &error), CkStatus::kOk)
       << error;
-  EXPECT_EQ(app_b.policy_table()->Digest(), digest_before)
-      << "programs and weights must round-trip bit-exactly";
+  for (uint32_t t = 0; t < ck::kObjectTypeCount; ++t) {
+    const ck::GuestPolicy& before = app_a.policy_table()->guest[t];
+    const ck::GuestPolicy& after = app_b.policy_table()->guest[t];
+    EXPECT_EQ(after.enabled, before.enabled) << "type " << t;
+    EXPECT_EQ(after.words, before.words) << "type " << t;
+  }
+  EXPECT_TRUE(app_b.policy_table()->guest[static_cast<int>(ObjectType::kMapping)].enabled);
+  EXPECT_FALSE(app_b.policy_table()->guest[static_cast<int>(ObjectType::kSpace)].enabled);
   EXPECT_TRUE(b.ck().ValidateInvariants().empty());
 }
 

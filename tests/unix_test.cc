@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/isa/assembler.h"
 #include "src/unixemu/unix_emulator.h"
 #include "tests/test_harness.h"
@@ -446,6 +448,87 @@ TEST_F(UnixTest, UnknownSyscallKillsProcess) {
   )"));
   ASSERT_TRUE(RunToExit(pid));
   EXPECT_EQ(emulator_->process(pid).exit_code, -1);
+}
+
+// Swap has a floor. A sleeper dirties two heap pages; then a hog dirties
+// more zero-fill pages than the 128 frames plus six swap pages hold. Swap
+// comes down to the program images and stops: the dirty eviction that finds
+// no swap page is refused, the fault that needed its frame ends the hog with
+// SIGSEGV, and no image backing page is ever overwritten. Swapping the
+// sleeper out then stops at its first dirty page instead of spinning.
+TEST(UnixSwapFloorTest, DirtyingPastFramesPlusSwapEndsTheProcessCleanly) {
+  TestWorld world;
+  UnixConfig config;
+  config.backing_pages = 8;  // two image pages, six swap pages
+  UnixEmulator emulator(world.ck(), config);
+  cksrm::LaunchParams params;
+  params.page_groups = 1;  // 128 frames
+  params.max_priority = 31;
+  params.locked_kernel_object = true;
+  ASSERT_TRUE(world.srm().Launch(emulator, params).ok());
+  ck::CkApi api(world.ck(), emulator.self(), world.machine().cpu(0));
+  emulator.Start(api);
+
+  int sleeper = emulator.Exec(api, MustAssemble(R"(
+      li   t3, 0x20000000
+      addi a0, r0, 2
+      trap 19          ; sbrk 2 pages
+      li   t1, 0x5eed
+      sw   t1, 0(t3)
+      sw   t1, 4096(t3)
+      li   a0, 1000000
+      trap 20          ; sleep 1 s
+      addi a0, r0, 0
+      trap 17
+  )"));
+  ASSERT_TRUE(world.RunUntil(
+      [&] { return emulator.process(sleeper).state == Process::State::kSleeping; }));
+  int hog = emulator.Exec(api, MustAssemble(R"(
+      addi a0, r0, 160
+      trap 19          ; sbrk 160 pages
+      mv   t0, a0
+      li   t2, 160
+      li   t3, 4096
+      addi t1, r0, 0
+    loop:
+      sw   t1, 0(t0)   ; dirty the next zero-fill page
+      add  t0, t0, t3
+      addi t1, t1, 1
+      blt  t1, t2, loop
+      addi a0, r0, 0
+      trap 17
+  )"));
+  ASSERT_EQ(emulator.image_next(), 2u);
+  auto images = [&] {
+    return std::vector<uint8_t>(emulator.backing().PageData(0),
+                                emulator.backing().PageData(0) + 2 * cksim::kPageSize);
+  };
+  std::vector<uint8_t> images_before = images();
+
+  bool floor_held = true;
+  ASSERT_TRUE(world.RunUntil([&] {
+    floor_held = floor_held && emulator.swap_next() >= emulator.image_next();
+    return emulator.process(hog).state == Process::State::kZombie;
+  }));
+  EXPECT_TRUE(floor_held) << "swap must never reach below the program images";
+  EXPECT_EQ(emulator.swap_next(), emulator.image_next()) << "every swap page was used";
+  EXPECT_EQ(emulator.process(hog).exit_code, -11);
+  EXPECT_TRUE(emulator.process(hog).segv_fault);
+  EXPECT_GE(emulator.paging_stats().pages_out, 6u);
+  EXPECT_EQ(images(), images_before) << "program image backing pages must stay byte-identical";
+
+  emulator.SwapOutProcess(api, sleeper);
+  EXPECT_TRUE(emulator.process(sleeper).swapped);
+  ckapp::VSpace& sp = emulator.space(emulator.process(sleeper).space_index);
+  EXPECT_NE(sp.FindPage(0x10000)->where, ckapp::PageRecord::Where::kResident)
+      << "the clean code page went out first";
+  ASSERT_NE(sp.resident.Front(), nullptr) << "the dirty heap pages had nowhere to go";
+  for (ckapp::PageRecord* page : sp.resident) {
+    EXPECT_TRUE(page->dirty && page->backing_page == ckapp::kNoBackingPage);
+  }
+  EXPECT_EQ(emulator.swap_next(), emulator.image_next());
+  EXPECT_EQ(images(), images_before);
+  EXPECT_TRUE(world.ck().ValidateInvariants().empty());
 }
 
 }  // namespace

@@ -13,6 +13,14 @@
 // faults and reports those distributions. Run with --trace=<file> to also get
 // a Chrome trace_event JSON with one nested span per fault (load it in
 // chrome://tracing or https://ui.perfetto.dev).
+//
+// --self-check runs the walk a second time with CacheKernelConfig::fastpath
+// off and gates the population: enough faults after warm-up, every history
+// entry's step stamps in order, the paper's step shape (3-4 above 1-2, 5-6
+// below it), and identical populations and histories in both modes.
+
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/isa/assembler.h"
@@ -24,12 +32,15 @@ class BenchKernel : public ckapp::AppKernelBase {
   BenchKernel() : ckapp::AppKernelBase("fig2", 256) {}
 };
 
-}  // namespace
+// One fault-walk population.
+struct Walk {
+  ck::FaultStepStats steps;
+  uint64_t faults = 0;        // completed faults recorded
+  uint64_t after_warmup = 0;  // of those, past the warm-up faults
+  std::vector<ck::FaultTrace> history;
+};
 
-int main(int argc, char** argv) {
-  ck::ObsSession obs(argc, argv);
-  ckbench::World world;
-  obs.Attach(world.machine(), &world.ck());
+Walk RunWalk(ckbench::World& world) {
   BenchKernel app;
   world.Launch(app);
   ck::CkApi api = world.ApiFor(app);
@@ -67,11 +78,43 @@ int main(int argc, char** argv) {
     return world.ck().fault_step_stats().handle_load.count() >= 3 ||
            app.thread(guest).finished;
   });
-  ckbase::Stats warm_total = world.ck().fault_step_stats().total;
+  size_t warm_faults = world.ck().fault_step_stats().total.count();
   world.RunUntil([&] { return app.thread(guest).finished; });
 
-  const ck::FaultStepStats& steps = world.ck().fault_step_stats();
-  uint64_t faults = world.ck().fault_traces_recorded();
+  Walk walk;
+  walk.steps = world.ck().fault_step_stats();
+  walk.faults = world.ck().fault_traces_recorded();
+  walk.after_warmup = walk.steps.total.count() - warm_faults;
+  walk.history = world.ck().FaultHistory();
+  return walk;
+}
+
+bool SameStats(const ckbase::Stats& a, const ckbase::Stats& b) {
+  return a.count() == b.count() && a.Mean() == b.Mean();
+}
+
+bool SameHistory(const std::vector<ck::FaultTrace>& a, const std::vector<ck::FaultTrace>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].trap_entry != b[i].trap_entry || a[i].handler_start != b[i].handler_start ||
+        a[i].mapping_loaded != b[i].mapping_loaded || a[i].resumed != b[i].resumed) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  ck::ObsSession obs(argc, argv, {"--self-check"});
+  const bool self_check = ckbench::HasFlag(argc, argv, "--self-check");
+  ckbench::World world;
+  obs.Attach(world.machine(), &world.ck());
+  const Walk walk = RunWalk(world);
+  const ck::FaultStepStats& steps = walk.steps;
 
   ckbench::Title("Figure 2: page fault walk, per-step simulated microseconds");
   std::printf("%-58s %8s %8s %8s\n", "step", "mean us", "p95 us", "sd us");
@@ -90,15 +133,15 @@ int main(int argc, char** argv) {
   ckbench::Rule();
   std::printf("%-58s %8.1f %8.1f %8.1f   (%llu faults)\n", "total (paper: 99 us)",
               steps.total.Mean(), steps.total.Percentile(95), steps.total.StdDev(),
-              static_cast<unsigned long long>(faults));
+              static_cast<unsigned long long>(walk.faults));
   // The warmup deltas show the histograms really accumulate the population
   // (satellite check for the old keep-only-the-last-fault behavior).
   std::printf("%-58s %8llu %8llu\n", "faults recorded (after warmup / total)",
-              static_cast<unsigned long long>(steps.total.count() - warm_total.count()),
+              static_cast<unsigned long long>(walk.after_warmup),
               static_cast<unsigned long long>(steps.total.count()));
 
   ckbench::Note("\nlast 4 completed faults (from the fault history ring):");
-  std::vector<ck::FaultTrace> history = world.ck().FaultHistory();
+  const std::vector<ck::FaultTrace>& history = walk.history;
   size_t start = history.size() > 4 ? history.size() - 4 : 0;
   for (size_t i = start; i < history.size(); ++i) {
     const ck::FaultTrace& t = history[i];
@@ -113,5 +156,40 @@ int main(int argc, char** argv) {
   ckbench::Note("dominate; steps 1-2 are the fixed hardware/redirect cost the paper prices at");
   ckbench::Note("32 us; step 5 is folded into 4 by the optimized call, leaving resume cheap.");
   obs.Finish();
-  return 0;
+  if (!self_check) {
+    return 0;
+  }
+  // F2 (EXPERIMENTS.md). Every gate also fails on an empty population.
+  ck::CacheKernelConfig slow_config;
+  slow_config.fastpath = false;
+  ckbench::World slow_world(slow_config);
+  const Walk slow = RunWalk(slow_world);
+  ckbench::Gates gates;
+  char what[160];
+  std::snprintf(what, sizeof(what), "%llu faults recorded after warm-up >= 60",
+                static_cast<unsigned long long>(walk.after_warmup));
+  gates.Check(walk.after_warmup >= 60, what);
+  bool ordered = !walk.history.empty();
+  for (const ck::FaultTrace& t : walk.history) {
+    ordered = ordered && t.trap_entry <= t.handler_start && t.handler_start <= t.mapping_loaded &&
+              t.mapping_loaded <= t.resumed;
+  }
+  gates.Check(ordered, std::to_string(walk.history.size()) +
+                           " history entries, each trap_entry <= handler_start <= "
+                           "mapping_loaded <= resumed");
+  std::snprintf(what, sizeof(what), "steps 3-4 %.1f us > steps 1-2 %.1f us > steps 5-6 %.1f us",
+                steps.handle_load.Mean(), steps.transfer.Mean(), steps.resume.Mean());
+  gates.Check(steps.transfer.count() > 0 && steps.handle_load.count() > 0 &&
+                  steps.resume.count() > 0 && steps.handle_load.Mean() > steps.transfer.Mean() &&
+                  steps.resume.Mean() < steps.transfer.Mean(),
+              what);
+  gates.Check(SameStats(steps.transfer, slow.steps.transfer) &&
+                  SameStats(steps.handle_load, slow.steps.handle_load) &&
+                  SameStats(steps.resume, slow.steps.resume) &&
+                  SameStats(steps.total, slow.steps.total) && walk.faults == slow.faults &&
+                  walk.after_warmup == slow.after_warmup,
+              "fastpath on and off: equal step counts and means");
+  gates.Check(SameHistory(walk.history, slow.history),
+              "fastpath on and off: equal fault histories");
+  return gates.Finish();
 }

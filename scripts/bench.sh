@@ -73,8 +73,8 @@ want() {
 }
 
 TARGETS=("${@:-all}")
-# host_mips includes the guest-throughput benches (BM_GuestMips: slow
-# reference / fast path / superblock traces); min_time is raised so the
+# host_mips includes the guest-throughput benches (BM_GuestMips/0: slow
+# reference, BM_GuestMips/1: superblock traces); min_time is raised so the
 # recorded MIPS figures are steady-state, not warm-up.
 want host_mips && record BENCH_host_mips.json microbench_host --benchmark_min_time=2.0
 want cluster_scaling && record BENCH_cluster_scaling.json cluster_scaling

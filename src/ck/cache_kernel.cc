@@ -47,7 +47,6 @@ CacheKernel::CacheKernel(cksim::Machine& machine, const CacheKernelConfig& confi
   quota_window_start_.assign(machine.cpu_count(), 0);
   signal_reg_head_.assign(config.thread_slots, kNilSignalChain);
   micro_tlbs_.resize(machine.cpu_count());
-  exec_cache_ = std::make_unique<ckisa::ExecCache>(machine.memory());
   trace_caches_.resize(machine.cpu_count());
   for (uint32_t c = 0; c < machine.cpu_count(); ++c) {
     trace_caches_[c] = std::make_unique<ckisa::TraceCache>();

@@ -348,9 +348,13 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   // raises the normal fault-forwarding path synchronously and the access
   // retries. No call-gate cost: this is not a kernel call.
   Result<uint32_t> GuestLoad(KernelId caller, cksim::Cpu& cpu, ThreadId thread,
-                             cksim::VirtAddr vaddr);
+                             cksim::VirtAddr vaddr) {
+    return GuestAccess(caller, cpu, thread, vaddr, cksim::Access::kRead, 0);
+  }
   CkStatus GuestStore(KernelId caller, cksim::Cpu& cpu, ThreadId thread, cksim::VirtAddr vaddr,
-                      uint32_t value);
+                      uint32_t value) {
+    return GuestAccess(caller, cpu, thread, vaddr, cksim::Access::kWrite, value).status();
+  }
 
   // ---- failure injection ----
   // Mark a physical frame as held remotely / failed: accesses raise
@@ -483,6 +487,10 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
     ckbase::PoolId kernel;
     std::function<void(CkApi&)> fn;
   };
+
+  // GuestLoad (kRead) and GuestStore (kWrite): a load returns the word read.
+  Result<uint32_t> GuestAccess(KernelId caller, cksim::Cpu& cpu, ThreadId thread,
+                               cksim::VirtAddr vaddr, cksim::Access access, uint32_t value);
 
   // -- tracing --
   // The emitting CPU's trace ring; nullptr until Machine::EnableTracing.
@@ -665,16 +673,13 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   std::vector<AppEvent> app_events_;  // kept sorted by `at`
   // Frames held on remote nodes / failed modules: single source of truth.
   // The dense region doubles as the O(1) per-access probe the guest memory
-  // paths and the fast-path interpreter use (raw pointer capture).
+  // paths and the trace executor use (raw pointer capture).
   ckbase::IterableBitmap remote_frames_;
 
-  // Guest-execution fast path state (src/isa/fastpath.h): one micro-TLB per
-  // CPU (mirrors the per-CPU hardware TLB) and one decoded-instruction cache
-  // per machine (keyed by physical frame, like the memory it shadows).
+  // Guest-execution fast path state (src/isa/fastpath.h), per CPU like the
+  // hardware TLB it shadows: the micro-TLB hints and the superblock trace
+  // cache (a trace revalidates against its CPU's TLB).
   std::vector<ckisa::MicroTlb> micro_tlbs_;
-  std::unique_ptr<ckisa::ExecCache> exec_cache_;
-  // Per-CPU superblock trace caches (a trace revalidates against its CPU's
-  // hardware TLB).
   std::vector<std::unique_ptr<ckisa::TraceCache>> trace_caches_;
 
   // -- cost attribution / profiler --

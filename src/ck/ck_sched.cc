@@ -13,33 +13,29 @@ using cksim::VirtAddr;
 class GuestBusImpl : public ckisa::GuestBus {
  public:
   GuestBusImpl(CacheKernel& ck, cksim::Cpu& cpu, AddressSpaceObject* space, uint16_t asid)
-      : ck_(ck), cpu_(cpu), space_(space), asid_(asid),
-        fast_enabled_(ck.config_.fastpath) {
-    if (fast_enabled_) {
+      : ck_(ck), cpu_(cpu), space_(space), asid_(asid) {
+    fp_.cpu = &cpu;
+    if (ck.config_.profile_period != 0) {
+      fp_.sampler = &ck.samplers_[cpu.id()];
+    }
+    if (ck.config_.fastpath) {
+      // Superblock traces: the translation state a trace reads, the owning
+      // CPU's trace cache and this quantum's trace counters.
       fp_.mtlb = &ck.micro_tlbs_[cpu.id()];
       fp_.tlb = &cpu.mmu().tlb();
-      fp_.exec_cache = ck.exec_cache_.get();
       fp_.mem = &ck.machine_.memory();
       fp_.remote_frame_bits = ck.remote_frames_.dense_data();
       fp_.frame_count = ck.remote_frames_.dense_limit();
-      fp_.cpu = &cpu;
       fp_.asid = asid;
       fp_.cost_tlb_hit = ck.machine_.cost().tlb_hit;
       fp_.cost_mem_word = ck.machine_.cost().mem_word;
       fp_.cost_instruction = ck.machine_.cost().instruction;
-      if (ck.config_.profile_period != 0) {
-        fp_.sampler = &ck.samplers_[cpu.id()];
-      }
-      if (ck.config_.trace_exec) {
-        // Superblock traces: the owning CPU's trace cache plus this quantum's
-        // trace counters (FastPath contract: both set or both null).
-        fp_.tcache = ck.trace_caches_[cpu.id()].get();
-        fp_.trace_stats = &trace_stats_;
-      }
+      fp_.tcache = ck.trace_caches_[cpu.id()].get();
+      fp_.trace_stats = &trace_stats_;
     }
   }
 
-  ckisa::FastPath* fast_path() override { return fast_enabled_ ? &fp_ : nullptr; }
+  ckisa::FastPath* fast_path() override { return &fp_; }
 
   const ckisa::TraceStats& trace_stats() const { return trace_stats_; }
 
@@ -108,10 +104,10 @@ class GuestBusImpl : public ckisa::GuestBus {
       result.value = size == 4 ? mem.ReadWord(t.paddr) : mem.ReadByte(t.paddr);
     }
     result.ok = true;
-    // Seed the micro-TLB so the next access to this page takes the fast
-    // path. Probe is side-effect free; the TLB entry is resident (the
+    // Seed the micro-TLB so a trace's next data access to this page stays in
+    // the trace. Probe is side-effect free; the TLB entry is resident (the
     // translation above just hit or filled it).
-    if (fast_enabled_) {
+    if (fp_.mtlb != nullptr && access != cksim::Access::kExecute) {
       fp_.mtlb->Fill(access, asid_, vaddr >> cksim::kPageShift,
                      fp_.tlb->Probe(asid_, vaddr >> cksim::kPageShift));
     }
@@ -122,7 +118,6 @@ class GuestBusImpl : public ckisa::GuestBus {
   cksim::Cpu& cpu_;
   AddressSpaceObject* space_;
   uint16_t asid_;
-  bool fast_enabled_;
   ckisa::TraceStats trace_stats_;
   ckisa::FastPath fp_;
 };
@@ -131,8 +126,8 @@ class GuestBusImpl : public ckisa::GuestBus {
 // Native application memory access
 // ---------------------------------------------------------------------------
 
-Result<uint32_t> CacheKernel::GuestLoad(KernelId caller, cksim::Cpu& cpu, ThreadId thread_id,
-                                        VirtAddr vaddr) {
+Result<uint32_t> CacheKernel::GuestAccess(KernelId caller, cksim::Cpu& cpu, ThreadId thread_id,
+                                          VirtAddr vaddr, cksim::Access access, uint32_t value) {
   ThreadObject* thread = GetThread(thread_id);
   KernelObject* owner = GetKernel(caller);
   if (thread == nullptr || owner == nullptr || kernels_.SlotAt(thread->kernel_slot) != owner) {
@@ -145,69 +140,29 @@ Result<uint32_t> CacheKernel::GuestLoad(KernelId caller, cksim::Cpu& cpu, Thread
       return CkStatus::kStale;
     }
     cksim::Mmu::TranslateResult t = cpu.mmu().Translate(
-        space->root_table, static_cast<uint16_t>(thread->space_slot), vaddr,
-        cksim::Access::kRead);
+        space->root_table, static_cast<uint16_t>(thread->space_slot), vaddr, access);
     cpu.Advance(t.cycles);
     if (t.ok) {
       if (FrameIsRemote(cksim::PageFrame(t.paddr))) {
         stats_.consistency_faults++;
-        cksim::Fault fault;
-        fault.type = cksim::FaultType::kConsistency;
-        fault.address = vaddr;
-        ForwardFault(thread, cpu, fault);
+        ForwardFault(thread, cpu, {cksim::FaultType::kConsistency, vaddr, access});
         continue;
       }
       cpu.Advance(machine_.cost().mem_word);
-      return machine_.memory().ReadWord(t.paddr & ~3u);
-    }
-    ForwardFault(thread, cpu, t.fault);
-    if (GetThread(thread_id) == nullptr || thread->state == ThreadState::kHalted ||
-        thread->state == ThreadState::kBlocked) {
-      return CkStatus::kBusy;  // the handler blocked or killed the thread
-    }
-  }
-  return CkStatus::kNotFound;
-}
-
-CkStatus CacheKernel::GuestStore(KernelId caller, cksim::Cpu& cpu, ThreadId thread_id,
-                                 VirtAddr vaddr, uint32_t value) {
-  ThreadObject* thread = GetThread(thread_id);
-  KernelObject* owner = GetKernel(caller);
-  if (thread == nullptr || owner == nullptr || kernels_.SlotAt(thread->kernel_slot) != owner) {
-    return CkStatus::kStale;
-  }
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    AddressSpaceObject* space =
-        spaces_.Lookup(ckbase::PoolId{thread->space_slot, thread->space_gen});
-    if (space == nullptr) {
-      return CkStatus::kStale;
-    }
-    cksim::Mmu::TranslateResult t = cpu.mmu().Translate(
-        space->root_table, static_cast<uint16_t>(thread->space_slot), vaddr,
-        cksim::Access::kWrite);
-    cpu.Advance(t.cycles);
-    if (t.ok) {
-      if (FrameIsRemote(cksim::PageFrame(t.paddr))) {
-        stats_.consistency_faults++;
-        cksim::Fault fault;
-        fault.type = cksim::FaultType::kConsistency;
-        fault.address = vaddr;
-        fault.access = cksim::Access::kWrite;
-        ForwardFault(thread, cpu, fault);
-        continue;
+      if (access == cksim::Access::kRead) {
+        return machine_.memory().ReadWord(t.paddr & ~3u);
       }
-      cpu.Advance(machine_.cost().mem_word);
       machine_.memory().WriteWord(t.paddr & ~3u, value);
       if (t.message_write && config_.signal_on_write) {
         DeliverSignalToFrame(cksim::PageFrame(t.paddr), t.paddr & cksim::kPageOffsetMask,
                              cpu.clock(), &cpu);
       }
-      return CkStatus::kOk;
+      return value;
     }
     ForwardFault(thread, cpu, t.fault);
     if (GetThread(thread_id) == nullptr || thread->state == ThreadState::kHalted ||
         thread->state == ThreadState::kBlocked) {
-      return CkStatus::kBusy;
+      return CkStatus::kBusy;  // the handler blocked or killed the thread
     }
   }
   return CkStatus::kNotFound;

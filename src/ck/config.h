@@ -35,19 +35,13 @@ struct CacheKernelConfig {
   bool signal_on_write = false;     // ParaDiGM hardware assist: every store to
                                     // a message page generates the signal; off
                                     // means senders signal explicitly
-  uint32_t signal_queue_depth = 8;  // per-thread pending signal ring
 
-  // Guest-execution fast path (src/isa/fastpath.h): per-CPU micro-TLB,
-  // decoded-instruction cache and batched cycle accounting. Simulated results
-  // are identical either way (tests/fastpath_test.cc enforces this); off is
-  // the slow reference the differential tests compare against.
+  // Guest-execution fast path (src/isa/fastpath.h): build superblock traces
+  // and run them with batched cycle accounting; every other instruction
+  // single-steps through the guest bus. Simulated results are identical
+  // either way (tests/fastpath_test.cc enforces this); off is the slow
+  // reference the differential tests compare against.
   bool fastpath = true;
-
-  // Superblock trace execution (src/isa/fastpath.h TraceCache): chain decoded
-  // instructions across basic-block boundaries and replay them with batched
-  // cycle accounting. Requires fastpath; simulated results are identical
-  // either way (off is the differential tests' trace-free reference).
-  bool trace_exec = true;
 
   // Physical memory reserved for the Cache Kernel's page tables, carved from
   // the top of the machine's memory.

@@ -17,9 +17,6 @@
 //   --profile[=<cycles>]  enable the guest-PC sampling profiler (default
 //                         period 50000 cycles = 2 ms at 25 MHz). Histograms
 //                         are embedded in the trace file under "ckProfile".
-//                         Samples are taken at fast-path cycle-accounting
-//                         flush points, so a kernel booted with
-//                         CacheKernelConfig::fastpath off collects none.
 //   --flight-recorder=<dir>  arm the crash flight recorder: on a fatal fault
 //                         (or any event reported via DumpFlightRecord) each
 //                         attached machine dumps its last trace-ring events,
@@ -28,8 +25,8 @@
 //                         src/obs/flight_recorder.h)
 //
 // The flags only observe: none of them changes simulated state. Execution
-// and policy choices (the fast path, trace execution, tiering, replacement
-// programs) are CacheKernelConfig fields and CkApi operations, not flags.
+// and policy choices (the fast path, tiering, replacement programs) are
+// CacheKernelConfig fields and CkApi operations, not flags.
 //
 // Unknown `--` flags are rejected with a usage message and exit code 2 (a
 // typo like --metrics-ot=f must not silently run unobserved). Binaries

@@ -1,18 +1,6 @@
 #include "src/isa/fastpath.h"
 
-#include <cstring>
-
 namespace ckisa {
-
-void ExecCache::Refill(DecodedPage& page, uint32_t frame, uint64_t generation) {
-  const uint8_t* base = mem_.raw() + cksim::FrameBase(frame);
-  for (uint32_t i = 0; i < cksim::kPageSize / 4; ++i) {
-    uint32_t word;
-    std::memcpy(&word, base + i * 4, 4);
-    page.insns[i] = Decode(word);
-  }
-  page.generation = generation;
-}
 
 uint32_t BuildTrace(const FastPath& fp, uint16_t asid, uint32_t head_vpc, Trace& t) {
   t.head_vpc = head_vpc;
@@ -64,8 +52,8 @@ uint32_t BuildTrace(const FastPath& fp, uint16_t asid, uint32_t head_vpc, Trace&
       t.pages[slot].generation = fp.mem->frame_generation(e.pframe);
     }
 
-    const DecodedPage* page = fp.exec_cache->Get(t.pages[slot].pframe);
-    Decoded d = page->insns[(pc & cksim::kPageOffsetMask) >> 2];
+    Decoded d = Decode(
+        fp.mem->ReadWord(cksim::FrameBase(t.pages[slot].pframe) | (pc & cksim::kPageOffsetMask)));
 
     TraceStep& s = t.steps[count];
     s.d = d;

@@ -1,25 +1,21 @@
-// Host-side guest-execution fast path: per-CPU micro-TLB and per-frame
-// decoded-instruction cache.
+// Host-side guest-execution fast path: superblock traces, and the micro-TLB
+// hints their data translation reads.
 //
 // These structures make the simulator execute guest instructions several
 // times faster on the host WITHOUT changing a single simulated cycle count
 // (the cycle-exactness invariant; see docs/PERFORMANCE.md). They are pure
 // host-side acceleration: nothing here charges or observes simulated time.
+// Instructions outside a trace single-step through the GuestBus, exactly as
+// the slow reference does.
 //
 // The micro-TLB is a small direct-mapped hint cache over the simulated
-// hardware TLB, one entry array per access kind (read/write/execute). An
-// entry names a resident cksim::TlbEntry by index; the interpreter
-// re-validates that entry on every use (valid + asid + vpage compare), so the
-// existing TLB invalidation surface -- FlushPage/FlushAsid/FlushFrame/
-// FlushAll and LRU eviction by Insert -- invalidates micro-TLB state
-// implicitly and strictly. A hit is an index, a compare and an array read:
-// no virtual dispatch, no set scan, no hash probe.
-//
-// The decoded-instruction cache is keyed by physical page frame with a
-// per-frame generation (PhysicalMemory::frame_generation) bumped on any
-// store to that frame, so Decode runs once per resident instruction page
-// instead of once per executed instruction. Self-modifying code bumps the
-// generation and falls back to a re-decode of the frame.
+// hardware TLB, one entry array per data access kind (read/write). An entry
+// names a resident cksim::TlbEntry by index; the trace executor re-validates
+// that entry on every use (valid + asid + vpage compare), so the existing TLB
+// invalidation surface -- FlushPage/FlushAsid/FlushFrame/FlushAll and LRU
+// eviction by Insert -- invalidates micro-TLB state implicitly and strictly.
+// A hit is an index, a compare and an array read: no virtual dispatch, no set
+// scan, no hash probe.
 
 #ifndef SRC_ISA_FASTPATH_H_
 #define SRC_ISA_FASTPATH_H_
@@ -51,8 +47,9 @@ struct MicroTlbEntry {
   uint16_t tlb_index = 0;
 };
 
-// Per-CPU. Direct-mapped by virtual page, one array per access kind, so the
-// hot lookup is a single indexed load and two compares.
+// Per-CPU. Direct-mapped by virtual page, one array per data access kind
+// (kRead or kWrite), so the hot lookup is a single indexed load and two
+// compares. Code pages need no hints: trace entry checks them with Tlb::Probe.
 class MicroTlb {
  public:
   static constexpr uint32_t kEntriesPerKind = 64;
@@ -61,7 +58,7 @@ class MicroTlb {
     return entries_[static_cast<uint32_t>(kind)][vpage & (kEntriesPerKind - 1)];
   }
 
-  // Record a hint after a successful slow-path translation. tlb_index < 0
+  // Record a hint after a successful bus load or store. tlb_index < 0
   // (entry not resident, e.g. raced out) leaves the hint untouched.
   void Fill(cksim::Access kind, uint16_t asid, uint32_t vpage, int32_t tlb_index) {
     if (tlb_index < 0) {
@@ -73,50 +70,8 @@ class MicroTlb {
     e.tlb_index = static_cast<uint16_t>(tlb_index);
   }
 
-  void InvalidateAll() {
-    for (auto& kind : entries_) {
-      for (MicroTlbEntry& e : kind) {
-        e.vpage = MicroTlbEntry::kInvalidVpage;
-      }
-    }
-  }
-
  private:
-  MicroTlbEntry entries_[3][kEntriesPerKind];  // indexed by cksim::Access
-};
-
-// Decoded image of one physical page frame.
-struct DecodedPage {
-  uint64_t generation = ~0ull;
-  Decoded insns[cksim::kPageSize / 4];
-};
-
-// Per-machine cache of decoded page frames, allocated lazily per executed
-// frame and refreshed when the frame's store generation moves.
-class ExecCache {
- public:
-  explicit ExecCache(cksim::PhysicalMemory& mem) : mem_(mem), pages_(mem.page_count()) {}
-
-  // Decoded instructions for `frame`. The caller guarantees
-  // frame < mem.page_count() (the fast path checks this before committing).
-  const DecodedPage* Get(uint32_t frame) {
-    DecodedPage* page = pages_[frame].get();
-    uint64_t generation = mem_.frame_generation(frame);
-    if (page == nullptr) {
-      pages_[frame] = std::make_unique<DecodedPage>();
-      page = pages_[frame].get();
-      Refill(*page, frame, generation);
-    } else if (page->generation != generation) {
-      Refill(*page, frame, generation);
-    }
-    return page;
-  }
-
- private:
-  void Refill(DecodedPage& page, uint32_t frame, uint64_t generation);
-
-  cksim::PhysicalMemory& mem_;
-  std::vector<std::unique_ptr<DecodedPage>> pages_;
+  MicroTlbEntry entries_[2][kEntriesPerKind];  // indexed by cksim::Access
 };
 
 // ---------------------------------------------------------------------------
@@ -136,7 +91,7 @@ class ExecCache {
 // trace records (vpage, pframe, frame_generation); entry revalidates each
 // against the live TLB (side-effect-free Tlb::Probe) and
 // PhysicalMemory::frame_generation, so self-modifying code, page remaps and
-// frame reuse invalidate traces exactly as they invalidate decoded frames.
+// frame reuse invalidate the decoded steps.
 //
 // Cycle-exactness: per-step cycle charges and TLB touch ordinals are
 // precomputed as prefix sums at build time and committed wholesale at trace
@@ -230,15 +185,17 @@ struct FastPath;
 // Build a superblock starting at (asid, head_vpc) into `t`, following the
 // predicted path through TLB-resident, local, non-remote pages. Returns the
 // number of steps built (0 = nothing buildable: first page not resident).
-// Side-effect-free on simulated state (Tlb::Probe + ExecCache::Get only).
+// Side-effect-free on simulated state: it validates each page with Tlb::Probe
+// and decodes the words it reads from the page's frame.
 uint32_t BuildTrace(const FastPath& fp, uint16_t asid, uint32_t head_vpc, Trace& t);
 
 // Periodic guest-PC sampler for the profiler. Samples are taken only at the
-// interpreter's run-loop exit points -- the places the fast path flushes its
+// interpreter's run-loop exit points -- the places the run loop flushes its
 // batched cycle accumulator anyway -- so arming it costs one compare on that
-// already-cold edge and nothing per instruction. The sampler never touches
-// simulated state: it reads the (fully flushed) CPU clock and latches a PC
-// for the kernel to harvest after ckisa::Run returns.
+// already-cold edge and nothing per instruction. Both modes exit the run
+// loop at the same (clock, pc) pairs, so they sample the same histogram. The
+// sampler never touches simulated state: it reads the (fully flushed) CPU
+// clock and latches a PC for the kernel to harvest after ckisa::Run returns.
 struct PcSampler {
   cksim::Cycles next_due = ~cksim::Cycles{0};
   cksim::Cycles period = 0;
@@ -260,18 +217,18 @@ struct PcSampler {
   }
 };
 
-// Everything the interpreter needs to serve a hot access inline. A GuestBus
-// that can expose one returns it from fast_path(); the interpreter then
-// bypasses the virtual interface for clean hits and falls back to the bus
-// for anything unusual (TLB miss, fault, remote frame, message write, first
-// write to a page, misalignment).
+// Everything the interpreter needs to build and run traces and to sample the
+// profiler. A GuestBus returns it from fast_path(); a trace runs its steps
+// without the virtual interface and leaves to the bus for anything unusual
+// (TLB miss, fault, remote frame, message write, first write to a page,
+// misalignment).
 struct FastPath {
   MicroTlb* mtlb = nullptr;
   cksim::Tlb* tlb = nullptr;
-  ExecCache* exec_cache = nullptr;
   cksim::PhysicalMemory* mem = nullptr;
-  // Per-frame remote/failed bit (CacheKernel::remote_frame_bits_), checked
-  // live on every fast access, so MarkFrameRemote needs no invalidation hook.
+  // Per-frame remote/failed bit (CacheKernel::remote_frames_), checked
+  // live on every trace entry and data access, so MarkFrameRemote needs no
+  // invalidation hook.
   const uint8_t* remote_frame_bits = nullptr;
   uint32_t frame_count = 0;
   cksim::Cpu* cpu = nullptr;  // flush target for batched cycle charges
@@ -282,8 +239,8 @@ struct FastPath {
   TraceCache* tcache = nullptr;
   TraceStats* trace_stats = nullptr;
   uint16_t asid = 0;
-  // Cycle charges of a clean hit, accumulated locally and flushed to
-  // Cpu::Advance at block boundaries (see interpreter.cc).
+  // Cycle charges of a trace step, accumulated locally and flushed to
+  // Cpu::Advance before any bus call (see interpreter.cc).
   cksim::Cycles cost_tlb_hit = 0;
   cksim::Cycles cost_mem_word = 0;
   cksim::Cycles cost_instruction = 0;

@@ -24,46 +24,13 @@ enum class TraceOutcome : uint8_t {
   kTerminal,  // run-terminating event (trap/fault/halt); result is filled
 };
 
-// Whether a store to a page with these PTE flags is a plain write: the slow
-// path then does no COW break, protection check or first-store modified-bit
-// write-through, so the fast paths may serve it.
+// Whether a store to a page with these PTE flags is a plain write: the bus
+// then does no COW break, protection check or first-store modified-bit
+// write-through, so a trace may serve it.
 constexpr bool WriteReady(uint8_t flags) {
   return (flags & (cksim::kPteWritable | cksim::kPteModified | cksim::kPteCopyOnWrite)) ==
          (cksim::kPteWritable | cksim::kPteModified);
 }
-
-// Slow policy: every access goes through the virtual GuestBus and charges the
-// CPU clock immediately. This is exactly the pre-fast-path interpreter and
-// the reference behavior the differential tests compare against
-// (--fastpath=off selects it).
-struct SlowPolicy {
-  GuestBus& bus;
-
-  bool FetchDecoded(uint32_t pc, Decoded& d, cksim::Fault& fault) {
-    GuestBus::MemResult fetch = bus.Fetch(pc);
-    if (!fetch.ok) {
-      fault = fetch.fault;
-      return false;
-    }
-    d = Decode(fetch.value);
-    return true;
-  }
-  GuestBus::MemResult Load(uint32_t vaddr, uint32_t width) { return bus.Load(vaddr, width); }
-  GuestBus::MemResult Store(uint32_t vaddr, uint32_t value, uint32_t width) {
-    return bus.Store(vaddr, value, width);
-  }
-  void ChargeInstruction() { bus.ChargeInstruction(); }
-  void OnMessageWrite(uint32_t vaddr) { bus.OnMessageWrite(vaddr); }
-  // The slow path charges cycles immediately, so run-loop exits have nothing
-  // to flush and take no profiler samples either: keeping this a no-op keeps
-  // the reference interpreter at exactly zero profiling overhead.
-  void FlushAt(uint32_t /*pc*/) {}
-  // Superblock traces are a fast-path-only acceleration.
-  TraceOutcome TryTrace(VmContext& /*ctx*/, uint32_t /*budget*/, uint32_t& /*n*/,
-                        RunResult& /*result*/) {
-    return TraceOutcome::kNone;
-  }
-};
 
 // Sandbox policy: a replacement-policy program (src/isa/sandbox.h) sees its
 // own code words, execute-only, and the candidate's feature window,
@@ -114,25 +81,29 @@ struct SandboxPolicy {
   }
 };
 
-// Fast policy: accesses whose translation hits the micro-TLB (and whose
-// target frame is local and needs no PTE side effects) are served straight
-// from host memory, with their cycle charges accumulated in `acc` and flushed
-// to Cpu::Advance in batches. Anything unusual falls back to the virtual bus.
+// What a bus without a fast_path() runs with: no traces, no profiler.
+constexpr FastPath kNoFastPath{};
+
+// Guest policy: every single step goes through the virtual GuestBus and
+// charges the CPU clock immediately -- the reference interpreter, and all
+// that runs with CacheKernelConfig::fastpath off. With a trace cache
+// (fp.tcache) the run loop also enters superblock traces, which run their
+// steps straight from host memory and accumulate the cycle charges in `acc`.
 //
 // Cycle-exactness rules (see docs/PERFORMANCE.md):
-//  * A fast hit performs exactly the simulated-state updates the slow path
-//    would: Tlb::TouchFastHit mirrors the Lookup hit bookkeeping (LRU age,
-//    hit counter), and the charges added to `acc` are the same tlb_hit /
+//  * A trace step performs exactly the simulated-state updates the bus
+//    would: its TLB touches mirror the Lookup hit bookkeeping (LRU age, hit
+//    counter), and the charges added to `acc` are the same tlb_hit /
 //    mem_word / instruction costs the bus would have charged.
 //  * `acc` is flushed before ANY virtual bus call, so every point that can
 //    observe the CPU clock (signal delivery, trace stamping inside the MMU,
 //    run termination) sees the fully charged clock.
-//  * The precondition checks commit no state: only when an access is known
-//    to stay on the fast path does it touch the TLB or the accumulator, so a
-//    fallback replays through the bus exactly once.
-struct FastPolicy {
+//  * The trace's precondition checks commit no state: only when an access is
+//    known to stay in the trace does it touch the TLB or the accumulator, so
+//    a fallback replays through the bus exactly once.
+struct GuestPolicy {
   GuestBus& bus;
-  FastPath& fp;
+  const FastPath& fp;
   cksim::Cycles acc = 0;
 
   void Flush() {
@@ -152,9 +123,36 @@ struct FastPolicy {
     }
   }
 
-  // The micro-TLB hint check shared by single accesses and the trace's data
-  // translation: the live TLB entry the (kind, vpage) hint names, or null when
-  // the hint is stale or the frame is remote or out of range. Commits nothing.
+  bool FetchDecoded(uint32_t pc, Decoded& d, cksim::Fault& fault) {
+    Flush();
+    GuestBus::MemResult fetch = bus.Fetch(pc);
+    if (!fetch.ok) {
+      fault = fetch.fault;
+      return false;
+    }
+    d = Decode(fetch.value);
+    return true;
+  }
+  GuestBus::MemResult Load(uint32_t vaddr, uint32_t width) {
+    Flush();
+    return bus.Load(vaddr, width);
+  }
+  GuestBus::MemResult Store(uint32_t vaddr, uint32_t value, uint32_t width) {
+    Flush();
+    return bus.Store(vaddr, value, width);
+  }
+  void ChargeInstruction() {
+    Flush();
+    bus.ChargeInstruction();
+  }
+  void OnMessageWrite(uint32_t vaddr) {
+    Flush();
+    bus.OnMessageWrite(vaddr);
+  }
+
+  // The micro-TLB hint check of the trace's data translation: the live TLB
+  // entry the (kind, vpage) hint names, or null when the hint is stale or the
+  // frame is remote or out of range. Commits nothing.
   const cksim::TlbEntry* Hinted(cksim::Access kind, uint32_t vpage, uint16_t* tlb_index) {
     const MicroTlbEntry& hint = fp.mtlb->At(kind, vpage);
     if (hint.vpage != vpage || hint.asid != fp.asid) {
@@ -171,77 +169,6 @@ struct FastPolicy {
     }
     *tlb_index = hint.tlb_index;
     return &t;
-  }
-
-  // Translate `vaddr` for `kind` via the micro-TLB without falling back.
-  // On success commits the TLB hit (LRU + counter), returns the physical
-  // address and the live PTE flags. Fails -- with no simulated side effects --
-  // whenever the slow path would do anything beyond "hit, charge, access":
-  // TLB miss, fault, remote frame, first write / COW / read-only write.
-  bool TryTranslate(cksim::Access kind, uint32_t vaddr, uint32_t* paddr, uint8_t* flags) {
-    uint16_t index;
-    const cksim::TlbEntry* t = Hinted(kind, vaddr >> cksim::kPageShift, &index);
-    if (t == nullptr || (kind == cksim::Access::kWrite && !WriteReady(t->flags))) {
-      return false;
-    }
-    // Committed: from here the access completes on the fast path.
-    fp.tlb->TouchFastHit(index);
-    acc += fp.cost_tlb_hit;
-    *paddr = cksim::FrameBase(t->pframe) | (vaddr & cksim::kPageOffsetMask);
-    *flags = t->flags;
-    return true;
-  }
-
-  bool FetchDecoded(uint32_t pc, Decoded& d, cksim::Fault& fault) {
-    uint32_t paddr;
-    uint8_t flags;
-    if ((pc & 3u) == 0 && TryTranslate(cksim::Access::kExecute, pc, &paddr, &flags)) {
-      acc += fp.cost_mem_word;
-      const DecodedPage* page = fp.exec_cache->Get(paddr >> cksim::kPageShift);
-      d = page->insns[(paddr & cksim::kPageOffsetMask) >> 2];
-      return true;
-    }
-    Flush();
-    return SlowPolicy{bus}.FetchDecoded(pc, d, fault);
-  }
-
-  // The interpreter already rejected misaligned word accesses.
-  GuestBus::MemResult Load(uint32_t vaddr, uint32_t width) {
-    uint32_t paddr;
-    uint8_t flags;
-    if (TryTranslate(cksim::Access::kRead, vaddr, &paddr, &flags)) {
-      acc += fp.cost_mem_word;
-      GuestBus::MemResult m;
-      m.ok = true;
-      std::memcpy(&m.value, fp.mem->raw() + paddr, width);
-      return m;
-    }
-    Flush();
-    return bus.Load(vaddr, width);
-  }
-
-  GuestBus::MemResult Store(uint32_t vaddr, uint32_t value, uint32_t width) {
-    uint32_t paddr;
-    uint8_t flags;
-    if (TryTranslate(cksim::Access::kWrite, vaddr, &paddr, &flags)) {
-      acc += fp.cost_mem_word;
-      std::memcpy(fp.mem->raw() + paddr, &value, width);
-      fp.mem->BumpFrameGeneration(paddr);  // keep the decoded cache honest
-      GuestBus::MemResult m;
-      m.ok = true;
-      m.message_write = (flags & cksim::kPteMessage) != 0;
-      return m;
-    }
-    Flush();
-    return bus.Store(vaddr, value, width);
-  }
-
-  void ChargeInstruction() { acc += fp.cost_instruction; }
-
-  void OnMessageWrite(uint32_t vaddr) {
-    // Signal delivery stamps the CPU clock; it must see all batched charges.
-    Flush();
-    bus.OnMessageWrite(vaddr);
   }
 
   // ---- superblock trace execution ----
@@ -368,10 +295,12 @@ struct FastPolicy {
       commit(s + 1, t.touch_prefix[s] + 1, t.acc_prefix[s] + step_cost);
     };
 
-    // Translate a data access, deferring the TLB touch into the log. Serving
-    // rules are the single-access TryTranslate preconditions; a miss here
-    // means the access must replay through the bus (after which the trace
-    // exits, since the bus may move TLB state under our fetch indices).
+    // Translate a data access, deferring the TLB touch into the log. It is
+    // served only where the bus would do nothing beyond hit, charge and
+    // access: a live hint on a local frame, and for a store a write-ready
+    // page. A miss here means the access must replay through the bus (after
+    // which the trace exits, since the bus may move TLB state under our
+    // fetch indices).
     auto dtranslate = [&](cksim::Access kind, uint32_t addr, uint32_t si, uint32_t* paddr,
                           uint8_t* flags, bool* own) -> bool {
       uint32_t vpage = addr >> cksim::kPageShift;
@@ -486,8 +415,7 @@ struct FastPolicy {
         // Off the fast path: commit the fetch half first, so the bus-side
         // TLB touch gets the next ordinal, then replay through the bus.
         commit_partial(si);
-        Flush();
-        GuestBus::MemResult m = kLoad ? bus.Load(addr, kWidth) : bus.Store(addr, r[d.rd], kWidth);
+        GuestBus::MemResult m = kLoad ? Load(addr, kWidth) : Store(addr, r[d.rd], kWidth);
         if (!m.ok) {
           ctx.pc = s.vpc;
           result.event = RunEvent::kFault;
@@ -573,11 +501,11 @@ struct FastPolicy {
   }
 };
 
-// The interpreter core, shared by the three policies. Instruction semantics
-// and the fault/trap/halt protocol are policy-independent; the policy only
-// decides how fetches, loads, stores and cycle charges are performed. Every
-// exit runs Policy::FlushAt, so batched charges always land on the CPU clock
-// before the caller (the dispatch loop) reads it.
+// The interpreter core, shared by the guest and sandbox policies. Instruction
+// semantics and the fault/trap/halt protocol are policy-independent; the
+// policy only decides how fetches, loads, stores and cycle charges are
+// performed. Every exit runs Policy::FlushAt, so batched charges always land
+// on the CPU clock before the caller (the dispatch loop) reads it.
 template <typename Policy>
 RunResult RunLoop(VmContext& ctx, Policy& p, uint32_t budget) {
   RunResult result;
@@ -693,12 +621,8 @@ stop:
 }  // namespace
 
 RunResult Run(VmContext& ctx, GuestBus& bus, uint32_t budget) {
-  FastPath* fp = bus.fast_path();
-  if (fp != nullptr) {
-    FastPolicy p{bus, *fp};
-    return RunLoop(ctx, p, budget);
-  }
-  SlowPolicy p{bus};
+  const FastPath* fp = bus.fast_path();
+  GuestPolicy p{bus, fp != nullptr ? *fp : kNoFastPath};
   return RunLoop(ctx, p, budget);
 }
 

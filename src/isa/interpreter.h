@@ -51,10 +51,11 @@ class GuestBus {
   // assist enabled, the kernel generates the address-valued signal here.
   virtual void OnMessageWrite(uint32_t vaddr) = 0;
 
-  // Optional host-side acceleration (src/isa/fastpath.h). When non-null the
-  // interpreter serves micro-TLB hits inline and batches their cycle charges;
-  // simulated results (cycle counts, TLB state, faults, signals) are
-  // guaranteed identical to running everything through the virtual methods.
+  // Optional host-side acceleration and profiler hook (src/isa/fastpath.h).
+  // With a trace cache in it the interpreter runs superblock traces and
+  // batches their cycle charges; simulated results (cycle counts, TLB state,
+  // faults, signals) are guaranteed identical to running everything through
+  // the virtual methods.
   virtual FastPath* fast_path() { return nullptr; }
 };
 

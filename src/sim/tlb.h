@@ -56,32 +56,25 @@ class Tlb {
   uint64_t misses() const { return misses_; }
   void ResetStats() { hits_ = misses_ = 0; }
 
-  // ---- micro-TLB (host fast path) support ----
+  // ---- micro-TLB and trace (host fast path) support ----
   // A micro-TLB entry is a verified hint naming a resident TlbEntry by index
-  // (entries_ never reallocates). The fast path re-validates the entry on
-  // every use, so TLB flushes and LRU evictions invalidate micro-TLB state
+  // (entries_ never reallocates). The trace executor re-validates the entry
+  // on every use, so TLB flushes and LRU evictions invalidate micro-TLB state
   // implicitly; see docs/PERFORMANCE.md.
   //
   // Index of the resident entry for (asid, vpage), or -1. Unlike Lookup this
   // has no side effects on the LRU clock or the hit/miss counters.
   int32_t Probe(uint16_t asid, uint32_t vpage) const;
   const TlbEntry& EntryAt(uint32_t index) const { return entries_[index]; }
-  // Bookkeeping for an access served by the micro-TLB: exactly what a
-  // Lookup hit does, so fast-path and slow-path runs age entries (and count
-  // hits) identically.
-  void TouchFastHit(uint32_t index) {
-    entries_[index].lru = ++tick_;
-    ++hits_;
-  }
 
-  // Batched fast-hit bookkeeping for the superblock trace executor: a trace
-  // defers its TouchFastHit calls and commits them in one shot before any
-  // point that could observe TLB state (a virtual bus call, an eviction, the
-  // run-loop exit). The commit must reproduce EXACTLY the state a touch-by-
-  // touch run would leave: `touches` total tick/hit increments, and each
-  // touched entry's lru set to the tick value of its LAST touch (callers
-  // ensure per-entry writes land in ascending ordinal order; writes to
-  // different entries may land in any order).
+  // Batched hit bookkeeping for the superblock trace executor: a trace
+  // defers the Lookup hits its steps would make and commits them in one shot
+  // before any point that could observe TLB state (a virtual bus call, an
+  // eviction, the run-loop exit). The commit must reproduce EXACTLY the
+  // state a touch-by-touch run would leave: `touches` total tick/hit
+  // increments, and each touched entry's lru set to the tick value of its
+  // LAST touch (callers ensure per-entry writes land in ascending ordinal
+  // order; writes to different entries may land in any order).
   void CommitFastHits(uint64_t touches) {
     tick_ += touches;
     hits_ += touches;

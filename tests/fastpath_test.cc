@@ -1,12 +1,12 @@
 // Differential suite for the guest-execution fast path.
 //
-// Every workload here runs twice -- once with the fast path (micro-TLB +
-// decoded-instruction cache + batched cycle accounting) and once with
-// --fastpath=off (every access through the virtual GuestBus, charged
-// immediately) -- and ALL simulated state must be bit-identical: CPU clocks,
-// machine time, TLB hit/miss counters, kernel statistics, fault and signal
-// counts, and final guest register state. This is the cycle-exactness
-// invariant of docs/PERFORMANCE.md, enforced.
+// Every workload here runs twice -- once with the fast path (superblock
+// traces with batched cycle accounting) and once with
+// CacheKernelConfig::fastpath off (every instruction through the virtual
+// GuestBus, charged immediately) -- and ALL simulated state must be
+// bit-identical: CPU clocks, machine time, TLB hit/miss counters, kernel
+// statistics, fault and signal counts, and final guest register state. This
+// is the cycle-exactness invariant of docs/PERFORMANCE.md, enforced.
 
 #include <gtest/gtest.h>
 
@@ -338,8 +338,8 @@ TEST(FastPathDifferential, UnixEmulator) {
 
 // ---------------------------------------------------------------------------
 // Workload 5: self-modifying code. The guest patches an instruction in its
-// own (writable) text page and re-executes it; the decoded-instruction cache
-// must observe the store (frame generation bump) and re-decode.
+// own (writable) text page and re-executes it; a trace over that page must
+// observe the store (frame generation bump) and be rebuilt.
 // ---------------------------------------------------------------------------
 
 Snapshot RunSelfModifying(bool fastpath, uint32_t* s0_out, uint32_t* s1_out) {
@@ -407,8 +407,8 @@ TEST(FastPathDifferential, SelfModifyingCode) {
 
 // ---------------------------------------------------------------------------
 // Workload 6: remapping a virtual page to a different frame mid-run. After
-// UnloadMapping the TLB entry is flushed; the micro-TLB hint must die with it
-// and the re-fault must fetch (and decode) from the NEW frame.
+// UnloadMapping the TLB entry is flushed; a trace over the old frame must die
+// with it and the re-fault must fetch (and decode) from the NEW frame.
 // ---------------------------------------------------------------------------
 
 // App kernel whose trap 18 rebinds vaddr 0x00500000 to a second frame.
@@ -570,23 +570,11 @@ TEST(FastPathDifferential, RemoteFrameConsistencyFault) {
 // call/return loop builds a trace through `sub`; the guest then rewrites the
 // addi inside it. The store bumps the frame generation, so the next trace
 // entry must see the mismatch, invalidate, rebuild, and execute the patched
-// instruction -- with bit-identical simulated history in all three modes.
+// instruction -- with bit-identical simulated history in both modes.
 // ---------------------------------------------------------------------------
 
-struct TraceModeOptions {
-  bool fastpath = true;
-  bool trace_exec = true;
-};
-
-WorldOptions Options(const TraceModeOptions& mode) {
-  WorldOptions options;
-  options.ck.fastpath = mode.fastpath;
-  options.ck.trace_exec = mode.trace_exec;
-  return options;
-}
-
-Snapshot RunTraceSmc(const TraceModeOptions& mode, uint32_t* s1_out, uint32_t* s2_out) {
-  TestWorld world(Options(mode));
+Snapshot RunTraceSmc(bool fastpath, uint32_t* s1_out, uint32_t* s2_out) {
+  TestWorld world(Options(fastpath));
   TrapAppKernel app;
   world.Launch(app);
   ck::CkApi api(world.ck(), app.self(), world.machine().cpu(0));
@@ -629,7 +617,7 @@ Snapshot RunTraceSmc(const TraceModeOptions& mode, uint32_t* s1_out, uint32_t* s
   uint32_t thread = app.CreateGuestThread(api, params);
   EXPECT_TRUE(world.RunUntil([&] { return app.thread(thread).finished; }, 1000000));
 
-  if (mode.fastpath && mode.trace_exec) {
+  if (fastpath) {
     EXPECT_GE(world.ck().stats().exec_trace_builds, 1u);
     EXPECT_GE(world.ck().stats().exec_trace_hits, 1u);
     EXPECT_GE(world.ck().stats().exec_trace_invalidations, 1u)
@@ -651,18 +639,14 @@ Snapshot RunTraceSmc(const TraceModeOptions& mode, uint32_t* s1_out, uint32_t* s
 }
 
 TEST(TraceExecDifferential, SelfModifyingCodeInsideSuperblock) {
-  uint32_t trace_s1 = 0, trace_s2 = 0, fast_s1 = 0, fast_s2 = 0, slow_s1 = 0, slow_s2 = 0;
-  Snapshot trace = RunTraceSmc({true, true}, &trace_s1, &trace_s2);
-  Snapshot fast = RunTraceSmc({true, false}, &fast_s1, &fast_s2);
-  Snapshot slow = RunTraceSmc({false, false}, &slow_s1, &slow_s2);
+  uint32_t trace_s1 = 0, trace_s2 = 0, slow_s1 = 0, slow_s2 = 0;
+  Snapshot trace = RunTraceSmc(true, &trace_s1, &trace_s2);
+  Snapshot slow = RunTraceSmc(false, &slow_s1, &slow_s2);
   // Semantics: 200 increments of 1, then 200 of the patched 5.
   EXPECT_EQ(trace_s1, 200u);
   EXPECT_EQ(trace_s2, 1200u) << "trace executor ran stale decoded steps";
-  EXPECT_EQ(fast_s1, 200u);
-  EXPECT_EQ(fast_s2, 1200u);
   EXPECT_EQ(slow_s1, 200u);
   EXPECT_EQ(slow_s2, 1200u);
-  ExpectIdentical(trace, fast);
   ExpectIdentical(trace, slow);
 }
 
@@ -670,11 +654,11 @@ TEST(TraceExecDifferential, SelfModifyingCodeInsideSuperblock) {
 // Superblock traces: a trace whose steps cross a page boundary, with the
 // second page unloaded mid-run. The next trace entry finds the page gone from
 // the TLB (a cold miss, not an invalidation), single-steps into the demand
-// refault, and the run must stay bit-identical across all modes.
+// refault, and the run must stay bit-identical across both modes.
 // ---------------------------------------------------------------------------
 
-Snapshot RunTraceCrossPageUnload(const TraceModeOptions& mode) {
-  TestWorld world(Options(mode));
+Snapshot RunTraceCrossPageUnload(bool fastpath) {
+  TestWorld world(Options(fastpath));
   TrapAppKernel app;
   world.Launch(app);
   ck::CkApi api(world.ck(), app.self(), world.machine().cpu(0));
@@ -730,7 +714,7 @@ Snapshot RunTraceCrossPageUnload(const TraceModeOptions& mode) {
 
   // Once the loop is hot (any superblock spans both pages by construction),
   // unload the second code page. Keyed on guest_instructions, which advances
-  // identically in every mode, so the unload lands at the same point in all
+  // identically in both modes, so the unload lands at the same point in both
   // runs.
   bool unloaded = false;
   EXPECT_TRUE(world.RunUntil(
@@ -744,7 +728,7 @@ Snapshot RunTraceCrossPageUnload(const TraceModeOptions& mode) {
       2000000));
   EXPECT_TRUE(unloaded);
 
-  if (mode.fastpath && mode.trace_exec) {
+  if (fastpath) {
     EXPECT_GE(world.ck().stats().exec_trace_builds, 1u);
     EXPECT_GE(world.ck().stats().exec_trace_hits, 1u);
   }
@@ -756,24 +740,17 @@ Snapshot RunTraceCrossPageUnload(const TraceModeOptions& mode) {
 }
 
 TEST(TraceExecDifferential, TraceCrossesPageBoundaryWithMidRunUnload) {
-  Snapshot trace = RunTraceCrossPageUnload({true, true});
-  Snapshot fast = RunTraceCrossPageUnload({true, false});
-  Snapshot slow = RunTraceCrossPageUnload({false, false});
-  ExpectIdentical(trace, fast);
-  ExpectIdentical(trace, slow);
+  ExpectIdentical(RunTraceCrossPageUnload(true), RunTraceCrossPageUnload(false));
 }
 
 // ---------------------------------------------------------------------------
 // Profiler differential: with --profile armed, the guest-PC histogram must be
-// identical with and without trace execution -- samples latch at quantum-exit
-// flush points, and those see the same (clock, pc) pairs in both modes. (The
-// slow path takes no samples at all -- see observability.h -- so the
-// comparison is trace-on vs trace-off, both on the fast path.)
+// identical with and without the fast path -- samples latch at run-loop
+// exits, and those see the same (clock, pc) pairs in both modes.
 // ---------------------------------------------------------------------------
 
-std::map<uint32_t, uint64_t> RunProfiledHistogram(bool trace_exec, uint64_t* total) {
-  WorldOptions options;
-  options.ck.trace_exec = trace_exec;
+std::map<uint32_t, uint64_t> RunProfiledHistogram(bool fastpath, uint64_t* total) {
+  WorldOptions options = Options(fastpath);
   options.ck.profile_period = 3000;
   TestWorld world(options);
   TrapAppKernel app;
@@ -816,22 +793,23 @@ std::map<uint32_t, uint64_t> RunProfiledHistogram(bool trace_exec, uint64_t* tot
 }
 
 TEST(TraceExecDifferential, ProfilerHistogramsMatch) {
-  uint64_t trace_total = 0, fast_total = 0;
+  uint64_t trace_total = 0, slow_total = 0;
   std::map<uint32_t, uint64_t> trace = RunProfiledHistogram(true, &trace_total);
-  std::map<uint32_t, uint64_t> fast = RunProfiledHistogram(false, &fast_total);
+  std::map<uint32_t, uint64_t> slow = RunProfiledHistogram(false, &slow_total);
   EXPECT_GT(trace_total, 0u) << "profiler collected no samples";
-  EXPECT_EQ(trace_total, fast_total);
-  EXPECT_EQ(trace, fast) << "trace execution moved profiler sample points";
+  EXPECT_FALSE(trace.empty()) << "profiler histogram is empty";
+  EXPECT_EQ(trace_total, slow_total);
+  EXPECT_EQ(trace, slow) << "trace execution moved profiler sample points";
 }
 
 // ---------------------------------------------------------------------------
 // Four CPUs at once: one guest thread pinned to each CPU, each in its own
 // space, so all four per-CPU micro-TLBs and trace caches are live in one
-// interleaving. Cycle-exactness must hold across them in every mode.
+// interleaving. Cycle-exactness must hold across them in both modes.
 // ---------------------------------------------------------------------------
 
-Snapshot RunFourCpuWorkload(const TraceModeOptions& mode) {
-  TestWorld world(Options(mode));
+Snapshot RunFourCpuWorkload(bool fastpath) {
+  TestWorld world(Options(fastpath));
   TrapAppKernel app;
   world.Launch(app);
   ck::CkApi api(world.ck(), app.self(), world.machine().cpu(0));
@@ -884,29 +862,52 @@ Snapshot RunFourCpuWorkload(const TraceModeOptions& mode) {
 }
 
 TEST(TraceExecDifferential, FourCpusFourSpaces) {
-  Snapshot trace = RunFourCpuWorkload({true, true});
-  ExpectIdentical(trace, RunFourCpuWorkload({true, false}));
-  ExpectIdentical(trace, RunFourCpuWorkload({false, false}));
+  ExpectIdentical(RunFourCpuWorkload(true), RunFourCpuWorkload(false));
 }
 
 // ---------------------------------------------------------------------------
 // Random programs (tests/random_program.h): every generated program runs in
-// trace, fast and slow mode and must leave identical simulated state. The
-// programs cover loops, forward branches and jumps, loads and stores that
-// hit, demand-fault, fault fatally or land in the code page, traps, and the
-// division edge cases.
+// trace and slow mode and must leave identical simulated state. The programs
+// cover loops, forward branches and jumps, loads and stores that hit,
+// demand-fault, fault fatally, break copy-on-write, write a message page or
+// land in the code page, traps, and the division edge cases. Part-way
+// through each run the harness unloads one data page's mapping and marks the
+// other data page's frame remote, so later accesses refault or raise a
+// consistency fault.
 // ---------------------------------------------------------------------------
+
+// Counts the demand faults on one watched page.
+class GeneratedAppKernel : public TrapAppKernel {
+ public:
+  ck::HandlerAction HandleFault(const ck::FaultForward& fault, ck::CkApi& api) override {
+    if (fault.fault.type == cksim::FaultType::kNoMapping &&
+        (fault.fault.address & ~cksim::kPageOffsetMask) == watched_page) {
+      ++watched_faults;
+    }
+    return TrapAppKernel::HandleFault(fault, api);
+  }
+
+  uint32_t watched_page = ~0u;
+  uint64_t watched_faults = 0;
+};
 
 struct GeneratedRun {
   Snapshot snapshot;
   ck::CkStats stats;
   uint64_t illegal_accesses = 0;
+  uint64_t cow_copies = 0;
+  uint64_t refaults = 0;  // demand faults on the unloaded data page
 };
 
-GeneratedRun RunGenerated(const TraceModeOptions& mode, uint64_t seed) {
+// The guest instruction count after which RunGenerated unloads and marks its
+// data pages: it advances identically in both modes, so both runs perturb at
+// the same point.
+constexpr uint64_t kPerturbAfter = 200;
+
+GeneratedRun RunGenerated(bool fastpath, uint64_t seed) {
   const cktest::ProgramLayout layout;
-  TestWorld world(Options(mode));
-  TrapAppKernel app;
+  TestWorld world(Options(fastpath));
+  GeneratedAppKernel app;
   world.Launch(app);
   ck::CkApi api(world.ck(), app.self(), world.machine().cpu(0));
 
@@ -917,29 +918,58 @@ GeneratedRun RunGenerated(const TraceModeOptions& mode, uint64_t seed) {
   app.LoadProgramImage(space, program, /*writable=*/true);
   app.DefineZeroRegion(space, layout.data_base, 2, /*writable=*/true);
   app.DefineZeroRegion(space, layout.readonly_base, 1, /*writable=*/false);
+  cksim::PhysAddr cow_source = app.frames().Allocate();
+  cksim::PhysAddr message_frame = app.frames().Allocate();
+  EXPECT_NE(cow_source, 0u);
+  EXPECT_NE(message_frame, 0u);
+  const uint32_t pattern[4] = {0x80000000u, 0xffffffffu, static_cast<uint32_t>(seed), 7};
+  EXPECT_EQ(api.WritePhys(cow_source, pattern, sizeof(pattern)), CkStatus::kOk);
+  app.DefineCowRegion(space, layout.cow_base, 1, cow_source);
+  app.DefineFrameRegion(space, layout.message_base, 1, message_frame, /*writable=*/true,
+                        /*message=*/true);
 
   ckapp::GuestThreadParams params;
   params.space_index = space;
   params.entry = layout.code_base;
   uint32_t thread = app.CreateGuestThread(api, params);
-  EXPECT_TRUE(world.RunUntil([&] { return app.thread(thread).finished; }, 2000000));
+  bool perturbed = false;
+  EXPECT_TRUE(world.RunUntil(
+      [&] {
+        if (!perturbed && world.ck().stats().guest_instructions > kPerturbAfter) {
+          perturbed = true;
+          ckapp::VSpace& sp = app.space(space);
+          if (sp.FindPage(layout.data_base)->where == ckapp::PageRecord::Where::kResident) {
+            EXPECT_EQ(api.UnloadMapping(sp.ck_id, layout.data_base), CkStatus::kOk);
+            app.watched_page = layout.data_base;
+          }
+          ckapp::PageRecord* remote = sp.FindPage(layout.data_base + cksim::kPageSize);
+          if (remote->where == ckapp::PageRecord::Where::kResident) {
+            world.ck().MarkFrameRemote(remote->frame >> cksim::kPageShift, true);
+          }
+        }
+        return app.thread(thread).finished;
+      },
+      2000000));
 
   GeneratedRun run;
   CaptureMachineState(run.snapshot, world);
   CaptureRegs(run.snapshot, app.thread(thread), "t0");
   run.snapshot.Add("paging.faults", app.paging_stats().faults);
   run.snapshot.Add("paging.illegal_accesses", app.paging_stats().illegal_accesses);
+  run.snapshot.Add("paging.cow_copies", app.paging_stats().cow_copies);
+  run.snapshot.Add("paging.refaults", app.watched_faults);
   run.stats = world.ck().stats();
   run.illegal_accesses = app.paging_stats().illegal_accesses;
+  run.cow_copies = app.paging_stats().cow_copies;
+  run.refaults = app.watched_faults;
   return run;
 }
 
 class RandomProgramDifferential : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(RandomProgramDifferential, TraceFastSlowIdentical) {
-  Snapshot trace = RunGenerated({true, true}, GetParam()).snapshot;
-  ExpectIdentical(trace, RunGenerated({true, false}, GetParam()).snapshot);
-  ExpectIdentical(trace, RunGenerated({false, false}, GetParam()).snapshot);
+TEST_P(RandomProgramDifferential, TraceSlowIdentical) {
+  ExpectIdentical(RunGenerated(true, GetParam()).snapshot,
+                  RunGenerated(false, GetParam()).snapshot);
 }
 
 constexpr uint64_t kFirstSeed = 1;
@@ -952,23 +982,32 @@ INSTANTIATE_TEST_SUITE_P(Generated, RandomProgramDifferential,
                          });
 
 // The differential above must not pass vacuously: across the seeds, the
-// trace executor builds, hits and invalidates superblocks, guests trap, and
-// some programs halt while others die on a fatal access.
+// trace executor builds, hits and invalidates superblocks, guests trap,
+// break copy-on-write, refault on the unloaded page and raise consistency
+// faults, and some programs halt while others die on a fatal access.
 TEST(RandomProgramCoverage, SeedsExerciseTracesTrapsHaltsAndFaults) {
   uint64_t builds = 0, hits = 0, invalidations = 0, traps = 0, faulted = 0;
+  uint64_t cow_copies = 0, refaults = 0, consistency_faults = 0;
   for (uint64_t seed = kFirstSeed; seed < kFirstSeed + kSeedCount; ++seed) {
-    GeneratedRun run = RunGenerated({true, true}, seed);
+    GeneratedRun run = RunGenerated(true, seed);
     builds += run.stats.exec_trace_builds;
     hits += run.stats.exec_trace_hits;
     invalidations += run.stats.exec_trace_invalidations;
     traps += run.stats.traps_forwarded;
     faulted += run.illegal_accesses != 0 ? 1 : 0;
+    cow_copies += run.cow_copies;
+    refaults += run.refaults;
+    consistency_faults += run.stats.consistency_faults;
   }
   EXPECT_GT(builds, 0u);
   EXPECT_GT(hits, 0u);
   EXPECT_GT(invalidations, 0u) << "no code-page store staled a superblock";
   EXPECT_GT(traps, 0u);
-  EXPECT_GT(faulted, 0u) << "no program died on an unmapped, misaligned or read-only access";
+  EXPECT_GT(cow_copies, 0u) << "no store broke copy-on-write";
+  EXPECT_GT(refaults, 0u) << "no access refaulted on the unloaded data page";
+  EXPECT_GT(consistency_faults, 0u) << "no access reached the remote data frame";
+  EXPECT_GT(faulted, 0u)
+      << "no program died on an unmapped, misaligned, read-only or remote access";
   EXPECT_LT(faulted, kSeedCount) << "no program ran to its halt";
 }
 

@@ -289,7 +289,7 @@ TEST(PolicySandboxTest, EmptyProgramFaults) {
             PolicyVmEvent::kFault);
 }
 
-// The random programs of the trace/fast/slow differential
+// The random programs of the trace/slow differential
 // (tests/random_program.h), run unchanged in the sandbox with the feature
 // window at their data address: once as the 8-word policy window, once
 // covering both data pages so most of their loads read features. A third run

@@ -1,5 +1,5 @@
 // Seeded generator of random, well-formed CKVM programs, drawn from the
-// instruction table (src/isa/isa.h). Used by the trace/fast/slow
+// instruction table (src/isa/isa.h). Used by the trace/slow
 // differential (fastpath_test.cc) and the policy-VM sandbox fuzz
 // (policy_vm_test.cc); the seed is part of every test name.
 //
@@ -7,8 +7,9 @@
 // sandbox's included, meets that edge case first), a list of random items and
 // a closing halt. Items:
 //   * an ALU row with random registers and immediate;
-//   * a load or store row at a mapped, read-only, code, unmapped or
-//     misaligned address (the last three kinds fault and end the thread);
+//   * a load or store row at a mapped, read-only, code, copy-on-write,
+//     message-mode, unmapped or misaligned address (unmapped, misaligned and
+//     read-only-store accesses fault and end the thread);
 //   * div or rem on 0, -1, INT_MIN or a random value;
 //   * trap 16;
 //   * a forward branch, jal or jalr over the next 1..3 items of its list;
@@ -33,12 +34,15 @@
 namespace cktest {
 
 // Where a generated program runs. The code pages must be writable for the
-// patch stores to land; `readonly_base` is one mapped read-only page and
-// nothing is mapped at `unmapped_base`.
+// patch stores to land; `readonly_base` is one mapped read-only page,
+// `cow_base` one copy-on-write page, `message_base` one writable
+// message-mode page, and nothing is mapped at `unmapped_base`.
 struct ProgramLayout {
   uint32_t code_base = 0x10000;
   uint32_t data_base = 0x00400000;  // two writable pages
   uint32_t readonly_base = 0x00500000;
+  uint32_t cow_base = 0x00600000;
+  uint32_t message_base = 0x00700000;
   uint32_t unmapped_base = 0x00800000;
   uint32_t data_bytes = 2 * 4096;  // span of data_base the memory items address
   bool read_only = false;          // no stores, traps or code patches
@@ -190,6 +194,9 @@ class ProgramGenerator {
       offset %= 4096;
     } else if (kind < 5 && load) {
       base = layout_.code_base;  // read our own instructions
+      offset %= 4096;
+    } else if (kind < 9 && !layout_.read_only) {
+      base = kind < 7 ? layout_.cow_base : layout_.message_base;
       offset %= 4096;
     }
     Li(kAddr, base + offset);

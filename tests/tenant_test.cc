@@ -5,8 +5,10 @@
 // two co-resident application kernels doing real (faulting, reclaiming,
 // swapping) work, nothing may be double-charged or dropped.
 
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -204,24 +206,47 @@ TEST_F(TenantTest, ProfilerSamplesGuestPcs) {
             ck_->profile_samples_total());
 }
 
-TEST_F(TenantTest, ProfilerOffByDefaultAndOffInSlowPath) {
+TEST_F(TenantTest, ProfilerOffByDefault) {
   Boot(ck::CacheKernelConfig{});
   uint32_t thread_a = 0, thread_b = 0;
   auto app_a = LaunchFaultingApp("tenant-a", 8, &thread_a);
   auto app_b = LaunchFaultingApp("tenant-b", 8, &thread_b);
   RunUntilFinished(*app_a, thread_a, *app_b, thread_b);
   EXPECT_EQ(ck_->profile_samples_total(), 0u);
+}
 
-  // Slow path: sampling points live only in the fast path's batched cycle
-  // flush, so --fastpath=off collects nothing (documented caveat).
-  ck::CacheKernelConfig slow;
-  slow.fastpath = false;
-  slow.profile_period = 2000;
-  Boot(slow);
-  auto app_c = LaunchFaultingApp("tenant-c", 8, &thread_a);
-  auto app_d = LaunchFaultingApp("tenant-d", 8, &thread_b);
-  RunUntilFinished(*app_c, thread_a, *app_d, thread_b);
-  EXPECT_EQ(ck_->profile_samples_total(), 0u);
+// Samples latch at the interpreter's run-loop exits, which the slow reference
+// reaches at the same (clock, pc) pairs as the trace path: a kernel booted
+// with the fast path off collects the same profile.
+TEST_F(TenantTest, ProfilerSamplesTheSameWithoutTheFastPath) {
+  struct Profile {
+    uint64_t total = 0;
+    std::vector<std::map<uint32_t, uint64_t>> pcs;
+    std::vector<uint64_t> prof_samples;  // per kernel slot
+  };
+  auto run = [&](bool fastpath) {
+    ck::CacheKernelConfig config;
+    config.fastpath = fastpath;
+    config.profile_period = 2000;
+    Boot(config);
+    uint32_t thread_a = 0, thread_b = 0;
+    auto app_a = LaunchFaultingApp("tenant-a", 48, &thread_a);
+    auto app_b = LaunchFaultingApp("tenant-b", 48, &thread_b);
+    RunUntilFinished(*app_a, thread_a, *app_b, thread_b);
+    Profile profile;
+    profile.total = ck_->profile_samples_total();
+    profile.pcs = ck_->profile_pcs();
+    for (const ck::CostAccount& account : ck_->tenant_accounts()) {
+      profile.prof_samples.push_back(account.prof_samples);
+    }
+    return profile;
+  };
+  Profile trace = run(true);
+  Profile slow = run(false);
+  EXPECT_GT(trace.total, 0u);
+  EXPECT_EQ(slow.total, trace.total);
+  EXPECT_EQ(slow.pcs, trace.pcs);
+  EXPECT_EQ(slow.prof_samples, trace.prof_samples);
 }
 
 }  // namespace

@@ -19,9 +19,11 @@
 
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/ck/observability.h"
+#include "src/obs/metrics.h"
 #include "src/fs/fs_cluster.h"
 
 int main(int argc, char** argv) {
@@ -46,10 +48,19 @@ int main(int argc, char** argv) {
   config.scan_rounds = rounds;
 
   ckfs::FsCluster world(config);
-  // Client 0 first: the metrics registry binds to the first attach, and the
-  // interesting counters (ck.fs.*) live client-side.
+  // Client 0 first: the metrics registry binds to the first attach.
   obs.Attach(world.client_machine(0), &world.client_ck(0));
   obs.Attach(world.server_machine(), &world.server_ck());
+  // The file-cache counters live in each client's cache (fs.client<i>.*).
+  for (uint32_t c = 0; c < config.clients; ++c) {
+    const ckfs::FsClientStats* s = &world.cache(c).stats();
+    std::string prefix = "fs.client" + std::to_string(c) + ".";
+    obs.registry().AddCounter(prefix + "hits", [s] { return s->hits; });
+    obs.registry().AddCounter(prefix + "misses", [s] { return s->misses; });
+    obs.registry().AddCounter(prefix + "readahead_issued", [s] { return s->readahead_issued; });
+    obs.registry().AddCounter(prefix + "readahead_useful", [s] { return s->readahead_useful; });
+    obs.registry().AddCounter(prefix + "invalidations", [s] { return s->invalidations; });
+  }
 
   std::printf("netboot: %u diskless clients booting from 1 file server (%s cluster driver)\n",
               config.clients, config.parallel ? "parallel" : "serial");

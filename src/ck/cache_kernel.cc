@@ -40,7 +40,7 @@ CacheKernel::CacheKernel(cksim::Machine& machine, const CacheKernelConfig& confi
   }
   ready_.resize(machine.cpu_count());
   for (auto& queues : ready_) {
-    queues = std::vector<ReadyQueue>(config.priority_levels);
+    queues = std::vector<ReadyQueue>(kPriorityLevels);
   }
   ready_mask_.assign(machine.cpu_count(), 0);
   pending_signals_.resize(machine.cpu_count());
@@ -60,7 +60,7 @@ KernelId CacheKernel::BootFirstKernel(AppKernel* handlers, uint64_t cookie) {
   k->handlers = handlers;
   k->cookie = cookie;
   k->locked = true;
-  k->max_priority = static_cast<uint8_t>(config_.priority_levels - 1);
+  k->max_priority = static_cast<uint8_t>(kPriorityLevels - 1);
   for (uint32_t c = 0; c < kMaxCpus; ++c) {
     k->cpu_percent[c] = 100;
   }
@@ -76,10 +76,57 @@ KernelId CacheKernel::BootFirstKernel(AppKernel* handlers, uint64_t cookie) {
   }
   k->manager_slot = kernels_.SlotOf(k);
   first_kernel_ = KernelId{kernels_.IdOf(k)};
-  stats_.loads[static_cast<uint32_t>(ObjectType::kKernel)]++;
-  // The first kernel loads itself: the boot load lands on its own account.
-  Tenant(kernels_.SlotOf(k)).loads[static_cast<uint32_t>(ObjectType::kKernel)]++;
+  // The first kernel loads itself: the boot load lands on its own account,
+  // its lock on itself charges no budget, and no CPU runs yet to trace it.
+  CommitLoad(ObjectType::kKernel, k, /*locked=*/false, /*cpu=*/nullptr, 0);
   return first_kernel_;
+}
+
+// ---------------------------------------------------------------------------
+// The call gate and the object lifecycle commits
+// ---------------------------------------------------------------------------
+
+KernelObject* CacheKernel::GateKernelObject(KernelId caller, KernelId kernel, CkStatus& status) {
+  if (!(caller == first_kernel_)) {
+    // Kernel objects are loaded by, and written back to, the first kernel.
+    status = CkStatus::kDenied;
+    return nullptr;
+  }
+  return GateCaller(kernel, status);
+}
+
+void CacheKernel::CommitLoad(ObjectType type, KernelObject* owner, bool locked, cksim::Cpu* cpu,
+                             uint32_t trace_arg) {
+  uint32_t t = static_cast<uint32_t>(type);
+  if (locked) {
+    owner->locked_count[t]++;
+  }
+  stats_.loads[t]++;
+  Tenant(kernels_.SlotOf(owner)).loads[t]++;
+  if (cpu != nullptr) {
+    CK_TRACE(Ring(*cpu), obs::EventType::kObjectLoad, cpu->clock(), t, trace_arg);
+  }
+}
+
+template <typename Upcall>
+void CacheKernel::CommitWriteback(cksim::Cpu& cpu, UnloadCause cause, ObjectType type,
+                                  uint32_t account_slot, KernelObject* receiver,
+                                  uint32_t trace_arg, Cycles extra, Upcall upcall) {
+  if (cause == UnloadCause::kDiscard) {
+    return;
+  }
+  cpu.Advance(machine_.cost().writeback_record + extra);
+  uint32_t t = static_cast<uint32_t>(type);
+  if (cause == UnloadCause::kExplicit) {
+    stats_.explicit_unloads[t]++;
+    Tenant(account_slot).explicit_unloads[t]++;
+  } else {
+    stats_.writebacks[t]++;
+    Tenant(account_slot).writebacks[t]++;
+  }
+  CK_TRACE(Ring(cpu), obs::EventType::kObjectWriteback, cpu.clock(), t, trace_arg);
+  CkApi api(*this, IdOfKernel(receiver), cpu);
+  upcall(*receiver->handlers, api);
 }
 
 // ---------------------------------------------------------------------------
@@ -90,27 +137,20 @@ Result<KernelId> CacheKernel::LoadKernel(KernelId caller, cksim::Cpu& cpu, AppKe
                                          uint64_t cookie, bool locked) {
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
-  KernelObject* mgr = GetKernel(caller);
+  CkStatus status = CkStatus::kOk;
+  KernelObject* mgr = GateCaller(caller, status);
   if (mgr == nullptr) {
-    stats_.stale_id_errors++;
-    return CkStatus::kStale;
+    return status;
   }
   if (!(caller == first_kernel_) || handlers == nullptr) {
-    // Kernel objects are loaded by, and written back to, the first kernel.
     return CkStatus::kDenied;
   }
-  if (kernels_.full()) {
-    if (!ReclaimVictim(ObjectType::kKernel, cpu, kernels_.SlotOf(mgr))) {
-      stats_.load_failures++;
-      return CkStatus::kNoResources;
-    }
+  if (kernels_.full() && !ReclaimVictim(ObjectType::kKernel, cpu, kernels_.SlotOf(mgr))) {
+    stats_.load_failures++;
+    return CkStatus::kNoResources;
   }
-  if (locked) {
-    uint32_t t = static_cast<uint32_t>(ObjectType::kKernel);
-    if (mgr->locked_count[t] >= mgr->locked_limit[t]) {
-      return CkStatus::kDenied;
-    }
-    mgr->locked_count[t]++;
+  if (locked && LockBudgetFull(mgr, ObjectType::kKernel)) {
+    return CkStatus::kDenied;
   }
   KernelObject* k = kernels_.Allocate();
   *k = KernelObject{};
@@ -119,10 +159,7 @@ Result<KernelId> CacheKernel::LoadKernel(KernelId caller, cksim::Cpu& cpu, AppKe
   k->locked = locked;
   k->manager_slot = kernels_.SlotOf(mgr);
   cpu.Advance(cost.descriptor_init + cost.mem_word * (cksim::kAccessArrayBytes / 4));
-  stats_.loads[static_cast<uint32_t>(ObjectType::kKernel)]++;
-  Tenant(kernels_.SlotOf(mgr)).loads[static_cast<uint32_t>(ObjectType::kKernel)]++;
-  CK_TRACE(Ring(cpu), obs::EventType::kObjectLoad, cpu.clock(),
-           static_cast<uint32_t>(ObjectType::kKernel), kernels_.SlotOf(k));
+  CommitLoad(ObjectType::kKernel, mgr, locked, &cpu, kernels_.SlotOf(k));
   cpu.Advance(cost.trap_exit);
   return KernelId{kernels_.IdOf(k)};
 }
@@ -130,16 +167,13 @@ Result<KernelId> CacheKernel::LoadKernel(KernelId caller, cksim::Cpu& cpu, AppKe
 CkStatus CacheKernel::UnloadKernel(KernelId caller, cksim::Cpu& cpu, KernelId kernel) {
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
-  if (GetKernel(caller) == nullptr) {
-    stats_.stale_id_errors++;
-    return CkStatus::kStale;
+  CkStatus status = CkStatus::kOk;
+  if (GateCaller(caller, status) == nullptr) {
+    return status;
   }
-  if (!(caller == first_kernel_)) {
-    return CkStatus::kDenied;
-  }
-  KernelObject* k = GetKernel(kernel);
+  KernelObject* k = GateKernelObject(caller, kernel, status);
   if (k == nullptr) {
-    return CkStatus::kStale;
+    return status;
   }
   if (kernel == first_kernel_) {
     return CkStatus::kDenied;  // the SRM never unloads itself
@@ -153,12 +187,10 @@ CkStatus CacheKernel::GrantPageGroups(KernelId caller, cksim::Cpu& cpu, KernelId
                                       uint32_t first_group, uint32_t count, GroupAccess access) {
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
-  if (!(caller == first_kernel_)) {
-    return CkStatus::kDenied;  // only the SRM changes memory access arrays
-  }
-  KernelObject* k = GetKernel(kernel);
+  CkStatus status = CkStatus::kOk;
+  KernelObject* k = GateKernelObject(caller, kernel, status);
   if (k == nullptr) {
-    return CkStatus::kStale;
+    return status;
   }
   for (uint32_t g = first_group; g < first_group + count; ++g) {
     k->SetGroupAccess(g, access);
@@ -205,14 +237,12 @@ CkStatus CacheKernel::SetCpuQuota(KernelId caller, cksim::Cpu& cpu, KernelId ker
                                   const uint8_t percent[kMaxCpus], uint8_t max_priority) {
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
-  if (!(caller == first_kernel_)) {
-    return CkStatus::kDenied;
-  }
-  KernelObject* k = GetKernel(kernel);
+  CkStatus status = CkStatus::kOk;
+  KernelObject* k = GateKernelObject(caller, kernel, status);
   if (k == nullptr) {
-    return CkStatus::kStale;
+    return status;
   }
-  if (max_priority >= config_.priority_levels) {
+  if (max_priority >= kPriorityLevels) {
     return CkStatus::kInvalidArgument;
   }
   for (uint32_t c = 0; c < kMaxCpus; ++c) {
@@ -227,12 +257,10 @@ CkStatus CacheKernel::SetLockLimits(KernelId caller, cksim::Cpu& cpu, KernelId k
                                     const uint8_t limits[kObjectTypeCount]) {
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
-  if (!(caller == first_kernel_)) {
-    return CkStatus::kDenied;
-  }
-  KernelObject* k = GetKernel(kernel);
+  CkStatus status = CkStatus::kOk;
+  KernelObject* k = GateKernelObject(caller, kernel, status);
   if (k == nullptr) {
-    return CkStatus::kStale;
+    return status;
   }
   for (uint32_t t = 0; t < kObjectTypeCount; ++t) {
     k->locked_limit[t] = limits[t];
@@ -249,23 +277,17 @@ Result<SpaceId> CacheKernel::LoadSpace(KernelId caller, cksim::Cpu& cpu, uint64_
                                        bool locked) {
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
-  KernelObject* owner = GetKernel(caller);
+  CkStatus status = CkStatus::kOk;
+  KernelObject* owner = GateCaller(caller, status);
   if (owner == nullptr) {
-    stats_.stale_id_errors++;
-    return CkStatus::kStale;
+    return status;
   }
-  if (spaces_.full()) {
-    if (!ReclaimVictim(ObjectType::kSpace, cpu, kernels_.SlotOf(owner))) {
-      stats_.load_failures++;
-      return CkStatus::kNoResources;
-    }
+  if (spaces_.full() && !ReclaimVictim(ObjectType::kSpace, cpu, kernels_.SlotOf(owner))) {
+    stats_.load_failures++;
+    return CkStatus::kNoResources;
   }
-  if (locked) {
-    uint32_t t = static_cast<uint32_t>(ObjectType::kSpace);
-    if (owner->locked_count[t] >= owner->locked_limit[t]) {
-      return CkStatus::kDenied;
-    }
-    owner->locked_count[t]++;
+  if (locked && LockBudgetFull(owner, ObjectType::kSpace)) {
+    return CkStatus::kDenied;
   }
   PhysAddr root = table_arena_.Allocate(cksim::kL1TableBytes);
   if (root == 0) {
@@ -283,10 +305,7 @@ Result<SpaceId> CacheKernel::LoadSpace(KernelId caller, cksim::Cpu& cpu, uint64_
   // Descriptor init plus zeroing the 512-byte root table.
   cpu.Advance(cost.descriptor_init + cost.table_alloc +
               cost.mem_word * (cksim::kL1TableBytes / 4));
-  stats_.loads[static_cast<uint32_t>(ObjectType::kSpace)]++;
-  Tenant(space->kernel_slot).loads[static_cast<uint32_t>(ObjectType::kSpace)]++;
-  CK_TRACE(Ring(cpu), obs::EventType::kObjectLoad, cpu.clock(),
-           static_cast<uint32_t>(ObjectType::kSpace), spaces_.SlotOf(space));
+  CommitLoad(ObjectType::kSpace, owner, locked, &cpu, spaces_.SlotOf(space));
   cpu.Advance(cost.trap_exit);
   return SpaceId{spaces_.IdOf(space)};
 }
@@ -294,14 +313,10 @@ Result<SpaceId> CacheKernel::LoadSpace(KernelId caller, cksim::Cpu& cpu, uint64_
 CkStatus CacheKernel::UnloadSpace(KernelId caller, cksim::Cpu& cpu, SpaceId space_id) {
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
-  KernelObject* owner = GetKernel(caller);
-  AddressSpaceObject* space = GetSpace(space_id);
-  if (owner == nullptr || space == nullptr) {
-    stats_.stale_id_errors++;
-    return CkStatus::kStale;
-  }
-  if (kernels_.SlotAt(space->kernel_slot) != owner) {
-    return CkStatus::kDenied;
+  CkStatus status = CkStatus::kOk;
+  AddressSpaceObject* space = GateOwned(GateCaller(caller, status), GetSpace(space_id), status);
+  if (space == nullptr) {
+    return status;
   }
   UnloadSpaceInternal(space, cpu, UnloadCause::kExplicit);
   cpu.Advance(cost.trap_exit);
@@ -316,36 +331,21 @@ Result<ThreadId> CacheKernel::LoadThread(KernelId caller, cksim::Cpu& cpu,
                                          const ThreadSpec& spec) {
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
-  KernelObject* owner = GetKernel(caller);
-  if (owner == nullptr) {
-    stats_.stale_id_errors++;
-    return CkStatus::kStale;
-  }
-  AddressSpaceObject* space = GetSpace(spec.space);
+  CkStatus status = CkStatus::kOk;
+  KernelObject* owner = GateCaller(caller, status);
+  AddressSpaceObject* space = GateOwned(owner, GetSpace(spec.space), status);
   if (space == nullptr) {
-    // The address space was written back concurrently: the application
-    // kernel reloads the space and retries (section 2).
-    stats_.stale_id_errors++;
-    return CkStatus::kStale;
+    return status;
   }
-  if (kernels_.SlotAt(space->kernel_slot) != owner) {
-    return CkStatus::kDenied;
-  }
-  if (spec.priority >= config_.priority_levels || spec.priority > owner->max_priority) {
+  if (spec.priority >= kPriorityLevels || spec.priority > owner->max_priority) {
     return CkStatus::kDenied;  // priority cap, section 4.3
   }
-  if (threads_.full()) {
-    if (!ReclaimVictim(ObjectType::kThread, cpu, kernels_.SlotOf(owner))) {
-      stats_.load_failures++;
-      return CkStatus::kNoResources;
-    }
+  if (threads_.full() && !ReclaimVictim(ObjectType::kThread, cpu, kernels_.SlotOf(owner))) {
+    stats_.load_failures++;
+    return CkStatus::kNoResources;
   }
-  if (spec.locked) {
-    uint32_t t = static_cast<uint32_t>(ObjectType::kThread);
-    if (owner->locked_count[t] >= owner->locked_limit[t]) {
-      return CkStatus::kDenied;
-    }
-    owner->locked_count[t]++;
+  if (spec.locked && LockBudgetFull(owner, ObjectType::kThread)) {
+    return CkStatus::kDenied;
   }
 
   ThreadObject* thread = threads_.Allocate();
@@ -370,7 +370,7 @@ Result<ThreadId> CacheKernel::LoadThread(KernelId caller, cksim::Cpu& cpu,
   thread->signal_count = 0;
   thread->signal_reg_count = 0;
   signal_reg_head_[threads_.SlotOf(thread)] = kNilSignalChain;
-  thread->slice_remaining = config_.time_slice;
+  thread->slice_remaining = kTimeSlice;
   thread->cpu_consumed = 0;
   thread->signals_taken = 0;
   thread->signals_dropped = 0;
@@ -384,10 +384,7 @@ Result<ThreadId> CacheKernel::LoadThread(KernelId caller, cksim::Cpu& cpu,
   // pointers, signal state) across the interface.
   cpu.Advance(cost.descriptor_init + cost.context_restore + cost.list_op +
               cost.mem_word * (sizeof(ThreadObject) / 4 / 2));
-  stats_.loads[static_cast<uint32_t>(ObjectType::kThread)]++;
-  Tenant(thread->kernel_slot).loads[static_cast<uint32_t>(ObjectType::kThread)]++;
-  CK_TRACE(Ring(cpu), obs::EventType::kObjectLoad, cpu.clock(),
-           static_cast<uint32_t>(ObjectType::kThread), threads_.SlotOf(thread));
+  CommitLoad(ObjectType::kThread, owner, spec.locked, &cpu, threads_.SlotOf(thread));
   cpu.Advance(cost.trap_exit);
   return ThreadId{threads_.IdOf(thread)};
 }
@@ -395,14 +392,10 @@ Result<ThreadId> CacheKernel::LoadThread(KernelId caller, cksim::Cpu& cpu,
 CkStatus CacheKernel::UnloadThread(KernelId caller, cksim::Cpu& cpu, ThreadId thread_id) {
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
-  KernelObject* owner = GetKernel(caller);
-  ThreadObject* thread = GetThread(thread_id);
-  if (owner == nullptr || thread == nullptr) {
-    stats_.stale_id_errors++;
-    return CkStatus::kStale;
-  }
-  if (kernels_.SlotAt(thread->kernel_slot) != owner) {
-    return CkStatus::kDenied;
+  CkStatus status = CkStatus::kOk;
+  ThreadObject* thread = GateOwned(GateCaller(caller, status), GetThread(thread_id), status);
+  if (thread == nullptr) {
+    return status;
   }
   UnloadThreadInternal(thread, cpu, UnloadCause::kExplicit);
   cpu.Advance(cost.trap_exit);
@@ -413,16 +406,13 @@ CkStatus CacheKernel::SetThreadPriority(KernelId caller, cksim::Cpu& cpu, Thread
                                         uint8_t priority) {
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
-  KernelObject* owner = GetKernel(caller);
-  ThreadObject* thread = GetThread(thread_id);
-  if (owner == nullptr || thread == nullptr) {
-    stats_.stale_id_errors++;
-    return CkStatus::kStale;
+  CkStatus status = CkStatus::kOk;
+  KernelObject* owner = GateCaller(caller, status);
+  ThreadObject* thread = GateOwned(owner, GetThread(thread_id), status);
+  if (thread == nullptr) {
+    return status;
   }
-  if (kernels_.SlotAt(thread->kernel_slot) != owner) {
-    return CkStatus::kDenied;
-  }
-  if (priority >= config_.priority_levels || priority > owner->max_priority) {
+  if (priority >= kPriorityLevels || priority > owner->max_priority) {
     return CkStatus::kDenied;
   }
   // The special call that avoids unload-modify-reload (section 2.3).
@@ -441,14 +431,10 @@ CkStatus CacheKernel::SetThreadPriority(KernelId caller, cksim::Cpu& cpu, Thread
 CkStatus CacheKernel::BlockThread(KernelId caller, cksim::Cpu& cpu, ThreadId thread_id) {
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
-  KernelObject* owner = GetKernel(caller);
-  ThreadObject* thread = GetThread(thread_id);
-  if (owner == nullptr || thread == nullptr) {
-    stats_.stale_id_errors++;
-    return CkStatus::kStale;
-  }
-  if (kernels_.SlotAt(thread->kernel_slot) != owner) {
-    return CkStatus::kDenied;
+  CkStatus status = CkStatus::kOk;
+  ThreadObject* thread = GateOwned(GateCaller(caller, status), GetThread(thread_id), status);
+  if (thread == nullptr) {
+    return status;
   }
   if (thread->state == ThreadState::kRunning) {
     cksim::Cpu& target = machine_.cpu(thread->cpu);
@@ -468,14 +454,10 @@ CkStatus CacheKernel::ResumeThread(KernelId caller, cksim::Cpu& cpu, ThreadId th
                                    bool has_return, uint32_t return_value) {
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
-  KernelObject* owner = GetKernel(caller);
-  ThreadObject* thread = GetThread(thread_id);
-  if (owner == nullptr || thread == nullptr) {
-    stats_.stale_id_errors++;
-    return CkStatus::kStale;
-  }
-  if (kernels_.SlotAt(thread->kernel_slot) != owner) {
-    return CkStatus::kDenied;
+  CkStatus status = CkStatus::kOk;
+  ThreadObject* thread = GateOwned(GateCaller(caller, status), GetThread(thread_id), status);
+  if (thread == nullptr) {
+    return status;
   }
   if (thread->state != ThreadState::kBlocked) {
     return CkStatus::kBusy;
@@ -483,7 +465,6 @@ CkStatus CacheKernel::ResumeThread(KernelId caller, cksim::Cpu& cpu, ThreadId th
   if (has_return) {
     thread->vm.regs[ckisa::kRegA0] = return_value;
   }
-  thread->state = ThreadState::kReady;
   Enqueue(thread);
   cpu.Advance(cost.list_op + cost.trap_exit);
   return CkStatus::kOk;
@@ -493,19 +474,14 @@ CkStatus CacheKernel::RedirectThread(KernelId caller, cksim::Cpu& cpu, ThreadId 
                                      cksim::VirtAddr pc, uint32_t a0) {
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
-  KernelObject* owner = GetKernel(caller);
-  ThreadObject* thread = GetThread(thread_id);
-  if (owner == nullptr || thread == nullptr) {
-    stats_.stale_id_errors++;
-    return CkStatus::kStale;
-  }
-  if (kernels_.SlotAt(thread->kernel_slot) != owner) {
-    return CkStatus::kDenied;
+  CkStatus status = CkStatus::kOk;
+  ThreadObject* thread = GateOwned(GateCaller(caller, status), GetThread(thread_id), status);
+  if (thread == nullptr) {
+    return status;
   }
   thread->vm.pc = pc;
   thread->vm.regs[ckisa::kRegA0] = a0;
   if (thread->state == ThreadState::kBlocked || thread->state == ThreadState::kHalted) {
-    thread->state = ThreadState::kReady;
     Enqueue(thread);
   }
   cpu.Advance(cost.trap_exit);
@@ -560,18 +536,11 @@ CkStatus CacheKernel::LoadMapping(KernelId caller, cksim::Cpu& cpu, const Mappin
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
   CkStatus status = [&] {
-    KernelObject* owner = GetKernel(caller);
-    if (owner == nullptr) {
-      stats_.stale_id_errors++;
-      return CkStatus::kStale;
-    }
-    AddressSpaceObject* space = GetSpace(spec.space);
+    CkStatus gate = CkStatus::kOk;
+    KernelObject* owner = GateCaller(caller, gate);
+    AddressSpaceObject* space = GateOwned(owner, GetSpace(spec.space), gate);
     if (space == nullptr) {
-      stats_.stale_id_errors++;
-      return CkStatus::kStale;
-    }
-    if (kernels_.SlotAt(space->kernel_slot) != owner) {
-      return CkStatus::kDenied;
+      return gate;
     }
     if ((spec.vaddr & cksim::kPageOffsetMask) != 0 || (spec.paddr & cksim::kPageOffsetMask) != 0 ||
         !machine_.memory().Contains(spec.paddr, cksim::kPageSize)) {
@@ -584,21 +553,12 @@ CkStatus CacheKernel::LoadMapping(KernelId caller, cksim::Cpu& cpu, const Mappin
       return CkStatus::kDenied;
     }
     ThreadObject* signal_thread = nullptr;
-    if (spec.signal_thread.valid()) {
-      signal_thread = GetThread(spec.signal_thread);
-      if (signal_thread == nullptr) {
-        stats_.stale_id_errors++;
-        return CkStatus::kStale;
-      }
-      if (kernels_.SlotAt(signal_thread->kernel_slot) != owner) {
-        return CkStatus::kDenied;
-      }
+    if (spec.signal_thread.valid() &&
+        (signal_thread = GateOwned(owner, GetThread(spec.signal_thread), gate)) == nullptr) {
+      return gate;
     }
-    if (spec.locked) {
-      uint32_t t = static_cast<uint32_t>(ObjectType::kMapping);
-      if (owner->locked_count[t] >= owner->locked_limit[t]) {
-        return CkStatus::kDenied;
-      }
+    if (spec.locked && LockBudgetFull(owner, ObjectType::kMapping)) {
+      return CkStatus::kDenied;
     }
 
     // Replace any existing mapping at this (space, vaddr).
@@ -647,19 +607,13 @@ CkStatus CacheKernel::LoadMapping(KernelId caller, cksim::Cpu& cpu, const Mappin
       pmap_.Insert(pv, cksim::PageFrame(spec.cow_source), 0, RecordType::kCopyOnWrite);
       cpu.Advance(cost.hash_op);
     }
-    if (spec.locked) {
-      owner->locked_count[static_cast<uint32_t>(ObjectType::kMapping)]++;
-    }
 
     cksim::MapFlags pte_flags = spec.flags;
     machine_.memory().WriteWord(leaf, cksim::MakePte(spec.paddr,
                                                      cksim::kPteValid | pte_flags.ToPteBits()));
     cpu.Advance(cost.pte_write);
     space->mapping_count++;
-    stats_.loads[static_cast<uint32_t>(ObjectType::kMapping)]++;
-    Tenant(space->kernel_slot).loads[static_cast<uint32_t>(ObjectType::kMapping)]++;
-    CK_TRACE(Ring(cpu), obs::EventType::kObjectLoad, cpu.clock(),
-             static_cast<uint32_t>(ObjectType::kMapping), spec.vaddr);
+    CommitLoad(ObjectType::kMapping, owner, spec.locked, &cpu, spec.vaddr);
     TierAdmitFrame(frame, &cpu, space->kernel_slot);
     return CkStatus::kOk;
   }();
@@ -675,10 +629,11 @@ CkStatus CacheKernel::LoadMappingAndResume(KernelId caller, cksim::Cpu& cpu,
   if (status != CkStatus::kOk) {
     return status;
   }
-  ThreadObject* thread = GetThread(faulting_thread);
+  // The faulting thread need only be loaded: the load above already checked
+  // the caller's authority over the mapping's space.
+  ThreadObject* thread = GateLoaded(GetThread(faulting_thread), status);
   if (thread == nullptr) {
-    stats_.stale_id_errors++;
-    return CkStatus::kStale;
+    return status;
   }
   // Combined-call discount: the separate trap entry/exit and the full resume
   // call are folded into the mapping load (charge only the restore).
@@ -687,42 +642,35 @@ CkStatus CacheKernel::LoadMappingAndResume(KernelId caller, cksim::Cpu& cpu,
   CK_TRACE(Ring(cpu), obs::EventType::kFaultMappingLoaded, cpu.clock(),
            static_cast<uint32_t>(ObjectType::kMapping), spec.vaddr);
   if (thread->state == ThreadState::kBlocked) {
-    thread->state = ThreadState::kReady;
     Enqueue(thread, /*front=*/true);
   }
   return CkStatus::kOk;
+}
+
+uint32_t CacheKernel::FindMapping(AddressSpaceObject* space, VirtAddr vaddr, cksim::Cpu& cpu,
+                                  uint32_t& pte) {
+  pte = LeafPte(space, vaddr, cpu);
+  if (!cksim::PteValid(pte)) {
+    return kNilRecord;
+  }
+  return pmap_.FindPv(cksim::PageFrame(cksim::PteAddress(pte)), spaces_.SlotOf(space), vaddr);
 }
 
 CkStatus CacheKernel::UnloadMapping(KernelId caller, cksim::Cpu& cpu, SpaceId space_id,
                                     VirtAddr vaddr) {
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
-  CkStatus status = [&] {
-    KernelObject* owner = GetKernel(caller);
-    AddressSpaceObject* space = GetSpace(space_id);
-    if (owner == nullptr || space == nullptr) {
-      stats_.stale_id_errors++;
-      return CkStatus::kStale;
-    }
-    if (kernels_.SlotAt(space->kernel_slot) != owner) {
-      return CkStatus::kDenied;
-    }
-    PhysAddr leaf = LeafPteAddr(space, vaddr, /*create=*/false, cpu);
-    if (leaf == 0) {
-      return CkStatus::kNotFound;
-    }
-    uint32_t pte = machine_.memory().ReadWord(leaf);
-    if (!cksim::PteValid(pte)) {
-      return CkStatus::kNotFound;
-    }
-    uint32_t pv = pmap_.FindPv(cksim::PageFrame(cksim::PteAddress(pte)), spaces_.SlotOf(space),
-                               vaddr);
+  CkStatus status = CkStatus::kOk;
+  AddressSpaceObject* space = GateOwned(GateCaller(caller, status), GetSpace(space_id), status);
+  if (space != nullptr) {
+    uint32_t pte = 0;
+    uint32_t pv = FindMapping(space, vaddr, cpu, pte);
     if (pv == kNilRecord) {
-      return CkStatus::kNotFound;
+      status = CkStatus::kNotFound;
+    } else {
+      UnloadPvRecord(pv, cpu, UnloadCause::kExplicit);
     }
-    UnloadPvRecord(pv, cpu, UnloadCause::kExplicit);
-    return CkStatus::kOk;
-  }();
+  }
   cpu.Advance(cost.trap_exit);
   return status;
 }
@@ -747,23 +695,15 @@ Result<MappingInfo> CacheKernel::QueryMapping(KernelId caller, cksim::Cpu& cpu, 
                                               VirtAddr vaddr) {
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
-  KernelObject* owner = GetKernel(caller);
-  AddressSpaceObject* space = GetSpace(space_id);
-  if (owner == nullptr || space == nullptr) {
-    stats_.stale_id_errors++;
-    return CkStatus::kStale;
+  CkStatus status = CkStatus::kOk;
+  AddressSpaceObject* space = GateOwned(GateCaller(caller, status), GetSpace(space_id), status);
+  if (space == nullptr) {
+    return status;
   }
-  if (kernels_.SlotAt(space->kernel_slot) != owner) {
-    return CkStatus::kDenied;
-  }
-  PhysAddr leaf = LeafPteAddr(space, vaddr, /*create=*/false, cpu);
-  if (leaf == 0) {
-    cpu.Advance(cost.trap_exit);
-    return CkStatus::kNotFound;
-  }
-  uint32_t pte = machine_.memory().ReadWord(leaf);
+  uint32_t pte = 0;
+  uint32_t pv = FindMapping(space, vaddr, cpu, pte);
+  cpu.Advance(cost.trap_exit);
   if (!cksim::PteValid(pte)) {
-    cpu.Advance(cost.trap_exit);
     return CkStatus::kNotFound;
   }
   MappingInfo info;
@@ -772,9 +712,7 @@ Result<MappingInfo> CacheKernel::QueryMapping(KernelId caller, cksim::Cpu& cpu, 
   info.message = (pte & cksim::kPteMessage) != 0;
   info.referenced = (pte & cksim::kPteReferenced) != 0;
   info.modified = (pte & cksim::kPteModified) != 0;
-  uint32_t pv = pmap_.FindPv(cksim::PageFrame(info.paddr), spaces_.SlotOf(space), vaddr);
   info.locked = pv != kNilRecord && pmap_.record(pv).pv_locked();
-  cpu.Advance(cost.trap_exit);
   return info;
 }
 
@@ -783,38 +721,26 @@ CkStatus CacheKernel::LockMapping(KernelId caller, cksim::Cpu& cpu, SpaceId spac
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
   CkStatus status = [&] {
-    KernelObject* owner = GetKernel(caller);
-    AddressSpaceObject* space = GetSpace(space_id);
-    if (owner == nullptr || space == nullptr) {
-      stats_.stale_id_errors++;
-      return CkStatus::kStale;
+    CkStatus gate = CkStatus::kOk;
+    KernelObject* owner = GateCaller(caller, gate);
+    AddressSpaceObject* space = GateOwned(owner, GetSpace(space_id), gate);
+    if (space == nullptr) {
+      return gate;
     }
-    if (kernels_.SlotAt(space->kernel_slot) != owner) {
-      return CkStatus::kDenied;
-    }
-    PhysAddr leaf = LeafPteAddr(space, vaddr, /*create=*/false, cpu);
-    if (leaf == 0) {
-      return CkStatus::kNotFound;
-    }
-    uint32_t pte = machine_.memory().ReadWord(leaf);
-    if (!cksim::PteValid(pte)) {
-      return CkStatus::kNotFound;
-    }
-    uint32_t pv = pmap_.FindPv(cksim::PageFrame(cksim::PteAddress(pte)), spaces_.SlotOf(space),
-                               vaddr);
+    uint32_t pte = 0;
+    uint32_t pv = FindMapping(space, vaddr, cpu, pte);
     if (pv == kNilRecord) {
       return CkStatus::kNotFound;
     }
     MemMapEntry& rec = pmap_.record(pv);
-    uint32_t t = static_cast<uint32_t>(ObjectType::kMapping);
     if (locked && !rec.pv_locked()) {
-      if (owner->locked_count[t] >= owner->locked_limit[t]) {
+      if (LockBudgetFull(owner, ObjectType::kMapping)) {
         return CkStatus::kDenied;
       }
-      owner->locked_count[t]++;
+      owner->locked_count[static_cast<uint32_t>(ObjectType::kMapping)]++;
       rec.dependent |= kPvLocked;
     } else if (!locked && rec.pv_locked()) {
-      owner->locked_count[t]--;
+      ReleaseLock(owner, ObjectType::kMapping, true);
       rec.dependent &= ~kPvLocked;
     }
     return CkStatus::kOk;
@@ -992,11 +918,7 @@ struct CacheKernel::MappingVictimOps {
   bool PeekReferenced(uint32_t index) const {
     MemMapEntry& rec = ck.pmap_.record(index);
     AddressSpaceObject* space = ck.spaces_.SlotAt(rec.pv_space_slot());
-    PhysAddr leaf = ck.LeafPteAddr(space, rec.pv_vaddr(), /*create=*/false, cpu);
-    if (leaf == 0) {
-      return false;
-    }
-    return (ck.machine_.memory().ReadWord(leaf) & cksim::kPteReferenced) != 0;
+    return (ck.LeafPte(space, rec.pv_vaddr(), cpu) & cksim::kPteReferenced) != 0;
   }
   uint32_t OwnerSlot(uint32_t index) const {
     MemMapEntry& rec = ck.pmap_.record(index);
@@ -1146,10 +1068,10 @@ CkStatus CacheKernel::LoadPolicy(KernelId caller, cksim::Cpu& cpu, ObjectType ty
                                  const uint32_t* words, uint32_t count) {
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
-  KernelObject* k = GetKernel(caller);
+  CkStatus status = CkStatus::kOk;
+  KernelObject* k = GateCaller(caller, status);
   if (k == nullptr) {
-    stats_.stale_id_errors++;
-    return CkStatus::kStale;
+    return status;
   }
   if (words == nullptr || count == 0 || count > kMaxPolicyProgramWords) {
     return CkStatus::kInvalidArgument;
@@ -1171,10 +1093,10 @@ CkStatus CacheKernel::LoadPolicy(KernelId caller, cksim::Cpu& cpu, ObjectType ty
 CkStatus CacheKernel::ClearPolicy(KernelId caller, cksim::Cpu& cpu, ObjectType type) {
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
-  KernelObject* k = GetKernel(caller);
+  CkStatus status = CkStatus::kOk;
+  KernelObject* k = GateCaller(caller, status);
   if (k == nullptr) {
-    stats_.stale_id_errors++;
-    return CkStatus::kStale;
+    return status;
   }
   PolicyTable* table = k->handlers != nullptr ? k->handlers->policy_table() : nullptr;
   if (table != nullptr) {
@@ -1571,8 +1493,6 @@ UnloadCause CascadeCause(UnloadCause parent) {
 
 }  // namespace
 
-// Attribute the unload to exactly one counter, then run the owner's
-// writeback handler (for every cause except kDiscard).
 void CacheKernel::UnloadPvRecord(uint32_t pv_index, cksim::Cpu& cpu, UnloadCause cause,
                                  bool consistency_cascade) {
   const cksim::CostModel& cost = machine_.cost();
@@ -1623,13 +1543,7 @@ void CacheKernel::UnloadPvRecord(uint32_t pv_index, cksim::Cpu& cpu, UnloadCause
   }
   record.had_signal = had_signal;
 
-  if (rec.pv_locked()) {
-    uint32_t t = static_cast<uint32_t>(ObjectType::kMapping);
-    if (owner->locked_count[t] > 0) {
-      owner->locked_count[t]--;
-    }
-  }
-
+  ReleaseLock(owner, ObjectType::kMapping, rec.pv_locked());
   pmap_.Remove(pv_index);
   cpu.Advance(cost.hash_op);
   space->mapping_count--;
@@ -1653,21 +1567,8 @@ void CacheKernel::UnloadPvRecord(uint32_t pv_index, cksim::Cpu& cpu, UnloadCause
     }
   }
 
-  if (cause != UnloadCause::kDiscard) {
-    cpu.Advance(cost.writeback_record);
-    uint32_t t = static_cast<uint32_t>(ObjectType::kMapping);
-    if (cause == UnloadCause::kExplicit) {
-      stats_.explicit_unloads[t]++;
-      Tenant(kernels_.SlotOf(owner)).explicit_unloads[t]++;
-    } else {
-      stats_.writebacks[t]++;
-      Tenant(kernels_.SlotOf(owner)).writebacks[t]++;
-    }
-    CK_TRACE(Ring(cpu), obs::EventType::kObjectWriteback, cpu.clock(),
-             static_cast<uint32_t>(ObjectType::kMapping), record.vaddr);
-    CkApi api(*this, IdOfKernel(owner), cpu);
-    owner->handlers->OnMappingWriteback(record, api);
-  }
+  CommitWriteback(cpu, cause, ObjectType::kMapping, kernels_.SlotOf(owner), owner, record.vaddr, 0,
+                  [&](AppKernel& h, CkApi& api) { h.OnMappingWriteback(record, api); });
 }
 
 void CacheKernel::UnloadThreadInternal(ThreadObject* thread, cksim::Cpu& cpu, UnloadCause cause) {
@@ -1699,32 +1600,16 @@ void CacheKernel::UnloadThreadInternal(ThreadObject* thread, cksim::Cpu& cpu, Un
   record.was_blocked = thread->state == ThreadState::kBlocked;
   record.cpu_consumed = thread->cpu_consumed;
 
-  if (thread->locked) {
-    uint32_t t = static_cast<uint32_t>(ObjectType::kThread);
-    if (owner->locked_count[t] > 0) {
-      owner->locked_count[t]--;
-    }
-  }
+  ReleaseLock(owner, ObjectType::kThread, thread->locked);
   space->threads.Remove(thread);
   owner->thread_count--;
   threads_.Release(thread);
   cpu.Advance(cost.context_save + cost.list_op);
-
-  if (cause != UnloadCause::kDiscard) {
-    cpu.Advance(cost.writeback_record + cost.mem_word * (sizeof(ThreadObject) / 4 / 2));
-    uint32_t t = static_cast<uint32_t>(ObjectType::kThread);
-    if (cause == UnloadCause::kExplicit) {
-      stats_.explicit_unloads[t]++;
-      Tenant(kernels_.SlotOf(owner)).explicit_unloads[t]++;
-    } else {
-      stats_.writebacks[t]++;
-      Tenant(kernels_.SlotOf(owner)).writebacks[t]++;
-    }
-    CK_TRACE(Ring(cpu), obs::EventType::kObjectWriteback, cpu.clock(),
-             static_cast<uint32_t>(ObjectType::kThread), record.cookie);
-    CkApi api(*this, IdOfKernel(owner), cpu);
-    owner->handlers->OnThreadWriteback(record, api);
-  }
+  // The writeback record carries the register context (half a descriptor).
+  CommitWriteback(cpu, cause, ObjectType::kThread, kernels_.SlotOf(owner), owner,
+                  static_cast<uint32_t>(record.cookie),
+                  cost.mem_word * (sizeof(ThreadObject) / 4 / 2),
+                  [&](AppKernel& h, CkApi& api) { h.OnThreadWriteback(record, api); });
 }
 
 void CacheKernel::FreeSpaceTables(AddressSpaceObject* space) {
@@ -1795,31 +1680,13 @@ void CacheKernel::UnloadSpaceInternal(AddressSpaceObject* space, cksim::Cpu& cpu
 
   SpaceWriteback record;
   record.cookie = space->cookie;
-  if (space->locked) {
-    uint32_t t = static_cast<uint32_t>(ObjectType::kSpace);
-    if (owner->locked_count[t] > 0) {
-      owner->locked_count[t]--;
-    }
-  }
+  ReleaseLock(owner, ObjectType::kSpace, space->locked);
   owner->space_count--;
   spaces_.Release(space);
   cpu.Advance(cost.descriptor_init);
-
-  if (cause != UnloadCause::kDiscard) {
-    cpu.Advance(cost.writeback_record);
-    uint32_t t = static_cast<uint32_t>(ObjectType::kSpace);
-    if (cause == UnloadCause::kExplicit) {
-      stats_.explicit_unloads[t]++;
-      Tenant(kernels_.SlotOf(owner)).explicit_unloads[t]++;
-    } else {
-      stats_.writebacks[t]++;
-      Tenant(kernels_.SlotOf(owner)).writebacks[t]++;
-    }
-    CK_TRACE(Ring(cpu), obs::EventType::kObjectWriteback, cpu.clock(),
-             static_cast<uint32_t>(ObjectType::kSpace), record.cookie);
-    CkApi api(*this, IdOfKernel(owner), cpu);
-    owner->handlers->OnSpaceWriteback(record, api);
-  }
+  CommitWriteback(cpu, cause, ObjectType::kSpace, kernels_.SlotOf(owner), owner,
+                  static_cast<uint32_t>(record.cookie), 0,
+                  [&](AppKernel& h, CkApi& api) { h.OnSpaceWriteback(record, api); });
 }
 
 void CacheKernel::UnloadKernelInternal(KernelObject* kernel, cksim::Cpu& cpu, UnloadCause cause) {
@@ -1842,32 +1709,15 @@ void CacheKernel::UnloadKernelInternal(KernelObject* kernel, cksim::Cpu& cpu, Un
   KernelObject* manager = kernels_.SlotAt(kernel->manager_slot);
   KernelWriteback record;
   record.cookie = kernel->cookie;
-  if (kernel->locked) {
-    uint32_t t = static_cast<uint32_t>(ObjectType::kKernel);
-    if (manager->locked_count[t] > 0) {
-      manager->locked_count[t]--;
-    }
-  }
+  ReleaseLock(manager, ObjectType::kKernel, kernel->locked);
   kernels_.Release(kernel);
   cpu.Advance(cost.descriptor_init);
-
-  if (cause != UnloadCause::kDiscard) {
-    cpu.Advance(cost.writeback_record);
-    uint32_t t = static_cast<uint32_t>(ObjectType::kKernel);
-    // A kernel object's unload is charged to its own slot (captured before
-    // the release; the slot index survives the descriptor).
-    if (cause == UnloadCause::kExplicit) {
-      stats_.explicit_unloads[t]++;
-      Tenant(kernel_slot).explicit_unloads[t]++;
-    } else {
-      stats_.writebacks[t]++;
-      Tenant(kernel_slot).writebacks[t]++;
-    }
-    CK_TRACE(Ring(cpu), obs::EventType::kObjectWriteback, cpu.clock(),
-             static_cast<uint32_t>(ObjectType::kKernel), record.cookie);
-    CkApi api(*this, IdOfKernel(manager), cpu);
-    manager->handlers->OnKernelWriteback(record, api);
-  }
+  // A kernel object's unload is charged to its own slot (captured before the
+  // release; the slot index survives the descriptor) and written back to its
+  // manager.
+  CommitWriteback(cpu, cause, ObjectType::kKernel, kernel_slot, manager,
+                  static_cast<uint32_t>(record.cookie), 0,
+                  [&](AppKernel& h, CkApi& api) { h.OnKernelWriteback(record, api); });
 }
 
 // ---------------------------------------------------------------------------
@@ -1891,9 +1741,10 @@ bool CacheKernel::CheckPhysicalAccess(KernelObject* kernel, PhysAddr addr, uint3
 CkStatus CacheKernel::CopyPage(KernelId caller, cksim::Cpu& cpu, PhysAddr dst, PhysAddr src) {
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
-  KernelObject* k = GetKernel(caller);
+  CkStatus status = CkStatus::kOk;
+  KernelObject* k = GateCaller(caller, status);
   if (k == nullptr) {
-    return CkStatus::kStale;
+    return status;
   }
   if ((dst & cksim::kPageOffsetMask) != 0 || (src & cksim::kPageOffsetMask) != 0 ||
       !CheckPhysicalAccess(k, dst, cksim::kPageSize, true) ||
@@ -1913,9 +1764,10 @@ CkStatus CacheKernel::CopyPage(KernelId caller, cksim::Cpu& cpu, PhysAddr dst, P
 CkStatus CacheKernel::ZeroPage(KernelId caller, cksim::Cpu& cpu, PhysAddr dst) {
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
-  KernelObject* k = GetKernel(caller);
+  CkStatus status = CkStatus::kOk;
+  KernelObject* k = GateCaller(caller, status);
   if (k == nullptr) {
-    return CkStatus::kStale;
+    return status;
   }
   if ((dst & cksim::kPageOffsetMask) != 0 ||
       !CheckPhysicalAccess(k, dst, cksim::kPageSize, true)) {
@@ -1931,9 +1783,10 @@ CkStatus CacheKernel::ZeroPage(KernelId caller, cksim::Cpu& cpu, PhysAddr dst) {
 CkStatus CacheKernel::WritePhys(KernelId caller, cksim::Cpu& cpu, PhysAddr addr, const void* data,
                                 uint32_t len) {
   const cksim::CostModel& cost = machine_.cost();
-  KernelObject* k = GetKernel(caller);
+  CkStatus status = CkStatus::kOk;
+  KernelObject* k = GateCaller(caller, status);
   if (k == nullptr) {
-    return CkStatus::kStale;
+    return status;
   }
   if (!CheckPhysicalAccess(k, addr, len, true)) {
     return CkStatus::kDenied;
@@ -1946,9 +1799,10 @@ CkStatus CacheKernel::WritePhys(KernelId caller, cksim::Cpu& cpu, PhysAddr addr,
 CkStatus CacheKernel::ReadPhys(KernelId caller, cksim::Cpu& cpu, PhysAddr addr, void* out,
                                uint32_t len) {
   const cksim::CostModel& cost = machine_.cost();
-  KernelObject* k = GetKernel(caller);
+  CkStatus status = CkStatus::kOk;
+  KernelObject* k = GateCaller(caller, status);
   if (k == nullptr) {
-    return CkStatus::kStale;
+    return status;
   }
   if (!CheckPhysicalAccess(k, addr, len, false)) {
     return CkStatus::kDenied;
@@ -2190,26 +2044,6 @@ void CacheKernel::RegisterMetrics(obs::Registry& registry) {
                         [m, c] { return m->cpu(c).mmu().tlb().misses(); });
   }
 
-  // Machine-level file-service counters: sums of the per-tenant fs_* fields
-  // (the fs layer charges per kernel via ChargeFs, so the machine totals are
-  // derived, and slot-sum conservation holds by construction).
-  const std::vector<CostAccount>* fs_tenants = &tenant_;
-  auto fs_total = [fs_tenants](uint64_t CostAccount::*field) {
-    uint64_t total = 0;
-    for (const CostAccount& a : *fs_tenants) {
-      total += a.*field;
-    }
-    return total;
-  };
-  registry.AddCounter("ck.fs.hits", [fs_total] { return fs_total(&CostAccount::fs_hits); });
-  registry.AddCounter("ck.fs.misses", [fs_total] { return fs_total(&CostAccount::fs_misses); });
-  registry.AddCounter("ck.fs.readahead_issued",
-                      [fs_total] { return fs_total(&CostAccount::fs_readahead_issued); });
-  registry.AddCounter("ck.fs.readahead_useful",
-                      [fs_total] { return fs_total(&CostAccount::fs_readahead_useful); });
-  registry.AddCounter("ck.fs.invalidations",
-                      [fs_total] { return fs_total(&CostAccount::fs_invalidations); });
-
   const FaultStepStats* f = &fault_step_stats_;
   registry.AddHistogram("ck.fault_us.transfer", [f] { return f->transfer; });
   registry.AddHistogram("ck.fault_us.handle_load", [f] { return f->handle_load; });
@@ -2254,16 +2088,6 @@ void CacheKernel::RegisterMetrics(obs::Registry& registry) {
                         [tenants, slot] { return (*tenants)[slot].exec_trace_invalidations; });
     registry.AddCounter(prefix + "trace_builds",
                         [tenants, slot] { return (*tenants)[slot].exec_trace_builds; });
-    registry.AddCounter(prefix + "fs_hits",
-                        [tenants, slot] { return (*tenants)[slot].fs_hits; });
-    registry.AddCounter(prefix + "fs_misses",
-                        [tenants, slot] { return (*tenants)[slot].fs_misses; });
-    registry.AddCounter(prefix + "fs_readahead_issued",
-                        [tenants, slot] { return (*tenants)[slot].fs_readahead_issued; });
-    registry.AddCounter(prefix + "fs_readahead_useful",
-                        [tenants, slot] { return (*tenants)[slot].fs_readahead_useful; });
-    registry.AddCounter(prefix + "fs_invalidations",
-                        [tenants, slot] { return (*tenants)[slot].fs_invalidations; });
     registry.AddCounter(prefix + "tier_admissions",
                         [tenants, slot] { return (*tenants)[slot].tier_admissions; });
     registry.AddCounter(prefix + "tier_demotions",
@@ -2283,31 +2107,6 @@ void CacheKernel::set_profile_period(cksim::Cycles period) {
   config_.profile_period = period;
   for (uint32_t c = 0; c < machine_.cpu_count(); ++c) {
     samplers_[c].Arm(machine_.cpu(c).clock(), period);
-  }
-}
-
-void CacheKernel::ChargeFs(KernelId kernel, FsCounter counter, uint64_t count) {
-  uint32_t slot = kernel.id.slot;
-  if (slot >= tenant_.size()) {
-    return;
-  }
-  CostAccount& account = Tenant(slot);
-  switch (counter) {
-    case FsCounter::kHit:
-      account.fs_hits += count;
-      break;
-    case FsCounter::kMiss:
-      account.fs_misses += count;
-      break;
-    case FsCounter::kReadaheadIssued:
-      account.fs_readahead_issued += count;
-      break;
-    case FsCounter::kReadaheadUseful:
-      account.fs_readahead_useful += count;
-      break;
-    case FsCounter::kInvalidation:
-      account.fs_invalidations += count;
-      break;
   }
 }
 

@@ -142,14 +142,6 @@ struct CostAccount {
   uint64_t exec_trace_misses = 0;
   uint64_t exec_trace_invalidations = 0;
   uint64_t exec_trace_builds = 0;
-  // File-service client cache work done by this kernel's threads (src/fs),
-  // recorded through ChargeFs. Machine-level ck.fs.* metrics are the sums of
-  // these fields across slots, so conservation holds by construction.
-  uint64_t fs_hits = 0;
-  uint64_t fs_misses = 0;
-  uint64_t fs_readahead_issued = 0;
-  uint64_t fs_readahead_useful = 0;
-  uint64_t fs_invalidations = 0;
   // Tiered-memory work attributed to this kernel: admissions/demotions/
   // evictions charge the frame's owning tenant when one exists (the kernel of
   // the first virtual mapping) and otherwise the kernel whose load forced the
@@ -163,15 +155,6 @@ struct CostAccount {
   // scans for its loads that abandoned the requested policy for clock.
   uint64_t policy_vm_steps = 0;
   uint64_t policy_fallbacks = 0;
-};
-
-// Which CostAccount fs_* counter a ChargeFs call lands in.
-enum class FsCounter : uint8_t {
-  kHit,
-  kMiss,
-  kReadaheadIssued,
-  kReadaheadUseful,
-  kInvalidation,
 };
 
 // Timestamps of the Figure 2 steps for one forwarded fault. The most recent
@@ -319,7 +302,7 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   CkStatus LoadPolicy(KernelId caller, cksim::Cpu& cpu, ObjectType type, const uint32_t* words,
                       uint32_t count);
   // Remove the caller's policy program for `type`; its descriptors revert to
-  // the knob policy. Succeeds (idempotently) when none is loaded.
+  // the clock scan. Succeeds (idempotently) when none is loaded.
   CkStatus ClearPolicy(KernelId caller, cksim::Cpu& cpu, ObjectType type);
 
   // ---- memory-based messaging ----
@@ -394,12 +377,6 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   void set_profile_period(cksim::Cycles period);
   // Per-kernel-slot cost attribution (always on; see CostAccount).
   const std::vector<CostAccount>& tenant_accounts() const { return tenant_; }
-  // Attribute file-service client cache work (hits/misses/read-ahead/
-  // invalidations) to `kernel`'s cost account. The fs layer lives in
-  // application kernels (src/fs); this is its one hook into the always-on
-  // attribution machinery, mirrored by the ck.fs.* and ck.tenant.<slot>.fs_*
-  // metrics. Out-of-range slots are ignored.
-  void ChargeFs(KernelId kernel, FsCounter counter, uint64_t count = 1);
   // Profiler PC histograms: profile_pcs()[slot] maps guest PC -> sample
   // count for the kernel that held `slot` when the samples were taken.
   const std::vector<std::map<uint32_t, uint64_t>>& profile_pcs() const { return profile_pcs_; }
@@ -507,6 +484,64 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   ThreadId IdOfThread(const ThreadObject* t) { return ThreadId{threads_.IdOf(t)}; }
   KernelObject* KernelOfSlot(uint32_t slot) { return kernels_.SlotAt(slot); }
 
+  // -- the call gate: every kernel call resolves its ids here. A resolver
+  // returns the object, or nullptr with `status` set: a stale id is kStale
+  // and counts one stale_id_errors (the object was written back, perhaps
+  // concurrently; the caller reloads it and retries, section 2); a space or
+  // thread of another kernel, or a kernel object named by anyone but the
+  // first kernel, is kDenied. Given a null owner (refused already) GateOwned
+  // returns nullptr and leaves `status` alone, so resolvers chain. --
+  template <typename Object>
+  Object* GateLoaded(Object* object, CkStatus& status) {
+    if (object == nullptr) {
+      stats_.stale_id_errors++;
+      status = CkStatus::kStale;
+    }
+    return object;
+  }
+  template <typename Object>
+  Object* GateOwned(KernelObject* owner, Object* object, CkStatus& status) {
+    if (owner == nullptr || GateLoaded(object, status) == nullptr) {
+      return nullptr;
+    }
+    if (kernels_.SlotAt(object->kernel_slot) != owner) {
+      status = CkStatus::kDenied;
+      return nullptr;
+    }
+    return object;
+  }
+  KernelObject* GateCaller(KernelId caller, CkStatus& status) {
+    return GateLoaded(GetKernel(caller), status);
+  }
+  KernelObject* GateKernelObject(KernelId caller, KernelId kernel, CkStatus& status);
+
+  // -- object lifecycle --
+  // The load commit, run once nothing can refuse the load: charge the lock
+  // budget, count the load for the machine and the loading kernel, and trace
+  // it (cpu is null only at boot).
+  void CommitLoad(ObjectType type, KernelObject* owner, bool locked, cksim::Cpu* cpu,
+                  uint32_t trace_arg);
+  // The writeback commit of the four unload paths: unless the object is
+  // discarded, charge the writeback record (plus `extra`), count the unload
+  // as explicit or as a writeback (machine and `account_slot`), trace it and
+  // hand the record to `receiver`'s writeback handler through `upcall`.
+  template <typename Upcall>
+  void CommitWriteback(cksim::Cpu& cpu, UnloadCause cause, ObjectType type, uint32_t account_slot,
+                       KernelObject* receiver, uint32_t trace_arg, cksim::Cycles extra,
+                       Upcall upcall);
+  // Lock budgets (section 4.2): a locked load is refused at the limit, the
+  // load commit charges a unit and ReleaseLock returns it.
+  static bool LockBudgetFull(const KernelObject* k, ObjectType type) {
+    uint32_t t = static_cast<uint32_t>(type);
+    return k->locked_count[t] >= k->locked_limit[t];
+  }
+  static void ReleaseLock(KernelObject* holder, ObjectType type, bool locked) {
+    uint8_t& count = holder->locked_count[static_cast<uint32_t>(type)];
+    if (locked && count > 0) {
+      count--;
+    }
+  }
+
   // -- effective lock chains (section 4.2) --
   bool KernelEffectivelyLocked(const KernelObject* k) const { return k->locked; }
   bool SpaceEffectivelyLocked(AddressSpaceObject* s);
@@ -546,6 +581,15 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   // Returns the leaf PTE address for vaddr, allocating tables if `create`.
   cksim::PhysAddr LeafPteAddr(AddressSpaceObject* space, cksim::VirtAddr vaddr, bool create,
                               cksim::Cpu& cpu);
+  // The leaf PTE for vaddr; 0 when no page table covers it.
+  uint32_t LeafPte(AddressSpaceObject* space, cksim::VirtAddr vaddr, cksim::Cpu& cpu) {
+    cksim::PhysAddr leaf = LeafPteAddr(space, vaddr, /*create=*/false, cpu);
+    return leaf != 0 ? machine_.memory().ReadWord(leaf) : 0;
+  }
+  // The pv record of the mapping at (space, vaddr), or kNilRecord; `pte`
+  // receives the leaf PTE.
+  uint32_t FindMapping(AddressSpaceObject* space, cksim::VirtAddr vaddr, cksim::Cpu& cpu,
+                       uint32_t& pte);
   void FreeSpaceTables(AddressSpaceObject* space);
 
   // -- scheduling --
@@ -566,9 +610,22 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   // -- forwarding --
   void ForwardFault(ThreadObject* thread, cksim::Cpu& cpu, const cksim::Fault& fault);
   void ForwardTrap(ThreadObject* thread, cksim::Cpu& cpu, uint16_t number);
+  // The upcall tail of a forwarded fault or trap (Figure 2 steps 5-6): false
+  // when the handler unloaded the thread; else resume it (depositing `a0`
+  // when given), block it or halt it, as the handler's `action` says.
+  bool EndForward(ThreadObject* thread, ThreadId id, HandlerAction action, const uint32_t* a0,
+                  cksim::Cpu& cpu);
+  // Take the thread off its CPU and ready queue, mark it halted and tell its
+  // kernel (HALT, a native kHalt, or a handler's kTerminate).
+  void HaltThread(ThreadObject* thread, cksim::Cpu& cpu);
   void HandleCkTrap(ThreadObject* thread, cksim::Cpu& cpu, uint16_t number);
 
   // -- messaging internals --
+  // Signal the message at `vaddr` in `space` (the Signal call and the signal
+  // trap): kNotFound when the sender's mapping is not loaded (`fault` is the
+  // translation fault), kInvalidArgument when the page is not a message page.
+  CkStatus SendSignal(AddressSpaceObject* space, cksim::VirtAddr vaddr, cksim::Cpu& cpu,
+                      cksim::Fault& fault);
   void DeliverSignalToFrame(uint32_t pframe, uint32_t offset, cksim::Cycles when,
                             cksim::Cpu* origin_cpu);
   void DeliverToThread(ThreadObject* thread, cksim::VirtAddr vaddr, uint32_t pframe,
@@ -659,7 +716,6 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   // Bit p set iff ready_[cpu][p] is non-empty (maintained by Enqueue/Dequeue,
   // the only two mutation points). Lets the per-turn priority-preemption check
   // and PickNext's scan test one word instead of walking every queue head.
-  // Caps priority_levels at 64.
   std::vector<uint64_t> ready_mask_;  // [cpu]
 
   std::vector<std::deque<PendingSignal>> pending_signals_;  // [cpu]

@@ -309,7 +309,7 @@ void CacheKernel::OnCpuTurn(cksim::Cpu& cpu) {
     if (current != nullptr && config_.enforce_quotas &&
         kernels_.SlotAt(current->kernel_slot)->over_quota[cpu.id()]) {
       bool other_waiting = false;
-      for (uint32_t prio = 0; prio < config_.priority_levels && !other_waiting; ++prio) {
+      for (uint32_t prio = 0; prio < kPriorityLevels && !other_waiting; ++prio) {
         for (ThreadObject* t : ready_[cpu.id()][prio]) {
           if (!kernels_.SlotAt(t->kernel_slot)->over_quota[cpu.id()]) {
             other_waiting = true;
@@ -332,7 +332,7 @@ void CacheKernel::OnCpuTurn(cksim::Cpu& cpu) {
     }
     current->state = ThreadState::kRunning;
     cpu.current_thread = current;
-    current->slice_remaining = config_.time_slice;
+    current->slice_remaining = kTimeSlice;
     cpu.Advance(machine_.cost().context_restore);
     stats_.context_switches++;
     CK_TRACE(Ring(cpu), obs::EventType::kContextSwitch, cpu.clock(), current->priority,
@@ -416,7 +416,7 @@ void CacheKernel::IdleTurn(cksim::Cpu& cpu) {
   cpu.AdvanceTo(target);
 }
 
-// One guest quantum: up to dispatch_budget instructions, then the charges
+// One guest quantum: up to kDispatchBudget instructions, then the charges
 // and the quantum's exit event (trap, fault or halt).
 void CacheKernel::RunGuest(ThreadObject* thread, cksim::Cpu& cpu) {
   AddressSpaceObject* space =
@@ -431,7 +431,7 @@ void CacheKernel::RunGuest(ThreadObject* thread, cksim::Cpu& cpu) {
 
   Cycles before = cpu.clock();
   GuestBusImpl bus(*this, cpu, space, static_cast<uint16_t>(thread->space_slot));
-  ckisa::RunResult run = ckisa::Run(thread->vm, bus, config_.dispatch_budget);
+  ckisa::RunResult run = ckisa::Run(thread->vm, bus, kDispatchBudget);
   const ckisa::TraceStats& traces = bus.trace_stats();
 
   ChargeThread(thread, cpu, cpu.clock() - before);
@@ -468,16 +468,9 @@ void CacheKernel::RunGuest(ThreadObject* thread, cksim::Cpu& cpu) {
     case ckisa::RunEvent::kFault:
       ForwardFault(thread, cpu, run.fault);
       break;
-    case ckisa::RunEvent::kHalt: {
-      ThreadId id = IdOfThread(thread);
-      uint64_t cookie = thread->cookie;
-      KernelObject* owner = kernels_.SlotAt(thread->kernel_slot);
-      thread->state = ThreadState::kHalted;
-      cpu.current_thread = nullptr;
-      CkApi api(*this, IdOfKernel(owner), cpu);
-      owner->handlers->OnThreadHalt(id, cookie, api);
+    case ckisa::RunEvent::kHalt:
+      HaltThread(thread, cpu);
       break;
-    }
   }
 }
 
@@ -488,11 +481,7 @@ void CacheKernel::RunNative(ThreadObject* thread, cksim::Cpu& cpu) {
 
   // Deliver queued address-valued signals before the step.
   while (thread->signal_count > 0) {
-    VirtAddr addr = thread->signal_queue[thread->signal_head];
-    thread->signal_head = (thread->signal_head + 1) % ThreadObject::kSignalQueueDepth;
-    thread->signal_count--;
-    thread->signals_taken++;
-    thread->native->OnSignal(addr, ctx);
+    thread->native->OnSignal(thread->PopSignal(), ctx);
     if (GetThread(id) != thread || thread->state != ThreadState::kRunning) {
       return;  // the handler unloaded or blocked the thread
     }
@@ -524,13 +513,9 @@ void CacheKernel::RunNative(ThreadObject* thread, cksim::Cpu& cpu) {
         cpu.Advance(machine_.cost().context_save);
       }
       break;
-    case NativeOutcome::Action::kHalt: {
-      thread->state = ThreadState::kHalted;
-      cpu.current_thread = nullptr;
-      CkApi api(*this, IdOfKernel(owner), cpu);
-      owner->handlers->OnThreadHalt(id, thread->cookie, api);
+    case NativeOutcome::Action::kHalt:
+      HaltThread(thread, cpu);
       break;
-    }
   }
 }
 
@@ -568,11 +553,8 @@ void CacheKernel::ForwardFault(ThreadObject* thread, cksim::Cpu& cpu, const cksi
   forward.space_cookie = space->cookie;
   forward.fault = fault;
   if (fault.type == cksim::FaultType::kProtection) {
-    PhysAddr leaf = LeafPteAddr(space, fault.address, /*create=*/false, cpu);
-    if (leaf != 0) {
-      uint32_t pte = machine_.memory().ReadWord(leaf);
-      forward.copy_on_write = cksim::PteValid(pte) && (pte & cksim::kPteCopyOnWrite) != 0;
-    }
+    uint32_t pte = LeafPte(space, fault.address, cpu);
+    forward.copy_on_write = cksim::PteValid(pte) && (pte & cksim::kPteCopyOnWrite) != 0;
   }
 
   fault_trace_.handler_start = cpu.clock();
@@ -581,56 +563,20 @@ void CacheKernel::ForwardFault(ThreadObject* thread, cksim::Cpu& cpu, const cksi
   CkApi api(*this, IdOfKernel(owner), cpu);
   cpu.Advance(cost.app_handler_base);
   HandlerAction action = owner->handlers->HandleFault(forward, api);
-
-  // The handler may have unloaded or blocked the thread; revalidate.
-  ThreadObject* revalidated = GetThread(id);
-  if (revalidated == nullptr) {
-    if (CurrentOn(cpu) == thread) {
-      cpu.current_thread = nullptr;
-    }
+  if (!EndForward(thread, id, action, nullptr, cpu)) {
     return;
   }
-
-  switch (action) {
-    case HandlerAction::kResume:
-    case HandlerAction::kResumed:
-      // Step 5-6: exception processing complete; the thread re-executes the
-      // faulting access.
-      cpu.Advance(cost.trap_exit);
-      if (thread->state == ThreadState::kBlocked) {
-        thread->state = ThreadState::kReady;
-        Enqueue(thread, /*front=*/true);
-      }
-      fault_trace_.resumed = cpu.clock();
-      CK_TRACE(Ring(cpu), obs::EventType::kFaultResumed, cpu.clock(),
-               static_cast<uint32_t>(fault.type), id.id.Packed());
-      RecordFaultTrace(fault_trace_);
-      break;
-    case HandlerAction::kBlock:
-      if (CurrentOn(cpu) == thread) {
-        cpu.current_thread = nullptr;
-      }
-      if (thread->ready_node.linked()) {
-        Dequeue(thread);
-      }
-      thread->state = ThreadState::kBlocked;
-      cpu.Advance(cost.context_save);
-      break;
-    case HandlerAction::kTerminate:
-      if (CurrentOn(cpu) == thread) {
-        cpu.current_thread = nullptr;
-      }
-      if (thread->ready_node.linked()) {
-        Dequeue(thread);
-      }
-      thread->state = ThreadState::kHalted;
-      owner->handlers->OnThreadHalt(id, forward.thread_cookie, api);
-      // The owning kernel declined to handle the fault: a fatal fault. Let
-      // the observability layer dump a flight record before state moves on.
-      if (fatal_hook_) {
-        fatal_hook_("fatal-fault");
-      }
-      break;
+  if (action == HandlerAction::kTerminate) {
+    // The owning kernel declined to handle the fault: a fatal fault. Let
+    // the observability layer dump a flight record before state moves on.
+    if (fatal_hook_) {
+      fatal_hook_("fatal-fault");
+    }
+  } else if (action != HandlerAction::kBlock) {
+    fault_trace_.resumed = cpu.clock();
+    CK_TRACE(Ring(cpu), obs::EventType::kFaultResumed, cpu.clock(),
+             static_cast<uint32_t>(fault.type), id.id.Packed());
+    RecordFaultTrace(fault_trace_);
   }
 }
 
@@ -656,24 +602,29 @@ void CacheKernel::ForwardTrap(ThreadObject* thread, cksim::Cpu& cpu, uint16_t nu
   CkApi api(*this, IdOfKernel(owner), cpu);
   cpu.Advance(cost.app_handler_base);
   TrapAction action = owner->handlers->HandleTrap(forward, api);
+  EndForward(thread, id, action.action, action.has_return_value ? &action.return_value : nullptr,
+             cpu);
+}
 
-  ThreadObject* revalidated = GetThread(id);
-  if (revalidated == nullptr) {
+bool CacheKernel::EndForward(ThreadObject* thread, ThreadId id, HandlerAction action,
+                             const uint32_t* a0, cksim::Cpu& cpu) {
+  const cksim::CostModel& cost = machine_.cost();
+  if (GetThread(id) == nullptr) {
     if (CurrentOn(cpu) == thread) {
       cpu.current_thread = nullptr;
     }
-    return;
+    return false;
   }
-
-  switch (action.action) {
+  switch (action) {
     case HandlerAction::kResume:
     case HandlerAction::kResumed:
-      if (action.has_return_value) {
-        thread->vm.regs[ckisa::kRegA0] = action.return_value;
+      // Exception processing complete: the thread re-executes the faulting
+      // access, or returns from its trap.
+      if (a0 != nullptr) {
+        thread->vm.regs[ckisa::kRegA0] = *a0;
       }
       cpu.Advance(cost.trap_exit);
       if (thread->state == ThreadState::kBlocked) {
-        thread->state = ThreadState::kReady;
         Enqueue(thread, /*front=*/true);
       }
       break;
@@ -688,16 +639,23 @@ void CacheKernel::ForwardTrap(ThreadObject* thread, cksim::Cpu& cpu, uint16_t nu
       cpu.Advance(cost.context_save);
       break;
     case HandlerAction::kTerminate:
-      if (CurrentOn(cpu) == thread) {
-        cpu.current_thread = nullptr;
-      }
-      if (thread->ready_node.linked()) {
-        Dequeue(thread);
-      }
-      thread->state = ThreadState::kHalted;
-      owner->handlers->OnThreadHalt(id, forward.thread_cookie, api);
+      HaltThread(thread, cpu);
       break;
   }
+  return true;
+}
+
+void CacheKernel::HaltThread(ThreadObject* thread, cksim::Cpu& cpu) {
+  if (CurrentOn(cpu) == thread) {
+    cpu.current_thread = nullptr;
+  }
+  if (thread->ready_node.linked()) {
+    Dequeue(thread);
+  }
+  thread->state = ThreadState::kHalted;
+  KernelObject* owner = kernels_.SlotAt(thread->kernel_slot);
+  CkApi api(*this, IdOfKernel(owner), cpu);
+  owner->handlers->OnThreadHalt(IdOfThread(thread), thread->cookie, api);
 }
 
 void CacheKernel::HandleCkTrap(ThreadObject* thread, cksim::Cpu& cpu, uint16_t number) {
@@ -714,30 +672,18 @@ void CacheKernel::HandleCkTrap(ThreadObject* thread, cksim::Cpu& cpu, uint16_t n
       break;
 
     case kTrapSignal: {
-      // a0 = virtual address of the new message in the sender's space.
+      // a0 = virtual address of the new message in the sender's space; a
+      // page that is not a message page is ignored (the guest misused the
+      // trap).
       cpu.Advance(cost.trap_entry + cost.call_gate);
-      AddressSpaceObject* space = spaces_.SlotAt(thread->space_slot);
-      VirtAddr vaddr = thread->vm.regs[ckisa::kRegA0];
-      cksim::Mmu::TranslateResult t = cpu.mmu().Translate(
-          space->root_table, static_cast<uint16_t>(thread->space_slot), vaddr,
-          cksim::Access::kRead);
-      cpu.Advance(t.cycles);
-      if (t.ok) {
-        // Must be a message-mode mapping; otherwise the signal is ignored
-        // (the guest misused the trap).
-        PhysAddr leaf = LeafPteAddr(space, vaddr, /*create=*/false, cpu);
-        uint32_t pte = leaf != 0 ? machine_.memory().ReadWord(leaf) : 0;
-        if (cksim::PteValid(pte) && (pte & cksim::kPteMessage) != 0) {
-          machine_.DeliverDoorbell(t.paddr, cpu.clock());
-          DeliverSignalToFrame(cksim::PageFrame(t.paddr), t.paddr & cksim::kPageOffsetMask,
-                               cpu.clock(), &cpu);
-        }
-      } else {
+      cksim::Fault fault;
+      if (SendSignal(spaces_.SlotAt(thread->space_slot), thread->vm.regs[ckisa::kRegA0], cpu,
+                     fault) == CkStatus::kNotFound) {
         // Sender's mapping is not loaded: deliver the mapping fault so the
         // application kernel loads all mappings for the message page
         // (multi-mapping consistency, section 4.2).
         thread->vm.pc -= 4;  // re-execute the trap after the fault resolves
-        ForwardFault(thread, cpu, t.fault);
+        ForwardFault(thread, cpu, fault);
         return;
       }
       cpu.Advance(cost.trap_exit);
@@ -750,11 +696,7 @@ void CacheKernel::HandleCkTrap(ThreadObject* thread, cksim::Cpu& cpu, uint16_t n
         if (thread->signal_handler != 0) {
           MaybeEnterSignalHandler(thread, cpu);
         } else {
-          VirtAddr addr = thread->signal_queue[thread->signal_head];
-          thread->signal_head = (thread->signal_head + 1) % ThreadObject::kSignalQueueDepth;
-          thread->signal_count--;
-          thread->signals_taken++;
-          thread->vm.regs[ckisa::kRegA0] = addr;
+          thread->vm.regs[ckisa::kRegA0] = thread->PopSignal();
         }
       } else {
         // Suspend, staying loaded, so the arrival resumes quickly

@@ -12,35 +12,34 @@ CkStatus CacheKernel::Signal(KernelId caller, cksim::Cpu& cpu, SpaceId sender_sp
                              VirtAddr vaddr) {
   const cksim::CostModel& cost = machine_.cost();
   cpu.Advance(cost.trap_entry + cost.call_gate);
-  CkStatus status = [&] {
-    KernelObject* owner = GetKernel(caller);
-    AddressSpaceObject* space = GetSpace(sender_space);
-    if (owner == nullptr || space == nullptr) {
-      stats_.stale_id_errors++;
-      return CkStatus::kStale;
-    }
-    if (kernels_.SlotAt(space->kernel_slot) != owner) {
-      return CkStatus::kDenied;
-    }
-    uint16_t asid = static_cast<uint16_t>(spaces_.SlotOf(space));
-    cksim::Mmu::TranslateResult t =
-        cpu.mmu().Translate(space->root_table, asid, vaddr, cksim::Access::kRead);
-    cpu.Advance(t.cycles);
-    if (!t.ok) {
-      return CkStatus::kNotFound;  // sender's mapping must be loaded
-    }
-    PhysAddr leaf = LeafPteAddr(space, vaddr, /*create=*/false, cpu);
-    uint32_t pte = leaf != 0 ? machine_.memory().ReadWord(leaf) : 0;
-    if (!cksim::PteValid(pte) || (pte & cksim::kPteMessage) == 0) {
-      return CkStatus::kInvalidArgument;  // not a message-mode page
-    }
-    machine_.DeliverDoorbell(t.paddr, cpu.clock());
-    DeliverSignalToFrame(cksim::PageFrame(t.paddr), t.paddr & cksim::kPageOffsetMask, cpu.clock(),
-                         &cpu);
-    return CkStatus::kOk;
-  }();
+  CkStatus status = CkStatus::kOk;
+  AddressSpaceObject* space = GateOwned(GateCaller(caller, status), GetSpace(sender_space), status);
+  cksim::Fault fault;
+  if (space != nullptr) {
+    status = SendSignal(space, vaddr, cpu, fault);
+  }
   cpu.Advance(cost.trap_exit);
   return status;
+}
+
+CkStatus CacheKernel::SendSignal(AddressSpaceObject* space, VirtAddr vaddr, cksim::Cpu& cpu,
+                                 cksim::Fault& fault) {
+  uint16_t asid = static_cast<uint16_t>(spaces_.SlotOf(space));
+  cksim::Mmu::TranslateResult t =
+      cpu.mmu().Translate(space->root_table, asid, vaddr, cksim::Access::kRead);
+  cpu.Advance(t.cycles);
+  if (!t.ok) {
+    fault = t.fault;
+    return CkStatus::kNotFound;  // the sender's mapping must be loaded
+  }
+  uint32_t pte = LeafPte(space, vaddr, cpu);
+  if (!cksim::PteValid(pte) || (pte & cksim::kPteMessage) == 0) {
+    return CkStatus::kInvalidArgument;  // not a message-mode page
+  }
+  machine_.DeliverDoorbell(t.paddr, cpu.clock());
+  DeliverSignalToFrame(cksim::PageFrame(t.paddr), t.paddr & cksim::kPageOffsetMask, cpu.clock(),
+                       &cpu);
+  return CkStatus::kOk;
 }
 
 void CacheKernel::SignalPhysical(PhysAddr addr, Cycles when) {
@@ -185,11 +184,7 @@ void CacheKernel::DeliverToThread(ThreadObject* thread, VirtAddr vaddr, uint32_t
       thread->state = ThreadState::kReady;
       if (thread->native == nullptr && thread->signal_handler == 0) {
         // await-signal style: return the address in a0.
-        VirtAddr addr = thread->signal_queue[thread->signal_head];
-        thread->signal_head = (thread->signal_head + 1) % ThreadObject::kSignalQueueDepth;
-        thread->signal_count--;
-        thread->signals_taken++;
-        thread->vm.regs[ckisa::kRegA0] = addr;
+        thread->vm.regs[ckisa::kRegA0] = thread->PopSignal();
       }
       Enqueue(thread, /*front=*/true);
       cpu.Advance(cost.list_op);
@@ -215,10 +210,7 @@ void CacheKernel::MaybeEnterSignalHandler(ThreadObject* thread, cksim::Cpu& cpu)
       thread->native != nullptr) {
     return;
   }
-  VirtAddr addr = thread->signal_queue[thread->signal_head];
-  thread->signal_head = (thread->signal_head + 1) % ThreadObject::kSignalQueueDepth;
-  thread->signal_count--;
-  thread->signals_taken++;
+  VirtAddr addr = thread->PopSignal();
 
   // Enter the signal function: save pc, pass the translated message address
   // in a0, run the handler until it executes the signal-return trap.

@@ -5,6 +5,7 @@
 // wrong; this is enforced by flush-before-remove, which the storm tests
 // hammer).
 
+#include <array>
 #include <set>
 #include <sstream>
 #include <string>
@@ -19,6 +20,17 @@ std::vector<std::string> CacheKernel::ValidateInvariants() {
   std::vector<std::string> violations;
   auto fail = [&](const std::string& message) { violations.push_back(message); };
   cksim::PhysicalMemory& mem = machine_.memory();
+
+  // Locked objects each kernel holds, per type: its locked spaces, threads
+  // and mappings, and the locked kernel objects it manages (the first
+  // kernel's lock on itself excepted). Its lock budget must count exactly
+  // these.
+  std::vector<std::array<uint32_t, kObjectTypeCount>> locked_held(kernels_.capacity());
+  auto hold = [&](uint32_t kernel_slot, ObjectType type) {
+    if (kernel_slot < locked_held.size()) {
+      locked_held[kernel_slot][static_cast<uint32_t>(type)]++;
+    }
+  };
 
   // --- physical memory map records ---
   std::vector<uint32_t> pv_count_per_space(spaces_.capacity(), 0);
@@ -54,6 +66,9 @@ std::vector<std::string> CacheKernel::ValidateInvariants() {
         }
         pv_count_per_space[slot]++;
         AddressSpaceObject* space = spaces_.SlotAt(slot);
+        if (rec.pv_locked()) {
+          hold(space->kernel_slot, ObjectType::kMapping);
+        }
         // The leaf PTE must exist, be valid, and point at the record's frame.
         cksim::PhysAddr l1_slot = space->root_table + cksim::L1Index(rec.pv_vaddr()) * 4;
         uint32_t l1 = mem.ReadWord(l1_slot);
@@ -111,6 +126,9 @@ std::vector<std::string> CacheKernel::ValidateInvariants() {
       continue;
     }
     AddressSpaceObject* space = spaces_.SlotAt(slot);
+    if (space->locked) {
+      hold(space->kernel_slot, ObjectType::kSpace);
+    }
     if (space->root_table == 0) {
       fail("loaded space without a root page table");
     }
@@ -141,6 +159,9 @@ std::vector<std::string> CacheKernel::ValidateInvariants() {
       continue;
     }
     threads_per_kernel[t->kernel_slot]++;
+    if (t->locked) {
+      hold(t->kernel_slot, ObjectType::kThread);
+    }
     bool queued = t->ready_node.linked();
     if (t->state == ThreadState::kReady && !queued) {
       fail("ready thread not on a ready queue");
@@ -197,6 +218,12 @@ std::vector<std::string> CacheKernel::ValidateInvariants() {
     }
   }
   for (uint32_t slot = 0; slot < kernels_.capacity(); ++slot) {
+    KernelObject* k = kernels_.IsAllocated(slot) ? kernels_.SlotAt(slot) : nullptr;
+    if (k != nullptr && k->locked && k->manager_slot != slot) {
+      hold(k->manager_slot, ObjectType::kKernel);
+    }
+  }
+  for (uint32_t slot = 0; slot < kernels_.capacity(); ++slot) {
     if (!kernels_.IsAllocated(slot)) {
       continue;
     }
@@ -210,6 +237,13 @@ std::vector<std::string> CacheKernel::ValidateInvariants() {
     for (uint32_t type = 0; type < kObjectTypeCount; ++type) {
       if (k->locked_count[type] > k->locked_limit[type]) {
         fail("locked count exceeds limit");
+      }
+      if (k->locked_count[type] != locked_held[slot][type]) {
+        std::ostringstream os;
+        os << "kernel slot " << slot << " locked_count[" << type
+           << "]=" << static_cast<uint32_t>(k->locked_count[type]) << " but holds "
+           << locked_held[slot][type] << " locked objects";
+        fail(os.str());
       }
     }
   }

@@ -14,6 +14,11 @@
 
 namespace ck {
 
+// Scheduling (section 4.3): fixed priorities with per-priority time slicing.
+inline constexpr uint32_t kPriorityLevels = 32;     // 0 = lowest, 31 = highest
+inline constexpr cksim::Cycles kTimeSlice = 25000;  // 1 ms at 25 MHz
+inline constexpr uint32_t kDispatchBudget = 64;     // guest instructions per CPU turn
+
 struct CacheKernelConfig {
   // Descriptor cache capacities (Table 1).
   uint32_t kernel_slots = 16;
@@ -22,11 +27,6 @@ struct CacheKernelConfig {
   uint32_t mapping_slots = 65536;
 
   // Scheduling.
-  uint32_t priority_levels = 32;        // 0 = lowest, 31 = highest; max 64
-                                        // (the scheduler's ready bitmask is
-                                        // one bit per level in a uint64_t)
-  cksim::Cycles time_slice = 25000;     // 1 ms at 25 MHz
-  uint32_t dispatch_budget = 64;        // guest instructions per CPU turn
   cksim::Cycles quota_window = 2500000; // 100 ms accounting window (section 4.3)
   bool enforce_quotas = true;
 

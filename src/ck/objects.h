@@ -69,6 +69,14 @@ struct ThreadObject {
   uint32_t signal_queue[kSignalQueueDepth] = {0};
   uint8_t signal_head = 0;
   uint8_t signal_count = 0;
+  // Take the oldest queued signal (signal_count > 0).
+  uint32_t PopSignal() {
+    uint32_t addr = signal_queue[signal_head];
+    signal_head = (signal_head + 1) % kSignalQueueDepth;
+    signal_count--;
+    signals_taken++;
+    return addr;
+  }
 
   // Number of live signal-registration records naming this thread; unloading
   // the thread must remove them (Figure 6 dependency). The records form a

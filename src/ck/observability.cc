@@ -276,8 +276,6 @@ void ObsSession::Finish() {
   }
   // Finish is a one-shot: the registry's callbacks and the machine pointers
   // reference objects the caller may destroy right after, so drop them.
-  // (Fastpath/policy overrides survive so later worlds in a multi-world bench
-  // still honor the flags.)
   attached_.clear();
   trace_path_.clear();
   metrics_ = false;

@@ -62,9 +62,9 @@ class ClientFileCache::Pump : public ckapp::RpcEndpoint {
   ClientFileCache& cache_;
 };
 
-ClientFileCache::ClientFileCache(ckapp::AppKernelBase& owner, ck::CacheKernel& ck,
+ClientFileCache::ClientFileCache(ckapp::AppKernelBase& owner, ck::CacheKernel& /*ck*/,
                                  const Config& config)
-    : owner_(owner), ck_(ck), config_(config) {
+    : owner_(owner), config_(config) {
   if (config_.max_file_pages > 64) {
     config_.max_file_pages = 64;  // bitmap width
   }
@@ -219,7 +219,6 @@ void ClientFileCache::Invalidate(Entry& entry, uint32_t new_version) {
   entry.demand_fill = 0;
   entry.version = new_version;
   ++stats_.invalidations;
-  ck_.ChargeFs(owner_.self(), ck::FsCounter::kInvalidation);
 }
 
 void ClientFileCache::ApplyAttrs(const AttrReply& attr, const std::string& name) {
@@ -415,7 +414,6 @@ ClientFileCache::Status ClientFileCache::Read(CkApi& api, uint32_t fileid, uint3
     if ((entry->prefetched & bit) != 0) {
       entry->prefetched &= ~bit;
       ++stats_.readahead_useful;
-      ck_.ChargeFs(owner_.self(), ck::FsCounter::kReadaheadUseful);
     }
     uint32_t offset = page * kPageSize;
     uint32_t want = entry->size > offset ? entry->size - offset : 0;
@@ -434,7 +432,6 @@ ClientFileCache::Status ClientFileCache::Read(CkApi& api, uint32_t fileid, uint3
       entry->demand_fill &= ~bit;
     } else {
       ++stats_.hits;
-      ck_.ChargeFs(owner_.self(), ck::FsCounter::kHit);
     }
     MaybeReadahead(api, *entry, page);
     return Status::kHit;
@@ -450,7 +447,6 @@ ClientFileCache::Status ClientFileCache::Read(CkApi& api, uint32_t fileid, uint3
   NoteAccess(*entry, page);
   Touch(*entry);
   ++stats_.misses;
-  ck_.ChargeFs(owner_.self(), ck::FsCounter::kMiss);
   IssueRead(api, *entry, page, /*readahead=*/false);
   MaybeReadahead(api, *entry, page);
   return Status::kPending;
@@ -469,7 +465,6 @@ void ClientFileCache::IssueRead(CkApi& api, Entry& entry, uint32_t page, bool re
   if (readahead) {
     entry.ra_request |= bit;
     ++stats_.readahead_issued;
-    ck_.ChargeFs(owner_.self(), ck::FsCounter::kReadaheadIssued);
   }
   ++outstanding_rpcs_;
   std::vector<uint8_t> wire;

@@ -23,9 +23,8 @@
 // means "retry after yielding" (the DSM worker idiom); the reply and bulk
 // arrivals are driven by the cache's pump thread.
 //
-// All cache work is attributed to the owning kernel's CostAccount through
-// CacheKernel::ChargeFs and surfaces as the ck.fs.* / ck.tenant.<slot>.fs_*
-// metrics.
+// The cache keeps its own counts (FsClientStats, through stats()); the
+// Cache Kernel records none of them.
 
 #ifndef SRC_FS_CLIENT_CACHE_H_
 #define SRC_FS_CLIENT_CACHE_H_
@@ -67,6 +66,8 @@ class ClientFileCache {
 
   enum class Status { kHit, kPending, kError };
 
+  // The cache reaches the Cache Kernel only through the CkApi each call
+  // passes; `ck` is unused.
   ClientFileCache(ckapp::AppKernelBase& owner, ck::CacheKernel& ck, const Config& config);
   ~ClientFileCache();
 
@@ -173,7 +174,6 @@ class ClientFileCache {
   }
 
   ckapp::AppKernelBase& owner_;
-  ck::CacheKernel& ck_;
   Config config_;
 
   cksim::FiberChannelDevice* device_ = nullptr;

@@ -115,7 +115,7 @@ FsCluster::FsCluster(const FsClusterConfig& config) : config_(config) {
     if (config_.tier_dram_frames != 0) {
       // Before Launch, so every frame the client kernel ever touches is
       // tier-tracked from its first allocation.
-      client.ck.set_tiers(config_.tier_dram_frames, config_.tier_demote);
+      client.ck.set_tiers(config_.tier_dram_frames, /*demote=*/true);
     }
 
     uint32_t server_group = server_node_->srm.ReserveGroups(1).value();

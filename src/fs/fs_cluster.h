@@ -93,12 +93,11 @@ struct FsClusterConfig {
   ClientFileCache::Config cache;
   bool parallel = false;            // host-parallel cluster driver
   uint32_t client_page_groups = 4;  // frame-pool grant per client kernel
-  // Tiered physical memory on every client kernel (docs/TIERING.md):
-  // DRAM budget in frames (0 = tiering off) and pressure mode. The SRM's
-  // frame-pool hook tier-tags file-cache pages, so the client cache's pages
-  // demote to the slow tier under DRAM pressure instead of pinning it.
+  // Tiered physical memory on every client kernel (docs/TIERING.md): DRAM
+  // budget in frames (0 = tiering off), in demote mode. The SRM's frame-pool
+  // hook tier-tags file-cache pages, so the client cache's pages demote to
+  // the slow tier under DRAM pressure instead of pinning it.
   uint32_t tier_dram_frames = 0;
-  bool tier_demote = true;
 };
 
 class FsCluster {

@@ -204,6 +204,41 @@ TEST(FailureTest, PageTableArenaExhaustionFailsCleanly) {
   EXPECT_EQ(api.LoadMapping(spec), CkStatus::kOk);
 }
 
+// A locked LoadSpace refused because the page-table arena is full must not
+// keep the lock-budget unit it was about to charge: once a root table frees
+// up, the next locked load succeeds.
+TEST(FailureTest, LockedSpaceRefusedOnArenaKeepsLockBudget) {
+  cktest::WorldOptions options;
+  options.ck.page_table_arena_bytes = 16384;  // 32 root tables, one the SRM's
+  TestWorld world(options);
+  ckapp::AppKernelBase app("locker", 32);
+  world.Launch(app);
+  ck::CkApi api(world.ck(), app.self(), world.machine().cpu(0));
+
+  std::vector<ck::SpaceId> spaces;
+  for (;;) {
+    ckbase::Result<ck::SpaceId> space = api.LoadSpace(0, false);
+    if (!space.ok()) {
+      ASSERT_EQ(space.status(), CkStatus::kNoResources);
+      break;
+    }
+    spaces.push_back(space.value());
+  }
+  EXPECT_EQ(spaces.size(), 31u);
+
+  // As many refused locked loads as the kernel may hold locked spaces.
+  const uint32_t limit = cksrm::LaunchParams().lock_limits[1];
+  for (uint32_t i = 0; i < limit; ++i) {
+    EXPECT_EQ(api.LoadSpace(1, true).status(), CkStatus::kNoResources);
+  }
+  EXPECT_TRUE(world.ck().ValidateInvariants().empty());
+
+  ASSERT_EQ(api.UnloadSpace(spaces.back()), CkStatus::kOk);
+  ckbase::Result<ck::SpaceId> locked = api.LoadSpace(2, true);
+  EXPECT_EQ(locked.status(), CkStatus::kOk) << "the refused loads used up the lock budget";
+  EXPECT_TRUE(world.ck().ValidateInvariants().empty());
+}
+
 TEST(FailureTest, SignalToHaltedThreadIsDropped) {
   TestWorld world;
   ckapp::AppKernelBase app("sig", 32);

@@ -5,11 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "src/fs/fs_cluster.h"
-#include "src/obs/metrics.h"
 
 namespace {
 
@@ -74,46 +72,6 @@ TEST(FsTest, WarmScanIsZeroWireTraffic) {
   EXPECT_EQ(world.WireTraffic(0), cold_traffic) << "warm scan touched the wire";
   EXPECT_EQ(world.cache(0).stats().hits, cold_hits + 3u * 6u);
   EXPECT_EQ(world.cache(0).stats().misses + world.cache(0).stats().readahead_useful, 3u * 6u);
-}
-
-TEST(FsTest, FsCountersReachTenantAccountsAndMetrics) {
-  FsClusterConfig config;
-  config.clients = 1;
-  config.files = 2;
-  config.file_pages = 4;
-  FsCluster world(config);
-  ASSERT_TRUE(world.Run());
-  world.workload(0).Resume(1);  // some hits
-  ASSERT_TRUE(world.Run());
-
-  const ckfs::FsClientStats& stats = world.cache(0).stats();
-  // Per-tenant CostAccount attribution: the client kernel's slot carries
-  // exactly what the cache recorded.
-  uint32_t slot = 0;
-  bool found = false;
-  const auto& tenants = world.client_ck(0).tenant_accounts();
-  for (uint32_t i = 0; i < tenants.size(); ++i) {
-    if (tenants[i].fs_hits == stats.hits && tenants[i].fs_misses == stats.misses &&
-        stats.hits > 0) {
-      slot = i;
-      found = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(found) << "no tenant slot carries the cache's fs counters";
-  if (found) {
-    EXPECT_EQ(tenants[slot].fs_readahead_issued, stats.readahead_issued);
-    EXPECT_EQ(tenants[slot].fs_readahead_useful, stats.readahead_useful);
-    EXPECT_EQ(tenants[slot].fs_invalidations, stats.invalidations);
-  }
-
-  // Machine-level ck.fs.* metrics are registered and sum the tenants.
-  obs::Registry registry;
-  world.client_ck(0).RegisterMetrics(registry);
-  std::string json = registry.DumpJson();
-  EXPECT_NE(json.find("ck.fs.hits"), std::string::npos);
-  EXPECT_NE(json.find("ck.fs.readahead_issued"), std::string::npos);
-  EXPECT_NE(json.find("ck.fs.invalidations"), std::string::npos);
 }
 
 // ---- versioning ----

@@ -54,7 +54,6 @@ note_leg() { LEG_STATUS[$1]=$2; }
 # '*.h'`.
 LINT_FILES=(
   bench/cache_replacement.cc
-  src/base/bitmap.h
   src/ck/cache_kernel.h
   src/ck/config.h
   src/ck/object_cache.h

@@ -27,9 +27,8 @@ CacheKernel::CacheKernel(cksim::Machine& machine, const CacheKernelConfig& confi
       table_arena_(machine.memory(),
                    machine.memory().size() - config.page_table_arena_bytes,
                    config.page_table_arena_bytes),
-      frame_tiers_(machine.memory().page_count()),
-      remote_frames_(machine.memory().page_count()) {
-  tier_ref_.assign(machine.memory().page_count(), 0);
+      tier_ref_(machine.memory().page_count(), 0),
+      remote_frames_(machine.memory().page_count(), 0) {
   tenant_.resize(config.kernel_slots);
   profile_pcs_.resize(config.kernel_slots);
   samplers_.resize(machine.cpu_count());
@@ -261,6 +260,12 @@ CkStatus CacheKernel::SetLockLimits(KernelId caller, cksim::Cpu& cpu, KernelId k
   KernelObject* k = GateKernelObject(caller, kernel, status);
   if (k == nullptr) {
     return status;
+  }
+  // A limit below what the kernel already holds would leave it over budget.
+  for (uint32_t t = 0; t < kObjectTypeCount; ++t) {
+    if (limits[t] < k->locked_count[t]) {
+      return CkStatus::kInvalidArgument;
+    }
   }
   for (uint32_t t = 0; t < kObjectTypeCount; ++t) {
     k->locked_limit[t] = limits[t];
@@ -629,9 +634,8 @@ CkStatus CacheKernel::LoadMappingAndResume(KernelId caller, cksim::Cpu& cpu,
   if (status != CkStatus::kOk) {
     return status;
   }
-  // The faulting thread need only be loaded: the load above already checked
-  // the caller's authority over the mapping's space.
-  ThreadObject* thread = GateLoaded(GetThread(faulting_thread), status);
+  // The mapping is loaded first; the caller may resume only its own thread.
+  ThreadObject* thread = GateOwned(GateCaller(caller, status), GetThread(faulting_thread), status);
   if (thread == nullptr) {
     return status;
   }
@@ -886,14 +890,12 @@ struct CacheKernel::ThreadVictimOps {
 };
 
 struct CacheKernel::MappingVictimOps {
-  static constexpr int kPasses = 1;
   static constexpr bool kScanOccupiedSteps = true;  // budget counts pv visits
   CacheKernel& ck;
   cksim::Cpu& cpu;
   bool Occupied(uint32_t index) const {
     return ck.pmap_.record(index).type() == RecordType::kPhysToVirt;
   }
-  bool Eligible(uint32_t, int) const { return true; }
   bool Pinned(uint32_t index) { return ck.MappingEffectivelyLocked(index); }
   // The mapping caches' referenced bit is the real one in the leaf PTE; the
   // walk and the clearing write are charged like any other table access.
@@ -1128,11 +1130,6 @@ void CacheKernel::SetFrameTierInternal(uint32_t frame, cksim::MemTier to, TierCh
     return;
   }
   mem.SetFrameTier(frame, to);
-  if (to == cksim::MemTier::kNone) {
-    frame_tiers_.OnRelease(frame);
-  } else if (from == cksim::MemTier::kNone) {
-    frame_tiers_.OnLoad(frame);
-  }
   tier_ref_[frame] = 0;  // referenced evidence does not survive a transition
   bool valid_slot = tenant_slot < tenant_.size();
   switch (why) {
@@ -1194,23 +1191,17 @@ void CacheKernel::TierAdmitFrame(uint32_t frame, cksim::Cpu* cpu, uint32_t reque
   }
 }
 
-// The demotion victim scan: the same clock engine as the four descriptor
-// caches, run over physical frames. Occupied slots are DRAM-resident frames.
+// The demotion victim scan: the descriptor caches' ClockScan, run with the
+// one tier hand over physical frames. Occupied slots are DRAM-resident frames.
 struct CacheKernel::FrameTierOps {
-  static constexpr int kPasses = 1;
   static constexpr bool kScanOccupiedSteps = true;  // budget counts DRAM visits
   CacheKernel& ck;
   cksim::Cpu& cpu;
   uint32_t requester_slot;
   uint32_t exclude;
-  bool HasPvMapping(uint32_t frame) const {
-    for (uint32_t cur = ck.pmap_.FindFirst(frame); cur != kNilRecord;
-         cur = ck.pmap_.NextWithKey(cur)) {
-      if (ck.pmap_.record(cur).type() == RecordType::kPhysToVirt) {
-        return true;
-      }
-    }
-    return false;
+  // The frame's first pv record, or kNilRecord.
+  uint32_t FirstPv(uint32_t frame) const {
+    return ck.pmap_.VisitPv(frame, [](uint32_t, const MemMapEntry&) { return true; });
   }
   bool Occupied(uint32_t frame) const {
     if (ck.machine_.memory().tier_of(frame) != cksim::MemTier::kDram || frame == exclude) {
@@ -1220,9 +1211,8 @@ struct CacheKernel::FrameTierOps {
     // frames with at least one virtual mapping are candidates: mapping-less
     // pool pages (file-cache data) pin DRAM under that mode -- exactly the
     // contrast bench/memory_tiers.cc measures against demotion.
-    return ck.config_.tier_demote || HasPvMapping(frame);
+    return ck.config_.tier_demote || FirstPv(frame) != kNilRecord;
   }
-  bool Eligible(uint32_t, int) const { return true; }
   bool Pinned(uint32_t frame) { return ck.TierFramePinned(frame); }
   bool TestAndClearReferenced(uint32_t frame) {
     return ck.TierTestAndClearReferenced(frame, cpu);
@@ -1241,18 +1231,7 @@ struct CacheKernel::FrameTierOps {
       // Full evict: unload (and write back) every virtual mapping of the
       // frame, then drop it from tier tracking -- the pre-tiering reclaim
       // behavior the bench compares demotion against.
-      for (;;) {
-        uint32_t pv = kNilRecord;
-        for (uint32_t cur = ck.pmap_.FindFirst(frame); cur != kNilRecord;
-             cur = ck.pmap_.NextWithKey(cur)) {
-          if (ck.pmap_.record(cur).type() == RecordType::kPhysToVirt) {
-            pv = cur;
-            break;
-          }
-        }
-        if (pv == kNilRecord) {
-          break;
-        }
+      for (uint32_t pv = FirstPv(frame); pv != kNilRecord; pv = FirstPv(frame)) {
         ck.UnloadPvRecord(pv, cpu, UnloadCause::kReclaim);
       }
       ck.SetFrameTierInternal(frame, cksim::MemTier::kNone, TierChange::kEvict, owner);
@@ -1264,7 +1243,7 @@ struct CacheKernel::FrameTierOps {
 bool CacheKernel::TierReclaimOne(cksim::Cpu& cpu, uint32_t requester_slot, uint32_t exclude) {
   FrameTierOps ops{*this, cpu, requester_slot, exclude};
   uint64_t steps = 0;
-  bool evicted = frame_tiers_.ReclaimClock(ops, steps);
+  bool evicted = ClockScan(tier_hand_, machine_.memory().page_count(), ops, steps);
   stats_.tier_scan_steps += steps;
   return evicted;
 }
@@ -1338,37 +1317,24 @@ bool CacheKernel::TierTestAndClearReferenced(uint32_t frame, cksim::Cpu& cpu) {
   // OR over the hardware referenced bits of every virtual mapping; all are
   // consumed so the next scan sees only fresh use. The walks and clearing
   // writes are charged like any other table access.
-  for (uint32_t cur = pmap_.FindFirst(frame); cur != kNilRecord; cur = pmap_.NextWithKey(cur)) {
-    const MemMapEntry& rec = pmap_.record(cur);
-    if (rec.type() != RecordType::kPhysToVirt || rec.pv_frame() != frame) {
-      continue;
-    }
+  pmap_.VisitPv(frame, [&](uint32_t, const MemMapEntry& rec) {
     AddressSpaceObject* space = spaces_.SlotAt(rec.pv_space_slot());
     PhysAddr leaf = LeafPteAddr(space, rec.pv_vaddr(), /*create=*/false, cpu);
-    if (leaf == 0) {
-      continue;
-    }
-    uint32_t pte = machine_.memory().ReadWord(leaf);
+    uint32_t pte = leaf != 0 ? machine_.memory().ReadWord(leaf) : 0;
     if ((pte & cksim::kPteReferenced) != 0) {
       machine_.memory().WriteWord(leaf, pte & ~cksim::kPteReferenced);
       cpu.Advance(machine_.cost().pte_write);
       hot = true;
     }
-  }
+    return false;
+  });
   return hot;
 }
 
 bool CacheKernel::TierFramePinned(uint32_t frame) {
-  for (uint32_t cur = pmap_.FindFirst(frame); cur != kNilRecord; cur = pmap_.NextWithKey(cur)) {
-    const MemMapEntry& rec = pmap_.record(cur);
-    if (rec.type() != RecordType::kPhysToVirt || rec.pv_frame() != frame) {
-      continue;
-    }
-    if (MappingEffectivelyLocked(cur)) {
-      return true;
-    }
-  }
-  return false;
+  return pmap_.VisitPv(frame, [&](uint32_t pv, const MemMapEntry&) {
+           return MappingEffectivelyLocked(pv);
+         }) != kNilRecord;
 }
 
 void CacheKernel::TierFlushFrame(uint32_t frame, cksim::Cpu& cpu) {
@@ -1376,29 +1342,25 @@ void CacheKernel::TierFlushFrame(uint32_t frame, cksim::Cpu& cpu) {
   // naming it is flushed so the next access re-fills and pays the new tier's
   // fill cost (the micro-TLBs hold hints into the real TLBs, so they
   // revalidate automatically).
-  for (uint32_t cur = pmap_.FindFirst(frame); cur != kNilRecord; cur = pmap_.NextWithKey(cur)) {
-    const MemMapEntry& rec = pmap_.record(cur);
-    if (rec.type() != RecordType::kPhysToVirt || rec.pv_frame() != frame) {
-      continue;
-    }
+  pmap_.VisitPv(frame, [&](uint32_t, const MemMapEntry& rec) {
     FlushTlbPageAllCpus(static_cast<uint16_t>(rec.pv_space_slot()),
                         rec.pv_vaddr() >> cksim::kPageShift, cpu);
-  }
+    return false;
+  });
   FlushReverseTlbFrameAllCpus(frame);
 }
 
 uint32_t CacheKernel::TierOwnerSlot(uint32_t frame, uint32_t fallback) {
-  for (uint32_t cur = pmap_.FindFirst(frame); cur != kNilRecord; cur = pmap_.NextWithKey(cur)) {
-    const MemMapEntry& rec = pmap_.record(cur);
-    if (rec.type() != RecordType::kPhysToVirt || rec.pv_frame() != frame) {
-      continue;
-    }
+  uint32_t owner = fallback;
+  pmap_.VisitPv(frame, [&](uint32_t, const MemMapEntry& rec) {
     uint32_t space_slot = rec.pv_space_slot();
     if (space_slot < spaces_.capacity() && spaces_.IsAllocated(space_slot)) {
-      return spaces_.SlotAt(space_slot)->kernel_slot;
+      owner = spaces_.SlotAt(space_slot)->kernel_slot;
+      return true;
     }
-  }
-  return fallback;
+    return false;
+  });
+  return owner;
 }
 
 cksim::Cycles CacheKernel::TierSlowTouchCycles(PhysAddr addr, uint32_t len) const {
@@ -1553,13 +1515,12 @@ void CacheKernel::UnloadPvRecord(uint32_t pv_index, cksim::Cpu& cpu, UnloadCause
   // signal into a page whose receivers have lost their mappings.
   if (had_signal && consistency_cascade) {
     std::vector<uint32_t> writable_peers;
-    for (uint32_t peer = pmap_.FindFirst(frame); peer != kNilRecord;
-         peer = pmap_.NextWithKey(peer)) {
-      const MemMapEntry& p = pmap_.record(peer);
-      if (p.type() == RecordType::kPhysToVirt && (p.pv_flags() & kPvWritable) != 0) {
+    pmap_.VisitPv(frame, [&](uint32_t peer, const MemMapEntry& p) {
+      if ((p.pv_flags() & kPvWritable) != 0) {
         writable_peers.push_back(peer);
       }
-    }
+      return false;
+    });
     for (uint32_t peer : writable_peers) {
       if (pmap_.record(peer).type() == RecordType::kPhysToVirt) {
         UnloadPvRecord(peer, cpu, CascadeCause(cause), /*consistency_cascade=*/false);
@@ -1813,10 +1774,9 @@ CkStatus CacheKernel::ReadPhys(KernelId caller, cksim::Cpu& cpu, PhysAddr addr, 
 }
 
 void CacheKernel::MarkFrameRemote(uint32_t pframe, bool remote) {
-  // Frames beyond local memory can be marked (a peer node's address) but can
-  // never be reached by a local translation; the bitmap spills them into its
-  // sparse side, away from the fast path's dense probe region.
-  remote_frames_.Assign(pframe, remote);
+  if (pframe < remote_frames_.size()) {
+    remote_frames_[pframe] = remote ? 1 : 0;
+  }
 }
 
 void CacheKernel::ScheduleAppEvent(cksim::Cycles at, KernelId kernel,
@@ -1855,22 +1815,15 @@ std::array<uint32_t, kObjectTypeCount> CacheKernel::LoadedCountsFor(KernelId ker
   if (k == nullptr) {
     return counts;
   }
-  uint32_t slot = kernel.id.slot;
   counts[static_cast<uint32_t>(ObjectType::kKernel)] = 1;
   counts[static_cast<uint32_t>(ObjectType::kSpace)] = k->space_count;
   counts[static_cast<uint32_t>(ObjectType::kThread)] = k->thread_count;
-  // Mappings are recorded per space; walk the pmap once and attribute each
-  // pv record through its space's owning kernel.
+  // Each loaded space counts its own pv records (ValidateInvariants checks
+  // every count against the map).
   uint32_t mappings = 0;
-  for (uint32_t i = 0; i < pmap_.capacity(); ++i) {
-    const MemMapEntry& rec = pmap_.record(i);
-    if (rec.type() != RecordType::kPhysToVirt) {
-      continue;
-    }
-    uint32_t space_slot = rec.pv_space_slot();
-    if (space_slot < spaces_.capacity() && spaces_.IsAllocated(space_slot) &&
-        spaces_.SlotAt(space_slot)->kernel_slot == slot) {
-      ++mappings;
+  for (uint32_t slot = 0; slot < spaces_.capacity(); ++slot) {
+    if (spaces_.IsAllocated(slot) && spaces_.SlotAt(slot)->kernel_slot == kernel.id.slot) {
+      mappings += spaces_.SlotAt(slot)->mapping_count;
     }
   }
   counts[static_cast<uint32_t>(ObjectType::kMapping)] = mappings;

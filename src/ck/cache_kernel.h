@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "src/base/bitmap.h"
 #include "src/base/fixed_pool.h"
 #include "src/base/histogram.h"
 #include "src/base/status.h"
@@ -220,18 +219,6 @@ enum class UnloadCause : uint8_t {
   kDiscard,   // dropped without writeback (invariant repair) -> uncounted
 };
 
-// Capacity-only backing store for the frame-tier ObjectCache: the cache
-// tracks per-frame state (load stamps, clock hand) over physical page frames;
-// the frames themselves live in cksim::PhysicalMemory.
-class FrameTierStore {
- public:
-  explicit FrameTierStore(uint32_t capacity) : capacity_(capacity) {}
-  uint32_t capacity() const { return capacity_; }
-
- private:
-  uint32_t capacity_;
-};
-
 class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
  public:
   CacheKernel(cksim::Machine& machine, const CacheKernelConfig& config);
@@ -251,6 +238,7 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   CkStatus UnloadKernel(KernelId caller, cksim::Cpu& cpu, KernelId kernel);
 
   // The special modify operations (optimizations over unload-modify-reload).
+  // SetLockLimits refuses (kInvalidArgument) a limit below what `kernel` holds.
   CkStatus GrantPageGroups(KernelId caller, cksim::Cpu& cpu, KernelId kernel,
                            uint32_t first_group, uint32_t count, GroupAccess access);
   CkStatus SetCpuQuota(KernelId caller, cksim::Cpu& cpu, KernelId kernel,
@@ -280,7 +268,8 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   // ---- page mappings ----
   CkStatus LoadMapping(KernelId caller, cksim::Cpu& cpu, const MappingSpec& spec);
   // The optimized combined call: load the mapping and restart the faulting
-  // thread in one trap (Table 2's "optimized" row).
+  // thread in one trap (Table 2's "optimized" row). The thread must be the
+  // caller's own (kDenied otherwise, after the mapping has loaded).
   CkStatus LoadMappingAndResume(KernelId caller, cksim::Cpu& cpu, const MappingSpec& spec,
                                 ThreadId faulting_thread);
   CkStatus UnloadMapping(KernelId caller, cksim::Cpu& cpu, SpaceId space, cksim::VirtAddr vaddr);
@@ -340,8 +329,9 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   }
 
   // ---- failure injection ----
-  // Mark a physical frame as held remotely / failed: accesses raise
-  // consistency faults (section 2.1 footnote 1).
+  // Mark a local physical frame as held remotely / failed: accesses raise
+  // consistency faults (section 2.1 footnote 1). A frame outside local
+  // memory is ignored: no translation can reach one.
   void MarkFrameRemote(uint32_t pframe, bool remote);
 
   // ---- app-kernel deferred events ----
@@ -642,9 +632,11 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   // -- access checks --
   bool CheckPhysicalAccess(KernelObject* kernel, cksim::PhysAddr addr, uint32_t len, bool write);
 
-  // O(1) remote-frame probe on the guest memory hot paths (dense region of
-  // the bitmap; frames beyond local memory fall back to its sparse side).
-  bool FrameIsRemote(uint32_t pframe) const { return remote_frames_.Test(pframe); }
+  // O(1) remote-frame probe on the guest memory hot paths; false for a frame
+  // outside local memory.
+  bool FrameIsRemote(uint32_t pframe) const {
+    return pframe < remote_frames_.size() && remote_frames_[pframe] != 0;
+  }
 
   // -- tiered physical memory (docs/TIERING.md) --
   bool TierEnabled() const { return config_.tier_dram_frames != 0; }
@@ -652,8 +644,8 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   // kAdmit/kDemote so the conservation identities hold across round trips.
   enum class TierChange : uint8_t { kAdmit, kDemote, kPromote, kEvict, kRelease };
   // The single tier-transition point: maintains the PhysicalMemory tier
-  // attribute, the frame cache's load stamps and every CkStats/CostAccount
-  // tier counter. All callers run at deterministic serial points.
+  // attribute (the one record of a frame's tier) and every CkStats/
+  // CostAccount tier counter. All callers run at deterministic serial points.
   void SetFrameTierInternal(uint32_t frame, cksim::MemTier to, TierChange why,
                             uint32_t tenant_slot);
   // Admit an untracked frame to DRAM (or refresh a tracked frame's recency),
@@ -700,10 +692,10 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   ObjectCache<ckbase::FixedPool<ThreadObject>> threads_;
   ObjectCache<PhysicalMemoryMap> pmap_;
   TableArena table_arena_;
-  // Frame-tier cache: load stamps and clock hand over physical frames (one
-  // slot per frame; "loaded" == tier-tracked). The demotion victim scan is
-  // the same clock engine as the four descriptor caches.
-  ObjectCache<FrameTierStore> frame_tiers_;
+  // The demotion victim scan is the descriptor caches' ClockScan, run with
+  // this hand over physical frames; its occupied slots are DRAM frames, read
+  // from PhysicalMemory's per-frame tier tags.
+  uint32_t tier_hand_ = 0;
   std::vector<uint8_t> tier_ref_;   // soft referenced bit per frame (TierTouch)
   uint32_t tier_promote_hand_ = 0;  // round-robin start of the promotion scan
   cksim::Cycles tier_next_scan_ = 0;
@@ -727,10 +719,11 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   std::vector<uint32_t> signal_reg_head_;  // [thread slot]
 
   std::vector<AppEvent> app_events_;  // kept sorted by `at`
-  // Frames held on remote nodes / failed modules: single source of truth.
-  // The dense region doubles as the O(1) per-access probe the guest memory
-  // paths and the trace executor use (raw pointer capture).
-  ckbase::IterableBitmap remote_frames_;
+  // Frames held on remote nodes / failed modules: one byte per local frame,
+  // sized at construction so its storage never moves. The guest memory paths
+  // probe it, and the trace executor reads it through
+  // FastPath::remote_frame_bits.
+  std::vector<uint8_t> remote_frames_;
 
   // Guest-execution fast path state (src/isa/fastpath.h), per CPU like the
   // hardware TLB it shadows: the micro-TLB hints and the superblock trace

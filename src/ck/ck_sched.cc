@@ -24,8 +24,8 @@ class GuestBusImpl : public ckisa::GuestBus {
       fp_.mtlb = &ck.micro_tlbs_[cpu.id()];
       fp_.tlb = &cpu.mmu().tlb();
       fp_.mem = &ck.machine_.memory();
-      fp_.remote_frame_bits = ck.remote_frames_.dense_data();
-      fp_.frame_count = ck.remote_frames_.dense_limit();
+      fp_.remote_frame_bits = ck.remote_frames_.data();
+      fp_.frame_count = static_cast<uint32_t>(ck.remote_frames_.size());
       fp_.asid = asid;
       fp_.cost_tlb_hit = ck.machine_.cost().tlb_hit;
       fp_.cost_mem_word = ck.machine_.cost().mem_word;

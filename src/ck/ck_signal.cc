@@ -62,11 +62,7 @@ void CacheKernel::DeliverSignalToFrame(uint32_t pframe, uint32_t offset, Cycles 
   };
   std::vector<Target> targets;
 
-  for (uint32_t pv = pmap_.FindFirst(pframe); pv != kNilRecord; pv = pmap_.NextWithKey(pv)) {
-    const MemMapEntry& rec = pmap_.record(pv);
-    if (rec.type() != RecordType::kPhysToVirt) {
-      continue;
-    }
+  pmap_.VisitPv(pframe, [&](uint32_t pv, const MemMapEntry& rec) {
     VirtAddr vbase = rec.pv_vaddr();
     for (uint32_t sig = pmap_.FindFirst(pv); sig != kNilRecord; sig = pmap_.NextWithKey(sig)) {
       const MemMapEntry& dep = pmap_.record(sig);
@@ -84,7 +80,8 @@ void CacheKernel::DeliverSignalToFrame(uint32_t pframe, uint32_t offset, Cycles 
       }
       targets.push_back(Target{tid, vbase + offset});
     }
-  }
+    return false;
+  });
 
   for (const Target& target : targets) {
     ThreadObject* t = threads_.Lookup(target.thread);
@@ -129,9 +126,9 @@ void CacheKernel::DeliverToThread(ThreadObject* thread, VirtAddr vaddr, uint32_t
   // Signal delivery marks the receiver recently used (guest policy feature).
   threads_.Touch(threads_.SlotOf(thread));
 
-  // Fast path: the per-processor reverse-TLB maps the physical frame to the
-  // (virtual address, signal function) pair; a hit delivers to the active
-  // thread with no map lookup (section 4.1).
+  // Fast path: the per-processor reverse-TLB maps the physical frame to its
+  // signal thread; a hit delivers to the active thread with no map lookup
+  // (section 4.1).
   bool fast = false;
   if (config_.reverse_tlb_enabled) {
     const cksim::ReverseTlb::Entry* entry = cpu.reverse_tlb().Lookup(pframe);
@@ -148,14 +145,7 @@ void CacheKernel::DeliverToThread(ThreadObject* thread, VirtAddr vaddr, uint32_t
     stats_.signals_delivered_slow++;
     CK_TRACE(Ring(cpu), obs::EventType::kSignalSlow, cpu.clock(), pframe, vaddr);
     if (config_.reverse_tlb_enabled) {
-      cksim::ReverseTlb::Entry entry;
-      entry.valid = true;
-      entry.pframe = pframe;
-      entry.vbase = vaddr & ~cksim::kPageOffsetMask;
-      entry.thread_id = threads_.IdOf(thread).Packed();
-      entry.handler = thread->signal_handler;
-      entry.map_version = pmap_.version_value();
-      cpu.reverse_tlb().Insert(entry);
+      cpu.reverse_tlb().Insert({true, pframe, threads_.IdOf(thread).Packed()});
     }
   }
 

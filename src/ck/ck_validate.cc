@@ -52,7 +52,7 @@ std::vector<std::string> CacheKernel::ValidateInvariants() {
                std::to_string(slot));
           break;
         }
-        if (rec.pv_frame() >= local_frames && !remote_frames_.Test(rec.pv_frame())) {
+        if (rec.pv_frame() >= local_frames) {
           std::ostringstream os;
           os << "pv record " << i << " frame " << rec.pv_frame()
              << " outside local memory (bad restore frame remap?)";
@@ -305,9 +305,8 @@ std::vector<std::string> CacheKernel::ValidateInvariants() {
   // --- tiered physical memory (docs/TIERING.md) ---
   // A frame is in exactly one tier; scanning the per-frame bytes must agree
   // with PhysicalMemory's per-tier counts, the counts must partition the
-  // frame pool, the frame-tier cache's load stamps must mark exactly the
-  // tracked (DRAM or slow) frames, and the slow-frame index the promotion
-  // sweep walks must name exactly the slow frames.
+  // frame pool, and the slow-frame index the promotion sweep walks must name
+  // exactly the slow frames.
   {
     uint32_t page_count = mem.page_count();
     uint32_t scanned[cksim::kMemTierCount] = {0, 0, 0};
@@ -325,11 +324,6 @@ std::vector<std::string> CacheKernel::ValidateInvariants() {
         continue;
       }
       scanned[tier]++;
-      bool tracked = tier != static_cast<uint8_t>(cksim::MemTier::kNone);
-      if (tracked != (frame_tiers_.load_seq(f) != 0)) {
-        fail("frame-tier cache load stamp disagrees with tier residency for frame " +
-             std::to_string(f));
-      }
     }
     const char* const kTierNames[cksim::kMemTierCount] = {"none", "dram", "slow"};
     uint32_t counted_total = 0;
@@ -345,11 +339,6 @@ std::vector<std::string> CacheKernel::ValidateInvariants() {
     }
     if (counted_total != page_count) {
       fail("per-tier counts do not partition the frame pool");
-    }
-    if (TierEnabled() &&
-        frame_tiers_.loaded() != mem.tier_count(cksim::MemTier::kDram) +
-                                     mem.tier_count(cksim::MemTier::kSlow)) {
-      fail("frame-tier cache loaded() disagrees with DRAM + slow counts");
     }
   }
 

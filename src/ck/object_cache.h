@@ -19,18 +19,21 @@
 // CacheKernel: occupancy, the effective-lock pin chain of section 4.2, pass
 // eligibility (threads prefer blocked victims), the hardware referenced bit
 // (mappings), and eviction itself (stats + trace + the Figure 6
-// dependency-ordered writeback cascade). ReclaimClock, the paper's clock
-// scan, is the one built-in policy; ReclaimScored runs an application
-// kernel's guest policy program (CacheKernel::ReclaimWithPolicy).
+// dependency-ordered writeback cascade). ClockScan, the paper's clock scan,
+// is the one built-in policy (ReclaimClock runs it with the cache's hand);
+// ReclaimScored runs an application kernel's guest policy program
+// (CacheKernel::ReclaimWithPolicy).
 //
 // The clock scan has two shapes, chosen by Ops::kScanOccupiedSteps:
 //   * false (pools): the hand walks slots, one budget unit per slot per
-//     pass; the hand only commits when a victim is evicted.
-//   * true (mappings): the hand walks occupied records -- the budget counts
-//     occupied visits, so a sparsely occupied map can revisit a record and
-//     evict it after its second chance is spent; the first unpinned record
-//     seen is remembered as a forced fallback. This reproduces the historic
-//     ReclaimMapping/ClockNextPv semantics bit-exactly.
+//     pass; the hand only commits when a victim is evicted. Only this shape
+//     reads Ops::kPasses and Ops::Eligible.
+//   * true (mappings, tier frames): the hand walks occupied records -- the
+//     budget counts occupied visits, so a sparsely occupied map can revisit
+//     a record and evict it after its second chance is spent; the first
+//     unpinned record seen is remembered as a forced fallback. This
+//     reproduces the historic ReclaimMapping/ClockNextPv semantics
+//     bit-exactly.
 
 #ifndef SRC_CK_OBJECT_CACHE_H_
 #define SRC_CK_OBJECT_CACHE_H_
@@ -48,6 +51,83 @@ enum class ScoredScan : uint8_t {
   kNoCandidate = 1,  // nothing admitted/unpinned -- caller picks a fallback
   kAborted = 2,      // the scoring function gave up (guest fault/budget)
 };
+
+// The clock scan, the one built-in victim choice, over `capacity` slots from
+// `hand`. Returns true after ops.Evict() ran on the chosen victim; false when
+// every candidate is pinned (the caller fails the load cleanly with
+// kNoResources). `scan_steps` accumulates candidates examined, for the
+// per-type scan-length counters in CkStats. A candidate whose referenced bit
+// is set survives exactly one trip of the hand (the bit is consumed). The
+// descriptor caches run it with their own hand (ObjectCache::ReclaimClock),
+// the frame-tier demotion scan with the Cache Kernel's tier hand.
+template <typename Ops>
+bool ClockScan(uint32_t& hand, uint32_t capacity, Ops& ops, uint64_t& scan_steps) {
+  uint32_t forced = kNoVictim;
+  if constexpr (Ops::kScanOccupiedSteps) {
+    // Mapping-shaped scan: budget in occupied visits, mutating hand. Each
+    // step advances the hand past the next occupied slot (wrapping); a full
+    // revolution that finds nothing occupied ends the scan.
+    auto next_occupied = [&]() -> uint32_t {
+      for (uint32_t i = 0; i < capacity; ++i) {
+        uint32_t slot = hand;
+        hand = (hand + 1) % capacity;
+        if (ops.Occupied(slot)) {
+          return slot;
+        }
+      }
+      return kNoVictim;
+    };
+    for (uint32_t step = 0; step < capacity; ++step) {
+      uint32_t slot = next_occupied();
+      if (slot == kNoVictim) {
+        break;
+      }
+      ++scan_steps;
+      if (ops.Pinned(slot)) {
+        continue;
+      }
+      if (forced == kNoVictim) {
+        forced = slot;  // fallback if everything stays referenced
+      }
+      if (ops.TestAndClearReferenced(slot)) {
+        continue;  // second chance
+      }
+      ops.Evict(slot);
+      return true;
+    }
+  } else {
+    // Pool-shaped scan: budget in slots per pass, hand commits on evict.
+    for (int pass = 0; pass < Ops::kPasses; ++pass) {
+      for (uint32_t step = 0; step < capacity; ++step) {
+        uint32_t slot = (hand + step) % capacity;
+        ++scan_steps;
+        if (!ops.Occupied(slot) || !ops.Eligible(slot, pass)) {
+          continue;
+        }
+        if (ops.Pinned(slot)) {
+          continue;
+        }
+        if (forced == kNoVictim) {
+          forced = slot;
+        }
+        if (ops.TestAndClearReferenced(slot)) {
+          continue;
+        }
+        hand = (slot + 1) % capacity;
+        ops.Evict(slot);
+        return true;
+      }
+    }
+  }
+  if (forced != kNoVictim && ops.Occupied(forced)) {
+    if constexpr (!Ops::kScanOccupiedSteps) {
+      hand = (forced + 1) % capacity;
+    }
+    ops.Evict(forced);
+    return true;
+  }
+  return false;
+}
 
 template <typename Store>
 class ObjectCache : public Store {
@@ -115,68 +195,10 @@ class ObjectCache : public Store {
   }
 
   // ---- victim selection ----
-  // Clock scan. Returns true after ops.Evict() ran on the chosen victim;
-  // false when every candidate is pinned (the caller fails the load cleanly
-  // with kNoResources). `scan_steps` accumulates candidates examined, for the
-  // per-type scan-length counters in CkStats. A candidate whose hardware
-  // referenced bit is set survives exactly one trip of the hand (the bit is
-  // consumed).
+  // The clock scan (ClockScan above) with this cache's own hand.
   template <typename Ops>
   bool ReclaimClock(Ops& ops, uint64_t& scan_steps) {
-    uint32_t cap = Store::capacity();
-    uint32_t forced = kNoVictim;
-    if constexpr (Ops::kScanOccupiedSteps) {
-      // Mapping-shaped scan: budget in occupied visits, mutating hand.
-      for (uint32_t step = 0; step < cap; ++step) {
-        uint32_t slot = NextOccupied(ops);
-        if (slot == kNoVictim) {
-          break;
-        }
-        ++scan_steps;
-        if (ops.Pinned(slot)) {
-          continue;
-        }
-        if (forced == kNoVictim) {
-          forced = slot;  // fallback if everything stays referenced
-        }
-        if (ops.TestAndClearReferenced(slot)) {
-          continue;  // second chance
-        }
-        ops.Evict(slot);
-        return true;
-      }
-    } else {
-      // Pool-shaped scan: budget in slots per pass, hand commits on evict.
-      for (int pass = 0; pass < Ops::kPasses; ++pass) {
-        for (uint32_t step = 0; step < cap; ++step) {
-          uint32_t slot = (hand_ + step) % cap;
-          ++scan_steps;
-          if (!ops.Occupied(slot) || !ops.Eligible(slot, pass)) {
-            continue;
-          }
-          if (ops.Pinned(slot)) {
-            continue;
-          }
-          if (forced == kNoVictim) {
-            forced = slot;
-          }
-          if (ops.TestAndClearReferenced(slot)) {
-            continue;
-          }
-          hand_ = (slot + 1) % cap;
-          ops.Evict(slot);
-          return true;
-        }
-      }
-    }
-    if (forced != kNoVictim && ops.Occupied(forced)) {
-      if constexpr (!Ops::kScanOccupiedSteps) {
-        hand_ = (forced + 1) % cap;
-      }
-      ops.Evict(forced);
-      return true;
-    }
-    return false;
+    return ClockScan(hand_, Store::capacity(), ops, scan_steps);
   }
 
   // The score-based engine: one full sweep over occupied slots, evicting the
@@ -219,21 +241,6 @@ class ObjectCache : public Store {
   }
 
  private:
-  // Advance the hand to the next occupied slot (wrapping), consuming it.
-  // Returns kNoVictim when a full revolution finds nothing occupied.
-  template <typename Ops>
-  uint32_t NextOccupied(Ops& ops) {
-    uint32_t cap = Store::capacity();
-    for (uint32_t i = 0; i < cap; ++i) {
-      uint32_t slot = hand_;
-      hand_ = (hand_ + 1) % cap;
-      if (ops.Occupied(slot)) {
-        return slot;
-      }
-    }
-    return kNoVictim;
-  }
-
   uint32_t hand_ = 0;               // replacement hand (per-cache, was per-type)
   uint32_t loaded_ = 0;             // slots with a nonzero load stamp
   uint64_t load_clock_ = 0;         // monotonic load counter

@@ -34,7 +34,6 @@ uint32_t PhysicalMemoryMap::Insert(uint32_t key, uint32_t dependent, uint32_t co
   if (free_head_ == kNilRecord) {
     return kNilRecord;
   }
-  ckbase::VersionWriteScope writer(version_);
   uint32_t index = free_head_;
   MemMapEntry& rec = records_[index];
   free_head_ = rec.hash_link;
@@ -52,7 +51,6 @@ uint32_t PhysicalMemoryMap::Insert(uint32_t key, uint32_t dependent, uint32_t co
 }
 
 void PhysicalMemoryMap::Remove(uint32_t index) {
-  ckbase::VersionWriteScope writer(version_);
   MemMapEntry& rec = records_[index];
   uint32_t bucket = BucketOf(rec.key);
 
@@ -97,14 +95,9 @@ uint32_t PhysicalMemoryMap::NextWithKey(uint32_t index) const {
 uint32_t PhysicalMemoryMap::FindPv(uint32_t frame, uint32_t space_slot,
                                    cksim::VirtAddr vaddr) const {
   cksim::VirtAddr vpage_base = vaddr & ~0xfffu;
-  for (uint32_t cur = FindFirst(frame); cur != kNilRecord; cur = NextWithKey(cur)) {
-    const MemMapEntry& rec = records_[cur];
-    if (rec.type() == RecordType::kPhysToVirt && rec.pv_space_slot() == space_slot &&
-        rec.pv_vaddr() == vpage_base) {
-      return cur;
-    }
-  }
-  return kNilRecord;
+  return VisitPv(frame, [&](uint32_t, const MemMapEntry& rec) {
+    return rec.pv_space_slot() == space_slot && rec.pv_vaddr() == vpage_base;
+  });
 }
 
 }  // namespace ck

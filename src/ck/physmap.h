@@ -15,8 +15,8 @@
 //     physical frame, context = cow tag.
 //
 // Locating the threads to signal for a physical page is the paper's two-stage
-// lookup: chase the PhysToVirt records for the frame, then the Signal records
-// keyed by each of those records.
+// lookup: chase the PhysToVirt records for the frame (VisitPv), then the
+// Signal records keyed by each of those records.
 //
 // sizeof(MemMapEntry) == 16 is asserted; the free list reuses the hash link,
 // so the pool carries no per-record overhead. Replacement over pv records
@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/base/version_lock.h"
 #include "src/sim/types.h"
 
 namespace ck {
@@ -112,14 +111,24 @@ class PhysicalMemoryMap {
   uint32_t FindFirst(uint32_t key) const;
   uint32_t NextWithKey(uint32_t index) const;
 
+  // Visit the PhysToVirt records of `frame` in hash-chain order, calling
+  // fn(index, record) on each; fn returns true to stop. Returns the index the
+  // walk stopped at, or kNilRecord when it ran to the end. fn must not change
+  // the map: a walk that unloads records collects them first.
+  template <typename Fn>
+  uint32_t VisitPv(uint32_t frame, Fn&& fn) const {
+    for (uint32_t cur = FindFirst(frame); cur != kNilRecord; cur = NextWithKey(cur)) {
+      const MemMapEntry& rec = records_[cur];
+      if (rec.type() == RecordType::kPhysToVirt && fn(cur, rec)) {
+        return cur;
+      }
+    }
+    return kNilRecord;
+  }
+
   // Find the PhysToVirt record for (space slot, virtual page) among the
   // records of `frame`. kNilRecord if absent.
   uint32_t FindPv(uint32_t frame, uint32_t space_slot, cksim::VirtAddr vaddr) const;
-
-  // Version counter (non-blocking synchronization, section 4.2). Readers of
-  // derived caches (reverse TLB) validate against it.
-  ckbase::VersionLock& version() { return version_; }
-  uint64_t version_value() const { return version_.ReadBegin(); }
 
   // Hash-chain length statistics for the data-structure tests.
   uint32_t BucketCount() const { return static_cast<uint32_t>(buckets_.size()); }
@@ -131,7 +140,6 @@ class PhysicalMemoryMap {
   std::vector<uint32_t> buckets_;  // head record index per bucket
   uint32_t free_head_ = kNilRecord;
   uint32_t in_use_ = 0;
-  ckbase::VersionLock version_;
 };
 
 }  // namespace ck

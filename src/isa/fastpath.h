@@ -226,7 +226,7 @@ struct FastPath {
   MicroTlb* mtlb = nullptr;
   cksim::Tlb* tlb = nullptr;
   cksim::PhysicalMemory* mem = nullptr;
-  // Per-frame remote/failed bit (CacheKernel::remote_frames_), checked
+  // Per-frame remote/failed byte (CacheKernel::remote_frames_), checked
   // live on every trace entry and data access, so MarkFrameRemote needs no
   // invalidation hook.
   const uint8_t* remote_frame_bits = nullptr;

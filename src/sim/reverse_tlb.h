@@ -7,16 +7,17 @@
 // 'reverse translates' according to this reverse TLB. If so, the signal is
 // delivered immediately to the active thread. Otherwise, it uses the
 // two-stage lookup." The prototype implemented it in software inside the
-// Cache Kernel; we model it as a small per-CPU direct-mapped table the Cache
-// Kernel fills and invalidates.
+// Cache Kernel; we model it as a small per-CPU direct-mapped table from a
+// frame to the signal thread active for it, which the Cache Kernel fills and
+// invalidates explicitly (every mapping unload and signal registration
+// flushes the frame, every thread unload the thread). The delivered virtual
+// address comes from the caller's lookup, so an entry does not repeat it.
 
 #ifndef SRC_SIM_REVERSE_TLB_H_
 #define SRC_SIM_REVERSE_TLB_H_
 
 #include <cstdint>
 #include <vector>
-
-#include "src/sim/types.h"
 
 namespace cksim {
 
@@ -27,22 +28,13 @@ class ReverseTlb {
   struct Entry {
     bool valid = false;
     uint32_t pframe = 0;
-    VirtAddr vbase = 0;          // receiver's virtual base of the frame
-    uint64_t thread_id = 0;      // packed id of the signal thread on this CPU
-    VirtAddr handler = 0;        // guest signal-handler entry (0 for native)
-    uint64_t map_version = 0;    // pmap version at insert time (section 4.2:
-                                 // re-validate before trusting the entry)
+    uint64_t thread_id = 0;  // packed id of the signal thread on this CPU
   };
 
   // Fast path lookup by physical frame.
   const Entry* Lookup(uint32_t pframe) const {
     const Entry& e = entries_[pframe % entries_.size()];
-    if (e.valid && e.pframe == pframe) {
-      ++hits_;
-      return &e;
-    }
-    ++misses_;
-    return nullptr;
+    return e.valid && e.pframe == pframe ? &e : nullptr;
   }
 
   void Insert(const Entry& entry) { entries_[entry.pframe % entries_.size()] = entry; }
@@ -62,19 +54,8 @@ class ReverseTlb {
     }
   }
 
-  void InvalidateAll() {
-    for (Entry& e : entries_) {
-      e.valid = false;
-    }
-  }
-
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-
  private:
   std::vector<Entry> entries_;
-  mutable uint64_t hits_ = 0;
-  mutable uint64_t misses_ = 0;
 };
 
 }  // namespace cksim

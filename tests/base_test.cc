@@ -1,5 +1,4 @@
-// Unit tests for src/base: intrusive lists, fixed pools, version locks, rng,
-// iterable bitmaps.
+// Unit tests for src/base: intrusive lists, fixed pools, rng, status.
 
 #include <gtest/gtest.h>
 
@@ -7,12 +6,10 @@
 #include <utility>
 #include <vector>
 
-#include "src/base/bitmap.h"
 #include "src/base/fixed_pool.h"
 #include "src/base/intrusive_list.h"
 #include "src/base/rng.h"
 #include "src/base/status.h"
-#include "src/base/version_lock.h"
 
 namespace {
 
@@ -205,20 +202,6 @@ TEST(FixedPoolTest, IsAllocatedTracksLiveness) {
   EXPECT_FALSE(pool.IsAllocated(slot));
 }
 
-TEST(VersionLockTest, ReadValidateDetectsWriters) {
-  ckbase::VersionLock lock;
-  uint64_t v = lock.ReadBegin();
-  EXPECT_TRUE(lock.ReadValidate(v));
-  {
-    ckbase::VersionWriteScope writer(lock);
-    EXPECT_FALSE(lock.ReadValidate(v)) << "mid-write must invalidate readers";
-  }
-  EXPECT_FALSE(lock.ReadValidate(v)) << "completed write must invalidate readers";
-  uint64_t v2 = lock.ReadBegin();
-  EXPECT_TRUE(lock.ReadValidate(v2));
-  EXPECT_EQ(lock.mutation_count(), 1u);
-}
-
 TEST(RngTest, DeterministicAndBounded) {
   ckbase::Rng a(123), b(123), c(124);
   EXPECT_EQ(a.Next(), b.Next());
@@ -242,58 +225,6 @@ TEST(RngTest, ChanceIsRoughlyCalibrated) {
   }
   EXPECT_GT(hits, 2200);
   EXPECT_LT(hits, 2800);
-}
-
-TEST(IterableBitmapTest, DenseAssignTestCount) {
-  ckbase::IterableBitmap bitmap(16);
-  EXPECT_TRUE(bitmap.empty());
-  bitmap.Assign(3, true);
-  bitmap.Assign(7, true);
-  bitmap.Assign(3, true);  // idempotent
-  EXPECT_EQ(bitmap.count(), 2u);
-  EXPECT_TRUE(bitmap.Test(3));
-  EXPECT_FALSE(bitmap.Test(4));
-  bitmap.Assign(3, false);
-  bitmap.Assign(3, false);  // idempotent
-  EXPECT_EQ(bitmap.count(), 1u);
-  EXPECT_FALSE(bitmap.Test(3));
-}
-
-TEST(IterableBitmapTest, SparseOverflowAboveDenseLimit) {
-  ckbase::IterableBitmap bitmap(8);
-  bitmap.Assign(2, true);
-  bitmap.Assign(100, true);
-  bitmap.Assign(50, true);
-  EXPECT_EQ(bitmap.count(), 3u);
-  EXPECT_TRUE(bitmap.Test(100));
-  EXPECT_FALSE(bitmap.Test(99));
-  // The dense probe region is unaffected by sparse members.
-  EXPECT_EQ(bitmap.dense_limit(), 8u);
-  EXPECT_EQ(bitmap.dense_data()[2], 1);
-  bitmap.Assign(100, false);
-  EXPECT_FALSE(bitmap.Test(100));
-  EXPECT_EQ(bitmap.count(), 2u);
-}
-
-TEST(IterableBitmapTest, ForEachAscendingAcrossBothRegions) {
-  ckbase::IterableBitmap bitmap(8);
-  for (uint32_t i : {7u, 200u, 1u, 30u}) {
-    bitmap.Assign(i, true);
-  }
-  std::vector<uint32_t> seen;
-  bitmap.ForEach([&](uint32_t i) { seen.push_back(i); });
-  EXPECT_EQ(seen, (std::vector<uint32_t>{1u, 7u, 30u, 200u}));
-}
-
-TEST(IterableBitmapTest, DenseStorageIsStable) {
-  // The fast-path interpreter captures dense_data() once; mutations
-  // (including sparse inserts) must never move it.
-  ckbase::IterableBitmap bitmap(32);
-  const uint8_t* data = bitmap.dense_data();
-  for (uint32_t i = 0; i < 2000; ++i) {
-    bitmap.Assign(i % 64, (i % 3) != 0);
-  }
-  EXPECT_EQ(bitmap.dense_data(), data);
 }
 
 TEST(StatusTest, NamesAndResult) {

@@ -6,6 +6,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/ck/object_cache.h"
@@ -69,6 +70,28 @@ TEST(PhysMapTest, FindPvMatchesSpaceAndVaddr) {
   EXPECT_EQ(pmap.FindPv(101, 1, 0x4000), kNilRecord);
 }
 
+TEST(PhysMapTest, VisitPvWalksOneFramesPvRecordsAndStopsEarly) {
+  PhysicalMemoryMap pmap(16);
+  uint32_t a = pmap.Insert(100, 0x4000, 1, RecordType::kPhysToVirt);
+  pmap.Insert(100, 0, 0, RecordType::kCopyOnWrite);  // same key, not a pv record
+  uint32_t b = pmap.Insert(100, 0x5000, 2, RecordType::kPhysToVirt);
+  pmap.Insert(101, 0x4000, 1, RecordType::kPhysToVirt);  // another frame
+  std::vector<uint32_t> seen;
+  uint32_t stopped = pmap.VisitPv(100, [&](uint32_t index, const MemMapEntry& rec) {
+    EXPECT_EQ(rec.pv_frame(), 100u);
+    seen.push_back(index);
+    return false;
+  });
+  EXPECT_EQ(stopped, kNilRecord) << "a walk that never stops runs to the end";
+  EXPECT_EQ(seen, (std::vector<uint32_t>{b, a})) << "hash-chain order, newest first";
+  EXPECT_EQ(pmap.VisitPv(100, [](uint32_t, const MemMapEntry&) { return true; }), b);
+  EXPECT_EQ(pmap.VisitPv(100, [](uint32_t, const MemMapEntry& rec) {
+              return rec.pv_space_slot() == 1;
+            }),
+            a);
+  EXPECT_EQ(pmap.VisitPv(102, [](uint32_t, const MemMapEntry&) { return true; }), kNilRecord);
+}
+
 TEST(PhysMapTest, SignalRecordsKeyedByPvIndex) {
   PhysicalMemoryMap pmap(16);
   uint32_t pv = pmap.Insert(100, 0x4000, 1, RecordType::kPhysToVirt);
@@ -106,14 +129,12 @@ TEST(PhysMapTest, ExhaustionReturnsNil) {
 // Minimal Ops glue for driving ObjectCache's mapping-shaped clock scan
 // directly against a bare PhysicalMemoryMap (no CacheKernel).
 struct MapScanOps {
-  static constexpr int kPasses = 1;
   static constexpr bool kScanOccupiedSteps = true;
   ck::ObjectCache<PhysicalMemoryMap>& map;
   uint32_t evicted = kNilRecord;
   bool Occupied(uint32_t index) const {
     return map.record(index).type() == RecordType::kPhysToVirt;
   }
-  bool Eligible(uint32_t, int) const { return true; }
   bool Pinned(uint32_t) const { return false; }
   bool TestAndClearReferenced(uint32_t) { return false; }
   void Evict(uint32_t index) {
@@ -146,17 +167,6 @@ TEST(PhysMapTest, MappingScanSkipsNonPvRecords) {
   MapScanOps ops{pmap};
   uint64_t steps = 0;
   EXPECT_FALSE(pmap.ReclaimClock(ops, steps));
-}
-
-TEST(PhysMapTest, VersionBumpsOnEveryMutation) {
-  PhysicalMemoryMap pmap(8);
-  uint64_t v0 = pmap.version().ReadBegin();
-  uint32_t pv = pmap.Insert(1, 0, 0, RecordType::kPhysToVirt);
-  EXPECT_FALSE(pmap.version().ReadValidate(v0));
-  uint64_t v1 = pmap.version().ReadBegin();
-  EXPECT_TRUE(pmap.version().ReadValidate(v1));
-  pmap.Remove(pv);
-  EXPECT_FALSE(pmap.version().ReadValidate(v1));
 }
 
 TEST(PhysMapTest, RandomChurnKeepsChainsConsistent) {

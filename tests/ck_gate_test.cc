@@ -399,6 +399,15 @@ std::vector<Row> Rows() {
       {"LoadMappingAndResume_denied", CkStatus::kDenied,
        CALL(w.App().LoadMappingAndResume(Map(w.other_space, kVaddr, kAppFrame), w.thread)),
        kGateExit, kNone},
+      // The mapping loads, but another kernel's thread stays blocked.
+      {"LoadMappingAndResume_denied_thread", CkStatus::kDenied,
+       [](World& w) {
+         CkStatus s =
+             w.App().LoadMappingAndResume(Map(w.space, kVaddr, kAppFrame), w.other_thread);
+         EXPECT_EQ(w.ck.GetThreadState(w.other_thread).value(), ck::ThreadState::kBlocked);
+         return s;
+       },
+       LoadMappingOk, Loads(kM)},
       {"UnloadMapping_ok", CkStatus::kOk, CALL(w.App().UnloadMapping(w.space, kVaddr)),
        UnloadMappingOk, Unloads(kM), map_app},
       {"UnloadMapping_stale_caller", CkStatus::kStale,
@@ -583,6 +592,14 @@ std::vector<Row> Rows() {
        CALL(w.Srm().SetLockLimits(w.stale_kernel, kLimits)), kGate, kStaleId},
       {"SetLockLimits_denied", CkStatus::kDenied, CALL(w.App().SetLockLimits(w.app_id, kLimits)),
        kGate, kNone},
+      // The app kernel holds a locked space: a space limit of 0 is refused
+      // and the invariants stay clean.
+      {"SetLockLimits_below_held", CkStatus::kInvalidArgument,
+       [](World& w) {
+         const uint8_t zero[ck::kObjectTypeCount] = {0, 0, 0, 0};
+         return w.Srm().SetLockLimits(w.app_id, zero);
+       },
+       kGate, kNone, [](World& w) { w.App().LoadSpace(2, true); }},
   };
 }
 

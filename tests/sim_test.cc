@@ -240,7 +240,6 @@ TEST(ReverseTlbTest, InsertLookupInvalidate) {
   ReverseTlb::Entry e;
   e.valid = true;
   e.pframe = 7;
-  e.vbase = 0x4000;
   e.thread_id = 99;
   rtlb.Insert(e);
   const ReverseTlb::Entry* hit = rtlb.Lookup(7);

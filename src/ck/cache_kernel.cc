@@ -209,7 +209,7 @@ CkStatus CacheKernel::GrantPageGroups(KernelId caller, cksim::Cpu& cpu, KernelId
       // Scan pv records belonging to this space; collect first (unload
       // mutates the map).
       std::vector<uint32_t> victims;
-      for (uint32_t i = 0; i < pmap_.capacity(); ++i) {
+      for (uint32_t i = 0; i < pmap_.used_extent(); ++i) {
         const MemMapEntry& rec = pmap_.record(i);
         if (rec.type() != RecordType::kPhysToVirt || rec.pv_space_slot() != slot) {
           continue;

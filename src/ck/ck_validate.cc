@@ -40,7 +40,7 @@ std::vector<std::string> CacheKernel::ValidateInvariants() {
   const uint32_t local_frames = cksim::PageFrame(static_cast<cksim::PhysAddr>(mem.size()));
   std::set<std::pair<uint32_t, cksim::VirtAddr>> pv_seen;
   uint32_t signal_records = 0;
-  for (uint32_t i = 0; i < pmap_.capacity(); ++i) {
+  for (uint32_t i = 0; i < pmap_.used_extent(); ++i) {
     const MemMapEntry& rec = pmap_.record(i);
     switch (rec.type()) {
       case RecordType::kFree:
@@ -271,7 +271,7 @@ std::vector<std::string> CacheKernel::ValidateInvariants() {
       fail("thread cache load stamp disagrees with pool occupancy");
     }
   }
-  for (uint32_t i = 0; i < pmap_.capacity(); ++i) {
+  for (uint32_t i = 0; i < pmap_.used_extent(); ++i) {
     bool is_pv = pmap_.record(i).type() == RecordType::kPhysToVirt;
     if (is_pv != (pmap_.load_seq(i) != 0)) {
       fail("mapping cache load stamp disagrees with pv occupancy");
@@ -296,7 +296,7 @@ std::vector<std::string> CacheKernel::ValidateInvariants() {
       fail("thread cache soft-ref bit set on a free slot");
     }
   }
-  for (uint32_t i = 0; i < pmap_.capacity(); ++i) {
+  for (uint32_t i = 0; i < pmap_.used_extent(); ++i) {
     if (pmap_.soft_ref(i) && pmap_.load_seq(i) == 0) {
       fail("mapping cache soft-ref bit set on a free slot");
     }

@@ -14,14 +14,7 @@ uint32_t NextPowerOfTwo(uint32_t v) {
 }  // namespace
 
 PhysicalMemoryMap::PhysicalMemoryMap(uint32_t capacity)
-    : records_(capacity), buckets_(NextPowerOfTwo(capacity), kNilRecord) {
-  // Chain all records onto the free list through hash_link.
-  for (uint32_t i = 0; i < capacity; ++i) {
-    records_[i].hash_link = (i + 1 < capacity) ? i + 1 : kNilRecord;
-    records_[i].set_type(RecordType::kFree);
-  }
-  free_head_ = capacity > 0 ? 0 : kNilRecord;
-}
+    : records_(capacity), buckets_(NextPowerOfTwo(capacity), kNilRecord) {}
 
 uint32_t PhysicalMemoryMap::BucketOf(uint32_t key) const {
   // Fibonacci hash; buckets_ is a power of two.
@@ -31,12 +24,15 @@ uint32_t PhysicalMemoryMap::BucketOf(uint32_t key) const {
 
 uint32_t PhysicalMemoryMap::Insert(uint32_t key, uint32_t dependent, uint32_t context_low,
                                    RecordType type) {
-  if (free_head_ == kNilRecord) {
+  uint32_t index = free_head_;
+  if (index != kNilRecord) {
+    free_head_ = records_[index].hash_link;
+  } else if (bump_ < capacity()) {
+    index = bump_++;
+  } else {
     return kNilRecord;
   }
-  uint32_t index = free_head_;
   MemMapEntry& rec = records_[index];
-  free_head_ = rec.hash_link;
 
   rec.key = key;
   rec.dependent = dependent;

@@ -19,7 +19,9 @@
 // Signal records keyed by each of those records.
 //
 // sizeof(MemMapEntry) == 16 is asserted; the free list reuses the hash link,
-// so the pool carries no per-record overhead. Replacement over pv records
+// so the pool carries no per-record overhead. Never-used records come from a
+// bump index, freed ones from the free list first (last freed first): the
+// order of a pool chained whole at construction. Replacement over pv records
 // lives in the ObjectCache wrapper (src/ck/object_cache.h), not here.
 
 #ifndef SRC_CK_PHYSMAP_H_
@@ -96,6 +98,7 @@ class PhysicalMemoryMap {
   uint32_t capacity() const { return static_cast<uint32_t>(records_.size()); }
   uint32_t in_use() const { return in_use_; }
   bool full() const { return in_use_ == capacity(); }
+  uint32_t used_extent() const { return bump_; }  // records from here on were never used
 
   MemMapEntry& record(uint32_t index) { return records_[index]; }
   const MemMapEntry& record(uint32_t index) const { return records_[index]; }
@@ -138,7 +141,8 @@ class PhysicalMemoryMap {
 
   std::vector<MemMapEntry> records_;
   std::vector<uint32_t> buckets_;  // head record index per bucket
-  uint32_t free_head_ = kNilRecord;
+  uint32_t free_head_ = kNilRecord;  // freed records, last freed first
+  uint32_t bump_ = 0;                // first never-used record
   uint32_t in_use_ = 0;
 };
 

@@ -1,35 +1,54 @@
 #include "src/ckpt/serializer.h"
 
+#include <array>
+
 namespace ckckpt {
 
 namespace {
 
-struct CrcTable {
-  uint32_t entries[256];
-  CrcTable() {
+// Slicing-by-8 tables: kCrcTables[0] is the byte-at-a-time table, and
+// kCrcTables[k][b] is the CRC of byte b followed by k zero bytes, so eight
+// lookups fold eight input bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+    }
+    t[0][i] = c;
+  }
+  for (size_t k = 1; k < t.size(); ++k) {
     for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
-      }
-      entries[i] = c;
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
     }
   }
-};
+  return t;
+}
 
-const CrcTable& Table() {
-  static const CrcTable table;
-  return table;
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t len, uint32_t seed) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
-  const CrcTable& table = Table();
+  const CrcTables& t = kCrcTables;
   uint32_t c = seed ^ 0xffffffffu;
-  for (size_t i = 0; i < len; ++i) {
-    c = table.entries[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ c;
+    const uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^ t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+        t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
 }

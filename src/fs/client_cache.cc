@@ -324,10 +324,12 @@ ClientFileCache::Status ClientFileCache::Write(CkApi& api, uint32_t fileid, uint
   if (sizeof(WriteRequest) + len > kBudget) {
     return Status::kError;
   }
-  std::vector<uint8_t> wire;
-  AppendPod(wire, WriteRequest{fileid, offset, len});
-  const uint8_t* raw = static_cast<const uint8_t*>(data);
-  wire.insert(wire.end(), raw, raw + len);
+  const WriteRequest request{fileid, offset, len};
+  std::vector<uint8_t> wire(sizeof(request) + len);
+  std::memcpy(wire.data(), &request, sizeof(request));
+  if (len != 0) {
+    std::memcpy(wire.data() + sizeof(request), data, len);
+  }
   write_pending_[fileid] = true;
   uint32_t end = offset + len;
   pump_->Call(api, kOpWrite, wire,

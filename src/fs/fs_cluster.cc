@@ -1,5 +1,6 @@
 #include "src/fs/fs_cluster.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace ckfs {
@@ -9,8 +10,15 @@ using cksim::kPageSize;
 
 std::vector<uint8_t> FileBytes(uint32_t fileid, uint32_t version, uint32_t len) {
   std::vector<uint8_t> bytes(len);
-  for (uint32_t i = 0; i < len; ++i) {
-    bytes[i] = FileByte(fileid, version, i);
+  // Within a page FileByte rises by one per byte (mod 256), so each page is
+  // a ramp from its first byte.
+  for (uint32_t base = 0; base < len; base += kPageSize) {
+    const uint8_t first = FileByte(fileid, version, base);
+    uint8_t* page = bytes.data() + base;
+    const uint32_t n = std::min(len - base, kPageSize);
+    for (uint32_t i = 0; i < n; ++i) {
+      page[i] = static_cast<uint8_t>(first + i);
+    }
   }
   return bytes;
 }

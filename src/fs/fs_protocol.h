@@ -129,8 +129,9 @@ struct BulkPageHeader {
 // POD <-> wire helpers.
 template <typename T>
 void AppendPod(std::vector<uint8_t>& wire, const T& value) {
-  const uint8_t* raw = reinterpret_cast<const uint8_t*>(&value);
-  wire.insert(wire.end(), raw, raw + sizeof(T));
+  const size_t at = wire.size();
+  wire.resize(at + sizeof(T));
+  std::memcpy(wire.data() + at, &value, sizeof(T));
 }
 
 template <typename T>

@@ -1,19 +1,81 @@
 #include "src/sim/physmem.h"
 
+#include <sanitizer/asan_interface.h>  // no-op macros outside ASan builds
+
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
+#include <utility>
 
 namespace cksim {
+namespace {
+
+// RAM of a destroyed memory and the store generations that say which of its
+// frames were written.
+struct SpareRam {
+  uint8_t* bytes;
+  uint32_t size;
+  std::vector<uint64_t> frame_gen;
+};
+
+struct SpareList {
+  std::mutex mutex;
+  std::vector<SpareRam> ram;
+};
+
+SpareList& Spares() {
+  // Never destroyed, and its RAM never freed: a memory in static storage may
+  // die after every function-local static.
+  static SpareList* const spares = new SpareList;
+  return *spares;
+}
+
+}  // namespace
 
 PhysicalMemory::PhysicalMemory(uint32_t size_bytes) {
   // Round up to a whole number of page groups.
-  uint32_t rounded = ((size_bytes + kPageGroupBytes - 1) / kPageGroupBytes) * kPageGroupBytes;
-  bytes_.assign(rounded, 0);
-  frame_gen_.assign(rounded / kPageSize, 0);
-  frame_tier_.assign(rounded / kPageSize, static_cast<uint8_t>(MemTier::kNone));
-  slow_bits_.assign((rounded / kPageSize + 63) / 64, 0);
-  tier_count_[static_cast<uint8_t>(MemTier::kNone)] = rounded / kPageSize;
+  size_ = ((size_bytes + kPageGroupBytes - 1) / kPageGroupBytes) * kPageGroupBytes;
+  const uint32_t frames = size_ / kPageSize;
+  {
+    SpareList& spares = Spares();
+    std::lock_guard<std::mutex> lock(spares.mutex);
+    // The most recently destroyed memory first: its RAM is the warmest.
+    for (auto it = spares.ram.end(); it != spares.ram.begin();) {
+      if ((--it)->size == size_) {
+        bytes_ = it->bytes;
+        frame_gen_ = std::move(it->frame_gen);
+        spares.ram.erase(it);
+        break;
+      }
+    }
+  }
+  if (bytes_ != nullptr) {
+    ASAN_UNPOISON_MEMORY_REGION(bytes_, size_);
+    for (uint32_t f = 0; f < frames; ++f) {
+      if (frame_gen_[f] != 0) {
+        std::memset(bytes_ + f * kPageSize, 0, kPageSize);
+        frame_gen_[f] = 0;
+      }
+    }
+  } else {
+    bytes_ = static_cast<uint8_t*>(std::calloc(size_, 1));
+    if (bytes_ == nullptr) {
+      std::fprintf(stderr, "physmem: cannot allocate %#x bytes\n", size_);
+      std::abort();
+    }
+    frame_gen_.assign(frames, 0);
+  }
+  frame_tier_.assign(frames, static_cast<uint8_t>(MemTier::kNone));
+  slow_bits_.assign((frames + 63) / 64, 0);
+  tier_count_[static_cast<uint8_t>(MemTier::kNone)] = frames;
+}
+
+PhysicalMemory::~PhysicalMemory() {
+  ASAN_POISON_MEMORY_REGION(bytes_, size_);
+  SpareList& spares = Spares();
+  std::lock_guard<std::mutex> lock(spares.mutex);
+  spares.ram.push_back({bytes_, size_, std::move(frame_gen_)});
 }
 
 uint32_t PhysicalMemory::NextSlowFrame(uint32_t frame) const {
@@ -41,13 +103,13 @@ void PhysicalMemory::Check(PhysAddr addr, uint32_t len) const {
 uint32_t PhysicalMemory::ReadWord(PhysAddr addr) const {
   Check(addr, 4);
   uint32_t value;
-  std::memcpy(&value, bytes_.data() + addr, 4);
+  std::memcpy(&value, bytes_ + addr, 4);
   return value;
 }
 
 void PhysicalMemory::WriteWord(PhysAddr addr, uint32_t value) {
   Check(addr, 4);
-  std::memcpy(bytes_.data() + addr, &value, 4);
+  std::memcpy(bytes_ + addr, &value, 4);
   BumpFrameGeneration(addr);
 }
 
@@ -64,18 +126,18 @@ void PhysicalMemory::WriteByte(PhysAddr addr, uint8_t value) {
 
 void PhysicalMemory::Read(PhysAddr addr, void* out, uint32_t len) const {
   Check(addr, len);
-  std::memcpy(out, bytes_.data() + addr, len);
+  std::memcpy(out, bytes_ + addr, len);
 }
 
 void PhysicalMemory::Write(PhysAddr addr, const void* data, uint32_t len) {
   Check(addr, len);
-  std::memcpy(bytes_.data() + addr, data, len);
+  std::memcpy(bytes_ + addr, data, len);
   BumpFrameGenerationRange(addr, len);
 }
 
 void PhysicalMemory::Zero(PhysAddr addr, uint32_t len) {
   Check(addr, len);
-  std::memset(bytes_.data() + addr, 0, len);
+  std::memset(bytes_ + addr, 0, len);
   BumpFrameGenerationRange(addr, len);
 }
 

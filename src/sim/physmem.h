@@ -5,6 +5,14 @@
 // allocates its page tables here, application kernels map page frames from
 // here, and memory-based messaging moves bytes through here. Byte-addressable
 // with typed word helpers; all addresses are machine-checked.
+//
+// A new memory reads as all zeros, but set-up pays only for what runs touch.
+// Fresh RAM comes from calloc, so frames no run writes never become resident.
+// A destroyed memory's RAM waits on one process-wide spare list (keyed by
+// size, guarded by a mutex, ASan-poisoned while it waits); the next memory of
+// that size takes it and zeroes only the frames whose store generation is
+// nonzero -- every store path bumps it, so those are exactly the frames the
+// previous owner wrote.
 
 #ifndef SRC_SIM_PHYSMEM_H_
 #define SRC_SIM_PHYSMEM_H_
@@ -35,8 +43,11 @@ class PhysicalMemory {
   // size must be page-group aligned so that the protection arithmetic of
   // section 4.3 is exact.
   explicit PhysicalMemory(uint32_t size_bytes);
+  ~PhysicalMemory();  // hands the RAM to the spare list
+  PhysicalMemory(const PhysicalMemory&) = delete;
+  PhysicalMemory& operator=(const PhysicalMemory&) = delete;
 
-  uint32_t size() const { return static_cast<uint32_t>(bytes_.size()); }
+  uint32_t size() const { return size_; }
   uint32_t page_count() const { return size() / kPageSize; }
   uint32_t page_group_count() const { return size() / kPageGroupBytes; }
 
@@ -61,13 +72,14 @@ class PhysicalMemory {
 
   // Raw view for the interpreter's fast path (bounds already translated).
   // Writers through this pointer must call BumpFrameGeneration themselves.
-  const uint8_t* raw() const { return bytes_.data(); }
-  uint8_t* raw() { return bytes_.data(); }
+  const uint8_t* raw() const { return bytes_; }
+  uint8_t* raw() { return bytes_; }
 
   // Per-frame store generation, bumped by every write path (word, byte,
-  // bulk, zero). The decoded-instruction cache keys its validity on this, so
-  // self-modifying code, page copies/zeroing and device writes all force a
-  // re-decode of the affected frame.
+  // bulk, zero). Trace validity keys on this, so self-modifying code, page
+  // copies/zeroing and device writes all force a rebuild of the affected
+  // frame's traces; reuse of the RAM keys on it too (frames still at 0 were
+  // never written).
   uint64_t frame_generation(uint32_t frame) const { return frame_gen_[frame]; }
   void BumpFrameGeneration(PhysAddr addr) { ++frame_gen_[addr >> kPageShift]; }
 
@@ -101,7 +113,8 @@ class PhysicalMemory {
     }
   }
 
-  std::vector<uint8_t> bytes_;
+  uint8_t* bytes_ = nullptr;
+  uint32_t size_ = 0;
   std::vector<uint64_t> frame_gen_;
   std::vector<uint8_t> frame_tier_;        // MemTier per frame
   std::vector<uint64_t> slow_bits_;        // bit f set iff frame f is kSlow

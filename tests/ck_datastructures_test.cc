@@ -126,6 +126,59 @@ TEST(PhysMapTest, ExhaustionReturnsNil) {
   EXPECT_NE(pmap.Insert(99, 0, 0, RecordType::kPhysToVirt), kNilRecord);
 }
 
+// The pool as it was before the bump index: every record chained onto the
+// free list at construction, freed records pushed on its head.
+struct ChainedFreeList {
+  explicit ChainedFreeList(uint32_t capacity) : next(capacity) {
+    for (uint32_t i = 0; i < capacity; ++i) {
+      next[i] = i + 1 < capacity ? i + 1 : kNilRecord;
+    }
+    head = capacity > 0 ? 0 : kNilRecord;
+  }
+  uint32_t Take() {
+    uint32_t index = head;
+    if (index != kNilRecord) {
+      head = next[index];
+    }
+    return index;
+  }
+  void Give(uint32_t index) {
+    next[index] = head;
+    head = index;
+  }
+  std::vector<uint32_t> next;
+  uint32_t head;
+};
+
+TEST(PhysMapTest, BumpIndexKeepsFreeListOrder) {
+  constexpr uint32_t kCapacity = 48;
+  ckbase::Rng rng(2024);
+  PhysicalMemoryMap pmap(kCapacity);
+  ChainedFreeList model(kCapacity);
+  std::vector<uint32_t> live;
+  for (int op = 0; op < 4000; ++op) {
+    // Phases that fill the map to capacity and drain it, so both the free
+    // list and the bump index are exercised and exhaustion is reached.
+    const bool filling = (op / 200) % 2 == 0;
+    if (live.empty() || rng.Chance(filling ? 4 : 1, 5)) {
+      const uint32_t index =
+          pmap.Insert(static_cast<uint32_t>(rng.Below(8)), 0, 0, RecordType::kPhysToVirt);
+      ASSERT_EQ(index, model.Take()) << "insert at op " << op;
+      ASSERT_EQ(index == kNilRecord, live.size() == kCapacity) << "op " << op;
+      if (index != kNilRecord) {
+        live.push_back(index);
+      }
+    } else {
+      const size_t pick = static_cast<size_t>(rng.Below(live.size()));
+      pmap.Remove(live[pick]);
+      model.Give(live[pick]);
+      live.erase(live.begin() + static_cast<long>(pick));
+    }
+    ASSERT_EQ(pmap.in_use(), live.size());
+  }
+  EXPECT_EQ(pmap.used_extent(), kCapacity);
+}
+
 // Minimal Ops glue for driving ObjectCache's mapping-shaped clock scan
 // directly against a bare PhysicalMemoryMap (no CacheKernel).
 struct MapScanOps {

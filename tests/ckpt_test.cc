@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/ckpt/checkpoint.h"
 #include "src/ckpt/image.h"
 #include "src/ckpt/serializer.h"
@@ -92,6 +93,47 @@ TEST(CkptSerializer, RoundTripAllTypes) {
 TEST(CkptSerializer, CrcMatchesKnownVector) {
   // The standard CRC-32 (IEEE, reflected) check value.
   EXPECT_EQ(ckckpt::Crc32("123456789", 9), 0xcbf43926u);
+}
+
+// The byte-at-a-time CRC-32 that the table-driven Crc32 must equal.
+uint32_t BitwiseCrc32(const uint8_t* p, size_t len, uint32_t seed) {
+  uint32_t c = seed ^ 0xffffffffu;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(CkptSerializer, CrcMatchesBytewiseReference) {
+  ckbase::Rng rng(321);
+  std::vector<uint8_t> buf(8 + 5000);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 64; ++len) {
+    lengths.push_back(len);
+  }
+  for (size_t len : {1023u, 4096u, 4999u, 5000u}) {
+    lengths.push_back(len);
+  }
+  for (size_t start = 0; start < 8; ++start) {  // every alignment of the 8-byte steps
+    for (size_t len : lengths) {
+      const uint8_t* p = buf.data() + start;
+      const uint32_t seed = static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(ckckpt::Crc32(p, len), BitwiseCrc32(p, len, 0))
+          << "start " << start << " len " << len;
+      ASSERT_EQ(ckckpt::Crc32(p, len, seed), BitwiseCrc32(p, len, seed))
+          << "start " << start << " len " << len << " seed " << seed;
+      // Chaining: a split at any point gives the CRC of the whole.
+      const size_t cut = len == 0 ? 0 : static_cast<size_t>(rng.Below(len + 1));
+      ASSERT_EQ(ckckpt::Crc32(p + cut, len - cut, ckckpt::Crc32(p, cut)), ckckpt::Crc32(p, len))
+          << "start " << start << " len " << len << " cut " << cut;
+    }
+  }
 }
 
 TEST(CkptSerializer, ReaderOverrunIsSticky) {

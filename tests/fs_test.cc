@@ -16,6 +16,18 @@ using ckfs::FileByte;
 using ckfs::FsCluster;
 using ckfs::FsClusterConfig;
 
+// FileBytes fills a page at a time; it must equal FileByte at every index.
+TEST(FsTest, FileBytesMatchesFileByte) {
+  const uint32_t page = cksim::kPageSize;
+  for (uint32_t len : {0u, page, 2 * page + 100}) {
+    std::vector<uint8_t> bytes = ckfs::FileBytes(7, 3, len);
+    ASSERT_EQ(bytes.size(), len);
+    for (uint32_t i = 0; i < len; ++i) {
+      ASSERT_EQ(bytes[i], FileByte(7, 3, i)) << "len " << len << " index " << i;
+    }
+  }
+}
+
 // ---- cold scan, warm scan, accounting ----
 
 TEST(FsTest, ColdScanFillsCacheAndAccounts) {

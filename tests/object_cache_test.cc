@@ -488,8 +488,8 @@ TEST_P(ReclaimPolicyTest, ScanStepCountersAdvance) {
 // so the pin-chain and failure semantics must hold on both paths.
 INSTANTIATE_TEST_SUITE_P(Policies, ReclaimPolicyTest,
                          ::testing::Values(Victims::kClock, Victims::kGuestFifo),
-                         [](const ::testing::TestParamInfo<Victims>& info) {
-                           return info.param == Victims::kClock ? "Clock" : "GuestFifo";
+                         [](const ::testing::TestParamInfo<Victims>& param_info) {
+                           return param_info.param == Victims::kClock ? "Clock" : "GuestFifo";
                          });
 
 }  // namespace

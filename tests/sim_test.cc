@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/sim/cost.h"
 #include "src/sim/devices.h"
 #include "src/sim/machine.h"
@@ -65,6 +67,60 @@ TEST(PhysMemTest, SlowFrameIndexFindsNextAcrossWords) {
   mem.SetFrameTier(last, MemTier::kDram);
   EXPECT_EQ(mem.NextSlowFrame(0), mem.page_count());
   EXPECT_EQ(mem.tier_count(MemTier::kSlow), 0u);
+}
+
+// A destroyed memory's RAM goes to the next memory of its size, which
+// zeroes only the frames whose store generation says they were written; every
+// store path must bump it, or the next machine starts on stale bytes.
+TEST(PhysicalMemoryTest, ReusedRamIsZeroed) {
+  constexpr uint32_t kSize = 3 * kPageGroupBytes;  // a size no other test here uses
+  auto mem = std::make_unique<PhysicalMemory>(kSize);
+  const uint32_t last = mem->page_count() - 1;
+  const uint8_t* ram = mem->raw();
+  const uint8_t bytes[5] = {1, 2, 3, 4, 5};
+  mem->WriteWord(FrameBase(3) + 8, 0xdeadbeef);
+  mem->WriteByte(FrameBase(64) + 4095, 0x5a);
+  mem->Write(FrameBase(200) - 2, bytes, sizeof(bytes));  // spans two frames
+  mem->Zero(FrameBase(300) + 16, 4);                     // a store of zeros still counts
+  mem->raw()[FrameBase(last) + 4000] = 0x77;             // the interpreter's raw store
+  mem->BumpFrameGeneration(FrameBase(last) + 4000);
+  for (uint32_t f : {3u, 64u, 199u, 200u, 300u, last}) {
+    ASSERT_NE(mem->frame_generation(f), 0u) << "a store left frame " << f << " unmarked";
+  }
+  mem->SetFrameTier(5, MemTier::kSlow);
+  mem->SetFrameTier(last, MemTier::kDram);
+  mem.reset();
+
+  PhysicalMemory reused(kSize);
+  ASSERT_EQ(reused.raw(), ram) << "the new memory must take the destroyed one's RAM";
+  for (uint32_t addr = 0; addr < reused.size(); ++addr) {
+    ASSERT_EQ(reused.raw()[addr], 0) << "stale byte at " << addr;
+  }
+  for (uint32_t f = 0; f <= last; ++f) {
+    ASSERT_EQ(reused.frame_generation(f), 0u) << "frame " << f;
+    ASSERT_EQ(reused.tier_of(f), MemTier::kNone) << "frame " << f;
+  }
+  EXPECT_EQ(reused.tier_count(MemTier::kNone), reused.page_count());
+  EXPECT_EQ(reused.tier_count(MemTier::kDram), 0u);
+  EXPECT_EQ(reused.tier_count(MemTier::kSlow), 0u);
+  EXPECT_EQ(reused.NextSlowFrame(0), reused.page_count());
+}
+
+// Spare RAM is poisoned while it waits, so a stale pointer into a destroyed
+// memory is an AddressSanitizer report, not a silent read.
+TEST(PhysicalMemoryTest, StaleRawPointerIsAnAsanReport) {
+#if defined(__SANITIZE_ADDRESS__)
+  EXPECT_DEATH(
+      {
+        auto* mem = new PhysicalMemory(kPageGroupBytes);
+        const volatile uint8_t* stale = mem->raw();
+        delete mem;
+        (void)stale[kPageSize];
+      },
+      "use-after-poison");
+#else
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#endif
 }
 
 TEST(PageTableTest, IndexDecomposition) {

@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
   a.machine().AttachDevice(&fc_a);
   b.machine().AttachDevice(&fc_b);
 
-  ckdsm::DsmConfig config_a{2, 0x48000000, true};
-  ckdsm::DsmConfig config_b{2, 0x48000000, false};
+  ckdsm::DsmConfig config_a{2, true};
+  ckdsm::DsmConfig config_b{2, false};
   ckdsm::DsmKernel dsm_a(a.ck(), config_a), dsm_b(b.ck(), config_b);
   a.Launch(dsm_a, 2);
   b.Launch(dsm_b, 2);

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verify flow:
 #   1. default build + full ctest (the seed gate), and
-#   2. a Release (-O2 -DNDEBUG) build + ctest leg, because the guest-execution
-#      fast path is only meaningfully exercised at -O2 and the differential
-#      suite (fastpath_test) must hold under the optimizer too, and
+#   2. a Release (-O3 -DNDEBUG) build + ctest leg, because the guest-execution
+#      fast path is only meaningfully exercised under the optimizer and the
+#      differential suite (fastpath_test) must hold there too, and
 #   3. an ASan+UBSan build + ctest leg — the checkpoint/restore paths move
 #      raw byte buffers across kernels and must be clean under both
 #      sanitizers, and
@@ -19,8 +19,9 @@
 #      repo-root .clang-format) over src/, tests/ and bench/ — skipped with
 #      a warning when clang-format is not installed.
 #
-# The run ends with one summary line per leg: ran, or skipped and why, so a
-# final "verify: OK" cannot hide a leg that never ran.
+# The default and Release legs fail when their build prints a compiler
+# warning. The run ends with one summary line per leg: ran, or skipped and
+# why, so a final "verify: OK" cannot hide a leg that never ran.
 #
 # Usage: scripts/verify.sh [--release-only] [--san-only] [--tsan-only] [--lint-only]
 
@@ -48,6 +49,21 @@ for leg in "${LEGS[@]}"; do
   LEG_STATUS[$leg]="skipped: not selected by ${1:-}"
 done
 note_leg() { LEG_STATUS[$1]=$2; }
+
+# Build a tree and fail if the compiler printed any warning. An incremental
+# build only checks the files it recompiles.
+build_without_warnings() {
+  local log
+  log=$(mktemp)
+  cmake --build "$1" -j 2>&1 | tee "$log"
+  if grep -q 'warning:' "$log"; then
+    echo "verify: the $1 build printed warnings:" >&2
+    grep 'warning:' "$log" >&2
+    rm -f "$log"
+    exit 1
+  fi
+  rm -f "$log"
+}
 
 # Files held to the .clang-format contract. Grow this list with each change
 # that formats a file cleanly; the goal is eventually `git ls-files '*.cc'
@@ -80,7 +96,7 @@ fi
 if $run_default; then
   echo "== tier-1: default build + ctest =="
   cmake -B build -S .
-  cmake --build build -j
+  build_without_warnings build
   ctest --test-dir build --output-on-failure -j "$(nproc)"
 
   # Explicit re-run of the cluster-trace fixture (also part of the full ctest
@@ -89,19 +105,19 @@ if $run_default; then
   # end-to-end gate on the observability pipeline.
   echo "== cluster trace fixture (multi-MPM causal trace + flight recorder) =="
   ctest --test-dir build -R 'cluster_trace' --output-on-failure
-  note_leg default "ran (build + full ctest)"
+  note_leg default "ran (warning-free build + full ctest)"
 fi
 
 if $run_release; then
-  echo "== tier-1: Release (-O2 -DNDEBUG) build + ctest =="
+  echo "== tier-1: Release (-O3 -DNDEBUG) build + ctest =="
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-release -j
+  build_without_warnings build-release
   ctest --test-dir build-release --output-on-failure -j "$(nproc)"
 
   echo "== fast-path speedup and policy-VM cost (Release; median and CV of 5 repetitions) =="
   ./build-release/bench/microbench_host --benchmark_filter='BM_GuestMips|BM_PolicyVm' \
       --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
-  note_leg release "ran (build + full ctest + BM_GuestMips and BM_PolicyVm x5)"
+  note_leg release "ran (warning-free build + full ctest + BM_GuestMips and BM_PolicyVm x5)"
 fi
 
 if $run_san; then

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/base/log.h"
 #include "src/ckpt/serializer.h"
 
 namespace ckapp {
@@ -113,7 +112,7 @@ void AppKernelBase::DefineCowRegion(uint32_t space_index, VirtAddr vaddr, uint32
   VSpace& sp = *spaces_[space_index];
   for (uint32_t i = 0; i < pages; ++i) {
     PageRecord& page = DefinePage(sp, vaddr + i * cksim::kPageSize);
-    page.where = PageRecord::Where::kZeroFill;  // replaced by the copy
+    page.where = PageRecord::Where::kZeroFill;  // shares the source until written
     page.writable = true;
     page.cow_source = source_first_frame + i * cksim::kPageSize;
   }
@@ -337,6 +336,13 @@ bool AppKernelBase::MaterializePage(CkApi& api, VSpace& sp, PageRecord& page) {
   if (page.where == PageRecord::Where::kResident) {
     return true;
   }
+  if (page.cow_source != 0) {
+    // Untouched deferred copy: share the source until a write breaks it.
+    page.frame = page.cow_source;
+    page.frame_owned = false;
+    page.where = PageRecord::Where::kResident;
+    return true;
+  }
   PhysAddr frame = AllocateFrame(api, sp);
   if (frame == 0) {
     return false;
@@ -349,6 +355,43 @@ bool AppKernelBase::MaterializePage(CkApi& api, VSpace& sp, PageRecord& page) {
     paging_stats_.pages_in++;
   }
   LinkResident(sp, page, frame);
+  return true;
+}
+
+bool AppKernelBase::BreakCow(CkApi& api, VSpace& sp, PageRecord& page) {
+  PhysAddr private_frame = AllocateFrame(api, sp);
+  if (private_frame == 0) {
+    return false;
+  }
+  if (page.mapping_loaded && sp.loaded) {
+    api.UnloadMapping(sp.ck_id, page.vaddr);  // the read-only mapping of the source
+  }
+  api.CopyPage(private_frame, page.cow_source);
+  page.frame_owned = true;
+  page.fixed_frame = 0;
+  page.cow_source = 0;
+  page.dirty = true;
+  LinkResident(sp, page, private_frame);
+  paging_stats_.cow_copies++;
+  return true;
+}
+
+bool AppKernelBase::MappingSpecFor(CkApi& api, ck::SpaceId space, const PageRecord& page,
+                                   ck::MappingSpec* spec) {
+  spec->space = space;
+  spec->vaddr = page.vaddr;
+  spec->paddr = page.frame;
+  spec->flags.writable = page.writable && page.cow_source == 0;
+  spec->flags.message = page.message;
+  spec->flags.copy_on_write = page.cow_source != 0;
+  spec->cow_source = page.cow_source;
+  spec->locked = page.locked;
+  if (page.signal_thread != kNoThread) {
+    if (EnsureThreadLoaded(api, page.signal_thread) != CkStatus::kOk) {
+      return false;
+    }
+    spec->signal_thread = threads_[page.signal_thread]->ck_id;
+  }
   return true;
 }
 
@@ -381,7 +424,8 @@ bool AppKernelBase::WriteGuest(CkApi& api, uint32_t space_index, VirtAddr vaddr,
   while (len > 0) {
     VirtAddr page_vaddr = vaddr & ~static_cast<VirtAddr>(cksim::kPageOffsetMask);
     PageRecord* page = sp.FindPage(page_vaddr);
-    if (page == nullptr || !MaterializePage(api, sp, *page)) {
+    if (page == nullptr ||
+        !(page->cow_source != 0 ? BreakCow(api, sp, *page) : MaterializePage(api, sp, *page))) {
       return false;
     }
     uint32_t offset = vaddr - page_vaddr;
@@ -399,8 +443,7 @@ bool AppKernelBase::WriteGuest(CkApi& api, uint32_t space_index, VirtAddr vaddr,
 
 CkStatus AppKernelBase::EnsureMappingLoaded(CkApi& api, uint32_t space_index, VirtAddr vaddr) {
   VSpace& sp = *spaces_[space_index];
-  VirtAddr page_vaddr = vaddr & ~static_cast<VirtAddr>(cksim::kPageOffsetMask);
-  PageRecord* page = sp.FindPage(page_vaddr);
+  PageRecord* page = sp.FindPage(vaddr);
   if (page == nullptr) {
     return CkStatus::kNotFound;
   }
@@ -408,22 +451,13 @@ CkStatus AppKernelBase::EnsureMappingLoaded(CkApi& api, uint32_t space_index, Vi
     return CkStatus::kOk;
   }
   // Materialize contents if needed (synchronous path; callers are native
-  // app-kernel threads, not faulting guests).
+  // app-kernel threads and page-in completions, not faulting guests).
   if (!MaterializePage(api, sp, *page)) {
     return CkStatus::kNoResources;
   }
   ck::MappingSpec spec;
-  spec.space = EnsureSpaceLoaded(api, space_index);
-  spec.vaddr = page_vaddr;
-  spec.paddr = page->frame;
-  spec.flags.writable = page->writable && page->cow_source == 0;
-  spec.flags.message = page->message;
-  spec.locked = page->locked;
-  if (page->signal_thread != kNoThread) {
-    if (EnsureThreadLoaded(api, page->signal_thread) != CkStatus::kOk) {
-      return CkStatus::kStale;
-    }
-    spec.signal_thread = threads_[page->signal_thread]->ck_id;
+  if (!MappingSpecFor(api, EnsureSpaceLoaded(api, space_index), *page, &spec)) {
+    return CkStatus::kStale;
   }
   CkStatus status = api.LoadMapping(spec);
   if (status == CkStatus::kStale) {
@@ -444,9 +478,8 @@ CkStatus AppKernelBase::EnsureMappingLoaded(CkApi& api, uint32_t space_index, Vi
 
 HandlerAction AppKernelBase::OnIllegalAccess(const ck::FaultForward& fault, CkApi& api) {
   (void)api;
+  (void)fault;
   paging_stats_.illegal_accesses++;
-  CKLOG(kDebug) << name_ << ": illegal access at " << std::hex << fault.fault.address
-                << " by thread cookie " << std::dec << fault.thread_cookie;
   return HandlerAction::kTerminate;
 }
 
@@ -485,120 +518,61 @@ HandlerAction AppKernelBase::HandleFault(const ck::FaultForward& fault, CkApi& a
 
 HandlerAction AppKernelBase::ResolvePageFault(const ck::FaultForward& fault, VSpace& sp,
                                               PageRecord& page, VirtAddr page_vaddr, CkApi& api) {
-  const cksim::CostModel& cost = api.kernel().machine().cost();
-
-  // Deferred copy resolution: allocate a private frame and copy the source.
   if (page.cow_source != 0 && fault.fault.access == cksim::Access::kWrite) {
-    PhysAddr private_frame = AllocateFrame(api, sp);
-    if (private_frame == 0) {
+    if (!BreakCow(api, sp, page)) {
       return OnIllegalAccess(fault, api);
     }
-    PhysAddr source = page.where == PageRecord::Where::kResident && page.frame != 0 &&
-                              page.frame != page.cow_source
-                          ? page.frame
-                          : page.cow_source;
-    if (page.mapping_loaded) {
-      api.UnloadMapping(sp.ck_id, page_vaddr);
+  } else if (page.where == PageRecord::Where::kBacking && UseAsyncPaging()) {
+    // Block the thread; complete the page-in after the disk latency.
+    PhysAddr frame = AllocateFrame(api, sp);
+    if (frame == 0) {
+      return OnIllegalAccess(fault, api);
     }
-    api.CopyPage(private_frame, source);
-    page.frame_owned = true;
-    page.fixed_frame = 0;
-    page.cow_source = 0;
-    page.dirty = true;
-    LinkResident(sp, page, private_frame);
-    paging_stats_.cow_copies++;
-  }
-
-  // Materialize the page contents if they are not resident.
-  if (page.where != PageRecord::Where::kResident) {
-    if (page.cow_source != 0) {
-      // First (read) touch of a cow page: map the source read-only.
-      page.frame = page.cow_source;
-      page.frame_owned = false;
-      page.where = PageRecord::Where::kResident;
-    } else {
-      PhysAddr frame = AllocateFrame(api, sp);
-      if (frame == 0) {
-        return OnIllegalAccess(fault, api);
+    paging_stats_.pages_in++;
+    uint32_t space_index = static_cast<uint32_t>(sp.cookie);
+    uint32_t backing_page = page.backing_page;
+    // The waiter is identified by its stable record index, NOT its Cache
+    // Kernel identifier: the descriptor may be reclaimed and reloaded (new
+    // identifier) while the I/O is in flight.
+    uint32_t waiter_index = static_cast<uint32_t>(fault.thread_cookie);
+    if (waiter_index < threads_.size()) {
+      threads_[waiter_index]->paging_blocked = true;
+    }
+    page.frame = frame;  // reserved; contents arrive with the event
+    api.ScheduleAfter(backing_.latency(), [this, space_index, page_vaddr, backing_page, frame,
+                                           waiter_index](CkApi& later) {
+      VSpace& vs = *spaces_[space_index];
+      PageRecord* p = vs.FindPage(page_vaddr);
+      if (p == nullptr || p->frame != frame) {
+        return;  // the page was repurposed while the I/O was in flight
       }
-      if (page.where == PageRecord::Where::kZeroFill) {
-        api.ZeroPage(frame);
-        paging_stats_.zero_fills++;
-        LinkResident(sp, page, frame);
-      } else {  // kBacking
-        paging_stats_.pages_in++;
-        if (UseAsyncPaging()) {
-          // Block the thread; complete the page-in after the disk latency.
-          uint32_t space_index = static_cast<uint32_t>(sp.cookie);
-          uint32_t backing_page = page.backing_page;
-          // The waiter is identified by its stable record index, NOT its
-          // Cache Kernel identifier: the descriptor may be reclaimed and
-          // reloaded (new identifier) while the I/O is in flight.
-          uint32_t waiter_index = static_cast<uint32_t>(fault.thread_cookie);
-          if (waiter_index < threads_.size()) {
-            threads_[waiter_index]->paging_blocked = true;
-          }
-          page.frame = frame;  // reserved; contents arrive with the event
-          api.ScheduleAfter(backing_.latency(), [this, space_index, page_vaddr, backing_page,
-                                                 frame, waiter_index](CkApi& later) {
-            VSpace& vs = *spaces_[space_index];
-            PageRecord* p = vs.FindPage(page_vaddr);
-            if (p == nullptr || p->frame != frame) {
-              return;  // the page was repurposed while the I/O was in flight
-            }
-            backing_.ReadPage(later, backing_page, frame, /*charge_latency=*/false);
-            LinkResident(vs, *p, frame);
-            ck::MappingSpec spec;
-            spec.space = EnsureSpaceLoaded(later, space_index);
-            spec.vaddr = page_vaddr;
-            spec.paddr = frame;
-            spec.flags.writable = p->writable;
-            spec.flags.message = p->message;
-            spec.locked = p->locked;
-            if (later.LoadMapping(spec) == CkStatus::kOk) {
-              p->mapping_loaded = true;
-            }
-            if (waiter_index < threads_.size()) {
-              ThreadRec& rec = *threads_[waiter_index];
-              rec.paging_blocked = false;
-              if (!rec.loaded && !rec.finished) {
-                rec.was_blocked = true;
-                EnsureThreadLoaded(later, waiter_index);
-              }
-              if (rec.loaded) {
-                later.ResumeThread(rec.ck_id);
-              }
-            }
-          });
-          return HandlerAction::kBlock;
+      backing_.ReadPage(later, backing_page, frame, /*charge_latency=*/false);
+      LinkResident(vs, *p, frame);
+      EnsureMappingLoaded(later, space_index, page_vaddr);
+      if (waiter_index < threads_.size()) {
+        ThreadRec& rec = *threads_[waiter_index];
+        rec.paging_blocked = false;
+        if (!rec.loaded && !rec.finished) {
+          rec.was_blocked = true;
+          EnsureThreadLoaded(later, waiter_index);
         }
-        backing_.ReadPage(api, page.backing_page, frame);
-        LinkResident(sp, page, frame);
+        if (rec.loaded) {
+          later.ResumeThread(rec.ck_id);
+        }
       }
-    }
+    });
+    return HandlerAction::kBlock;
+  } else if (!MaterializePage(api, sp, page)) {
+    return OnIllegalAccess(fault, api);
   }
 
   // Load the mapping descriptor and restart the thread in one call
   // (the optimized combined operation, section 2.1).
   ck::MappingSpec spec;
-  spec.space = sp.ck_id;
-  spec.vaddr = page_vaddr;
-  spec.paddr = page.frame;
-  spec.flags.writable = page.writable && page.cow_source == 0;
-  spec.flags.message = page.message;
-  spec.flags.copy_on_write = page.cow_source != 0;
-  spec.locked = page.locked;
-  if (page.signal_thread != kNoThread) {
-    if (EnsureThreadLoaded(api, page.signal_thread) != CkStatus::kOk) {
-      return OnIllegalAccess(fault, api);
-    }
-    spec.signal_thread = threads_[page.signal_thread]->ck_id;
+  if (!MappingSpecFor(api, sp.ck_id, page, &spec)) {
+    return OnIllegalAccess(fault, api);
   }
-  if (page.cow_source != 0) {
-    spec.cow_source = page.cow_source;
-  }
-
-  api.Charge(cost.app_handler_base);
+  api.Charge(api.kernel().machine().cost().app_handler_base);
   CkStatus status = api.LoadMappingAndResume(spec, fault.thread);
   if (status == CkStatus::kStale) {
     // The space descriptor was written back while we worked; reload, retry.

@@ -127,13 +127,16 @@ class AppKernelBase : public ck::AppKernel {
                                        cksim::VirtAddr vaddr);
 
   // Copy between a guest space and app-kernel memory (syscall argument
-  // strings, console buffers). Pages are materialized as needed.
+  // strings, console buffers). Pages are materialized as needed; a write
+  // breaks a deferred copy first, as a write fault would.
   bool ReadGuest(ck::CkApi& api, uint32_t space_index, cksim::VirtAddr vaddr, void* out,
                  uint32_t len);
   bool WriteGuest(ck::CkApi& api, uint32_t space_index, cksim::VirtAddr vaddr, const void* data,
                   uint32_t len);
 
-  // Ensure a page's contents are in a physical frame (no mapping load).
+  // Ensure a page's contents are in a physical frame (no mapping load): a
+  // zeroed frame, a synchronous backing-store read, or -- for an untouched
+  // deferred copy -- the shared source frame itself.
   bool MaterializePage(ck::CkApi& api, VSpace& sp, PageRecord& page);
 
   // ---- AppKernel interface (Cache Kernel upcalls) ----
@@ -220,6 +223,14 @@ class AppKernelBase : public ck::AppKernel {
   // resume. Shared by the default handler and subclass handlers.
   ck::HandlerAction ResolvePageFault(const ck::FaultForward& fault, VSpace& sp, PageRecord& page,
                                      cksim::VirtAddr page_vaddr, ck::CkApi& api);
+  // Give a deferred-copy page a private frame holding the source's contents
+  // (unloading its read-only mapping first). False when no frame is free.
+  bool BreakCow(ck::CkApi& api, VSpace& sp, PageRecord& page);
+  // The mapping descriptor of a materialized page in `space`; an unbroken
+  // deferred copy maps its source read-only. False when the page's signal
+  // thread cannot be loaded.
+  bool MappingSpecFor(ck::CkApi& api, ck::SpaceId space, const PageRecord& page,
+                      ck::MappingSpec* spec);
 
   ck::KernelId self_;
   std::string name_;

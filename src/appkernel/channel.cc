@@ -24,17 +24,6 @@ void MessageChannel::ConfigureReceiver(AppKernelBase& kernel, uint32_t space_ind
                            /*message=*/true, signal_thread, locked);
 }
 
-CkStatus MessageChannel::PrimeSender(CkApi& api) {
-  for (uint32_t i = 0; i < sender_.slots; ++i) {
-    CkStatus status = sender_.kernel->EnsureMappingLoaded(api, sender_.space_index,
-                                                          sender_.vbase + i * cksim::kPageSize);
-    if (status != CkStatus::kOk) {
-      return status;
-    }
-  }
-  return CkStatus::kOk;
-}
-
 CkStatus MessageChannel::PrimeReceiver(CkApi& api) {
   for (uint32_t i = 0; i < receiver_.slots; ++i) {
     CkStatus status = receiver_.kernel->EnsureMappingLoaded(
@@ -98,76 +87,21 @@ uint32_t MessageChannel::Read(CkApi& api, VirtAddr signal_addr, void* out, uint3
 // RPC
 // ---------------------------------------------------------------------------
 
-void RpcServer::OnSignal(VirtAddr message_addr, ck::NativeCtx& ctx) {
-  uint8_t buffer[MessageChannel::kMaxMessage];
-  uint32_t got = requests_.Read(ctx.api(), message_addr, buffer, sizeof(buffer));
-  if (got < sizeof(RpcHeader)) {
-    return;
-  }
-  RpcHeader header;
-  std::memcpy(&header, buffer, sizeof(header));
-  if (sizeof(RpcHeader) + header.len > got) {
-    return;
-  }
-  std::vector<uint8_t> request(buffer + sizeof(RpcHeader),
-                               buffer + sizeof(RpcHeader) + header.len);
-  std::vector<uint8_t> reply = serve_(header.op, request, ctx.api());
-  ++served_;
-
-  std::vector<uint8_t> wire(sizeof(RpcHeader) + reply.size());
-  RpcHeader reply_header{header.seq, header.op, static_cast<uint32_t>(reply.size())};
-  std::memcpy(wire.data(), &reply_header, sizeof(reply_header));
-  if (!reply.empty()) {
-    std::memcpy(wire.data() + sizeof(RpcHeader), reply.data(), reply.size());
-  }
-  replies_.Send(ctx.api(), wire.data(), static_cast<uint32_t>(wire.size()));
-}
-
-CkStatus RpcClient::Call(CkApi& api, uint32_t op, const std::vector<uint8_t>& payload,
-                         Completion done) {
-  uint32_t seq = next_seq_++;
+CkStatus RpcEndpoint::Send(CkApi& api, uint32_t seq, uint32_t op,
+                           const std::vector<uint8_t>& payload) {
   std::vector<uint8_t> wire(sizeof(RpcHeader) + payload.size());
   RpcHeader header{seq, op, static_cast<uint32_t>(payload.size())};
   std::memcpy(wire.data(), &header, sizeof(header));
   if (!payload.empty()) {
     std::memcpy(wire.data() + sizeof(RpcHeader), payload.data(), payload.size());
   }
-  CkStatus status = requests_.Send(api, wire.data(), static_cast<uint32_t>(wire.size()));
-  if (status == CkStatus::kOk) {
-    pending_[seq] = std::move(done);
-  }
-  return status;
-}
-
-void RpcClient::OnSignal(VirtAddr message_addr, ck::NativeCtx& ctx) {
-  uint8_t buffer[MessageChannel::kMaxMessage];
-  uint32_t got = replies_.Read(ctx.api(), message_addr, buffer, sizeof(buffer));
-  if (got < sizeof(RpcHeader)) {
-    return;
-  }
-  RpcHeader header;
-  std::memcpy(&header, buffer, sizeof(header));
-  auto it = pending_.find(header.seq);
-  if (it == pending_.end() || sizeof(RpcHeader) + header.len > got) {
-    return;
-  }
-  Completion done = std::move(it->second);
-  pending_.erase(it);
-  ++replies_in_;
-  std::vector<uint8_t> reply(buffer + sizeof(RpcHeader), buffer + sizeof(RpcHeader) + header.len);
-  done(reply, ctx.api());
+  return out_.Send(api, wire.data(), static_cast<uint32_t>(wire.size()));
 }
 
 CkStatus RpcEndpoint::Call(CkApi& api, uint32_t op, const std::vector<uint8_t>& payload,
                            Completion done) {
   uint32_t seq = next_seq_++;
-  std::vector<uint8_t> wire(sizeof(RpcHeader) + payload.size());
-  RpcHeader header{seq, op & ~kRpcReplyFlag, static_cast<uint32_t>(payload.size())};
-  std::memcpy(wire.data(), &header, sizeof(header));
-  if (!payload.empty()) {
-    std::memcpy(wire.data() + sizeof(RpcHeader), payload.data(), payload.size());
-  }
-  CkStatus status = out_.Send(api, wire.data(), static_cast<uint32_t>(wire.size()));
+  CkStatus status = Send(api, seq, op & ~kRpcReplyFlag, payload);
   if (status == CkStatus::kOk) {
     pending_[seq] = std::move(done);
   }
@@ -185,6 +119,7 @@ void RpcEndpoint::OnSignal(VirtAddr message_addr, ck::NativeCtx& ctx) {
   if (sizeof(RpcHeader) + header.len > got) {
     return;
   }
+  std::vector<uint8_t> body(buffer + sizeof(RpcHeader), buffer + sizeof(RpcHeader) + header.len);
   if ((header.op & kRpcReplyFlag) != 0) {
     // A reply to one of our calls.
     auto it = pending_.find(header.seq);
@@ -194,24 +129,15 @@ void RpcEndpoint::OnSignal(VirtAddr message_addr, ck::NativeCtx& ctx) {
     Completion done = std::move(it->second);
     pending_.erase(it);
     ++replies_in_;
-    std::vector<uint8_t> reply(buffer + sizeof(RpcHeader),
-                               buffer + sizeof(RpcHeader) + header.len);
-    done(reply, ctx.api());
+    done(body, ctx.api());
     return;
   }
-  // A request from the peer: serve it and reply with the flag set.
-  std::vector<uint8_t> request(buffer + sizeof(RpcHeader),
-                               buffer + sizeof(RpcHeader) + header.len);
-  std::vector<uint8_t> reply = serve_(header.op, request, ctx.api());
-  ++served_;
-  std::vector<uint8_t> wire(sizeof(RpcHeader) + reply.size());
-  RpcHeader reply_header{header.seq, header.op | kRpcReplyFlag,
-                         static_cast<uint32_t>(reply.size())};
-  std::memcpy(wire.data(), &reply_header, sizeof(reply_header));
-  if (!reply.empty()) {
-    std::memcpy(wire.data() + sizeof(RpcHeader), reply.data(), reply.size());
+  if (!serve_) {
+    return;  // a call-only endpoint serves nothing
   }
-  out_.Send(ctx.api(), wire.data(), static_cast<uint32_t>(wire.size()));
+  std::vector<uint8_t> reply = serve_(header.op, body, ctx.api());
+  ++served_;
+  Send(ctx.api(), header.seq, header.op | kRpcReplyFlag, reply);
 }
 
 }  // namespace ckapp

@@ -16,9 +16,9 @@
 // about.
 //
 // The RPC facility ("an object-oriented RPC facility implemented on top of
-// the memory-based messaging as a user-space communication library") runs a
-// request channel and a reply channel; servers are native threads woken by
-// signals, clients issue asynchronous calls with completion callbacks.
+// the memory-based messaging as a user-space communication library") is one
+// endpoint class over a channel pair: endpoints are native threads woken by
+// signals; callers issue asynchronous calls with completion callbacks.
 
 #ifndef SRC_APPKERNEL_CHANNEL_H_
 #define SRC_APPKERNEL_CHANNEL_H_
@@ -50,8 +50,7 @@ class MessageChannel {
                          cksim::PhysAddr frame_base, uint32_t slots, uint32_t signal_thread,
                          bool locked = true);
 
-  // Prefault all sender-side slot mappings (multi-mapping rule).
-  ckbase::CkStatus PrimeSender(ck::CkApi& api);
+  // Prefault all receiver-side slot mappings (multi-mapping rule).
   ckbase::CkStatus PrimeReceiver(ck::CkApi& api);
 
   // Write one message into the next slot and signal it. Native-sender path.
@@ -86,12 +85,25 @@ struct RpcHeader {
 using RpcServeFn = std::function<std::vector<uint8_t>(
     uint32_t op, const std::vector<uint8_t>& request, ck::CkApi& api)>;
 
-// Server: a native thread blocked on its request channel; each request signal
-// runs the service function and sends the reply.
-class RpcServer : public ck::NativeProgram {
+// The RPC engine. Calls go out on `out` and complete when the matching reply
+// arrives on `in`; requests arriving on `in` run the service function and
+// their replies go out on `out`. Replies carry kRpcReplyFlag in the op word
+// and the endpoint thread demultiplexes by it -- the per-stream dispatch the
+// paper assigns to the receiving thread (section 2.2) -- so one channel pair
+// can carry both directions, as the DSM kernel and the file service need.
+// An endpoint without a service function only calls: it drops requests.
+inline constexpr uint32_t kRpcReplyFlag = 0x80000000u;
+
+class RpcEndpoint : public ck::NativeProgram {
  public:
-  RpcServer(MessageChannel& requests, MessageChannel& replies, RpcServeFn serve)
-      : requests_(requests), replies_(replies), serve_(std::move(serve)) {}
+  using Completion = std::function<void(const std::vector<uint8_t>& reply, ck::CkApi& api)>;
+
+  RpcEndpoint(MessageChannel& out, MessageChannel& in, RpcServeFn serve)
+      : out_(out), in_(in), serve_(std::move(serve)) {}
+
+  // Send asynchronously; `done` runs on this endpoint's thread.
+  ckbase::CkStatus Call(ck::CkApi& api, uint32_t op, const std::vector<uint8_t>& payload,
+                        Completion done);
 
   ck::NativeOutcome Step(ck::NativeCtx& ctx) override {
     (void)ctx;
@@ -102,78 +114,14 @@ class RpcServer : public ck::NativeProgram {
 
   void OnSignal(cksim::VirtAddr message_addr, ck::NativeCtx& ctx) override;
 
-  uint64_t requests_served() const { return served_; }
-
- private:
-  MessageChannel& requests_;
-  MessageChannel& replies_;
-  RpcServeFn serve_;
-  uint64_t served_ = 0;
-};
-
-// Client: Call() sends asynchronously; the completion callback runs when the
-// matching reply signal arrives on the client's reply-channel thread.
-class RpcClient : public ck::NativeProgram {
- public:
-  using Completion = std::function<void(const std::vector<uint8_t>& reply, ck::CkApi& api)>;
-
-  explicit RpcClient(MessageChannel& requests, MessageChannel& replies)
-      : requests_(requests), replies_(replies) {}
-
-  ckbase::CkStatus Call(ck::CkApi& api, uint32_t op, const std::vector<uint8_t>& payload,
-                        Completion done);
-
-  ck::NativeOutcome Step(ck::NativeCtx& ctx) override {
-    (void)ctx;
-    ck::NativeOutcome outcome;
-    outcome.action = ck::NativeOutcome::Action::kBlock;
-    return outcome;
-  }
-
-  void OnSignal(cksim::VirtAddr message_addr, ck::NativeCtx& ctx) override;
-
   uint32_t outstanding() const { return static_cast<uint32_t>(pending_.size()); }
-  uint64_t replies_received() const { return replies_in_; }
-
- private:
-  MessageChannel& requests_;
-  MessageChannel& replies_;
-  std::map<uint32_t, Completion> pending_;
-  uint32_t next_seq_ = 1;
-  uint64_t replies_in_ = 0;
-};
-
-// Symmetric endpoint: both caller and callee over ONE channel pair, for
-// peers whose device reception ring carries interleaved requests and
-// replies. The endpoint thread demultiplexes by the reply bit in the op
-// word -- the per-stream dispatch the paper assigns to the receiving thread
-// (section 2.2). Used by the DSM kernel, where both nodes fetch from each
-// other over the same fiber-channel link.
-inline constexpr uint32_t kRpcReplyFlag = 0x80000000u;
-
-class RpcEndpoint : public ck::NativeProgram {
- public:
-  using Completion = std::function<void(const std::vector<uint8_t>& reply, ck::CkApi& api)>;
-
-  RpcEndpoint(MessageChannel& out, MessageChannel& in, RpcServeFn serve)
-      : out_(out), in_(in), serve_(std::move(serve)) {}
-
-  ckbase::CkStatus Call(ck::CkApi& api, uint32_t op, const std::vector<uint8_t>& payload,
-                        Completion done);
-
-  ck::NativeOutcome Step(ck::NativeCtx& ctx) override {
-    (void)ctx;
-    ck::NativeOutcome outcome;
-    outcome.action = ck::NativeOutcome::Action::kBlock;
-    return outcome;
-  }
-
-  void OnSignal(cksim::VirtAddr message_addr, ck::NativeCtx& ctx) override;
-
   uint64_t requests_served() const { return served_; }
   uint64_t replies_received() const { return replies_in_; }
 
  private:
+  ckbase::CkStatus Send(ck::CkApi& api, uint32_t seq, uint32_t op,
+                        const std::vector<uint8_t>& payload);
+
   MessageChannel& out_;
   MessageChannel& in_;
   RpcServeFn serve_;
@@ -181,6 +129,20 @@ class RpcEndpoint : public ck::NativeProgram {
   uint32_t next_seq_ = 1;
   uint64_t served_ = 0;
   uint64_t replies_in_ = 0;
+};
+
+// The two ends of a request channel and a reply channel: the server receives
+// requests and sends replies, the client the reverse.
+class RpcServer : public RpcEndpoint {
+ public:
+  RpcServer(MessageChannel& requests, MessageChannel& replies, RpcServeFn serve)
+      : RpcEndpoint(replies, requests, std::move(serve)) {}
+};
+
+class RpcClient : public RpcEndpoint {
+ public:
+  RpcClient(MessageChannel& requests, MessageChannel& replies)
+      : RpcEndpoint(requests, replies, {}) {}
 };
 
 }  // namespace ckapp

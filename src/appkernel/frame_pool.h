@@ -38,11 +38,6 @@ class FramePool {
     }
   }
 
-  void AddFrame(cksim::PhysAddr frame) {
-    free_.push_back(frame);
-    ++total_;
-  }
-
   // 0 when empty (the caller evicts a resident page and retries).
   cksim::PhysAddr Allocate() {
     if (free_.empty()) {

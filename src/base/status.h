@@ -46,8 +46,6 @@ enum class CkStatus : uint8_t {
 // Human-readable name for a status value, for logs and test failures.
 std::string_view CkStatusName(CkStatus status);
 
-inline bool IsOk(CkStatus status) { return status == CkStatus::kOk; }
-
 // A value-or-status pair. Minimal by design: the simulated kernel paths only
 // need "did it work, and if so what is the identifier".
 template <typename T>

@@ -32,11 +32,6 @@ CacheKernel::CacheKernel(cksim::Machine& machine, const CacheKernelConfig& confi
   tenant_.resize(config.kernel_slots);
   profile_pcs_.resize(config.kernel_slots);
   samplers_.resize(machine.cpu_count());
-  if (config.profile_period != 0) {
-    for (uint32_t c = 0; c < machine.cpu_count(); ++c) {
-      samplers_[c].Arm(machine.cpu(c).clock(), config.profile_period);
-    }
-  }
   ready_.resize(machine.cpu_count());
   for (auto& queues : ready_) {
     queues = std::vector<ReadyQueue>(kPriorityLevels);
@@ -955,7 +950,7 @@ VictimFeatures FeaturesFor(Cache& cache, Ops& ops, uint32_t slot, ObjectType typ
   uint64_t age = cache.load_clock() - cache.load_seq(slot);
   f.age = age > 0xffffffffull ? 0xffffffffu : static_cast<uint32_t>(age);
   f.hw_ref = ops.PeekReferenced(slot) ? 1 : 0;
-  f.soft_ref = cache.soft_ref(slot) ? 1 : 0;
+  f.soft_ref = 1;  // every candidate is loaded, so the word is constant
   f.load_seq_low = static_cast<uint32_t>(cache.load_seq(slot));
   f.state_class = ops.StateClass(slot);
   f.owner_is_self = ops.OwnerSlot(slot) == requester_slot ? 1 : 0;
@@ -1852,14 +1847,6 @@ Result<ThreadState> CacheKernel::GetThreadState(ThreadId id) {
   return t->state;
 }
 
-Result<ckisa::VmContext> CacheKernel::GetThreadContext(ThreadId id) {
-  ThreadObject* t = GetThread(id);
-  if (t == nullptr) {
-    return CkStatus::kStale;
-  }
-  return t->vm;
-}
-
 Result<cksim::Cycles> CacheKernel::GetThreadCpuConsumed(ThreadId id) {
   ThreadObject* t = GetThread(id);
   if (t == nullptr) {
@@ -2057,7 +2044,6 @@ void CacheKernel::RegisterMetrics(obs::Registry& registry) {
 }
 
 void CacheKernel::set_profile_period(cksim::Cycles period) {
-  config_.profile_period = period;
   for (uint32_t c = 0; c < machine_.cpu_count(); ++c) {
     samplers_[c].Arm(machine_.cpu(c).clock(), period);
   }

@@ -416,7 +416,6 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   bool IsSpaceLoaded(SpaceId id) { return spaces_.Lookup(id.id) != nullptr; }
   bool IsKernelLoaded(KernelId id) { return kernels_.Lookup(id.id) != nullptr; }
   Result<ThreadState> GetThreadState(ThreadId id);
-  Result<ckisa::VmContext> GetThreadContext(ThreadId id);
   // Live CPU consumption of a loaded thread (the per-thread accounting the
   // quota machinery maintains, section 4.3). App-kernel scheduler threads use
   // it to detect compute-bound threads.
@@ -470,9 +469,7 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   AddressSpaceObject* GetSpace(SpaceId id) { return spaces_.Lookup(id.id); }
   ThreadObject* GetThread(ThreadId id) { return threads_.Lookup(id.id); }
   KernelId IdOfKernel(const KernelObject* k) { return KernelId{kernels_.IdOf(k)}; }
-  SpaceId IdOfSpace(const AddressSpaceObject* s) { return SpaceId{spaces_.IdOf(s)}; }
   ThreadId IdOfThread(const ThreadObject* t) { return ThreadId{threads_.IdOf(t)}; }
-  KernelObject* KernelOfSlot(uint32_t slot) { return kernels_.SlotAt(slot); }
 
   // -- the call gate: every kernel call resolves its ids here. A resolver
   // returns the object, or nullptr with `status` set: a stale id is kStale
@@ -682,7 +679,7 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   void FlushReverseTlbFrameAllCpus(uint32_t pframe);
 
   cksim::Machine& machine_;
-  // Boot configuration; set_tiers and set_profile_period update it in place.
+  // Boot configuration; set_tiers updates it in place.
   CacheKernelConfig config_;
 
   // The four descriptor caches: one ObjectCache layer over the per-type
@@ -819,9 +816,6 @@ class CkApi {
   void TierTouch(cksim::PhysAddr addr) { ck_.TierTouch(addr); }
   uint8_t FrameTier(cksim::PhysAddr addr) const { return ck_.FrameTierOf(addr); }
   void SetFrameTier(cksim::PhysAddr addr, uint8_t tier) { ck_.RestoreFrameTier(addr, tier); }
-  void ScheduleAt(cksim::Cycles at, std::function<void(CkApi&)> fn) {
-    ck_.ScheduleAppEvent(at, self_, std::move(fn));
-  }
   void ScheduleAfter(cksim::Cycles delay, std::function<void(CkApi&)> fn) {
     ck_.ScheduleAppEvent(cpu_.clock() + delay, self_, std::move(fn));
   }

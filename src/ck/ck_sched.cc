@@ -15,7 +15,7 @@ class GuestBusImpl : public ckisa::GuestBus {
   GuestBusImpl(CacheKernel& ck, cksim::Cpu& cpu, AddressSpaceObject* space, uint16_t asid)
       : ck_(ck), cpu_(cpu), space_(space), asid_(asid) {
     fp_.cpu = &cpu;
-    if (ck.config_.profile_period != 0) {
+    if (ck.samplers_[cpu.id()].period != 0) {
       fp_.sampler = &ck.samplers_[cpu.id()];
     }
     if (ck.config_.fastpath) {
@@ -337,11 +337,6 @@ void CacheKernel::OnCpuTurn(cksim::Cpu& cpu) {
     stats_.context_switches++;
     CK_TRACE(Ring(cpu), obs::EventType::kContextSwitch, cpu.clock(), current->priority,
              threads_.IdOf(current).Packed());
-    // Dispatch is the soft recency signal guest policies see: the thread,
-    // its space and its owning kernel are all in active use.
-    threads_.Touch(threads_.SlotOf(current));
-    spaces_.Touch(current->space_slot);
-    kernels_.Touch(current->kernel_slot);
   }
 
   if (current->native != nullptr) {

@@ -123,8 +123,6 @@ void CacheKernel::DrainPendingSignals(cksim::Cpu& cpu) {
 void CacheKernel::DeliverToThread(ThreadObject* thread, VirtAddr vaddr, uint32_t pframe,
                                   cksim::Cpu& cpu) {
   const cksim::CostModel& cost = machine_.cost();
-  // Signal delivery marks the receiver recently used (guest policy feature).
-  threads_.Touch(threads_.SlotOf(thread));
 
   // Fast path: the per-processor reverse-TLB maps the physical frame to its
   // signal thread; a hit delivers to the active thread with no map lookup

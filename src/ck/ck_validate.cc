@@ -278,30 +278,6 @@ std::vector<std::string> CacheKernel::ValidateInvariants() {
     }
   }
 
-  // A soft referenced bit may only be set on a loaded slot: the release
-  // paths clear it on free, and a stray bit would show a guest policy
-  // program a recycled slot as recently used.
-  for (uint32_t slot = 0; slot < kernels_.capacity(); ++slot) {
-    if (kernels_.soft_ref(slot) && kernels_.load_seq(slot) == 0) {
-      fail("kernel cache soft-ref bit set on a free slot");
-    }
-  }
-  for (uint32_t slot = 0; slot < spaces_.capacity(); ++slot) {
-    if (spaces_.soft_ref(slot) && spaces_.load_seq(slot) == 0) {
-      fail("space cache soft-ref bit set on a free slot");
-    }
-  }
-  for (uint32_t slot = 0; slot < threads_.capacity(); ++slot) {
-    if (threads_.soft_ref(slot) && threads_.load_seq(slot) == 0) {
-      fail("thread cache soft-ref bit set on a free slot");
-    }
-  }
-  for (uint32_t i = 0; i < pmap_.used_extent(); ++i) {
-    if (pmap_.soft_ref(i) && pmap_.load_seq(i) == 0) {
-      fail("mapping cache soft-ref bit set on a free slot");
-    }
-  }
-
   // --- tiered physical memory (docs/TIERING.md) ---
   // A frame is in exactly one tier; scanning the per-frame bytes must agree
   // with PhysicalMemory's per-tier counts, the counts must partition the

@@ -51,11 +51,6 @@ struct CacheKernelConfig {
   // (the per-step histograms accumulate every fault regardless).
   uint32_t fault_history_depth = 64;
 
-  // Profiler sampling period in cycles between guest-PC samples; 0 (the
-  // default) disables sampling. Also set at runtime through
-  // CacheKernel::set_profile_period (--profile).
-  cksim::Cycles profile_period = 0;
-
   // Guest policy VM: CKVM instructions one victim scan may spend across all
   // of its candidates (docs/POLICY_VM.md). Exhaustion aborts the scan and
   // falls back to clock with a kPolicyFallback trace event.

@@ -133,38 +133,31 @@ template <typename Store>
 class ObjectCache : public Store {
  public:
   explicit ObjectCache(uint32_t capacity)
-      : Store(capacity), load_seq_(capacity, 0), soft_ref_(capacity, 0) {}
+      : Store(capacity), load_seq_(capacity, 0) {}
 
   // ---- loaded/free accounting ----
-  // Every load stamps the slot with a monotonic sequence number (load age)
-  // and an initial soft referenced bit; release clears both. The shadowing
-  // wrappers below keep this automatic for every allocation path.
+  // Every load stamps the slot with a monotonic sequence number (load age);
+  // release clears it. The shadowing wrappers below keep this automatic for
+  // every allocation path.
   void OnLoad(uint32_t slot) {
     if (load_seq_[slot] == 0) {
       ++loaded_;
     }
     load_seq_[slot] = ++load_clock_;
-    soft_ref_[slot] = 1;
   }
   void OnRelease(uint32_t slot) {
     if (load_seq_[slot] != 0) {
       --loaded_;
     }
     load_seq_[slot] = 0;
-    soft_ref_[slot] = 0;
   }
   // Cached objects currently loaded. For the pool instantiations this equals
   // in_use(); for the mapping instance it counts only PhysToVirt records --
   // signal/cow annotations occupy slots but are not cached objects.
   uint32_t loaded() const { return loaded_; }
-  // Recency hint (thread dispatch, signal delivery, ...), shown to guest
-  // policy programs as feature word 3. Host-side bookkeeping: no simulated
-  // cost, and the clock scan ignores it.
-  void Touch(uint32_t slot) { soft_ref_[slot] = 1; }
 
   uint64_t load_seq(uint32_t slot) const { return load_seq_[slot]; }
   uint64_t load_clock() const { return load_clock_; }
-  bool soft_ref(uint32_t slot) const { return soft_ref_[slot] != 0; }
   uint32_t hand() const { return hand_; }
 
   // ---- store shadows (only instantiated for stores that have them) ----
@@ -245,7 +238,6 @@ class ObjectCache : public Store {
   uint32_t loaded_ = 0;             // slots with a nonzero load stamp
   uint64_t load_clock_ = 0;         // monotonic load counter
   std::vector<uint64_t> load_seq_;  // [slot] -> load stamp, 0 when free
-  std::vector<uint8_t> soft_ref_;   // [slot] -> soft referenced bit
 };
 
 }  // namespace ck

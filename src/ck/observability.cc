@@ -233,7 +233,9 @@ void ObsSession::Finish() {
             extra += ",";
           }
           first_slot = false;
-          extra += "\"" + std::to_string(slot) + "\":{";
+          extra += '"';
+          extra += std::to_string(slot);
+          extra += "\":{";
           bool first_pc = true;
           for (const auto& [pc, count] : pcs[slot]) {
             if (!first_pc) {

@@ -99,10 +99,7 @@ class ObsSession {
   // a post-mortem snapshot is warranted.
   void DumpFlightRecord(const std::string& reason);
 
-  bool tracing() const { return !trace_path_.empty(); }
   bool metrics() const { return metrics_; }
-  bool profiling() const { return profile_period_ != 0; }
-  bool flight_recorder_armed() const { return !flight_dir_.empty(); }
   obs::Registry& registry() { return registry_; }
 
  private:

@@ -133,9 +133,6 @@ class PhysicalMemoryMap {
   // records of `frame`. kNilRecord if absent.
   uint32_t FindPv(uint32_t frame, uint32_t space_slot, cksim::VirtAddr vaddr) const;
 
-  // Hash-chain length statistics for the data-structure tests.
-  uint32_t BucketCount() const { return static_cast<uint32_t>(buckets_.size()); }
-
  private:
   uint32_t BucketOf(uint32_t key) const;
 

@@ -36,7 +36,7 @@ struct VictimFeatures {
   uint32_t slot = 0;           // word 0: candidate slot / record index
   uint32_t age = 0;            // word 1: load_clock - load_seq, saturated
   uint32_t hw_ref = 0;         // word 2: hardware referenced bit (peeked)
-  uint32_t soft_ref = 0;       // word 3: soft referenced bit (peeked)
+  uint32_t soft_ref = 0;       // word 3: always 1 (kept for the layout)
   uint32_t load_seq_low = 0;   // word 4: low 32 bits of the load stamp
   uint32_t state_class = 0;    // word 5: per-type state (threads: 0 blocked,
                                //         1 ready/halted, 2 running)

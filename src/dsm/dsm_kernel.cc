@@ -96,11 +96,10 @@ void DsmKernel::InstallFragment(CkApi& api, uint32_t page, uint32_t half,
 HandlerAction DsmKernel::OnConsistencyFault(const ck::FaultForward& fault, CkApi& api) {
   stats_.consistency_faults++;
   VirtAddr addr = fault.fault.address;
-  if (addr < config_.region_base ||
-      addr >= config_.region_base + config_.pages * cksim::kPageSize) {
+  if (addr < kDsmRegionBase || addr >= kDsmRegionBase + config_.pages * cksim::kPageSize) {
     return OnIllegalAccess(fault, api);  // a genuinely failed module
   }
-  uint32_t page = (addr - config_.region_base) / cksim::kPageSize;
+  uint32_t page = (addr - kDsmRegionBase) / cksim::kPageSize;
 
   waiters_[page].push_back(fault.thread);
   if (!fetching_[page]) {

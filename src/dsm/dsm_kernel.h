@@ -34,10 +34,11 @@ namespace ckdsm {
 
 inline constexpr uint32_t kOpFetchPage = 0x0d50;  // request: u32 page, u32 half
 inline constexpr uint32_t kHalfPage = cksim::kPageSize / 2;
+// Where the shared region starts in each node's space.
+inline constexpr cksim::VirtAddr kDsmRegionBase = 0x48000000;
 
 struct DsmConfig {
   uint32_t pages = 4;
-  cksim::VirtAddr region_base = 0x48000000;
   bool initially_owner = false;  // exactly one node starts owning every page
 };
 
@@ -65,7 +66,7 @@ class DsmKernel : public ckapp::AppKernelBase {
 
   uint32_t space_index() const { return space_index_; }
   cksim::VirtAddr PageVaddr(uint32_t page) const {
-    return config_.region_base + page * cksim::kPageSize;
+    return kDsmRegionBase + page * cksim::kPageSize;
   }
   bool OwnsPage(uint32_t page) const { return owned_[page]; }
   const DsmStats& dsm_stats() const { return stats_; }

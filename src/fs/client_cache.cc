@@ -1,6 +1,6 @@
 #include "src/fs/client_cache.h"
 
-#include <cstring>
+#include <bit>
 
 namespace ckfs {
 
@@ -16,14 +16,12 @@ constexpr cksim::VirtAddr kFsInVBase = 0x30100000;
 // Simulated CPU cost of copying one cached page to the caller.
 constexpr cksim::Cycles kHitCopyCost = 150;
 
-uint32_t PopCount(uint64_t bits) {
-  uint32_t n = 0;
-  while (bits != 0) {
-    bits &= bits - 1;
-    ++n;
-  }
-  return n;
-}
+// Read-ahead shape: once kMinSeqRun consecutive pages have been read, each
+// read prefetches up to kReadaheadWindow pages past it, with at most
+// kMaxOutstanding read RPCs in flight (below the rx ring's slots).
+constexpr uint32_t kReadaheadWindow = 4;
+constexpr uint32_t kMinSeqRun = 2;
+constexpr uint32_t kMaxOutstanding = 4;
 
 }  // namespace
 
@@ -221,7 +219,7 @@ void ClientFileCache::Invalidate(Entry& entry, uint32_t new_version) {
   ++stats_.invalidations;
 }
 
-void ClientFileCache::ApplyAttrs(const AttrReply& attr, const std::string& name) {
+void ClientFileCache::ApplyAttrs(const AttrReply& attr) {
   Entry* entry = Lookup(attr.fileid);
   if (entry == nullptr) {
     entry = Insert(attr.fileid);
@@ -234,9 +232,6 @@ void ClientFileCache::ApplyAttrs(const AttrReply& attr, const std::string& name)
   }
   entry->version = attr.version;
   entry->size = attr.size;
-  if (!name.empty()) {
-    entry->name = name;
-  }
   Touch(*entry);
 }
 
@@ -272,82 +267,9 @@ ClientFileCache::Status ClientFileCache::Open(CkApi& api, const std::string& nam
                 AttrReply attr;
                 if (ReadPod(reply, 0, &attr) && attr.status == 0) {
                   name_to_fileid_[name] = attr.fileid;
-                  ApplyAttrs(attr, name);
+                  ApplyAttrs(attr);
                 } else {
                   name_to_fileid_[name] = 0;
-                }
-              });
-  return Status::kPending;
-}
-
-ClientFileCache::Status ClientFileCache::Stat(CkApi& api, uint32_t fileid) {
-  auto pending = stat_pending_.find(fileid);
-  if (pending != stat_pending_.end()) {
-    if (pending->second) {
-      return Status::kPending;
-    }
-    stat_pending_.erase(pending);
-    return Status::kHit;
-  }
-  std::vector<uint8_t> wire;
-  AppendPod(wire, FileIdMsg{fileid});
-  stat_pending_[fileid] = true;
-  pump_->Call(api, kOpStat, wire,
-              [this, fileid](const std::vector<uint8_t>& reply, CkApi&) {
-                stat_pending_[fileid] = false;
-                AttrReply attr;
-                if (ReadPod(reply, 0, &attr)) {
-                  if (attr.status == 0) {
-                    ApplyAttrs(attr, std::string());
-                  } else {
-                    Entry* entry = Lookup(fileid);
-                    if (entry != nullptr && entry->inflight == 0) {
-                      DropEntry(*entry);  // file disappeared server-side
-                    }
-                  }
-                }
-              });
-  return Status::kPending;
-}
-
-ClientFileCache::Status ClientFileCache::Write(CkApi& api, uint32_t fileid, uint32_t offset,
-                                               const void* data, uint32_t len) {
-  auto pending = write_pending_.find(fileid);
-  if (pending != write_pending_.end()) {
-    if (pending->second) {
-      return Status::kPending;
-    }
-    write_pending_.erase(pending);
-    return Status::kHit;
-  }
-  constexpr size_t kBudget = ckapp::MessageChannel::kMaxMessage - sizeof(ckapp::RpcHeader);
-  if (sizeof(WriteRequest) + len > kBudget) {
-    return Status::kError;
-  }
-  const WriteRequest request{fileid, offset, len};
-  std::vector<uint8_t> wire(sizeof(request) + len);
-  std::memcpy(wire.data(), &request, sizeof(request));
-  if (len != 0) {
-    std::memcpy(wire.data() + sizeof(request), data, len);
-  }
-  write_pending_[fileid] = true;
-  uint32_t end = offset + len;
-  pump_->Call(api, kOpWrite, wire,
-              [this, fileid, end](const std::vector<uint8_t>& reply, CkApi&) {
-                write_pending_[fileid] = false;
-                WriteReply ack;
-                if (ReadPod(reply, 0, &ack) && ack.status == 0) {
-                  Entry* entry = Lookup(fileid);
-                  if (entry != nullptr) {
-                    // Our own pages are stale now too: write-through, no
-                    // local update, re-read under the new version.
-                    if (entry->version != ack.version) {
-                      Invalidate(*entry, ack.version);
-                    }
-                    if (end > entry->size) {
-                      entry->size = end;
-                    }
-                  }
                 }
               });
   return Status::kPending;
@@ -502,16 +424,16 @@ void ClientFileCache::IssueRead(CkApi& api, Entry& entry, uint32_t page, bool re
 }
 
 void ClientFileCache::MaybeReadahead(CkApi& api, Entry& entry, uint32_t page) {
-  if (!config_.readahead || entry.seq_run < config_.min_seq_run) {
+  if (!config_.readahead || entry.seq_run < kMinSeqRun) {
     return;
   }
   uint32_t pages = PagesOf(entry);
-  for (uint32_t p = page + 1; p <= page + config_.readahead_window && p < pages; ++p) {
+  for (uint32_t p = page + 1; p <= page + kReadaheadWindow && p < pages; ++p) {
     uint64_t bit = 1ull << p;
     if ((entry.valid & bit) != 0 || (entry.inflight & bit) != 0) {
       continue;
     }
-    if (outstanding_rpcs_ >= config_.max_outstanding) {
+    if (outstanding_rpcs_ >= kMaxOutstanding) {
       break;  // stay below the reception ring's capacity
     }
     IssueRead(api, entry, p, /*readahead=*/true);
@@ -586,24 +508,14 @@ std::vector<uint8_t> ClientFileCache::ServePeer(uint32_t op,
 
 // ---- introspection ----
 
-bool ClientFileCache::PageCached(uint32_t fileid, uint32_t page) const {
-  const Entry* entry = Lookup(fileid);
-  return entry != nullptr && page < 64 && (entry->valid & (1ull << page)) != 0;
-}
-
 uint32_t ClientFileCache::CachedPages(uint32_t fileid) const {
   const Entry* entry = Lookup(fileid);
-  return entry != nullptr ? PopCount(entry->valid) : 0;
+  return entry != nullptr ? static_cast<uint32_t>(std::popcount(entry->valid)) : 0;
 }
 
 uint32_t ClientFileCache::CachedVersion(uint32_t fileid) const {
   const Entry* entry = Lookup(fileid);
   return entry != nullptr ? entry->version : 0;
-}
-
-uint32_t ClientFileCache::CachedSize(uint32_t fileid) const {
-  const Entry* entry = Lookup(fileid);
-  return entry != nullptr ? entry->size : 0;
 }
 
 uint64_t ClientFileCache::frames_held() const {

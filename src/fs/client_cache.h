@@ -15,7 +15,7 @@
 //     mntrahread), capped below the reception ring's capacity.
 //   * Every cached page is tagged with the file version it was read under
 //     (qid.vers analogue). Server invalidation pushes and version
-//     mismatches observed on open/stat/read replies drop the stale bitmap;
+//     mismatches observed on open/read replies drop the stale bitmap;
 //     a bulk arrival whose version does not match the entry's current
 //     version is discarded, so read-ahead can never install stale data.
 //
@@ -59,9 +59,6 @@ class ClientFileCache {
     uint32_t entries = 16;          // cache entry slots (files cached at once)
     uint32_t max_file_pages = 64;   // bitmap width; files larger are truncated
     bool readahead = true;
-    uint32_t readahead_window = 4;  // pages prefetched past a sequential read
-    uint32_t min_seq_run = 2;       // consecutive pages before prefetch arms
-    uint32_t max_outstanding = 4;   // in-flight read RPCs (< rx ring slots)
   };
 
   enum class Status { kHit, kPending, kError };
@@ -80,20 +77,11 @@ class ClientFileCache {
   // opens cost no wire traffic); kPending while the open RPC is in flight.
   Status Open(ck::CkApi& api, const std::string& name, uint32_t* fileid);
 
-  // Re-validate a cached file's version/size against the server (the
-  // open/stat validation path). kHit once the fresh attrs have been applied.
-  Status Stat(ck::CkApi& api, uint32_t fileid);
-
   // Read one page. On kHit, copies the page into `out` (kPageSize capacity)
   // and sets *len to the valid byte count (0 at/after EOF). On kPending the
   // demand read (plus any read-ahead window) is on the wire; poll again
   // after yielding.
   Status Read(ck::CkApi& api, uint32_t fileid, uint32_t page, void* out, uint32_t* len);
-
-  // Write-through: sends the write RPC; kHit once the reply arrived (the
-  // entry's bitmap is dropped and its version moves to the reply's).
-  Status Write(ck::CkApi& api, uint32_t fileid, uint32_t offset, const void* data,
-               uint32_t len);
 
   // One window of the server's namespace (up to 64 entries). Uncached:
   // every completed call re-fetched over the wire.
@@ -107,10 +95,8 @@ class ClientFileCache {
   const FsClientStats& stats() const { return stats_; }
   const Config& config() const { return config_; }
   uint32_t pump_thread() const { return pump_thread_; }
-  bool PageCached(uint32_t fileid, uint32_t page) const;
   uint32_t CachedPages(uint32_t fileid) const;  // popcount of the valid bitmap
   uint32_t CachedVersion(uint32_t fileid) const;  // 0 when not cached
-  uint32_t CachedSize(uint32_t fileid) const;
   uint64_t frames_held() const;
   uint32_t outstanding_rpcs() const { return outstanding_rpcs_; }
 
@@ -130,7 +116,6 @@ class ClientFileCache {
     std::vector<cksim::PhysAddr> frames;  // per page; 0 = none
     uint32_t last_page = ~0u;  // sequentiality tracker
     uint32_t seq_run = 0;
-    std::string name;
     uint32_t hash_next = kNone;
     ckbase::ListNode lru_node;  // lru_, front = most recently used
   };
@@ -155,7 +140,7 @@ class ClientFileCache {
 
   // Drop the entry's bitmap because its version moved to `new_version`.
   void Invalidate(Entry& entry, uint32_t new_version);
-  void ApplyAttrs(const AttrReply& attr, const std::string& name);
+  void ApplyAttrs(const AttrReply& attr);
 
   void IssueRead(ck::CkApi& api, Entry& entry, uint32_t page, bool readahead);
   void MaybeReadahead(ck::CkApi& api, Entry& entry, uint32_t page);
@@ -189,8 +174,6 @@ class ClientFileCache {
 
   std::map<std::string, uint32_t> name_to_fileid_;  // open-by-name cache
   std::map<std::string, bool> open_pending_;
-  std::map<uint32_t, bool> stat_pending_;
-  std::map<uint32_t, bool> write_pending_;
   bool readdir_pending_ = false;
   bool readdir_ready_ = false;
   DirListing readdir_result_;

@@ -101,12 +101,8 @@ std::vector<uint8_t> FileServerKernel::Serve(uint32_t link_index, uint32_t op,
   switch (op) {
     case kOpOpen:
       return ServeOpen(request);
-    case kOpStat:
-      return ServeStat(request);
     case kOpRead:
       return ServeRead(link_index, request, api);
-    case kOpWrite:
-      return ServeWrite(link_index, request, api);
     case kOpReaddir:
       return ServeReaddir(request);
     case kOpRegister: {
@@ -132,24 +128,6 @@ std::vector<uint8_t> FileServerKernel::ServeOpen(const std::vector<uint8_t>& req
                        0};
       break;
     }
-  }
-  std::vector<uint8_t> reply;
-  AppendPod(reply, attr);
-  return reply;
-}
-
-std::vector<uint8_t> FileServerKernel::ServeStat(const std::vector<uint8_t>& request) {
-  ++stats_.stats;
-  FileIdMsg id;
-  AttrReply attr;
-  attr.status = 1;
-  if (ReadPod(request, 0, &id)) {
-    const FileRec* file = Find(id.fileid);
-    if (file != nullptr) {
-      attr = AttrReply{id.fileid, file->version, static_cast<uint32_t>(file->bytes.size()), 0};
-    }
-  } else {
-    ++stats_.bad_requests;
   }
   std::vector<uint8_t> reply;
   AppendPod(reply, attr);
@@ -215,39 +193,9 @@ bool FileServerKernel::WriteLocal(uint32_t fileid, uint32_t offset, const void* 
   file->version++;
   ++stats_.writes;
   if (api != nullptr) {
-    PushInvalidations(*api, fileid, /*exclude_link=*/~0u);
+    PushInvalidations(*api, fileid);
   }
   return true;
-}
-
-std::vector<uint8_t> FileServerKernel::ServeWrite(uint32_t link_index,
-                                                  const std::vector<uint8_t>& request,
-                                                  CkApi& api) {
-  WriteRequest write;
-  WriteReply ack;
-  ack.status = 1;
-  if (ReadPod(request, 0, &write) && request.size() >= sizeof(WriteRequest) + write.len) {
-    FileRec* file = Find(write.fileid);
-    if (file != nullptr) {
-      if (write.offset + write.len > file->bytes.size()) {
-        file->bytes.resize(write.offset + write.len, 0);
-      }
-      if (write.len > 0) {
-        std::memcpy(file->bytes.data() + write.offset, request.data() + sizeof(WriteRequest),
-                    write.len);
-      }
-      file->version++;
-      ++stats_.writes;
-      ack = WriteReply{write.fileid, file->version, 0};
-      // Best-effort notification; the writer learns the version from `ack`.
-      PushInvalidations(api, write.fileid, link_index);
-    }
-  } else {
-    ++stats_.bad_requests;
-  }
-  std::vector<uint8_t> reply;
-  AppendPod(reply, ack);
-  return reply;
 }
 
 std::vector<uint8_t> FileServerKernel::ServeReaddir(const std::vector<uint8_t>& request) {
@@ -279,7 +227,7 @@ std::vector<uint8_t> FileServerKernel::ServeReaddir(const std::vector<uint8_t>& 
   return reply;
 }
 
-void FileServerKernel::PushInvalidations(CkApi& api, uint32_t fileid, uint32_t exclude_link) {
+void FileServerKernel::PushInvalidations(CkApi& api, uint32_t fileid) {
   const FileRec* file = Find(fileid);
   if (file == nullptr) {
     return;
@@ -287,7 +235,7 @@ void FileServerKernel::PushInvalidations(CkApi& api, uint32_t fileid, uint32_t e
   std::vector<uint8_t> wire;
   AppendPod(wire, InvalidateMsg{fileid, file->version});
   for (uint32_t i = 0; i < links_.size(); ++i) {
-    if (i == exclude_link || !links_[i]->registered) {
+    if (!links_[i]->registered) {
       continue;
     }
     links_[i]->endpoint->Call(api, kOpInvalidate, wire,

@@ -4,12 +4,12 @@
 // The Cache Kernel keeps no file abstraction; "OS services such as ... file
 // service are provided by server application kernels" (section 3). This
 // kernel is that server: it holds a flat namespace of (fileid, version)
-// files and serves open/stat/read/write/readdir over one RPC endpoint per
-// client fiber-channel link, shipping page contents on the link's bulk
-// streaming path. Every write bumps the file's version and pushes
-// best-effort kOpInvalidate notifications to the other registered clients
-// -- the client-side version check is what actually guarantees staleness is
-// caught (src/fs/client_cache.h).
+// files and serves open/read/readdir over one RPC endpoint per client
+// fiber-channel link, shipping page contents on the link's bulk streaming
+// path. Files change only through WriteLocal, which bumps the file's version
+// and pushes best-effort kOpInvalidate notifications to the registered
+// clients -- the client-side version check is what actually guarantees
+// staleness is caught (src/fs/client_cache.h).
 
 #ifndef SRC_FS_FILE_SERVER_H_
 #define SRC_FS_FILE_SERVER_H_
@@ -26,7 +26,6 @@ namespace ckfs {
 
 struct FsServerStats {
   uint64_t opens = 0;
-  uint64_t stats = 0;
   uint64_t reads = 0;          // read RPCs served
   uint64_t pages_shipped = 0;  // bulk payloads sent
   uint64_t writes = 0;
@@ -44,9 +43,8 @@ class FileServerKernel : public ckapp::AppKernelBase {
   // Fileids are dense, starting at 1.
   uint32_t AddFile(const std::string& name, std::vector<uint8_t> bytes);
 
-  // Server-local write (tests / management plane): applies bytes, bumps the
-  // version and -- when `api` is non-null -- pushes invalidations exactly
-  // like a client write would.
+  // The one way a file changes: applies bytes, bumps the version and -- when
+  // `api` is non-null -- pushes invalidations to every registered client.
   bool WriteLocal(uint32_t fileid, uint32_t offset, const void* data, uint32_t len,
                   ck::CkApi* api);
 
@@ -91,16 +89,12 @@ class FileServerKernel : public ckapp::AppKernelBase {
   std::vector<uint8_t> Serve(uint32_t link_index, uint32_t op,
                              const std::vector<uint8_t>& request, ck::CkApi& api);
   std::vector<uint8_t> ServeOpen(const std::vector<uint8_t>& request);
-  std::vector<uint8_t> ServeStat(const std::vector<uint8_t>& request);
   std::vector<uint8_t> ServeRead(uint32_t link_index, const std::vector<uint8_t>& request,
                                  ck::CkApi& api);
-  std::vector<uint8_t> ServeWrite(uint32_t link_index, const std::vector<uint8_t>& request,
-                                  ck::CkApi& api);
   std::vector<uint8_t> ServeReaddir(const std::vector<uint8_t>& request);
 
-  // Push kOpInvalidate for `fileid` to every registered link except
-  // `exclude_link` (the writer learns the new version from its write reply).
-  void PushInvalidations(ck::CkApi& api, uint32_t fileid, uint32_t exclude_link);
+  // Push kOpInvalidate for `fileid` to every registered link.
+  void PushInvalidations(ck::CkApi& api, uint32_t fileid);
 
   ck::CacheKernel& ck_;
   uint32_t space_index_ = 0;

@@ -130,10 +130,11 @@ FsCluster::FsCluster(const FsClusterConfig& config) : config_(config) {
     uint32_t client_group = client.srm.ReserveGroups(1).value();
     server_fcs_.push_back(std::make_unique<cksim::FiberChannelDevice>(
         server_node_->machine.memory(), &server_node_->ck,
-        server_group * cksim::kPageGroupBytes, 8, 8, config_.wire_latency));
+        server_group * cksim::kPageGroupBytes, 8, 8,
+        server_node_->machine.cost().wire_latency));
     client.fc = std::make_unique<cksim::FiberChannelDevice>(
         client.machine.memory(), &client.ck, client_group * cksim::kPageGroupBytes, 8, 8,
-        config_.wire_latency);
+        client.machine.cost().wire_latency);
     cluster_.Link(*server_fcs_.back(), *client.fc);
     server_node_->machine.AttachDevice(server_fcs_.back().get());
     client.machine.AttachDevice(client.fc.get());

@@ -89,7 +89,6 @@ struct FsClusterConfig {
   uint32_t files = 4;
   uint32_t file_pages = 8;  // pages per file (tail page is partial)
   uint32_t scan_rounds = 1;
-  cksim::Cycles wire_latency = 2500;
   ClientFileCache::Config cache;
   bool parallel = false;            // host-parallel cluster driver
   uint32_t client_page_groups = 4;  // frame-pool grant per client kernel

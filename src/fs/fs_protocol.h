@@ -6,8 +6,8 @@
 // (src/fs/client_cache.h) speak over one fiber-channel link per client:
 //
 //   * control plane: object-oriented RPC (ckapp::RpcEndpoint) over the
-//     link's packet slots -- open/stat/read/write/readdir/register from the
-//     client, invalidate pushes from the server. Both directions share one
+//     link's packet slots -- open/read/readdir/register from the client,
+//     invalidate pushes from the server. Both directions share one
 //     reception ring, demultiplexed by the RPC reply bit.
 //   * data plane: page contents ship over the link's bulk streaming path
 //     (FiberChannelDevice::SendBulk), one payload per page, each prefixed
@@ -17,9 +17,9 @@
 //     streaming mode a real file server would use anyway.
 //
 // Files are named by a (fileid, version) pair -- the qid/qid.vers analogue
-// of 9front's mount cache. Every server-side write bumps the version, so a
-// client can validate cached pages by comparing versions and drop stale
-// bitmaps without re-reading data.
+// of 9front's mount cache. Every write on the server (FileServerKernel::
+// WriteLocal) bumps the version, so a client can validate cached pages by
+// comparing versions and drop stale bitmaps without re-reading data.
 //
 // All wire structs are little-endian PODs, memcpy'd on and off the wire.
 
@@ -34,20 +34,18 @@ namespace ckfs {
 
 // RPC operation codes (request direction in parentheses).
 inline constexpr uint32_t kOpOpen = 0x0f01;        // client -> server
-inline constexpr uint32_t kOpStat = 0x0f02;        // client -> server
 inline constexpr uint32_t kOpRead = 0x0f03;        // client -> server
-inline constexpr uint32_t kOpWrite = 0x0f04;       // client -> server
 inline constexpr uint32_t kOpReaddir = 0x0f05;     // client -> server
 inline constexpr uint32_t kOpRegister = 0x0f06;    // client -> server
 inline constexpr uint32_t kOpInvalidate = 0x0f07;  // server -> client
 
-// Open request payload is the file name's bytes; stat request is a FileId.
+// Register reply: the client's link number, counting from 1.
 struct FileIdMsg {
   uint32_t fileid = 0;
 };
 
-// Open/stat reply. status != 0 means the lookup failed and the other fields
-// are meaningless.
+// Open request payload is the file name's bytes. Open reply: status != 0
+// means the lookup failed and the other fields are meaningless.
 struct AttrReply {
   uint32_t fileid = 0;
   uint32_t version = 0;
@@ -70,22 +68,6 @@ struct ReadReply {
   uint32_t size = 0;     // current file size (keeps client attrs fresh)
   uint32_t first_page = 0;
   uint32_t granted = 0;  // pages actually shipped (0: range beyond EOF)
-};
-
-// Write request header; `len` data bytes follow. The server applies the
-// write, bumps the file version and pushes kOpInvalidate to every other
-// registered client (best effort -- the version check at the client is what
-// guarantees staleness is caught).
-struct WriteRequest {
-  uint32_t fileid = 0;
-  uint32_t offset = 0;
-  uint32_t len = 0;
-};
-
-struct WriteReply {
-  uint32_t fileid = 0;
-  uint32_t version = 0;  // version after the write
-  uint32_t status = 0;
 };
 
 // Readdir request/reply: a window of the (flat) namespace. Each entry is a

@@ -43,17 +43,17 @@ std::optional<uint8_t> ParseRegister(const std::string& name) {
     m["ra"] = 1;
     m["sp"] = 2;
     m["gp"] = 3;
-    for (int i = 0; i < 6; ++i) {
-      m["a" + std::to_string(i)] = static_cast<uint8_t>(4 + i);
-    }
-    for (int i = 0; i < 8; ++i) {
-      m["t" + std::to_string(i)] = static_cast<uint8_t>(10 + i);
-    }
-    for (int i = 0; i < 8; ++i) {
-      m["s" + std::to_string(i)] = static_cast<uint8_t>(18 + i);
-    }
-    for (int i = 0; i < 6; ++i) {
-      m["k" + std::to_string(i)] = static_cast<uint8_t>(26 + i);
+    // Register banks: a0-a5, t0-t7, s0-s7, k0-k5.
+    struct Bank {
+      char prefix;
+      int count;
+      int first;
+    };
+    for (Bank bank : {Bank{'a', 6, 4}, Bank{'t', 8, 10}, Bank{'s', 8, 18}, Bank{'k', 6, 26}}) {
+      for (int i = 0; i < bank.count; ++i) {
+        const char alias[] = {bank.prefix, static_cast<char>('0' + i), '\0'};
+        m[alias] = static_cast<uint8_t>(bank.first + i);
+      }
     }
     return m;
   }();

@@ -39,10 +39,6 @@ struct Program {
   std::map<std::string, uint32_t> labels;  // label -> virtual address
 
   uint32_t SizeBytes() const { return static_cast<uint32_t>(words.size()) * 4; }
-  uint32_t LabelOr(const std::string& name, uint32_t fallback) const {
-    auto it = labels.find(name);
-    return it == labels.end() ? fallback : it->second;
-  }
 };
 
 struct AssembleResult {

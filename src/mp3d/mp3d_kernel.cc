@@ -72,7 +72,7 @@ void Mp3dKernel::Setup(CkApi& api) {
   space_index_ = CreateSpace(api, /*locked=*/true);
   uint32_t region_pages =
       (slot_capacity() * kParticleBytes + cksim::kPageSize - 1) / cksim::kPageSize;
-  DefineZeroRegion(space_index_, config_.region_base, region_pages, /*writable=*/true);
+  DefineZeroRegion(space_index_, kMp3dRegionBase, region_pages, /*writable=*/true);
 
   slot_cell_.assign(slot_capacity(), kFreeSlot);
   slot_stamp_.assign(slot_capacity(), ~0u);

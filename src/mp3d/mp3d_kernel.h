@@ -42,7 +42,6 @@ struct Mp3dConfig {
   Placement placement = Placement::kScattered;
   uint32_t slack_factor = 2;  // per-cell region capacity multiplier
   uint32_t seed = 42;
-  cksim::VirtAddr region_base = 0x40000000;
 };
 
 // Particle record layout in guest memory: 8 words (32 bytes).
@@ -51,6 +50,7 @@ struct Mp3dConfig {
 //   [4..7] padding / scratch
 inline constexpr uint32_t kParticleWords = 8;
 inline constexpr uint32_t kParticleBytes = kParticleWords * 4;
+inline constexpr cksim::VirtAddr kMp3dRegionBase = 0x40000000;  // where records start
 
 struct Mp3dStats {
   uint64_t particle_updates = 0;
@@ -88,7 +88,7 @@ class Mp3dKernel : public ckapp::AppKernelBase {
   uint32_t cell_region_slots() const { return slot_capacity() / config_.cells; }
 
   cksim::VirtAddr ParticleAddr(uint32_t slot) const {
-    return config_.region_base + slot * kParticleBytes;
+    return kMp3dRegionBase + slot * kParticleBytes;
   }
 
   // One worker processes cells [first, last) for the current step.

@@ -8,6 +8,8 @@ using ck::CkApi;
 using cksim::Cycles;
 using cksim::VirtAddr;
 
+constexpr VirtAddr kRegionBase = 0x60000000;  // task working sets, one after another
+
 // A periodic task: blocked until activated, then sweeps its working set and
 // reports completion latency.
 class RtKernel::TaskProgram : public ck::NativeProgram {
@@ -25,8 +27,7 @@ class RtKernel::TaskProgram : public ck::NativeProgram {
     pending_ = false;
 
     // The control-loop body: touch every page of the working set.
-    VirtAddr base = rt.config_.region_base + index_ * (cfg.working_set_pages + 4) *
-                                                 cksim::kPageSize;
+    VirtAddr base = kRegionBase + index_ * (cfg.working_set_pages + 4) * cksim::kPageSize;
     for (uint32_t page = 0; page < cfg.working_set_pages; ++page) {
       VirtAddr addr = base + page * cksim::kPageSize;
       ckbase::Result<uint32_t> value = ctx.LoadWord(addr);
@@ -72,7 +73,7 @@ void RtKernel::Setup(CkApi& api, const std::vector<RtTaskConfig>& tasks) {
 
   for (uint32_t i = 0; i < tasks_.size(); ++i) {
     const RtTaskConfig& cfg = tasks_[i];
-    VirtAddr base = config_.region_base + i * (cfg.working_set_pages + 4) * cksim::kPageSize;
+    VirtAddr base = kRegionBase + i * (cfg.working_set_pages + 4) * cksim::kPageSize;
     DefineZeroRegion(space_index_, base, cfg.working_set_pages, /*writable=*/true);
 
     auto program = std::make_unique<TaskProgram>(*this, i);

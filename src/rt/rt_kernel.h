@@ -38,7 +38,6 @@ struct RtTaskStats {
 
 struct RtConfig {
   bool lock_resources = true;  // lock thread/space/mappings in the Cache Kernel
-  cksim::VirtAddr region_base = 0x60000000;
 };
 
 class RtKernel : public ckapp::AppKernelBase {

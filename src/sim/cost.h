@@ -61,7 +61,6 @@ struct CostModel {
   Cycles quota_account = 25;          // per-dispatch consumption accounting
 
   // --- devices / interconnect ---
-  Cycles device_doorbell = 200;      // device notices a signal on its region
   Cycles wire_latency = 2500;        // fiber channel one-way (~100 us)
   Cycles idle_tick = 100;            // clock advance for an idle CPU turn
 

@@ -1,6 +1,7 @@
 #include "src/srm/srm.h"
 
-#include "src/base/log.h"
+#include <cstdio>
+
 #include "src/obs/trace.h"
 
 namespace cksrm {
@@ -124,7 +125,6 @@ Result<KernelId> Srm::Launch(ckapp::AppKernelBase& app, const LaunchParams& para
   if (status != CkStatus::kOk) {
     return status;
   }
-  CKLOG(kInfo) << "srm: launched kernel '" << app.name() << "'";
   return r.id;
 }
 
@@ -268,31 +268,12 @@ bool Srm::IsSwappedOut(const ckapp::AppKernelBase& app) const {
   return reg != nullptr && !reg->loaded;
 }
 
-CkStatus Srm::AdjustQuota(ckapp::AppKernelBase& app, const uint8_t percent[ck::kMaxCpus],
-                          uint8_t max_priority) {
-  Registered* reg = FindRegistration(app);
-  if (reg == nullptr) {
-    return CkStatus::kNotFound;
-  }
-  for (uint32_t c = 0; c < ck::kMaxCpus; ++c) {
-    reg->params.cpu_percent[c] = percent[c];
-  }
-  reg->params.max_priority = max_priority;
-  if (!reg->loaded) {
-    return CkStatus::kOk;
-  }
-  CkApi api = Api();
-  return api.SetCpuQuota(reg->id, percent, max_priority);
-}
-
 CkStatus Srm::CaptureQuiesced(Registered& reg, ckapp::AppKernelBase& app,
                               ckckpt::CkptImage* image) {
-  // Enumerate what the cascade is about to write back, then quiesce. After
-  // UnloadKernel the id is stale and every count must read zero: nothing
-  // loaded in the Cache Kernel belongs to this kernel any more, so the
-  // application kernel's records are the complete state ("writeback
+  // Quiesce. After UnloadKernel the id is stale and every count must read
+  // zero: nothing loaded in the Cache Kernel belongs to this kernel any more,
+  // so the application kernel's records are the complete state ("writeback
   // completeness", docs/CHECKPOINT.md).
-  auto before = ck_.LoadedCountsFor(reg.id);
   CkStatus status = SwapOut(app);
   if (status != CkStatus::kOk) {
     return status;
@@ -300,13 +281,10 @@ CkStatus Srm::CaptureQuiesced(Registered& reg, ckapp::AppKernelBase& app,
   auto after = ck_.LoadedCountsFor(reg.id);
   for (uint32_t count : after) {
     if (count != 0) {
-      CKLOG(kError) << "srm: kernel '" << app.name() << "' not quiesced after unload";
+      std::fprintf(stderr, "srm: kernel '%s' not quiesced after unload\n", app.name().c_str());
       return CkStatus::kBusy;
     }
   }
-  CKLOG(kInfo) << "srm: capturing '" << app.name() << "' (" << before[0] << " kernel, "
-               << before[1] << " spaces, " << before[2] << " threads, " << before[3]
-               << " mappings written back)";
 
   CkApi api = Api();
   ckckpt::AppKernelState::Capture(app, api, image);
@@ -398,7 +376,6 @@ CkStatus Srm::Restore(ckapp::AppKernelBase& app, const ckckpt::CkptImage& image,
   if (!ckckpt::AppKernelState::Resume(app, app_api, error)) {
     return CkStatus::kInvalidArgument;
   }
-  CKLOG(kInfo) << "srm: restored kernel '" << app.name() << "'";
   return CkStatus::kOk;
 }
 
@@ -413,7 +390,6 @@ CkStatus Srm::Migrate(ckapp::AppKernelBase& app, cksim::FiberChannelDevice& fc) 
     return status;
   }
   std::vector<uint8_t> bytes = image.Serialize();
-  CKLOG(kInfo) << "srm: migrating '" << app.name() << "' (" << bytes.size() << " bytes)";
   // The migration span rides the bulk transfer out of band, so the target's
   // bulk.recv (and the Chrome flow arrow) is causally bound to this operation.
   uint32_t span = EmitOp(SrmOpCode::kMigrate);
@@ -426,16 +402,13 @@ CkStatus Srm::Migrate(ckapp::AppKernelBase& app, cksim::FiberChannelDevice& fc) 
 CkStatus Srm::AcceptMigration(cksim::FiberChannelDevice& fc, ckapp::AppKernelBase& app,
                               const ckckpt::RestoreOptions& options, std::string* error) {
   std::vector<uint8_t> bytes;
-  uint32_t inbound_span = 0;
-  if (!fc.PollBulk(&bytes, ck_.machine().Now(), &inbound_span)) {
+  if (!fc.PollBulk(&bytes, ck_.machine().Now())) {
     return CkStatus::kRetry;  // still on the wire
   }
   // Emitted only once the image has landed (polling while in flight is not an
   // operation). PollBulk traced bulk.recv under the sender's migration span;
   // this op span marks where the target picks the kernel up.
   EmitOp(SrmOpCode::kAcceptMigration);
-  CKLOG(kInfo) << "srm: accepting migrated image (" << bytes.size() << " bytes, span "
-               << inbound_span << ")";
   ckckpt::CkptImage image;
   if (!ckckpt::CkptImage::Parse(bytes, &image, error)) {
     NotifyEvent("restore-preflight: " + *error);
@@ -485,8 +458,6 @@ void Srm::OnKernelWriteback(const ck::KernelWriteback& record, CkApi& api) {
   (void)api;
   if (record.cookie < registry_.size()) {
     registry_[record.cookie]->loaded = false;
-    CKLOG(kInfo) << "srm: kernel '" << registry_[record.cookie]->app->name()
-                 << "' written back (swapped out)";
   }
 }
 

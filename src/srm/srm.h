@@ -44,30 +44,6 @@ enum class SrmOpCode : uint16_t {
   kRestoreFromStore = 8,
 };
 
-inline const char* SrmOpName(SrmOpCode op) {
-  switch (op) {
-    case SrmOpCode::kLaunch:
-      return "launch";
-    case SrmOpCode::kSwapOut:
-      return "swap-out";
-    case SrmOpCode::kSwapIn:
-      return "swap-in";
-    case SrmOpCode::kCheckpoint:
-      return "checkpoint";
-    case SrmOpCode::kRestore:
-      return "restore";
-    case SrmOpCode::kMigrate:
-      return "migrate";
-    case SrmOpCode::kAcceptMigration:
-      return "accept-migration";
-    case SrmOpCode::kCheckpointToStore:
-      return "checkpoint-to-store";
-    case SrmOpCode::kRestoreFromStore:
-      return "restore-from-store";
-  }
-  return "?";
-}
-
 // Resource grant for one application kernel.
 struct LaunchParams {
   uint32_t page_groups = 2;                 // 512 KiB units of physical memory
@@ -98,10 +74,6 @@ class Srm : public ckapp::AppKernelBase {
   // kernel's own records reload spaces/threads on demand.
   ckbase::CkStatus SwapIn(ckapp::AppKernelBase& app);
   bool IsSwappedOut(const ckapp::AppKernelBase& app) const;
-
-  // Adjust a running kernel's processor quota (the SRM modify operation).
-  ckbase::CkStatus AdjustQuota(ckapp::AppKernelBase& app, const uint8_t percent[ck::kMaxCpus],
-                               uint8_t max_priority);
 
   // ---- physical memory ----
   // Allocate `count` contiguous page groups to `app` (read-write) and add

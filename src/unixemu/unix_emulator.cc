@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/base/log.h"
 #include "src/ckpt/serializer.h"
 
 namespace ckunix {
@@ -341,7 +340,6 @@ TrapAction UnixEmulator::HandleTrap(const ck::TrapForward& trap, CkApi& api) {
     }
 
     default:
-      CKLOG(kDebug) << "unix: unknown syscall " << trap.number << " from pid " << proc->pid;
       proc->state = Process::State::kZombie;
       proc->exit_code = -1;
       NotifyExit(*proc, api);

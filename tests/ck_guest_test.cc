@@ -316,6 +316,86 @@ TEST_F(GuestTest, CopyOnWriteSharesUntilWrite) {
   EXPECT_EQ(still, magic);
 }
 
+// The library paths treat an untouched deferred copy as the fault path does:
+// it shares its source frame read-only until a write breaks the share.
+class CowLibraryTest : public GuestTest {
+ protected:
+  static constexpr cksim::VirtAddr kCowPage = 0x00600000;
+  static constexpr uint32_t kWords = cksim::kPageSize / 4;
+
+  // A source frame holding word i = 0xc0de0000 + i, and one deferred-copy
+  // page over it.
+  CowLibraryTest() : api_(world_->ck(), app_.self(), world_->machine().cpu(0)) {
+    space_ = app_.CreateSpace(api_);
+    source_ = app_.frames().Allocate();
+    for (uint32_t i = 0; i < kWords; ++i) {
+      pattern_.push_back(0xc0de0000u + i);
+    }
+    EXPECT_EQ(api_.WritePhys(source_, pattern_.data(), cksim::kPageSize), CkStatus::kOk);
+    app_.DefineCowRegion(space_, kCowPage, 1, source_);
+  }
+
+  std::vector<uint32_t> FrameWords(cksim::PhysAddr frame) {
+    std::vector<uint32_t> words(kWords);
+    EXPECT_EQ(api_.ReadPhys(frame, words.data(), cksim::kPageSize), CkStatus::kOk);
+    return words;
+  }
+
+  ckapp::PageRecord& page() { return *app_.space(space_).FindPage(kCowPage); }
+
+  ck::CkApi api_;
+  uint32_t space_ = 0;
+  cksim::PhysAddr source_ = 0;
+  std::vector<uint32_t> pattern_;
+};
+
+TEST_F(CowLibraryTest, ReadGuestReadsTheSource) {
+  uint32_t word = 0;
+  ASSERT_TRUE(app_.ReadGuest(api_, space_, kCowPage + 8, &word, 4));
+  EXPECT_EQ(word, pattern_[2]);
+  EXPECT_EQ(page().frame, source_) << "still sharing the source frame";
+  EXPECT_EQ(page().cow_source, source_);
+  EXPECT_EQ(app_.paging_stats().cow_copies, 0u);
+  EXPECT_EQ(app_.paging_stats().zero_fills, 0u);
+}
+
+TEST_F(CowLibraryTest, EnsureMappingLoadedMapsTheSourceReadOnly) {
+  ASSERT_EQ(app_.EnsureMappingLoaded(api_, space_, kCowPage), CkStatus::kOk);
+  ckbase::Result<ck::MappingInfo> info =
+      api_.QueryMapping(app_.space(space_).ck_id, kCowPage);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info.value().paddr, source_);
+  EXPECT_FALSE(info.value().writable);
+
+  // A later write breaks the share: the read-only mapping goes, and the next
+  // load maps the private copy writable.
+  uint32_t value = 0x5a5a5a5a;
+  ASSERT_TRUE(app_.WriteGuest(api_, space_, kCowPage, &value, 4));
+  EXPECT_FALSE(page().mapping_loaded);
+  ASSERT_EQ(app_.EnsureMappingLoaded(api_, space_, kCowPage), CkStatus::kOk);
+  info = api_.QueryMapping(app_.space(space_).ck_id, kCowPage);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info.value().paddr, page().frame);
+  EXPECT_NE(info.value().paddr, source_);
+  EXPECT_TRUE(info.value().writable);
+}
+
+TEST_F(CowLibraryTest, WriteGuestCopiesTheSourceFirst) {
+  uint32_t value = 0x5a5a5a5a;
+  ASSERT_TRUE(app_.WriteGuest(api_, space_, kCowPage + 64, &value, 4));
+  EXPECT_NE(page().frame, 0u);
+  EXPECT_NE(page().frame, source_);
+  EXPECT_TRUE(page().frame_owned);
+  EXPECT_TRUE(page().dirty);
+  EXPECT_EQ(page().cow_source, 0u);
+  EXPECT_EQ(app_.paging_stats().cow_copies, 1u);
+
+  std::vector<uint32_t> expected = pattern_;
+  expected[16] = value;
+  EXPECT_EQ(FrameWords(page().frame), expected) << "the source's bytes plus the write";
+  EXPECT_EQ(FrameWords(source_), pattern_) << "the source is unchanged";
+}
+
 TEST_F(GuestTest, ConsistencyFaultForwarded) {
   ck::CkApi app_api(world_->ck(), app_.self(), world_->machine().cpu(0));
   uint32_t space = app_.CreateSpace(app_api);

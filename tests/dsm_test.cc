@@ -62,8 +62,8 @@ class IncrementWorker : public ck::NativeProgram {
 class DsmWorld {
  public:
   explicit DsmWorld(uint32_t pages = 2)
-      : dsm_a_config_{pages, 0x48000000, /*initially_owner=*/true},
-        dsm_b_config_{pages, 0x48000000, /*initially_owner=*/false},
+      : dsm_a_config_{pages, /*initially_owner=*/true},
+        dsm_b_config_{pages, /*initially_owner=*/false},
         dsm_a_(a_.ck(), dsm_a_config_),
         dsm_b_(b_.ck(), dsm_b_config_) {
     uint32_t group_a = a_.srm().ReserveGroups(1).value();

@@ -750,9 +750,8 @@ TEST(TraceExecDifferential, TraceCrossesPageBoundaryWithMidRunUnload) {
 // ---------------------------------------------------------------------------
 
 std::map<uint32_t, uint64_t> RunProfiledHistogram(bool fastpath, uint64_t* total) {
-  WorldOptions options = Options(fastpath);
-  options.ck.profile_period = 3000;
-  TestWorld world(options);
+  TestWorld world(Options(fastpath));
+  world.ck().set_profile_period(3000);
   TrapAppKernel app;
   world.Launch(app);
   ck::CkApi api(world.ck(), app.self(), world.machine().cpu(0));
@@ -856,7 +855,9 @@ Snapshot RunFourCpuWorkload(bool fastpath) {
   Snapshot s;
   CaptureMachineState(s, world);
   for (size_t i = 0; i < threads.size(); ++i) {
-    CaptureRegs(s, app.thread(threads[i]), "t" + std::to_string(i));
+    std::string tag = "t";
+    tag += std::to_string(i);
+    CaptureRegs(s, app.thread(threads[i]), tag);
   }
   return s;
 }

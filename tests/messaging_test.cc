@@ -380,6 +380,47 @@ TEST_F(MessagingTest, RpcRoundTrip) {
   EXPECT_EQ(client.outstanding(), 0u);
 }
 
+// A client endpoint has no service function: a message on its reply channel
+// without the reply flag is a request it cannot serve, and it drops it.
+TEST_F(MessagingTest, RpcClientDropsRequests) {
+  ck::CkApi api = AppApi();
+  uint32_t space = app_.CreateSpace(api);
+  cksim::PhysAddr frames[4];
+  for (auto& f : frames) {
+    f = app_.frames().Allocate();
+  }
+
+  ckapp::MessageChannel requests, replies;
+  ckapp::RpcClient client(requests, replies);
+  uint32_t client_thread = app_.CreateNativeThread(api, space, &client, 16);
+  requests.ConfigureSender(app_, space, 0x00800000, frames[0], 2);
+  replies.ConfigureSender(app_, space, 0x00a00000, frames[2], 2);
+  replies.ConfigureReceiver(app_, space, 0x00b00000, frames[2], 2, client_thread);
+  ASSERT_EQ(replies.PrimeReceiver(api), CkStatus::kOk);
+
+  uint32_t completions = 0;
+  ASSERT_EQ(client.Call(api, 1, {7},
+                        [&](const std::vector<uint8_t>&, ck::CkApi&) { ++completions; }),
+            CkStatus::kOk);
+  ASSERT_EQ(client.outstanding(), 1u);
+
+  // Same sequence number as the pending call, but no reply flag.
+  ckapp::RpcHeader request{1, 1, 0};
+  ASSERT_EQ(replies.Send(api, &request, sizeof(request)), CkStatus::kOk);
+  world_->RunUntil([] { return false; }, 20000);
+  EXPECT_EQ(completions, 0u);
+  EXPECT_EQ(client.outstanding(), 1u);
+  EXPECT_EQ(client.requests_served(), 0u);
+  EXPECT_EQ(client.replies_received(), 0u);
+
+  // The flagged reply still completes the call.
+  ckapp::RpcHeader reply{1, 1 | ckapp::kRpcReplyFlag, 0};
+  ASSERT_EQ(replies.Send(api, &reply, sizeof(reply)), CkStatus::kOk);
+  ASSERT_TRUE(world_->RunUntil([&] { return completions == 1; }, 200000));
+  EXPECT_EQ(client.outstanding(), 0u);
+  EXPECT_EQ(client.replies_received(), 1u);
+}
+
 TEST_F(MessagingTest, ChannelRejectsOversizeAndUnconfigured) {
   ck::CkApi api = AppApi();
   ckapp::MessageChannel unconfigured;

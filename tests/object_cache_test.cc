@@ -98,19 +98,6 @@ TEST(ObjectCacheTest, ClockTakesTheHandSlotNotTheOldestLoad) {
   EXPECT_EQ(pool.hand(), 1u) << "the hand commits past its victim";
 }
 
-TEST(ObjectCacheTest, ClockIgnoresSoftReferencedBits) {
-  // Soft bits are a feature for guest policy programs only: touching B does
-  // not save it from the hand.
-  TestCache pool(3);
-  pool.Allocate();
-  pool.Allocate();
-  pool.Allocate();
-  EXPECT_EQ(ReclaimOnce(pool), 0u);
-  pool.Touch(1);
-  EXPECT_TRUE(pool.soft_ref(1));
-  EXPECT_EQ(ReclaimOnce(pool), 1u);
-}
-
 TEST(ObjectCacheTest, ClockSkipsPinnedSlots) {
   TestCache pool(3);
   TestObj* a = pool.Allocate();

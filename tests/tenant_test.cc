@@ -181,9 +181,8 @@ TEST_F(TenantTest, TenantMetricsExportedPerSlot) {
 }
 
 TEST_F(TenantTest, ProfilerSamplesGuestPcs) {
-  ck::CacheKernelConfig config;
-  config.profile_period = 2000;  // dense sampling for a short run
-  Boot(config);
+  Boot(ck::CacheKernelConfig{});
+  ck_->set_profile_period(2000);  // dense sampling for a short run
   uint32_t thread_a = 0, thread_b = 0;
   auto app_a = LaunchFaultingApp("tenant-a", 48, &thread_a);
   auto app_b = LaunchFaultingApp("tenant-b", 48, &thread_b);
@@ -227,8 +226,8 @@ TEST_F(TenantTest, ProfilerSamplesTheSameWithoutTheFastPath) {
   auto run = [&](bool fastpath) {
     ck::CacheKernelConfig config;
     config.fastpath = fastpath;
-    config.profile_period = 2000;
     Boot(config);
+    ck_->set_profile_period(2000);
     uint32_t thread_a = 0, thread_b = 0;
     auto app_a = LaunchFaultingApp("tenant-a", 48, &thread_a);
     auto app_b = LaunchFaultingApp("tenant-b", 48, &thread_b);

@@ -246,22 +246,30 @@ void BM_PolicyVm(benchmark::State& state) {
 BENCHMARK(BM_PolicyVm);
 
 void BM_PolicyVmScan(benchmark::State& state) {
-  // One candidate of a reclaim scan per iteration: the candidates share one
-  // PolicyVm, as ReclaimWithPolicy runs them -- what every candidate of a
-  // guest-scored scan pays.
+  // One 96-candidate reclaim scan per iteration (paging_storm's mapping
+  // cache holds 96), scored as ReclaimWithPolicy scores it: one PolicyVm per
+  // scan, every candidate a lane of one engine pass. Items are candidates, so
+  // the rate is what each candidate of a guest-scored scan pays.
+  constexpr uint32_t kCandidates = 96;
+  constexpr uint32_t kLanes = ckisa::PolicyVm::kLanes;
   const ScorerInputs in = MakeScorerInputs();
-  ckisa::PolicyVm vm(in.words.data(), static_cast<uint32_t>(in.words.size()),
-                     ck::kPolicyCodeBase, ck::kPolicyFeatureBase);
-  size_t next = 0;
+  std::vector<uint32_t> window(ck::kPolicyFeatureWords * kLanes);
+  for (uint32_t lane = 0; lane < kCandidates; ++lane) {
+    for (uint32_t w = 0; w < ck::kPolicyFeatureWords; ++w) {
+      window[w * kLanes + lane] = in.windows[lane][w];
+    }
+  }
+  ckisa::PolicyVmResult out[kLanes];
   uint64_t score_sum = 0;
   for (auto _ : state) {
-    const auto& window = in.windows[next++ % in.windows.size()];
-    ckisa::PolicyVmResult r = vm.Run(window.data(), ck::kPolicyFeatureWords,
-                                     ck::CacheKernelConfig().policy_step_budget);
-    score_sum += r.score;
+    ckisa::PolicyVm vm(in.words.data(), static_cast<uint32_t>(in.words.size()),
+                       ck::kPolicyCodeBase, ck::kPolicyFeatureBase);
+    vm.Run(window.data(), ck::kPolicyFeatureWords, kLanes, kCandidates,
+           ck::CacheKernelConfig().policy_step_budget, out);
+    score_sum += out[kCandidates - 1].score;
   }
   benchmark::DoNotOptimize(score_sum);
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * kCandidates);
 }
 BENCHMARK(BM_PolicyVmScan);
 

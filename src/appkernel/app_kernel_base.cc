@@ -523,14 +523,13 @@ HandlerAction AppKernelBase::ResolvePageFault(const ck::FaultForward& fault, VSp
       return OnIllegalAccess(fault, api);
     }
   } else if (page.where == PageRecord::Where::kBacking && UseAsyncPaging()) {
-    // Block the thread; complete the page-in after the disk latency.
-    PhysAddr frame = AllocateFrame(api, sp);
-    if (frame == 0) {
+    // Block the thread; complete the page-in after the disk latency. A page
+    // still in the backing store with a frame has its page-in in flight:
+    // the thread waits for that one.
+    PhysAddr frame = page.frame;
+    if (frame == 0 && (frame = AllocateFrame(api, sp)) == 0) {
       return OnIllegalAccess(fault, api);
     }
-    paging_stats_.pages_in++;
-    uint32_t space_index = static_cast<uint32_t>(sp.cookie);
-    uint32_t backing_page = page.backing_page;
     // The waiter is identified by its stable record index, NOT its Cache
     // Kernel identifier: the descriptor may be reclaimed and reloaded (new
     // identifier) while the I/O is in flight.
@@ -538,9 +537,22 @@ HandlerAction AppKernelBase::ResolvePageFault(const ck::FaultForward& fault, VSp
     if (waiter_index < threads_.size()) {
       threads_[waiter_index]->paging_blocked = true;
     }
+    page_in_waiters_.emplace(frame, waiter_index);
+    if (page.frame != 0) {
+      return HandlerAction::kBlock;
+    }
+    paging_stats_.pages_in++;
+    uint32_t space_index = static_cast<uint32_t>(sp.cookie);
+    uint32_t backing_page = page.backing_page;
     page.frame = frame;  // reserved; contents arrive with the event
-    api.ScheduleAfter(backing_.latency(), [this, space_index, page_vaddr, backing_page, frame,
-                                           waiter_index](CkApi& later) {
+    api.ScheduleAfter(backing_.latency(), [this, space_index, page_vaddr, backing_page,
+                                           frame](CkApi& later) {
+      auto waiting = page_in_waiters_.equal_range(frame);
+      std::vector<uint32_t> waiters;
+      for (auto it = waiting.first; it != waiting.second; ++it) {
+        waiters.push_back(it->second);
+      }
+      page_in_waiters_.erase(waiting.first, waiting.second);
       VSpace& vs = *spaces_[space_index];
       PageRecord* p = vs.FindPage(page_vaddr);
       if (p == nullptr || p->frame != frame) {
@@ -549,12 +561,15 @@ HandlerAction AppKernelBase::ResolvePageFault(const ck::FaultForward& fault, VSp
       backing_.ReadPage(later, backing_page, frame, /*charge_latency=*/false);
       LinkResident(vs, *p, frame);
       EnsureMappingLoaded(later, space_index, page_vaddr);
-      if (waiter_index < threads_.size()) {
-        ThreadRec& rec = *threads_[waiter_index];
+      for (uint32_t waiter : waiters) {
+        if (waiter >= threads_.size()) {
+          continue;
+        }
+        ThreadRec& rec = *threads_[waiter];
         rec.paging_blocked = false;
         if (!rec.loaded && !rec.finished) {
           rec.was_blocked = true;
-          EnsureThreadLoaded(later, waiter_index);
+          EnsureThreadLoaded(later, waiter);
         }
         if (rec.loaded) {
           later.ResumeThread(rec.ck_id);

@@ -17,6 +17,7 @@
 #ifndef SRC_APPKERNEL_APP_KERNEL_BASE_H_
 #define SRC_APPKERNEL_APP_KERNEL_BASE_H_
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -248,6 +249,10 @@ class AppKernelBase : public ck::AppKernel {
   // The checkpoint subsystem serializes/rebuilds the protected record state
   // without widening the public API (src/ckpt/checkpoint.cc).
   friend class ckckpt::AppKernelState;
+
+  // Threads blocked on an asynchronous page-in, by the frame reserved for
+  // it, in fault order; the completion resumes them all.
+  std::multimap<cksim::PhysAddr, uint32_t> page_in_waiters_;
 };
 
 }  // namespace ckapp

@@ -4,6 +4,7 @@
 
 #include "src/ck/cache_kernel.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -492,44 +493,35 @@ CkStatus CacheKernel::RedirectThread(KernelId caller, cksim::Cpu& cpu, ThreadId 
 // Page mappings
 // ---------------------------------------------------------------------------
 
-cksim::PhysAddr CacheKernel::LeafPteAddr(AddressSpaceObject* space, VirtAddr vaddr, bool create,
-                                         cksim::Cpu& cpu) {
+template <typename Charge>
+cksim::PhysAddr CacheKernel::WalkToLeaf(AddressSpaceObject* space, VirtAddr vaddr, bool create,
+                                        Charge&& charge) {
   const cksim::CostModel& cost = machine_.cost();
   cksim::PhysicalMemory& mem = machine_.memory();
-
-  PhysAddr l1_slot = space->root_table + cksim::L1Index(vaddr) * 4;
-  uint32_t l1 = mem.ReadWord(l1_slot);
-  cpu.Advance(cost.table_walk_level);
-  if (!cksim::PteValid(l1)) {
-    if (!create) {
-      return 0;
+  PhysAddr slot = space->root_table + cksim::L1Index(vaddr) * 4;
+  for (uint32_t level = 1; level <= 2; ++level) {
+    uint32_t pte = mem.ReadWord(slot);
+    charge(cost.table_walk_level);
+    if (!cksim::PteValid(pte)) {
+      PhysAddr table =
+          create ? table_arena_.Allocate(level == 1 ? cksim::kL2TableBytes : cksim::kL3TableBytes)
+                 : 0;
+      if (table == 0) {
+        return 0;
+      }
+      pte = cksim::MakePte(table, cksim::kPteValid);
+      mem.WriteWord(slot, pte);
+      charge(cost.table_alloc + cost.pte_write);
     }
-    PhysAddr l2_table = table_arena_.Allocate(cksim::kL2TableBytes);
-    if (l2_table == 0) {
-      return 0;
-    }
-    l1 = cksim::MakePte(l2_table, cksim::kPteValid);
-    mem.WriteWord(l1_slot, l1);
-    cpu.Advance(cost.table_alloc + cost.pte_write);
+    slot = cksim::PteAddress(pte) +
+           (level == 1 ? cksim::L2Index(vaddr) : cksim::L3Index(vaddr)) * 4;
   }
+  return slot;
+}
 
-  PhysAddr l2_slot = cksim::PteAddress(l1) + cksim::L2Index(vaddr) * 4;
-  uint32_t l2 = mem.ReadWord(l2_slot);
-  cpu.Advance(cost.table_walk_level);
-  if (!cksim::PteValid(l2)) {
-    if (!create) {
-      return 0;
-    }
-    PhysAddr l3_table = table_arena_.Allocate(cksim::kL3TableBytes);
-    if (l3_table == 0) {
-      return 0;
-    }
-    l2 = cksim::MakePte(l3_table, cksim::kPteValid);
-    mem.WriteWord(l2_slot, l2);
-    cpu.Advance(cost.table_alloc + cost.pte_write);
-  }
-
-  return cksim::PteAddress(l2) + cksim::L3Index(vaddr) * 4;
+cksim::PhysAddr CacheKernel::LeafPteAddr(AddressSpaceObject* space, VirtAddr vaddr, bool create,
+                                         cksim::Cpu& cpu) {
+  return WalkToLeaf(space, vaddr, create, [&cpu](Cycles cycles) { cpu.Advance(cycles); });
 }
 
 CkStatus CacheKernel::LoadMapping(KernelId caller, cksim::Cpu& cpu, const MappingSpec& spec) {
@@ -812,7 +804,7 @@ struct CacheKernel::KernelVictimOps {
   bool Pinned(uint32_t slot) { return ck.KernelEffectivelyLocked(ck.kernels_.SlotAt(slot)); }
   bool TestAndClearReferenced(uint32_t) { return false; }  // no hardware bit
   // -- policy-engine feature glue (src/ck/policy.h) --
-  bool PeekReferenced(uint32_t) const { return false; }
+  bool PeekReferenced(uint32_t, Cycles&) const { return false; }
   // A kernel descriptor is its own owner (it is written back to the first
   // kernel, but policy scoping follows the descriptor's identity).
   uint32_t OwnerSlot(uint32_t slot) const { return slot; }
@@ -834,7 +826,7 @@ struct CacheKernel::SpaceVictimOps {
   bool Eligible(uint32_t, int) const { return true; }
   bool Pinned(uint32_t slot) { return ck.SpaceEffectivelyLocked(ck.spaces_.SlotAt(slot)); }
   bool TestAndClearReferenced(uint32_t) { return false; }
-  bool PeekReferenced(uint32_t) const { return false; }
+  bool PeekReferenced(uint32_t, Cycles&) const { return false; }
   uint32_t OwnerSlot(uint32_t slot) const { return ck.spaces_.SlotAt(slot)->kernel_slot; }
   uint32_t StateClass(uint32_t) const { return 0; }
   void Evict(uint32_t slot) {
@@ -862,7 +854,7 @@ struct CacheKernel::ThreadVictimOps {
   }
   bool Pinned(uint32_t slot) { return ck.ThreadEffectivelyLocked(ck.threads_.SlotAt(slot)); }
   bool TestAndClearReferenced(uint32_t) { return false; }
-  bool PeekReferenced(uint32_t) const { return false; }
+  bool PeekReferenced(uint32_t, Cycles&) const { return false; }
   uint32_t OwnerSlot(uint32_t slot) const { return ck.threads_.SlotAt(slot)->kernel_slot; }
   // Mirrors the pass preference: blocked victims are cheapest, running ones
   // cost a context switch.
@@ -912,10 +904,13 @@ struct CacheKernel::MappingVictimOps {
   // Non-destructive referenced-bit read for feature extraction: scoring a
   // candidate must not consume its second chance (a fallback clock scan
   // after a guest fault has to see the same bits the built-in would have).
-  bool PeekReferenced(uint32_t index) const {
+  // The walk is not charged here: its cost adds to `walk`.
+  bool PeekReferenced(uint32_t index, Cycles& walk) const {
     MemMapEntry& rec = ck.pmap_.record(index);
     AddressSpaceObject* space = ck.spaces_.SlotAt(rec.pv_space_slot());
-    return (ck.LeafPte(space, rec.pv_vaddr(), cpu) & cksim::kPteReferenced) != 0;
+    PhysAddr leaf = ck.WalkToLeaf(space, rec.pv_vaddr(), /*create=*/false,
+                                  [&walk](Cycles cycles) { walk += cycles; });
+    return leaf != 0 && (ck.machine_.memory().ReadWord(leaf) & cksim::kPteReferenced) != 0;
   }
   uint32_t OwnerSlot(uint32_t index) const {
     MemMapEntry& rec = ck.pmap_.record(index);
@@ -940,20 +935,21 @@ PolicyTable* CacheKernel::PolicyTableOf(uint32_t kernel_slot) {
 
 namespace {
 
-// Assemble the fixed 8-word feature vector one candidate exposes to a guest
-// policy program -- bit for bit, the guest VM's read-only window.
+// Assemble the fixed 8-word feature vector one admitted candidate exposes to
+// a guest policy program -- bit for bit, the guest VM's read-only window.
+// The referenced-bit walk is not charged: its cost adds to `walk`.
 template <typename Cache, typename Ops>
 VictimFeatures FeaturesFor(Cache& cache, Ops& ops, uint32_t slot, ObjectType type,
-                           uint32_t requester_slot) {
+                           Cycles& walk) {
   VictimFeatures f;
   f.slot = slot;
   uint64_t age = cache.load_clock() - cache.load_seq(slot);
   f.age = age > 0xffffffffull ? 0xffffffffu : static_cast<uint32_t>(age);
-  f.hw_ref = ops.PeekReferenced(slot) ? 1 : 0;
+  f.hw_ref = ops.PeekReferenced(slot, walk) ? 1 : 0;
   f.soft_ref = 1;  // every candidate is loaded, so the word is constant
   f.load_seq_low = static_cast<uint32_t>(cache.load_seq(slot));
   f.state_class = ops.StateClass(slot);
-  f.owner_is_self = ops.OwnerSlot(slot) == requester_slot ? 1 : 0;
+  f.owner_is_self = 1;  // a program only sees the requester's own descriptors
   f.object_type = static_cast<uint32_t>(type);
   return f;
 }
@@ -976,6 +972,7 @@ bool CacheKernel::ReclaimWithPolicy(Cache& cache, Ops& ops, ObjectType type, cks
   }
 
   const GuestPolicy& guest = table->guest[t];
+  constexpr uint32_t kLanes = ckisa::PolicyVm::kLanes;
   uint32_t budget = config_.policy_step_budget;
   uint64_t vm_steps = 0;
   PolicyFallback abort_reason = PolicyFallback::kNoCandidate;
@@ -983,36 +980,53 @@ bool CacheKernel::ReclaimWithPolicy(Cache& cache, Ops& ops, ObjectType type, cks
   // filter keeps other kernels' candidates out of the window, so a malicious
   // program cannot even observe them, let alone evict them.
   auto admit = [&](uint32_t slot) { return ops.OwnerSlot(slot) == requester_slot; };
-  // Scoring has no side effects, so the program cannot change mid-scan.
+  // Gather: a chunk's feature windows, word-major, and what each
+  // candidate's referenced-bit walk cost. The walks are charged in the
+  // replay, so an aborted scan pays for those a one-at-a-time scan made.
+  uint32_t window[kPolicyFeatureWords][kLanes];
+  Cycles walk[kLanes];
+  auto gather = [&](uint32_t slot, uint32_t lane) {
+    walk[lane] = 0;
+    VictimFeatures f = FeaturesFor(cache, ops, slot, type, walk[lane]);
+    const uint32_t words[kPolicyFeatureWords] = {f.slot,          f.age,          f.hw_ref,
+                                                 f.soft_ref,      f.load_seq_low, f.state_class,
+                                                 f.owner_is_self, f.object_type};
+    for (uint32_t w = 0; w < kPolicyFeatureWords; ++w) {
+      window[w][lane] = words[w];
+    }
+  };
+  // Score: one engine pass over the chunk (scoring has no side effects, so
+  // the program cannot change mid-scan). Replay: the lanes in slot order,
+  // through the one that stopped the scan -- its counters and walk charges
+  // as a one-at-a-time scan would have made them.
   ckisa::PolicyVm vm(guest.words.data(), static_cast<uint32_t>(guest.words.size()),
                      kPolicyCodeBase, kPolicyFeatureBase);
-  auto score = [&](uint32_t slot, int64_t& s) {
-    VictimFeatures f = FeaturesFor(cache, ops, slot, type, requester_slot);
-    uint32_t window[kPolicyFeatureWords] = {f.slot,          f.age,          f.hw_ref,
-                                            f.soft_ref,      f.load_seq_low, f.state_class,
-                                            f.owner_is_self, f.object_type};
-    ckisa::PolicyVmResult r = vm.Run(window, kPolicyFeatureWords, budget);
-    stats_.policy_vm_runs++;
-    stats_.policy_vm_steps += r.steps;
-    vm_steps += r.steps;
-    budget -= r.steps <= budget ? r.steps : budget;
-    switch (r.event) {
-      case ckisa::PolicyVmEvent::kScore:
-        s = static_cast<int64_t>(r.score);
-        return true;
-      case ckisa::PolicyVmEvent::kFault:
-      case ckisa::PolicyVmEvent::kTrap:
-        stats_.policy_vm_faults++;
-        abort_reason = PolicyFallback::kFault;
-        return false;
-      case ckisa::PolicyVmEvent::kBudget:
-        stats_.policy_vm_budget++;
-        abort_reason = PolicyFallback::kBudget;
-        return false;
+  auto score = [&](uint32_t lanes, int64_t* scores) {
+    ckisa::PolicyVmResult results[kLanes];
+    uint32_t scored = vm.Run(&window[0][0], kPolicyFeatureWords, kLanes, lanes, budget, results);
+    uint32_t ran = std::min(scored + 1, lanes);
+    uint64_t steps = 0;
+    Cycles walked = 0;
+    for (uint32_t i = 0; i < ran; ++i) {
+      steps += results[i].steps;
+      walked += walk[i];
+      scores[i] = static_cast<int64_t>(results[i].score);
     }
-    return false;
+    if (scored < lanes && results[scored].event == ckisa::PolicyVmEvent::kBudget) {
+      stats_.policy_vm_budget++;
+      abort_reason = PolicyFallback::kBudget;
+    } else if (scored < lanes) {
+      stats_.policy_vm_faults++;
+      abort_reason = PolicyFallback::kFault;
+    }
+    stats_.policy_vm_runs += ran;
+    stats_.policy_vm_steps += steps;
+    vm_steps += steps;
+    budget -= static_cast<uint32_t>(steps);
+    cpu.Advance(walked);
+    return scored;
   };
-  ScoredScan result = cache.ReclaimScored(ops, scan_steps, admit, score);
+  ScoredScan result = cache.template ReclaimScored<kLanes>(ops, scan_steps, admit, gather, score);
   // Host-side VM work is attributed to the kernel whose program ran,
   // whatever the scan's outcome.
   Tenant(requester_slot).policy_vm_steps += vm_steps;

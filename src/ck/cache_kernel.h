@@ -568,6 +568,11 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   // Returns the leaf PTE address for vaddr, allocating tables if `create`.
   cksim::PhysAddr LeafPteAddr(AddressSpaceObject* space, cksim::VirtAddr vaddr, bool create,
                               cksim::Cpu& cpu);
+  // The same walk with each cost handed to charge(cycles) instead of a CPU
+  // clock. Member template defined in cache_kernel.cc.
+  template <typename Charge>
+  cksim::PhysAddr WalkToLeaf(AddressSpaceObject* space, cksim::VirtAddr vaddr, bool create,
+                             Charge&& charge);
   // The leaf PTE for vaddr; 0 when no page table covers it.
   uint32_t LeafPte(AddressSpaceObject* space, cksim::VirtAddr vaddr, cksim::Cpu& cpu) {
     cksim::PhysAddr leaf = LeafPteAddr(space, vaddr, /*create=*/false, cpu);

@@ -39,7 +39,8 @@
 #define SRC_CK_OBJECT_CACHE_H_
 
 #include <cstdint>
-#include <vector>
+
+#include "src/base/zeroed_array.h"
 
 namespace ck {
 
@@ -133,7 +134,7 @@ template <typename Store>
 class ObjectCache : public Store {
  public:
   explicit ObjectCache(uint32_t capacity)
-      : Store(capacity), load_seq_(capacity, 0) {}
+      : Store(capacity), load_seq_(capacity) {}
 
   // ---- loaded/free accounting ----
   // Every load stamps the slot with a monotonic sequence number (load age);
@@ -198,34 +199,50 @@ class ObjectCache : public Store {
   // admitted unpinned candidate with the minimum score (first-wins ties, so
   // a constant scoring function picks the lowest slot index). `admit(slot)`
   // filters candidates (guest policies only see the requesting kernel's
-  // descriptors); `score(slot, out)` returns false to abort the whole scan
-  // (sandbox fault / budget exhaustion -- the caller falls back). The hand is
-  // untouched: scored policies are scan-order independent by construction.
-  template <typename Ops, typename Admit, typename Score>
-  ScoredScan ReclaimScored(Ops& ops, uint64_t& scan_steps, Admit&& admit, Score&& score) {
+  // descriptors). Candidates are scored in chunks of up to kChunk:
+  // gather(slot, lane) collects a candidate into a lane with no side effect,
+  // and score(n, scores) scores lanes [0, n), replays their side effects in
+  // lane order and returns n -- or the lane that aborted the whole scan
+  // (sandbox fault / budget exhaustion -- the caller falls back), whose
+  // lanes after it must have no effect. The hand is untouched: scored
+  // policies are scan-order independent by construction.
+  template <uint32_t kChunk, typename Ops, typename Admit, typename Gather, typename Score>
+  ScoredScan ReclaimScored(Ops& ops, uint64_t& scan_steps, Admit&& admit, Gather&& gather,
+                           Score&& score) {
     uint32_t cap = Store::capacity();
     uint32_t best = kNoVictim;
     int64_t best_score = 0;
-    for (uint32_t slot = 0; slot < cap; ++slot) {
-      if (!ops.Occupied(slot)) {
-        continue;
+    uint64_t swept = 0;  // occupied slots visited
+    uint32_t slots[kChunk];
+    uint64_t swept_at[kChunk];  // through each lane's candidate
+    int64_t scores[kChunk];
+    for (uint32_t slot = 0; slot < cap;) {
+      uint32_t n = 0;
+      for (; slot < cap && n < kChunk; ++slot) {
+        if (!ops.Occupied(slot)) {
+          continue;
+        }
+        ++swept;
+        if (ops.Pinned(slot) || !admit(slot)) {
+          continue;
+        }
+        slots[n] = slot;
+        swept_at[n] = swept;
+        gather(slot, n++);
       }
-      ++scan_steps;
-      if (ops.Pinned(slot)) {
-        continue;
-      }
-      if (!admit(slot)) {
-        continue;
-      }
-      int64_t s = 0;
-      if (!score(slot, s)) {
+      uint32_t scored = n != 0 ? score(n, scores) : 0;
+      if (scored < n) {
+        scan_steps += swept_at[scored];
         return ScoredScan::kAborted;
       }
-      if (best == kNoVictim || s < best_score) {
-        best = slot;
-        best_score = s;
+      for (uint32_t i = 0; i < n; ++i) {
+        if (best == kNoVictim || scores[i] < best_score) {
+          best = slots[i];
+          best_score = scores[i];
+        }
       }
     }
+    scan_steps += swept;
     if (best == kNoVictim) {
       return ScoredScan::kNoCandidate;
     }
@@ -234,10 +251,10 @@ class ObjectCache : public Store {
   }
 
  private:
-  uint32_t hand_ = 0;               // replacement hand (per-cache, was per-type)
-  uint32_t loaded_ = 0;             // slots with a nonzero load stamp
-  uint64_t load_clock_ = 0;         // monotonic load counter
-  std::vector<uint64_t> load_seq_;  // [slot] -> load stamp, 0 when free
+  uint32_t hand_ = 0;                       // replacement hand (per-cache, was per-type)
+  uint32_t loaded_ = 0;                     // slots with a nonzero load stamp
+  uint64_t load_clock_ = 0;                 // monotonic load counter
+  ckbase::ZeroedArray<uint64_t> load_seq_;  // [slot] -> load stamp, 0 when free
 };
 
 }  // namespace ck

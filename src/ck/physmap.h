@@ -21,8 +21,10 @@
 // sizeof(MemMapEntry) == 16 is asserted; the free list reuses the hash link,
 // so the pool carries no per-record overhead. Never-used records come from a
 // bump index, freed ones from the free list first (last freed first): the
-// order of a pool chained whole at construction. Replacement over pv records
-// lives in the ObjectCache wrapper (src/ck/object_cache.h), not here.
+// order of a pool chained whole at construction. The records start as zeros
+// (kFree) that no set-up writes, so a map pays only for the records a run
+// uses. Replacement over pv records lives in the ObjectCache wrapper
+// (src/ck/object_cache.h), not here.
 
 #ifndef SRC_CK_PHYSMAP_H_
 #define SRC_CK_PHYSMAP_H_
@@ -30,6 +32,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/base/zeroed_array.h"
 #include "src/sim/types.h"
 
 namespace ck {
@@ -95,7 +98,7 @@ class PhysicalMemoryMap {
  public:
   explicit PhysicalMemoryMap(uint32_t capacity);
 
-  uint32_t capacity() const { return static_cast<uint32_t>(records_.size()); }
+  uint32_t capacity() const { return records_.size(); }
   uint32_t in_use() const { return in_use_; }
   bool full() const { return in_use_ == capacity(); }
   uint32_t used_extent() const { return bump_; }  // records from here on were never used
@@ -136,7 +139,7 @@ class PhysicalMemoryMap {
  private:
   uint32_t BucketOf(uint32_t key) const;
 
-  std::vector<MemMapEntry> records_;
+  ckbase::ZeroedArray<MemMapEntry> records_;
   std::vector<uint32_t> buckets_;  // head record index per bucket
   uint32_t free_head_ = kNilRecord;  // freed records, last freed first
   uint32_t bump_ = 0;                // first never-used record

@@ -40,7 +40,8 @@ struct VictimFeatures {
   uint32_t load_seq_low = 0;   // word 4: low 32 bits of the load stamp
   uint32_t state_class = 0;    // word 5: per-type state (threads: 0 blocked,
                                //         1 ready/halted, 2 running)
-  uint32_t owner_is_self = 0;  // word 6: owned by the reclaiming kernel
+  uint32_t owner_is_self = 0;  // word 6: always 1 (a program sees only its
+                               //         kernel's own descriptors)
   uint32_t object_type = 0;    // word 7: ck::ObjectType of the scan
 };
 

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "src/isa/fastpath.h"
-#include "src/isa/sandbox.h"
 #include "src/sim/cpu.h"
 #include "src/sim/pagetable.h"
 
@@ -31,55 +30,6 @@ constexpr bool WriteReady(uint8_t flags) {
   return (flags & (cksim::kPteWritable | cksim::kPteModified | cksim::kPteCopyOnWrite)) ==
          (cksim::kPteWritable | cksim::kPteModified);
 }
-
-// Sandbox policy: a replacement-policy program (src/isa/sandbox.h) sees its
-// own code words, execute-only, and the candidate's feature window,
-// read-only; every other fetch or load and every store faults. Nothing is
-// charged and no trace is built: policy evaluation is host-side work.
-struct SandboxPolicy {
-  const uint32_t* words;
-  uint32_t word_count;
-  const uint32_t* features;
-  uint32_t feature_words;
-  uint32_t code_base;
-  uint32_t feature_base;
-
-  bool FetchDecoded(uint32_t pc, Decoded& d, cksim::Fault& fault) {
-    uint32_t off = pc - code_base;
-    if ((pc & 3u) != 0 || pc < code_base || off >= word_count * 4) {
-      fault = {cksim::FaultType::kNoMapping, pc, cksim::Access::kExecute};
-      return false;
-    }
-    d = Decode(words[off / 4]);
-    return true;
-  }
-  // The interpreter already rejected misaligned word loads; a byte load picks
-  // its byte out of the little-endian feature word.
-  GuestBus::MemResult Load(uint32_t vaddr, uint32_t width) {
-    GuestBus::MemResult m;
-    uint32_t word = vaddr & ~3u;
-    if (word < feature_base || word - feature_base >= feature_words * 4) {
-      m.fault = {cksim::FaultType::kNoMapping, vaddr, cksim::Access::kRead};
-      return m;
-    }
-    m.ok = true;
-    m.value = features[(word - feature_base) / 4] >> ((vaddr & 3u) * 8);
-    m.value &= width == 4 ? ~0u : 0xffu;
-    return m;
-  }
-  GuestBus::MemResult Store(uint32_t vaddr, uint32_t /*value*/, uint32_t /*width*/) {
-    GuestBus::MemResult m;
-    m.fault = {cksim::FaultType::kProtection, vaddr, cksim::Access::kWrite};
-    return m;
-  }
-  void ChargeInstruction() {}
-  void OnMessageWrite(uint32_t /*vaddr*/) {}
-  void FlushAt(uint32_t /*pc*/) {}
-  TraceOutcome TryTrace(VmContext& /*ctx*/, uint32_t /*budget*/, uint32_t& /*n*/,
-                        RunResult& /*result*/) {
-    return TraceOutcome::kNone;
-  }
-};
 
 // What a bus without a fast_path() runs with: no traces, no profiler.
 constexpr FastPath kNoFastPath{};
@@ -501,13 +451,12 @@ struct GuestPolicy {
   }
 };
 
-// The interpreter core, shared by the guest and sandbox policies. Instruction
-// semantics and the fault/trap/halt protocol are policy-independent; the
-// policy only decides how fetches, loads, stores and cycle charges are
-// performed. Every exit runs Policy::FlushAt, so batched charges always land
-// on the CPU clock before the caller (the dispatch loop) reads it.
-template <typename Policy>
-RunResult RunLoop(VmContext& ctx, Policy& p, uint32_t budget) {
+// The interpreter core: instruction semantics and the fault/trap/halt
+// protocol; the GuestPolicy decides how fetches, loads, stores and cycle
+// charges are performed. Every exit runs GuestPolicy::FlushAt, so batched
+// charges always land on the CPU clock before the caller (the dispatch loop)
+// reads it. Policy programs run in their own engine (src/isa/sandbox.h).
+RunResult RunLoop(VmContext& ctx, GuestPolicy& p, uint32_t budget) {
   RunResult result;
   uint32_t n = 0;
   // Superblock traces are dispatched only at basic-block heads (quantum
@@ -624,65 +573,6 @@ RunResult Run(VmContext& ctx, GuestBus& bus, uint32_t budget) {
   const FastPath* fp = bus.fast_path();
   GuestPolicy p{bus, fp != nullptr ? *fp : kNoFastPath};
   return RunLoop(ctx, p, budget);
-}
-
-PolicyVmResult RunPolicyProgram(const uint32_t* words, uint32_t word_count,
-                                const uint32_t* features, uint32_t feature_words,
-                                uint32_t code_base, uint32_t feature_base, uint32_t budget) {
-  return PolicyVm(words, word_count, code_base, feature_base).Run(features, feature_words, budget);
-}
-
-PolicyVm::PolicyVm(const uint32_t* words, uint32_t word_count, uint32_t code_base,
-                   uint32_t feature_base)
-    : words_(words), word_count_(word_count), code_base_(code_base), feature_base_(feature_base) {
-  // Only program words write registers, through rd. A program longer than
-  // LoadPolicy accepts is not decoded: its runs clear every register.
-  constexpr uint64_t kWritesRd = [] {  // bit op: the op's class writes rd
-    uint64_t ops = 0;
-    for (uint32_t op = 0; op < kOpCount; ++op) {
-      OpClass c = kOps[op].cls;
-      bool writes = c == OpClass::kAlu || c == OpClass::kLoad || c == OpClass::kJal ||
-                    c == OpClass::kJalr;
-      ops |= uint64_t{writes} << op;
-    }
-    return ops;
-  }();
-  written_ = words == nullptr || word_count > 256 ? ~0u : 0u;
-  for (uint32_t i = 0; i < word_count && written_ != ~0u; ++i) {
-    Decoded d = Decode(words[i]);
-    written_ |= static_cast<uint32_t>(kWritesRd >> static_cast<uint32_t>(d.op) & 1u) << d.rd;
-  }
-}
-
-PolicyVmResult PolicyVm::Run(const uint32_t* features, uint32_t feature_words, uint32_t budget) {
-  PolicyVmResult out;
-  if (words_ == nullptr || word_count_ == 0 || budget == 0) {
-    out.event = budget == 0 ? PolicyVmEvent::kBudget : PolicyVmEvent::kFault;
-    return out;
-  }
-  for (uint32_t m = written_; m != 0; m &= m - 1) {
-    ctx_.regs[std::countr_zero(m)] = 0;
-  }
-  ctx_.pc = code_base_;
-  SandboxPolicy p{words_, word_count_, features, feature_words, code_base_, feature_base_};
-  RunResult run = RunLoop(ctx_, p, budget);
-  out.steps = run.instructions;
-  switch (run.event) {
-    case RunEvent::kHalt:
-      out.event = PolicyVmEvent::kScore;
-      out.score = ctx_.regs[kRegA0];
-      break;
-    case RunEvent::kTrap:
-      out.event = PolicyVmEvent::kTrap;
-      break;
-    case RunEvent::kFault:
-      out.event = PolicyVmEvent::kFault;
-      break;
-    case RunEvent::kBudgetExhausted:
-      out.event = PolicyVmEvent::kBudget;
-      break;
-  }
-  return out;
 }
 
 }  // namespace ckisa

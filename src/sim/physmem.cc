@@ -93,24 +93,9 @@ uint32_t PhysicalMemory::NextSlowFrame(uint32_t frame) const {
   return word * 64 + static_cast<uint32_t>(std::countr_zero(bits));
 }
 
-void PhysicalMemory::Check(PhysAddr addr, uint32_t len) const {
-  if (!Contains(addr, len)) {
-    std::fprintf(stderr, "physmem: access [%#x, +%u) outside %#x bytes\n", addr, len, size());
-    std::abort();
-  }
-}
-
-uint32_t PhysicalMemory::ReadWord(PhysAddr addr) const {
-  Check(addr, 4);
-  uint32_t value;
-  std::memcpy(&value, bytes_ + addr, 4);
-  return value;
-}
-
-void PhysicalMemory::WriteWord(PhysAddr addr, uint32_t value) {
-  Check(addr, 4);
-  std::memcpy(bytes_ + addr, &value, 4);
-  BumpFrameGeneration(addr);
+void PhysicalMemory::OutOfRange(PhysAddr addr, uint32_t len) const {
+  std::fprintf(stderr, "physmem: access [%#x, +%u) outside %#x bytes\n", addr, len, size());
+  std::abort();
 }
 
 uint8_t PhysicalMemory::ReadByte(PhysAddr addr) const {

@@ -58,9 +58,19 @@ class PhysicalMemory {
   // 32-bit word access. Addr must be word-aligned and in range; violations
   // indicate a kernel bug and abort the simulation (a real 68040 would raise
   // a bus error inside the supervisor, which the paper's kernel treats as
-  // fatal to the MPM).
-  uint32_t ReadWord(PhysAddr addr) const;
-  void WriteWord(PhysAddr addr, uint32_t value);
+  // fatal to the MPM). Inline: every PTE read of the MMU walk and of the
+  // reclaim scan comes through here.
+  uint32_t ReadWord(PhysAddr addr) const {
+    Check(addr, 4);
+    uint32_t value;
+    std::memcpy(&value, bytes_ + addr, 4);
+    return value;
+  }
+  void WriteWord(PhysAddr addr, uint32_t value) {
+    Check(addr, 4);
+    std::memcpy(bytes_ + addr, &value, 4);
+    BumpFrameGeneration(addr);
+  }
 
   uint8_t ReadByte(PhysAddr addr) const;
   void WriteByte(PhysAddr addr, uint8_t value);
@@ -103,7 +113,12 @@ class PhysicalMemory {
   uint32_t NextSlowFrame(uint32_t frame) const;
 
  private:
-  void Check(PhysAddr addr, uint32_t len) const;
+  void Check(PhysAddr addr, uint32_t len) const {
+    if (!Contains(addr, len)) {
+      OutOfRange(addr, len);
+    }
+  }
+  [[noreturn]] void OutOfRange(PhysAddr addr, uint32_t len) const;
   void BumpFrameGenerationRange(PhysAddr addr, uint32_t len) {
     if (len == 0) {
       return;

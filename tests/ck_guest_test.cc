@@ -429,4 +429,39 @@ TEST_F(GuestTest, ConsistencyFaultForwarded) {
   EXPECT_GE(world_->ck().stats().consistency_faults, 0u);
 }
 
+// The asynchronous pager: a fault on a backed page blocks the thread and
+// completes the page-in after the backing-store latency.
+class AsyncPagingKernel : public TestAppKernel {
+ protected:
+  bool UseAsyncPaging() const override { return true; }
+};
+
+// Two threads of one space start on CPUs 0 and 1 in the same backed code
+// page. The second faults while the first one's page-in is in flight: it
+// must wait for that page-in, not start another into a second frame (which
+// left the first waiter blocked forever and its frame out of the pool).
+TEST(AsyncPagingTest, SecondFaultOnAPageInFlightWaitsForIt) {
+  TestWorld world;
+  AsyncPagingKernel app;
+  world.Launch(app);
+  ck::CkApi api(world.ck(), app.self(), world.machine().cpu(0));
+  uint32_t space = app.CreateSpace(api);
+  app.LoadProgramImage(space, MustAssemble("addi a0, r0, 1\nhalt\n", 0x10000),
+                       /*writable=*/false);
+  const uint32_t free_before = app.frames().free_count();
+  uint32_t threads[2];
+  for (uint8_t cpu = 0; cpu < 2; ++cpu) {
+    ckapp::GuestThreadParams params;
+    params.space_index = space;
+    params.entry = 0x10000;
+    params.cpu_hint = cpu;
+    threads[cpu] = app.CreateGuestThread(api, params);
+  }
+  EXPECT_TRUE(world.RunUntil(
+      [&] { return app.thread(threads[0]).finished && app.thread(threads[1]).finished; }))
+      << "a thread that faulted on the page never resumed";
+  EXPECT_EQ(app.paging_stats().pages_in, 1u);
+  EXPECT_EQ(app.frames().free_count(), free_before - 1);
+}
+
 }  // namespace

@@ -119,6 +119,24 @@ TEST(ObjectCacheTest, AllPinnedFails) {
 // Unit level: the scored victim-selection engine (ReclaimScored)
 // ---------------------------------------------------------------------------
 
+// ReclaimScored in chunks of two candidates, each scored in lane order by
+// score(slot, s); false aborts the scan at that candidate.
+template <typename Admit, typename ScoreOne>
+ck::ScoredScan ScoreEach(TestCache& pool, PoolOps& ops, uint64_t& steps, Admit admit,
+                         ScoreOne score) {
+  uint32_t lane_slot[2];
+  return pool.ReclaimScored<2>(
+      ops, steps, admit, [&](uint32_t slot, uint32_t lane) { lane_slot[lane] = slot; },
+      [&](uint32_t n, int64_t* scores) {
+        for (uint32_t i = 0; i < n; ++i) {
+          if (!score(lane_slot[i], scores[i])) {
+            return i;
+          }
+        }
+        return n;
+      });
+}
+
 TEST(ObjectCacheTest, ScoredScanEvictsMinimumScoreFirstWins) {
   TestCache pool(4);
   pool.Allocate();  // slot 0
@@ -129,8 +147,8 @@ TEST(ObjectCacheTest, ScoredScanEvictsMinimumScoreFirstWins) {
   // Scores 5, 3, 3: the minimum is tied between slots 1 and 2; the scan must
   // keep the FIRST minimum it saw.
   const int64_t scores[4] = {5, 3, 3, 0};
-  ck::ScoredScan result = pool.ReclaimScored(
-      ops, steps, [](uint32_t) { return true; },
+  ck::ScoredScan result = ScoreEach(
+      pool, ops, steps, [](uint32_t) { return true; },
       [&](uint32_t slot, int64_t& s) {
         s = scores[slot];
         return true;
@@ -148,8 +166,8 @@ TEST(ObjectCacheTest, ScoredScanHonorsPinAndAdmitFilters) {
   a->pinned = true;
   PoolOps ops{pool};
   uint64_t steps = 0;
-  ck::ScoredScan result = pool.ReclaimScored(
-      ops, steps, [](uint32_t slot) { return slot != 1; },
+  ck::ScoredScan result = ScoreEach(
+      pool, ops, steps, [](uint32_t slot) { return slot != 1; },
       [](uint32_t, int64_t& s) {
         s = 0;
         return true;
@@ -165,13 +183,14 @@ TEST(ObjectCacheTest, ScoredScanAbortEvictsNothing) {
   PoolOps ops{pool};
   uint64_t steps = 0;
   uint32_t scored = 0;
-  ck::ScoredScan result = pool.ReclaimScored(
-      ops, steps, [](uint32_t) { return true; },
+  ck::ScoredScan result = ScoreEach(
+      pool, ops, steps, [](uint32_t) { return true; },
       [&](uint32_t, int64_t& s) {
         s = 0;
         return ++scored < 2;  // abort on the second candidate
       });
   EXPECT_EQ(result, ck::ScoredScan::kAborted);
+  EXPECT_EQ(steps, 2u) << "the scan counts the slots through the aborting candidate";
   EXPECT_EQ(ops.evicted, ck::kNoVictim);
   EXPECT_EQ(pool.in_use(), 2u) << "an aborted scan must not evict";
 }
@@ -182,8 +201,8 @@ TEST(ObjectCacheTest, ScoredScanNoCandidateWhenAllPinnedOrFiltered) {
   pool.Allocate();
   PoolOps ops{pool};
   uint64_t steps = 0;
-  ck::ScoredScan result = pool.ReclaimScored(
-      ops, steps, [](uint32_t) { return false; },  // admit nothing
+  ck::ScoredScan result = ScoreEach(
+      pool, ops, steps, [](uint32_t) { return false; },  // admit nothing
       [](uint32_t, int64_t& s) {
         s = 0;
         return true;
@@ -202,8 +221,8 @@ TEST(ObjectCacheTest, ScoredScanLeavesClockHandAlone) {
   pool.Allocate();  // refill slot 0
   PoolOps ops{pool};
   uint64_t steps = 0;
-  ASSERT_EQ(pool.ReclaimScored(
-                ops, steps, [](uint32_t) { return true; },
+  ASSERT_EQ(ScoreEach(
+                pool, ops, steps, [](uint32_t) { return true; },
                 [](uint32_t slot, int64_t& s) {
                   s = slot;
                   return true;

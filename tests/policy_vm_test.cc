@@ -3,6 +3,11 @@
 //     feature window, byte loads, store/trap/out-of-window faults, budget
 //     exhaustion -- every run also checked against a reference sandbox that
 //     drives the bus-based interpreter (ckisa::Run) through a GuestBus;
+//   * the lane engine: scans of many candidates scored in one pass must be
+//     the reference run one candidate at a time at the shared budget, and
+//     a spinning chunk stays within the harmonic host-work bound;
+//   * a partly faulting scan's counters and CPU clock against the
+//     one-at-a-time scan;
 //   * LoadPolicy validation (argument checks, kDenied without a table,
 //     stale-caller rejection);
 //   * guest-scored victim selection against the Cache Kernel, including the
@@ -16,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -27,6 +34,7 @@
 #include "src/ckpt/checkpoint.h"
 #include "src/ckpt/image.h"
 #include "src/isa/assembler.h"
+#include "src/isa/interpreter.h"
 #include "src/isa/sandbox.h"
 #include "src/obs/trace.h"
 #include "tests/random_program.h"
@@ -339,40 +347,104 @@ INSTANTIATE_TEST_SUITE_P(Generated, PolicySandboxFuzz, ::testing::Range<uint64_t
                          });
 
 // ---------------------------------------------------------------------------
-// One VM per scan: every candidate of a reclaim scan runs in one PolicyVm,
-// and each run must be exactly a fresh RunPolicyProgram.
+// The lane engine: a scan's candidates scored in one pass must be exactly the
+// scan that runs them one at a time on the reference bus, sharing the step
+// budget.
 // ---------------------------------------------------------------------------
 
-// Scores the candidate windows in order through one PolicyVm and requires
-// each result to equal a fresh one-shot run (and the reference bus).
-void ExpectScanMatchesFreshRuns(const std::vector<uint32_t>& words,
-                                const std::vector<std::vector<uint32_t>>& windows,
-                                uint32_t code_base, uint32_t feature_base, uint32_t budget) {
-  ckisa::PolicyVm vm(words.data(), static_cast<uint32_t>(words.size()), code_base, feature_base);
-  for (size_t i = 0; i < windows.size(); ++i) {
-    const std::vector<uint32_t>& w = windows[i];
-    PolicyVmResult fresh = RunChecked(words.data(), static_cast<uint32_t>(words.size()), w.data(),
-                                      static_cast<uint32_t>(w.size()), code_base, feature_base,
-                                      budget);
-    PolicyVmResult scan = vm.Run(w.data(), static_cast<uint32_t>(w.size()), budget);
-    EXPECT_EQ(scan.event, fresh.event) << "candidate " << i;
-    EXPECT_EQ(scan.score, fresh.score) << "candidate " << i;
-    EXPECT_EQ(scan.steps, fresh.steps) << "candidate " << i;
+constexpr uint32_t kLanes = ckisa::PolicyVm::kLanes;
+
+// A scan's candidate windows, kept both ways: one contiguous window per
+// candidate for the reference, and word-major chunks of kLanes for the engine.
+struct ScanInput {
+  uint32_t words = 0;                          // window size
+  std::vector<std::vector<uint32_t>> windows;  // [candidate][word]
+  std::vector<std::vector<uint32_t>> chunks;   // [chunk][word * kLanes + lane]
+};
+
+ScanInput MakeScanInput(uint32_t count, uint32_t words, ckbase::Rng& rng) {
+  ScanInput in;
+  in.words = words;
+  for (uint32_t i = 0; i < count; ++i) {
+    in.windows.push_back(DistinctByteWords(words, rng));
   }
+  for (uint32_t base = 0; base < count; base += kLanes) {
+    std::vector<uint32_t> chunk(words * kLanes, 0);
+    for (uint32_t lane = 0; lane < kLanes && base + lane < count; ++lane) {
+      for (uint32_t w = 0; w < words; ++w) {
+        chunk[w * kLanes + lane] = in.windows[base + lane][w];
+      }
+    }
+    in.chunks.push_back(std::move(chunk));
+  }
+  return in;
 }
 
-std::vector<std::vector<uint32_t>> FeatureWindows(uint32_t count, uint32_t words,
-                                                  ckbase::Rng& rng) {
-  std::vector<std::vector<uint32_t>> windows;
+// The first `count` candidates scored one at a time: each runs on the
+// reference bus with the budget the ones before it left, and the first that
+// does not score stops the scan. Returns the results through that one.
+std::vector<PolicyVmResult> ReferenceScan(const std::vector<uint32_t>& words,
+                                          const ScanInput& in, uint32_t count,
+                                          uint32_t code_base, uint32_t feature_base,
+                                          uint32_t budget) {
+  std::vector<PolicyVmResult> out;
   for (uint32_t i = 0; i < count; ++i) {
-    windows.push_back(DistinctByteWords(words, rng));
+    out.push_back(ReferenceRun(words.data(), static_cast<uint32_t>(words.size()),
+                               in.windows[i].data(), in.words, code_base, feature_base, budget));
+    budget -= out.back().steps;
+    if (out.back().event != PolicyVmEvent::kScore) {
+      break;
+    }
   }
-  return windows;
+  return out;
+}
+
+// The same scan through the engine, a chunk of kLanes per Run.
+std::vector<PolicyVmResult> EngineScan(ckisa::PolicyVm& vm, const ScanInput& in, uint32_t count,
+                                       uint32_t budget) {
+  std::vector<PolicyVmResult> out;
+  for (uint32_t base = 0; base < count; base += kLanes) {
+    const uint32_t lanes = std::min(kLanes, count - base);
+    PolicyVmResult results[kLanes];
+    uint32_t scored =
+        vm.Run(in.chunks[base / kLanes].data(), in.words, kLanes, lanes, budget, results);
+    for (uint32_t i = 0; i < lanes && i <= scored; ++i) {
+      out.push_back(results[i]);
+      budget -= results[i].steps;
+    }
+    if (scored < lanes) {
+      break;
+    }
+  }
+  return out;
+}
+
+// Every candidate gets the reference run at its sequentially shared budget,
+// and the scan stops at the same candidate. Returns the engine's results.
+std::vector<PolicyVmResult> ExpectScanMatchesReference(ckisa::PolicyVm& vm,
+                                                       const std::vector<uint32_t>& words,
+                                                       const ScanInput& in, uint32_t count,
+                                                       uint32_t code_base, uint32_t feature_base,
+                                                       uint32_t budget) {
+  std::vector<PolicyVmResult> want =
+      ReferenceScan(words, in, count, code_base, feature_base, budget);
+  std::vector<PolicyVmResult> got = EngineScan(vm, in, count, budget);
+  EXPECT_EQ(got.size(), want.size())
+      << "scan of " << count << " at budget " << budget << " stops at another candidate";
+  for (size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    EXPECT_EQ(got[i].event, want[i].event) << "candidate " << i << " of " << count << ", budget "
+                                           << budget;
+    EXPECT_EQ(got[i].score, want[i].score) << "candidate " << i << " of " << count << ", budget "
+                                           << budget;
+    EXPECT_EQ(got[i].steps, want[i].steps) << "candidate " << i << " of " << count << ", budget "
+                                           << budget;
+  }
+  return got;
 }
 
 // A program that reads a0, ra, t1 and t2 before it writes them -- through an
 // ALU op, a jal and a word and a byte load -- scores every candidate as a
-// fresh run does: the registers the last candidate left behind are cleared.
+// fresh run does: the registers the last chunk left in a lane are cleared.
 TEST(PolicyVmScanTest, RegistersReadBeforeWrittenStartZeroForEveryCandidate) {
   const std::vector<uint32_t> words = Asm("li t0, " + std::to_string(ck::kPolicyFeatureBase) +
                                           R"(
@@ -388,12 +460,19 @@ TEST(PolicyVmScanTest, RegistersReadBeforeWrittenStartZeroForEveryCandidate) {
       halt
   )");
   ckbase::Rng rng(5);
-  ExpectScanMatchesFreshRuns(words, FeatureWindows(16, ck::kPolicyFeatureWords, rng),
-                             ck::kPolicyCodeBase, ck::kPolicyFeatureBase, 4096);
+  ScanInput in = MakeScanInput(2 * kLanes + 3, ck::kPolicyFeatureWords, rng);
+  ckisa::PolicyVm vm(words.data(), static_cast<uint32_t>(words.size()), ck::kPolicyCodeBase,
+                     ck::kPolicyFeatureBase);
+  for (int scan = 0; scan < 2; ++scan) {
+    EXPECT_EQ(ExpectScanMatchesReference(vm, words, in, 2 * kLanes + 3, ck::kPolicyCodeBase,
+                                         ck::kPolicyFeatureBase, 1u << 20)
+                  .size(),
+              2 * kLanes + 3);
+  }
 }
 
 // Past the 256 words LoadPolicy accepts the program is not decoded for the
-// registers it writes; a write at word 290 must still be cleared.
+// registers it names; a write at word 290 must still be cleared.
 TEST(PolicyVmScanTest, LongProgramsClearEveryRegister) {
   std::vector<uint32_t> words = Asm("add a0, a0, s5\nhalt\n");
   ckbase::Rng rng(6);
@@ -406,19 +485,177 @@ TEST(PolicyVmScanTest, LongProgramsClearEveryRegister) {
   words.insert(words.end(), tail.begin(), tail.end());
   words[1] = ckisa::Encode(ckisa::Op::kJal, ckisa::kRegZero, 0, 288);  // j word 290
   ASSERT_GT(words.size(), 256u);
-  ExpectScanMatchesFreshRuns(words, FeatureWindows(8, ck::kPolicyFeatureWords, rng),
-                             ck::kPolicyCodeBase, ck::kPolicyFeatureBase, 4096);
+  ScanInput in = MakeScanInput(kLanes + 8, ck::kPolicyFeatureWords, rng);
+  ckisa::PolicyVm vm(words.data(), static_cast<uint32_t>(words.size()), ck::kPolicyCodeBase,
+                     ck::kPolicyFeatureBase);
+  ExpectScanMatchesReference(vm, words, in, kLanes + 8, ck::kPolicyCodeBase,
+                             ck::kPolicyFeatureBase, 1u << 20);
 }
 
-// The 64 generated programs, each scoring a scan of eight candidates in one
-// PolicyVm at the budgets the scan shares.
-TEST_P(PolicySandboxFuzz, GeneratedProgramsScoreAScanAsFreshRuns) {
-  const cktest::ProgramLayout layout;
-  std::vector<uint32_t> words = cktest::GenerateProgram(GetParam(), layout);
-  ckbase::Rng rng(GetParam());
-  std::vector<std::vector<uint32_t>> windows = FeatureWindows(8, ck::kPolicyFeatureWords, rng);
-  for (uint32_t budget : {7u, 64u, CacheKernelConfig().policy_step_budget}) {
-    ExpectScanMatchesFreshRuns(words, windows, layout.code_base, layout.data_base, budget);
+// Programs whose lanes go different ways on their features: a jalr through a
+// jump table indexed by the slot word (one entry faults), and a branch that
+// sends one lane in eight to an out-of-window load. The generated programs'
+// addresses are constants, so only these fault on some lanes of a scan.
+const char* const kDivergentSources[] = {
+    R"(
+      li   t0, 0x1000
+      lw   t1, 0(t0)
+      andi t1, t1, 3
+      addi t2, r0, 2
+      sll  t1, t1, t2
+      la   t3, table
+      add  t3, t3, t1
+      jalr ra, t3
+  table:
+      j    zero
+      j    one
+      j    two
+      lw   a0, 64(t0)
+  zero:
+      addi a0, a0, 1
+  one:
+      addi a0, a0, 10
+  two:
+      addi a0, a0, 100
+      add  a0, a0, ra
+      halt
+  )",
+    R"(
+      li   t0, 0x1000
+      lw   t1, 4(t0)
+      andi t1, t1, 7
+      bne  t1, r0, fine
+      lw   a0, 64(t0)
+  fine:
+      lw   a0, 16(t0)
+      add  a0, a0, t1
+      halt
+  )"};
+
+// The 64 generated programs of the sandbox fuzz -- as written for a guest,
+// with the 8-word policy window, and in their read-only sandbox form, with a
+// window over both data pages -- and the divergent programs above, each
+// scoring scans of 1 to 200 candidates (one short of, at and one past 64 and
+// 128 lanes) at the budgets the scans share. Together they must take
+// branches that split lanes, run loops, jump through jalr and fault on some
+// lanes of a scan only.
+TEST(PolicyVmScanTest, ScansMatchTheReference) {
+  struct Case {
+    std::vector<uint32_t> words;
+    uint32_t code_base;
+    uint32_t feature_base;
+    uint32_t window;
+  };
+  const uint32_t kDataPageWords = 2 * cksim::kPageSize / 4;
+  cktest::ProgramLayout layout;
+  cktest::ProgramLayout read_only = layout;
+  read_only.read_only = true;
+  std::vector<Case> cases;
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    cases.push_back({cktest::GenerateProgram(seed, layout), layout.code_base, layout.data_base,
+                     ck::kPolicyFeatureWords});
+    cases.push_back({cktest::GenerateProgram(seed, read_only), layout.code_base,
+                     layout.data_base, kDataPageWords});
+  }
+  for (const char* source : kDivergentSources) {
+    cases.push_back(
+        {Asm(source), ck::kPolicyCodeBase, ck::kPolicyFeatureBase, ck::kPolicyFeatureWords});
+  }
+  uint32_t split = 0;
+  uint32_t looped = 0;
+  uint32_t jalr = 0;
+  uint32_t partly_faulted = 0;
+  ckbase::Rng rng(23);
+  for (size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("program " + std::to_string(c));
+    const Case& k = cases[c];
+    for (uint32_t word : k.words) {
+      jalr += ckisa::Decode(word).op == ckisa::Op::kJalr ? 1 : 0;
+    }
+    ScanInput in = MakeScanInput(200, k.window, rng);
+    ckisa::PolicyVm vm(k.words.data(), static_cast<uint32_t>(k.words.size()), k.code_base,
+                       k.feature_base);
+    for (uint32_t count : {1u, 63u, 64u, 65u, 128u, 129u, 200u}) {
+      for (uint32_t budget : {1u, 7u, 64u, CacheKernelConfig().policy_step_budget}) {
+        std::vector<PolicyVmResult> got = ExpectScanMatchesReference(
+            vm, k.words, in, count, k.code_base, k.feature_base, budget);
+        for (const PolicyVmResult& r : got) {
+          split += r.event == PolicyVmEvent::kScore && r.steps != got[0].steps ? 1 : 0;
+          looped += r.steps > k.words.size() ? 1 : 0;
+        }
+        partly_faulted += got.size() > 1 && got.back().event == PolicyVmEvent::kFault ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(split, 0u) << "no scan scored lanes that went different ways";
+  EXPECT_GT(looped, 0u) << "no lane ran a loop";
+  EXPECT_GT(jalr, 0u) << "no program jumps through jalr";
+  EXPECT_GT(partly_faulted, 0u) << "no scan faulted on a lane after others scored";
+}
+
+// A scan of candidates whose windows hold one word each.
+ScanInput ScanOf(const std::vector<uint32_t>& words) {
+  ScanInput in;
+  in.words = ck::kPolicyFeatureWords;
+  in.chunks.assign(1, std::vector<uint32_t>(ck::kPolicyFeatureWords * kLanes, 0));
+  for (uint32_t lane = 0; lane < words.size(); ++lane) {
+    in.windows.push_back(std::vector<uint32_t>(ck::kPolicyFeatureWords, 0));
+    in.windows.back()[0] = words[lane];
+    in.chunks[0][lane] = words[lane];
+  }
+  return in;
+}
+
+// Every budget from 0 to one past what the scan needs, so each lane in turn
+// runs out exactly at, one short of and one past its end: a halt, and a jump
+// out of the code whose fetch fault needs one step of budget more than it
+// retires.
+TEST(PolicyVmScanTest, BudgetCutsMatchTheReferenceAtEveryBoundary) {
+  const std::vector<uint32_t> words = Asm(R"(
+      li   t0, 0x1000
+      lw   t1, 0(t0)        ; loop count; 0 jumps out of the code
+      beq  t1, r0, out
+  loop:
+      addi t1, t1, -1
+      bne  t1, r0, loop
+      halt
+  out:
+      jalr zero, t0
+  )");
+  ckisa::PolicyVm vm(words.data(), static_cast<uint32_t>(words.size()), ck::kPolicyCodeBase,
+                     ck::kPolicyFeatureBase);
+  const std::vector<std::vector<uint32_t>> scans = {
+      {3, 0, 2}, {0, 3}, {3, 2, 0, 1}, {1, 1, 1, 1, 1, 0}};
+  for (const std::vector<uint32_t>& counts : scans) {
+    const ScanInput in = ScanOf(counts);
+    for (uint32_t budget = 0; budget <= 60; ++budget) {
+      ExpectScanMatchesReference(vm, words, in, static_cast<uint32_t>(counts.size()),
+                                 ck::kPolicyCodeBase, ck::kPolicyFeatureBase, budget);
+    }
+  }
+}
+
+// A program that spins over a full chunk. Its lanes stay together, so under
+// the rule that lane k runs only while its steps stay below the budget less
+// what lanes 0..k-1 have run, lane k runs exactly floor(budget / (k + 1))
+// steps: budget * H(lanes) <= budget * (1 + ln lanes) lane-steps in all.
+TEST(PolicyVmScanTest, SelfLoopOverAFullChunkStaysWithinTheHarmonicBound) {
+  const std::vector<uint32_t> spin = Asm("loop: j loop\n");
+  std::vector<uint32_t> window(ck::kPolicyFeatureWords * kLanes, 0);
+  for (uint32_t budget : {1u, 7u, 64u, 4096u, 100000u}) {
+    ckisa::PolicyVm vm(spin.data(), static_cast<uint32_t>(spin.size()), ck::kPolicyCodeBase,
+                       ck::kPolicyFeatureBase);
+    PolicyVmResult out[kLanes];
+    EXPECT_EQ(vm.Run(window.data(), ck::kPolicyFeatureWords, kLanes, kLanes, budget, out), 0u);
+    EXPECT_EQ(out[0].event, PolicyVmEvent::kBudget);
+    EXPECT_EQ(out[0].steps, budget);
+    uint64_t lockstep = 0;
+    for (uint32_t k = 0; k < kLanes; ++k) {
+      lockstep += budget / (k + 1);
+    }
+    EXPECT_EQ(vm.lane_steps(), lockstep) << "budget " << budget;
+    EXPECT_LE(static_cast<double>(vm.lane_steps()), budget * (1 + std::log(double{kLanes})))
+        << "budget " << budget;
   }
 }
 
@@ -727,6 +964,110 @@ TEST_F(PolicyVmTest, GuestWithNoOwnCandidatesFallsBackToClock) {
   ASSERT_GE(TraceCount(obs::EventType::kPolicyFallback, &arg32), 1u);
   EXPECT_EQ(arg32 & 0xff, static_cast<uint32_t>(PolicyFallback::kNoCandidate));
   ExpectClean();
+}
+
+// What the mapping load that forces one reclaim scan changed: every CkStats
+// word, and CPU 0's clock.
+struct ForcedReclaim {
+  uint64_t stats[sizeof(ck::CkStats) / sizeof(uint64_t)];
+  cksim::Cycles clock = 0;
+};
+
+// One kernel fills a 12-entry mapping cache (the records take slots 0..11 in
+// load order), installs `program` as its mapping policy (none when empty)
+// and loads a 13th mapping.
+ForcedReclaim ForceMappingReclaim(const std::string& program, uint32_t candidates) {
+  cksim::MachineConfig mc;
+  mc.memory_bytes = 8u << 20;
+  cksim::Machine machine(mc);
+  CacheKernelConfig config;
+  config.mapping_slots = candidates;
+  CacheKernel ck(machine, config);
+  PolicyKernel app;
+  KernelId id = ck.BootFirstKernel(&app, 0);
+  CkApi api(ck, id, machine.cpu(0));
+  ckbase::Result<SpaceId> space = api.LoadSpace(1);
+  EXPECT_TRUE(space.ok());
+  auto map = [&](uint32_t page) {
+    ck::MappingSpec spec;
+    spec.space = space.value();
+    spec.vaddr = 0x10000 + page * cksim::kPageSize;
+    spec.paddr = 0x100000 + page * cksim::kPageSize;
+    return api.LoadMapping(spec);
+  };
+  for (uint32_t page = 0; page < candidates; ++page) {
+    EXPECT_EQ(map(page), CkStatus::kOk);
+  }
+  if (!program.empty()) {
+    std::vector<uint32_t> words = Asm(program);
+    EXPECT_EQ(api.LoadPolicy(ObjectType::kMapping, words.data(),
+                             static_cast<uint32_t>(words.size())),
+              CkStatus::kOk);
+  }
+  ForcedReclaim out;
+  std::memcpy(out.stats, &ck.stats(), sizeof(out.stats));
+  const cksim::Cycles clock = machine.cpu(0).clock();
+  EXPECT_EQ(map(candidates), CkStatus::kOk);
+  uint64_t after[sizeof(out.stats) / sizeof(uint64_t)];
+  std::memcpy(after, &ck.stats(), sizeof(after));
+  for (size_t i = 0; i < std::size(after); ++i) {
+    out.stats[i] = after[i] - out.stats[i];
+  }
+  out.clock = machine.cpu(0).clock() - clock;
+  EXPECT_TRUE(ck.ValidateInvariants().empty());
+  return out;
+}
+
+// A program that faults on one candidate in the middle of a scan and scores
+// the rest. The engine gathers every candidate's window first, but the scan
+// must charge and count as one that runs the candidates one at a time and
+// stops at the fault: the runs and steps through it, the referenced-bit
+// walks (two table levels each) through it, its scan steps, then the clock
+// fallback -- which costs what a scan with no policy at all costs.
+TEST(PolicyVmKernelTest, PartlyFaultingScanChargesAsOneCandidateAtATime) {
+  constexpr uint32_t kCandidates = 12;
+  constexpr uint32_t kFaulting = 5;
+  const std::string program = "li t0, " + std::to_string(ck::kPolicyFeatureBase) + R"(
+      lw   t1, 0(t0)
+      addi t2, r0, )" + std::to_string(kFaulting) + R"(
+      bne  t1, t2, fine
+      lw   a0, 64(t0)
+  fine:
+      lw   a0, 16(t0)
+      halt
+  )";
+  const ForcedReclaim clock_only = ForceMappingReclaim("", kCandidates);
+  const ForcedReclaim guest = ForceMappingReclaim(program, kCandidates);
+
+  // The one-at-a-time scan: candidates in slot order, each run at the
+  // budget the ones before it left, through the faulting one.
+  const std::vector<uint32_t> words = Asm(program);
+  uint32_t budget = CacheKernelConfig().policy_step_budget;
+  uint64_t vm_steps = 0;
+  for (uint32_t slot = 0; slot <= kFaulting; ++slot) {
+    const uint32_t window[ck::kPolicyFeatureWords] = {slot};
+    PolicyVmResult r = ReferenceRun(words.data(), static_cast<uint32_t>(words.size()), window,
+                                    ck::kPolicyFeatureWords, ck::kPolicyCodeBase,
+                                    ck::kPolicyFeatureBase, budget);
+    ASSERT_EQ(r.event, slot == kFaulting ? PolicyVmEvent::kFault : PolicyVmEvent::kScore);
+    vm_steps += r.steps;
+    budget -= r.steps;
+  }
+  ck::CkStats want;
+  std::memcpy(&want, clock_only.stats, sizeof(want));
+  want.policy_vm_runs += kFaulting + 1;
+  want.policy_vm_steps += vm_steps;
+  want.policy_vm_faults += 1;
+  want.policy_fallbacks += 1;
+  want.reclaim_scan_steps[static_cast<uint32_t>(ObjectType::kMapping)] += kFaulting + 1;
+  uint64_t want_words[std::size(guest.stats)];
+  std::memcpy(want_words, &want, sizeof(want_words));
+  for (size_t i = 0; i < std::size(want_words); ++i) {
+    EXPECT_EQ(guest.stats[i], want_words[i]) << "CkStats word " << i;
+  }
+  const cksim::CostModel cost;
+  EXPECT_EQ(guest.clock, clock_only.clock + (kFaulting + 1) * 2 * cost.table_walk_level)
+      << "walks past the faulting candidate were charged";
 }
 
 // ---------------------------------------------------------------------------

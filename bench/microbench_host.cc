@@ -64,6 +64,41 @@ void BM_TlbLookupHit(benchmark::State& state) {
 }
 BENCHMARK(BM_TlbLookupHit);
 
+void BM_NativeLoadHit(benchmark::State& state) {
+  // One native load (CacheKernel::GuestLoad, behind NativeCtx::LoadWord) of a
+  // resident page: the thread, kernel and space pool lookups, the inline TLB
+  // hit, the remote-frame check and the word read. items = loads.
+  ckbench::World world;
+  ckapp::AppKernelBase app("native", 64);
+  world.Launch(app);
+  ck::CkApi api = world.ApiFor(app);
+  ck::SpaceId space = api.LoadSpace(0, false).value();
+  ck::ThreadSpec thread_spec;
+  thread_spec.space = space;
+  thread_spec.start_blocked = true;
+  thread_spec.cpu_hint = 0;
+  ck::ThreadId thread = api.LoadThread(thread_spec).value();
+  ck::MappingSpec mapping;
+  mapping.space = space;
+  mapping.vaddr = 0x00400000;
+  mapping.paddr = app.frames().Allocate();
+  mapping.flags.writable = true;
+  if (api.LoadMapping(mapping) != ckbase::CkStatus::kOk) {
+    state.SkipWithError("LoadMapping failed");
+    return;
+  }
+  cksim::Cpu& cpu = world.machine().cpu(0);
+  ck::CacheKernel& kernel = world.ck();
+  kernel.GuestLoad(api.self(), cpu, thread, mapping.vaddr);  // fill the TLB entry
+  uint32_t word = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        kernel.GuestLoad(api.self(), cpu, thread, mapping.vaddr + (word++ & 1023u) * 4));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NativeLoadHit);
+
 void BM_MicroTlbHit(benchmark::State& state) {
   // The hint check of the trace executor's data translation: direct-mapped
   // hint lookup, two compares, re-validation against the live hardware-TLB

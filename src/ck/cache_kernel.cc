@@ -883,7 +883,10 @@ struct CacheKernel::MappingVictimOps {
   bool Occupied(uint32_t index) const {
     return ck.pmap_.record(index).type() == RecordType::kPhysToVirt;
   }
-  bool Pinned(uint32_t index) { return ck.MappingEffectivelyLocked(index); }
+  // Most records are unlocked: test the bit before the call walks the pin chain.
+  bool Pinned(uint32_t index) {
+    return ck.pmap_.record(index).pv_locked() && ck.MappingEffectivelyLocked(index);
+  }
   // The mapping caches' referenced bit is the real one in the leaf PTE; the
   // walk and the clearing write are charged like any other table access.
   bool TestAndClearReferenced(uint32_t index) {

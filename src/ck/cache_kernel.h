@@ -455,8 +455,34 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   };
 
   // GuestLoad (kRead) and GuestStore (kWrite): a load returns the word read.
-  Result<uint32_t> GuestAccess(KernelId caller, cksim::Cpu& cpu, ThreadId thread,
-                               cksim::VirtAddr vaddr, cksim::Access access, uint32_t value);
+  // A translation to a local frame that raises no signal completes here, at
+  // the call site; GuestAccessSlow takes every other outcome of it.
+  Result<uint32_t> GuestAccess(KernelId caller, cksim::Cpu& cpu, ThreadId thread_id,
+                               cksim::VirtAddr vaddr, cksim::Access access, uint32_t value) {
+    ThreadObject* thread = GetThread(thread_id);
+    KernelObject* owner = GetKernel(caller);
+    AddressSpaceObject* space = nullptr;
+    if (thread == nullptr || owner == nullptr || kernels_.SlotAt(thread->kernel_slot) != owner ||
+        (space = spaces_.Lookup({thread->space_slot, thread->space_gen})) == nullptr) {
+      return CkStatus::kStale;
+    }
+    cksim::Mmu::TranslateResult t = cpu.mmu().Translate(
+        space->root_table, static_cast<uint16_t>(thread->space_slot), vaddr, access);
+    if (!t.ok || FrameIsRemote(cksim::PageFrame(t.paddr)) ||
+        (t.message_write && config_.signal_on_write)) {
+      return GuestAccessSlow(thread, cpu, thread_id, vaddr, access, value, t);
+    }
+    cpu.Advance(t.cycles + machine_.cost().mem_word);
+    if (access == cksim::Access::kRead) {
+      return machine_.memory().ReadWord(t.paddr & ~3u);
+    }
+    machine_.memory().WriteWord(t.paddr & ~3u, value);
+    return value;
+  }
+  // Fault forwarding and up to two retries, and the signal-on-write assist.
+  Result<uint32_t> GuestAccessSlow(ThreadObject* thread, cksim::Cpu& cpu, ThreadId thread_id,
+                                   cksim::VirtAddr vaddr, cksim::Access access, uint32_t value,
+                                   cksim::Mmu::TranslateResult t);
 
   // -- tracing --
   // The emitting CPU's trace ring; nullptr until Machine::EnableTracing.

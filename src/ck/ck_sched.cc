@@ -126,28 +126,16 @@ class GuestBusImpl : public ckisa::GuestBus {
 // Native application memory access
 // ---------------------------------------------------------------------------
 
-Result<uint32_t> CacheKernel::GuestAccess(KernelId caller, cksim::Cpu& cpu, ThreadId thread_id,
-                                          VirtAddr vaddr, cksim::Access access, uint32_t value) {
-  ThreadObject* thread = GetThread(thread_id);
-  KernelObject* owner = GetKernel(caller);
-  if (thread == nullptr || owner == nullptr || kernels_.SlotAt(thread->kernel_slot) != owner) {
-    return CkStatus::kStale;
-  }
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    AddressSpaceObject* space =
-        spaces_.Lookup(ckbase::PoolId{thread->space_slot, thread->space_gen});
-    if (space == nullptr) {
-      return CkStatus::kStale;
-    }
-    cksim::Mmu::TranslateResult t = cpu.mmu().Translate(
-        space->root_table, static_cast<uint16_t>(thread->space_slot), vaddr, access);
+Result<uint32_t> CacheKernel::GuestAccessSlow(ThreadObject* thread, cksim::Cpu& cpu,
+                                              ThreadId thread_id, VirtAddr vaddr,
+                                              cksim::Access access, uint32_t value,
+                                              cksim::Mmu::TranslateResult t) {
+  for (int attempt = 1;; ++attempt) {
     cpu.Advance(t.cycles);
-    if (t.ok) {
-      if (FrameIsRemote(cksim::PageFrame(t.paddr))) {
-        stats_.consistency_faults++;
-        ForwardFault(thread, cpu, {cksim::FaultType::kConsistency, vaddr, access});
-        continue;
-      }
+    if (t.ok && FrameIsRemote(cksim::PageFrame(t.paddr))) {
+      stats_.consistency_faults++;
+      ForwardFault(thread, cpu, {cksim::FaultType::kConsistency, vaddr, access});
+    } else if (t.ok) {
       cpu.Advance(machine_.cost().mem_word);
       if (access == cksim::Access::kRead) {
         return machine_.memory().ReadWord(t.paddr & ~3u);
@@ -158,14 +146,24 @@ Result<uint32_t> CacheKernel::GuestAccess(KernelId caller, cksim::Cpu& cpu, Thre
                              cpu.clock(), &cpu);
       }
       return value;
+    } else {
+      ForwardFault(thread, cpu, t.fault);
+      if (GetThread(thread_id) == nullptr || thread->state == ThreadState::kHalted ||
+          thread->state == ThreadState::kBlocked) {
+        return CkStatus::kBusy;  // the handler blocked or killed the thread
+      }
     }
-    ForwardFault(thread, cpu, t.fault);
-    if (GetThread(thread_id) == nullptr || thread->state == ThreadState::kHalted ||
-        thread->state == ThreadState::kBlocked) {
-      return CkStatus::kBusy;  // the handler blocked or killed the thread
+    if (attempt == 3) {
+      return CkStatus::kNotFound;
     }
+    AddressSpaceObject* space =
+        spaces_.Lookup(ckbase::PoolId{thread->space_slot, thread->space_gen});
+    if (space == nullptr) {
+      return CkStatus::kStale;
+    }
+    t = cpu.mmu().Translate(space->root_table, static_cast<uint16_t>(thread->space_slot), vaddr,
+                            access);
   }
-  return CkStatus::kNotFound;
 }
 
 // ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@
 #ifndef SRC_CK_OBJECT_CACHE_H_
 #define SRC_CK_OBJECT_CACHE_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "src/base/zeroed_array.h"
@@ -135,6 +136,7 @@ class ObjectCache : public Store {
  public:
   explicit ObjectCache(uint32_t capacity)
       : Store(capacity), load_seq_(capacity) {}
+  ~ObjectCache() { load_seq_.set_used(load_extent_); }
 
   // ---- loaded/free accounting ----
   // Every load stamps the slot with a monotonic sequence number (load age);
@@ -145,6 +147,7 @@ class ObjectCache : public Store {
       ++loaded_;
     }
     load_seq_[slot] = ++load_clock_;
+    load_extent_ = std::max(load_extent_, slot + 1);
   }
   void OnRelease(uint32_t slot) {
     if (load_seq_[slot] != 0) {
@@ -254,6 +257,7 @@ class ObjectCache : public Store {
   uint32_t hand_ = 0;                       // replacement hand (per-cache, was per-type)
   uint32_t loaded_ = 0;                     // slots with a nonzero load stamp
   uint64_t load_clock_ = 0;                 // monotonic load counter
+  uint32_t load_extent_ = 0;                // slots from here on were never loaded
   ckbase::ZeroedArray<uint64_t> load_seq_;  // [slot] -> load stamp, 0 when free
 };
 

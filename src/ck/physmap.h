@@ -23,8 +23,9 @@
 // bump index, freed ones from the free list first (last freed first): the
 // order of a pool chained whole at construction. The records start as zeros
 // (kFree) that no set-up writes, so a map pays only for the records a run
-// uses. Replacement over pv records lives in the ObjectCache wrapper
-// (src/ck/object_cache.h), not here.
+// uses, and the next map to reuse them zeroes only [0, bump). Replacement
+// over pv records lives in the ObjectCache wrapper (src/ck/object_cache.h),
+// not here.
 
 #ifndef SRC_CK_PHYSMAP_H_
 #define SRC_CK_PHYSMAP_H_
@@ -97,6 +98,7 @@ static_assert(sizeof(MemMapEntry) == 16, "Table 1: MemMapEntry must be 16 bytes"
 class PhysicalMemoryMap {
  public:
   explicit PhysicalMemoryMap(uint32_t capacity);
+  ~PhysicalMemoryMap() { records_.set_used(bump_); }
 
   uint32_t capacity() const { return records_.size(); }
   uint32_t in_use() const { return in_use_; }

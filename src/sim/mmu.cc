@@ -13,13 +13,10 @@ Fault MakeFault(FaultType type, VirtAddr vaddr, Access access) {
 
 }  // namespace
 
-Mmu::TranslateResult Mmu::Translate(PhysAddr root_paddr, uint16_t asid, VirtAddr vaddr,
-                                    Access access) {
+Mmu::TranslateResult Mmu::TranslateSlow(PhysAddr root_paddr, uint16_t asid, VirtAddr vaddr,
+                                        Access access, Tlb::LookupResult hit) {
   TranslateResult result;
   uint32_t vpage = vaddr >> kPageShift;
-
-  // Fast path: TLB hit.
-  Tlb::LookupResult hit = tlb_.Lookup(asid, vpage);
   uint32_t flags = 0;
   uint32_t pframe = 0;
   if (hit.hit) {

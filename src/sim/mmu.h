@@ -7,6 +7,13 @@
 // 2.1), raises mapping/protection/consistency faults, and flags stores to
 // message-mode pages so the machine can generate address-valued signals
 // (ParaDiGM's signal-on-write assist, section 2.2 footnote).
+//
+// Translate makes exactly one TLB Lookup. It returns inline on a hit that
+// updates no PTE -- any fetch or read, or a store to a writable, modified
+// page that is not copy-on-write -- and hands every other outcome (the walk
+// and fill, the protection faults, the first store's write-through of the
+// modified bit) to one out-of-line function along with that Lookup's result.
+// Both return exactly what one function doing all of it would.
 
 #ifndef SRC_SIM_MMU_H_
 #define SRC_SIM_MMU_H_
@@ -37,7 +44,20 @@ class Mmu {
   // Translate one access in the space whose root table is at root_paddr
   // (0 means "no address space loaded" -> mapping fault). asid tags TLB
   // entries and must correspond 1:1 with root_paddr.
-  TranslateResult Translate(PhysAddr root_paddr, uint16_t asid, VirtAddr vaddr, Access access);
+  TranslateResult Translate(PhysAddr root_paddr, uint16_t asid, VirtAddr vaddr, Access access) {
+    Tlb::LookupResult hit = tlb_.Lookup(asid, vaddr >> kPageShift);
+    constexpr uint32_t kWriteReady = kPteWritable | kPteModified;
+    if (hit.hit && (access != Access::kWrite ||
+                    (hit.flags & (kWriteReady | kPteCopyOnWrite)) == kWriteReady)) {
+      TranslateResult result;
+      result.ok = true;
+      result.paddr = FrameBase(hit.pframe) | (vaddr & kPageOffsetMask);
+      result.message_write = access == Access::kWrite && (hit.flags & kPteMessage) != 0;
+      result.cycles = cost_.tlb_hit;
+      return result;
+    }
+    return TranslateSlow(root_paddr, asid, vaddr, access, hit);
+  }
 
   Tlb& tlb() { return tlb_; }
   const Tlb& tlb() const { return tlb_; }
@@ -50,6 +70,10 @@ class Mmu {
   }
 
  private:
+  // Every outcome but an inline hit, given the one Lookup's result.
+  TranslateResult TranslateSlow(PhysAddr root_paddr, uint16_t asid, VirtAddr vaddr, Access access,
+                                Tlb::LookupResult hit);
+
   PhysicalMemory& memory_;
   const CostModel& cost_;
   Tlb tlb_;

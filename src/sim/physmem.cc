@@ -1,34 +1,19 @@
 #include "src/sim/physmem.h"
 
-#include <sanitizer/asan_interface.h>  // no-op macros outside ASan builds
-
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <utility>
+
+#include "src/base/spare_list.h"
 
 namespace cksim {
 namespace {
 
-// RAM of a destroyed memory and the store generations that say which of its
-// frames were written.
-struct SpareRam {
-  uint8_t* bytes;
-  uint32_t size;
-  std::vector<uint64_t> frame_gen;
-};
-
-struct SpareList {
-  std::mutex mutex;
-  std::vector<SpareRam> ram;
-};
-
-SpareList& Spares() {
-  // Never destroyed, and its RAM never freed: a memory in static storage may
-  // die after every function-local static.
-  static SpareList* const spares = new SpareList;
-  return *spares;
+// A destroyed memory's RAM waits with its store generations, which say
+// which of its frames were written.
+ckbase::SpareList<std::vector<uint64_t>>& Spares() {
+  return ckbase::SpareList<std::vector<uint64_t>>::Get();
 }
 
 }  // namespace
@@ -37,21 +22,8 @@ PhysicalMemory::PhysicalMemory(uint32_t size_bytes) {
   // Round up to a whole number of page groups.
   size_ = ((size_bytes + kPageGroupBytes - 1) / kPageGroupBytes) * kPageGroupBytes;
   const uint32_t frames = size_ / kPageSize;
-  {
-    SpareList& spares = Spares();
-    std::lock_guard<std::mutex> lock(spares.mutex);
-    // The most recently destroyed memory first: its RAM is the warmest.
-    for (auto it = spares.ram.end(); it != spares.ram.begin();) {
-      if ((--it)->size == size_) {
-        bytes_ = it->bytes;
-        frame_gen_ = std::move(it->frame_gen);
-        spares.ram.erase(it);
-        break;
-      }
-    }
-  }
+  bytes_ = static_cast<uint8_t*>(Spares().Take(size_, frame_gen_));
   if (bytes_ != nullptr) {
-    ASAN_UNPOISON_MEMORY_REGION(bytes_, size_);
     for (uint32_t f = 0; f < frames; ++f) {
       if (frame_gen_[f] != 0) {
         std::memset(bytes_ + f * kPageSize, 0, kPageSize);
@@ -71,12 +43,7 @@ PhysicalMemory::PhysicalMemory(uint32_t size_bytes) {
   tier_count_[static_cast<uint8_t>(MemTier::kNone)] = frames;
 }
 
-PhysicalMemory::~PhysicalMemory() {
-  ASAN_POISON_MEMORY_REGION(bytes_, size_);
-  SpareList& spares = Spares();
-  std::lock_guard<std::mutex> lock(spares.mutex);
-  spares.ram.push_back({bytes_, size_, std::move(frame_gen_)});
-}
+PhysicalMemory::~PhysicalMemory() { Spares().Give(bytes_, size_, std::move(frame_gen_)); }
 
 uint32_t PhysicalMemory::NextSlowFrame(uint32_t frame) const {
   uint32_t word = frame >> 6;

@@ -8,11 +8,11 @@
 //
 // A new memory reads as all zeros, but set-up pays only for what runs touch.
 // Fresh RAM comes from calloc, so frames no run writes never become resident.
-// A destroyed memory's RAM waits on one process-wide spare list (keyed by
-// size, guarded by a mutex, ASan-poisoned while it waits); the next memory of
-// that size takes it and zeroes only the frames whose store generation is
-// nonzero -- every store path bumps it, so those are exactly the frames the
-// previous owner wrote.
+// A destroyed memory's RAM waits on the process-wide spare list
+// (src/base/spare_list.h: keyed by size, ASan-poisoned while it waits); the
+// next memory of that size takes it and zeroes only the frames whose store
+// generation is nonzero -- every store path bumps it, so those are exactly
+// the frames the previous owner wrote.
 
 #ifndef SRC_SIM_PHYSMEM_H_
 #define SRC_SIM_PHYSMEM_H_

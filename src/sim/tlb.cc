@@ -1,27 +1,17 @@
 #include "src/sim/tlb.h"
 
+#include <bit>
+#include <cstdio>
+#include <cstdlib>
+
 namespace cksim {
 
-Tlb::Tlb(uint32_t entries, uint32_t ways) : entries_(entries), sets_(entries / ways), ways_(ways) {}
-
-uint32_t Tlb::SetOf(uint16_t asid, uint32_t vpage) const {
-  // Mix asid and page so different spaces do not collide on the same sets.
-  uint32_t h = vpage ^ (static_cast<uint32_t>(asid) * 0x9e3779b1u);
-  return (h % sets_) * ways_;
-}
-
-Tlb::LookupResult Tlb::Lookup(uint16_t asid, uint32_t vpage) {
-  uint32_t base = SetOf(asid, vpage);
-  for (uint32_t w = 0; w < ways_; ++w) {
-    TlbEntry& e = entries_[base + w];
-    if (e.valid && e.asid == asid && e.vpage == vpage) {
-      e.lru = ++tick_;
-      ++hits_;
-      return LookupResult{true, e.pframe, e.flags};
-    }
+Tlb::Tlb(uint32_t entries, uint32_t ways) : entries_(entries), sets_(entries / ways), ways_(ways) {
+  if (!std::has_single_bit(sets_)) {
+    std::fprintf(stderr, "tlb: %u entries in %u ways is not a power-of-two set count\n", entries,
+                 ways);
+    std::abort();
   }
-  ++misses_;
-  return LookupResult{};
 }
 
 void Tlb::Insert(uint16_t asid, uint32_t vpage, uint32_t pframe, uint8_t flags) {
@@ -43,17 +33,6 @@ void Tlb::Insert(uint16_t asid, uint32_t vpage, uint32_t pframe, uint8_t flags) 
     }
   }
   *victim = TlbEntry{true, asid, vpage, pframe, flags, ++tick_};
-}
-
-int32_t Tlb::Probe(uint16_t asid, uint32_t vpage) const {
-  uint32_t base = SetOf(asid, vpage);
-  for (uint32_t w = 0; w < ways_; ++w) {
-    const TlbEntry& e = entries_[base + w];
-    if (e.valid && e.asid == asid && e.vpage == vpage) {
-      return static_cast<int32_t>(base + w);
-    }
-  }
-  return -1;
 }
 
 void Tlb::FlushPage(uint16_t asid, uint32_t vpage) {

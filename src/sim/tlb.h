@@ -5,6 +5,11 @@
 // ("when unloading an address space, the mappings associated with that
 // address space must be removed from the hardware TLB and/or page tables",
 // section 4.2) -- the flush interfaces here are what that code calls.
+//
+// Lookup, Probe and the set index are inline: every translation makes one
+// Lookup, and a hit should cost what it costs on the hardware, one set probe
+// with its LRU and hit bookkeeping and no call. The set count must be a power
+// of two (the constructor aborts otherwise), so the index is a mask.
 
 #ifndef SRC_SIM_TLB_H_
 #define SRC_SIM_TLB_H_
@@ -32,7 +37,7 @@ struct TlbEntry {
 class Tlb {
  public:
   // 64 entries, 4-way set associative by default (roughly 68040-class: the
-  // real part had a 64-entry ATC).
+  // real part had a 64-entry ATC). entries / ways must be a power of two.
   explicit Tlb(uint32_t entries = 64, uint32_t ways = 4);
 
   struct LookupResult {
@@ -41,7 +46,19 @@ class Tlb {
     uint8_t flags = 0;
   };
 
-  LookupResult Lookup(uint16_t asid, uint32_t vpage);
+  LookupResult Lookup(uint16_t asid, uint32_t vpage) {
+    TlbEntry* set = &entries_[SetOf(asid, vpage)];
+    for (uint32_t w = 0; w < ways_; ++w) {
+      TlbEntry& e = set[w];
+      if (e.valid && e.asid == asid && e.vpage == vpage) {
+        e.lru = ++tick_;
+        ++hits_;
+        return LookupResult{true, e.pframe, e.flags};
+      }
+    }
+    ++misses_;
+    return LookupResult{};
+  }
   void Insert(uint16_t asid, uint32_t vpage, uint32_t pframe, uint8_t flags);
 
   // Invalidate a single page of a space, every entry of a space, entries
@@ -64,7 +81,16 @@ class Tlb {
   //
   // Index of the resident entry for (asid, vpage), or -1. Unlike Lookup this
   // has no side effects on the LRU clock or the hit/miss counters.
-  int32_t Probe(uint16_t asid, uint32_t vpage) const;
+  int32_t Probe(uint16_t asid, uint32_t vpage) const {
+    uint32_t base = SetOf(asid, vpage);
+    for (uint32_t w = 0; w < ways_; ++w) {
+      const TlbEntry& e = entries_[base + w];
+      if (e.valid && e.asid == asid && e.vpage == vpage) {
+        return static_cast<int32_t>(base + w);
+      }
+    }
+    return -1;
+  }
   const TlbEntry& EntryAt(uint32_t index) const { return entries_[index]; }
 
   // Batched hit bookkeeping for the superblock trace executor: a trace
@@ -87,7 +113,12 @@ class Tlb {
   uint64_t tick() const { return tick_; }
 
  private:
-  uint32_t SetOf(uint16_t asid, uint32_t vpage) const;
+  // Index of the first way of the (asid, vpage) set.
+  uint32_t SetOf(uint16_t asid, uint32_t vpage) const {
+    // Mix asid and page so different spaces do not collide on the same sets.
+    uint32_t h = vpage ^ (static_cast<uint32_t>(asid) * 0x9e3779b1u);
+    return (h & (sets_ - 1)) * ways_;
+  }
 
   std::vector<TlbEntry> entries_;
   uint32_t sets_;

@@ -1,7 +1,9 @@
-// Unit tests for src/base: intrusive lists, fixed pools, rng, status.
+// Unit tests for src/base: intrusive lists, fixed pools, rng, status, zeroed
+// arrays and their spare list.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -10,6 +12,7 @@
 #include "src/base/intrusive_list.h"
 #include "src/base/rng.h"
 #include "src/base/status.h"
+#include "src/base/zeroed_array.h"
 
 namespace {
 
@@ -236,6 +239,42 @@ TEST(StatusTest, NamesAndResult) {
   ckbase::Result<int> bad(ckbase::CkStatus::kDenied);
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.status(), ckbase::CkStatus::kDenied);
+}
+
+// A destroyed array's memory goes to the next array of its byte size, which
+// zeroes only the prefix the last owner declared used.
+TEST(ZeroedArrayTest, ReusedMemoryIsZeroed) {
+  for (uint32_t size : {40001u, 1001u}) {  // a mapped and a calloc'd size no other test uses
+    auto array = std::make_unique<ckbase::ZeroedArray<uint64_t>>(size);
+    const uint64_t* memory = &(*array)[0];
+    for (uint32_t i = 0; i < 700; ++i) {
+      (*array)[i] = 0x0123456789abcdefull + i;
+    }
+    array->set_used(700);
+    array.reset();
+    ckbase::ZeroedArray<uint64_t> reused(size);
+    ASSERT_EQ(&reused[0], memory) << "the new array must take the destroyed one's memory";
+    for (uint32_t i = 0; i < size; ++i) {
+      ASSERT_EQ(reused[i], 0u) << "stale element " << i << " of " << size;
+    }
+  }
+}
+
+// A spare waits poisoned, so a stale pointer into a destroyed array is an
+// AddressSanitizer report, not a silent read.
+TEST(ZeroedArrayTest, StalePointerIntoASpareIsAnAsanReport) {
+#if defined(__SANITIZE_ADDRESS__)
+  EXPECT_DEATH(
+      {
+        auto* array = new ckbase::ZeroedArray<uint64_t>(40002);
+        const volatile uint64_t* stale = &(*array)[100];
+        delete array;
+        (void)*stale;
+      },
+      "use-after-poison");
+#else
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#endif
 }
 
 }  // namespace

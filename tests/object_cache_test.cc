@@ -80,6 +80,40 @@ TEST(ObjectCacheTest, LoadStampsTrackOccupancy) {
   EXPECT_EQ(pool.load_seq(slot_a), 0u);
 }
 
+// A destroyed map's records and load stamps go to the next map of its
+// capacity, which zeroes only what the last one used: records [0, bump) and
+// stamps through the highest slot ever loaded. Nothing may carry over.
+TEST(ObjectCacheTest, ReusedMapArraysAreZeroed) {
+  using MapCache = ck::ObjectCache<ck::PhysicalMemoryMap>;
+  constexpr uint32_t kCapacity = 20000;  // a size no other test here uses
+  auto cache = std::make_unique<MapCache>(kCapacity);
+  const ck::MemMapEntry* records = &cache->record(0);
+  std::vector<uint32_t> indices;
+  for (uint32_t i = 0; i < 300; ++i) {
+    ck::RecordType type = i % 5 == 0 ? ck::RecordType::kSignal : ck::RecordType::kPhysToVirt;
+    indices.push_back(cache->Insert(i % 37, (0x400 + i) << 12, i + 1, type));
+  }
+  for (uint32_t i = 0; i < 300; i += 3) {
+    cache->Remove(indices[i]);  // freed records keep their key and free-list link
+  }
+  ASSERT_EQ(cache->used_extent(), 300u);
+  ASSERT_NE(cache->load_seq(299), 0u);
+  cache.reset();
+
+  MapCache reused(kCapacity);
+  ASSERT_EQ(&reused.record(0), records) << "the new map must take the destroyed one's records";
+  for (uint32_t i = 0; i < kCapacity; ++i) {
+    const ck::MemMapEntry& rec = reused.record(i);
+    ASSERT_EQ(rec.type(), ck::RecordType::kFree) << "record " << i;
+    ASSERT_EQ(rec.key | rec.dependent | rec.context | rec.hash_link, 0u) << "record " << i;
+    ASSERT_EQ(reused.load_seq(i), 0u) << "load stamp " << i;
+  }
+  EXPECT_EQ(reused.in_use(), 0u);
+  EXPECT_EQ(reused.loaded(), 0u);
+  EXPECT_EQ(reused.Insert(5, 0x7000, 1, ck::RecordType::kPhysToVirt), 0u)
+      << "a reused map hands out record 0 first, like a fresh one";
+}
+
 TEST(ObjectCacheTest, ClockTakesTheHandSlotNotTheOldestLoad) {
   // Slots 0..3 hold A,B,C,D; A is released and its slot refilled with the
   // NEWEST object E. Pools have no hardware referenced bit, so the hand

@@ -173,6 +173,17 @@ TEST(TlbTest, FlushAsidAndFrame) {
   EXPECT_FALSE(tlb.Lookup(2, 12).hit);
 }
 
+// The set index is a mask, so a geometry whose set count is not a power of
+// two is refused at construction rather than indexing the wrong sets.
+TEST(TlbTest, RejectsASetCountThatIsNotAPowerOfTwo) {
+  EXPECT_DEATH(Tlb(48, 4), "power-of-two");  // 12 sets
+  EXPECT_DEATH(Tlb(2, 4), "power-of-two");   // no set at all
+  Tlb one_set(4, 4);
+  Tlb many_sets(64, 4);
+  EXPECT_FALSE(one_set.Lookup(1, 1).hit);
+  EXPECT_FALSE(many_sets.Lookup(1, 1).hit);
+}
+
 TEST(TlbTest, LruReplacementWithinSet) {
   Tlb tlb(8, 2);  // 4 sets x 2 ways
   // Two pages mapping to the same set: fill both ways, then a third evicts

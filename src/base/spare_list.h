@@ -9,6 +9,10 @@
 // A block waits ASan-poisoned, so a stale pointer into it is a report, not a
 // silent read. There is one process-wide list per Dirty type, guarded by a
 // mutex; its blocks are never freed.
+//
+// Page-granular owners -- simulated RAM and application kernels' backing
+// stores -- share one list: their note is one word per page, nonzero when
+// the page was written (TakeZeroedPages, ParkPages).
 
 #ifndef SRC_BASE_SPARE_LIST_H_
 #define SRC_BASE_SPARE_LIST_H_
@@ -16,6 +20,8 @@
 #include <sanitizer/asan_interface.h>  // no-op macros outside ASan builds
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -64,6 +70,29 @@ class SpareList {
   std::mutex mutex_;
   std::vector<Spare> spares_;
 };
+
+// The most recently parked page-granular block of `pages` pages of
+// `page_bytes` bytes, reading as all zeros: the pages its last owner wrote
+// are cleared, and `written` comes back as one 0 per page. nullptr, with
+// `written` untouched, when there is none.
+inline void* TakeZeroedPages(size_t page_bytes, uint32_t pages, std::vector<uint64_t>& written) {
+  void* block = SpareList<std::vector<uint64_t>>::Get().Take(page_bytes * pages, written);
+  if (block != nullptr) {
+    for (uint32_t p = 0; p < pages; ++p) {
+      if (written[p] != 0) {
+        std::memset(static_cast<unsigned char*>(block) + p * page_bytes, 0, page_bytes);
+        written[p] = 0;
+      }
+    }
+  }
+  return block;
+}
+
+// Parks a page-granular block with its notes: `written[p]` is nonzero when
+// page p may hold something other than zeros.
+inline void ParkPages(void* block, size_t bytes, std::vector<uint64_t> written) {
+  SpareList<std::vector<uint64_t>>::Get().Give(block, bytes, std::move(written));
+}
 
 }  // namespace ckbase
 

@@ -4,11 +4,11 @@
 // (src/base/spare_list.h); the next array of its byte size takes it and
 // zeroes only the prefix its last owner declared used (set_used), so a
 // machine made after another pays for what the previous one touched and
-// takes no page faults on it. Fresh memory for a large array is an anonymous
-// mapping: the operating system zeroes each page on first touch, so set-up
-// pays only for the pages a run writes. A small array comes from calloc. T
-// must be valid as all-zero bytes (an implicit-lifetime type such as an
-// aggregate of integers); its default member initializers are not applied.
+// takes no page faults on it. Fresh memory comes from FreshZeroed: for a
+// large array an anonymous mapping, so set-up pays only for the pages a run
+// writes. T must be valid as all-zero bytes (an implicit-lifetime type such
+// as an aggregate of integers); its default member initializers are not
+// applied.
 
 #ifndef SRC_BASE_ZEROED_ARRAY_H_
 #define SRC_BASE_ZEROED_ARRAY_H_
@@ -26,6 +26,24 @@
 
 namespace ckbase {
 
+// Fresh memory of `bytes` bytes that reads as all zeros. From 128 KiB up it
+// is an anonymous mapping: the operating system zeroes each page on first
+// touch, so only the pages a run writes cost anything. Below that it comes
+// from calloc. calloc alone would not keep large blocks untouched: once a
+// large block is freed, glibc raises its mmap threshold and serves the next
+// one from the heap, clearing all of it.
+inline void* FreshZeroed(size_t bytes) {
+  constexpr size_t kMappedBytes = size_t{128} << 10;  // glibc's initial mmap threshold
+  void* p = bytes >= kMappedBytes
+                ? mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)
+                : std::calloc(bytes != 0 ? bytes : 1, 1);
+  if (p == nullptr || p == MAP_FAILED) {
+    std::fprintf(stderr, "FreshZeroed: cannot allocate %zu bytes\n", bytes);
+    std::abort();
+  }
+  return p;
+}
+
 template <typename T>
 class ZeroedArray {
   static_assert(std::is_trivially_copyable_v<T> && std::is_trivially_destructible_v<T>);
@@ -37,14 +55,8 @@ class ZeroedArray {
     void* p = Spares().Take(bytes_, dirty);
     if (p != nullptr) {
       std::memset(p, 0, dirty);
-    } else if (bytes_ >= kMappedBytes) {
-      p = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     } else {
-      p = std::calloc(size != 0 ? size : 1, sizeof(T));
-    }
-    if (p == nullptr || p == MAP_FAILED) {
-      std::fprintf(stderr, "ZeroedArray: cannot allocate %zu bytes\n", bytes_);
-      std::abort();
+      p = FreshZeroed(bytes_);
     }
     data_ = static_cast<T*>(p);
   }
@@ -61,11 +73,6 @@ class ZeroedArray {
   void set_used(uint32_t n) { used_ = n; }
 
  private:
-  // glibc's own mmap threshold before any large block is freed. calloc
-  // alone would not keep large blocks untouched: once a large block is
-  // freed, glibc raises its mmap threshold and serves the next one from the
-  // heap, clearing all of it.
-  static constexpr size_t kMappedBytes = size_t{128} << 10;
   static SpareList<size_t>& Spares() { return SpareList<size_t>::Get(); }
 
   T* data_ = nullptr;

@@ -124,9 +124,15 @@ class AppKernel {
 // Long-running native "programs" (application-kernel internal threads such as
 // schedulers, pagers, RPC servers, and whole native applications like the
 // MP3D worker). Step() runs one bounded chunk of work and returns; the
-// dispatcher charges the cycles the chunk reports.
+// dispatcher charges the cycles the chunk reports. With kYield, quiet_until
+// = T (0: none) promises that this step changed nothing and that the
+// thread's steps before clock T will change and charge nothing unless
+// something else changes first. Inside Machine::RunUntil the dispatcher then
+// makes those polls without calling Step, so a program that counts its own
+// steps may not promise.
 struct NativeOutcome {
   enum class Action : uint8_t { kYield, kBlock, kHalt } action = Action::kYield;
+  cksim::Cycles quiet_until = 0;
 };
 
 class NativeCtx;

@@ -1972,6 +1972,7 @@ void CacheKernel::RegisterMetrics(obs::Registry& registry) {
   registry.AddCounter("ck.sched.preemptions", [s] { return s->preemptions; });
   registry.AddCounter("ck.sched.idle_turns", [s] { return s->idle_turns; });
   registry.AddCounter("ck.sched.idle_skips", [this] { return idle_skips_; });
+  registry.AddCounter("ck.sched.poll_skips", [this] { return poll_skips_; });
   registry.AddCounter("ck.sched.quota_degradations", [s] { return s->quota_degradations; });
   registry.AddCounter("ck.stale_id_errors", [s] { return s->stale_id_errors; });
   registry.AddCounter("ck.tier.admissions", [s] { return s->tier_admissions; });

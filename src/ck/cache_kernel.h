@@ -347,11 +347,13 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
 
   // ---- introspection (tests, benches, examples) ----
   const CkStats& stats() const { return stats_; }
-  // Idle turns that covered more than one idle_tick (ck.sched.idle_skips).
-  // A simulator counter, not simulated state: it differs between RunUntil
-  // and bare Step() loops, so it stays out of CkStats, whose bytes the
-  // differential suites compare.
+  // Idle turns that covered more than one idle_tick (ck.sched.idle_skips)
+  // and native turns that covered more than one quiet poll
+  // (ck.sched.poll_skips). Simulator counters, not simulated state: they
+  // differ between RunUntil and bare Step() loops, so they stay out of
+  // CkStats, whose bytes the differential suites compare.
   uint64_t idle_skips() const { return idle_skips_; }
+  uint64_t poll_skips() const { return poll_skips_; }
   const FaultTrace& last_fault_trace() const { return fault_trace_; }
   // Last-N completed fault traces, oldest first (N = config.fault_history_depth).
   std::vector<FaultTrace> FaultHistory() const;
@@ -621,6 +623,9 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   void PreemptCurrent(cksim::Cpu& cpu);
   // Advance an idle CPU, covering a whole idle stretch inside RunUntil.
   void IdleTurn(cksim::Cpu& cpu);
+  cksim::Cycles TurnHorizon(cksim::Cpu& cpu);
+  void SkipQuietPolls(ThreadObject* thread, KernelObject* owner, cksim::Cpu& cpu,
+                      cksim::Cycles quiet_until);
   ThreadObject* CurrentOn(cksim::Cpu& cpu) {
     return static_cast<ThreadObject*>(cpu.current_thread);
   }
@@ -767,6 +772,7 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   uint32_t next_cpu_rr_ = 0;  // round-robin thread placement
   CkStats stats_;
   uint64_t idle_skips_ = 0;
+  uint64_t poll_skips_ = 0;
   std::vector<CostAccount> tenant_;                       // [kernel slot]
   std::vector<std::map<uint32_t, uint64_t>> profile_pcs_; // [kernel slot] pc -> samples
   std::vector<ckisa::PcSampler> samplers_;                // [cpu]

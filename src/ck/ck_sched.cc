@@ -148,10 +148,10 @@ Result<uint32_t> CacheKernel::GuestAccessSlow(ThreadObject* thread, cksim::Cpu& 
       return value;
     } else {
       ForwardFault(thread, cpu, t.fault);
-      if (GetThread(thread_id) == nullptr || thread->state == ThreadState::kHalted ||
-          thread->state == ThreadState::kBlocked) {
-        return CkStatus::kBusy;  // the handler blocked or killed the thread
-      }
+    }
+    if (GetThread(thread_id) == nullptr || thread->state == ThreadState::kHalted ||
+        thread->state == ThreadState::kBlocked) {
+      return CkStatus::kBusy;  // the handler blocked or killed the thread
     }
     if (attempt == 3) {
       return CkStatus::kNotFound;
@@ -350,28 +350,23 @@ void CacheKernel::OnCpuTurn(cksim::Cpu& cpu) {
   }
 }
 
-// An idle CPU advances idle_tick cycles per turn. Inside Machine::RunUntil
-// one turn covers every tick before the horizon H, the earliest clock at
-// which a turn of this CPU could see a change, and lands on the grid point
-// of the crawl's first turn at or after H. The crawl's turns before H are
-// no-ops, so clocks and CkStats match it exactly; an H earlier than the true
+// The horizon H of a turn of `cpu`: the earliest clock at which a turn of
+// this CPU could see a change. Its turns before H can change nothing but its
+// own clock and accounting, so inside Machine::RunUntil one idle turn
+// (IdleTurn) or one quiet poller's turn (RunNative) covers them all, and
+// clocks and CkStats match the crawl exactly; an H earlier than the true
 // next change only costs an extra turn. H is the minimum of:
 //   - the machine's horizon: the next device event and the RunUntil
-//     deadline (0 outside RunUntil, so a bare Step covers one tick);
+//     deadline (0 outside RunUntil, so a bare Step covers one tick or poll);
 //   - the clock of every other CPU that can run a thread (a current thread
 //     or a ready queue), plus 1 if its index is higher: Step runs the
 //     lowest clock, the lowest index on a tie. Idle CPUs do not bound each
 //     other, because their turns before H are no-ops too;
 //   - the first app event, every CPU's first pending signal and the next
-//     tier scan, which run on whichever CPU reaches them first;
-//   - this CPU's next quota-window roll, which stamps its own clock.
-void CacheKernel::IdleTurn(cksim::Cpu& cpu) {
-  const Cycles now = cpu.clock();
-  const Cycles tick = machine_.cost().idle_tick;
+//     tier scan, which run on whichever CPU reaches them first.
+Cycles CacheKernel::TurnHorizon(cksim::Cpu& cpu) {
   const uint32_t self = cpu.id();
-  const Cycles window_start = quota_window_start_[self];
-  Cycles horizon = std::min(
-      machine_.Horizon(), window_start + std::min(config_.quota_window, ~Cycles{0} - window_start));
+  Cycles horizon = machine_.Horizon();
   if (!app_events_.empty()) {
     horizon = std::min(horizon, app_events_.front().at);
   }
@@ -387,6 +382,20 @@ void CacheKernel::IdleTurn(cksim::Cpu& cpu) {
       horizon = std::min(horizon, other.clock() + (i > self ? 1 : 0));
     }
   }
+  return horizon;
+}
+
+// An idle CPU advances idle_tick cycles per turn. One turn covers every tick
+// before the horizon, or before this CPU's next quota-window roll (its
+// PickNext stamps the roll with its own clock), and lands on the grid point
+// of the crawl's first turn at or after that.
+void CacheKernel::IdleTurn(cksim::Cpu& cpu) {
+  const Cycles now = cpu.clock();
+  const Cycles tick = machine_.cost().idle_tick;
+  const uint32_t self = cpu.id();
+  const Cycles window_start = quota_window_start_[self];
+  const Cycles horizon = std::min(
+      TurnHorizon(cpu), window_start + std::min(config_.quota_window, ~Cycles{0} - window_start));
 
   // Whole ticks to the first grid point at or after H: at least one, and
   // never past the end of the clock's range.
@@ -486,7 +495,8 @@ void CacheKernel::RunNative(ThreadObject* thread, cksim::Cpu& cpu) {
     return;  // the step unloaded this thread
   }
   Cycles consumed = cpu.clock() - before;
-  if (consumed == 0) {
+  const bool charged_nothing = consumed == 0;
+  if (charged_nothing) {
     cpu.Advance(machine_.cost().instruction);
     consumed = machine_.cost().instruction;
   }
@@ -494,6 +504,9 @@ void CacheKernel::RunNative(ThreadObject* thread, cksim::Cpu& cpu) {
 
   switch (outcome.action) {
     case NativeOutcome::Action::kYield:
+      if (charged_nothing && outcome.quiet_until > cpu.clock()) {
+        SkipQuietPolls(thread, owner, cpu, outcome.quiet_until);
+      }
       break;
     case NativeOutcome::Action::kBlock:
       if (thread->state == ThreadState::kRunning) {
@@ -509,6 +522,33 @@ void CacheKernel::RunNative(ThreadObject* thread, cksim::Cpu& cpu) {
     case NativeOutcome::Action::kHalt:
       HaltThread(thread, cpu);
       break;
+  }
+}
+
+// After a step that charged nothing and promised quiet until T
+// (NativeOutcome::quiet_until), the turn makes every poll the crawl would
+// make before min(T, TurnHorizon), each with the crawl's own bookkeeping (one
+// instruction advanced and charged), while the crawl's next turn would poll
+// again: no signal queued, the thread current and running, nothing of higher
+// priority ready here, slice left and its kernel not over quota. A poll that
+// empties the slice or degrades the kernel ends it; the turn's tail then
+// preempts where the crawl would.
+void CacheKernel::SkipQuietPolls(ThreadObject* thread, KernelObject* owner, cksim::Cpu& cpu,
+                                 Cycles quiet_until) {
+  if (thread->signal_count > 0 || CurrentOn(cpu) != thread ||
+      thread->state != ThreadState::kRunning ||
+      (ready_mask_[cpu.id()] >> thread->priority) >> 1 != 0) {
+    return;
+  }
+  const Cycles limit = std::min(quiet_until, TurnHorizon(cpu));
+  const Cycles poll = machine_.cost().instruction;
+  const Cycles start = cpu.clock();
+  while (cpu.clock() < limit && thread->slice_remaining > 0 && !owner->over_quota[cpu.id()]) {
+    cpu.Advance(poll);
+    ChargeThread(thread, cpu, poll);
+  }
+  if (cpu.clock() != start) {
+    poll_skips_++;
   }
 }
 

@@ -87,7 +87,8 @@ void AppKernelState::Capture(AppKernelBase& app, ck::CkApi& api, CkptImage* imag
   }
 
   // Backing store: geometry, allocators, then every non-zero page (restore
-  // starts from a zeroed store, so zero pages need no record).
+  // starts from a zeroed store, so zero pages need no record). A page never
+  // written reads as zeros, so only written pages are tested.
   {
     Writer w;
     w.U32(app.backing_.page_count());
@@ -96,16 +97,15 @@ void AppKernelState::Capture(AppKernelBase& app, ck::CkApi& api, CkptImage* imag
     w.U32(app.swap_next_);
     image->Append(RecordType::kBackingMeta, w.Take());
   }
-  for (uint32_t p = 0; p < app.backing_.page_count(); ++p) {
-    const uint8_t* data = app.backing_.PageData(p);
+  app.backing_.ForEachWritten([image](uint32_t p, const uint8_t* data) {
     if (PageIsZero(data)) {
-      continue;
+      return;
     }
     Writer w;
     w.U32(p);
     w.Bytes(data, kPageSize);
     image->Append(RecordType::kBackingPage, w.Take());
-  }
+  });
 
   // Spaces: every page record plus the FIFO replacement order (part of the
   // observable state -- it decides future victim choice).
@@ -405,7 +405,7 @@ bool AppKernelState::Restore(AppKernelBase& app, ck::CkApi& api, const CkptImage
 
   // ---- apply ----
   for (auto [index, data] : backing_writes) {
-    std::memcpy(app.backing_.PageData(index), data, kPageSize);
+    std::memcpy(app.backing_.MutablePage(index), data, kPageSize);
   }
   app.image_next_ = image_next;
   app.swap_next_ = swap_next;

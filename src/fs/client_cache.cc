@@ -32,7 +32,9 @@ constexpr uint32_t kMaxOutstanding = 4;
 // been polled yet, and blocks otherwise. Acks travel the packet path
 // (due = send + latency) while their payloads add serialization time on
 // top, so the ack's signal always wakes the pump before the first payload
-// is due -- the pump never blocks through a delivery.
+// is due -- the pump never blocks through a delivery. A poll that claims
+// nothing promises quiet until the next payload is due
+// (NativeOutcome::quiet_until), so the spin costs one turn per arrival.
 class ClientFileCache::Pump : public ckapp::RpcEndpoint {
  public:
   explicit Pump(ClientFileCache& cache)
@@ -44,10 +46,13 @@ class ClientFileCache::Pump : public ckapp::RpcEndpoint {
         cache_(cache) {}
 
   ck::NativeOutcome Step(ck::NativeCtx& ctx) override {
-    cache_.DrainBulk(ctx.api());
+    const bool claimed = cache_.DrainBulk(ctx.api());
     ck::NativeOutcome outcome;
-    outcome.action = cache_.TransfersPending() ? ck::NativeOutcome::Action::kYield
-                                               : ck::NativeOutcome::Action::kBlock;
+    if (!cache_.TransfersPending()) {
+      outcome.action = ck::NativeOutcome::Action::kBlock;
+    } else if (!claimed) {
+      outcome.quiet_until = cache_.device_->NextBulkDue();
+    }
     return outcome;
   }
 
@@ -440,14 +445,17 @@ void ClientFileCache::MaybeReadahead(CkApi& api, Entry& entry, uint32_t page) {
   }
 }
 
-void ClientFileCache::DrainBulk(CkApi& api) {
+bool ClientFileCache::DrainBulk(CkApi& api) {
   if (device_ == nullptr) {
-    return;
+    return false;
   }
+  bool claimed = false;
   std::vector<uint8_t> blob;
   while (device_->PollBulk(&blob, api.now())) {
     InstallBulk(api, blob);
+    claimed = true;
   }
+  return claimed;
 }
 
 void ClientFileCache::InstallBulk(CkApi& api, const std::vector<uint8_t>& blob) {

@@ -122,8 +122,8 @@ class ClientFileCache {
 
   // The link's endpoint thread: serves invalidation pushes, completes our
   // calls, and polls the device's bulk queue. Runs kYield while bulk
-  // transfers are expected (bulk deliveries raise no signal), kBlock when
-  // idle.
+  // transfers are expected (bulk deliveries raise no signal), quiet until
+  // the next one is due, and kBlock when idle.
   class Pump;
 
   uint32_t IndexOf(const Entry& entry) const {
@@ -146,8 +146,8 @@ class ClientFileCache {
   void MaybeReadahead(ck::CkApi& api, Entry& entry, uint32_t page);
   void NoteAccess(Entry& entry, uint32_t page);
 
-  // Pump-side machinery.
-  void DrainBulk(ck::CkApi& api);
+  // Pump-side machinery. DrainBulk returns whether it claimed a payload.
+  bool DrainBulk(ck::CkApi& api);
   void InstallBulk(ck::CkApi& api, const std::vector<uint8_t>& blob);
   bool TransfersPending() const { return bulk_expected_ > 0; }
   std::vector<uint8_t> ServePeer(uint32_t op, const std::vector<uint8_t>& request,

@@ -183,6 +183,13 @@ class FiberChannelDevice : public PacketDevice {
   // Claim the oldest delivered bulk payload, if one is due by `now`. `span`
   // (if non-null) receives the sender's causal span id.
   bool PollBulk(std::vector<uint8_t>* out, Cycles now, uint32_t* span = nullptr);
+  // The earliest due time in the bulk queue, kNoEvent when it is empty: no
+  // PollBulk before it claims anything. Within a Machine::RunUntil only a
+  // CPU of this machine can add to the queue (cross-machine deliveries land
+  // at window barriers, outside it).
+  Cycles NextBulkDue() const {
+    return bulk_inbound_.empty() ? kNoEvent : bulk_inbound_.front().due;
+  }
 
   // Cycles a payload of `bytes` occupies the wire (excludes base latency).
   static Cycles BulkWireCycles(size_t bytes) {

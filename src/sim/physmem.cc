@@ -8,29 +8,15 @@
 #include "src/base/spare_list.h"
 
 namespace cksim {
-namespace {
-
-// A destroyed memory's RAM waits with its store generations, which say
-// which of its frames were written.
-ckbase::SpareList<std::vector<uint64_t>>& Spares() {
-  return ckbase::SpareList<std::vector<uint64_t>>::Get();
-}
-
-}  // namespace
 
 PhysicalMemory::PhysicalMemory(uint32_t size_bytes) {
   // Round up to a whole number of page groups.
   size_ = ((size_bytes + kPageGroupBytes - 1) / kPageGroupBytes) * kPageGroupBytes;
   const uint32_t frames = size_ / kPageSize;
-  bytes_ = static_cast<uint8_t*>(Spares().Take(size_, frame_gen_));
-  if (bytes_ != nullptr) {
-    for (uint32_t f = 0; f < frames; ++f) {
-      if (frame_gen_[f] != 0) {
-        std::memset(bytes_ + f * kPageSize, 0, kPageSize);
-        frame_gen_[f] = 0;
-      }
-    }
-  } else {
+  // A destroyed memory's RAM waits with its store generations, which are
+  // nonzero exactly on the frames it wrote.
+  bytes_ = static_cast<uint8_t*>(ckbase::TakeZeroedPages(kPageSize, frames, frame_gen_));
+  if (bytes_ == nullptr) {
     bytes_ = static_cast<uint8_t*>(std::calloc(size_, 1));
     if (bytes_ == nullptr) {
       std::fprintf(stderr, "physmem: cannot allocate %#x bytes\n", size_);
@@ -43,7 +29,7 @@ PhysicalMemory::PhysicalMemory(uint32_t size_bytes) {
   tier_count_[static_cast<uint8_t>(MemTier::kNone)] = frames;
 }
 
-PhysicalMemory::~PhysicalMemory() { Spares().Give(bytes_, size_, std::move(frame_gen_)); }
+PhysicalMemory::~PhysicalMemory() { ckbase::ParkPages(bytes_, size_, std::move(frame_gen_)); }
 
 uint32_t PhysicalMemory::NextSlowFrame(uint32_t frame) const {
   uint32_t word = frame >> 6;

@@ -386,6 +386,146 @@ TEST(CkptRoundTrip, BackingPagesNonZeroOnlyAtOneEdgeRoundTrip) {
   EXPECT_EQ(app_b.backing().PageData(9)[cksim::kPageSize - 1], mark);
 }
 
+// Capture visits only the pages written since the store's block was last
+// zeroed. Its records must equal those of a full scan of the store, the
+// algorithm before written flags: every page in order, zero pages skipped.
+TEST(CkptRoundTrip, BackingRecordsMatchAFullScan) {
+  TestWorld a;
+  ckapp::AppKernelBase app("scan", 40);
+  ASSERT_TRUE(a.Launch(app).valid());
+  const std::vector<uint8_t> zeros(cksim::kPageSize, 0);
+  const uint8_t mark[3] = {1, 2, 3};
+  app.backing().WriteBytes(2, 0, zeros.data(), cksim::kPageSize);  // written with zeros
+  app.backing().WriteBytes(5, 100, mark, 3);
+  app.backing().WriteBytes(7, cksim::kPageSize - 3, mark, 3);
+  app.backing().WriteBytes(30, 0, mark, 1);
+  app.backing().WriteBytes(30, 0, zeros.data(), 1);  // back to zeros
+  app.backing().WriteBytes(39, 4, mark, 2);
+
+  CkptImage image;
+  ASSERT_EQ(a.srm().Checkpoint(app, &image), CkStatus::kOk);
+  std::vector<std::vector<uint8_t>> captured;
+  for (const ckckpt::CkptRecord& record : image.records()) {
+    if (record.type == RecordType::kBackingPage) {
+      captured.push_back(record.payload);
+    }
+  }
+  std::vector<std::vector<uint8_t>> reference;
+  for (uint32_t p = 0; p < app.backing().page_count(); ++p) {
+    const uint8_t* data = app.backing().PageData(p);
+    if (std::memcmp(data, zeros.data(), cksim::kPageSize) == 0) {
+      continue;
+    }
+    Writer w;
+    w.U32(p);
+    w.Bytes(data, cksim::kPageSize);
+    reference.push_back(w.Take());
+  }
+  EXPECT_EQ(captured, reference);
+  EXPECT_EQ(captured.size(), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Backing stores (src/appkernel/backing_store.h): a destroyed store's block
+// goes to the next store of its byte size, which must read as all zeros
+// however the pages were written.
+// ---------------------------------------------------------------------------
+
+constexpr uint32_t kReusePages = 37;  // a store size no other test or kernel uses
+// The first page, the last page (the first one swap hands out) and a swap
+// page below it.
+constexpr uint32_t kMarkedPages[] = {0, kReusePages - 1, kReusePages - 2};
+constexpr uint32_t kMark = 0xa5c3e1f7;
+
+void ExpectMarked(const ckapp::BackingStore& store) {
+  for (uint32_t p : kMarkedPages) {
+    uint32_t word = 0;
+    std::memcpy(&word, store.PageData(p) + 12, 4);
+    EXPECT_EQ(word, kMark) << "page " << p;
+  }
+}
+
+// The next store of the destroyed one's size takes `block` and reads as
+// all zeros, with nothing written.
+void ExpectReusedBlockReadsAsZeros(const uint8_t* block, const char* writer) {
+  ckapp::BackingStore store(kReusePages);
+  ASSERT_EQ(store.PageData(0), block) << writer << ": the new store must take the old block";
+  for (uint32_t p = 0; p < kReusePages; ++p) {
+    const uint8_t* data = store.PageData(p);
+    for (uint32_t i = 0; i < cksim::kPageSize; ++i) {
+      ASSERT_EQ(data[i], 0u) << writer << ": stale byte " << i << " of page " << p;
+    }
+  }
+  uint32_t visited = 0;
+  store.ForEachWritten([&visited](uint32_t, const uint8_t*) { ++visited; });
+  EXPECT_EQ(visited, 0u) << writer;
+}
+
+TEST(BackingStoreTest, ReusedStoreReadsAsZeros) {
+  const uint8_t* block = nullptr;
+  {
+    TestWorld world;
+    ckapp::AppKernelBase app("reuse", kReusePages);
+    ASSERT_TRUE(world.Launch(app).valid());
+    ck::CkApi api(world.ck(), app.self(), world.machine().cpu(0));
+    cksim::PhysAddr frame = app.frames().Allocate();
+    ASSERT_EQ(api.WritePhys(frame + 12, &kMark, 4), CkStatus::kOk);
+    for (uint32_t p : kMarkedPages) {
+      app.backing().WritePage(api, frame, p, /*charge_latency=*/false);
+    }
+    ExpectMarked(app.backing());
+    block = app.backing().PageData(0);
+  }
+  ExpectReusedBlockReadsAsZeros(block, "WritePage");
+
+  {
+    ckapp::BackingStore store(kReusePages);
+    for (uint32_t p : kMarkedPages) {
+      store.WriteBytes(p, 12, &kMark, 4);
+    }
+    ExpectMarked(store);
+    block = store.PageData(0);
+  }
+  ExpectReusedBlockReadsAsZeros(block, "WriteBytes");
+
+  CkptImage image;
+  {
+    TestWorld a;
+    ckapp::AppKernelBase source("reuse", kReusePages);
+    ASSERT_TRUE(a.Launch(source).valid());
+    for (uint32_t p : kMarkedPages) {
+      source.backing().WriteBytes(p, 12, &kMark, 4);
+    }
+    ASSERT_EQ(a.srm().Checkpoint(source, &image), CkStatus::kOk);
+  }
+  {
+    TestWorld b;
+    ckapp::AppKernelBase target("reuse", kReusePages);
+    std::string error;
+    ASSERT_EQ(b.srm().Restore(target, image, RestoreOptions{}, &error), CkStatus::kOk) << error;
+    ExpectMarked(target.backing());
+    block = target.backing().PageData(0);
+  }
+  ExpectReusedBlockReadsAsZeros(block, "checkpoint restore");
+}
+
+// A block waits poisoned, so a stale pointer into a destroyed store is an
+// AddressSanitizer report, not a silent read.
+TEST(BackingStoreTest, StalePointerIntoASpareIsAnAsanReport) {
+#if defined(__SANITIZE_ADDRESS__)
+  EXPECT_DEATH(
+      {
+        auto* store = new ckapp::BackingStore(kReusePages + 2);
+        const volatile uint8_t* stale = store->PageData(1) + 7;
+        delete store;
+        (void)*stale;
+      },
+      "use-after-poison");
+#else
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#endif
+}
+
 TEST(CkptRoundTrip, TierPlacementSurvivesRestoreAndMigrate) {
   cktest::WorldOptions tiered;
   tiered.ck.tier_dram_frames = 12;  // below the app's resident set

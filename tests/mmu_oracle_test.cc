@@ -734,6 +734,23 @@ TEST_F(NativeSlowPathTest, AccessToARemoteFrameRaisesAConsistencyFault) {
   EXPECT_EQ(ck_.stats().consistency_faults, 1u);
 }
 
+// A handler that ends the thread on a consistency fault ends the access: the
+// fault is forwarded once and the call reports kBusy, as for any fault the
+// handler answers by blocking or killing the thread.
+TEST_F(NativeSlowPathTest, ConsistencyFaultThatKillsTheThreadIsForwardedOnce) {
+  cksim::MapFlags flags;
+  flags.writable = true;
+  Map(flags);
+  ck_.MarkFrameRemote(cksim::PageFrame(kPaddr), true);
+  kernel_.kernel = nullptr;  // the handler now terminates on every fault
+  ckbase::Result<uint32_t> value = Load();
+  EXPECT_EQ(ck_.stats().faults_forwarded, 1u);
+  EXPECT_EQ(ck_.stats().consistency_faults, 1u);
+  EXPECT_EQ(kernel_.faults.size(), 1u) << "the fault reached the handler of a halted thread";
+  ASSERT_FALSE(value.ok());
+  EXPECT_EQ(value.status(), CkStatus::kBusy);
+}
+
 TEST_F(NativeSlowPathTest, StoreToAResidentCopyOnWritePageFaults) {
   cksim::MapFlags flags;
   flags.writable = true;

@@ -17,6 +17,7 @@ struct WorldOptions {
   uint32_t cpus = 4;
   uint32_t memory_bytes = 16u << 20;
   ck::CacheKernelConfig ck;
+  cksim::CostModel cost;
 };
 
 // One MPM: machine + Cache Kernel + booted SRM.
@@ -60,6 +61,7 @@ class TestWorld {
     cksim::MachineConfig config;
     config.cpu_count = options.cpus;
     config.memory_bytes = options.memory_bytes;
+    config.cost = options.cost;
     return config;
   }
 

@@ -1,6 +1,9 @@
-// Tickless idle: inside Machine::RunUntil an idle CPU covers its whole idle
-// stretch in one turn (CacheKernel::IdleTurn, docs/PERFORMANCE.md "Tickless
-// idle"). The jump must be bit-exact with the one-tick crawl.
+// Tickless idle and tickless polling: inside Machine::RunUntil an idle CPU
+// covers its whole idle stretch in one turn (CacheKernel::IdleTurn), and a
+// native thread that promises quiet (NativeOutcome::quiet_until) covers
+// every poll before its horizon in one turn (CacheKernel::RunNative); see
+// docs/PERFORMANCE.md "Tickless idle" and "Tickless polling". Both jumps
+// must be bit-exact with the crawl of one tick or one poll per turn.
 //
 // Every case builds the same world twice. The reference drives it with
 // `while (Now() < deadline) Step()` -- bare steps never skip, so this is the
@@ -8,15 +11,18 @@
 // same seeded deadline schedule. The two must agree on every CPU clock,
 // CkStats (memcmp), the tenant cost accounts, the workload's own
 // observables (consoles, exit codes, counters) and every trace event. One
-// case per horizon term; each RunUntil side must actually skip
-// (idle_skips > 0), so no case can pass vacuously.
+// case per horizon term and, for polling, one per stop; each RunUntil side
+// must actually skip (idle_skips > 0, and poll_skips > 0 in the polling
+// cases), so no case can pass vacuously.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -52,6 +58,8 @@ struct Rig {
   std::vector<std::shared_ptr<void>> owned;
   // The workload's own observables, read after the run.
   std::function<std::string()> observe = [] { return std::string(); };
+  // What the test does between two RunUntil calls (both sides alike).
+  std::function<void()> between = [] {};
 };
 
 // Forwards every turn to the Cache Kernel and counts immediate repeats: an
@@ -96,6 +104,7 @@ struct Snapshot {
   std::vector<uint64_t> trace_pushed;  // per CPU ring
   uint64_t trace_hash = 0;             // FNV-1a over every retained event
   uint64_t idle_skips = 0;
+  uint64_t poll_skips = 0;
   uint64_t repeats = 0;
 };
 
@@ -134,6 +143,7 @@ Snapshot Drive(const Case& c, bool crawl) {
     } else {
       machine.RunUntil(deadline);
     }
+    rig.between();
   }
   machine.AttachKernel(&rig.ck());
 
@@ -156,6 +166,7 @@ Snapshot Drive(const Case& c, bool crawl) {
     }
   }
   s.idle_skips = rig.ck().idle_skips();
+  s.poll_skips = rig.ck().poll_skips();
   s.repeats = log.repeats;
   return s;
 }
@@ -182,7 +193,16 @@ Snapshot ExpectCrawlEqualsJump(const Case& c) {
   EXPECT_EQ(crawl.trace_hash, jump.trace_hash);
   EXPECT_GT(crawl.stats.idle_turns, 0u) << "the world never idled";
   EXPECT_EQ(crawl.idle_skips, 0u) << "a bare Step() covers exactly one tick";
+  EXPECT_EQ(crawl.poll_skips, 0u) << "a bare Step() makes exactly one poll";
   EXPECT_GT(jump.idle_skips, 0u) << "RunUntil never skipped: the case proves nothing";
+  return jump;
+}
+
+// The polling cases: the crawl and the jump agree, and the jump covered
+// several polls in one turn at least once.
+Snapshot ExpectPollCrawlEqualsJump(const Case& c) {
+  Snapshot jump = ExpectCrawlEqualsJump(c);
+  EXPECT_GT(jump.poll_skips, 0u) << "no turn covered more than one poll: the case proves nothing";
   return jump;
 }
 
@@ -782,6 +802,385 @@ TEST(TicklessTest, DeadlineNearClockRangeEnd) {
   }
   EXPECT_EQ(world.ck().stats().idle_turns - idle_before, ticks);
   EXPECT_EQ(world.ck().idle_skips(), machine.cpu_count());
+}
+
+// ---------------------------------------------------------------------------
+// Tickless polling. QuietPoller is the file cache's pump in miniature: it
+// claims every arrival due by its clock, and a poll that claims nothing
+// charges nothing and promises quiet until the next arrival is due
+// (kNoEvent when none is queued). Arrivals come from a schedule the case
+// sets and from whatever the case wires to Arrive(): a busy sibling, a
+// device, an app event, the test between two RunUntil calls.
+// ---------------------------------------------------------------------------
+
+class QuietPoller : public ck::NativeProgram {
+ public:
+  ck::NativeOutcome Step(ck::NativeCtx& ctx) override {
+    const Cycles now = ctx.api().now();
+    ck::NativeOutcome outcome;
+    if (!due_.empty() && *due_.begin() <= now) {
+      due_.erase(due_.begin(), due_.upper_bound(now));
+      claims.push_back(now);
+      ctx.Charge(700 + (claims.size() % 3) * 61);
+      if (on_claim) {
+        on_claim(ctx);
+      }
+      return outcome;
+    }
+    outcome.quiet_until = due_.empty() ? cksim::Device::kNoEvent : *due_.begin();
+    if (on_quiet) {
+      outcome.quiet_until = std::min(outcome.quiet_until, on_quiet(ctx));
+    }
+    return outcome;
+  }
+  void OnSignal(cksim::VirtAddr addr, ck::NativeCtx& ctx) override {
+    signals.push_back(ctx.api().now() ^ (uint64_t{addr} << 40));
+    if (on_signal) {
+      on_signal(ctx);
+    }
+  }
+  void Arrive(Cycles at) { due_.insert(at); }
+
+  std::vector<Cycles> claims;
+  std::vector<Cycles> signals;
+  std::function<void(ck::NativeCtx&)> on_claim;
+  std::function<void(ck::NativeCtx&)> on_signal;
+  // Runs in a poll that claims nothing; returns the clock until which it
+  // stays quiet itself.
+  std::function<Cycles(ck::NativeCtx&)> on_quiet;
+
+ private:
+  std::multiset<Cycles> due_;
+};
+
+// A world with one app kernel and a poller homed on `cpu`.
+struct PollRig {
+  ckapp::AppKernelBase* app = nullptr;
+  uint32_t space = 0;
+  QuietPoller* poller = nullptr;
+  uint32_t poller_thread = 0;
+};
+
+PollRig AddPoller(Rig& rig, uint8_t cpu, uint8_t priority = 12,
+                  const cksrm::LaunchParams& params = cksrm::LaunchParams()) {
+  PollRig p;
+  p.app = &rig.Make<ckapp::AppKernelBase>("poll", 64);
+  p.space = LaunchApp(rig, *p.app, params);
+  ck::CkApi api(rig.ck(), p.app->self(), rig.machine().cpu(0));
+  p.poller = &rig.Make<QuietPoller>();
+  p.poller_thread = p.app->CreateNativeThread(api, p.space, p.poller, priority, false, cpu);
+  QuietPoller* poller = p.poller;
+  rig.observe = [poller] { return Join(poller->claims) + "|" + Join(poller->signals); };
+  return p;
+}
+
+// A seeded schedule of `count` arrivals from `start`, `gap` apart on average.
+void ScheduleArrivals(QuietPoller& poller, Cycles start, uint32_t count, Cycles gap) {
+  std::mt19937_64 rng(count * 7919 + gap);
+  std::uniform_int_distribution<Cycles> jitter(0, gap / 2);
+  for (uint32_t i = 0; i < count; ++i) {
+    poller.Arrive(start + i * gap + jitter(rng));
+  }
+}
+
+// A clock device whose tick page signals `thread`, in its own page group.
+cksim::ClockDevice& AddTicker(Rig& rig, PollRig& p, uint32_t thread, Cycles first, Cycles period) {
+  cksrm::Srm& srm = rig.world.srm();
+  uint32_t group = srm.ReserveGroups(1).value();
+  cksim::PhysAddr base = group * cksim::kPageGroupBytes;
+  EXPECT_EQ(srm.GrantSharedGroups(*p.app, group, 1, ck::GroupAccess::kReadWrite), CkStatus::kOk);
+  auto& clock = rig.Make<cksim::ClockDevice>(base, &rig.ck());
+  rig.machine().AttachDevice(&clock);
+  ck::CkApi api(rig.ck(), p.app->self(), rig.machine().cpu(0));
+  p.app->DefineFrameRegion(p.space, 0x00700000, 1, base, false, true, thread);
+  EXPECT_EQ(p.app->EnsureMappingLoaded(api, p.space, 0x00700000), CkStatus::kOk);
+  clock.Start(rig.machine().Now() + first, period);
+  return clock;
+}
+
+// Keeps its CPU busy and hands the poller an arrival, due at once, every
+// few steps: the pump's bulk queue filled by a sibling CPU.
+class Feeder : public ck::NativeProgram {
+ public:
+  Feeder(QuietPoller& poller, uint64_t every) : poller_(poller), every_(every) {}
+  ck::NativeOutcome Step(ck::NativeCtx& ctx) override {
+    ++steps_;
+    if (steps_ % every_ == 0) {
+      poller_.Arrive(ctx.api().now());
+    }
+    ctx.Charge(1300 + (steps_ % 5) * 53);
+    return Outcome(ck::NativeOutcome::Action::kYield);
+  }
+
+ private:
+  QuietPoller& poller_;
+  uint64_t every_;
+  uint64_t steps_ = 0;
+};
+
+// Horizon term: the clock of every other CPU that can run a thread. Busy
+// feeders on CPU 1 (below the poller) and CPU 3 (above it) add arrivals the
+// poller's last promise did not know of.
+TEST(TicklessTest, PollerBoundByBusySiblings) {
+  Case c;
+  c.build = [](Rig& rig) {
+    PollRig p = AddPoller(rig, /*cpu=*/2);
+    ck::CkApi api(rig.ck(), p.app->self(), rig.machine().cpu(0));
+    auto& low = rig.Make<Feeder>(*p.poller, 7);
+    auto& high = rig.Make<Feeder>(*p.poller, 11);
+    p.app->CreateNativeThread(api, p.space, &low, 12, false, /*cpu=*/1);
+    p.app->CreateNativeThread(api, p.space, &high, 12, false, /*cpu=*/3);
+  };
+  Snapshot jump = ExpectPollCrawlEqualsJump(c);
+  EXPECT_GT(jump.stats.context_switches, 100u);
+}
+
+// A device whose events are arrivals: at each of its event clocks it hands
+// the poller an arrival due at once. Nothing signals its page.
+class ArrivalDevice : public cksim::Device {
+ public:
+  ArrivalDevice(cksim::PhysAddr page, QuietPoller& poller, Cycles first)
+      : page_(page), poller_(poller), next_(first) {}
+  cksim::PhysAddr region_base() const override { return page_; }
+  uint32_t region_size() const override { return cksim::kPageSize; }
+  Cycles NextEventAt() const override { return next_; }
+  void Run(Cycles now) override {
+    poller_.Arrive(now);
+    ++runs;
+    next_ = now + 31013 + (runs % 7) * 1129;
+  }
+  void OnDoorbell(cksim::PhysAddr, Cycles) override {}
+  uint64_t runs = 0;
+
+ private:
+  cksim::PhysAddr page_;
+  QuietPoller& poller_;
+  Cycles next_;
+};
+
+// Horizon term: the next device event. The poller's queue is empty between
+// device events, so it promises quiet for ever.
+TEST(TicklessTest, PollerBoundByDeviceEvent) {
+  Case c;
+  c.build = [](Rig& rig) {
+    PollRig p = AddPoller(rig, /*cpu=*/1);
+    uint32_t group = rig.world.srm().ReserveGroups(1).value();
+    auto& device = rig.Make<ArrivalDevice>(group * cksim::kPageGroupBytes, *p.poller,
+                                           rig.machine().Now() + 20011);
+    rig.machine().AttachDevice(&device);
+  };
+  ExpectPollCrawlEqualsJump(c);
+}
+
+// Horizon term: the first app event. Each claim schedules the next arrival
+// as an app event.
+TEST(TicklessTest, PollerBoundByAppEvent) {
+  Case c;
+  c.build = [](Rig& rig) {
+    PollRig p = AddPoller(rig, /*cpu=*/1);
+    QuietPoller* poller = p.poller;
+    auto arrive = [poller](ck::CkApi& later) { poller->Arrive(later.now()); };
+    p.poller->on_claim = [arrive, poller](ck::NativeCtx& ctx) {
+      ctx.api().ScheduleAfter(24007 + (poller->claims.size() % 4) * 2203, arrive);
+    };
+    ck::CkApi api(rig.ck(), p.app->self(), rig.machine().cpu(0));
+    api.ScheduleAfter(15013, arrive);
+  };
+  ExpectPollCrawlEqualsJump(c);
+}
+
+// Horizon term: every pending signal. A clock device ticks the poller's own
+// page; each tick's signal is due one IPI latency after the device event.
+TEST(TicklessTest, PollerBoundByPendingSignal) {
+  Case c;
+  c.build = [](Rig& rig) {
+    PollRig p = AddPoller(rig, /*cpu=*/1);
+    ScheduleArrivals(*p.poller, rig.machine().Now() + 9001, 60, 35011);
+    AddTicker(rig, p, p.poller_thread, 13007, 41017);
+  };
+  Snapshot jump = ExpectPollCrawlEqualsJump(c);
+  EXPECT_GT(jump.stats.signals_delivered_slow + jump.stats.signals_delivered_fast, 20u);
+}
+
+// Horizon term: the next tier scan. Tiering is on with a small DRAM budget,
+// and each claim touches more pages than fit, so promotion scans move
+// frames between tiers while the poller waits.
+TEST(TicklessTest, PollerBoundByTierScan) {
+  Case c;
+  c.options.ck.tier_dram_frames = 24;
+  c.options.ck.tier_promote_period = 20011;
+  c.span = 3000000;
+  c.build = [](Rig& rig) {
+    cksrm::LaunchParams params;
+    params.page_groups = 4;
+    PollRig p = AddPoller(rig, /*cpu=*/2, 12, params);
+    constexpr cksim::VirtAddr kBase = 0x40000000;
+    constexpr uint32_t kPages = 48;
+    p.app->DefineZeroRegion(p.space, kBase, kPages, /*writable=*/true);
+    QuietPoller* poller = p.poller;
+    p.poller->on_claim = [poller](ck::NativeCtx& ctx) {
+      const uint32_t round = static_cast<uint32_t>(poller->claims.size());
+      for (uint32_t i = 0; i < 8; ++i) {
+        cksim::VirtAddr page = kBase + ((round * 5 + i * 3) % kPages) * cksim::kPageSize;
+        ctx.StoreWord(page + 4, round);
+      }
+    };
+    ScheduleArrivals(*p.poller, rig.machine().Now() + 7001, 70, 41011);
+  };
+  Snapshot jump = ExpectPollCrawlEqualsJump(c);
+  EXPECT_GT(jump.stats.tier_demotions, 0u);
+  EXPECT_GT(jump.stats.tier_promotions, 0u);
+}
+
+// Horizon term: the RunUntil deadline. Between two RunUntil calls the test
+// hands the poller an arrival due at once, as a lockstep loop acting
+// between steps would.
+TEST(TicklessTest, PollerBoundByRunUntilDeadline) {
+  Case c;
+  c.min_chunk = 20000;
+  c.max_chunk = 70000;
+  c.build = [](Rig& rig) {
+    PollRig p = AddPoller(rig, /*cpu=*/1);
+    QuietPoller* poller = p.poller;
+    cksim::Machine* machine = &rig.machine();
+    rig.between = [poller, machine] { poller->Arrive(machine->Now()); };
+  };
+  ExpectPollCrawlEqualsJump(c);
+}
+
+// Horizon term: the promise itself. Nothing else wakes the poller before
+// its next scheduled arrival.
+TEST(TicklessTest, PollerBoundByItsPromise) {
+  Case c;
+  c.build = [](Rig& rig) {
+    PollRig p = AddPoller(rig, /*cpu=*/1);
+    ScheduleArrivals(*p.poller, rig.machine().Now() + 5003, 80, 23011);
+  };
+  Snapshot jump = ExpectPollCrawlEqualsJump(c);
+  EXPECT_GT(jump.poll_skips, 60u);
+}
+
+// Spins at its priority, charging a little per step.
+class Spinner : public ck::NativeProgram {
+ public:
+  ck::NativeOutcome Step(ck::NativeCtx& ctx) override {
+    ctx.Charge(900 + (++steps_ % 3) * 71);
+    return Outcome(ck::NativeOutcome::Action::kYield);
+  }
+
+ private:
+  uint64_t steps_ = 0;
+};
+
+// Stop: slice expiry. A spinner of the same priority shares the poller's
+// CPU, so every slice end hands the CPU over, round-robin.
+TEST(TicklessTest, PollerStopsAtSliceExpiry) {
+  Case c;
+  c.span = 4000000;
+  c.build = [](Rig& rig) {
+    PollRig p = AddPoller(rig, /*cpu=*/1);
+    ScheduleArrivals(*p.poller, rig.machine().Now() + 5003, 40, 47017);
+    ck::CkApi api(rig.ck(), p.app->self(), rig.machine().cpu(0));
+    auto& spinner = rig.Make<Spinner>();
+    p.app->CreateNativeThread(api, p.space, &spinner, 12, false, /*cpu=*/1);
+  };
+  Snapshot jump = ExpectPollCrawlEqualsJump(c);
+  // A poll charges its thread one instruction, so a poller's slice lasts
+  // kTimeSlice / 2 polls.
+  EXPECT_GT(jump.stats.preemptions, 16u);
+}
+
+// Stop: a quota flip. The poller's kernel has 2% of CPU 1 and a
+// well-behaved kernel's lower-priority spinner is always ready there: the
+// poll that degrades the poller's kernel must end the skip, because the
+// crawl's next turn hands the CPU to the spinner.
+TEST(TicklessTest, PollerStopsAtQuotaFlip) {
+  Case c;
+  c.options.ck.enforce_quotas = true;
+  c.options.ck.quota_window = 500000;
+  c.span = 3000000;
+  c.build = [](Rig& rig) {
+    cksrm::LaunchParams params;
+    params.cpu_percent[1] = 2;
+    PollRig p = AddPoller(rig, /*cpu=*/1, 12, params);
+    ScheduleArrivals(*p.poller, rig.machine().Now() + 5003, 60, 47017);
+    auto& polite = rig.Make<ckapp::AppKernelBase>("polite", 16);
+    uint32_t space = LaunchApp(rig, polite);
+    ck::CkApi api(rig.ck(), polite.self(), rig.machine().cpu(0));
+    auto& spinner = rig.Make<Spinner>();
+    polite.CreateNativeThread(api, space, &spinner, 8, false, /*cpu=*/1);
+  };
+  Snapshot jump = ExpectPollCrawlEqualsJump(c);
+  EXPECT_GT(jump.stats.quota_degradations, 3u);
+}
+
+// Stop: a higher-priority thread ready on the poller's CPU. The poller's
+// signal handler resumes a higher-priority sleeper homed on its CPU; the
+// crawl's next turn preempts the poller for it.
+TEST(TicklessTest, PollerStopsForHigherPriorityThread) {
+  Case c;
+  c.build = [](Rig& rig) {
+    PollRig p = AddPoller(rig, /*cpu=*/1, 10);
+    ScheduleArrivals(*p.poller, rig.machine().Now() + 5003, 60, 33013);
+    ck::CkApi api(rig.ck(), p.app->self(), rig.machine().cpu(0));
+    auto& sleeper = rig.Make<Sleeper>(310);
+    uint32_t t_sleeper = p.app->CreateNativeThread(api, p.space, &sleeper, 20, false, 1);
+    ck::ThreadId sleeper_id = p.app->thread(t_sleeper).ck_id;
+    p.poller->on_signal = [sleeper_id](ck::NativeCtx& ctx) { ctx.api().ResumeThread(sleeper_id); };
+    AddTicker(rig, p, p.poller_thread, 13007, 41017);
+    QuietPoller* poller = p.poller;
+    rig.observe = [poller, &sleeper] {
+      return Join(poller->claims) + "|" + Join(poller->signals) + "|" + Join(sleeper.runs);
+    };
+  };
+  Snapshot jump = ExpectPollCrawlEqualsJump(c);
+  EXPECT_GT(jump.stats.preemptions, 20u);
+}
+
+// Stop: a signal queued for the poller. The case's cost model makes the
+// signal path free, so a step that claims nothing can signal the poller's
+// own page, every 29017 cycles, at no charge and still promise quiet until
+// its next signal or arrival. The signal it queued must end the turn: the
+// crawl's next turn delivers it before polling.
+TEST(TicklessTest, PollerStopsForQueuedSignal) {
+  Case c;
+  cksim::CostModel& cost_model = c.options.cost;
+  for (cksim::Cycles* cost :
+       {&cost_model.trap_entry, &cost_model.trap_exit, &cost_model.call_gate, &cost_model.tlb_hit,
+        &cost_model.tlb_fill, &cost_model.table_walk_level, &cost_model.pte_write,
+        &cost_model.signal_deliver_fast, &cost_model.signal_deliver_slow}) {
+    *cost = 0;
+  }
+  c.build = [](Rig& rig) {
+    PollRig p = AddPoller(rig, /*cpu=*/1);
+    ScheduleArrivals(*p.poller, rig.machine().Now() + 5003, 60, 33013);
+    ck::CkApi api(rig.ck(), p.app->self(), rig.machine().cpu(0));
+    constexpr cksim::VirtAddr kSend = 0x00800000;
+    constexpr cksim::VirtAddr kRecv = 0x00900000;
+    cksim::PhysAddr frame = p.app->frames().Allocate();
+    p.app->DefineFrameRegion(p.space, kSend, 1, frame, true, true);
+    p.app->DefineFrameRegion(p.space, kRecv, 1, frame, false, true, p.poller_thread);
+    EXPECT_EQ(p.app->EnsureMappingLoaded(api, p.space, kSend), CkStatus::kOk);
+    EXPECT_EQ(p.app->EnsureMappingLoaded(api, p.space, kRecv), CkStatus::kOk);
+    ck::SpaceId space = p.app->space(p.space).ck_id;
+    auto pings = std::make_shared<std::vector<Cycles>>();
+    rig.owned.push_back(pings);
+    p.poller->on_quiet = [pings, space](ck::NativeCtx& ctx) {
+      const Cycles now = ctx.api().now();
+      if (pings->empty() || now >= pings->back() + 29017) {
+        EXPECT_EQ(ctx.api().Signal(space, kSend), CkStatus::kOk);
+        EXPECT_EQ(ctx.api().now(), now) << "the signal was not free";
+        pings->push_back(now);
+      }
+      return pings->back() + 29017;
+    };
+    QuietPoller* poller = p.poller;
+    rig.observe = [poller, pings] {
+      EXPECT_GT(pings->size(), 20u);
+      return Join(poller->claims) + "|" + Join(poller->signals) + "|" + Join(*pings);
+    };
+  };
+  ExpectPollCrawlEqualsJump(c);
 }
 
 }  // namespace

@@ -64,10 +64,11 @@ void BM_TlbLookupHit(benchmark::State& state) {
 }
 BENCHMARK(BM_TlbLookupHit);
 
-void BM_NativeLoadHit(benchmark::State& state) {
-  // One native load (CacheKernel::GuestLoad, behind NativeCtx::LoadWord) of a
-  // resident page: the thread, kernel and space pool lookups, the inline TLB
-  // hit, the remote-frame check and the word read. items = loads.
+// Runs body(api, thread, page) on a launched kernel with one space, a
+// blocked native thread and one resident page mapped at `page`, whose TLB
+// entry cpu 0 holds.
+template <typename Body>
+void WithResidentPage(benchmark::State& state, Body&& body) {
   ckbench::World world;
   ckapp::AppKernelBase app("native", 64);
   world.Launch(app);
@@ -87,17 +88,44 @@ void BM_NativeLoadHit(benchmark::State& state) {
     state.SkipWithError("LoadMapping failed");
     return;
   }
-  cksim::Cpu& cpu = world.machine().cpu(0);
-  ck::CacheKernel& kernel = world.ck();
-  kernel.GuestLoad(api.self(), cpu, thread, mapping.vaddr);  // fill the TLB entry
-  uint32_t word = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        kernel.GuestLoad(api.self(), cpu, thread, mapping.vaddr + (word++ & 1023u) * 4));
-  }
-  state.SetItemsProcessed(state.iterations());
+  world.ck().GuestLoad(api.self(), world.machine().cpu(0), thread, mapping.vaddr);
+  body(api, thread, mapping.vaddr);
+}
+
+void BM_NativeLoadHit(benchmark::State& state) {
+  // One native load (CacheKernel::GuestLoad, behind NativeCtx::LoadWord) of a
+  // resident page: the thread, kernel and space pool lookups, the inline TLB
+  // hit, the remote-frame check and the word read. items = loads.
+  WithResidentPage(state, [&](ck::CkApi& api, ck::ThreadId thread, cksim::VirtAddr page) {
+    ck::CacheKernel& kernel = api.kernel();
+    cksim::Cpu& cpu = api.cpu();
+    uint32_t word = 0;
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(
+          kernel.GuestLoad(api.self(), cpu, thread, page + (word++ & 1023u) * 4));
+    }
+    state.SetItemsProcessed(state.iterations());
+  });
 }
 BENCHMARK(BM_NativeLoadHit);
+
+void BM_NativeLoadRun(benchmark::State& state) {
+  // One NativeCtx::LoadWords of 64 words at stride 64 on the resident page,
+  // with 3 cycles charged after each (the database scan's call): one full
+  // native load, then one TLB probe and one batched charge for the other 63.
+  // items = words, to compare with BM_NativeLoadHit.
+  constexpr uint32_t kWords = 64;
+  WithResidentPage(state, [&](ck::CkApi& api, ck::ThreadId thread, cksim::VirtAddr page) {
+    ck::NativeCtx ctx(api, thread, 0);
+    ckbase::Result<uint32_t> out[kWords];
+    for (auto _ : state) {
+      ctx.LoadWords(page, 64, kWords, 3, out);
+      benchmark::DoNotOptimize(out);
+    }
+    state.SetItemsProcessed(state.iterations() * kWords);
+  });
+}
+BENCHMARK(BM_NativeLoadRun);
 
 void BM_MicroTlbHit(benchmark::State& state) {
   // The hint check of the trace executor's data translation: direct-mapped

@@ -31,7 +31,7 @@ namespace fs = std::filesystem;
 
 // src/ck's line count as last measured. A change that grows the supervisor
 // fails --self-check until it raises this number in its own diff.
-constexpr uint64_t kCkLinesCeiling = 5912;
+constexpr uint64_t kCkLinesCeiling = 5951;
 
 uint64_t CountLines(const fs::path& path) {
   std::ifstream in(path);

@@ -7,11 +7,14 @@
 //   Thread            532         256
 //   MemMapEntry        16       65536
 //
-// Our descriptor sizes are computed from the real structs. MemMapEntry is
-// asserted to be exactly 16 bytes (the paper's space argument depends on
-// it); the others differ by host padding and by the 132-byte CKVM register
-// file vs. the 68040 frame, but stay in the same band. The section 5.2 space
-// arithmetic (share of 2 MiB local RAM) is recomputed from our numbers.
+// Our descriptor sizes are the simulated ones: the thread descriptor's is
+// declared (CacheKernel::kThreadDescriptorBytes, the size its loads and
+// writebacks charge), the others are their structs' sizes. The host sizeof
+// is printed beside them. MemMapEntry is asserted to be exactly 16 bytes
+// (the paper's space argument depends on it); the others differ by host
+// padding and by the 132-byte CKVM register file vs. the 68040 frame, but
+// stay in the same band. The section 5.2 space arithmetic (share of 2 MiB
+// local RAM) is recomputed from our numbers.
 
 #include "bench/bench_util.h"
 
@@ -23,6 +26,7 @@ struct Row {
   uint32_t paper_count;
   uint32_t our_size;
   uint32_t our_count;
+  uint32_t host_size;  // sizeof the host struct
 };
 
 }  // namespace
@@ -35,23 +39,23 @@ int main(int argc, char** argv) {
 
   Row rows[] = {
       {"Kernel", 2160, 16, ck::CacheKernel::kKernelObjectBytes,
-       ck.capacity(ck::ObjectType::kKernel)},
+       ck.capacity(ck::ObjectType::kKernel), ck::CacheKernel::kKernelObjectBytes},
       {"AddrSpace", 60, 64, ck::CacheKernel::kSpaceObjectBytes,
-       ck.capacity(ck::ObjectType::kSpace)},
-      {"Thread", 532, 256, ck::CacheKernel::kThreadObjectBytes,
-       ck.capacity(ck::ObjectType::kThread)},
+       ck.capacity(ck::ObjectType::kSpace), ck::CacheKernel::kSpaceObjectBytes},
+      {"Thread", 532, 256, ck::CacheKernel::kThreadDescriptorBytes,
+       ck.capacity(ck::ObjectType::kThread), ck::CacheKernel::kThreadObjectBytes},
       {"MemMapEntry", 16, 65536, ck::CacheKernel::kMappingEntryBytes,
-       ck.capacity(ck::ObjectType::kMapping)},
+       ck.capacity(ck::ObjectType::kMapping), ck::CacheKernel::kMappingEntryBytes},
   };
 
   ckbench::Title("Table 1: Cache Kernel object sizes (bytes) and cache capacities");
-  std::printf("%-14s %12s %12s | %12s %12s\n", "Object", "paper size", "paper count", "our size",
-              "our count");
+  std::printf("%-14s %12s %12s | %12s %12s %12s\n", "Object", "paper size", "paper count",
+              "our size", "our count", "host sizeof");
   ckbench::Rule();
   uint64_t paper_total = 0, our_total = 0;
   for (const Row& row : rows) {
-    std::printf("%-14s %12u %12u | %12u %12u\n", row.name, row.paper_size, row.paper_count,
-                row.our_size, row.our_count);
+    std::printf("%-14s %12u %12u | %12u %12u %12u\n", row.name, row.paper_size, row.paper_count,
+                row.our_size, row.our_count, row.host_size);
     paper_total += static_cast<uint64_t>(row.paper_size) * row.paper_count;
     our_total += static_cast<uint64_t>(row.our_size) * row.our_count;
   }

@@ -13,7 +13,7 @@
 #define SRC_APPKERNEL_VSPACE_H_
 
 #include <cstdint>
-#include <map>
+#include <unordered_map>
 
 #include "src/base/intrusive_list.h"
 #include "src/ck/cache_kernel.h"
@@ -59,7 +59,11 @@ struct VSpace {
   bool loaded = false;
   bool locked = false;
 
-  std::map<cksim::VirtAddr, PageRecord> pages;  // keyed by page-aligned vaddr
+  // Keyed by page-aligned vaddr. Hashed: the pager looks a record up on
+  // every fault, eviction and mapping writeback. Nodes never move, so the
+  // lists below and a subclass may hold PageRecord pointers; a walk whose
+  // order is observable (checkpoint images) sorts the keys first.
+  std::unordered_map<cksim::VirtAddr, PageRecord> pages;
   // The default FIFO order: pages as the pager made them resident (never
   // fixed-frame pages or copy-on-write read mappings). Then the resident
   // pages a subclass touched, by `touched` (the database's LRU/MRU order).

@@ -55,6 +55,8 @@ class Result {
   // sites readable: `return id;` or `return CkStatus::kStale;`.
   Result(T value) : status_(CkStatus::kOk), value_(std::move(value)) {}
   Result(CkStatus status) : status_(status) {}
+  // An array slot that a call fills in later (NativeCtx::LoadWords): no value.
+  Result() : status_(CkStatus::kNotFound) {}
 
   bool ok() const { return status_ == CkStatus::kOk; }
   CkStatus status() const { return status_; }

@@ -384,7 +384,7 @@ Result<ThreadId> CacheKernel::LoadThread(KernelId caller, cksim::Cpu& cpu,
   // Loading a thread copies the full descriptor (register context, stack
   // pointers, signal state) across the interface.
   cpu.Advance(cost.descriptor_init + cost.context_restore + cost.list_op +
-              cost.mem_word * (sizeof(ThreadObject) / 4 / 2));
+              cost.mem_word * (kThreadDescriptorBytes / 4 / 2));
   CommitLoad(ObjectType::kThread, owner, spec.locked, &cpu, threads_.SlotOf(thread));
   cpu.Advance(cost.trap_exit);
   return ThreadId{threads_.IdOf(thread)};
@@ -493,15 +493,14 @@ CkStatus CacheKernel::RedirectThread(KernelId caller, cksim::Cpu& cpu, ThreadId 
 // Page mappings
 // ---------------------------------------------------------------------------
 
-template <typename Charge>
-cksim::PhysAddr CacheKernel::WalkToLeaf(AddressSpaceObject* space, VirtAddr vaddr, bool create,
-                                        Charge&& charge) {
+cksim::PhysAddr CacheKernel::LeafPteAddr(AddressSpaceObject* space, VirtAddr vaddr, bool create,
+                                         cksim::Cpu& cpu) {
   const cksim::CostModel& cost = machine_.cost();
   cksim::PhysicalMemory& mem = machine_.memory();
   PhysAddr slot = space->root_table + cksim::L1Index(vaddr) * 4;
   for (uint32_t level = 1; level <= 2; ++level) {
     uint32_t pte = mem.ReadWord(slot);
-    charge(cost.table_walk_level);
+    cpu.Advance(cost.table_walk_level);
     if (!cksim::PteValid(pte)) {
       PhysAddr table =
           create ? table_arena_.Allocate(level == 1 ? cksim::kL2TableBytes : cksim::kL3TableBytes)
@@ -511,17 +510,12 @@ cksim::PhysAddr CacheKernel::WalkToLeaf(AddressSpaceObject* space, VirtAddr vadd
       }
       pte = cksim::MakePte(table, cksim::kPteValid);
       mem.WriteWord(slot, pte);
-      charge(cost.table_alloc + cost.pte_write);
+      cpu.Advance(cost.table_alloc + cost.pte_write);
     }
     slot = cksim::PteAddress(pte) +
            (level == 1 ? cksim::L2Index(vaddr) : cksim::L3Index(vaddr)) * 4;
   }
   return slot;
-}
-
-cksim::PhysAddr CacheKernel::LeafPteAddr(AddressSpaceObject* space, VirtAddr vaddr, bool create,
-                                         cksim::Cpu& cpu) {
-  return WalkToLeaf(space, vaddr, create, [&cpu](Cycles cycles) { cpu.Advance(cycles); });
 }
 
 CkStatus CacheKernel::LoadMapping(KernelId caller, cksim::Cpu& cpu, const MappingSpec& spec) {
@@ -582,6 +576,7 @@ CkStatus CacheKernel::LoadMapping(KernelId caller, cksim::Cpu& cpu, const Mappin
                      (spec.flags.writable ? kPvWritable : 0);
     uint32_t pv = pmap_.Insert(frame, (spec.vaddr & ~0xfffu) | flags, spaces_.SlotOf(space),
                                RecordType::kPhysToVirt);
+    pmap_.set_leaf_pte(pv, leaf);
     cpu.Advance(cost.hash_op);
 
     if (signal_thread != nullptr) {
@@ -890,12 +885,7 @@ struct CacheKernel::MappingVictimOps {
   // The mapping caches' referenced bit is the real one in the leaf PTE; the
   // walk and the clearing write are charged like any other table access.
   bool TestAndClearReferenced(uint32_t index) {
-    MemMapEntry& rec = ck.pmap_.record(index);
-    AddressSpaceObject* space = ck.spaces_.SlotAt(rec.pv_space_slot());
-    PhysAddr leaf = ck.LeafPteAddr(space, rec.pv_vaddr(), /*create=*/false, cpu);
-    if (leaf == 0) {
-      return false;
-    }
+    PhysAddr leaf = ck.PvLeaf(index, [this](Cycles cycles) { cpu.Advance(cycles); });
     uint32_t pte = ck.machine_.memory().ReadWord(leaf);
     if ((pte & cksim::kPteReferenced) == 0) {
       return false;
@@ -909,11 +899,8 @@ struct CacheKernel::MappingVictimOps {
   // after a guest fault has to see the same bits the built-in would have).
   // The walk is not charged here: its cost adds to `walk`.
   bool PeekReferenced(uint32_t index, Cycles& walk) const {
-    MemMapEntry& rec = ck.pmap_.record(index);
-    AddressSpaceObject* space = ck.spaces_.SlotAt(rec.pv_space_slot());
-    PhysAddr leaf = ck.WalkToLeaf(space, rec.pv_vaddr(), /*create=*/false,
-                                  [&walk](Cycles cycles) { walk += cycles; });
-    return leaf != 0 && (ck.machine_.memory().ReadWord(leaf) & cksim::kPteReferenced) != 0;
+    PhysAddr leaf = ck.PvLeaf(index, [&walk](Cycles cycles) { walk += cycles; });
+    return (ck.machine_.memory().ReadWord(leaf) & cksim::kPteReferenced) != 0;
   }
   uint32_t OwnerSlot(uint32_t index) const {
     MemMapEntry& rec = ck.pmap_.record(index);
@@ -935,29 +922,6 @@ PolicyTable* CacheKernel::PolicyTableOf(uint32_t kernel_slot) {
   KernelObject* k = kernels_.SlotAt(kernel_slot);
   return k->handlers != nullptr ? k->handlers->policy_table() : nullptr;
 }
-
-namespace {
-
-// Assemble the fixed 8-word feature vector one admitted candidate exposes to
-// a guest policy program -- bit for bit, the guest VM's read-only window.
-// The referenced-bit walk is not charged: its cost adds to `walk`.
-template <typename Cache, typename Ops>
-VictimFeatures FeaturesFor(Cache& cache, Ops& ops, uint32_t slot, ObjectType type,
-                           Cycles& walk) {
-  VictimFeatures f;
-  f.slot = slot;
-  uint64_t age = cache.load_clock() - cache.load_seq(slot);
-  f.age = age > 0xffffffffull ? 0xffffffffu : static_cast<uint32_t>(age);
-  f.hw_ref = ops.PeekReferenced(slot, walk) ? 1 : 0;
-  f.soft_ref = 1;  // every candidate is loaded, so the word is constant
-  f.load_seq_low = static_cast<uint32_t>(cache.load_seq(slot));
-  f.state_class = ops.StateClass(slot);
-  f.owner_is_self = 1;  // a program only sees the requester's own descriptors
-  f.object_type = static_cast<uint32_t>(type);
-  return f;
-}
-
-}  // namespace
 
 // Policy-engine victim selection for one scan: the requesting kernel's
 // loaded guest policy program (LoadPolicy) when it has one, else the
@@ -983,39 +947,48 @@ bool CacheKernel::ReclaimWithPolicy(Cache& cache, Ops& ops, ObjectType type, cks
   // filter keeps other kernels' candidates out of the window, so a malicious
   // program cannot even observe them, let alone evict them.
   auto admit = [&](uint32_t slot) { return ops.OwnerSlot(slot) == requester_slot; };
-  // Gather: a chunk's feature windows, word-major, and what each
-  // candidate's referenced-bit walk cost. The walks are charged in the
-  // replay, so an aborted scan pays for those a one-at-a-time scan made.
+  // Gather records a chunk's slots in window row 0. Score fills the other
+  // rows (word w of lane k is window[w][k], the VictimFeatures word order)
+  // and what each candidate's referenced-bit walk cost. It runs one engine
+  // pass over the chunk (scoring has no side effects, so the program cannot
+  // change mid-scan), then replays the lanes in slot order through the one
+  // that stopped the scan: their counters and walk charges as a
+  // one-at-a-time scan would have made them.
   uint32_t window[kPolicyFeatureWords][kLanes];
   Cycles walk[kLanes];
-  auto gather = [&](uint32_t slot, uint32_t lane) {
-    walk[lane] = 0;
-    VictimFeatures f = FeaturesFor(cache, ops, slot, type, walk[lane]);
-    const uint32_t words[kPolicyFeatureWords] = {f.slot,          f.age,          f.hw_ref,
-                                                 f.soft_ref,      f.load_seq_low, f.state_class,
-                                                 f.owner_is_self, f.object_type};
-    for (uint32_t w = 0; w < kPolicyFeatureWords; ++w) {
-      window[w][lane] = words[w];
-    }
-  };
-  // Score: one engine pass over the chunk (scoring has no side effects, so
-  // the program cannot change mid-scan). Replay: the lanes in slot order,
-  // through the one that stopped the scan -- its counters and walk charges
-  // as a one-at-a-time scan would have made them.
+  auto gather = [&](uint32_t slot, uint32_t lane) { window[0][lane] = slot; };
   ckisa::PolicyVm vm(guest.words.data(), static_cast<uint32_t>(guest.words.size()),
                      kPolicyCodeBase, kPolicyFeatureBase);
   auto score = [&](uint32_t lanes, int64_t* scores) {
-    ckisa::PolicyVmResult results[kLanes];
-    uint32_t scored = vm.Run(&window[0][0], kPolicyFeatureWords, kLanes, lanes, budget, results);
+    for (uint32_t i = 0; i < lanes; ++i) {
+      uint64_t stamp = cache.load_seq(window[0][i]);
+      uint64_t age = cache.load_clock() - stamp;
+      window[1][i] = age > 0xffffffffu ? 0xffffffffu : static_cast<uint32_t>(age);
+      window[4][i] = static_cast<uint32_t>(stamp);
+    }
+    for (uint32_t i = 0; i < lanes; ++i) {
+      walk[i] = 0;
+      window[2][i] = ops.PeekReferenced(window[0][i], walk[i]) ? 1 : 0;
+      window[5][i] = ops.StateClass(window[0][i]);
+    }
+    std::fill_n(window[3], lanes, 1u);  // soft_ref: every candidate is loaded
+    std::fill_n(window[6], lanes, 1u);  // owner_is_self: admit shows no other
+    std::fill_n(window[7], lanes, t);   // object_type
+    union Results {  // Run fills every lane that the replay reads
+      Results() {}
+      ckisa::PolicyVmResult lane[kLanes];
+    } results;
+    uint32_t scored =
+        vm.Run(&window[0][0], kPolicyFeatureWords, kLanes, lanes, budget, results.lane);
     uint32_t ran = std::min(scored + 1, lanes);
     uint64_t steps = 0;
     Cycles walked = 0;
     for (uint32_t i = 0; i < ran; ++i) {
-      steps += results[i].steps;
+      steps += results.lane[i].steps;
       walked += walk[i];
-      scores[i] = static_cast<int64_t>(results[i].score);
+      scores[i] = static_cast<int64_t>(results.lane[i].score);
     }
-    if (scored < lanes && results[scored].event == ckisa::PolicyVmEvent::kBudget) {
+    if (scored < lanes && results.lane[scored].event == ckisa::PolicyVmEvent::kBudget) {
       stats_.policy_vm_budget++;
       abort_reason = PolicyFallback::kBudget;
     } else if (scored < lanes) {
@@ -1261,9 +1234,6 @@ bool CacheKernel::TierReclaimOne(cksim::Cpu& cpu, uint32_t requester_slot, uint3
 }
 
 void CacheKernel::TierMaintenance(cksim::Cpu& cpu) {
-  if (!TierEnabled() || config_.tier_promote_period == 0 || cpu.clock() < tier_next_scan_) {
-    return;
-  }
   tier_next_scan_ = cpu.clock() + config_.tier_promote_period;
   cksim::PhysicalMemory& mem = machine_.memory();
   uint32_t fallback_slot = first_kernel_.id.slot;
@@ -1329,10 +1299,9 @@ bool CacheKernel::TierTestAndClearReferenced(uint32_t frame, cksim::Cpu& cpu) {
   // OR over the hardware referenced bits of every virtual mapping; all are
   // consumed so the next scan sees only fresh use. The walks and clearing
   // writes are charged like any other table access.
-  pmap_.VisitPv(frame, [&](uint32_t, const MemMapEntry& rec) {
-    AddressSpaceObject* space = spaces_.SlotAt(rec.pv_space_slot());
-    PhysAddr leaf = LeafPteAddr(space, rec.pv_vaddr(), /*create=*/false, cpu);
-    uint32_t pte = leaf != 0 ? machine_.memory().ReadWord(leaf) : 0;
+  pmap_.VisitPv(frame, [&](uint32_t pv, const MemMapEntry&) {
+    PhysAddr leaf = PvLeaf(pv, [&cpu](Cycles cycles) { cpu.Advance(cycles); });
+    uint32_t pte = machine_.memory().ReadWord(leaf);
     if ((pte & cksim::kPteReferenced) != 0) {
       machine_.memory().WriteWord(leaf, pte & ~cksim::kPteReferenced);
       cpu.Advance(machine_.cost().pte_write);
@@ -1485,15 +1454,13 @@ void CacheKernel::UnloadPvRecord(uint32_t pv_index, cksim::Cpu& cpu, UnloadCause
   record.writable = (rec.pv_flags() & kPvWritable) != 0;
   record.message = rec.pv_message();
 
-  PhysAddr leaf = LeafPteAddr(space, vaddr, /*create=*/false, cpu);
-  if (leaf != 0) {
-    uint32_t pte = machine_.memory().ReadWord(leaf);
-    if (cksim::PteValid(pte)) {
-      record.referenced = (pte & cksim::kPteReferenced) != 0;
-      record.modified = (pte & cksim::kPteModified) != 0;
-      machine_.memory().WriteWord(leaf, 0);
-      cpu.Advance(cost.pte_write);
-    }
+  PhysAddr leaf = PvLeaf(pv_index, [&cpu](Cycles cycles) { cpu.Advance(cycles); });
+  uint32_t pte = machine_.memory().ReadWord(leaf);
+  if (cksim::PteValid(pte)) {
+    record.referenced = (pte & cksim::kPteReferenced) != 0;
+    record.modified = (pte & cksim::kPteModified) != 0;
+    machine_.memory().WriteWord(leaf, 0);
+    cpu.Advance(cost.pte_write);
   }
   FlushTlbPageAllCpus(static_cast<uint16_t>(space_slot), vaddr >> cksim::kPageShift, cpu);
   FlushReverseTlbFrameAllCpus(frame);
@@ -1581,7 +1548,7 @@ void CacheKernel::UnloadThreadInternal(ThreadObject* thread, cksim::Cpu& cpu, Un
   // The writeback record carries the register context (half a descriptor).
   CommitWriteback(cpu, cause, ObjectType::kThread, kernels_.SlotOf(owner), owner,
                   static_cast<uint32_t>(record.cookie),
-                  cost.mem_word * (sizeof(ThreadObject) / 4 / 2),
+                  cost.mem_word * (kThreadDescriptorBytes / 4 / 2),
                   [&](AppKernel& h, CkApi& api) { h.OnThreadWriteback(record, api); });
 }
 

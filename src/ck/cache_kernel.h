@@ -432,7 +432,11 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   // list of violations (empty = consistent).
   std::vector<std::string> ValidateInvariants();
 
-  // Descriptor sizes for the Table 1 bench.
+  // The simulated size of a thread descriptor, half of which a thread load
+  // and a thread writeback copy: 304 B, sizeof(ThreadObject) under x86-64
+  // GCC when it was fixed, so the host layout never sets simulated time.
+  static constexpr uint32_t kThreadDescriptorBytes = 304;
+  // Host descriptor sizes for the Table 1 bench.
   static constexpr uint32_t kKernelObjectBytes = sizeof(KernelObject);
   static constexpr uint32_t kSpaceObjectBytes = sizeof(AddressSpaceObject);
   static constexpr uint32_t kThreadObjectBytes = sizeof(ThreadObject);
@@ -481,6 +485,13 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
     machine_.memory().WriteWord(t.paddr & ~3u, value);
     return value;
   }
+  // `count` loads at first + i * stride, each followed by `charge_each`
+  // cycles (NativeCtx::LoadWords). After a load succeeds, the following words
+  // on its page hit the TLB entry it left, so they are charged, counted and
+  // read as one run.
+  void LoadWords(KernelId caller, cksim::Cpu& cpu, ThreadId thread_id, cksim::VirtAddr first,
+                 uint32_t stride, uint32_t count, cksim::Cycles charge_each,
+                 Result<uint32_t>* out);
   // Fault forwarding and up to two retries, and the signal-on-write assist.
   Result<uint32_t> GuestAccessSlow(ThreadObject* thread, cksim::Cpu& cpu, ThreadId thread_id,
                                    cksim::VirtAddr vaddr, cksim::Access access, uint32_t value,
@@ -596,11 +607,14 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   // Returns the leaf PTE address for vaddr, allocating tables if `create`.
   cksim::PhysAddr LeafPteAddr(AddressSpaceObject* space, cksim::VirtAddr vaddr, bool create,
                               cksim::Cpu& cpu);
-  // The same walk with each cost handed to charge(cycles) instead of a CPU
-  // clock. Member template defined in cache_kernel.cc.
+  // The leaf PTE address of loaded pv record `pv`, remembered at its load:
+  // the tables under a mapping are freed only after it unloads. charge(cycles)
+  // receives the two table levels the walk to it reads.
   template <typename Charge>
-  cksim::PhysAddr WalkToLeaf(AddressSpaceObject* space, cksim::VirtAddr vaddr, bool create,
-                             Charge&& charge);
+  cksim::PhysAddr PvLeaf(uint32_t pv, Charge&& charge) {
+    charge(2 * machine_.cost().table_walk_level);
+    return pmap_.leaf_pte(pv);
+  }
   // The leaf PTE for vaddr; 0 when no page table covers it.
   uint32_t LeafPte(AddressSpaceObject* space, cksim::VirtAddr vaddr, cksim::Cpu& cpu) {
     cksim::PhysAddr leaf = LeafPteAddr(space, vaddr, /*create=*/false, cpu);
@@ -690,9 +704,9 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   // False when every candidate is pinned. `exclude` (kNoFrame when unused)
   // protects the frame currently being admitted or promoted.
   bool TierReclaimOne(cksim::Cpu& cpu, uint32_t requester_slot, uint32_t exclude);
-  // Maintenance pass at the head of every dispatch turn: trim over-budget
-  // DRAM, then promote hot slow-tier frames by their harvested referenced
-  // bits.
+  // Maintenance pass at the head of a dispatch turn, when tiers are on and
+  // a scan is due (OnCpuTurn tests that): trim over-budget DRAM, then
+  // promote hot slow-tier frames by their harvested referenced bits.
   void TierMaintenance(cksim::Cpu& cpu);
   // Harvest (and clear) the referenced evidence for a frame: hardware leaf
   // PTE bits over all of its virtual mappings, OR-ed with the soft TierTouch
@@ -897,6 +911,14 @@ class NativeCtx {
   }
   ckbase::CkStatus StoreWord(cksim::VirtAddr vaddr, uint32_t value) {
     return api_.kernel().GuestStore(api_.self(), api_.cpu(), self_, vaddr, value);
+  }
+  // out[i] = LoadWord(first + i * stride); Charge(charge_each); for i in
+  // [0, count): the same statuses, values, clock, counters, TLB state and
+  // trace, with the words of a page that hit the TLB loaded in one run.
+  void LoadWords(cksim::VirtAddr first, uint32_t stride, uint32_t count,
+                 cksim::Cycles charge_each, ckbase::Result<uint32_t>* out) {
+    api_.kernel().LoadWords(api_.self(), api_.cpu(), self_, first, stride, count, charge_each,
+                            out);
   }
 
  private:

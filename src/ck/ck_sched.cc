@@ -166,6 +166,43 @@ Result<uint32_t> CacheKernel::GuestAccessSlow(ThreadObject* thread, cksim::Cpu& 
   }
 }
 
+// A word that follows a successful load on the same page does what the
+// inline path of GuestAccess does: nothing has run since that load, so the
+// thread and its space are still loaded and the word's one TLB Lookup hits
+// the entry Probe finds. A run of such words adds its hits at once, leaves
+// the entry's lru at the last hit's tick and charges its cycles together.
+void CacheKernel::LoadWords(KernelId caller, cksim::Cpu& cpu, ThreadId thread_id,
+                            VirtAddr first, uint32_t stride, uint32_t count, Cycles charge_each,
+                            Result<uint32_t>* out) {
+  const cksim::CostModel& cost = machine_.cost();
+  cksim::Tlb& tlb = cpu.mmu().tlb();
+  auto word = [&](uint32_t i) -> VirtAddr { return first + i * stride; };
+  for (uint32_t i = 0; i < count;) {
+    uint32_t vpage = word(i) >> cksim::kPageShift;
+    out[i] = GuestAccess(caller, cpu, thread_id, word(i), cksim::Access::kRead, 0);
+    cpu.Advance(charge_each);
+    if (!out[i++].ok()) {
+      continue;
+    }
+    uint32_t end = i;
+    while (end < count && word(end) >> cksim::kPageShift == vpage) {
+      ++end;
+    }
+    int32_t entry =
+        end > i ? tlb.Probe(static_cast<uint16_t>(GetThread(thread_id)->space_slot), vpage) : -1;
+    if (entry < 0 || FrameIsRemote(tlb.EntryAt(entry).pframe)) {
+      continue;
+    }
+    cpu.Advance((end - i) * (cost.tlb_hit + cost.mem_word + charge_each));
+    tlb.CommitFastHits(end - i);
+    tlb.SetLruAt(static_cast<uint32_t>(entry), tlb.tick());
+    PhysAddr frame = cksim::FrameBase(tlb.EntryAt(entry).pframe);
+    for (; i < end; ++i) {
+      out[i] = machine_.memory().ReadWord(frame | (word(i) & cksim::kPageOffsetMask & ~3u));
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Ready queues
 // ---------------------------------------------------------------------------
@@ -276,9 +313,11 @@ void CacheKernel::ChargeThread(ThreadObject* thread, cksim::Cpu& cpu, Cycles cyc
 
 void CacheKernel::OnCpuTurn(cksim::Cpu& cpu) {
   // Tiered-memory maintenance (DRAM trim + hot-page promotion) runs at the
-  // head of every turn, so every tier transition happens at a deterministic
-  // point in the machine's dispatch order.
-  TierMaintenance(cpu);
+  // head of every turn it is due in, so every tier transition happens at a
+  // deterministic point in the machine's dispatch order.
+  if (TierEnabled() && config_.tier_promote_period != 0 && cpu.clock() >= tier_next_scan_) {
+    TierMaintenance(cpu);
+  }
 
   // Application-kernel deferred events due on this CPU's clock.
   while (!app_events_.empty() && app_events_.front().at <= cpu.clock()) {

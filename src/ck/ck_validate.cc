@@ -81,8 +81,11 @@ std::vector<std::string> CacheKernel::ValidateInvariants() {
           fail("pv record with no L2 entry");
           break;
         }
-        uint32_t leaf =
-            mem.ReadWord(cksim::PteAddress(l2) + cksim::L3Index(rec.pv_vaddr()) * 4);
+        cksim::PhysAddr leaf_addr = cksim::PteAddress(l2) + cksim::L3Index(rec.pv_vaddr()) * 4;
+        if (pmap_.leaf_pte(i) != leaf_addr) {
+          fail("pv record remembers a leaf PTE its walk does not reach");
+        }
+        uint32_t leaf = mem.ReadWord(leaf_addr);
         if (!cksim::PteValid(leaf)) {
           fail("pv record with invalid leaf PTE");
           break;

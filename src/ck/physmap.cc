@@ -14,7 +14,7 @@ uint32_t NextPowerOfTwo(uint32_t v) {
 }  // namespace
 
 PhysicalMemoryMap::PhysicalMemoryMap(uint32_t capacity)
-    : records_(capacity), buckets_(NextPowerOfTwo(capacity), kNilRecord) {}
+    : records_(capacity), leaf_ptes_(capacity), buckets_(NextPowerOfTwo(capacity), kNilRecord) {}
 
 uint32_t PhysicalMemoryMap::BucketOf(uint32_t key) const {
   // Fibonacci hash; buckets_ is a power of two.

@@ -23,9 +23,10 @@
 // bump index, freed ones from the free list first (last freed first): the
 // order of a pool chained whole at construction. The records start as zeros
 // (kFree) that no set-up writes, so a map pays only for the records a run
-// uses, and the next map to reuse them zeroes only [0, bump). Replacement
-// over pv records lives in the ObjectCache wrapper (src/ck/object_cache.h),
-// not here.
+// uses, and the next map to reuse them zeroes only [0, bump). Beside each
+// record sits its leaf PTE address, which a PhysToVirt record's load sets
+// (leaf_pte). Replacement over pv records lives in the ObjectCache wrapper
+// (src/ck/object_cache.h), not here.
 
 #ifndef SRC_CK_PHYSMAP_H_
 #define SRC_CK_PHYSMAP_H_
@@ -98,7 +99,10 @@ static_assert(sizeof(MemMapEntry) == 16, "Table 1: MemMapEntry must be 16 bytes"
 class PhysicalMemoryMap {
  public:
   explicit PhysicalMemoryMap(uint32_t capacity);
-  ~PhysicalMemoryMap() { records_.set_used(bump_); }
+  ~PhysicalMemoryMap() {
+    records_.set_used(bump_);
+    leaf_ptes_.set_used(bump_);
+  }
 
   uint32_t capacity() const { return records_.size(); }
   uint32_t in_use() const { return in_use_; }
@@ -107,6 +111,9 @@ class PhysicalMemoryMap {
 
   MemMapEntry& record(uint32_t index) { return records_[index]; }
   const MemMapEntry& record(uint32_t index) const { return records_[index]; }
+  // The leaf PTE address of a loaded PhysToVirt record, as its load stored it.
+  cksim::PhysAddr leaf_pte(uint32_t index) const { return leaf_ptes_[index]; }
+  void set_leaf_pte(uint32_t index, cksim::PhysAddr leaf) { leaf_ptes_[index] = leaf; }
 
   // Allocate + insert into the hash chain for `key`. Returns kNilRecord when
   // the pool is exhausted (caller reclaims and retries).
@@ -142,6 +149,7 @@ class PhysicalMemoryMap {
   uint32_t BucketOf(uint32_t key) const;
 
   ckbase::ZeroedArray<MemMapEntry> records_;
+  ckbase::ZeroedArray<cksim::PhysAddr> leaf_ptes_;  // [record], PhysToVirt only
   std::vector<uint32_t> buckets_;  // head record index per bucket
   uint32_t free_head_ = kNilRecord;  // freed records, last freed first
   uint32_t bump_ = 0;                // first never-used record

@@ -39,6 +39,21 @@ void WritePageRecord(Writer& w, VirtAddr vaddr, const PageRecord& page) {
   w.U32(page.cow_source);
 }
 
+using PageEntry = decltype(VSpace::pages)::value_type;
+
+// A space's page records in ascending address order: images and state
+// listings give them in this order, whatever order the hash map keeps.
+std::vector<const PageEntry*> SortedPages(const VSpace& sp) {
+  std::vector<const PageEntry*> sorted;
+  sorted.reserve(sp.pages.size());
+  for (const PageEntry& entry : sp.pages) {
+    sorted.push_back(&entry);
+  }
+  std::sort(sorted.begin(), sorted.end(),
+            [](const PageEntry* a, const PageEntry* b) { return a->first < b->first; });
+  return sorted;
+}
+
 struct DecodedPage {
   VirtAddr vaddr = 0;
   PageRecord page;
@@ -114,7 +129,8 @@ void AppKernelState::Capture(AppKernelBase& app, ck::CkApi& api, CkptImage* imag
     Writer w;
     w.Bool(sp->locked);
     w.U32(static_cast<uint32_t>(sp->pages.size()));
-    for (const auto& [vaddr, page] : sp->pages) {
+    for (const PageEntry* entry : SortedPages(*sp)) {
+      const auto& [vaddr, page] = *entry;
       WritePageRecord(w, vaddr, page);
       if (page.where == PageRecord::Where::kResident && page.frame_owned && page.frame != 0) {
         owned_frames.insert(page.frame);
@@ -132,7 +148,8 @@ void AppKernelState::Capture(AppKernelBase& app, ck::CkApi& api, CkptImage* imag
   // that must follow the kernel to the target machine.
   std::vector<uint8_t> buf(kPageSize);
   for (uint32_t s = 0; s < app.spaces_.size(); ++s) {
-    for (const auto& [vaddr, page] : app.spaces_[s]->pages) {
+    for (const PageEntry* entry : SortedPages(*app.spaces_[s])) {
+      const auto& [vaddr, page] = *entry;
       if (page.where != PageRecord::Where::kResident || page.frame == 0) {
         continue;
       }
@@ -154,8 +171,8 @@ void AppKernelState::Capture(AppKernelBase& app, ck::CkApi& api, CkptImage* imag
   // keyed by the old frame address so restore can rebuild the sharing.
   std::set<PhysAddr> shared_done;
   for (const auto& sp : app.spaces_) {
-    for (const auto& [vaddr, page] : sp->pages) {
-      PhysAddr source = page.cow_source;
+    for (const PageEntry* entry : SortedPages(*sp)) {
+      PhysAddr source = entry->second.cow_source;
       if (source == 0 || owned_frames.count(source) != 0 || shared_done.count(source) != 0) {
         continue;
       }
@@ -580,7 +597,8 @@ std::vector<std::pair<std::string, uint64_t>> AppKernelState::Digest(AppKernelBa
       fifo_crc = Crc32(&page->vaddr, sizeof(page->vaddr), fifo_crc);
     }
     add(prefix + "fifo_crc", fifo_crc);
-    for (auto& [vaddr, page] : sp.pages) {
+    for (const PageEntry* entry : SortedPages(sp)) {
+      const auto& [vaddr, page] = *entry;
       std::ostringstream pb;
       pb << prefix << "page" << std::hex << vaddr << ".";
       std::string pp = pb.str();

@@ -33,16 +33,16 @@ class DbKernel::EngineProgram : public ck::NativeProgram {
       if (cursor_ >= db.config_.table_pages) {
         cursor_ = 0;
       }
-      // Scan one page: read the first column of every row.
-      VirtAddr page = db.PageAddr(cursor_);
+      // Scan one page: read the first column of every row, each followed by
+      // its predicate evaluation (3 cycles).
       db.Touch(cursor_);
-      for (uint32_t row = 0; row < kRowsPerPage; ++row) {
-        ckbase::Result<uint32_t> value = ctx.LoadWord(page + row * kRowBytes);
+      ckbase::Result<uint32_t> values[kRowsPerPage];
+      ctx.LoadWords(db.PageAddr(cursor_), kRowBytes, kRowsPerPage, /*charge_each=*/3, values);
+      for (const ckbase::Result<uint32_t>& value : values) {
         if (value.ok()) {
           sum_ += value.value();
           db.stats_.rows_read++;
         }
-        ctx.Charge(3);  // predicate evaluation
       }
       ++cursor_;
       if (cursor_ == db.config_.table_pages) {

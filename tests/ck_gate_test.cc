@@ -211,7 +211,7 @@ Cycles SignalWalk(const CostModel& c) {
          2 * c.table_walk_level;
 }
 Cycles ThreadHalf(const CostModel& c) {
-  return c.mem_word * (ck::CacheKernel::kThreadObjectBytes / 4 / 2);
+  return c.mem_word * (ck::CacheKernel::kThreadDescriptorBytes / 4 / 2);
 }
 
 // -- CkStats deltas --

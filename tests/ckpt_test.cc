@@ -9,13 +9,17 @@
 //   * cross-MPM live migration of the UNIX emulator with stable pids;
 //   * crash failover from the last stable-store image;
 //   * database kernel round-trip (app-extra state: recency list, query
-//     engine progress).
+//     engine progress);
+//   * page records listed in address order, whatever order the pager's
+//     hash map keeps them in.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -1233,6 +1237,99 @@ TEST(CkptHostile, BadDbRecencyEntriesAreRefused) {
     ckdb::DbKernel target(b.ck(), config);
     ExpectRefused(b, target, edit_recency(c.entry, c.vaddr), "db recency entry");
   }
+}
+
+// ---------------------------------------------------------------------------
+// Record order.
+// ---------------------------------------------------------------------------
+
+// Images list page records in address order (a std::map walk, as when the
+// pager kept its records in one) although the pager's hash map walks them in
+// another: the kSpace records are byte for byte a reference encoding of that
+// walk, the page contents come in the same order, and so do the digest's
+// page keys.
+TEST(CkptOrder, PageRecordsAreWrittenInAddressOrder) {
+  TestWorld a;
+  ckapp::AppKernelBase app("order", 64);
+  a.Launch(app);
+  ck::CkApi api(a.ck(), app.self(), a.machine().cpu(0));
+  uint32_t sp = app.CreateSpace(api);
+  // Regions defined high to low and interleaved, some pages made resident.
+  const cksim::VirtAddr kRegions[] = {0x48000000, 0x40000000, 0x44000000, 0x40010000};
+  for (cksim::VirtAddr base : kRegions) {
+    app.DefineZeroRegion(sp, base, 5, /*writable=*/true);
+    for (uint32_t p = 4; p > 0; p -= 2) {
+      uint32_t value = base + p;
+      ASSERT_TRUE(app.WriteGuest(api, sp, base + p * cksim::kPageSize, &value, 4));
+    }
+  }
+  app.DefineBackedRegion(sp, 0x42000000, 3, /*first_backing_page=*/0, /*writable=*/false);
+  uint32_t probe = 0;
+  ASSERT_TRUE(app.ReadGuest(api, sp, 0x42001000, &probe, 4));
+  std::vector<cksim::VirtAddr> walked;
+  for (const auto& entry : app.space(sp).pages) {
+    walked.push_back(entry.first);
+  }
+  ASSERT_FALSE(std::is_sorted(walked.begin(), walked.end()))
+      << "the hash map walks these pages in address order: the test shows nothing";
+
+  CkptImage image;
+  ASSERT_EQ(a.srm().Checkpoint(app, &image), CkStatus::kOk);
+  std::map<cksim::VirtAddr, const ckapp::PageRecord*> ordered;
+  for (const auto& [vaddr, page] : app.space(sp).pages) {
+    ordered[vaddr] = &page;
+  }
+  Writer want;
+  want.Bool(app.space(sp).locked);
+  want.U32(static_cast<uint32_t>(ordered.size()));
+  std::vector<cksim::VirtAddr> resident;
+  for (const auto& [vaddr, page] : ordered) {
+    want.U32(vaddr);
+    want.U8(static_cast<uint8_t>(page->where));
+    for (bool flag : {page->writable, page->message, page->locked, page->dirty,
+                      page->frame_owned, page->mapping_loaded}) {
+      want.Bool(flag);
+    }
+    for (uint32_t word : {page->backing_page, page->frame, page->fixed_frame,
+                          page->signal_thread, page->cow_source}) {
+      want.U32(word);
+    }
+    if (page->where == ckapp::PageRecord::Where::kResident && page->frame != 0) {
+      resident.push_back(vaddr);
+    }
+  }
+  want.U32(static_cast<uint32_t>(app.space(sp).resident.Size()));
+  for (const ckapp::PageRecord* page : app.space(sp).resident) {
+    want.U32(page->vaddr);
+  }
+  std::vector<std::vector<uint8_t>> spaces;
+  std::vector<cksim::VirtAddr> contents;
+  for (const ckckpt::CkptRecord& rec : image.records()) {
+    if (rec.type == RecordType::kSpace) {
+      spaces.push_back(rec.payload);
+    } else if (rec.type == RecordType::kPageContents && GetU32(rec.payload, 0) == sp) {
+      contents.push_back(GetU32(rec.payload, 4));
+    }
+  }
+  ASSERT_GT(spaces.size(), sp);
+  EXPECT_TRUE(spaces[sp] == want.data()) << "the kSpace record is not the address-order walk";
+  EXPECT_EQ(contents, resident);
+  EXPECT_GE(resident.size(), 9u);
+
+  ck::CkApi srm_api = a.Api();
+  std::vector<cksim::VirtAddr> listed;
+  const std::string prefix = "space" + std::to_string(sp) + ".page";
+  for (const auto& [key, value] : AppKernelState::Digest(app, srm_api)) {
+    if (key.rfind(prefix, 0) == 0 && key.ends_with(".where")) {
+      listed.push_back(
+          static_cast<cksim::VirtAddr>(std::stoul(key.substr(prefix.size()), nullptr, 16)));
+    }
+  }
+  std::vector<cksim::VirtAddr> keys;
+  for (const auto& entry : ordered) {
+    keys.push_back(entry.first);
+  }
+  EXPECT_EQ(listed, keys);
 }
 
 }  // namespace

@@ -11,12 +11,15 @@
 // by call: every result field, every TLB entry and counter, every
 // page-table word. NativeSlowPathTest pins the native accesses that must
 // leave the inline path although their TLB entry is resident.
+// NativeLoadRunTest requires NativeCtx::LoadWords to do exactly what its
+// loop of LoadWord and Charge does, on seeded scripts of faults.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstring>
 #include <map>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/ck/cache_kernel.h"
@@ -762,6 +765,224 @@ TEST_F(NativeSlowPathTest, StoreToAResidentCopyOnWritePageFaults) {
   ASSERT_EQ(kernel_.faults.size(), 1u) << "a store to a resident copy-on-write page must fault";
   EXPECT_EQ(kernel_.faults[0], cksim::FaultType::kProtection);
   EXPECT_EQ(machine_.memory().ReadWord(kPaddr), 0u) << "the shared frame was written";
+}
+
+// ---------------------------------------------------------------------------
+// NativeCtx::LoadWords against a loop of LoadWord and Charge
+// ---------------------------------------------------------------------------
+
+// The frame a virtual page maps to; several pages share each frame.
+constexpr cksim::PhysAddr kRunFrameBase = 0x00100000;
+constexpr uint32_t kRunFrames = 12;
+cksim::PhysAddr RunFrameOf(cksim::VirtAddr vaddr) {
+  return kRunFrameBase + ((vaddr >> cksim::kPageShift) * 7 % kRunFrames) * cksim::kPageSize;
+}
+
+// What a scripted fault handler did, counted for the coverage check.
+enum class RunAct : uint32_t { kMap, kBlock, kTerminate, kUnloadSpace, kCount };
+
+// Answers each fault as its seeded script says: load the missing mapping, or
+// bring a remote line home, and resume; block the thread; end it; or unload
+// its space.
+class ScriptedPager : public NullKernel {
+ public:
+  explicit ScriptedPager(uint64_t seed) : rng_(seed) {}
+  ck::HandlerAction HandleFault(const ck::FaultForward& forward, CkApi& api) override {
+    RunAct act = rng_.Chance(5, 8) ? RunAct::kMap : static_cast<RunAct>(rng_.Range(1, 3));
+    acts[static_cast<uint32_t>(act)]++;
+    consistency += forward.fault.type == cksim::FaultType::kConsistency ? 1 : 0;
+    switch (act) {
+      case RunAct::kMap:
+        if (forward.fault.type == cksim::FaultType::kConsistency) {
+          api.kernel().MarkFrameRemote(cksim::PageFrame(RunFrameOf(forward.fault.address)),
+                                       false);
+        } else {
+          MappingSpec spec;
+          spec.space = space;
+          spec.vaddr = forward.fault.address & ~cksim::kPageOffsetMask;
+          spec.paddr = RunFrameOf(forward.fault.address);
+          EXPECT_EQ(api.LoadMapping(spec), CkStatus::kOk);
+        }
+        return ck::HandlerAction::kResume;
+      case RunAct::kBlock:
+        return ck::HandlerAction::kBlock;
+      case RunAct::kTerminate:
+        return ck::HandlerAction::kTerminate;
+      default:
+        EXPECT_EQ(api.UnloadSpace(space), CkStatus::kOk);
+        return ck::HandlerAction::kResume;
+    }
+  }
+  SpaceId space;
+  uint64_t acts[static_cast<uint32_t>(RunAct::kCount)] = {};
+  uint64_t consistency = 0;
+
+ private:
+  ckbase::Rng rng_;
+};
+
+// One machine with one kernel, one space and one native thread (blocked, so
+// the scheduler never runs it: the test makes its loads).
+struct RunWorld {
+  explicit RunWorld(uint64_t seed) : machine(Config()), ck(machine, {}), pager(seed) {
+    machine.EnableTracing(1u << 12);
+    kid = ck.BootFirstKernel(&pager, 0);
+    for (uint32_t f = 0; f < kRunFrames; ++f) {
+      for (uint32_t w = 0; w < cksim::kPageSize / 4; ++w) {
+        machine.memory().WriteWord(kRunFrameBase + f * cksim::kPageSize + w * 4, f << 16 | w);
+      }
+    }
+    Reload();
+  }
+  static cksim::MachineConfig Config() {
+    cksim::MachineConfig mc;
+    mc.memory_bytes = 8u << 20;
+    mc.cpu_count = 2;  // unloads flush the other CPU's TLB too
+    return mc;
+  }
+  CkApi Api() { return CkApi(ck, kid, machine.cpu(0)); }
+  // A fresh space when the last was unloaded, and a fresh thread when the
+  // last was unloaded or ended.
+  void Reload() {
+    if (!ck.IsSpaceLoaded(pager.space)) {
+      pager.space = Api().LoadSpace(0, false).value();
+    }
+    ckbase::Result<ck::ThreadState> state = ck.GetThreadState(thread);
+    if (state.ok() && state.value() == ck::ThreadState::kHalted) {
+      ASSERT_EQ(Api().UnloadThread(thread), CkStatus::kOk);
+    }
+    if (!ck.IsThreadLoaded(thread)) {
+      ck::ThreadSpec spec;
+      spec.space = pager.space;
+      spec.start_blocked = true;
+      spec.cpu_hint = 0;
+      thread = Api().LoadThread(spec).value();
+    }
+  }
+
+  cksim::Machine machine;
+  CacheKernel ck;
+  ScriptedPager pager;
+  ck::KernelId kid;
+  ck::ThreadId thread;
+};
+
+void ExpectSameWorlds(RunWorld& a, RunWorld& b, int op) {
+  ASSERT_EQ(a.machine.cpu(0).clock(), b.machine.cpu(0).clock()) << "op " << op;
+  ASSERT_EQ(std::memcmp(&a.ck.stats(), &b.ck.stats(), sizeof(ck::CkStats)), 0) << "op " << op;
+  for (uint32_t c = 0; c < a.machine.cpu_count(); ++c) {
+    const cksim::Tlb& got = a.machine.cpu(c).mmu().tlb();
+    const cksim::Tlb& want = b.machine.cpu(c).mmu().tlb();
+    ASSERT_EQ(got.tick(), want.tick()) << "cpu " << c << " op " << op;
+    ASSERT_EQ(got.hits(), want.hits()) << "cpu " << c << " op " << op;
+    ASSERT_EQ(got.misses(), want.misses()) << "cpu " << c << " op " << op;
+    for (uint32_t i = 0; i < 64; ++i) {  // the default TLB's entries
+      const cksim::TlbEntry& g = got.EntryAt(i);
+      const cksim::TlbEntry& w = want.EntryAt(i);
+      ASSERT_EQ(g.valid, w.valid) << "entry " << i << " op " << op;
+      if (w.valid) {
+        ASSERT_EQ(g.asid, w.asid) << "entry " << i << " op " << op;
+        ASSERT_EQ(g.vpage, w.vpage) << "entry " << i << " op " << op;
+        ASSERT_EQ(g.pframe, w.pframe) << "entry " << i << " op " << op;
+        ASSERT_EQ(g.flags, w.flags) << "entry " << i << " op " << op;
+        ASSERT_EQ(g.lru, w.lru) << "entry " << i << " op " << op;
+      }
+    }
+    const obs::TraceRing& got_ring = a.machine.tracer()->ring(c);
+    const obs::TraceRing& want_ring = b.machine.tracer()->ring(c);
+    ASSERT_EQ(got_ring.pushed(), want_ring.pushed()) << "cpu " << c << " op " << op;
+    for (size_t i = 0; i < got_ring.size(); ++i) {
+      ASSERT_EQ(std::memcmp(&got_ring.at(i), &want_ring.at(i), sizeof(obs::TraceEvent)), 0)
+          << "trace event " << i << " op " << op;
+    }
+  }
+}
+
+TEST(NativeLoadRunTest, LoadWordsMatchesALoopOfLoadWordAndCharge) {
+  constexpr cksim::VirtAddr kBase = 0x00400000;
+  constexpr uint32_t kPages = 40;  // more than a TLB set holds: runs meet evictions
+  const uint32_t kStrides[] = {0, 4, 64, 64, 256, 4092, 4096, 4100, 0xfffffffcu, 0xffffffc0u};
+  uint64_t acts[static_cast<uint32_t>(RunAct::kCount)] = {};
+  uint64_t consistency = 0, first_word_faults = 0, runs = 0, crossing_runs = 0, busy = 0,
+           stale = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    RunWorld batch(seed);  // LoadWords
+    RunWorld loop(seed);   // LoadWord and Charge, one word at a time
+    ckbase::Rng rng(seed * 7919);
+    for (int op = 0; op < 300; ++op) {
+      // The same set-up step in both worlds: map or unload a page, or mark
+      // a frame remote.
+      uint32_t page = static_cast<uint32_t>(rng.Below(kPages));
+      cksim::VirtAddr vpage = kBase + page * cksim::kPageSize;
+      uint64_t step = rng.Below(8);
+      for (RunWorld* w : {&batch, &loop}) {
+        if (step < 3) {
+          MappingSpec spec;
+          spec.space = w->pager.space;
+          spec.vaddr = vpage;
+          spec.paddr = RunFrameOf(vpage);
+          spec.flags.writable = step == 0;
+          ASSERT_EQ(w->Api().LoadMapping(spec), CkStatus::kOk);
+        } else if (step == 3) {
+          w->Api().UnloadMapping(w->pager.space, vpage);
+        } else if (step == 4) {
+          w->ck.MarkFrameRemote(cksim::PageFrame(RunFrameOf(vpage)), true);
+        }
+      }
+      cksim::VirtAddr first = vpage + static_cast<uint32_t>(rng.Below(cksim::kPageSize));
+      first &= rng.Chance(7, 8) ? ~3u : ~0u;
+      uint32_t stride = kStrides[rng.Below(std::size(kStrides))];
+      uint32_t count = static_cast<uint32_t>(rng.Below(80));
+      cksim::Cycles charge = rng.Below(8);
+
+      std::vector<ckbase::Result<uint32_t>> got(count), want(count);
+      ck::NativeCtx batch_ctx(batch.Api(), batch.thread, 0);
+      batch_ctx.LoadWords(first, stride, count, charge, got.data());
+      ck::NativeCtx loop_ctx(loop.Api(), loop.thread, 0);
+      for (uint32_t i = 0; i < count; ++i) {
+        uint64_t faults = loop.ck.stats().faults_forwarded;
+        want[i] = loop_ctx.LoadWord(first + i * stride);
+        loop_ctx.Charge(charge);
+        first_word_faults += i == 0 && loop.ck.stats().faults_forwarded > faults ? 1 : 0;
+      }
+      auto page_of = [&](uint32_t i) { return (first + i * stride) >> cksim::kPageShift; };
+      for (uint32_t i = 0; i < count; ++i) {
+        ASSERT_EQ(got[i].status(), want[i].status()) << "seed " << seed << " op " << op << " word "
+                                                     << i;
+        ASSERT_EQ(got[i].value(), want[i].value()) << "seed " << seed << " op " << op << " word "
+                                                   << i;
+        busy += want[i].status() == CkStatus::kBusy ? 1 : 0;
+        stale += want[i].status() == CkStatus::kStale ? 1 : 0;
+        if (i > 0 && want[i - 1].ok() && want[i].ok() && page_of(i - 1) == page_of(i)) {
+          ++runs;
+          crossing_runs += page_of(i) != page_of(0) ? 1 : 0;
+        }
+      }
+      ExpectSameWorlds(batch, loop, op);
+      if (HasFatalFailure()) {
+        return;
+      }
+      batch.Reload();
+      loop.Reload();
+    }
+    for (uint32_t a = 0; a < static_cast<uint32_t>(RunAct::kCount); ++a) {
+      EXPECT_EQ(batch.pager.acts[a], loop.pager.acts[a]);
+      acts[a] += loop.pager.acts[a];
+    }
+    consistency += loop.pager.consistency;
+  }
+  // Not vacuous: every handler act, consistency faults, faults on a call's
+  // first word, words that ran on a page, runs past a page boundary, and the
+  // failed statuses all occurred.
+  for (uint32_t a = 0; a < static_cast<uint32_t>(RunAct::kCount); ++a) {
+    EXPECT_GT(acts[a], 0u) << "act " << a;
+  }
+  EXPECT_GT(consistency, 0u);
+  EXPECT_GT(first_word_faults, 0u);
+  EXPECT_GT(runs, 0u);
+  EXPECT_GT(crossing_runs, 0u);
+  EXPECT_GT(busy, 0u);
+  EXPECT_GT(stale, 0u);
 }
 
 }  // namespace

@@ -238,6 +238,49 @@ TEST_P(StormTest, RandomObjectChurnPreservesInvariants) {
 INSTANTIATE_TEST_SUITE_P(Seeds, StormTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u, 55u, 89u));
 
+// Loads over a handful of pages and frames, so most loads replace a loaded
+// mapping, often a signal mapping whose unload also unloads the frame's
+// writable peers: the new record then takes a freed slot other than the one
+// it replaced. ValidateInvariants after every load compares each record's
+// remembered leaf PTE address with a walk of the page tables.
+TEST(MappingReplaceStormTest, ReplacedMappingsRememberTheirOwnLeafPte) {
+  cksim::MachineConfig mc;
+  mc.memory_bytes = 8u << 20;
+  cksim::Machine machine(mc);
+  CacheKernel ck(machine, CacheKernelConfig{});
+  ModelKernel model;
+  CkApi api(ck, ck.BootFirstKernel(&model, 0), machine.cpu(0));
+  SpaceId spaces[2];
+  ThreadId threads[2];
+  for (uint32_t i = 0; i < 2; ++i) {
+    spaces[i] = api.LoadSpace(i, false).value();
+    ThreadSpec spec;
+    spec.space = spaces[i];
+    spec.start_blocked = true;
+    threads[i] = api.LoadThread(spec).value();
+  }
+  ckbase::Rng rng(26);
+  for (int op = 0; op < 2000; ++op) {
+    MappingSpec spec;
+    spec.space = spaces[rng.Below(2)];
+    spec.vaddr = static_cast<uint32_t>(rng.Below(8)) * cksim::kPageSize;
+    spec.paddr = 0x100000 + static_cast<uint32_t>(rng.Below(4)) * cksim::kPageSize;
+    spec.flags.writable = rng.Chance(1, 2);
+    if (rng.Chance(1, 2)) {
+      spec.flags.message = true;
+      spec.signal_thread = threads[rng.Below(2)];
+    }
+    ASSERT_EQ(api.LoadMapping(spec), CkStatus::kOk) << "op " << op;
+    std::vector<std::string> violations = ck.ValidateInvariants();
+    ASSERT_TRUE(violations.empty()) << "op " << op << ": " << violations[0];
+  }
+  // Most loads replaced a mapping, and replacements cascaded to peers.
+  const uint32_t m = static_cast<uint32_t>(ck::ObjectType::kMapping);
+  EXPECT_GT(ck.stats().writebacks[m], ck.stats().loads[m] / 2);
+  EXPECT_GT(model.mapping_writebacks, 1000u);
+  ExpectConservation(ck);
+}
+
 // Same churn with a guest policy program scoring every victim scan: the VM
 // must not disturb any invariant or the conservation identity, whatever the
 // scan shape (pools and the mapping cache both).
